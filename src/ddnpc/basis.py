@@ -460,13 +460,6 @@ def _grid_eval(dictionary: BasisDictionary, phi, box: OperatingBox):
     return U, XI, PSI, PHI
 
 
-def gram_matrix(dictionary: BasisDictionary, box: OperatingBox) -> np.ndarray:
-    """Matrix of pairwise basis inner products over the box (midpoint rule)."""
-    U, XI = box.grid()
-    PSI = dictionary.value_batch(U, XI)
-    return PSI.T @ PSI * box.cell_volume()
-
-
 def fit_coefficient_matrix(
     dictionary: BasisDictionary,
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .plant import BrunovskyStructure, NoiseModel, PlantModel
+from .plant import BrunovskyStructure, NoiseModel, PlantModel, window_states
 from .behavior import (
     DataDictionaryBlocks,
     ErrorBoundInputs,
@@ -199,6 +199,7 @@ class OcpBuilder:
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
         self._pinv_stack = None
+        self._shift = None
         self._tie_break = 1e-6 * (spec.lambda_alpha * spec.slack_level + 1.0)
         # The robust ridge pulls the combination vector toward the one that
         # represents the window resting at the setpoint, so that the setpoint
@@ -525,8 +526,6 @@ class OcpBuilder:
         return self._pinv_stack
 
     def _alpha_for_trajectory(self, u_bar, y_bar):
-        from .plant import window_states
-
         xi = window_states(y_bar, self.spec.structure).data
         psi = self.spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
         rhs = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
@@ -556,8 +555,6 @@ class OcpBuilder:
         alpha = self._alpha_for_trajectory(u_bar, y_bar)
         sigma = None
         if self.has_sigma:
-            from .plant import window_states
-
             xi = window_states(y_bar, self.spec.structure).data
             psi = spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
             sigma = self.H_psi @ alpha - psi.reshape(-1)
@@ -567,8 +564,6 @@ class OcpBuilder:
         spec = self.spec
 
         def rhs(u_bar, y_bar):
-            from .plant import window_states
-
             xi = window_states(y_bar, self.spec.structure).data
             psi = spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
             return np.concatenate([psi.reshape(-1), xi.reshape(-1)])
@@ -591,7 +586,9 @@ class OcpBuilder:
         }
         if self.has_sigma:
             prev["sigma"] = decision.sigma_psi
-        out = _solver.warm_start_shift(prev, self.shift_structure(), shift)
+        if self._shift is None:
+            self._shift = self.shift_structure()
+        out = _solver.warm_start_shift(prev, self._shift, shift)
         return self.pack(
             out["alpha"], out["u"], out["y"], out.get("sigma")
         )
@@ -606,6 +603,13 @@ class _RelaxedDirect:
     What is left is a small bounded nonlinear least-squares over the free
     input/output slots. Valid whenever the slack-bound inequality is inactive
     at the optimum, which is checked afterwards.
+
+    The residual is the stage rows followed by ``R @ (g - g_s)``, where
+    ``g`` stacks the features and window states, ``g_s`` is its value at the
+    setpoint's combination vector, and ``R`` is the triangular factor of the
+    constant matrix that maps ``g - g_s`` to the ridge, feature slack and
+    state slack rows. The cost, ``J^T J`` and ``J^T r`` equal those of the
+    uncompressed residual, so every Gauss-Newton step is unchanged.
     """
 
     def __init__(self, builder: OcpBuilder):
@@ -645,22 +649,41 @@ class _RelaxedDirect:
         Hs = np.vstack([builder.H_psi, builder.H_xi])
         A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
         self.P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
-        self.HpsiP = builder.H_psi @ self.P
-        self.HxiP = builder.H_xi @ self.P
-        self.raP = self.ra * self.P
         self.alpha_s = builder.alpha_s
-        self.psi_s = builder.H_psi @ self.alpha_s
-        self.xi_s = builder.H_xi @ self.alpha_s
-        self.g_s = np.concatenate([self.psi_s, self.xi_s])
+        self.g_s = np.concatenate([builder.H_psi @ self.alpha_s, builder.H_xi @ self.alpha_s])
+
+        # Every residual row past the stage rows is C @ (g - g_s) with the
+        # constant C below (ridge rows, feature slack rows, state slack rows),
+        # because g_s = Hs a_s. Only ||C h||^2 and its derivatives matter, so
+        # C is replaced by the triangle R of its QR factorization: same cost,
+        # same J^T J and J^T r, far fewer rows.
+        n_psi = r * Lp
+        C = np.vstack(
+            [
+                self.ra * self.P,
+                self.rs * (builder.H_psi @ self.P - np.eye(n_psi, n_psi + n_xi)),
+                self.rs * (builder.H_xi @ self.P - np.eye(n_xi, n_psi + n_xi, n_psi)),
+            ]
+        )
+        self.R = np.linalg.qr(C, mode="r")
+        self.R_psi = self.R[:, :n_psi]
+        self.RD_xi = self.R[:, n_psi:] @ D_xi
+
+        # Scatter of the dictionary jacobian (Lp, r, m + n) into d psi / d zf:
+        # col_of[k, j] is the reduced column that partial j at window time k
+        # feeds, -1 where that slot is pinned. Each (row, column) pair of the
+        # target gets at most one entry.
+        col_of = np.full((Lp, m + n), -1)
+        col_of[builder.d_max :, :m] = np.arange(L * m).reshape(L, m)
+        col_of[:, m:] = self.y_state_cols[: Lp * n].reshape(Lp, n)
+        k, j = np.nonzero(col_of >= 0)
+        feature_rows = k[:, None] * r + np.arange(r)
+        self._scatter_rows = feature_rows.ravel()
+        self._scatter_cols = np.repeat(col_of[k, j], r)
+        self._scatter_src = (feature_rows * (m + n) + j[:, None]).ravel()
 
         L_R = np.linalg.cholesky(spec.R).T
         L_Q = np.linalg.cholesky(spec.Q).T
-        self.rows_stage = slice(0, 2 * L * m)
-        self.rows_alpha = slice(2 * L * m, 2 * L * m + M)
-        self.rows_spsi = slice(self.rows_alpha.stop, self.rows_alpha.stop + r * Lp)
-        self.rows_sxi = slice(self.rows_spsi.stop, self.rows_spsi.stop + n_xi)
-        self.n_rows = self.rows_sxi.stop
-
         J_stage = np.zeros((2 * L * m, self.dim))
         b_stage = np.zeros(2 * L * m)
         for k in range(L):
@@ -675,6 +698,7 @@ class _RelaxedDirect:
         self.hist_u = None
         self.hist_y = None
         self._xi_fixed = None
+        self._last = None  # (zf, psi) of the latest dictionary evaluation
 
     def set_history(self, hist_u, hist_y):
         self.hist_u = np.asarray(hist_u, dtype=float).reshape(self.b.d_max, self.b.m)
@@ -682,6 +706,8 @@ class _RelaxedDirect:
         y_fixed = self._assemble_y_concat(np.zeros(self.n_free_y))
         xi = y_fixed[self.b.XI_COLS - self.b.off_y]
         self._xi_fixed = np.where(self.y_state_cols < 0, xi, 0.0)
+        # the same reduced point under another history has other features
+        self._last = None
 
     def _assemble_y_concat(self, y_free):
         b = self.b
@@ -697,52 +723,34 @@ class _RelaxedDirect:
         return np.vstack([self.hist_u, zf[self.sl_u].reshape(self.b.L, self.b.m)])
 
     def _pieces(self, zf, need_jac):
+        """Features, window states and, if asked, the feature jacobian at
+        ``zf``. The trust-region solver asks for the jacobian at the point it
+        just evaluated, so the latest feature evaluation is reused there."""
         b = self.b
         xi_flat = self._xi_fixed + self.D_xi @ zf
-        xi = xi_flat.reshape(b.Lp + 1, b.n)
+        xi = xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
         u_full = self._u_full(zf)
         dic = b.spec.blocks.dictionary
-        psi = dic.value_batch(u_full, xi[: b.Lp]).reshape(-1)
-        g = np.concatenate([psi, xi_flat])
+        if self._last is not None and np.array_equal(self._last[0], zf):
+            psi = self._last[1]
+        else:
+            psi = dic.value_batch(u_full, xi).reshape(-1)
+            self._last = (zf.copy(), psi)
         if not need_jac:
-            return g, psi, xi_flat, None
-        jpsi = dic.jacobian_batch(u_full, xi[: b.Lp])
-        m, n, r = b.m, b.n, b.r
-        dpsi = np.zeros((r * b.Lp, self.dim))
-        for k in range(b.Lp):
-            rows = slice(k * r, (k + 1) * r)
-            if k >= b.d_max:
-                ku = k - b.d_max
-                dpsi[rows, ku * m : (ku + 1) * m] = jpsi[k, :, :m]
-            cols = self.y_state_cols[k * n : (k + 1) * n]
-            for q in range(n):
-                if cols[q] >= 0:
-                    dpsi[rows, cols[q]] += jpsi[k, :, m + q]
-        return g, psi, xi_flat, dpsi
+            return psi, xi_flat, None
+        jpsi = dic.jacobian_batch(u_full, xi)
+        dpsi = np.zeros((b.r * b.Lp, self.dim))
+        dpsi[self._scatter_rows, self._scatter_cols] = jpsi.reshape(-1)[self._scatter_src]
+        return psi, xi_flat, dpsi
 
     def residual(self, zf):
-        g, psi, xi_flat, _ = self._pieces(zf, False)
-        h = g - self.g_s
-        return np.concatenate(
-            [
-                self.J_stage @ zf - self.b_stage,
-                self.raP @ h,
-                self.rs * (self.HpsiP @ h + self.psi_s - psi),
-                self.rs * (self.HxiP @ h + self.xi_s - xi_flat),
-            ]
-        )
+        psi, xi_flat, _ = self._pieces(zf, False)
+        h = np.concatenate([psi, xi_flat]) - self.g_s
+        return np.concatenate([self.J_stage @ zf - self.b_stage, self.R @ h])
 
     def jacobian(self, zf):
-        g, psi, xi_flat, dpsi = self._pieces(zf, True)
-        dg = np.vstack([dpsi, self.D_xi])
-        return np.vstack(
-            [
-                self.J_stage,
-                self.raP @ dg,
-                self.rs * (self.HpsiP @ dg - dpsi),
-                self.rs * (self.HxiP @ dg - self.D_xi),
-            ]
-        )
+        _, _, dpsi = self._pieces(zf, True)
+        return np.vstack([self.J_stage, self.R_psi @ dpsi + self.RD_xi])
 
     def bounds(self):
         lo = np.full(self.dim, -np.inf)
@@ -762,8 +770,8 @@ class _RelaxedDirect:
 
     def decision_from_reduced(self, zf: np.ndarray) -> OcpDecision:
         b = self.b
-        g, psi, xi_flat, _ = self._pieces(zf, False)
-        alpha = self.alpha_s + self.P @ (g - self.g_s)
+        psi, xi_flat, _ = self._pieces(zf, False)
+        alpha = self.alpha_s + self.P @ (np.concatenate([psi, xi_flat]) - self.g_s)
         u_bar = self._u_full(zf)
         y_free = zf[self.sl_y]
         y_bar = []
@@ -793,8 +801,12 @@ def solve_relaxed_direct(
     """Solve the relaxed robust problem by slack and combination elimination.
 
     Returns ``(decision, info)`` where ``info`` carries the objective, solver
-    iterations and whether the slack bound held at the optimum (when it does
-    not, the caller must fall back to the constrained path).
+    iterations, whether the slack bound held at the optimum (when it does
+    not, the caller must fall back to the constrained path) and the measured
+    constraint violation. The trust-region solver keeps the inputs inside
+    their box and the feature equality holds by construction, so the only
+    constraint that can be violated is the slack bound:
+    ``max_violation = max(0, sigma_inf - c_slack * slack_level)``.
     """
     from scipy.optimize import least_squares
 
@@ -837,6 +849,7 @@ def solve_relaxed_direct(
         "iterations": int(res.nfev),
         "status": status,
         "bound_ok": bound_ok,
+        "max_violation": max(0.0, decision.sigma_inf - bound),
     }
     return decision, info
 
@@ -888,6 +901,7 @@ class SolveRecord:
     applied: bool
     predicted_outputs: list          # channel i: prediction times 0..L+d_i-1
     decision: Optional[OcpDecision] = None
+    error: str = ""                  # exception text of a failed solve
 
 
 @dataclass
@@ -937,7 +951,11 @@ def run_closed_loop(
     pins. Measurement noise affects only what the controller sees; the clean
     outputs are logged alongside for evaluation. A solve that neither
     converges nor reaches near-feasibility is not applied: the previous
-    input is held for one stride and the event is flagged in the log.
+    input is held for one stride and the event is flagged in the log. A
+    feasible solve that stopped at its iteration limit is applied, as
+    suboptimal predictive control allows; its record keeps the status and
+    the measured constraint violation. A solve that raises is recorded as
+    ``solver-error`` with the exception text.
     """
     mode_stride = spec.d_max if spec.mode == "robust" else 1
     stride = mode_stride if stride is None else stride
@@ -998,16 +1016,18 @@ def run_closed_loop(
             warm = builder.unpack(builder.shifted_guess(prev_decision, stride))
         decision = None
         solve_failed = False
+        error = ""
         if use_direct:
             try:
                 decision, info = solve_relaxed_direct(builder, hist_u, hist_y, warm)
-            except Exception:
+            except Exception as exc:
                 decision, solve_failed = None, True
+                error = f"{type(exc).__name__}: {exc}"
             if decision is not None and info["bound_ok"]:
                 status = info["status"]
                 objective = info["objective"]
                 iterations = info["iterations"]
-                max_violation = 0.0
+                max_violation = info["max_violation"]
             else:
                 decision = None  # slack bound active: take the constrained path
         if decision is None and not solve_failed:
@@ -1017,8 +1037,9 @@ def run_closed_loop(
             try:
                 problem = builder.build(hist_u, hist_y, z0=z0)
                 report = _solver.solve(problem, opts)
-            except Exception:
+            except Exception as exc:
                 solve_failed = True
+                error = f"{type(exc).__name__}: {exc}"
             else:
                 decision = builder.unpack(report.x)
                 status = report.status
@@ -1047,6 +1068,7 @@ def run_closed_loop(
             applied=accept,
             predicted_outputs=[y[d_max:].copy() for y in decision.y_bar],
             decision=decision if keep_decisions else None,
+            error=error,
         )
         log.solves.append(rec)
         for j in range(stride):

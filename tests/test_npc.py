@@ -316,10 +316,9 @@ def test_robust_equals_nominal_closed_loop_with_zero_bounds():
     np.testing.assert_allclose(u_n, u_r, atol=1e-5)
 
 
-def assert_direct_agrees_with_constrained(y_s):
-    """The direct elimination and the constrained AL path solve the same
-    relaxed robust problem on the flat toy, setpoint ``y_s`` held by its
-    equilibrium input."""
+def flat_toy_relaxed_spec(y_s):
+    """Relaxed robust flat toy, setpoint ``y_s`` held by its equilibrium
+    input."""
     toy, st, phi = plant.make_scalar_flat()
     u_s = y_s - 0.15 * y_s**2 - 0.3 * np.sin(y_s)
     policy = plant.StateFeedbackDitherPolicy(K=np.array([[0.25, 0.55]]), dither=0.6, seed=3)
@@ -328,13 +327,19 @@ def assert_direct_agrees_with_constrained(y_s):
     )
     d = presets.flat_toy_dictionary()
     blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10, use_noisy=True)
-    spec = OcpSpec(
+    return OcpSpec(
         mode="robust", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
         u_setpoint=[u_s], y_setpoint=[y_s], u_min=[-3.0], u_max=[3.0],
         eps_star=0.02, w_star=0.005, slack_mode="relaxed", c_slack=100.0,
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
-    builder = OcpBuilder(spec)
+
+
+def assert_direct_agrees_with_constrained(y_s):
+    """The direct elimination and the constrained AL path solve the same
+    relaxed robust problem on the flat toy at setpoint ``y_s``."""
+    builder = OcpBuilder(flat_toy_relaxed_spec(y_s))
+    st = builder.spec.structure
     hu = np.zeros((2, 1))
     hy = np.array([[0.2], [0.19]])
     dec_fast, info = solve_relaxed_direct(builder, hu, hy, maxiter=300)
@@ -360,15 +365,20 @@ def test_direct_solver_agrees_with_constrained_path_nonzero_setpoint():
     assert np.max(np.abs(builder.alpha_s)) > 1e-3
 
 
-def test_robust_equilibrium_is_zero_cost():
-    """Robust counterpart of the nominal equilibrium test on the pendulum,
-    whose setpoint has nonzero features and window states: resting at the
-    setpoint costs nothing, so the controller plans to stay there."""
+def pendulum_relaxed_builder():
+    """Reference pendulum controller, relaxed robust mode, on data seed 2."""
     exp = presets.pendulum_experiment(grid_points=3)
     d = exp.dictionary(perturbation=0.1, seed=3)
     blocks = exp.blocks(d, exp.collect(seed=2, w_star=0.01))
     spec = exp.ocp_spec(blocks, eps_star=6.65, w_star=0.01)
-    builder = OcpBuilder(spec)
+    return exp, d, spec, OcpBuilder(spec)
+
+
+def test_robust_equilibrium_is_zero_cost():
+    """Robust counterpart of the nominal equilibrium test on the pendulum,
+    whose setpoint has nonzero features and window states: resting at the
+    setpoint costs nothing, so the controller plans to stay there."""
+    exp, d, spec, builder = pendulum_relaxed_builder()
     hu = np.tile(exp.u_setpoint, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint, (spec.d_max, 1))
     decision, info = solve_relaxed_direct(builder, hu, hy)
@@ -387,6 +397,161 @@ def test_robust_equilibrium_is_zero_cost():
     z = builder.pack(alpha, u_bar, y_bar, builder.H_psi @ alpha - psi)
     objective, _ = builder._objective(z)
     assert objective <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def direct_builders():
+    """Builders for the direct-form checks: the pendulum reference controller
+    and the flat toy at a nonzero setpoint."""
+    return [pendulum_relaxed_builder()[3], OcpBuilder(flat_toy_relaxed_spec(0.3))]
+
+
+def random_history(builder, rng):
+    spec = builder.spec
+    hu = spec.u_setpoint + 0.3 * rng.standard_normal((builder.d_max, builder.m))
+    hy = spec.y_setpoint + 0.3 * rng.standard_normal((builder.d_max, builder.m))
+    return hu, hy
+
+
+def random_reduced_point(direct, rng):
+    spec = direct.b.spec
+    u = spec.u_setpoint + 0.3 * rng.standard_normal((direct.b.L, direct.b.m))
+    y = spec.y_setpoint[:, None] + 0.3 * rng.standard_normal((direct.b.m, direct.b.L))
+    return np.concatenate([np.clip(u, spec.u_min, spec.u_max).reshape(-1), y.reshape(-1)])
+
+
+def uncompressed_residual_and_jacobian(direct, zf):
+    """Reference: the direct form's residual without the QR reduction, with
+    stage rows, ridge rows, feature slack rows and state slack rows."""
+    b = direct.b
+    psi, xi_flat, dpsi = direct._pieces(zf, True)
+    h = np.concatenate([psi, xi_flat]) - direct.g_s
+    psi_s = b.H_psi @ direct.alpha_s
+    xi_s = b.H_xi @ direct.alpha_s
+    HpsiP = b.H_psi @ direct.P
+    HxiP = b.H_xi @ direct.P
+    r = np.concatenate([
+        direct.J_stage @ zf - direct.b_stage,
+        direct.ra * direct.P @ h,
+        direct.rs * (HpsiP @ h + psi_s - psi),
+        direct.rs * (HxiP @ h + xi_s - xi_flat),
+    ])
+    dg = np.vstack([dpsi, direct.D_xi])
+    J = np.vstack([
+        direct.J_stage,
+        direct.ra * direct.P @ dg,
+        direct.rs * (HpsiP @ dg - dpsi),
+        direct.rs * (HxiP @ dg - direct.D_xi),
+    ])
+    return r, J
+
+
+def test_reduced_direct_residual_matches_uncompressed(direct_builders):
+    """Replacing the constant tail by its QR triangle keeps the cost, J^T J
+    and J^T r, so the trust-region steps are those of the full residual."""
+    rng = np.random.default_rng(11)
+    for builder in direct_builders:
+        direct = npc._RelaxedDirect(builder)
+        for _ in range(5):
+            direct.set_history(*random_history(builder, rng))
+            zf = random_reduced_point(direct, rng)
+            r_full, J_full = uncompressed_residual_and_jacobian(direct, zf)
+            r, J = direct.residual(zf), direct.jacobian(zf)
+            assert r.size < r_full.size
+            assert abs(r @ r - r_full @ r_full) <= 1e-10 * (r_full @ r_full)
+            for got, want in ((J.T @ J, J_full.T @ J_full), (J.T @ r, J_full.T @ r_full)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+
+def test_direct_history_change_drops_cached_features(direct_builders):
+    """The features cached for a reduced point belong to one history: at the
+    same point under another history the residual and jacobian are those of a
+    fresh direct form."""
+    rng = np.random.default_rng(12)
+    for builder in direct_builders:
+        direct = npc._RelaxedDirect(builder)
+        history_a = random_history(builder, rng)
+        history_b = random_history(builder, rng)
+        direct.set_history(*history_a)
+        zf = random_reduced_point(direct, rng)
+        direct.residual(zf)
+        direct.set_history(*history_b)
+        fresh = npc._RelaxedDirect(builder)
+        fresh.set_history(*history_b)
+        np.testing.assert_array_equal(direct.residual(zf), fresh.residual(zf))
+        np.testing.assert_array_equal(direct.jacobian(zf), fresh.jacobian(zf))
+
+
+def test_direct_feature_jacobian_scatter_matches_loop(direct_builders):
+    """The index scatter of the dictionary jacobian reproduces the per-slot
+    loop exactly."""
+    rng = np.random.default_rng(13)
+    for builder in direct_builders:
+        direct = npc._RelaxedDirect(builder)
+        direct.set_history(*random_history(builder, rng))
+        zf = random_reduced_point(direct, rng)
+        _, xi_flat, dpsi = direct._pieces(zf, True)
+        b = direct.b
+        m, n, r = b.m, b.n, b.r
+        xi = xi_flat.reshape(b.Lp + 1, n)[: b.Lp]
+        jpsi = b.spec.blocks.dictionary.jacobian_batch(direct._u_full(zf), xi)
+        want = np.zeros((r * b.Lp, direct.dim))
+        for k in range(b.Lp):
+            rows = slice(k * r, (k + 1) * r)
+            if k >= b.d_max:
+                ku = k - b.d_max
+                want[rows, ku * m : (ku + 1) * m] = jpsi[k, :, :m]
+            cols = direct.y_state_cols[k * n : (k + 1) * n]
+            for q in range(n):
+                if cols[q] >= 0:
+                    want[rows, cols[q]] += jpsi[k, :, m + q]
+        np.testing.assert_array_equal(dpsi, want)
+
+
+def test_direct_iteration_limit_reports_measured_violation():
+    """A direct solve stopped by its iteration limit reports the slack-bound
+    violation it measured, not an assumed zero."""
+    exp, _, spec, builder = pendulum_relaxed_builder()
+    hu = np.tile(exp.hold_input, (spec.d_max, 1))
+    hy = np.tile(exp.y_setpoint - 1.0, (spec.d_max, 1))
+    decision, info = solve_relaxed_direct(builder, hu, hy, maxiter=1)
+    assert info["status"] == "max-iter"
+    bound = spec.c_slack * spec.slack_level
+    assert np.isfinite(info["max_violation"]) and info["max_violation"] >= 0.0
+    assert info["max_violation"] == max(0.0, decision.sigma_inf - bound)
+
+
+@pytest.mark.parametrize("mode,failing_call", [("robust", 2), ("nominal", 1)])
+def test_solver_error_records_exception_text(mode, failing_call):
+    """A solve that raises is held and recorded as ``solver-error`` with the
+    exception text, on the direct path (robust) and the AL path (nominal).
+    The robust builder evaluates the dictionary once at construction, so its
+    first solve makes the second call; later calls succeed."""
+    spec = flat_toy_relaxed_spec(0.0)
+    if mode == "nominal":
+        spec = OcpSpec(
+            mode="nominal", L=spec.L, structure=spec.structure, blocks=spec.blocks,
+            Q=spec.Q, R=spec.R, u_setpoint=spec.u_setpoint, y_setpoint=spec.y_setpoint,
+            u_min=spec.u_min, u_max=spec.u_max,
+        )
+    d = spec.blocks.dictionary
+    value_batch = d.value_batch
+    calls = []
+
+    def failing_value_batch(U, XI):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("dictionary offline")
+        return value_batch(U, XI)
+
+    d.value_batch = failing_value_batch
+    toy, _, _ = plant.make_scalar_flat()
+    log = run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
+    first, *rest = log.solves
+    assert first.status == "solver-error"
+    assert first.error == "RuntimeError: dictionary offline"
+    assert not first.applied
+    assert rest and all(rec.error == "" for rec in rest)
 
 
 def test_runtime_bounds_trace_nominal_noiseless():
