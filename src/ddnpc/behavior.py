@@ -7,6 +7,12 @@ when some combination vector reproduces both its feature sequence and its
 state sequence from those blocks; simulation and output matching solve
 regularized least-squares problems over that combination vector and come with
 computable per-step error bounds.
+
+Simulation and matching share one solve. Once the window's free samples (the
+predicted outputs in simulation, the inputs in matching) are fixed, the
+combination vector solves a ridge least squares with constant matrices and
+linear equalities, so it is eliminated in closed form and the nonlinear solve
+runs over those ``L*m`` samples only.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .basis import BasisDictionary, evaluate_along
 
 
 class InfeasibleInitialConditionError(RuntimeError):
-    """The requested initial window state is not reachable from the data."""
+    """The requested window is not reachable from the data: its initial state,
+    or the free samples the solve settles on."""
 
 
 class DictionaryLacksInputError(ValueError):
@@ -31,7 +38,7 @@ class DictionaryLacksInputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The combination-vector solve did not converge."""
+    """The simulation or output-matching solve did not converge."""
 
     def __init__(self, message: str, gradient_norm: float):
         super().__init__(f"{message} (final gradient norm {gradient_norm:.3e})")
@@ -226,50 +233,8 @@ def representation_residual(
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery for the simulation / matching solves
+# Simulation and output matching: one solve over the free window samples
 # ---------------------------------------------------------------------------
-
-
-def _initial_condition_subspace(H1_xi: np.ndarray, xi0: np.ndarray):
-    """Particular solution and null-space basis of ``H1_xi @ alpha = xi0``.
-
-    Raises when the equality is infeasible (the initial window state is not
-    in the range of the data)."""
-    U, s, Vt = np.linalg.svd(H1_xi, full_matrices=True)
-    tol = max(H1_xi.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    alpha_p = Vt[:rank].T @ ((U[:, :rank].T @ xi0) / s[:rank])
-    residual = float(np.linalg.norm(H1_xi @ alpha_p - xi0))
-    if residual > 1e-9 * max(1.0, float(np.linalg.norm(xi0))):
-        raise InfeasibleInitialConditionError(
-            f"initial window state unreachable from data (residual {residual:.3e})"
-        )
-    nullspace = Vt[rank:].T
-    return alpha_p, nullspace
-
-
-def _solve_reduced(res_jac, x0, maxiter=100):
-    """Damped Gauss-Newton on a reduced (equality-eliminated) residual.
-
-    ``res_jac(beta)`` returns the stacked residual vector and its jacobian;
-    the regularizer rows are part of the residual so the solve is an ordinary
-    nonlinear least-squares problem.
-    """
-    from scipy.optimize import least_squares
-
-    res = least_squares(
-        lambda b: res_jac(b)[0],
-        x0,
-        jac=lambda b: res_jac(b)[1],
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-12,
-        max_nfev=maxiter,
-    )
-    f, J = res_jac(res.x)
-    gnorm = float(np.max(np.abs(2.0 * (J.T @ f)))) if f.size else 0.0
-    return res.x, gnorm, int(res.nfev)
 
 
 @dataclass
@@ -285,18 +250,131 @@ class SimulationResult:
     clamped: bool = False         # residual_sq clipped at zero
 
 
-def _per_step_bounds(structure, L, eps_star, alpha_l1, gain, c_norm, k_xi):
-    """Per-step bound arrays: exact zeros over the pinned initial window, then
-    the geometric-sum envelope."""
-    out = []
-    for d in structure.degrees:
-        b = np.zeros(L + d)
-        for k in range(L):
-            b[k + d] = geometric_sum(k_xi, k) * (
-                eps_star * (1.0 + alpha_l1) + gain * c_norm
+@dataclass
+class MatchingResult:
+    u: np.ndarray                 # (L, m)
+    alpha: np.ndarray
+    residual_sq: float
+    bounds: list
+    alpha_l1: float
+    objective: float
+    gradient_norm: float
+    iterations: int
+    clamped: bool = False
+
+
+def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
+                lambda_alpha, eps_star, k_xi, maxiter):
+    """Fit a combination vector to a query window with ``L*m`` free samples.
+
+    The free samples ``v = V @ alpha`` are the predicted outputs in
+    simulation and the inputs in matching. The dictionary argument
+    ``(u_k, xi_k)`` at window step ``k`` is ``c[z_idx[k]]`` with
+    ``c = [v; z_fixed]``. The problem is
+
+        min ||H_psi a - psi(v)||^2 + ||S a - s||^2 + lambda_alpha*eps_star*||a||^2
+        s.t. V a = v,  H_xi0 a = xi0,
+
+    where ``S`` holds the state rows the query fixes and ``s`` their values.
+    For fixed ``v`` the optimal ``a`` is ``K h`` with ``h = [psi(v); v; 1]``
+    and a constant ``K``, and the stacked residual is ``C h`` with a constant
+    ``C``. So TRF runs over ``v`` alone on ``R h``, ``R`` the triangle of
+    ``qr(C)``: same cost, gradient and Gauss-Newton matrix. This minimizes
+    over ``a`` exactly when the window the solve settles on is reachable
+    from the data, which is checked at the start and at the returned point.
+    """
+    from scipy.linalg import null_space
+    from scipy.optimize import least_squares
+
+    m = blocks.structure.m
+    n_psi, n_v = blocks.H_psi.shape[0], V.shape[0]
+    H0 = blocks.xi_block_row(0)
+    A = np.vstack([blocks.H_psi, S])
+    E = np.vstack([V, H0])
+    # T @ h is the target of A @ a, E_h @ h the right-hand side of E @ a.
+    T = np.zeros((A.shape[0], n_psi + n_v + 1))
+    T[:n_psi, :n_psi] = np.eye(n_psi)
+    T[n_psi:, -1] = s
+    E_h = np.zeros((E.shape[0], n_psi + n_v + 1))
+    E_h[:n_v, n_psi:-1] = np.eye(n_v)
+    E_h[n_v:, -1] = xi0
+
+    # a = E^+ e + N b with N spanning the null space of E; since E^+ e is
+    # orthogonal to N, b solves a ridge least squares in N.
+    reg = lambda_alpha * eps_star
+    N = null_space(E)
+    E_pinv = np.linalg.pinv(E)
+    G = np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])]))
+    K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
+    R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
+    onehot = (z_idx[..., None] == np.arange(n_v)).astype(float)
+
+    def args(v):
+        z = np.concatenate([v, z_fixed])[z_idx]
+        return z[:, :m], z[:, m:]
+
+    def h_of(v):
+        psi = blocks.dictionary.value_batch(*args(v))
+        return np.concatenate([psi.reshape(-1), v, [1.0]])
+
+    def jac(v):
+        dpsi = np.einsum("krj,kjv->krv", blocks.dictionary.jacobian_batch(*args(v)), onehot)
+        return R[:, :n_psi] @ dpsi.reshape(n_psi, n_v) + R[:, n_psi:-1]
+
+    def alpha_of(h):
+        alpha, e = K @ h, E_h @ h
+        gap = float(np.linalg.norm(E @ alpha - e))
+        if gap > 1e-9 * max(1.0, float(np.linalg.norm(e))):
+            raise InfeasibleInitialConditionError(
+                f"query window unreachable from data (residual {gap:.3e})"
             )
-        out.append(b)
-    return out
+        return alpha
+
+    # Fixed-point start: the unregularized linear fit with the features frozen
+    # at the previous trajectory, projected back onto the initial state.
+    A_pinv, H0_pinv = np.linalg.pinv(A), np.linalg.pinv(H0)
+    alpha = H0_pinv @ xi0
+    for _ in range(4):
+        alpha = A_pinv @ (T @ h_of(V @ alpha))
+        alpha -= H0_pinv @ (H0 @ alpha - xi0)
+    v0 = V @ alpha
+    alpha_of(h_of(v0))
+
+    res = least_squares(
+        lambda v: R @ h_of(v),
+        v0,
+        jac=jac,
+        method="trf",
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-12,
+        max_nfev=maxiter,
+    )
+    h = h_of(res.x)
+    f = R @ h
+    gnorm = float(np.max(np.abs(2.0 * (jac(res.x).T @ f))))
+    if gnorm > 1e-4 * max(1.0, float(f @ f)):
+        raise ConvergenceError(f"data-driven {what} solve stalled", gnorm)
+    alpha = alpha_of(h)
+
+    mism = A @ alpha - T @ h
+    ridge = reg * float(alpha @ alpha)
+    objective = float(mism @ mism) + ridge
+    residual_sq = max(objective - ridge, 0.0)
+    alpha_l1 = float(np.sum(np.abs(alpha)))
+    budget = eps_star * (1.0 + alpha_l1) + gain * math.sqrt(residual_sq)
+    envelope = [geometric_sum(k_xi, k) * budget for k in range(blocks.horizon)]
+    return dict(
+        alpha=alpha,
+        residual_sq=residual_sq,
+        # exact zeros over the pinned initial window, then the envelope
+        bounds=[np.concatenate([np.zeros(d), envelope]) for d in blocks.structure.degrees],
+        alpha_l1=alpha_l1,
+        objective=objective,
+        gradient_norm=gnorm,
+        iterations=int(res.nfev),
+        clamped=objective - ridge < 0,
+    )
 
 
 def simulate_data_driven(
@@ -314,8 +392,9 @@ def simulate_data_driven(
     Minimizes the squared mismatch between the data-combined feature windows
     and the dictionary evaluated on the implied trajectory, plus a ridge term
     ``lambda_alpha * eps_star * ||alpha||^2``, subject to the combination
-    reproducing the requested initial window state. That equality is
-    eliminated by substitution when the first state block has full row rank.
+    reproducing the requested initial window state. The solve runs over the
+    ``L*m`` predicted output samples, with the combination vector eliminated
+    in closed form for each trajectory.
 
     The first ``d_i`` returned samples of channel ``i`` equal the initial
     window exactly; later samples carry bounds built from ``eps_star``,
@@ -330,90 +409,25 @@ def simulate_data_driven(
     if xi0.size != st.n:
         raise ValueError(f"initial window state must have length {st.n}")
 
-    H_psi = blocks.H_psi
-    H1_xi = blocks.xi_block_row(0)
-    n, r = st.n, blocks.r
-    alpha_p, Z = _initial_condition_subspace(H1_xi, xi0)
-
-    # State rows 0..L of the implied trajectory, as one (L+1)*n map.
-    H_xi = blocks.H_xi
-
-    def features_and_jac(alpha, need_jac):
-        xi_traj = (H_xi @ alpha).reshape(L + 1, n)
-        psi = blocks.dictionary.value_batch(u_new, xi_traj[:L])
-        mism = H_psi @ alpha - psi.reshape(-1)
-        if not need_jac:
-            return mism, None
-        Jpsi = blocks.dictionary.jacobian_batch(u_new, xi_traj[:L])[:, :, st.m :]
-        # d mism / d alpha = H_psi - blockdiag(dpsi/dxi) @ H_xi rows.
-        J = H_psi.copy()
-        for k in range(L):
-            J[k * r : (k + 1) * r, :] -= Jpsi[k] @ H_xi[k * n : (k + 1) * n, :]
-        return mism, J
-
-    reg_sqrt = math.sqrt(lambda_alpha * eps_star)
-
-    def reduced(beta):
-        alpha = alpha_p + Z @ beta
-        mism, J = features_and_jac(alpha, True)
-        resid = np.concatenate([mism, reg_sqrt * alpha])
-        jac = np.vstack([J @ Z, reg_sqrt * Z])
-        return resid, jac
-
-    # Fixed-point initialization: iterate the linear solve with the feature
-    # right-hand side evaluated at the previous trajectory estimate.
-    A_stack = np.vstack([H_psi, H1_xi])
-    alpha = alpha_p
-    for _ in range(4):
-        xi_traj = (H_xi @ alpha).reshape(L + 1, n)
-        psi = blocks.dictionary.value_batch(u_new, xi_traj[:L]).reshape(-1)
-        rhs = np.concatenate([psi, xi0])
-        alpha_new, *_ = np.linalg.lstsq(A_stack, rhs, rcond=None)
-        alpha = alpha_p + Z @ (Z.T @ alpha_new)  # project back onto feasibility
-    beta0 = Z.T @ (alpha - alpha_p)
-
-    beta, gnorm, iters = _solve_reduced(reduced, beta0, maxiter=maxiter)
-    f0, _ = reduced(beta)
-    if gnorm > 1e-4 * max(1.0, float(f0 @ f0)):
-        raise ConvergenceError("data-driven simulation solve stalled", gnorm)
-    alpha = alpha_p + Z @ beta
-
-    mism, _ = features_and_jac(alpha, False)
-    reg = reg_sqrt**2
-    objective = float(mism @ mism) + reg * float(alpha @ alpha)
-    residual_sq = objective - reg * float(alpha @ alpha)
-    clamped = residual_sq < 0
-    residual_sq = max(residual_sq, 0.0)
-
-    outputs = [Hy @ alpha for Hy in blocks.H_y]
-    alpha_l1 = float(np.sum(np.abs(alpha)))
-    bounds = _per_step_bounds(
-        st, L, eps_star, alpha_l1, g_row_norm, math.sqrt(residual_sq), k_xi
+    # Output samples as indices into c = [v; xi0; u_new]: channel i starts
+    # with its entries of the initial window state, then its L free samples.
+    m, n = st.m, st.n
+    y_idx = [
+        np.concatenate([L * m + off + np.arange(d), i * L + np.arange(L)])
+        for i, (off, d) in enumerate(zip(st.channel_offsets(), st.degrees))
+    ]
+    xi_idx = window_states(y_idx, st).data[:L].astype(int)
+    u_idx = L * m + n + np.arange(L * m).reshape(L, m)
+    fit = _fit_window(
+        blocks, xi0,
+        V=np.vstack([Hy[d:] for Hy, d in zip(blocks.H_y, st.degrees)]),
+        S=blocks.xi_block_row(0), s=xi0,
+        z_idx=np.hstack([u_idx, xi_idx]),
+        z_fixed=np.concatenate([xi0, u_new.reshape(-1)]),
+        gain=g_row_norm, what="simulation",
+        lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
     )
-    return SimulationResult(
-        outputs=outputs,
-        alpha=alpha,
-        residual_sq=residual_sq,
-        bounds=bounds,
-        alpha_l1=alpha_l1,
-        objective=objective,
-        gradient_norm=gnorm,
-        iterations=iters,
-        clamped=clamped,
-    )
-
-
-@dataclass
-class MatchingResult:
-    u: np.ndarray                 # (L, m)
-    alpha: np.ndarray
-    residual_sq: float
-    bounds: list
-    alpha_l1: float
-    objective: float
-    gradient_norm: float
-    iterations: int
-    clamped: bool = False
+    return SimulationResult(outputs=[Hy @ fit["alpha"] for Hy in blocks.H_y], **fit)
 
 
 def match_output_data_driven(
@@ -430,8 +444,9 @@ def match_output_data_driven(
     Dual of the simulation solve: the combination vector now implies the
     input (through the input Hankel block) while the reference fixes the full
     state window; the mismatch covers both the feature block and the state
-    block. The dictionary must expose the raw input as its leading entries so
-    the input can be read back out.
+    block. The solve runs over the ``L*m`` input samples. The dictionary must
+    expose the raw input as its leading entries so the input can be read
+    back out.
     """
     if not blocks.dictionary.u_prefix:
         raise DictionaryLacksInputError(
@@ -444,75 +459,17 @@ def match_output_data_driven(
         if y.size != L + d:
             raise ValueError(f"reference output {i} must have length {L + d}")
     xi_bar = window_states(ys, st).data  # (L+1, n)
-    xi0 = xi_bar[0]
 
-    H_psi = blocks.H_psi
-    H_xi = blocks.H_xi
-    H_u = blocks.H_u
-    H1_xi = blocks.xi_block_row(0)
-    n, r, m = st.n, blocks.r, st.m
-    alpha_p, Z = _initial_condition_subspace(H1_xi, xi0)
-
-    xi_flat = xi_bar.reshape(-1)
-
-    def mismatch_and_jac(alpha, need_jac):
-        u_traj = (H_u @ alpha).reshape(L, m)
-        psi = blocks.dictionary.value_batch(u_traj, xi_bar[:L])
-        mism = np.concatenate(
-            [H_psi @ alpha - psi.reshape(-1), H_xi @ alpha - xi_flat]
-        )
-        if not need_jac:
-            return mism, None
-        Jpsi = blocks.dictionary.jacobian_batch(u_traj, xi_bar[:L])[:, :, : m]
-        J_top = H_psi.copy()
-        for k in range(L):
-            J_top[k * r : (k + 1) * r, :] -= Jpsi[k] @ H_u[k * m : (k + 1) * m, :]
-        return mism, np.vstack([J_top, H_xi])
-
-    reg_sqrt = math.sqrt(lambda_alpha * eps_star)
-
-    def reduced(beta):
-        alpha = alpha_p + Z @ beta
-        mism, J = mismatch_and_jac(alpha, True)
-        resid = np.concatenate([mism, reg_sqrt * alpha])
-        jac = np.vstack([J @ Z, reg_sqrt * Z])
-        return resid, jac
-
-    A_stack = np.vstack([H_psi, H_xi])
-    alpha = alpha_p
-    for _ in range(4):
-        u_traj = (H_u @ alpha).reshape(L, m)
-        psi = blocks.dictionary.value_batch(u_traj, xi_bar[:L]).reshape(-1)
-        rhs = np.concatenate([psi, xi_flat])
-        alpha_new, *_ = np.linalg.lstsq(A_stack, rhs, rcond=None)
-        alpha = alpha_p + Z @ (Z.T @ alpha_new)
-    beta0 = Z.T @ (alpha - alpha_p)
-
-    beta, gnorm, iters = _solve_reduced(reduced, beta0, maxiter=maxiter)
-    f0, _ = reduced(beta)
-    if gnorm > 1e-4 * max(1.0, float(f0 @ f0)):
-        raise ConvergenceError("data-driven output-matching solve stalled", gnorm)
-    alpha = alpha_p + Z @ beta
-
-    mism, _ = mismatch_and_jac(alpha, False)
-    reg = reg_sqrt**2
-    objective = float(mism @ mism) + reg * float(alpha @ alpha)
-    residual_sq = max(objective - reg * float(alpha @ alpha), 0.0)
-    clamped = (objective - reg * float(alpha @ alpha)) < 0
-
-    u_hat = (H_u @ alpha).reshape(L, m)
-    alpha_l1 = float(np.sum(np.abs(alpha)))
-    bounds = _per_step_bounds(
-        st, L, eps_star, alpha_l1, g_row_norm + 1.0, math.sqrt(residual_sq), k_xi
+    m, n = st.m, st.n
+    fit = _fit_window(
+        blocks, xi_bar[0],
+        V=blocks.H_u,
+        S=blocks.H_xi, s=xi_bar.reshape(-1),
+        z_idx=np.hstack([
+            np.arange(L * m).reshape(L, m), L * m + np.arange(L * n).reshape(L, n)
+        ]),
+        z_fixed=xi_bar[:L].reshape(-1),
+        gain=g_row_norm + 1.0, what="output-matching",
+        lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
     )
-    return MatchingResult(
-        u=u_hat,
-        alpha=alpha,
-        residual_sq=residual_sq,
-        bounds=bounds,
-        alpha_l1=alpha_l1,
-        objective=objective,
-        gradient_norm=gnorm,
-        iterations=iters,
-        clamped=clamped,
-    )
+    return MatchingResult(u=(blocks.H_u @ fit["alpha"]).reshape(L, m), **fit)

@@ -454,15 +454,20 @@ def _run_once(exp: Experiment, cfg, base) -> tuple:
         u_max=np.asarray(ocp_cfg.get("u_max", exp.box.u_upper), dtype=float),
         y_min=None if "y_min" not in ocp_cfg else np.asarray(ocp_cfg["y_min"], dtype=float),
         y_max=None if "y_max" not in ocp_cfg else np.asarray(ocp_cfg["y_max"], dtype=float),
-        lambda_alpha=float(ocp_cfg.get("lambda_alpha", 1e4)),
-        lambda_sigma=float(ocp_cfg.get("lambda_sigma", 1e8)),
         eps_star=eps_star if mode == "robust" else 0.0,
         w_star=noise.w_star if mode == "robust" else 0.0,
-        slack_mode=ocp_cfg.get("slack_mode", "relaxed"),
-        c_slack=float(ocp_cfg.get("c_slack", 10.0)),
         k_psi=cert.k_psi,
         k_w=cert.k_w,
         g_dagger_norm=cert.g_dagger_inf_bound,
+        # OcpSpec holds the defaults of the keys the config leaves out.
+        **{
+            key: cast(ocp_cfg[key])
+            for key, cast in (
+                ("lambda_alpha", float), ("lambda_sigma", float),
+                ("slack_mode", str), ("c_slack", float),
+            )
+            if key in ocp_cfg
+        },
     )
     x0 = np.asarray(run_cfg.get("x0", np.zeros(exp.plant_model.n)), dtype=float)
     hold = run_cfg.get("hold_input")

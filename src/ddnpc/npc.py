@@ -870,7 +870,7 @@ def build_robust_ocp(spec: OcpSpec, history_u, history_y):
     return builder.build(history_u, history_y), builder
 
 
-def constraint_violation(builder: OcpBuilder, problem: _solver.NlpProblem, z) -> float:
+def constraint_violation(problem: _solver.NlpProblem, z) -> float:
     """Sup-norm violation of every constraint group at a candidate point."""
     v = 0.0
     z = np.asarray(z, dtype=float)
@@ -1047,9 +1047,16 @@ def run_closed_loop(
                 iterations = report.iterations
                 max_violation = report.max_violation
         if solve_failed or decision is None:
-            decision = prev_decision if prev_decision is not None else builder.unpack(
-                np.clip(builder.initial_guess(hist_u, hist_y), -1e6, 1e6)
-            )
+            decision = prev_decision
+            if decision is None:
+                # A placeholder that evaluates no dictionary, so it cannot
+                # raise: the history, then the setpoint, at the setpoint's alpha.
+                u_bar = np.vstack([hist_u, np.tile(spec.u_setpoint, (builder.Lp - d_max, 1))])
+                y_bar = [
+                    np.concatenate([hist_y[:, i], np.full(n_y - d_max, spec.y_setpoint[i])])
+                    for i, n_y in enumerate(builder.y_lens)
+                ]
+                decision = builder.unpack(builder.pack(builder.alpha_s, u_bar, y_bar))
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
         accept = status == "converged" or max_violation <= 1e-5
         if accept:

@@ -76,12 +76,9 @@ class PendulumExperiment:
             y_setpoint=self.y_setpoint,
             u_min=self.box.u_lower,
             u_max=self.box.u_upper,
-            lambda_alpha=1e4,
-            lambda_sigma=1e8,
             eps_star=eps_star,
             w_star=w_star,
             slack_mode=slack_mode,
-            c_slack=10.0,
             k_psi=k_psi,
             k_w=k_w,
             g_dagger_norm=g_dagger_norm,

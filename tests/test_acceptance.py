@@ -267,7 +267,7 @@ def test_nominal_stability_and_recursive_feasibility():
         hist_y = np.vstack([hist_y[1:], [y_meas]])
         candidate = builder.shifted_guess(decision, 1)
         nxt = builder.build(hist_u, hist_y, z0=candidate)
-        candidate_ok = candidate_ok and npc.constraint_violation(builder, nxt, candidate) <= 1e-6
+        candidate_ok = candidate_ok and npc.constraint_violation(nxt, candidate) <= 1e-6
         xi_trace.append(np.max(np.abs(plant.window_states(
             [np.array([hist_y[-1, 0], toy.measure(x)[0]])],
             st).data)))

@@ -305,3 +305,103 @@ def test_matching_infeasible_reference():
     blocks = DataDictionaryBlocks.from_trajectory(d, quiet, horizon=10)
     with pytest.raises(InfeasibleInitialConditionError):
         match_output_data_driven(blocks, [np.full(12, 0.4)])
+
+
+# ---------------------------------------------------------------------------
+# simulation and matching on the pendulum blocks
+# ---------------------------------------------------------------------------
+
+
+PENDULUM_EPS = 6.655
+PENDULUM_WINDOWS = range(0, 600, 60)
+
+
+@pytest.fixture(scope="module")
+def pendulum_queries():
+    """The benchmark's identification blocks (noisy data, perturbed
+    dictionary, L = 10) and query windows of a fresh plant trajectory."""
+    exp = presets.pendulum_experiment()
+    d = exp.dictionary(perturbation=0.1, seed=3)
+    blocks = DataDictionaryBlocks.from_trajectory(
+        d, exp.collect(seed=0, w_star=0.01), 10, use_noisy=True
+    )
+    fresh = plant.collect_offline_data(
+        exp.plant_model, exp.policy(1), 612, exp.structure, plant.NoiseModel(), box=exp.box
+    )
+
+    def window(k0):
+        ys = [y[k0 : k0 + 12] for y in fresh.outputs]
+        return fresh.u[k0 : k0 + 10], fresh.xi.data[k0], ys
+
+    return blocks, window
+
+
+def projected_gradient(blocks, alpha, u, xi_traj, H_arg, arg_cols, soft):
+    """Sup norm of the gradient of the combination-vector objective
+    ``||H_psi a - psi(u, xi)||^2 + lam ||a||^2`` (plus ``||H_xi a - xi||^2``
+    when ``soft``), projected onto the null space of the initial-state rows.
+    ``H_arg`` maps ``a`` to the dictionary arguments that depend on it and
+    ``arg_cols`` picks their jacobian columns. Returns (gradient, objective)."""
+    from scipy.linalg import null_space
+
+    L, r = blocks.horizon, blocks.r
+    lam = 1e3 * PENDULUM_EPS
+    psi = blocks.dictionary.value_batch(u, xi_traj[:L]).reshape(-1)
+    jac = blocks.dictionary.jacobian_batch(u, xi_traj[:L])[:, :, arg_cols]
+    k = jac.shape[2]
+    D = np.vstack([jac[j] @ H_arg[j * k : (j + 1) * k] for j in range(L)])
+    mism = blocks.H_psi @ alpha - psi
+    grad = 2 * (blocks.H_psi - D).T @ mism + 2 * lam * alpha
+    f = mism @ mism + lam * alpha @ alpha
+    if soft:
+        gap = blocks.H_xi @ alpha - xi_traj.reshape(-1)
+        grad += 2 * blocks.H_xi.T @ gap
+        f += gap @ gap
+    Z = null_space(blocks.xi_block_row(0))
+    return float(np.max(np.abs(Z.T @ grad))), float(f)
+
+
+def test_pendulum_results_are_stationary_in_alpha(pendulum_queries):
+    """The solve runs over the free window samples; the combination vector
+    it returns must still be a stationary point of the objective over the
+    combination vector, with the initial window state reproduced."""
+    blocks, window = pendulum_queries
+    st = blocks.structure
+    m, n = st.m, st.n
+    for k0 in PENDULUM_WINDOWS:
+        u, xi0, ys = window(k0)
+        sim = simulate_data_driven(blocks, u, xi0, eps_star=PENDULUM_EPS)
+        xi_sim = (blocks.H_xi @ sim.alpha).reshape(-1, n)
+        g, f = projected_gradient(
+            blocks, sim.alpha, u, xi_sim, blocks.H_xi, slice(m, m + n), soft=False
+        )
+        assert g <= 1e-5 * max(1.0, f), (k0, "simulation", g, f)
+        np.testing.assert_allclose(blocks.xi_block_row(0) @ sim.alpha, xi0, rtol=0, atol=1e-9)
+
+        match = match_output_data_driven(blocks, ys, eps_star=PENDULUM_EPS)
+        xi_ref = plant.window_states(ys, st).data
+        g, f = projected_gradient(
+            blocks, match.alpha, match.u, xi_ref, blocks.H_u, slice(0, m), soft=True
+        )
+        assert g <= 1e-5 * max(1.0, f), (k0, "matching", g, f)
+        np.testing.assert_allclose(blocks.xi_block_row(0) @ match.alpha, xi0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "k0,sim_objective,match_objective",
+    # Returned by the solve over the full combination vector (commit b10b6bc).
+    [
+        (0, 1007.7011941074878, 127.82711801254311),
+        (240, 171.43192759304418, 103.41808506254317),
+        (540, 982.6167598406104, 545.7644425389781),
+    ],
+)
+def test_pendulum_objectives_match_full_vector_solve(
+    pendulum_queries, k0, sim_objective, match_objective
+):
+    blocks, window = pendulum_queries
+    u, xi0, ys = window(k0)
+    sim = simulate_data_driven(blocks, u, xi0, eps_star=PENDULUM_EPS)
+    match = match_output_data_driven(blocks, ys, eps_star=PENDULUM_EPS)
+    np.testing.assert_allclose(sim.objective, sim_objective, rtol=1e-8)
+    np.testing.assert_allclose(match.objective, match_objective, rtol=1e-8)

@@ -302,7 +302,7 @@ def test_recursive_feasibility_candidate():
         hist_y = np.vstack([hist_y[1:], y_meas])
         candidate = builder.shifted_guess(decision, 1)
         next_problem = builder.build(hist_u, hist_y, z0=candidate)
-        assert constraint_violation(builder, next_problem, candidate) <= 1e-6
+        assert constraint_violation(next_problem, candidate) <= 1e-6
 
 
 def test_robust_equals_nominal_closed_loop_with_zero_bounds():
@@ -552,6 +552,38 @@ def test_solver_error_records_exception_text(mode, failing_call):
     assert first.error == "RuntimeError: dictionary offline"
     assert not first.applied
     assert rest and all(rec.error == "" for rec in rest)
+
+
+@pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])
+def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
+    """A dictionary that raises on every call after the builder is built:
+    no solve ever succeeds, and the held placeholder must not evaluate the
+    dictionary, so the loop still returns a log of ``solver-error`` solves."""
+    spec = flat_toy_relaxed_spec(0.0)
+    if mode == "nominal":
+        spec = OcpSpec(
+            mode="nominal", L=spec.L, structure=spec.structure, blocks=spec.blocks,
+            Q=spec.Q, R=spec.R, u_setpoint=spec.u_setpoint, y_setpoint=spec.y_setpoint,
+            u_min=spec.u_min, u_max=spec.u_max,
+        )
+    d = spec.blocks.dictionary
+    value_batch = d.value_batch
+    calls = []
+
+    def failing_value_batch(U, XI):
+        calls.append(None)
+        if len(calls) > construction_calls:
+            raise RuntimeError("dictionary offline")
+        return value_batch(U, XI)
+
+    d.value_batch = failing_value_batch
+    toy, _, _ = plant.make_scalar_flat()
+    log = run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
+    assert log.solves
+    for rec in log.solves:
+        assert rec.status == "solver-error"
+        assert not rec.applied
+        assert rec.error == "RuntimeError: dictionary offline"
 
 
 def test_runtime_bounds_trace_nominal_noiseless():
