@@ -217,6 +217,12 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
+def _set_keys(section: dict, casts) -> dict:
+    """Keyword arguments for the keys ``section`` sets, each through its cast;
+    the callee holds the defaults of the keys the config leaves out."""
+    return {key: cast(section[key]) for key, cast in casts if key in section}
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -369,10 +375,10 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
         blocks,
         u_new,
         xi0,
-        lambda_alpha=float(sim_cfg.get("lambda_alpha", 1e3)),
         eps_star=cert.eps_star,
         k_xi=cert.k_xi,
         g_row_norm=cert.g_inf_bound,
+        **_set_keys(sim_cfg, (("lambda_alpha", float),)),
     )
     # oracle column: the window state determines the physical state, so the
     # true response is available whenever the plant model is configured
@@ -409,10 +415,10 @@ def cmd_match(cfg, base, out_dir, strict) -> int:
     result = behavior.match_output_data_driven(
         blocks,
         refs,
-        lambda_alpha=float(m_cfg.get("lambda_alpha", 1e3)),
         eps_star=cert.eps_star,
         k_xi=cert.k_xi,
         g_row_norm=cert.g_inf_bound,
+        **_set_keys(m_cfg, (("lambda_alpha", float),)),
     )
     rows = []
     for k in range(L):
@@ -459,15 +465,10 @@ def _run_once(exp: Experiment, cfg, base) -> tuple:
         k_psi=cert.k_psi,
         k_w=cert.k_w,
         g_dagger_norm=cert.g_dagger_inf_bound,
-        # OcpSpec holds the defaults of the keys the config leaves out.
-        **{
-            key: cast(ocp_cfg[key])
-            for key, cast in (
-                ("lambda_alpha", float), ("lambda_sigma", float),
-                ("slack_mode", str), ("c_slack", float),
-            )
-            if key in ocp_cfg
-        },
+        **_set_keys(ocp_cfg, (
+            ("lambda_alpha", float), ("lambda_sigma", float),
+            ("slack_mode", str), ("c_slack", float),
+        )),
     )
     x0 = np.asarray(run_cfg.get("x0", np.zeros(exp.plant_model.n)), dtype=float)
     hold = run_cfg.get("hold_input")

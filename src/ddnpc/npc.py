@@ -199,7 +199,6 @@ class OcpBuilder:
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
         self._pinv_stack = None
-        self._shift = None
         self._tie_break = 1e-6 * (spec.lambda_alpha * spec.slack_level + 1.0)
         # The robust ridge pulls the combination vector toward the one that
         # represents the window resting at the setpoint, so that the setpoint
@@ -212,7 +211,10 @@ class OcpBuilder:
         """Constant affine residual with ``objective = ||J z - b||^2``.
 
         Every objective term is a square (stage cost, regularizers, slack
-        penalties), so the solver can run its Gauss-Newton inner method.
+        penalties), so this is the one statement of the cost: the solver's
+        objective and gradient, its Gauss-Newton inner method and the direct
+        solve's stage rows all come from it. The stage rows come first, time
+        by time, inputs then outputs.
         """
         spec = self.spec
         m, Lp = self.m, self.Lp
@@ -265,13 +267,6 @@ class OcpBuilder:
         if self.split_alpha:
             return float(np.sum(z[: 2 * self.M]))
         return float(np.sum(np.abs(z[: self.M])))
-
-    def scatter_alpha_grad(self, grad_z: np.ndarray, g_alpha: np.ndarray) -> None:
-        if self.split_alpha:
-            grad_z[: self.M] += g_alpha
-            grad_z[self.M : 2 * self.M] -= g_alpha
-        else:
-            grad_z[: self.M] += g_alpha
 
     def u_of(self, z: np.ndarray) -> np.ndarray:
         return z[self.off_u : self.off_u + self.n_u].reshape(self.Lp, self.m)
@@ -381,6 +376,13 @@ class OcpBuilder:
             J[:, self.off_s : self.off_s + self.n_sigma] = np.eye(self.n_sigma)
         return J
 
+    def _ls_residual(self, z):
+        return self._ls_J @ z - self._ls_b
+
+    def _ls_objective(self, z):
+        r = self._ls_residual(z)
+        return float(r @ r), 2.0 * (self._ls_J.T @ r)
+
     def _sigma_xi(self, z):
         return self.H_xi @ self.alpha_of(z) - self.xi_flat(z)
 
@@ -395,40 +397,6 @@ class OcpBuilder:
             J[:, : self.M] = self.H_xi
         J[np.arange(nrow), self.XI_COLS] -= 1.0
         return J
-
-    def _objective(self, z):
-        spec = self.spec
-        f = 0.0
-        grad = np.zeros(self.dim)
-        # stage cost over prediction times 0..L-1
-        du = z[self.U_STAGE].reshape(self.L, self.m) - spec.u_setpoint
-        dy = z[self.Y_STAGE.reshape(-1)].reshape(self.L, self.m) - spec.y_setpoint
-        Ru = du @ spec.R
-        Qy = dy @ spec.Q
-        f += float(np.sum(du * Ru) + np.sum(dy * Qy))
-        grad[self.U_STAGE] += (2.0 * Ru).reshape(-1)
-        np.add.at(grad, self.Y_STAGE.reshape(-1), (2.0 * Qy).reshape(-1))
-        if self.has_sigma:
-            da = self.alpha_of(z) - self.alpha_s
-            ra = spec.lambda_alpha * spec.slack_level
-            f += ra * float(da @ da)
-            self.scatter_alpha_grad(grad, 2.0 * ra * da)
-            if self.split_alpha:
-                # tiny tie-break on the split halves: removes the common-shift
-                # null direction and drives them complementary, so their sum
-                # equals the one-norm of the combination vector exactly
-                tb = self._tie_break
-                f += tb * float(z[: 2 * self.M] @ z[: 2 * self.M])
-                grad[: 2 * self.M] += 2.0 * tb * z[: 2 * self.M]
-            sp = self.sigma_of(z)
-            f += spec.lambda_sigma * float(sp @ sp)
-            grad[self.off_s : self.off_s + self.n_sigma] += 2.0 * spec.lambda_sigma * sp
-            sx = self._sigma_xi(z)
-            f += spec.lambda_sigma * float(sx @ sx)
-            g_sx = 2.0 * spec.lambda_sigma * sx
-            self.scatter_alpha_grad(grad, self.H_xi.T @ g_sx)
-            np.subtract.at(grad, self.XI_COLS, g_sx)
-        return f, grad
 
     def _slack_bound_constraints(self):
         """Inequality residual/jacobian for the slack sup-norm bound.
@@ -502,7 +470,7 @@ class OcpBuilder:
 
         return _solver.NlpProblem(
             dim=self.dim,
-            objective=self._objective,
+            objective=self._ls_objective,
             x0=z0,
             lower=lo,
             upper=hi,
@@ -514,29 +482,28 @@ class OcpBuilder:
             # the split formulation keeps many variables pinned at their
             # bound; the quasi-Newton inner handles those active sets better
             # than the trust-region least-squares path
-            ls_residual=None if self.split_alpha else (lambda z: self._ls_J @ z - self._ls_b),
+            ls_residual=None if self.split_alpha else self._ls_residual,
             ls_jacobian=None if self.split_alpha else (lambda z: self._ls_J),
         )
 
     # -- guesses and warm starts -------------------------------------------
 
-    def _alpha_pinv(self):
+    def _fit_window(self, u_bar, y_bar):
+        """Pseudo-inverse combination vector of a window, and the stacked
+        features and window states ``[psi; xi]`` it is fitted to."""
         if self._pinv_stack is None:
             self._pinv_stack = np.linalg.pinv(np.vstack([self.H_psi, self.H_xi]))
-        return self._pinv_stack
-
-    def _alpha_for_trajectory(self, u_bar, y_bar):
         xi = window_states(y_bar, self.spec.structure).data
         psi = self.spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
-        rhs = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-        return self._alpha_pinv() @ rhs
+        g = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
+        return self._pinv_stack @ g, g
 
     def _setpoint_alpha(self):
         """Combination vector of the window resting at the setpoint."""
         spec = self.spec
         u_bar = np.tile(spec.u_setpoint, (self.Lp, 1))
         y_bar = [np.full(n, spec.y_setpoint[i]) for i, n in enumerate(self.y_lens)]
-        return self._alpha_for_trajectory(u_bar, y_bar)
+        return self._fit_window(u_bar, y_bar)[0]
 
     def initial_guess(self, history_u, history_y) -> np.ndarray:
         """Cold-start guess: ramp the outputs to the setpoint, hold the input
@@ -552,63 +519,41 @@ class OcpBuilder:
             y[self.d_max : self.d_max + self.L] = ramp
             y[self.d_max + self.L :] = spec.y_setpoint[i]
             y_bar.append(y)
-        alpha = self._alpha_for_trajectory(u_bar, y_bar)
-        sigma = None
-        if self.has_sigma:
-            xi = window_states(y_bar, self.spec.structure).data
-            psi = spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
-            sigma = self.H_psi @ alpha - psi.reshape(-1)
+        alpha, g = self._fit_window(u_bar, y_bar)
+        sigma = self.H_psi @ alpha - g[: self.H_psi.shape[0]] if self.has_sigma else None
         return self.pack(alpha, u_bar, y_bar, sigma)
 
-    def shift_structure(self) -> _solver.ShiftStructure:
-        spec = self.spec
-
-        def rhs(u_bar, y_bar):
-            xi = window_states(y_bar, self.spec.structure).data
-            psi = spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
-            return np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-
-        return _solver.ShiftStructure(
-            m=self.m,
-            degrees=self.degrees,
-            L=self.Lp,
-            u_pad=spec.u_setpoint,
-            y_pads=[spec.y_setpoint[i] for i in range(self.m)],
-            hankel_pinv=self._alpha_pinv(),
-            rhs_builder=rhs,
-        )
-
     def shifted_guess(self, decision: OcpDecision, shift: int) -> np.ndarray:
-        prev = {
-            "u": decision.u_bar,
-            "y": decision.y_bar,
-            "alpha": decision.alpha,
-        }
-        if self.has_sigma:
-            prev["sigma"] = decision.sigma_psi
-        if self._shift is None:
-            self._shift = self.shift_structure()
-        out = _solver.warm_start_shift(prev, self._shift, shift)
-        return self.pack(
-            out["alpha"], out["u"], out["y"], out.get("sigma")
-        )
+        """Warm start from ``decision`` advanced ``shift`` steps: the input and
+        output windows move forward with the setpoint padded at the tail, the
+        combination vector is refitted to the shifted window by the
+        pseudo-inverse, and the feature slack restarts at zero."""
+        spec = self.spec
+        u_bar = np.vstack([decision.u_bar[shift:], np.tile(spec.u_setpoint, (shift, 1))])
+        y_bar = [
+            np.concatenate([y[shift:], np.full(shift, spec.y_setpoint[i])])
+            for i, y in enumerate(decision.y_bar)
+        ]
+        return self.pack(self._fit_window(u_bar, y_bar)[0], u_bar, y_bar)
 
 
 class _RelaxedDirect:
     """Variable-projection form of the relaxed robust problem.
 
-    The feature equality pins the feature slack, and for fixed input/output
+    The builder's problem restricted to its free columns, the input and
+    output slots of the prediction window: the history and terminal pins are
+    constants, the feature equality pins the feature slack, and for fixed
     windows the remaining objective is a ridge least-squares in the
     combination vector; both are eliminated with one precomputed linear map.
     What is left is a small bounded nonlinear least-squares over the free
-    input/output slots. Valid whenever the slack-bound inequality is inactive
-    at the optimum, which is checked afterwards.
+    slots. Valid whenever the slack-bound inequality is inactive at the
+    optimum, which is checked afterwards.
 
-    The residual is the stage rows followed by ``R @ (g - g_s)``, where
-    ``g`` stacks the features and window states, ``g_s`` is its value at the
-    setpoint's combination vector, and ``R`` is the triangular factor of the
-    constant matrix that maps ``g - g_s`` to the ridge, feature slack and
-    state slack rows. The cost, ``J^T J`` and ``J^T r`` equal those of the
+    The residual is the builder's stage rows followed by ``R @ (g - g_s)``,
+    where ``g`` stacks the features and window states, ``g_s`` is its value
+    at the setpoint's combination vector, and ``R`` is the triangular factor
+    of the constant matrix that maps ``g - g_s`` to the ridge, feature slack
+    and state slack rows. The cost, ``J^T J`` and ``J^T r`` equal those of the
     uncompressed residual, so every Gauss-Newton step is unchanged.
     """
 
@@ -620,26 +565,17 @@ class _RelaxedDirect:
             raise ValueError("direct solve needs a positive slack bound")
         self.b = builder
         m, L, Lp, M, n, r = builder.m, builder.L, builder.Lp, builder.M, builder.n, builder.r
-        self.n_free_u = L * m
-        self.n_free_y = L * m
-        self.dim = self.n_free_u + self.n_free_y
-        self.sl_u = slice(0, self.n_free_u)
-        self.sl_y = slice(self.n_free_u, self.dim)
 
-        # Window-state entries as a function of the reduced vector: constant
-        # part from history/terminal pins plus a 0/1 scatter of the free slots.
-        y_concat_to_col = np.full(builder.n_y, -1, dtype=int)
-        for i in range(m):
-            base = builder.y_offsets[i] - builder.off_y
-            for k in range(L):
-                y_concat_to_col[base + builder.d_max + k] = self.sl_y.start + i * L + k
-        self.y_state_cols = y_concat_to_col[builder.XI_COLS - builder.off_y]
-        n_xi = n * (Lp + 1)
-        D_xi = np.zeros((n_xi, self.dim))
-        for j, c in enumerate(self.y_state_cols):
-            if c >= 0:
-                D_xi[j, c] = 1.0
-        self.D_xi = D_xi
+        # Reduced vector: the free input slots (time-major), then the free
+        # output slots (channel-major); cols[j] is the builder column of entry j.
+        self.cols = np.concatenate([builder.U_STAGE, builder.Y_STAGE.T.reshape(-1)])
+        self.dim = self.cols.size
+        pos = np.full(builder.dim, -1)
+        pos[self.cols] = np.arange(self.dim)
+        # Reduced column of each window-state entry, -1 where it is pinned.
+        self.y_state_cols = pos[builder.XI_COLS]
+        self.D_xi = (self.y_state_cols[:, None] == np.arange(self.dim)).astype(float)
+        n_xi = self.y_state_cols.size
 
         # Ridge elimination of the combination vector: for fixed windows,
         # alpha minimizes lam_s*||Hs a - g||^2 + ra^2*||a - a_s||^2 with
@@ -667,78 +603,64 @@ class _RelaxedDirect:
         )
         self.R = np.linalg.qr(C, mode="r")
         self.R_psi = self.R[:, :n_psi]
-        self.RD_xi = self.R[:, n_psi:] @ D_xi
+        self.RD_xi = self.R[:, n_psi:] @ self.D_xi
 
         # Scatter of the dictionary jacobian (Lp, r, m + n) into d psi / d zf:
         # col_of[k, j] is the reduced column that partial j at window time k
         # feeds, -1 where that slot is pinned. Each (row, column) pair of the
         # target gets at most one entry.
-        col_of = np.full((Lp, m + n), -1)
-        col_of[builder.d_max :, :m] = np.arange(L * m).reshape(L, m)
-        col_of[:, m:] = self.y_state_cols[: Lp * n].reshape(Lp, n)
+        u_cols = builder.off_u + np.arange(Lp * m).reshape(Lp, m)
+        col_of = pos[np.hstack([u_cols, builder.XI_COLS[: Lp * n].reshape(Lp, n)])]
         k, j = np.nonzero(col_of >= 0)
         feature_rows = k[:, None] * r + np.arange(r)
         self._scatter_rows = feature_rows.ravel()
         self._scatter_cols = np.repeat(col_of[k, j], r)
         self._scatter_src = (feature_rows * (m + n) + j[:, None]).ravel()
 
-        L_R = np.linalg.cholesky(spec.R).T
-        L_Q = np.linalg.cholesky(spec.Q).T
-        J_stage = np.zeros((2 * L * m, self.dim))
-        b_stage = np.zeros(2 * L * m)
-        for k in range(L):
-            J_stage[k * m : (k + 1) * m, k * m : (k + 1) * m] = L_R
-            b_stage[k * m : (k + 1) * m] = L_R @ spec.u_setpoint
-            rows = slice(L * m + k * m, L * m + (k + 1) * m)
-            cols = [self.sl_y.start + i * L + k for i in range(m)]
-            J_stage[rows, cols] = L_Q
-            b_stage[rows] = L_Q @ spec.y_setpoint
-        self.J_stage = J_stage
-        self.b_stage = b_stage
-        self.hist_u = None
-        self.hist_y = None
-        self._xi_fixed = None
+        # The builder's stage rows touch only free columns; they are taken
+        # input rows first, then output rows.
+        stage = np.arange(2 * L * m).reshape(L, 2, m).transpose(1, 0, 2).reshape(-1)
+        self.J_stage = builder._ls_J[np.ix_(stage, self.cols)]
+        self.b_stage = builder._ls_b[stage]
+        self._z_pinned = None
         self._last = None  # (zf, psi) of the latest dictionary evaluation
 
     def set_history(self, hist_u, hist_y):
-        self.hist_u = np.asarray(hist_u, dtype=float).reshape(self.b.d_max, self.b.m)
-        self.hist_y = np.asarray(hist_y, dtype=float).reshape(self.b.d_max, self.b.m)
-        y_fixed = self._assemble_y_concat(np.zeros(self.n_free_y))
-        xi = y_fixed[self.b.XI_COLS - self.b.off_y]
-        self._xi_fixed = np.where(self.y_state_cols < 0, xi, 0.0)
+        b = self.b
+        lo, hi = b._bounds(
+            np.asarray(hist_u, dtype=float).reshape(b.d_max, b.m),
+            np.asarray(hist_y, dtype=float).reshape(b.d_max, b.m),
+        )
+        self.lo, self.hi = lo[self.cols], hi[self.cols]
+        self._z_pinned = np.where(lo == hi, lo, 0.0)
         # the same reduced point under another history has other features
         self._last = None
 
-    def _assemble_y_concat(self, y_free):
-        b = self.b
-        out = np.empty(b.n_y)
-        for i in range(b.m):
-            base = b.y_offsets[i] - b.off_y
-            out[base : base + b.d_max] = self.hist_y[:, i]
-            out[base + b.d_max : base + b.d_max + b.L] = y_free[i * b.L : (i + 1) * b.L]
-            out[base + b.Lp : base + b.y_lens[i]] = b.spec.y_setpoint[i]
-        return out
-
-    def _u_full(self, zf):
-        return np.vstack([self.hist_u, zf[self.sl_u].reshape(self.b.L, self.b.m)])
+    def _embed(self, zf):
+        """Builder decision vector with the free slots set to ``zf`` and the
+        pins to the history and setpoint; combination vector and slack zero."""
+        z = self._z_pinned.copy()
+        z[self.cols] = zf
+        return z
 
     def _pieces(self, zf, need_jac):
         """Features, window states and, if asked, the feature jacobian at
         ``zf``. The trust-region solver asks for the jacobian at the point it
         just evaluated, so the latest feature evaluation is reused there."""
         b = self.b
-        xi_flat = self._xi_fixed + self.D_xi @ zf
+        z = self._embed(zf)
+        u = b.u_of(z)
+        xi_flat = b.xi_flat(z)
         xi = xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
-        u_full = self._u_full(zf)
         dic = b.spec.blocks.dictionary
         if self._last is not None and np.array_equal(self._last[0], zf):
             psi = self._last[1]
         else:
-            psi = dic.value_batch(u_full, xi).reshape(-1)
+            psi = dic.value_batch(u, xi).reshape(-1)
             self._last = (zf.copy(), psi)
         if not need_jac:
             return psi, xi_flat, None
-        jpsi = dic.jacobian_batch(u_full, xi)
+        jpsi = dic.jacobian_batch(u, xi)
         dpsi = np.zeros((b.r * b.Lp, self.dim))
         dpsi[self._scatter_rows, self._scatter_cols] = jpsi.reshape(-1)[self._scatter_src]
         return psi, xi_flat, dpsi
@@ -752,60 +674,32 @@ class _RelaxedDirect:
         _, _, dpsi = self._pieces(zf, True)
         return np.vstack([self.J_stage, self.R_psi @ dpsi + self.RD_xi])
 
-    def bounds(self):
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        lo[self.sl_u] = np.tile(self.b.spec.u_min, self.b.L)
-        hi[self.sl_u] = np.tile(self.b.spec.u_max, self.b.L)
-        return lo, hi
-
-    def reduced_from_decision(self, d: OcpDecision) -> np.ndarray:
-        b = self.b
-        zf = np.empty(self.dim)
-        zf[self.sl_u] = d.u_bar[b.d_max :].reshape(-1)
-        zf[self.sl_y] = np.concatenate(
-            [d.y_bar[i][b.d_max : b.d_max + b.L] for i in range(b.m)]
-        )
-        return zf
-
     def decision_from_reduced(self, zf: np.ndarray) -> OcpDecision:
         b = self.b
         psi, xi_flat, _ = self._pieces(zf, False)
         alpha = self.alpha_s + self.P @ (np.concatenate([psi, xi_flat]) - self.g_s)
-        u_bar = self._u_full(zf)
-        y_free = zf[self.sl_y]
-        y_bar = []
-        for i in range(b.m):
-            y = np.empty(b.y_lens[i])
-            y[: b.d_max] = self.hist_y[:, i]
-            y[b.d_max : b.d_max + b.L] = y_free[i * b.L : (i + 1) * b.L]
-            y[b.Lp :] = b.spec.y_setpoint[i]
-            y_bar.append(y)
-        return OcpDecision(
-            alpha=alpha,
-            u_bar=u_bar,
-            y_bar=y_bar,
-            sigma_psi=b.H_psi @ alpha - psi,
-            sigma_xi=b.H_xi @ alpha - xi_flat,
-            xi_bar=xi_flat.reshape(b.Lp + 1, b.n),
-        )
+        z = self._embed(zf)
+        return b.unpack(b.pack(alpha, b.u_of(z), b.y_of(z), b.H_psi @ alpha - psi))
 
 
 def solve_relaxed_direct(
     builder: OcpBuilder,
     history_u,
     history_y,
-    warm_decision: Optional[OcpDecision] = None,
+    z0: Optional[np.ndarray] = None,
     maxiter: int = 60,
 ):
     """Solve the relaxed robust problem by slack and combination elimination.
 
-    Returns ``(decision, info)`` where ``info`` carries the objective, solver
-    iterations, whether the slack bound held at the optimum (when it does
-    not, the caller must fall back to the constrained path) and the measured
-    constraint violation. The trust-region solver keeps the inputs inside
-    their box and the feature equality holds by construction, so the only
-    constraint that can be violated is the slack bound:
+    ``z0`` is a packed guess, as for ``OcpBuilder.build``; its free input and
+    output slots start the solve. Returns ``(decision, info)`` where ``info``
+    carries the objective, solver iterations, whether the slack bound held at
+    the optimum (when it does not, the caller must fall back to the
+    constrained path) and the measured constraint violation. The
+    trust-region solver keeps the free slots inside the builder's bounds (the
+    input box, and the output box when the spec has one) and the feature
+    equality holds by construction, so the only constraint that can be
+    violated is the slack bound:
     ``max_violation = max(0, sigma_inf - c_slack * slack_level)``.
     """
     from scipy.optimize import least_squares
@@ -815,20 +709,17 @@ def solve_relaxed_direct(
         direct = _RelaxedDirect(builder)
         builder._direct_cache = direct
     direct.set_history(history_u, history_y)
-    if warm_decision is None:
-        z0_full = builder.initial_guess(
+    if z0 is None:
+        z0 = builder.initial_guess(
             np.asarray(history_u, dtype=float).reshape(builder.d_max, builder.m),
             np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m),
         )
-        warm_decision = builder.unpack(z0_full)
-    zf0 = direct.reduced_from_decision(warm_decision)
-    lo, hi = direct.bounds()
-    zf0 = np.clip(zf0, lo, hi)
+    zf0 = np.clip(z0[direct.cols], direct.lo, direct.hi)
     res = least_squares(
         direct.residual,
         zf0,
         jac=direct.jacobian,
-        bounds=(lo, hi),
+        bounds=(direct.lo, direct.hi),
         method="trf",
         xtol=1e-12,
         ftol=1e-12,
@@ -852,22 +743,6 @@ def solve_relaxed_direct(
         "max_violation": max(0.0, decision.sigma_inf - bound),
     }
     return decision, info
-
-
-def build_nominal_ocp(spec: OcpSpec, history_u, history_y):
-    """Nominal problem for one history; returns ``(problem, builder)``."""
-    if spec.mode != "nominal":
-        raise ValueError("spec mode must be 'nominal'")
-    builder = OcpBuilder(spec)
-    return builder.build(history_u, history_y), builder
-
-
-def build_robust_ocp(spec: OcpSpec, history_u, history_y):
-    """Robust problem for one history; returns ``(problem, builder)``."""
-    if spec.mode != "robust":
-        raise ValueError("spec mode must be 'robust'")
-    builder = OcpBuilder(spec)
-    return builder.build(history_u, history_y), builder
 
 
 def constraint_violation(problem: _solver.NlpProblem, z) -> float:
@@ -1011,42 +886,26 @@ def run_closed_loop(
     for t0 in range(0, total_steps, stride):
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"plant state diverged at step {t0}")
-        warm = None
-        if prev_decision is not None:
-            warm = builder.unpack(builder.shifted_guess(prev_decision, stride))
         decision = None
-        solve_failed = False
         error = ""
-        if use_direct:
-            try:
+        try:
+            warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
+            if use_direct:
                 decision, info = solve_relaxed_direct(builder, hist_u, hist_y, warm)
-            except Exception as exc:
-                decision, solve_failed = None, True
-                error = f"{type(exc).__name__}: {exc}"
-            if decision is not None and info["bound_ok"]:
-                status = info["status"]
-                objective = info["objective"]
-                iterations = info["iterations"]
-                max_violation = info["max_violation"]
-            else:
-                decision = None  # slack bound active: take the constrained path
-        if decision is None and not solve_failed:
-            z0 = None if warm is None else builder.pack(
-                warm.alpha, warm.u_bar, warm.y_bar, warm.sigma_psi
-            )
-            try:
-                problem = builder.build(hist_u, hist_y, z0=z0)
-                report = _solver.solve(problem, opts)
-            except Exception as exc:
-                solve_failed = True
-                error = f"{type(exc).__name__}: {exc}"
-            else:
+                if info["bound_ok"]:
+                    status, objective = info["status"], info["objective"]
+                    iterations, max_violation = info["iterations"], info["max_violation"]
+                else:
+                    decision = None  # slack bound active: take the constrained path
+            if decision is None:
+                report = _solver.solve(builder.build(hist_u, hist_y, z0=warm), opts)
                 decision = builder.unpack(report.x)
-                status = report.status
-                objective = report.objective
-                iterations = report.iterations
-                max_violation = report.max_violation
-        if solve_failed or decision is None:
+                status, objective = report.status, report.objective
+                iterations, max_violation = report.iterations, report.max_violation
+        except Exception as exc:
+            decision = None
+            error = f"{type(exc).__name__}: {exc}"
+        if decision is None:
             decision = prev_decision
             if decision is None:
                 # A placeholder that evaluates no dictionary, so it cannot

@@ -60,11 +60,11 @@ class PendulumExperiment:
         eps_star: float,
         w_star: float = 0.01,
         L: int = 10,
-        slack_mode: str = "relaxed",
-        k_psi: float = 0.0,
-        k_w: float = 0.0,
-        g_dagger_norm: float = 0.0,
+        **fields,
     ) -> npc.OcpSpec:
+        """Robust reference controller; further ``OcpSpec`` fields (slack mode,
+        certificate constants) pass through, and ``OcpSpec`` holds the
+        defaults of those left out."""
         return npc.OcpSpec(
             mode="robust",
             L=L,
@@ -78,10 +78,7 @@ class PendulumExperiment:
             u_max=self.box.u_upper,
             eps_star=eps_star,
             w_star=w_star,
-            slack_mode=slack_mode,
-            k_psi=k_psi,
-            k_w=k_w,
-            g_dagger_norm=g_dagger_norm,
+            **fields,
         )
 
 

@@ -4,7 +4,8 @@ Smooth objective, linear and nonlinear equality constraints, inequality
 constraints and box bounds. Equalities and inequalities are handled by an
 augmented-Lagrangian outer loop (multiplier updates, penalty growth when
 feasibility stalls); each inner subproblem is a box-constrained smooth
-minimization delegated to a projected limited-memory quasi-Newton method.
+minimization, run by bounded Gauss-Newton when the objective comes with its
+least-squares form and by projected limited-memory quasi-Newton otherwise.
 Identical problems, options and guesses give identical reports.
 """
 
@@ -81,7 +82,6 @@ class SolverOptions:
     penalty_growth: float = 10.0
     penalty_max: float = 1e12
     inner_maxiter: int = 500
-    debug_check_gradients: bool = False
 
 
 @dataclass
@@ -138,8 +138,6 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
     ``infeasible-detected``.
     """
     opts = options or SolverOptions()
-    if opts.debug_check_gradients:
-        check_gradients(problem, n_points=3, tol=1e-5)
 
     eq_res, eq_jac = _stack_equalities(problem)
     in_res, in_jac = problem.ineq_residual, problem.ineq_jacobian
@@ -151,7 +149,6 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
     mu = np.zeros(n_eq)
     nu = np.zeros(n_in)
     rho = opts.penalty_init
-    bounds = list(zip(problem.lower, problem.upper))
     total_inner = 0
     prev_violation = np.inf
 
@@ -176,18 +173,11 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         return ve, vi
 
     def kkt_residual(zz):
-        _, g = problem.objective(zz)
-        if eq_res is not None:
-            g = g + eq_jac(zz).T @ (mu + rho * eq_res(zz))
-        if in_res is not None:
-            gi = np.asarray(in_res(zz), dtype=float).reshape(-1)
-            g = g + np.atleast_2d(in_jac(zz)).T @ np.maximum(0.0, nu + rho * gi)
+        _, g = al_value_grad(zz)
         proj = np.clip(zz - g, problem.lower, problem.upper) - zz
         return float(np.max(np.abs(proj))) if proj.size else 0.0
 
-    use_gn = problem.ls_residual is not None
-    free = problem.lower < problem.upper
-    idx_free = np.nonzero(free)[0]
+    idx_free = np.nonzero(problem.lower < problem.upper)[0]
 
     def inner_gauss_newton(z_start):
         """Bounded Gauss-Newton on the free variables; pinned entries are
@@ -238,37 +228,13 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         )
         return embed(res.x), int(res.nfev)
 
-    status = "max-iter"
-    outer = 0
-    for outer in range(1, opts.max_outer + 1):
-        if use_gn:
-            z, nit = inner_gauss_newton(z)
-            total_inner += nit
-            z = np.clip(z, problem.lower, problem.upper)
-            ve, vi = violations(z)
-            kkt = kkt_residual(z)
-            if max(ve, vi) <= opts.feasibility_tol and kkt <= opts.optimality_tol:
-                status = "converged"
-                break
-            violation = max(ve, vi)
-            if n_eq:
-                mu = mu + rho * eq_res(z)
-            if n_in:
-                nu = np.maximum(0.0, nu + rho * np.asarray(in_res(z), dtype=float).reshape(-1))
-            if violation > opts.feasibility_tol and violation > 0.25 * prev_violation:
-                if rho >= opts.penalty_max:
-                    if violation > 1e3 * opts.feasibility_tol and violation > 0.9 * prev_violation:
-                        status = "infeasible-detected"
-                        break
-                rho = min(rho * opts.penalty_growth, opts.penalty_max)
-            prev_violation = violation
-            continue
+    def inner_lbfgs(z_start):
         res = minimize(
             al_value_grad,
-            z,
+            z_start,
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=list(zip(problem.lower, problem.upper)),
             options={
                 "maxiter": opts.inner_maxiter,
                 "ftol": 1e-14,
@@ -276,12 +242,16 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
                 "maxcor": 10,
             },
         )
-        z = np.clip(res.x, problem.lower, problem.upper)
-        total_inner += int(res.nit)
-        ve, vi = violations(z)
-        violation = max(ve, vi)
-        kkt = kkt_residual(z)
-        if violation <= opts.feasibility_tol and kkt <= opts.optimality_tol:
+        return res.x, int(res.nit)
+
+    inner = inner_gauss_newton if problem.ls_residual is not None else inner_lbfgs
+    status = "max-iter"
+    for _ in range(opts.max_outer):
+        z, nit = inner(z)
+        total_inner += nit
+        z = np.clip(z, problem.lower, problem.upper)
+        violation = max(violations(z))
+        if violation <= opts.feasibility_tol and kkt_residual(z) <= opts.optimality_tol:
             status = "converged"
             break
         if n_eq:
@@ -305,69 +275,8 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         max_ineq_violation=vi,
         iterations=total_inner,
         kkt_residual=kkt_residual(z),
-        status=status if status != "max-iter" or outer < opts.max_outer else "max-iter",
+        status=status,
     )
-
-
-# ---------------------------------------------------------------------------
-# Warm starting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShiftStructure:
-    """Block layout a receding-horizon solution needs for shifting.
-
-    ``u_pad`` / ``y_pads`` are the values appended at the tail (the setpoint;
-    zero in deviation coordinates). ``hankel_pinv`` maps a stacked
-    ``[features; states]`` right-hand side to the minimum-norm combination
-    vector for re-initializing it against the shifted trajectory.
-    """
-
-    m: int
-    degrees: tuple
-    L: int
-    u_pad: np.ndarray
-    y_pads: list
-    hankel_pinv: Optional[np.ndarray] = None
-    rhs_builder: Optional[Callable] = None
-
-
-def warm_start_shift(previous: dict, structure: ShiftStructure, shift: int) -> dict:
-    """Shift a receding-horizon solution forward by ``shift`` steps.
-
-    Input and output blocks advance in time with the tail padded by the
-    setpoint; the combination vector is re-initialized by least squares
-    against the shifted trajectory and slack entries restart at zero.
-    """
-    if shift < 0:
-        raise ValueError("shift must be non-negative")
-    u_prev = np.asarray(previous["u"], dtype=float)
-    y_prev = [np.asarray(y, dtype=float) for y in previous["y"]]
-    if u_prev.shape[1] != structure.m or len(y_prev) != len(structure.degrees):
-        raise ValueError("previous solution does not match the shift structure")
-
-    def shift_block(block, pad_value):
-        if shift == 0:
-            return block.copy()
-        shifted = np.empty_like(block)
-        shifted[:-shift] = block[shift:]
-        shifted[-shift:] = pad_value
-        return shifted
-
-    u_new = shift_block(u_prev, structure.u_pad)
-    y_new = [shift_block(y, pad) for y, pad in zip(y_prev, structure.y_pads)]
-
-    out = {"u": u_new, "y": y_new}
-    if "alpha" in previous:
-        if structure.hankel_pinv is not None and structure.rhs_builder is not None:
-            rhs = structure.rhs_builder(u_new, y_new)
-            out["alpha"] = structure.hankel_pinv @ rhs
-        else:
-            out["alpha"] = np.asarray(previous["alpha"], dtype=float).copy()
-    if "sigma" in previous:
-        out["sigma"] = np.zeros_like(np.asarray(previous["sigma"], dtype=float))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """The benchmark's traced run finds the library by attribute name.
 
 ``bench/layers.py`` replaces module attributes where their callers look them
-up at call time, and charges scipy's trust-region time to the ``behavior``
-spans only because ``behavior`` imports ``least_squares`` inside the solve.
-A rename, or a module-level import, would silently drop spans from the
-traced run; this test fails instead.
+up at call time (``npc.solve_relaxed_direct``, ``OcpBuilder.build``,
+``OcpBuilder.shifted_guess``, ``solver.solve``, ``solver.minimize``), reads
+``NlpProblem.ls_residual`` to name the solver path, and charges scipy's
+trust-region time to the ``behavior`` spans only because ``behavior`` imports
+``least_squares`` inside the solve. A rename, or a module-level import, would
+silently drop spans from the traced run; this test fails instead.
 """
 
 import contextlib
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from ddnpc import behavior, npc, presets, solver
+from ddnpc import behavior, npc, plant, presets, solver
 from ddnpc.behavior import DataDictionaryBlocks
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -29,13 +32,21 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
         mode="nominal", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
         u_setpoint=[0.0], y_setpoint=[0.0], u_min=[-3.0], u_max=[3.0],
     )
+    relaxed = dataclasses.replace(
+        spec, mode="robust", eps_star=0.02, w_star=0.005, k_psi=1.0, k_w=1.0, g_dagger_norm=5.0
+    )
     tracer = harness.Tracer(enabled=True)
     with contextlib.ExitStack() as stack:
         layers.install(tracer, stack)
         behavior.simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7])
         behavior.match_output_data_driven(blocks, [traj.outputs[0][9:21]])
+        npc.run_closed_loop(relaxed, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=4)
         problem = npc.OcpBuilder(spec).build(np.zeros((2, 1)), np.array([[0.2], [0.19]]))
         solver.solve(problem)
     recorded = set(tracer.names)
-    for span in ("behavior.simulate", "behavior.match", "behavior.trf", "solver.solve"):
+    for span in (
+        "behavior.simulate", "behavior.match", "behavior.trf", "solver.solve",
+        "npc.direct", "npc.warm_start", "npc.build",
+    ):
         assert span in recorded, span
+    assert tracer.counts["solver.path.gn"] == 1

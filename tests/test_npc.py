@@ -6,8 +6,6 @@ from ddnpc.behavior import DataDictionaryBlocks
 from ddnpc.npc import (
     OcpBuilder,
     OcpSpec,
-    build_nominal_ocp,
-    build_robust_ocp,
     constraint_violation,
     evaluate_runtime_bounds,
     run_closed_loop,
@@ -94,7 +92,8 @@ def model_mpc_oracle(st, history_u, history_y, L, Q, R):
 def test_nominal_matches_model_based_mpc():
     toy, st, phi, traj, d, spec = chain_spec()
     hu, hy, _ = chain_history(toy, st, np.array([0.3, -0.2, 0.25]))
-    problem, builder = build_nominal_ocp(spec, hu, hy)
+    builder = OcpBuilder(spec)
+    problem = builder.build(hu, hy)
     report = solver.solve(problem)
     assert report.status == "converged"
     decision = builder.unpack(report.x)
@@ -106,7 +105,7 @@ def test_nominal_equilibrium_is_zero_cost():
     toy, st, phi, traj, d, spec = chain_spec()
     hu = np.zeros((2, 2))
     hy = np.zeros((2, 2))
-    problem, builder = build_nominal_ocp(spec, hu, hy)
+    problem = OcpBuilder(spec).build(hu, hy)
     report = solver.solve(problem)
     assert report.status == "converged"
     assert report.objective <= 1e-10
@@ -116,7 +115,7 @@ def test_nominal_infeasible_history_detected():
     toy, st, phi, traj, d, spec = chain_spec()
     hu = np.zeros((2, 2))
     hy = np.array([[50.0, -40.0], [-60.0, 55.0]])  # unreachable with |u| <= 5
-    problem, builder = build_nominal_ocp(spec, hu, hy)
+    problem = OcpBuilder(spec).build(hu, hy)
     report = solver.solve(problem, solver.SolverOptions(max_outer=25, inner_maxiter=80))
     assert report.status in ("infeasible-detected", "max-iter")
     assert report.max_violation > 1e-3
@@ -154,7 +153,8 @@ def test_exact_mode_solves_on_toy():
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
     hu, hy, _ = chain_history(toy, st, np.array([0.2, 0.0, -0.1]))
-    problem, builder = build_robust_ocp(spec, hu, hy)
+    builder = OcpBuilder(spec)
+    problem = builder.build(hu, hy)
     report = solver.solve(problem, solver.SolverOptions(max_outer=20, inner_maxiter=800))
     assert report.max_violation <= 1e-7
     decision = builder.unpack(report.x)
@@ -168,8 +168,10 @@ def test_robust_zero_bounds_reduce_to_nominal_single_solve():
     toy, st, phi, traj, d, spec_n = chain_spec(mode="nominal")
     _, _, _, _, _, spec_r = chain_spec(mode="robust", eps_star=0.0, w_star=0.0)
     hu, hy, _ = chain_history(toy, st, np.array([0.3, -0.2, 0.25]))
-    p_n, b_n = build_nominal_ocp(spec_n, hu, hy)
-    p_r, b_r = build_robust_ocp(spec_r, hu, hy)
+    b_n = OcpBuilder(spec_n)
+    p_n = b_n.build(hu, hy)
+    b_r = OcpBuilder(spec_r)
+    p_r = b_r.build(hu, hy)
     u_n = b_n.unpack(solver.solve(p_n).x).u_bar
     u_r = b_r.unpack(solver.solve(p_r).x).u_bar
     np.testing.assert_allclose(u_n, u_r, atol=1e-5)
@@ -192,10 +194,11 @@ def test_robust_free_slack_beats_pinned_slack():
     hu = np.zeros((2, 1))
     hy = np.array([[0.21], [0.2]])
     free = OcpSpec(slack_mode="relaxed", c_slack=100.0, **common)
-    pf, bf = build_robust_ocp(free, hu, hy)
+    bf = OcpBuilder(free)
+    pf = bf.build(hu, hy)
     rf = solver.solve(pf)
     pinned = OcpSpec(slack_mode="relaxed", c_slack=1e-9, **common)
-    pp, bp = build_robust_ocp(pinned, hu, hy)
+    pp = OcpBuilder(pinned).build(hu, hy)
     rp = solver.solve(pp)
     assert bf.unpack(rf.x).sigma_inf > 1e-9
     assert rf.objective < rp.objective - 1e-6
@@ -231,21 +234,21 @@ def test_setpoint_interiority_validated():
 def test_ocp_gradients_match_finite_differences():
     toy, st, phi, traj, d, spec_n = chain_spec(mode="nominal")
     hu, hy, _ = chain_history(toy, st, np.array([0.2, -0.1, 0.15]))
-    p_n, _ = build_nominal_ocp(spec_n, hu, hy)
+    p_n = OcpBuilder(spec_n).build(hu, hy)
     solver.check_gradients(p_n, n_points=5, tol=1e-4)
 
     _, _, _, _, _, spec_r = chain_spec(
         mode="robust", eps_star=0.05, w_star=0.01, slack_mode="relaxed", c_slack=10.0,
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
-    p_r, _ = build_robust_ocp(spec_r, hu, hy)
+    p_r = OcpBuilder(spec_r).build(hu, hy)
     solver.check_gradients(p_r, n_points=5, tol=1e-4)
 
     _, _, _, _, _, spec_e = chain_spec(
         mode="robust", eps_star=0.05, w_star=0.01, slack_mode="exact",
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
-    p_e, _ = build_robust_ocp(spec_e, hu, hy)
+    p_e = OcpBuilder(spec_e).build(hu, hy)
     solver.check_gradients(p_e, n_points=5, tol=1e-4)
 
 
@@ -335,6 +338,32 @@ def flat_toy_relaxed_spec(y_s):
     )
 
 
+@pytest.mark.parametrize("shift", [0, 2])
+def test_shifted_guess(shift):
+    """The warm start advances the input and output windows by ``shift``
+    steps and pads them with the setpoint (shift 0 keeps them), restarts the
+    feature slack at zero and refits the combination vector to the shifted
+    window by the pseudo-inverse."""
+    spec = flat_toy_relaxed_spec(0.3)
+    builder = OcpBuilder(spec)
+    decision = builder.unpack(np.random.default_rng(5).standard_normal(builder.dim))
+    guess = builder.unpack(builder.shifted_guess(decision, shift))
+
+    Lp = builder.Lp
+    np.testing.assert_array_equal(guess.u_bar[: Lp - shift], decision.u_bar[shift:])
+    np.testing.assert_array_equal(guess.u_bar[Lp - shift :], np.tile(spec.u_setpoint, (shift, 1)))
+    for i, (y_new, y_old) in enumerate(zip(guess.y_bar, decision.y_bar)):
+        np.testing.assert_array_equal(y_new[: y_old.size - shift], y_old[shift:])
+        np.testing.assert_array_equal(y_new[y_old.size - shift :], spec.y_setpoint[i])
+    assert np.any(decision.sigma_psi) and not np.any(guess.sigma_psi)
+
+    xi = plant.window_states(guess.y_bar, spec.structure).data
+    psi = spec.blocks.dictionary.value_batch(guess.u_bar, xi[:Lp])
+    rhs = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
+    alpha = np.linalg.pinv(np.vstack([builder.H_psi, builder.H_xi])) @ rhs
+    np.testing.assert_allclose(guess.alpha, alpha, rtol=0, atol=1e-12 * np.max(np.abs(alpha)))
+
+
 def assert_direct_agrees_with_constrained(y_s):
     """The direct elimination and the constrained AL path solve the same
     relaxed robust problem on the flat toy at setpoint ``y_s``."""
@@ -395,7 +424,7 @@ def test_robust_equilibrium_is_zero_cost():
     psi = d.value_batch(u_bar, xi[: builder.Lp]).reshape(-1)
     alpha = builder.alpha_s
     z = builder.pack(alpha, u_bar, y_bar, builder.H_psi @ alpha - psi)
-    objective, _ = builder._objective(z)
+    objective, _ = builder.build(hu, hy).objective(z)
     assert objective <= 1e-8
 
 
@@ -463,6 +492,24 @@ def test_reduced_direct_residual_matches_uncompressed(direct_builders):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
+def test_direct_cost_equals_full_objective(direct_builders):
+    """The eliminated problem is the builder's problem: at the full decision a
+    reduced point stands for, with its combination vector and feature slack,
+    the builder's objective equals the direct form's cost."""
+    rng = np.random.default_rng(14)
+    for builder in direct_builders:
+        direct = npc._RelaxedDirect(builder)
+        for _ in range(5):
+            hu, hy = random_history(builder, rng)
+            direct.set_history(hu, hy)
+            zf = random_reduced_point(direct, rng)
+            r = direct.residual(zf)
+            d = direct.decision_from_reduced(zf)
+            z = builder.pack(d.alpha, d.u_bar, d.y_bar, d.sigma_psi)
+            objective, _ = builder.build(hu, hy).objective(z)
+            assert abs(r @ r - objective) <= 1e-10 * objective
+
+
 def test_direct_history_change_drops_cached_features(direct_builders):
     """The features cached for a reduced point belong to one history: at the
     same point under another history the residual and jacobian are those of a
@@ -494,7 +541,7 @@ def test_direct_feature_jacobian_scatter_matches_loop(direct_builders):
         b = direct.b
         m, n, r = b.m, b.n, b.r
         xi = xi_flat.reshape(b.Lp + 1, n)[: b.Lp]
-        jpsi = b.spec.blocks.dictionary.jacobian_batch(direct._u_full(zf), xi)
+        jpsi = b.spec.blocks.dictionary.jacobian_batch(b.u_of(direct._embed(zf)), xi)
         want = np.zeros((r * b.Lp, direct.dim))
         for k in range(b.Lp):
             rows = slice(k * r, (k + 1) * r)
@@ -521,12 +568,21 @@ def test_direct_iteration_limit_reports_measured_violation():
     assert info["max_violation"] == max(0.0, decision.sigma_inf - bound)
 
 
-@pytest.mark.parametrize("mode,failing_call", [("robust", 2), ("nominal", 1)])
-def test_solver_error_records_exception_text(mode, failing_call):
+@pytest.mark.parametrize(
+    "mode,failing_call,failed_solve",
+    [
+        pytest.param("robust", 2, 0, id="robust-2"),
+        pytest.param("nominal", 1, 0, id="nominal-1"),
+        pytest.param("robust", 20, 1, id="robust-20"),
+    ],
+)
+def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     """A solve that raises is held and recorded as ``solver-error`` with the
     exception text, on the direct path (robust) and the AL path (nominal).
     The robust builder evaluates the dictionary once at construction, so its
-    first solve makes the second call; later calls succeed."""
+    first solve makes the second call and the 18 evaluations of that solve
+    bring the warm start of the second solve to call 20; other calls
+    succeed."""
     spec = flat_toy_relaxed_spec(0.0)
     if mode == "nominal":
         spec = OcpSpec(
@@ -547,11 +603,12 @@ def test_solver_error_records_exception_text(mode, failing_call):
     d.value_batch = failing_value_batch
     toy, _, _ = plant.make_scalar_flat()
     log = run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
-    first, *rest = log.solves
-    assert first.status == "solver-error"
-    assert first.error == "RuntimeError: dictionary offline"
-    assert not first.applied
-    assert rest and all(rec.error == "" for rec in rest)
+    assert [i for i, rec in enumerate(log.solves) if rec.error] == [failed_solve]
+    failed = log.solves[failed_solve]
+    assert failed.status == "solver-error"
+    assert failed.error == "RuntimeError: dictionary offline"
+    assert not failed.applied
+    assert len(log.solves) > failed_solve + 1
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])

@@ -5,11 +5,9 @@ from ddnpc import solver
 from ddnpc.solver import (
     LinearEquality,
     NlpProblem,
-    ShiftStructure,
     SolverOptions,
     check_gradients,
     solve,
-    warm_start_shift,
 )
 
 
@@ -138,48 +136,3 @@ def test_check_gradients_catches_wrong_gradient():
     with pytest.raises(AssertionError, match="objective gradient"):
         check_gradients(prob, n_points=2)
 
-
-# ---------------------------------------------------------------------------
-# warm-start shifting
-# ---------------------------------------------------------------------------
-
-
-def _toy_structure():
-    return ShiftStructure(
-        m=1,
-        degrees=(2,),
-        L=5,
-        u_pad=np.array([0.0]),
-        y_pads=[0.0],
-    )
-
-
-def test_shift_zero_is_identity():
-    prev = {"u": np.arange(5.0).reshape(5, 1), "y": [np.arange(7.0)], "alpha": np.ones(3)}
-    out = warm_start_shift(prev, _toy_structure(), 0)
-    np.testing.assert_array_equal(out["u"], prev["u"])
-    np.testing.assert_array_equal(out["y"][0], prev["y"][0])
-
-
-def test_shift_all_zero_solution_stays_zero():
-    prev = {
-        "u": np.zeros((5, 1)),
-        "y": [np.zeros(7)],
-        "alpha": np.zeros(3),
-        "sigma": np.zeros(4),
-    }
-    out = warm_start_shift(prev, _toy_structure(), 2)
-    assert not np.any(out["u"]) and not np.any(out["y"][0]) and not np.any(out["sigma"])
-
-
-def test_shift_moves_blocks_and_pads():
-    prev = {"u": np.arange(5.0).reshape(5, 1), "y": [np.arange(7.0)]}
-    out = warm_start_shift(prev, _toy_structure(), 2)
-    np.testing.assert_array_equal(out["u"][:, 0], [2, 3, 4, 0, 0])
-    np.testing.assert_array_equal(out["y"][0], [2, 3, 4, 5, 6, 0, 0])
-
-
-def test_shift_structure_mismatch():
-    prev = {"u": np.zeros((5, 2)), "y": [np.zeros(7)]}
-    with pytest.raises(ValueError):
-        warm_start_shift(prev, _toy_structure(), 1)
