@@ -136,3 +136,35 @@ def test_check_gradients_catches_wrong_gradient():
     with pytest.raises(AssertionError, match="objective gradient"):
         check_gradients(prob, n_points=2)
 
+
+
+# ---------------------------------------------------------------------------
+# warm-start shifting (OcpBuilder.shifted_guess)
+# ---------------------------------------------------------------------------
+
+
+def _toy_builder(y_s):
+    from ddnpc.npc import OcpBuilder
+    from test_npc import flat_toy_relaxed_spec
+
+    return OcpBuilder(flat_toy_relaxed_spec(y_s))
+
+
+def test_shift_all_zero_solution_stays_zero():
+    builder = _toy_builder(0.0)
+    assert builder.spec.u_setpoint[0] == 0.0
+    prev = builder.unpack(np.zeros(builder.dim))
+    out = builder.unpack(builder.shifted_guess(prev, 2))
+    assert not np.any(out.u_bar) and not np.any(out.y_bar[0]) and not np.any(out.sigma_psi)
+
+
+def test_shift_moves_blocks_and_pads():
+    builder = _toy_builder(0.3)
+    Lp, ny = builder.Lp, builder.y_lens[0]
+    u_s, y_s = builder.spec.u_setpoint[0], builder.spec.y_setpoint[0]
+    z = builder.pack(
+        np.zeros(builder.M), np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]
+    )
+    out = builder.unpack(builder.shifted_guess(builder.unpack(z), 2))
+    np.testing.assert_array_equal(out.u_bar[:, 0], [*range(2, Lp), u_s, u_s])
+    np.testing.assert_array_equal(out.y_bar[0], [*range(2, ny), y_s, y_s])
