@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,6 +121,12 @@ class DataDictionaryBlocks:
             pe_sigma_min=pe_sigma,
             noisy=use_noisy,
         )
+
+    @cached_property
+    def _window_factors(self) -> dict:
+        """Factors of ``_fit_window`` that depend on the blocks alone, keyed
+        by query kind and ridge weight."""
+        return {}
 
     def xi_block_row(self, k: int) -> np.ndarray:
         """Rows of state block ``k``: the map from a combination vector to the
@@ -282,6 +289,10 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     ``qr(C)``: same cost, gradient and Gauss-Newton matrix. This minimizes
     over ``a`` exactly when the window the solve settles on is reachable
     from the data, which is checked at the start and at the returned point.
+
+    ``V`` and ``S`` are fixed by ``what``, so the pseudo-inverses and the null
+    space built from them alone are computed once per ``(what, ridge
+    weight)`` and kept on ``blocks``; a query enters only ``T`` and ``E_h``.
     """
     from scipy.linalg import null_space
     from scipy.optimize import least_squares
@@ -302,9 +313,17 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     # a = E^+ e + N b with N spanning the null space of E; since E^+ e is
     # orthogonal to N, b solves a ridge least squares in N.
     reg = lambda_alpha * eps_star
-    N = null_space(E)
-    E_pinv = np.linalg.pinv(E)
-    G = np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])]))
+    factors = blocks._window_factors.get((what, reg))
+    if factors is None:
+        N = null_space(E)
+        factors = blocks._window_factors[what, reg] = (
+            N,
+            np.linalg.pinv(E),
+            np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])])),
+            np.linalg.pinv(A),
+            np.linalg.pinv(H0),
+        )
+    N, E_pinv, G, A_pinv, H0_pinv = factors
     K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
     R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
     onehot = (z_idx[..., None] == np.arange(n_v)).astype(float)
@@ -332,7 +351,6 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
 
     # Fixed-point start: the unregularized linear fit with the features frozen
     # at the previous trajectory, projected back onto the initial state.
-    A_pinv, H0_pinv = np.linalg.pinv(A), np.linalg.pinv(H0)
     alpha = H0_pinv @ xi0
     for _ in range(4):
         alpha = A_pinv @ (T @ h_of(V @ alpha))

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,8 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
             "solves": len(log.solves),
             "held_steps": held,
             "statuses": sorted(set(statuses)),
+            "status_counts": dict(Counter(statuses)),
+            "path_counts": dict(Counter(s.path for s in log.solves)),
             "bound_violations": violations,
             "all_inputs_in_box": bool(
                 np.all(arr["u"] >= spec.u_min - 1e-12)

@@ -645,8 +645,8 @@ class _RelaxedDirect:
 
     def _pieces(self, zf, need_jac):
         """Features, window states and, if asked, the feature jacobian at
-        ``zf``. The trust-region solver asks for the jacobian at the point it
-        just evaluated, so the latest feature evaluation is reused there."""
+        ``zf``. The solver asks for the jacobian at the point it last
+        evaluated, so the latest feature evaluation is reused there."""
         b = self.b
         z = self._embed(zf)
         u = b.u_of(z)
@@ -695,15 +695,14 @@ def solve_relaxed_direct(
     output slots start the solve. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
     the optimum (when it does not, the caller must fall back to the
-    constrained path) and the measured constraint violation. The
-    trust-region solver keeps the free slots inside the builder's bounds (the
-    input box, and the output box when the spec has one) and the feature
-    equality holds by construction, so the only constraint that can be
-    violated is the slack bound:
+    constrained path) and the measured constraint violation. The solver,
+    ``solver.reduced_lsq`` (box-constrained Levenberg-Marquardt), keeps the
+    free slots inside the builder's bounds (the input box, and the output box
+    when the spec has one) and the feature equality holds by construction, so
+    the only constraint that can be violated is the slack bound:
     ``max_violation = max(0, sigma_inf - c_slack * slack_level)``.
+    ``maxiter`` bounds the solver's residual evaluations.
     """
-    from scipy.optimize import least_squares
-
     direct = getattr(builder, "_direct_cache", None)
     if direct is None:
         direct = _RelaxedDirect(builder)
@@ -714,30 +713,21 @@ def solve_relaxed_direct(
             np.asarray(history_u, dtype=float).reshape(builder.d_max, builder.m),
             np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m),
         )
-    zf0 = np.clip(z0[direct.cols], direct.lo, direct.hi)
-    res = least_squares(
-        direct.residual,
-        zf0,
-        jac=direct.jacobian,
-        bounds=(direct.lo, direct.hi),
-        method="trf",
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-10,
-        max_nfev=maxiter,
+    res = _solver.reduced_lsq(
+        direct.residual, direct.jacobian, z0[direct.cols], direct.lo, direct.hi, maxiter
     )
     decision = direct.decision_from_reduced(res.x)
     bound = builder.spec.c_slack * builder.spec.slack_level
     bound_ok = decision.sigma_inf <= bound + 1e-9
     if not bound_ok:
         status = "bound-active"
-    elif res.status > 0:
+    elif res.converged:
         status = "converged"
     else:
         status = "max-iter"
     info = {
-        "objective": float(res.cost * 2.0),
-        "iterations": int(res.nfev),
+        "objective": res.objective,
+        "iterations": res.nfev,
         "status": status,
         "bound_ok": bound_ok,
         "max_violation": max(0.0, decision.sigma_inf - bound),
@@ -768,6 +758,7 @@ def constraint_violation(problem: _solver.NlpProblem, z) -> float:
 class SolveRecord:
     t: int
     status: str
+    path: str                        # direct | al-gn | al-lbfgs | held
     objective: float
     alpha_l1: float
     sigma_inf: float
@@ -830,7 +821,9 @@ def run_closed_loop(
     feasible solve that stopped at its iteration limit is applied, as
     suboptimal predictive control allows; its record keeps the status and
     the measured constraint violation. A solve that raises is recorded as
-    ``solver-error`` with the exception text.
+    ``solver-error`` with the exception text. Each record names the path that
+    produced its decision: the direct solve, the AL solver with Gauss-Newton
+    or L-BFGS inner steps, or ``held`` when no solve returned one.
     """
     mode_stride = spec.d_max if spec.mode == "robust" else 1
     stride = mode_stride if stride is None else stride
@@ -895,10 +888,13 @@ def run_closed_loop(
                 if info["bound_ok"]:
                     status, objective = info["status"], info["objective"]
                     iterations, max_violation = info["iterations"], info["max_violation"]
+                    path = "direct"
                 else:
                     decision = None  # slack bound active: take the constrained path
             if decision is None:
-                report = _solver.solve(builder.build(hist_u, hist_y, z0=warm), opts)
+                problem = builder.build(hist_u, hist_y, z0=warm)
+                path = "al-lbfgs" if problem.ls_residual is None else "al-gn"
+                report = _solver.solve(problem, opts)
                 decision = builder.unpack(report.x)
                 status, objective = report.status, report.objective
                 iterations, max_violation = report.iterations, report.max_violation
@@ -917,6 +913,7 @@ def run_closed_loop(
                 ]
                 decision = builder.unpack(builder.pack(builder.alpha_s, u_bar, y_bar))
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
+            path = "held"
         accept = status == "converged" or max_violation <= 1e-5
         if accept:
             inputs = decision.planned_inputs(d_max, stride)
@@ -926,6 +923,7 @@ def run_closed_loop(
         rec = SolveRecord(
             t=t0,
             status=status,
+            path=path,
             objective=objective,
             alpha_l1=decision.alpha_l1,
             sigma_inf=decision.sigma_inf,

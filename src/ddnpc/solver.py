@@ -7,6 +7,9 @@ feasibility stalls); each inner subproblem is a box-constrained smooth
 minimization, run by bounded Gauss-Newton when the objective comes with its
 least-squares form and by projected limited-memory quasi-Newton otherwise.
 Identical problems, options and guesses give identical reports.
+
+``reduced_lsq`` solves the small box-constrained nonlinear least squares
+left once the controller's equalities are eliminated.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 
@@ -277,6 +281,100 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         kkt_residual=kkt_residual(z),
         status=status,
     )
+
+
+# ---------------------------------------------------------------------------
+# Box-constrained nonlinear least squares
+# ---------------------------------------------------------------------------
+
+
+def _chol_solve(M, b):
+    return cho_solve(cho_factor(M, check_finite=False), b, check_finite=False)
+
+
+@dataclass
+class LsqReport:
+    x: np.ndarray
+    objective: float  # ||residual(x)||^2
+    nfev: int  # residual evaluations, the first one included
+    converged: bool
+
+
+def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int) -> LsqReport:
+    """Minimize ``||residual(x)||^2`` over the box ``lo <= x <= hi``.
+
+    Levenberg-Marquardt with Marquardt scaling: the step solves
+    ``(A + mu*diag(D)) s = -g`` on the free variables, with ``A = J^T J``,
+    ``g = J^T r`` and ``D`` the running maximum of ``diag(A)``. A variable
+    within ``1e-10`` of the box width of a bound is held there while its
+    gradient points out of the box. The iterates stay inside the box: a step
+    that would leave it is cut to 0.995 of the distance to the first bound it
+    meets (Coleman & Li 1996), so a free variable on a bound whose step
+    points out of the box makes the step zero, and it is rejected. ``mu``
+    starts at 1e-8, shrinks or grows with the gain ratio and jumps to at
+    least 1e-3 on a rejected step; a trial point with a non-finite residual
+    is a rejected step.
+
+    The solve converges when the Gauss-Newton step on the free variables,
+    ``-A_f^-1 g_f``, promises a decrease ``g_f^T A_f^-1 g_f`` of at most
+    ``1e-10 * f`` or is itself below ``1e-12`` relative to ``x``. The damped
+    step taken is not tested: it is short when ``mu`` is large or the box
+    cuts it, not because the solve is done. The solve stops unconverged
+    after ``maxiter`` residual evaluations. Raises ``CallbackError`` when
+    the residual at ``x0`` or a jacobian is not finite.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = np.asarray(residual(x), dtype=float)
+    nfev = 1
+    if not np.all(np.isfinite(r)):
+        raise CallbackError("residual not finite at the initial guess")
+    f = float(r @ r)
+    width = hi - lo
+    near = np.where(np.isfinite(width), 1e-10 * width, 0.0)
+    D = np.zeros(x.size)
+    mu = 1e-8
+    while True:
+        J = np.asarray(jacobian(x), dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise CallbackError("jacobian not finite")
+        A, g = J.T @ J, J.T @ r
+        D = np.maximum(D, np.diag(A))
+        scale = np.where(D > 0, D, 1.0)
+        at_lo, at_hi = x - lo <= near, hi - x <= near
+        free = ~((at_lo & (g >= 0)) | (at_hi & (g <= 0)))
+        if not free.any():
+            return LsqReport(x, f, nfev, True)
+        A_f, g_f, scale_f = A[np.ix_(free, free)], g[free], np.diag(scale[free])
+        # minus the Gauss-Newton step; the 1e-12 keeps it defined for a singular A_f
+        gn = _chol_solve(A_f + 1e-12 * scale_f, g_f)
+        if g_f @ gn <= 1e-10 * f or np.linalg.norm(gn) <= 1e-12 * (1e-12 + np.linalg.norm(x)):
+            return LsqReport(x, f, nfev, True)
+        while True:
+            if nfev >= maxiter:
+                return LsqReport(x, f, nfev, False)
+            s = np.zeros(x.size)
+            s[free] = -_chol_solve(A_f + mu * scale_f, g_f)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.where(s > 0, (hi - x) / s, np.where(s < 0, (lo - x) / s, np.inf))
+            t = reach.min()
+            if t < 1.0:
+                s *= 0.995 * t
+            x_new = np.clip(x + s, lo, hi)
+            r_new = np.asarray(residual(x_new), dtype=float)
+            nfev += 1
+            f_new = float(r_new @ r_new)
+            if f_new < f:  # never true for a non-finite residual
+                break
+            mu = max(10.0 * mu, 1e-3)
+        predicted = -(2.0 * (g @ s) + s @ A @ s)
+        gain = (f - f_new) / predicted if predicted > 0 else 0.0
+        if gain > 0.75:
+            mu /= 3.0
+        elif gain < 0.25:
+            mu *= 2.0
+        x, r, f = x_new, r_new, f_new
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ up at call time (``npc.solve_relaxed_direct``, ``OcpBuilder.build``,
 ``NlpProblem.ls_residual`` to name the solver path, and charges scipy's
 trust-region time to the ``behavior`` spans only because ``behavior`` imports
 ``least_squares`` inside the solve. A rename, or a module-level import, would
-silently drop spans from the traced run; this test fails instead.
+silently drop spans from the traced run; this test fails instead. It also
+checks that the direct-solve counters the traced run reports match the
+closed-loop log.
 """
 
 import contextlib
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,9 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
         layers.install(tracer, stack)
         behavior.simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7])
         behavior.match_output_data_driven(blocks, [traj.outputs[0][9:21]])
-        npc.run_closed_loop(relaxed, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=4)
+        log = npc.run_closed_loop(
+            relaxed, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=4
+        )
         problem = npc.OcpBuilder(spec).build(np.zeros((2, 1)), np.array([[0.2], [0.19]]))
         solver.solve(problem)
     recorded = set(tracer.names)
@@ -50,3 +55,14 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
     ):
         assert span in recorded, span
     assert tracer.counts["solver.path.gn"] == 1
+
+    # The direct-solve counters agree with the closed-loop log.
+    direct = [rec for rec in log.solves if rec.path == "direct"]
+    assert direct and len(direct) == len(log.solves)
+    assert tracer.counts["npc.direct.nfev"] == sum(rec.iterations for rec in direct)
+    statuses = {
+        name.removeprefix("npc.direct.status."): n
+        for name, n in tracer.counts.items()
+        if name.startswith("npc.direct.status.")
+    }
+    assert statuses == Counter(rec.status for rec in direct)

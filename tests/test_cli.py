@@ -108,6 +108,10 @@ def test_collect_simulate_run_pipeline(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["bound_violations"] == 0
     assert summary["all_inputs_in_box"]
+    for counts in (summary["status_counts"], summary["path_counts"]):
+        assert sum(counts.values()) == summary["solves"]
+    assert set(summary["status_counts"]) == set(summary["statuses"])
+    assert set(summary["path_counts"]) <= {"direct", "al-gn", "al-lbfgs", "held"}
     assert (out / "log.csv").exists() and (out / "plot_data.csv").exists()
     lines = (out / "log.csv").read_text().strip().splitlines()
     header = lines[0].split(",")

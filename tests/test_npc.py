@@ -555,6 +555,40 @@ def test_direct_feature_jacobian_scatter_matches_loop(direct_builders):
         np.testing.assert_array_equal(dpsi, want)
 
 
+def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatch):
+    """Per-solve agreement of ``solver.reduced_lsq`` with scipy's trust-region
+    solver on the problems a noisy reference loop actually poses: each
+    solve's history and warm start are recorded, and both solvers run to
+    convergence from the same start. The first ten solves, the swing-up
+    transient, are left out: there the two solvers can settle in different
+    local minima, with either one lower."""
+    from scipy.optimize import least_squares
+
+    exp, _, spec, builder = pendulum_relaxed_builder()
+    recorded = []
+    solve = npc.solve_relaxed_direct
+
+    def recording(builder, history_u, history_y, z0=None, maxiter=60):
+        recorded.append((np.array(history_u), np.array(history_y), np.array(z0)))
+        return solve(builder, history_u, history_y, z0, maxiter)
+
+    monkeypatch.setattr(npc, "solve_relaxed_direct", recording)
+    run_closed_loop(
+        spec, exp.plant_model, plant.NoiseModel(w_star=0.01, seed=2002), x0=exp.x0,
+        total_steps=80, hold_input=exp.hold_input,
+    )
+    direct = npc._RelaxedDirect(builder)
+    assert len(recorded) == 40
+    for hu, hy, z0 in recorded[10:]:
+        direct.set_history(hu, hy)
+        zf0 = np.clip(z0[direct.cols], direct.lo, direct.hi)
+        rep = solver.reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000)
+        ref = least_squares(direct.residual, zf0, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
+                            method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
+        assert rep.converged
+        assert abs(rep.objective - 2.0 * ref.cost) <= 1e-8 * 2.0 * ref.cost
+
+
 def test_direct_iteration_limit_reports_measured_violation():
     """A direct solve stopped by its iteration limit reports the slack-bound
     violation it measured, not an assumed zero."""
@@ -573,6 +607,7 @@ def test_direct_iteration_limit_reports_measured_violation():
     [
         pytest.param("robust", 2, 0, id="robust-2"),
         pytest.param("nominal", 1, 0, id="nominal-1"),
+        pytest.param("robust", 14, 1, id="robust-14"),
         pytest.param("robust", 20, 1, id="robust-20"),
     ],
 )
@@ -580,9 +615,11 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     """A solve that raises is held and recorded as ``solver-error`` with the
     exception text, on the direct path (robust) and the AL path (nominal).
     The robust builder evaluates the dictionary once at construction, so its
-    first solve makes the second call and the 18 evaluations of that solve
-    bring the warm start of the second solve to call 20; other calls
-    succeed."""
+    first solve makes the second call. That solve's 11 residual evaluations
+    and the features of its returned point bring the warm start of the
+    second solve to call 14; call 20 falls inside the second solve. Other
+    calls succeed. The failed solve holds the previous decision and is
+    recorded on the ``held`` path; the others name the path they ran."""
     spec = flat_toy_relaxed_spec(0.0)
     if mode == "nominal":
         spec = OcpSpec(
@@ -609,6 +646,10 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     assert failed.error == "RuntimeError: dictionary offline"
     assert not failed.applied
     assert len(log.solves) > failed_solve + 1
+    solved = "direct" if mode == "robust" else "al-gn"
+    assert [rec.path for rec in log.solves] == [
+        "held" if i == failed_solve else solved for i in range(len(log.solves))
+    ]
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])
@@ -639,6 +680,7 @@ def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
     assert log.solves
     for rec in log.solves:
         assert rec.status == "solver-error"
+        assert rec.path == "held"
         assert not rec.applied
         assert rec.error == "RuntimeError: dictionary offline"
 

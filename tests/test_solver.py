@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import least_squares, lsq_linear
+
 from ddnpc import solver
 from ddnpc.solver import (
     LinearEquality,
     NlpProblem,
     SolverOptions,
     check_gradients,
+    reduced_lsq,
     solve,
 )
 
@@ -136,6 +139,102 @@ def test_check_gradients_catches_wrong_gradient():
     with pytest.raises(AssertionError, match="objective gradient"):
         check_gradients(prob, n_points=2)
 
+
+
+# ---------------------------------------------------------------------------
+# box-constrained least squares (reduced_lsq)
+# ---------------------------------------------------------------------------
+
+
+def linear_box_problem(seed):
+    """Random 30x8 linear least squares on the box [-1, 1]^8, with a
+    right-hand side large enough that several bounds are active."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((30, 8)) @ np.diag(np.logspace(0, 1, 8))
+    b = 20.0 * rng.standard_normal(30)
+    return A, b, -np.ones(8), np.ones(8)
+
+
+# A free variable on a bound whose step points out of the box blocks every
+# step until the damping turns the step inward; where the coupling keeps
+# turning it back out, the solve crawls and its damping overflows.
+STALL = "reduced_lsq stalls when a variable on a bound blocks the step"
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2, pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=STALL)), 4]
+)
+def test_reduced_lsq_matches_lsq_linear(seed):
+    """From the centre of the box, the linear problem ends at the bounded
+    least-squares optimum that scipy's active-set solver finds."""
+    A, b, lo, hi = linear_box_problem(seed)
+    ref = lsq_linear(A, b, bounds=(lo, hi), method="bvls", tol=1e-14)
+    f_ref = float(np.sum((A @ ref.x - b) ** 2))
+    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100)
+    assert rep.converged
+    assert np.all(rep.x >= lo) and np.all(rep.x <= hi)
+    assert abs(rep.objective - f_ref) <= 1e-10 * f_ref
+    assert rep.objective == pytest.approx(float(np.sum((A @ rep.x - b) ** 2)), rel=1e-14)
+
+
+def test_reduced_lsq_iteration_limit():
+    A, b, lo, hi = linear_box_problem(0)
+    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 1)
+    assert not rep.converged
+    assert rep.nfev == 1
+    np.testing.assert_array_equal(rep.x, np.zeros(8))
+
+
+def test_reduced_lsq_nonfinite_start_raises():
+    with pytest.raises(solver.CallbackError):
+        reduced_lsq(lambda x: np.array([np.nan, 1.0]), lambda x: np.eye(2),
+                    np.zeros(2), -np.ones(2), np.ones(2), 10)
+
+
+def test_reduced_lsq_nonfinite_trial_is_rejected():
+    """A trial point where the residual is not finite is rejected like a step
+    that raises the cost: the solve goes on from the last point and still
+    reaches the optimum, having spent one evaluation on the rejected trial."""
+    A, b, lo, hi = linear_box_problem(1)
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        r = A @ x - b
+        return np.full_like(r, np.inf) if len(calls) == 2 else r
+
+    rep = reduced_lsq(residual, lambda x: A, np.zeros(8), lo, hi, 100)
+    clean = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100)
+    assert rep.converged and rep.nfev == len(calls)
+    assert not np.array_equal(rep.x, calls[1])
+    assert abs(rep.objective - clean.objective) <= 1e-10 * clean.objective
+
+
+@pytest.mark.parametrize(
+    "drop", [1.0, pytest.param(3.0, marks=pytest.mark.xfail(strict=True, reason=STALL))]
+)
+def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
+    """Every planned input of the pendulum controller starts on its lower
+    bound, so the first steps are cut short by the box. Short steps are no
+    sign of convergence: the returned point is a local minimum, which
+    scipy's trust-region solver started from it cannot improve. The history
+    rests ``drop`` rad below the setpoint on both angles."""
+    from ddnpc import npc
+    from test_npc import pendulum_relaxed_builder
+
+    exp, _, spec, builder = pendulum_relaxed_builder()
+    direct = npc._RelaxedDirect(builder)
+    hu = np.tile(exp.hold_input, (spec.d_max, 1))
+    hy = np.tile(exp.y_setpoint - drop, (spec.d_max, 1))
+    direct.set_history(hu, hy)
+    zf0 = builder.initial_guess(hu, hy)[direct.cols]
+    n_u = builder.L * builder.m
+    zf0[:n_u] = direct.lo[:n_u]
+    rep = reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000)
+    assert rep.converged
+    polish = least_squares(direct.residual, rep.x, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
+                           method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
+    assert 2.0 * polish.cost >= rep.objective * (1.0 - 1e-8)
 
 
 # ---------------------------------------------------------------------------
