@@ -17,6 +17,7 @@ to evaluate the runtime error bounds afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -198,7 +199,6 @@ class OcpBuilder:
 
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
-        self._pinv_stack = None
         self._tie_break = 1e-6 * (spec.lambda_alpha * spec.slack_level + 1.0)
         # The robust ridge pulls the combination vector toward the one that
         # represents the window resting at the setpoint, so that the setpoint
@@ -488,15 +488,18 @@ class OcpBuilder:
 
     # -- guesses and warm starts -------------------------------------------
 
+    @functools.cached_property
+    def pinv_stack(self) -> np.ndarray:
+        """Pseudo-inverse of the stacked blocks ``[H_psi; H_xi]``."""
+        return np.linalg.pinv(np.vstack([self.H_psi, self.H_xi]))
+
     def _fit_window(self, u_bar, y_bar):
         """Pseudo-inverse combination vector of a window, and the stacked
         features and window states ``[psi; xi]`` it is fitted to."""
-        if self._pinv_stack is None:
-            self._pinv_stack = np.linalg.pinv(np.vstack([self.H_psi, self.H_xi]))
         xi = window_states(y_bar, self.spec.structure).data
         psi = self.spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
         g = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-        return self._pinv_stack @ g, g
+        return self.pinv_stack @ g, g
 
     def _setpoint_alpha(self):
         """Combination vector of the window resting at the setpoint."""
@@ -537,34 +540,22 @@ class OcpBuilder:
         return self.pack(self._fit_window(u_bar, y_bar)[0], u_bar, y_bar)
 
 
-class _RelaxedDirect:
-    """Variable-projection form of the relaxed robust problem.
+class _WindowRestriction:
+    """The builder's problem restricted to its free columns, the input and
+    output slots of the prediction window.
 
-    The builder's problem restricted to its free columns, the input and
-    output slots of the prediction window: the history and terminal pins are
-    constants, the feature equality pins the feature slack, and for fixed
-    windows the remaining objective is a ridge least-squares in the
-    combination vector; both are eliminated with one precomputed linear map.
-    What is left is a small bounded nonlinear least-squares over the free
-    slots. Valid whenever the slack-bound inequality is inactive at the
-    optimum, which is checked afterwards.
-
-    The residual is the builder's stage rows followed by ``R @ (g - g_s)``,
-    where ``g`` stacks the features and window states, ``g_s`` is its value
-    at the setpoint's combination vector, and ``R`` is the triangular factor
-    of the constant matrix that maps ``g - g_s`` to the ridge, feature slack
-    and state slack rows. The cost, ``J^T J`` and ``J^T r`` equal those of the
-    uncompressed residual, so every Gauss-Newton step is unchanged.
+    The history and terminal pins are constants taken from the builder's
+    bounds and the stage rows are the builder's. The rest of the problem
+    depends on the free slots ``zf`` only through ``g``, the features and
+    window states stacked, and each mode makes it affine in ``g`` with two
+    constant maps: ``P``, with ``alpha = alpha_s + P @ (g - g_s)``, and
+    ``T``, whose image of ``g - g_s`` is the mode's own rows. ``alpha_s`` is
+    the builder's ridge anchor and ``g_s = [H_psi; H_xi] @ alpha_s``.
     """
 
-    def __init__(self, builder: OcpBuilder):
-        spec = builder.spec
-        if spec.mode != "robust" or spec.slack_mode != "relaxed":
-            raise ValueError("direct solve applies to the relaxed robust mode only")
-        if spec.c_slack * spec.slack_level <= 0:
-            raise ValueError("direct solve needs a positive slack bound")
+    def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
         self.b = builder
-        m, L, Lp, M, n, r = builder.m, builder.L, builder.Lp, builder.M, builder.n, builder.r
+        m, L, Lp, n, r = builder.m, builder.L, builder.Lp, builder.n, builder.r
 
         # Reduced vector: the free input slots (time-major), then the free
         # output slots (channel-major); cols[j] is the builder column of entry j.
@@ -575,35 +566,14 @@ class _RelaxedDirect:
         # Reduced column of each window-state entry, -1 where it is pinned.
         self.y_state_cols = pos[builder.XI_COLS]
         self.D_xi = (self.y_state_cols[:, None] == np.arange(self.dim)).astype(float)
-        n_xi = self.y_state_cols.size
 
-        # Ridge elimination of the combination vector: for fixed windows,
-        # alpha minimizes lam_s*||Hs a - g||^2 + ra^2*||a - a_s||^2 with
-        # constant Hs, so alpha = a_s + P @ (g - Hs a_s).
-        self.rs = math.sqrt(spec.lambda_sigma)
-        self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        Hs = np.vstack([builder.H_psi, builder.H_xi])
-        A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
-        self.P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
+        self.P = P
         self.alpha_s = builder.alpha_s
         self.g_s = np.concatenate([builder.H_psi @ self.alpha_s, builder.H_xi @ self.alpha_s])
-
-        # Every residual row past the stage rows is C @ (g - g_s) with the
-        # constant C below (ridge rows, feature slack rows, state slack rows),
-        # because g_s = Hs a_s. Only ||C h||^2 and its derivatives matter, so
-        # C is replaced by the triangle R of its QR factorization: same cost,
-        # same J^T J and J^T r, far fewer rows.
         n_psi = r * Lp
-        C = np.vstack(
-            [
-                self.ra * self.P,
-                self.rs * (builder.H_psi @ self.P - np.eye(n_psi, n_psi + n_xi)),
-                self.rs * (builder.H_xi @ self.P - np.eye(n_xi, n_psi + n_xi, n_psi)),
-            ]
-        )
-        self.R = np.linalg.qr(C, mode="r")
-        self.R_psi = self.R[:, :n_psi]
-        self.RD_xi = self.R[:, n_psi:] @ self.D_xi
+        self.T = T
+        self.T_psi = T[:, :n_psi]
+        self.TD_xi = T[:, n_psi:] @ self.D_xi
 
         # Scatter of the dictionary jacobian (Lp, r, m + n) into d psi / d zf:
         # col_of[k, j] is the reduced column that partial j at window time k
@@ -636,6 +606,17 @@ class _RelaxedDirect:
         # the same reduced point under another history has other features
         self._last = None
 
+    def _start(self, history_u, history_y, z0):
+        """Set the history and return the free slots of the packed guess
+        ``z0``, the builder's cold start when it is None."""
+        b = self.b
+        history_u = np.asarray(history_u, dtype=float).reshape(b.d_max, b.m)
+        history_y = np.asarray(history_y, dtype=float).reshape(b.d_max, b.m)
+        self.set_history(history_u, history_y)
+        if z0 is None:
+            z0 = b.initial_guess(history_u, history_y)
+        return z0[self.cols]
+
     def _embed(self, zf):
         """Builder decision vector with the free slots set to ``zf`` and the
         pins to the history and setpoint; combination vector and slack zero."""
@@ -665,14 +646,17 @@ class _RelaxedDirect:
         dpsi[self._scatter_rows, self._scatter_cols] = jpsi.reshape(-1)[self._scatter_src]
         return psi, xi_flat, dpsi
 
-    def residual(self, zf):
-        psi, xi_flat, _ = self._pieces(zf, False)
-        h = np.concatenate([psi, xi_flat]) - self.g_s
-        return np.concatenate([self.J_stage @ zf - self.b_stage, self.R @ h])
+    def stage_residual(self, zf):
+        return self.J_stage @ zf - self.b_stage
 
-    def jacobian(self, zf):
+    def mapped(self, zf):
+        """The mode's rows, ``T @ (g - g_s)``."""
+        psi, xi_flat, _ = self._pieces(zf, False)
+        return self.T @ (np.concatenate([psi, xi_flat]) - self.g_s)
+
+    def mapped_jacobian(self, zf):
         _, _, dpsi = self._pieces(zf, True)
-        return np.vstack([self.J_stage, self.R_psi @ dpsi + self.RD_xi])
+        return self.T_psi @ dpsi + self.TD_xi
 
     def decision_from_reduced(self, zf: np.ndarray) -> OcpDecision:
         b = self.b
@@ -682,8 +666,112 @@ class _RelaxedDirect:
         return b.unpack(b.pack(alpha, b.u_of(z), b.y_of(z), b.H_psi @ alpha - psi))
 
 
+class _RelaxedDirect(_WindowRestriction):
+    """Variable-projection form of the relaxed robust problem.
+
+    On the free slots, the feature equality pins the feature slack, and for
+    fixed windows the remaining objective is a ridge least-squares in the
+    combination vector; both are eliminated with one precomputed linear map
+    ``P``. What is left is a small bounded nonlinear least-squares over the
+    free slots. Valid whenever the slack-bound inequality is inactive at the
+    optimum, which is checked afterwards.
+
+    The residual is the builder's stage rows followed by ``T @ (g - g_s)``,
+    where ``T`` is the triangular factor of the constant matrix that maps
+    ``g - g_s`` to the ridge, feature slack and state slack rows. The cost,
+    ``J^T J`` and ``J^T r`` equal those of the uncompressed residual, so
+    every Gauss-Newton step is unchanged.
+    """
+
+    def __init__(self, builder: OcpBuilder):
+        spec = builder.spec
+        if spec.mode != "robust" or spec.slack_mode != "relaxed":
+            raise ValueError("direct solve applies to the relaxed robust mode only")
+        if spec.c_slack * spec.slack_level <= 0:
+            raise ValueError("direct solve needs a positive slack bound")
+        M, n_psi = builder.M, builder.r * builder.Lp
+        n_xi = builder.XI_COLS.size
+
+        # Ridge elimination of the combination vector: for fixed windows,
+        # alpha minimizes lam_s*||Hs a - g||^2 + ra^2*||a - a_s||^2 with
+        # constant Hs, so alpha = a_s + P @ (g - Hs a_s).
+        self.rs = math.sqrt(spec.lambda_sigma)
+        self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
+        Hs = np.vstack([builder.H_psi, builder.H_xi])
+        A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
+        P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
+
+        # Every residual row past the stage rows is C @ (g - g_s) with the
+        # constant C below (ridge rows, feature slack rows, state slack rows),
+        # because g_s = Hs a_s. Only ||C h||^2 and its derivatives matter, so
+        # C is replaced by the triangle of its QR factorization: same cost,
+        # same J^T J and J^T r, far fewer rows.
+        C = np.vstack(
+            [
+                self.ra * P,
+                self.rs * (builder.H_psi @ P - np.eye(n_psi, n_psi + n_xi)),
+                self.rs * (builder.H_xi @ P - np.eye(n_xi, n_psi + n_xi, n_psi)),
+            ]
+        )
+        super().__init__(builder, P, np.linalg.qr(C, mode="r"))
+
+    def residual(self, zf):
+        return np.concatenate([self.stage_residual(zf), self.mapped(zf)])
+
+    def jacobian(self, zf):
+        return np.vstack([self.J_stage, self.mapped_jacobian(zf)])
+
+
+class _NominalCore(_WindowRestriction):
+    """Nominal mode on the free slots.
+
+    Exact membership asks that ``g`` lie in the span of ``Hs = [H_psi;
+    H_xi]``. ``Hs`` is rank-deficient, so membership is the few equalities
+    ``N^T g = 0``, with the columns of ``N`` an orthonormal basis of its left
+    null space, and the combination vector is ``pinv(Hs) @ g``. ``build``
+    poses that problem to the augmented-Lagrangian solver with the builder's
+    stage rows as its least-squares objective; ``unpack`` and ``violation``
+    take a solution back to the builder's decision and its full-space
+    equality violation.
+    """
+
+    def __init__(self, builder: OcpBuilder):
+        self.Hs = np.vstack([builder.H_psi, builder.H_xi])
+        rank = np.linalg.matrix_rank(self.Hs)
+        N = np.linalg.svd(self.Hs)[0][:, rank:]
+        super().__init__(builder, builder.pinv_stack, N.T)
+
+    def _objective(self, zf):
+        r = self.stage_residual(zf)
+        return float(r @ r), 2.0 * (self.J_stage.T @ r)
+
+    def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
+        """Solver-ready problem for one measured history; ``z0`` is a packed
+        guess, as for ``OcpBuilder.build``."""
+        return _solver.NlpProblem(
+            dim=self.dim,
+            objective=self._objective,
+            x0=self._start(history_u, history_y, z0),
+            lower=self.lo,
+            upper=self.hi,
+            eq_residual=self.mapped,
+            eq_jacobian=self.mapped_jacobian,
+            ls_residual=self.stage_residual,
+            ls_jacobian=lambda zf: self.J_stage,
+        )
+
+    unpack = _WindowRestriction.decision_from_reduced
+
+    def violation(self, zf) -> float:
+        """``||Hs alpha - g||_inf`` of the decision at ``zf``: the builder's
+        equality violation there, the pins and bounds being exact."""
+        psi, xi_flat, _ = self._pieces(zf, False)
+        g = np.concatenate([psi, xi_flat])
+        return float(np.max(np.abs(self.Hs @ (self.P @ g) - g)))
+
+
 def solve_relaxed_direct(
-    builder: OcpBuilder,
+    builder,
     history_u,
     history_y,
     z0: Optional[np.ndarray] = None,
@@ -691,6 +779,8 @@ def solve_relaxed_direct(
 ):
     """Solve the relaxed robust problem by slack and combination elimination.
 
+    ``builder`` is an ``OcpBuilder`` or its ``_RelaxedDirect`` form; a closed
+    loop passes the form it owns, so that the form is set up once per loop.
     ``z0`` is a packed guess, as for ``OcpBuilder.build``; its free input and
     output slots start the solve. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
@@ -703,21 +793,12 @@ def solve_relaxed_direct(
     ``max_violation = max(0, sigma_inf - c_slack * slack_level)``.
     ``maxiter`` bounds the solver's residual evaluations.
     """
-    direct = getattr(builder, "_direct_cache", None)
-    if direct is None:
-        direct = _RelaxedDirect(builder)
-        builder._direct_cache = direct
-    direct.set_history(history_u, history_y)
-    if z0 is None:
-        z0 = builder.initial_guess(
-            np.asarray(history_u, dtype=float).reshape(builder.d_max, builder.m),
-            np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m),
-        )
-    res = _solver.reduced_lsq(
-        direct.residual, direct.jacobian, z0[direct.cols], direct.lo, direct.hi, maxiter
-    )
+    direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
+    zf0 = direct._start(history_u, history_y, z0)
+    res = _solver.reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter)
     decision = direct.decision_from_reduced(res.x)
-    bound = builder.spec.c_slack * builder.spec.slack_level
+    spec = direct.b.spec
+    bound = spec.c_slack * spec.slack_level
     bound_ok = decision.sigma_inf <= bound + 1e-9
     if not bound_ok:
         status = "bound-active"
@@ -820,16 +901,30 @@ def run_closed_loop(
     input is held for one stride and the event is flagged in the log. A
     feasible solve that stopped at its iteration limit is applied, as
     suboptimal predictive control allows; its record keeps the status and
-    the measured constraint violation. A solve that raises is recorded as
-    ``solver-error`` with the exception text. Each record names the path that
-    produced its decision: the direct solve, the AL solver with Gauss-Newton
-    or L-BFGS inner steps, or ``held`` when no solve returned one.
+    the measured constraint violation. A solve that raises a runtime, value
+    or arithmetic error (solver callbacks, dictionary evaluation, linear
+    algebra) is recorded as ``solver-error`` with the exception text; any
+    other exception propagates. Each record names the path that produced its
+    decision: the direct solve, the AL solver with Gauss-Newton or L-BFGS
+    inner steps, or ``held`` when no solve returned one. Nominal solves run
+    the AL solver on the reduced core (``_NominalCore``), the free window
+    slots under the membership equalities.
     """
     mode_stride = spec.d_max if spec.mode == "robust" else 1
     stride = mode_stride if stride is None else stride
     if total_steps % stride != 0:
         raise ValueError(f"total steps must be a multiple of the stride {stride}")
     builder = OcpBuilder(spec)
+    # The reduced forms hold the builder, so the loop owns them: cached on the
+    # builder they would make a reference cycle that outlives the loop.
+    use_direct = (
+        spec.mode == "robust"
+        and spec.slack_mode == "relaxed"
+        and spec.c_slack * spec.slack_level > 0
+    )
+    direct = _RelaxedDirect(builder) if use_direct else None
+    nominal = _NominalCore(builder) if spec.mode == "nominal" else None
+    constrained = builder if nominal is None else nominal
     opts = solver_options or _solver.SolverOptions()
     d_max = spec.d_max
     m = spec.structure.m
@@ -870,11 +965,6 @@ def run_closed_loop(
 
     prev_decision = None
     prev_applied = np.tile(hold, (stride, 1))
-    use_direct = (
-        spec.mode == "robust"
-        and spec.slack_mode == "relaxed"
-        and spec.c_slack * spec.slack_level > 0
-    )
 
     for t0 in range(0, total_steps, stride):
         if not np.all(np.isfinite(x)):
@@ -884,7 +974,7 @@ def run_closed_loop(
         try:
             warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
             if use_direct:
-                decision, info = solve_relaxed_direct(builder, hist_u, hist_y, warm)
+                decision, info = solve_relaxed_direct(direct, hist_u, hist_y, warm)
                 if info["bound_ok"]:
                     status, objective = info["status"], info["objective"]
                     iterations, max_violation = info["iterations"], info["max_violation"]
@@ -892,13 +982,17 @@ def run_closed_loop(
                 else:
                     decision = None  # slack bound active: take the constrained path
             if decision is None:
-                problem = builder.build(hist_u, hist_y, z0=warm)
+                # nominal mode on its reduced core, the others in full space
+                problem = constrained.build(hist_u, hist_y, z0=warm)
                 path = "al-lbfgs" if problem.ls_residual is None else "al-gn"
                 report = _solver.solve(problem, opts)
-                decision = builder.unpack(report.x)
-                status, objective = report.status, report.objective
-                iterations, max_violation = report.iterations, report.max_violation
-        except Exception as exc:
+                decision = constrained.unpack(report.x)
+                status, objective, iterations = report.status, report.objective, report.iterations
+                # a nominal record keeps the full-space violation of its decision
+                max_violation = (
+                    report.max_violation if nominal is None else nominal.violation(report.x)
+                )
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
             decision = None
             error = f"{type(exc).__name__}: {exc}"
         if decision is None:

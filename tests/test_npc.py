@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -602,6 +605,19 @@ def test_direct_iteration_limit_reports_measured_violation():
     assert info["max_violation"] == max(0.0, decision.sigma_inf - bound)
 
 
+def flat_toy_loop_spec(mode):
+    """The relaxed robust flat toy at setpoint zero, or its nominal
+    counterpart on the same data."""
+    spec = flat_toy_relaxed_spec(0.0)
+    if mode == "robust":
+        return spec
+    return OcpSpec(
+        mode="nominal", L=spec.L, structure=spec.structure, blocks=spec.blocks,
+        Q=spec.Q, R=spec.R, u_setpoint=spec.u_setpoint, y_setpoint=spec.y_setpoint,
+        u_min=spec.u_min, u_max=spec.u_max,
+    )
+
+
 @pytest.mark.parametrize(
     "mode,failing_call,failed_solve",
     [
@@ -620,13 +636,7 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     second solve to call 14; call 20 falls inside the second solve. Other
     calls succeed. The failed solve holds the previous decision and is
     recorded on the ``held`` path; the others name the path they ran."""
-    spec = flat_toy_relaxed_spec(0.0)
-    if mode == "nominal":
-        spec = OcpSpec(
-            mode="nominal", L=spec.L, structure=spec.structure, blocks=spec.blocks,
-            Q=spec.Q, R=spec.R, u_setpoint=spec.u_setpoint, y_setpoint=spec.y_setpoint,
-            u_min=spec.u_min, u_max=spec.u_max,
-        )
+    spec = flat_toy_loop_spec(mode)
     d = spec.blocks.dictionary
     value_batch = d.value_batch
     calls = []
@@ -657,13 +667,7 @@ def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
     """A dictionary that raises on every call after the builder is built:
     no solve ever succeeds, and the held placeholder must not evaluate the
     dictionary, so the loop still returns a log of ``solver-error`` solves."""
-    spec = flat_toy_relaxed_spec(0.0)
-    if mode == "nominal":
-        spec = OcpSpec(
-            mode="nominal", L=spec.L, structure=spec.structure, blocks=spec.blocks,
-            Q=spec.Q, R=spec.R, u_setpoint=spec.u_setpoint, y_setpoint=spec.y_setpoint,
-            u_min=spec.u_min, u_max=spec.u_max,
-        )
+    spec = flat_toy_loop_spec(mode)
     d = spec.blocks.dictionary
     value_batch = d.value_batch
     calls = []
@@ -683,6 +687,144 @@ def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
         assert rec.path == "held"
         assert not rec.applied
         assert rec.error == "RuntimeError: dictionary offline"
+
+
+@pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])
+def test_unexpected_dictionary_error_propagates(mode, construction_calls):
+    """Only runtime, value and arithmetic errors (solver callbacks,
+    dictionary evaluation, linear algebra) turn a solve into a held
+    ``solver-error`` record; a dictionary that raises a ``TypeError`` in the
+    first solve is a programming error, and it leaves the loop."""
+    spec = flat_toy_loop_spec(mode)
+    d = spec.blocks.dictionary
+    value_batch = d.value_batch
+    calls = []
+
+    def failing_value_batch(U, XI):
+        calls.append(None)
+        if len(calls) > construction_calls:
+            raise TypeError("dictionary called with the wrong arguments")
+        return value_batch(U, XI)
+
+    d.value_batch = failing_value_batch
+    toy, _, _ = plant.make_scalar_flat()
+    with pytest.raises(TypeError, match="wrong arguments"):
+        run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
+
+
+@pytest.mark.parametrize("mode,path", [("robust", "direct"), ("nominal", "al-gn")])
+def test_finished_loop_frees_its_builder(monkeypatch, mode, path):
+    """The reduced forms hold the builder, and the loop owns them: with the
+    cyclic garbage collector off, the builder of a finished loop is freed by
+    reference counting alone, so no reference cycle keeps it."""
+    spec = flat_toy_loop_spec(mode)
+    builders = []
+
+    class RecordedBuilder(OcpBuilder):
+        def __init__(self, spec):
+            super().__init__(spec)
+            builders.append(weakref.ref(self))
+
+    monkeypatch.setattr(npc, "OcpBuilder", RecordedBuilder)
+    toy, _, _ = plant.make_scalar_flat()
+    gc.collect()
+    gc.disable()
+    try:
+        log = run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
+        alive = [ref() is not None for ref in builders]
+    finally:
+        gc.enable()
+    assert alive == [False]
+    assert {rec.path for rec in log.solves} == {path}
+
+
+def nominal_toy_builders():
+    """Nominal builders on the flat and chain toys, with their plants."""
+    flat, st, _, traj, d = presets.flat_toy_setup()
+    flat_spec = OcpSpec(
+        mode="nominal", L=8, structure=st,
+        blocks=DataDictionaryBlocks.from_trajectory(d, traj, horizon=8 + st.d_max),
+        Q=np.eye(1), R=np.eye(1), u_setpoint=[0.0], y_setpoint=[0.0], u_min=[-3.0], u_max=[3.0],
+    )
+    chain, _, _, _, _, spec = chain_spec()
+    return {"flat": (flat, OcpBuilder(flat_spec)), "chain": (chain, OcpBuilder(spec))}
+
+
+def plant_history(toy, builder, rng):
+    """The last ``d_max`` inputs and outputs of the plant, started at a
+    random state and driven by random inputs: a history the data can
+    continue exactly."""
+    x = rng.uniform(-0.3, 0.3, size=builder.n)
+    hu, hy = [], []
+    for _ in range(builder.d_max):
+        u = builder.spec.u_setpoint + rng.uniform(-0.5, 0.5, size=builder.m)
+        hy.append(toy.measure(x))
+        hu.append(u)
+        x = toy.step(x, u)
+    return np.array(hu), np.array(hy)
+
+
+def full_space_violation(builder, decision):
+    """The builder's constraint violation at ``decision``, for the history
+    that pins its window head."""
+    d_max = builder.d_max
+    hy = np.column_stack([y[:d_max] for y in decision.y_bar])
+    problem = builder.build(decision.u_bar[:d_max], hy)
+    z = builder.pack(decision.alpha, decision.u_bar, decision.y_bar)
+    return constraint_violation(problem, z)
+
+
+@pytest.mark.parametrize("toy_name", ["flat", "chain"])
+def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
+    """The nominal problem on its reduced core (the free window slots under
+    ``N^T g = 0``) is the builder's problem: on random feasible histories its
+    solve and the full-space AL solve reach the same objective and plan, and
+    the decision it unpacks to meets the full-space constraints.
+
+    Both solves stop once the equalities hold to the feasibility tolerance,
+    and moving along them by that much moves the objective: here the two
+    objectives differ by up to 3.4e-7 relative (5e-8 absolute), and each
+    lies up to 5e-7 relative below a solve to 1e-12. The objectives are
+    compared to 1e-8 relative plus the feasibility tolerance."""
+    toy, builder = nominal_toy_builders()[toy_name]
+    core = npc._NominalCore(builder)
+    assert core.dim < builder.dim
+    opts = solver.SolverOptions()
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        hu, hy = plant_history(toy, builder, rng)
+        full = builder.build(hu, hy)
+        ref = solver.solve(full, opts)
+        rep = solver.solve(core.build(hu, hy), opts)
+        assert rep.status == "converged"
+        assert abs(rep.objective - ref.objective) <= (
+            1e-8 * ref.objective + opts.feasibility_tol
+        )
+        got, want = core.unpack(rep.x), builder.unpack(ref.x)
+        np.testing.assert_allclose(
+            got.planned_inputs(builder.d_max, builder.L),
+            want.planned_inputs(builder.d_max, builder.L),
+            rtol=0, atol=1e-6,
+        )
+        z = builder.pack(got.alpha, got.u_bar, got.y_bar)
+        assert constraint_violation(full, z) <= 1e-7
+        assert abs(core.violation(rep.x) - full_space_violation(builder, got)) <= 1e-14
+
+
+def test_nominal_record_keeps_full_space_violation():
+    """A nominal solve record's ``max_violation`` is the builder's equality
+    violation ``||[H_psi; H_xi] alpha - g||_inf`` at the returned decision,
+    not the violation of the reduced equalities."""
+    toy, builder = nominal_toy_builders()["flat"]
+    log = run_closed_loop(
+        builder.spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.45, -0.3]),
+        total_steps=12, keep_decisions=True,
+    )
+    for rec in log.solves:
+        assert rec.path == "al-gn"
+        want = full_space_violation(builder, rec.decision)
+        assert abs(rec.max_violation - want) <= 1e-14
+    assert max(rec.max_violation for rec in log.solves) > 0.0
 
 
 def test_runtime_bounds_trace_nominal_noiseless():
