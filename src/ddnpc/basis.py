@@ -313,89 +313,15 @@ class PendulumModelDictionary(BasisDictionary):
         self.estimates = estimates
 
     def value_batch(self, U, XI):
-        s = _pend_accel(self.estimates, U, XI)
-        return np.concatenate([U, s], axis=-1)
+        a1, a2, _ = _plant._window_accelerations(self.estimates, U, XI)
+        return np.column_stack([U, a1, a2])
 
     def jacobian_batch(self, U, XI):
-        P = U.shape[0]
-        J = np.zeros((P, 4, 6))
-        J[:, 0, 0] = 1.0
-        J[:, 1, 1] = 1.0
-        ds_du, ds_dxi = _pend_accel_jacobian(self.estimates, U, XI)
-        J[:, 2:4, 0:2] = ds_du
-        J[:, 2:4, 2:6] = ds_dxi
+        *_, D = _plant._window_accelerations(self.estimates, U, XI, partials=True)
+        J = np.zeros((U.shape[0], 4, 6))
+        J[:, 0, 0] = J[:, 1, 1] = 1.0
+        J[:, 2:] = D
         return J
-
-
-def _pend_accel(p, U, XI):
-    """Estimated joint accelerations ``M^-1 (tau - C qd - G)`` in batch."""
-    x1, x2, x3, x4 = XI[:, 0], XI[:, 1], XI[:, 2], XI[:, 3]
-    qd1 = (x2 - x1) / p.Ts
-    qd2 = (x4 - x3) / p.Ts
-    M = _plant.inertia_matrix(p, x3)
-    rhs = U - _plant.coriolis_times_velocity(p, x3, qd1, qd2) - _plant.gravity_vector(p, x1, x3)
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    s1 = (M[:, 1, 1] * rhs[:, 0] - M[:, 0, 1] * rhs[:, 1]) / det
-    s2 = (-M[:, 1, 0] * rhs[:, 0] + M[:, 0, 0] * rhs[:, 1]) / det
-    return np.stack([s1, s2], axis=-1)
-
-
-def _pend_accel_jacobian(p, U, XI):
-    """Closed-form partials of the estimated accelerations.
-
-    Returns ``(ds_du, ds_dxi)`` of shapes ``(P, 2, 2)`` and ``(P, 2, 4)``.
-    """
-    P = U.shape[0]
-    x1, x2, x3, x4 = XI[:, 0], XI[:, 1], XI[:, 2], XI[:, 3]
-    Ts = p.Ts
-    qd1 = (x2 - x1) / Ts
-    qd2 = (x4 - x3) / Ts
-    h = p.m2 * p.l1 * p.lc2
-    s3, c3 = np.sin(x3), np.cos(x3)
-
-    M = _plant.inertia_matrix(p, x3)
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    W = np.empty_like(M)
-    W[:, 0, 0] = M[:, 1, 1] / det
-    W[:, 0, 1] = -M[:, 0, 1] / det
-    W[:, 1, 0] = -M[:, 1, 0] / det
-    W[:, 1, 1] = M[:, 0, 0] / det
-
-    rhs = U - _plant.coriolis_times_velocity(p, x3, qd1, qd2) - _plant.gravity_vector(p, x1, x3)
-
-    # Velocity-term partials: c = (-h s3 qd2 (2 qd1 + qd2), h s3 qd1^2).
-    dc_dqd1 = np.stack([-2 * h * s3 * qd2, 2 * h * s3 * qd1], axis=-1)
-    dc_dqd2 = np.stack([-2 * h * s3 * (qd1 + qd2), np.zeros(P)], axis=-1)
-    dc_dx3_geom = np.stack([-h * c3 * qd2 * (2 * qd1 + qd2), h * c3 * qd1**2], axis=-1)
-
-    # Gravity partials.
-    s13 = np.sin(x1 + x3)
-    dG_dx1 = np.stack(
-        [
-            -p.m1 * p.lc1 * p.g * np.sin(x1) - p.m2 * p.g * (p.lc2 * s13 + p.l1 * np.sin(x1)),
-            -p.m2 * p.lc2 * p.g * s13,
-        ],
-        axis=-1,
-    )
-    dG_dx3 = np.stack([-p.m2 * p.g * p.lc2 * s13, -p.m2 * p.lc2 * p.g * s13], axis=-1)
-
-    db = np.zeros((P, 2, 4))
-    db[:, :, 0] = dc_dqd1 / Ts - dG_dx1          # d rhs / d x1
-    db[:, :, 1] = -dc_dqd1 / Ts                  # d rhs / d x2
-    db[:, :, 2] = -dc_dx3_geom + dc_dqd2 / Ts - dG_dx3
-    db[:, :, 3] = -dc_dqd2 / Ts
-
-    ds_dxi = np.einsum("pij,pjk->pik", W, db)
-
-    # Inertia dependence on x3: ds/dx3 += -W M' W rhs.
-    dM = np.zeros((P, 2, 2))
-    dM[:, 0, 0] = -2 * h * s3
-    dM[:, 0, 1] = -h * s3
-    dM[:, 1, 0] = -h * s3
-    Wb = np.einsum("pij,pj->pi", W, rhs)
-    ds_dxi[:, :, 2] += -np.einsum("pij,pjk,pk->pi", W, dM, Wb)
-
-    return W.copy(), ds_dxi
 
 
 def make_pendulum_dictionary(

@@ -270,6 +270,21 @@ class MatchingResult:
     clamped: bool = False
 
 
+def feature_jacobian_scatter(col_of: np.ndarray, r: int):
+    """Index arrays that scatter a dictionary jacobian of shape ``(K, r, q)``
+    into the ``(K * r, columns)`` jacobian of the stacked features.
+
+    ``col_of[k, j]`` is the column that argument ``j`` at step ``k`` feeds,
+    -1 where it feeds none. Returns ``(rows, cols, src)`` for
+    ``out[rows, cols] = jac.reshape(-1)[src]``; no column may appear twice
+    in one step, so that each target entry gets at most one value.
+    """
+    k, j = np.nonzero(col_of >= 0)
+    feature_rows = k[:, None] * r + np.arange(r)
+    src = feature_rows * col_of.shape[1] + j[:, None]
+    return feature_rows.ravel(), np.repeat(col_of[k, j], r), src.ravel()
+
+
 def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
                 lambda_alpha, eps_star, k_xi, maxiter):
     """Fit a combination vector to a query window with ``L*m`` free samples.
@@ -326,7 +341,8 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     N, E_pinv, G, A_pinv, H0_pinv = factors
     K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
     R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
-    onehot = (z_idx[..., None] == np.arange(n_v)).astype(float)
+    r = blocks.dictionary.r
+    rows, cols, src = feature_jacobian_scatter(np.where(z_idx < n_v, z_idx, -1), r)
 
     def args(v):
         z = np.concatenate([v, z_fixed])[z_idx]
@@ -337,8 +353,9 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
         return np.concatenate([psi.reshape(-1), v, [1.0]])
 
     def jac(v):
-        dpsi = np.einsum("krj,kjv->krv", blocks.dictionary.jacobian_batch(*args(v)), onehot)
-        return R[:, :n_psi] @ dpsi.reshape(n_psi, n_v) + R[:, n_psi:-1]
+        dpsi = np.zeros((n_psi, n_v))
+        dpsi[rows, cols] = blocks.dictionary.jacobian_batch(*args(v)).reshape(-1)[src]
+        return R[:, :n_psi] @ dpsi + R[:, n_psi:-1]
 
     def alpha_of(h):
         alpha, e = K @ h, E_h @ h

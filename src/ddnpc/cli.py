@@ -5,7 +5,9 @@ Subcommands: ``collect`` (offline data plus certificate), ``check-pe``
 (data-driven simulation and tracking with certified bound columns),
 ``npc-run`` (closed-loop experiment) and ``sweep`` (fan out several runs).
 Every experiment is described by one JSON config file with fixed sections and
-mandatory seeds; reruns of the same config are byte-identical. Exit codes:
+mandatory seeds; reruns of the same config give byte-identical outputs, except
+for the measured solve times (``solve_ms``) in ``npc-run``'s
+``summary.json``. Exit codes:
 0 success, 2 config error, 3 assumption violated (strict mode), 4 solver
 failure.
 """
@@ -514,9 +516,9 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
         row += [float(v) for v in arr["y"][idx]]
         s = solves_by_t.get(int(t) - (int(t) % log.stride)) if t >= 0 else None
         if s is not None and t >= 0:
-            row += [float(s.objective), float(s.alpha_l1), float(s.sigma_inf), s.status]
+            row += [float(s.objective), float(s.alpha_l1), float(s.sigma_inf), s.status, s.path]
         else:
-            row += ["", "", "", "bootstrap"]
+            row += ["", "", "", "bootstrap", ""]
         row.append(float(arr["stage_cost"][idx]))
         rows.append(tuple(row))
     header = (
@@ -524,7 +526,7 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
         + [f"u_{i+1}" for i in range(m)]
         + [f"y_meas_{i+1}" for i in range(m)]
         + [f"y_{i+1}" for i in range(m)]
-        + ["J", "alpha_l1", "sigma_inf", "status", "stage_cost"]
+        + ["J", "alpha_l1", "sigma_inf", "status", "path", "stage_cost"]
     )
     _write_csv(out_dir / "log.csv", header, rows)
 
@@ -566,16 +568,23 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
     # solver-tolerance slack: exact certificates give bounds below the
     # achievable constraint accuracy
     violations = sum(1 for t, k, i, r, b in bound_rows if r > b + 1e-6)
+    solve_ms = 1e3 * np.array([s.wall_s for s in log.solves])
+    percentiles = (("p50", 50), ("p95", 95), ("max", 100))
     _summary(
         out_dir / "summary.json",
         {
             "settled_error": settled,
-            "mean_iterations": float(np.mean([s.iterations for s in log.solves])),
+            "mean_iterations": (
+                float(np.mean([s.iterations for s in log.solves])) if log.solves else None
+            ),
             "solves": len(log.solves),
             "held_steps": held,
             "statuses": sorted(set(statuses)),
             "status_counts": dict(Counter(statuses)),
             "path_counts": dict(Counter(s.path for s in log.solves)),
+            "solve_ms": {
+                key: float(np.percentile(solve_ms, q)) for key, q in percentiles
+            } if log.solves else None,
             "bound_violations": violations,
             "all_inputs_in_box": bool(
                 np.all(arr["u"] >= spec.u_min - 1e-12)

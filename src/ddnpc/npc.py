@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,6 +30,7 @@ from .plant import BrunovskyStructure, NoiseModel, PlantModel, window_states
 from .behavior import (
     DataDictionaryBlocks,
     ErrorBoundInputs,
+    feature_jacobian_scatter,
     prediction_error_bound,
 )
 from . import solver as _solver
@@ -577,15 +579,10 @@ class _WindowRestriction:
 
         # Scatter of the dictionary jacobian (Lp, r, m + n) into d psi / d zf:
         # col_of[k, j] is the reduced column that partial j at window time k
-        # feeds, -1 where that slot is pinned. Each (row, column) pair of the
-        # target gets at most one entry.
+        # feeds, -1 where that slot is pinned.
         u_cols = builder.off_u + np.arange(Lp * m).reshape(Lp, m)
         col_of = pos[np.hstack([u_cols, builder.XI_COLS[: Lp * n].reshape(Lp, n)])]
-        k, j = np.nonzero(col_of >= 0)
-        feature_rows = k[:, None] * r + np.arange(r)
-        self._scatter_rows = feature_rows.ravel()
-        self._scatter_cols = np.repeat(col_of[k, j], r)
-        self._scatter_src = (feature_rows * (m + n) + j[:, None]).ravel()
+        self._scatter = feature_jacobian_scatter(col_of, r)
 
         # The builder's stage rows touch only free columns; they are taken
         # input rows first, then output rows.
@@ -643,7 +640,8 @@ class _WindowRestriction:
             return psi, xi_flat, None
         jpsi = dic.jacobian_batch(u, xi)
         dpsi = np.zeros((b.r * b.Lp, self.dim))
-        dpsi[self._scatter_rows, self._scatter_cols] = jpsi.reshape(-1)[self._scatter_src]
+        rows, cols, src = self._scatter
+        dpsi[rows, cols] = jpsi.reshape(-1)[src]
         return psi, xi_flat, dpsi
 
     def stage_residual(self, zf):
@@ -847,6 +845,7 @@ class SolveRecord:
     max_violation: float
     applied: bool
     predicted_outputs: list          # channel i: prediction times 0..L+d_i-1
+    wall_s: float                    # warm start and solve, wall-clock seconds
     decision: Optional[OcpDecision] = None
     error: str = ""                  # exception text of a failed solve
 
@@ -906,9 +905,10 @@ def run_closed_loop(
     algebra) is recorded as ``solver-error`` with the exception text; any
     other exception propagates. Each record names the path that produced its
     decision: the direct solve, the AL solver with Gauss-Newton or L-BFGS
-    inner steps, or ``held`` when no solve returned one. Nominal solves run
-    the AL solver on the reduced core (``_NominalCore``), the free window
-    slots under the membership equalities.
+    inner steps, or ``held`` when no solve returned one, and the wall-clock
+    time of its warm start and solve. Nominal solves run the AL solver on the
+    reduced core (``_NominalCore``), the free window slots under the
+    membership equalities.
     """
     mode_stride = spec.d_max if spec.mode == "robust" else 1
     stride = mode_stride if stride is None else stride
@@ -971,6 +971,7 @@ def run_closed_loop(
             raise RuntimeError(f"plant state diverged at step {t0}")
         decision = None
         error = ""
+        started = time.perf_counter()
         try:
             warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
             if use_direct:
@@ -995,6 +996,7 @@ def run_closed_loop(
         except (RuntimeError, ValueError, ArithmeticError) as exc:
             decision = None
             error = f"{type(exc).__name__}: {exc}"
+        wall_s = time.perf_counter() - started
         if decision is None:
             decision = prev_decision
             if decision is None:
@@ -1025,6 +1027,7 @@ def run_closed_loop(
             max_violation=max_violation,
             applied=accept,
             predicted_outputs=[y[d_max:].copy() for y in decision.y_bar],
+            wall_s=wall_s,
             decision=decision if keep_decisions else None,
             error=error,
         )

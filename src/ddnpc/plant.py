@@ -321,6 +321,74 @@ def equilibrium_torque(p: DoublePendulumParams, q: np.ndarray) -> np.ndarray:
     return gravity_vector(p, q[0], q[1])
 
 
+def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partials=False):
+    """Joint accelerations ``M(q)^-1 (tau - C(q, qd) qd - G(q))`` in closed form.
+
+    Elementwise over scalars or arrays of one shape. The terms are those of
+    ``inertia_matrix``, ``coriolis_times_velocity`` and ``gravity_vector``,
+    each rounded as there, so the accelerations equal the stacked-matrix
+    form bit for bit. Returns ``(a1, a2, det)``, ``det`` the
+    determinant of ``M``. With ``partials``, for scalars or columns of length
+    ``P``, also ``D`` of shape ``(2, 6)`` or ``(P, 2, 6)``: ``D[..., i, j]``
+    is the partial of ``a_i`` w.r.t. argument ``j`` of
+    ``(tau1, tau2, q1, qd1, q2, qd2)``.
+    """
+    h = p.m2 * p.l1 * p.lc2
+    c2 = np.cos(q2)
+    M11 = p.m1 * p.lc1**2 + p.I1 + p.m2 * (p.l1**2 + p.lc2**2 + 2 * p.l1 * p.lc2 * c2) + p.I2
+    M12 = h * c2 + p.m2 * p.lc2**2 + p.I2
+    M22 = p.m2 * p.lc2**2 + p.I2
+    det = M11 * M22 - M12 * M12
+    hs = h * np.sin(q2)
+    q12 = q1 + q2
+    cq1, cq12 = np.cos(q1), np.cos(q12)
+    # r = tau - C qd - G
+    r1 = (
+        tau1 + hs * qd2 * (2.0 * qd1 + qd2)
+        - (p.m1 * p.lc1 * p.g * cq1 + p.m2 * p.g * (p.lc2 * cq12 + p.l1 * cq1))
+    )
+    # qd1 * qd1, not qd1**2: on a numpy scalar ** calls pow(), which can
+    # differ from the product in the last bit
+    r2 = tau2 - hs * (qd1 * qd1) - p.m2 * p.lc2 * p.g * cq12
+    a1 = (M22 * r1 - M12 * r2) / det
+    a2 = (M11 * r2 - M12 * r1) / det
+    if not partials:
+        return a1, a2, det
+    # E[j, i]: partial of r_i w.r.t. argument j, with the inertia's
+    # dependence on q2, -(dM/dq2) a = hs * (2 a1 + a2, a1), added to dr/dq2;
+    # then D = M^-1 E, transposed.
+    sq1, sq12 = np.sin(q1), np.sin(q12)
+    gs12 = p.m2 * p.lc2 * p.g * sq12
+    E = np.zeros((6, 2) + np.shape(a1))
+    E[0, 0] = E[1, 1] = 1.0
+    E[2, 0] = p.m1 * p.lc1 * p.g * sq1 + p.m2 * p.g * (p.lc2 * sq12 + p.l1 * sq1)
+    E[2, 1] = gs12
+    E[3, 0] = 2.0 * hs * qd2
+    E[3, 1] = -2.0 * hs * qd1
+    E[4, 0] = h * c2 * qd2 * (2.0 * qd1 + qd2) + gs12 + hs * (2.0 * a1 + a2)
+    E[4, 1] = gs12 - h * c2 * (qd1 * qd1) + hs * a1
+    E[5, 0] = 2.0 * hs * (qd1 + qd2)
+    D = np.empty_like(E)
+    D[:, 0] = (M22 * E[:, 0] - M12 * E[:, 1]) / det
+    D[:, 1] = (M11 * E[:, 1] - M12 * E[:, 0]) / det
+    return a1, a2, det, D.T
+
+
+def _window_accelerations(p: DoublePendulumParams, u, xi, partials=False):
+    """``_accelerations`` at ``(u, xi)``, ``xi`` the window state
+    ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})`` with velocities recovered by divided
+    differences; the partials are w.r.t. ``(u, xi)``."""
+    x1, x2, x3, x4 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
+    out = _accelerations(
+        p, u[..., 0], u[..., 1], x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, partials
+    )
+    if partials:
+        D = out[3]
+        D[..., 3::2] /= p.Ts  # d/dx2, d/dx4
+        D[..., 2::2] -= D[..., 3::2]  # d/dx1, d/dx3
+    return out
+
+
 def step_euler_pendulum(p: DoublePendulumParams, state: np.ndarray, torque: np.ndarray) -> np.ndarray:
     """One explicit-Euler step of the double pendulum.
 
@@ -332,15 +400,10 @@ def step_euler_pendulum(p: DoublePendulumParams, state: np.ndarray, torque: np.n
     x = np.asarray(state, dtype=float).reshape(-1)
     tau = np.asarray(torque, dtype=float).reshape(-1)
     q1, qd1, q2, qd2 = x
-    M = inertia_matrix(p, q2)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    a1, a2, det = _accelerations(p, tau[0], tau[1], q1, qd1, q2, qd2)
     if abs(det) < 1e-12:
         raise SingularInertiaError(f"|det M| = {abs(det):.3e} at q2 = {q2!r}")
-    rhs = tau - coriolis_times_velocity(p, q2, qd1, qd2) - gravity_vector(p, q1, q2)
-    z = np.array(
-        [M[1, 1] * rhs[0] - M[0, 1] * rhs[1], -M[1, 0] * rhs[0] + M[0, 0] * rhs[1]]
-    ) / det
-    return x + p.Ts * np.array([qd1, z[0], qd2, z[1]])
+    return x + p.Ts * np.array([qd1, a1, qd2, a2])
 
 
 def pendulum_synthetic_input(p: DoublePendulumParams, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -352,16 +415,9 @@ def pendulum_synthetic_input(p: DoublePendulumParams, u: np.ndarray, xi: np.ndar
     """
     u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    x1, x2, x3, x4 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
-    qd1 = (x2 - x1) / p.Ts
-    qd2 = (x4 - x3) / p.Ts
-    M = inertia_matrix(p, x3)
-    rhs = u - coriolis_times_velocity(p, x3, qd1, qd2) - gravity_vector(p, x1, x3)
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    z1 = (M[..., 1, 1] * rhs[..., 0] - M[..., 0, 1] * rhs[..., 1]) / det
-    z2 = (-M[..., 1, 0] * rhs[..., 0] + M[..., 0, 0] * rhs[..., 1]) / det
-    v1 = 2.0 * x2 - x1 + p.Ts**2 * z1
-    v2 = 2.0 * x4 - x3 + p.Ts**2 * z2
+    a1, a2, _ = _window_accelerations(p, u, xi)
+    v1 = 2.0 * xi[..., 1] - xi[..., 0] + p.Ts**2 * a1
+    v2 = 2.0 * xi[..., 3] - xi[..., 2] + p.Ts**2 * a2
     return np.stack([v1, v2], axis=-1)
 
 

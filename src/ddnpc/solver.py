@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 
@@ -289,7 +289,15 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
 
 
 def _chol_solve(M, b):
-    return cho_solve(cho_factor(M, check_finite=False), b, check_finite=False)
+    """``M^-1 b`` for a symmetric positive definite ``M``: LAPACK potrf/potrs
+    on the upper triangle, as ``cho_factor``/``cho_solve`` call them, without
+    their per-call wrapper cost."""
+    c, info = dpotrf(M, lower=0, clean=0)
+    if info == 0:
+        x, info = dpotrs(c, b, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+    return x
 
 
 @dataclass

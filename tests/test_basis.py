@@ -60,6 +60,65 @@ def test_pendulum_dictionary_at_zero():
     np.testing.assert_allclose(val[2:], -np.linalg.solve(M0, g0), atol=1e-12)
 
 
+def einsum_pendulum_jacobian(p, U, XI):
+    """Partials of the model accelerations w.r.t. ``(u, xi)``, ``(P, 2, 6)``,
+    by ``W = M^-1`` applied to the stacked right-hand-side partials."""
+    P = U.shape[0]
+    x1, x2, x3, x4 = XI.T
+    Ts = p.Ts
+    qd1, qd2 = (x2 - x1) / Ts, (x4 - x3) / Ts
+    h = p.m2 * p.l1 * p.lc2
+    s3, c3, s13 = np.sin(x3), np.cos(x3), np.sin(x1 + x3)
+    W = np.linalg.inv(plant.inertia_matrix(p, x3))
+    rhs = U - plant.coriolis_times_velocity(p, x3, qd1, qd2) - plant.gravity_vector(p, x1, x3)
+    dc_dqd1 = np.stack([-2 * h * s3 * qd2, 2 * h * s3 * qd1], axis=-1)
+    dc_dqd2 = np.stack([-2 * h * s3 * (qd1 + qd2), np.zeros(P)], axis=-1)
+    dc_dx3 = np.stack([-h * c3 * qd2 * (2 * qd1 + qd2), h * c3 * qd1**2], axis=-1)
+    dG_dx1 = np.stack(
+        [
+            -p.m1 * p.lc1 * p.g * np.sin(x1) - p.m2 * p.g * (p.lc2 * s13 + p.l1 * np.sin(x1)),
+            -p.m2 * p.lc2 * p.g * s13,
+        ],
+        axis=-1,
+    )
+    dG_dx3 = np.stack([-p.m2 * p.g * p.lc2 * s13, -p.m2 * p.lc2 * p.g * s13], axis=-1)
+    db = np.stack(
+        [dc_dqd1 / Ts - dG_dx1, -dc_dqd1 / Ts, -dc_dx3 + dc_dqd2 / Ts - dG_dx3, -dc_dqd2 / Ts],
+        axis=-1,
+    )
+    ds_dxi = np.einsum("pij,pjk->pik", W, db)
+    dM = np.zeros((P, 2, 2))
+    dM[:, 0, 0] = -2 * h * s3
+    dM[:, 0, 1] = dM[:, 1, 0] = -h * s3
+    ds_dxi[:, :, 2] -= np.einsum("pij,pjk,pk->pi", W, dM, np.einsum("pij,pj->pi", W, rhs))
+    return np.concatenate([W, ds_dxi], axis=-1)
+
+
+def test_pendulum_jacobian_matches_einsum_formula():
+    exp = presets.pendulum_experiment()
+    d = exp.dictionary(perturbation=0.1, seed=3)
+    U, XI = exp.box.random_points(3000, seed=8)
+    G_U, G_XI = exp.box.grid()
+    for U, XI in ((3.0 * U, 2.5 * XI), (G_U[::13], G_XI[::13])):
+        J = d.jacobian_batch(U, XI)
+        want = einsum_pendulum_jacobian(d.estimates, U, XI)
+        scale = np.max(np.abs(want), axis=(1, 2))
+        assert np.max(np.max(np.abs(J[:, 2:] - want), axis=(1, 2)) / scale) < 1e-14
+        np.testing.assert_array_equal(J[:, :2], np.broadcast_to(np.eye(2, 6), (U.shape[0], 2, 6)))
+
+
+def test_synthetic_input_is_window_step_plus_exact_model_accelerations():
+    """With the true parameters the dictionary's accelerations are those of
+    the transformed input, bit for bit."""
+    exp = presets.pendulum_experiment()
+    d = exp.dictionary(perturbation=0.0, seed=3)
+    U, XI = exp.box.grid()
+    U, XI = U[::5], XI[::5]
+    A = d.value_batch(U, XI)[:, 2:]
+    want = 2.0 * XI[:, 1::2] - XI[:, 0::2] + exp.params.Ts**2 * A
+    np.testing.assert_array_equal(exp.phi(U, XI), want)
+
+
 def test_evaluate_along_length_mismatch():
     d = IdentityDictionary(1, 1)
     with pytest.raises(ValueError, match="length mismatch"):

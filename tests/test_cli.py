@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +113,57 @@ def test_collect_simulate_run_pipeline(tmp_path, capsys):
         assert sum(counts.values()) == summary["solves"]
     assert set(summary["status_counts"]) == set(summary["statuses"])
     assert set(summary["path_counts"]) <= {"direct", "al-gn", "al-lbfgs", "held"}
+    solve_ms = summary["solve_ms"]
+    assert set(solve_ms) == {"p50", "p95", "max"}
+    assert 0.0 < solve_ms["p50"] <= solve_ms["p95"] <= solve_ms["max"]
     assert (out / "log.csv").exists() and (out / "plot_data.csv").exists()
     lines = (out / "log.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     y_col = header.index("y_1")
     tail = [abs(float(line.split(",")[y_col])) for line in lines[-5:]]
     assert max(tail) < 1e-4
+    # stride 1: one row per solve after the bootstrap rows, which name no path
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    solved = [row for row in rows if row["status"] != "bootstrap"]
+    assert len(solved) == summary["solves"]
+    assert {row["path"] for row in rows if row["status"] == "bootstrap"} == {""}
+    assert Counter(row["path"] for row in solved) == summary["path_counts"]
+
+
+def test_npc_run_reruns_identical_but_for_solve_times(tmp_path):
+    path, cfg = toy_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    cfg["files"] = {
+        "data": str(out / "data.csv"),
+        "certificate": str(out / "certificate.json"),
+    }
+    path.write_text(json.dumps(cfg))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert run_cli(["npc-run", "--config", path, "--out-dir", run]) == cli.EXIT_OK
+    for name in ("log.csv", "bound_trace.csv", "plot_data.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    summaries = [json.loads((run / "summary.json").read_text()) for run in runs]
+    for summary in summaries:
+        assert summary.pop("solve_ms").keys() == {"p50", "p95", "max"}
+    assert summaries[0] == summaries[1]
+
+
+def test_npc_run_without_solves_has_no_solve_statistics(tmp_path):
+    path, cfg = toy_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    cfg["files"] = {
+        "data": str(out / "data.csv"),
+        "certificate": str(out / "certificate.json"),
+    }
+    cfg["run"]["total_steps"] = 0
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["npc-run", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["solves"] == 0
+    assert summary["mean_iterations"] is None and summary["solve_ms"] is None
 
 
 def test_check_pe_fails_on_constant_input(tmp_path):

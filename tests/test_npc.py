@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -660,6 +661,33 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     assert [rec.path for rec in log.solves] == [
         "held" if i == failed_solve else solved for i in range(len(log.solves))
     ]
+
+
+@pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])
+def test_solve_records_time_their_solves(mode, construction_calls):
+    """Each record's ``wall_s`` spans its warm start and solve: together the
+    records cover every dictionary evaluation after the builder's
+    construction, and they fit inside the loop's own time."""
+    spec = flat_toy_loop_spec(mode)
+    d = spec.blocks.dictionary
+    value_batch = d.value_batch
+    spent = []
+
+    def slow_value_batch(U, XI):
+        started = time.perf_counter()
+        time.sleep(1e-3)
+        out = value_batch(U, XI)
+        spent.append(time.perf_counter() - started)
+        return out
+
+    d.value_batch = slow_value_batch
+    toy, _, _ = plant.make_scalar_flat()
+    started = time.perf_counter()
+    log = run_closed_loop(spec, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=6)
+    elapsed = time.perf_counter() - started
+    walls = [rec.wall_s for rec in log.solves]
+    assert min(walls) > 0.0
+    assert sum(spent[construction_calls:]) <= sum(walls) <= elapsed
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddnpc import basis, plant
+from ddnpc import basis, plant, presets
 from ddnpc.plant import (
     BrunovskyStructure,
     DoublePendulumParams,
@@ -11,6 +11,7 @@ from ddnpc.plant import (
     PlantModel,
     SingularInertiaError,
     collect_offline_data,
+    coriolis_times_velocity,
     equilibrium_torque,
     gravity_vector,
     inertia_matrix,
@@ -75,6 +76,68 @@ def test_singular_inertia_raises():
     with pytest.raises(SingularInertiaError):
         bad = DoublePendulumParams(m2=1e-14, l2=1e-14)
         step_euler_pendulum(bad, np.zeros(4), np.zeros(2))
+
+
+def stacked_matrix_accelerations(p, tau, q1, qd1, q2, qd2):
+    """``M^-1 (tau - C qd - G)`` from the stacked inertia matrix and the
+    stacked velocity and gravity terms, the form the closed-form kernel must
+    reproduce bit for bit. ``tau`` has shape ``(..., 2)``."""
+    M = inertia_matrix(p, q2)
+    rhs = tau - coriolis_times_velocity(p, q2, qd1, qd2) - gravity_vector(p, q1, q2)
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    a1 = (M[..., 1, 1] * rhs[..., 0] - M[..., 0, 1] * rhs[..., 1]) / det
+    a2 = (-M[..., 1, 0] * rhs[..., 0] + M[..., 0, 0] * rhs[..., 1]) / det
+    return a1, a2
+
+
+def window_accelerations(p, U, XI):
+    x1, x2, x3, x4 = XI[:, 0], XI[:, 1], XI[:, 2], XI[:, 3]
+    return stacked_matrix_accelerations(p, U, x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts)
+
+
+def pendulum_points():
+    """Random points well outside the operating box, then a slice of the
+    certificate grid."""
+    exp = presets.pendulum_experiment()
+    U, XI = exp.box.random_points(4000, seed=7)
+    G_U, G_XI = exp.box.grid()
+    return [(3.0 * U, 2.5 * XI), (G_U[::11], G_XI[::11])]
+
+
+def test_step_matches_stacked_matrix_form_bitwise():
+    p = DoublePendulumParams(m1=1.3, l2=0.45)
+    rng = np.random.default_rng(21)
+    states = rng.uniform(-4.0, 4.0, (2000, 4))
+    # The step works on scalars, where ** calls pow(): add first-joint
+    # velocities whose pow() square differs from the product in the last bit.
+    speeds = [v for v in rng.uniform(-4.0, 4.0, 300_000).tolist() if v**2 != v * v]
+    tricky = rng.uniform(-4.0, 4.0, (len(speeds), 4))
+    tricky[:, 1] = speeds
+    states = np.vstack([states, tricky])
+    torques = rng.uniform(-25.0, 25.0, (len(states), 2))
+    for x, tau in zip(states, torques):
+        q1, qd1, q2, qd2 = x
+        a1, a2 = stacked_matrix_accelerations(p, tau, q1, qd1, q2, qd2)
+        want = x + p.Ts * np.array([qd1, a1, qd2, a2])
+        np.testing.assert_array_equal(step_euler_pendulum(p, x, tau), want)
+
+
+def test_synthetic_input_matches_stacked_matrix_form_bitwise():
+    p = DoublePendulumParams()
+    for U, XI in pendulum_points():
+        a1, a2 = window_accelerations(p, U, XI)
+        want = np.stack(
+            [2.0 * XI[:, 1] - XI[:, 0] + p.Ts**2 * a1, 2.0 * XI[:, 3] - XI[:, 2] + p.Ts**2 * a2],
+            axis=-1,
+        )
+        np.testing.assert_array_equal(pendulum_synthetic_input(p, U, XI), want)
+
+
+def test_pendulum_dictionary_matches_stacked_matrix_form_bitwise():
+    d = basis.make_pendulum_dictionary(DoublePendulumParams(), perturbation=0.1, seed=3)
+    for U, XI in pendulum_points():
+        a1, a2 = window_accelerations(d.estimates, U, XI)
+        np.testing.assert_array_equal(d.value_batch(U, XI), np.column_stack([U, a1, a2]))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ def test_reduced_lsq_matches_lsq_linear(seed):
     assert rep.objective == pytest.approx(float(np.sum((A @ rep.x - b) ** 2)), rel=1e-14)
 
 
+def test_cholesky_solve_matches_scipy_and_raises_on_indefinite():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 40):
+        J = rng.standard_normal((n + 3, n))
+        M, b = J.T @ J + 1e-8 * np.eye(n), rng.standard_normal(n)
+        want = cho_solve(cho_factor(M, check_finite=False), b, check_finite=False)
+        np.testing.assert_array_equal(solver._chol_solve(M, b), want)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._chol_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
 def test_reduced_lsq_iteration_limit():
     A, b, lo, hi = linear_box_problem(0)
     rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 1)
