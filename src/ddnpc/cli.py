@@ -449,26 +449,22 @@ def _run_once(exp: Experiment, cfg, base) -> tuple:
         exp.dictionary(), traj, horizon=L + exp.structure.d_max,
         use_noisy=(mode == "robust"),
     )
-    m = exp.structure.m
-    spec = npc.OcpSpec(
+    spec = presets.ocp_spec(
+        exp.structure,
+        exp.box,
+        blocks,
+        ocp_cfg["u_setpoint"],
+        ocp_cfg["y_setpoint"],
         mode=mode,
         L=L,
-        structure=exp.structure,
-        blocks=blocks,
-        Q=np.asarray(ocp_cfg.get("Q", np.eye(m).tolist()), dtype=float),
-        R=np.asarray(ocp_cfg.get("R", np.eye(m).tolist()), dtype=float),
-        u_setpoint=np.asarray(ocp_cfg["u_setpoint"], dtype=float),
-        y_setpoint=np.asarray(ocp_cfg["y_setpoint"], dtype=float),
-        u_min=np.asarray(ocp_cfg.get("u_min", exp.box.u_lower), dtype=float),
-        u_max=np.asarray(ocp_cfg.get("u_max", exp.box.u_upper), dtype=float),
-        y_min=None if "y_min" not in ocp_cfg else np.asarray(ocp_cfg["y_min"], dtype=float),
-        y_max=None if "y_max" not in ocp_cfg else np.asarray(ocp_cfg["y_max"], dtype=float),
-        eps_star=eps_star if mode == "robust" else 0.0,
-        w_star=noise.w_star if mode == "robust" else 0.0,
+        eps_star=eps_star,
+        w_star=noise.w_star,
         k_psi=cert.k_psi,
         k_w=cert.k_w,
         g_dagger_norm=cert.g_dagger_inf_bound,
         **_set_keys(ocp_cfg, (
+            ("Q", np.asarray), ("R", np.asarray), ("u_min", np.asarray), ("u_max", np.asarray),
+            ("y_min", np.asarray), ("y_max", np.asarray),
             ("lambda_alpha", float), ("lambda_sigma", float),
             ("slack_mode", str), ("c_slack", float),
         )),

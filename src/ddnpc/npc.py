@@ -9,6 +9,14 @@ a derived state slack that is penalized and norm-bounded. Past input/output
 samples pin the window head, terminal equalities pin the final window state to
 the setpoint, and the input box is enforced on every slot.
 
+Every mode is solved on the free window slots (``_WindowRestriction``), with
+the pins as constants. Robust solves with a positive slack bound take the
+direct solve first, where the combination vector and the slack are affine
+functions of the window's features and states, and pose the bounded problem,
+with the combination vector as variables, only when the bound is active at
+the direct solution. Nominal mode, and robust mode with zero bounds, solve
+exact membership.
+
 The closed-loop runner applies the first ``stride`` inputs of each solve
 (one for the nominal single-step scheme, ``d_max`` for the robust multi-step
 scheme), warm-starts the next solve by shifting, and logs everything needed
@@ -118,6 +126,23 @@ class OcpSpec:
     def slack_level(self) -> float:
         return max(self.eps_star, self.w_star)
 
+    @property
+    def slack_gain(self) -> float:
+        """Growth of the slack bound per unit of ``||alpha||_1``: ``(eps* +
+        k_w w*) ||G^dagger||`` in exact mode, zero in relaxed mode."""
+        if self.slack_mode == "relaxed":
+            return 0.0
+        return (self.eps_star + self.k_w * self.w_star) * self.g_dagger_norm
+
+    def slack_bound(self, alpha_l1: float = 0.0) -> float:
+        """Sup-norm bound on the slack of a robust decision whose combination
+        vector has 1-norm ``alpha_l1``: ``c_slack * slack_level`` in relaxed
+        mode, the paper's ``k_psi w* + (eps* + k_w w*) ||G^dagger|| (1 +
+        ||alpha||_1)`` in exact mode."""
+        if self.slack_mode == "relaxed":
+            return self.c_slack * self.slack_level
+        return self.k_psi * self.w_star + self.slack_gain * (1.0 + alpha_l1)
+
 
 @dataclass
 class OcpDecision:
@@ -147,8 +172,14 @@ class OcpDecision:
 
 
 class OcpBuilder:
-    """Caches the index maps and Hankel blocks of one problem family and
-    assembles a solver problem for any measured history."""
+    """Caches the index maps and Hankel blocks of one problem family: the
+    packed decision layout, the pins a measured history sets, and the guesses
+    and warm starts. Its reduced form (``reduced_form``) poses the problem on
+    the free window slots.
+
+    A packed decision vector holds the combination vector, the input window
+    (time-major), the output windows (channel by channel) and, in robust
+    mode, the feature slack."""
 
     def __init__(self, spec: OcpSpec):
         self.spec = spec
@@ -159,19 +190,16 @@ class OcpBuilder:
         self.d_max = spec.d_max
         self.degrees = st.degrees
         self.M = spec.blocks.columns
-        self.split_alpha = spec.mode == "robust" and spec.slack_mode == "exact"
         self.has_sigma = spec.mode == "robust"
 
         m, n, r, Lp = self.m, self.n, self.r, self.Lp
-        self.n_alpha = self.M * (2 if self.split_alpha else 1)
         self.n_u = Lp * m
         self.y_lens = [Lp + d for d in self.degrees]
         self.n_y = sum(self.y_lens)
         self.n_sigma = r * Lp if self.has_sigma else 0
-        self.dim = self.n_alpha + self.n_u + self.n_y + self.n_sigma
+        self.dim = self.M + self.n_u + self.n_y + self.n_sigma
 
-        self.off_a = 0
-        self.off_u = self.n_alpha
+        self.off_u = self.M
         self.off_y = self.off_u + self.n_u
         self.off_s = self.off_y + self.n_y
         self.y_offsets = np.cumsum([0] + self.y_lens[:-1]) + self.off_y
@@ -193,7 +221,7 @@ class OcpBuilder:
         self.Y_STAGE = ys
 
         # Canonical decision count: combination vector, both windows, and the
-        # feature slack, before any combination-vector splitting.
+        # feature slack.
         self.audit_count = self.M + self.n_u + self.n_y + r * Lp
         N = self.M + Lp - 1
         expected = N + (2 * m + r - 1) * Lp + n + 1
@@ -201,74 +229,13 @@ class OcpBuilder:
 
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
-        self._tie_break = 1e-6 * (spec.lambda_alpha * spec.slack_level + 1.0)
         # The robust ridge pulls the combination vector toward the one that
         # represents the window resting at the setpoint, so that the setpoint
         # is a zero-cost fixed point; it vanishes when the setpoint's features
         # and window states do.
         self.alpha_s = self._setpoint_alpha() if self.has_sigma else np.zeros(self.M)
-        self._ls_J, self._ls_b = self._build_ls_form()
-
-    def _build_ls_form(self):
-        """Constant affine residual with ``objective = ||J z - b||^2``.
-
-        Every objective term is a square (stage cost, regularizers, slack
-        penalties), so this is the one statement of the cost: the solver's
-        objective and gradient, its Gauss-Newton inner method and the direct
-        solve's stage rows all come from it. The stage rows come first, time
-        by time, inputs then outputs.
-        """
-        spec = self.spec
-        m, Lp = self.m, self.Lp
-        L_R = np.linalg.cholesky(spec.R).T
-        L_Q = np.linalg.cholesky(spec.Q).T
-        rows = []
-        rhs = []
-        for k in range(self.L):
-            Ju = np.zeros((m, self.dim))
-            Ju[:, self.U_STAGE[k * m : (k + 1) * m]] = L_R
-            rows.append(Ju)
-            rhs.append(L_R @ spec.u_setpoint)
-            Jy = np.zeros((m, self.dim))
-            Jy[:, self.Y_STAGE[k]] = L_Q
-            rows.append(Jy)
-            rhs.append(L_Q @ spec.y_setpoint)
-        if self.has_sigma:
-            ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-            Ja = np.zeros((self.M, self.dim))
-            if self.split_alpha:
-                Ja[:, : self.M] = ra * np.eye(self.M)
-                Ja[:, self.M : 2 * self.M] = -ra * np.eye(self.M)
-            else:
-                Ja[:, : self.M] = ra * np.eye(self.M)
-            rows.append(Ja)
-            rhs.append(ra * self.alpha_s)
-            if self.split_alpha:
-                tb = math.sqrt(self._tie_break)
-                Jt = np.zeros((2 * self.M, self.dim))
-                Jt[:, : 2 * self.M] = tb * np.eye(2 * self.M)
-                rows.append(Jt)
-                rhs.append(np.zeros(2 * self.M))
-            rs = math.sqrt(spec.lambda_sigma)
-            Js = np.zeros((self.n_sigma, self.dim))
-            Js[:, self.off_s : self.off_s + self.n_sigma] = rs * np.eye(self.n_sigma)
-            rows.append(Js)
-            rhs.append(np.zeros(self.n_sigma))
-            rows.append(rs * self._sigma_xi_jacobian())
-            rhs.append(np.zeros(self.H_xi.shape[0]))
-        return np.vstack(rows), np.concatenate(rhs)
 
     # -- decision packing -------------------------------------------------
-
-    def alpha_of(self, z: np.ndarray) -> np.ndarray:
-        if self.split_alpha:
-            return z[: self.M] - z[self.M : 2 * self.M]
-        return z[: self.M]
-
-    def alpha_abs_sum(self, z: np.ndarray) -> float:
-        if self.split_alpha:
-            return float(np.sum(z[: 2 * self.M]))
-        return float(np.sum(np.abs(z[: self.M])))
 
     def u_of(self, z: np.ndarray) -> np.ndarray:
         return z[self.off_u : self.off_u + self.n_u].reshape(self.Lp, self.m)
@@ -289,11 +256,7 @@ class OcpBuilder:
 
     def pack(self, alpha, u_bar, y_bar, sigma_psi=None) -> np.ndarray:
         z = np.zeros(self.dim)
-        if self.split_alpha:
-            z[: self.M] = np.maximum(alpha, 0.0)
-            z[self.M : 2 * self.M] = np.maximum(-alpha, 0.0)
-        else:
-            z[: self.M] = alpha
+        z[: self.M] = alpha
         z[self.off_u : self.off_u + self.n_u] = np.asarray(u_bar).reshape(-1)
         for i in range(self.m):
             z[self.y_offsets[i] : self.y_offsets[i] + self.y_lens[i]] = y_bar[i]
@@ -302,7 +265,7 @@ class OcpBuilder:
         return z
 
     def unpack(self, z: np.ndarray) -> OcpDecision:
-        alpha = self.alpha_of(z)
+        alpha = z[: self.M]
         sigma_psi = self.sigma_of(z)
         sigma_xi = None
         if self.has_sigma:
@@ -319,11 +282,12 @@ class OcpBuilder:
     # -- problem assembly --------------------------------------------------
 
     def _bounds(self, history_u: np.ndarray, history_y: np.ndarray):
+        """Bounds on the packed vector: the input box, the output box when the
+        spec has one, and the history and terminal pins (equal bounds). The
+        combination vector and the slack are unbounded."""
         spec = self.spec
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
-        if self.split_alpha:
-            lo[: 2 * self.M] = 0.0
         u_lo = np.tile(spec.u_min, self.Lp)
         u_hi = np.tile(spec.u_max, self.Lp)
         u_lo[: self.d_max * self.m] = history_u.reshape(-1)
@@ -339,154 +303,29 @@ class OcpBuilder:
             hi[o : o + self.d_max] = history_y[:, i]
             lo[o + self.Lp : o + self.y_lens[i]] = spec.y_setpoint[i]
             hi[o + self.Lp : o + self.y_lens[i]] = spec.y_setpoint[i]
-        if self.has_sigma and spec.slack_mode == "relaxed":
-            b = spec.c_slack * spec.slack_level
-            lo[self.off_s : self.off_s + self.n_sigma] = -b
-            hi[self.off_s : self.off_s + self.n_sigma] = b
         return lo, hi
 
-    def _features(self, z, need_jac: bool):
-        u = self.u_of(z)
-        xi = self.xi_flat(z)[: self.Lp * self.n].reshape(self.Lp, self.n)
-        dic = self.spec.blocks.dictionary
-        psi = dic.value_batch(u, xi)
-        jac = dic.jacobian_batch(u, xi) if need_jac else None
-        return psi, jac
-
-    def _eq_residual(self, z):
-        psi, _ = self._features(z, False)
-        c = psi.reshape(-1) - self.H_psi @ self.alpha_of(z)
-        if self.has_sigma:
-            c = c + self.sigma_of(z)
-        return c
-
-    def _eq_jacobian(self, z):
-        _, jpsi = self._features(z, True)
-        m, n, r = self.m, self.n, self.r
-        J = np.zeros((r * self.Lp, self.dim))
-        if self.split_alpha:
-            J[:, : self.M] = -self.H_psi
-            J[:, self.M : 2 * self.M] = self.H_psi
-        else:
-            J[:, : self.M] = -self.H_psi
-        for k in range(self.Lp):
-            rows = slice(k * r, (k + 1) * r)
-            J[rows, self.off_u + k * m : self.off_u + (k + 1) * m] = jpsi[k, :, :m]
-            ycols = self.XI_COLS[k * n : (k + 1) * n]
-            J[rows.start : rows.stop, ycols] = jpsi[k, :, m:]
-        if self.has_sigma:
-            J[:, self.off_s : self.off_s + self.n_sigma] = np.eye(self.n_sigma)
-        return J
-
-    def _ls_residual(self, z):
-        return self._ls_J @ z - self._ls_b
-
-    def _ls_objective(self, z):
-        r = self._ls_residual(z)
-        return float(r @ r), 2.0 * (self._ls_J.T @ r)
-
-    def _sigma_xi(self, z):
-        return self.H_xi @ self.alpha_of(z) - self.xi_flat(z)
-
-    def _sigma_xi_jacobian(self):
-        """Constant jacobian of the derived state slack."""
-        nrow = self.H_xi.shape[0]
-        J = np.zeros((nrow, self.dim))
-        if self.split_alpha:
-            J[:, : self.M] = self.H_xi
-            J[:, self.M : 2 * self.M] = -self.H_xi
-        else:
-            J[:, : self.M] = self.H_xi
-        J[np.arange(nrow), self.XI_COLS] -= 1.0
-        return J
-
-    def _slack_bound_constraints(self):
-        """Inequality residual/jacobian for the slack sup-norm bound.
-
-        Relaxed mode bounds only the derived state slack (the feature slack is
-        boxed directly); exact mode bounds both against the combination-vector
-        budget, which needs the split variables.
-        """
+    def reduced_form(self):
+        """The mode's problem on the free window slots. A robust mode with a
+        positive slack bound gets the direct form (``_RelaxedDirect``), whose
+        ``build`` poses the bound-active problem; nominal mode, and robust
+        mode with zero bounds, get the nominal core (``_NominalCore``)."""
         spec = self.spec
-        J_sx = self._sigma_xi_jacobian()
-        nx = J_sx.shape[0]
-
-        if spec.slack_mode == "relaxed":
-            b = spec.c_slack * spec.slack_level
-            if b == 0.0:
-                return None, None, True  # degenerate: enforce as equality
-
-            def residual(z):
-                sx = self._sigma_xi(z)
-                return np.concatenate([sx - b, -sx - b])
-
-            def jacobian(z):
-                return np.vstack([J_sx, -J_sx])
-
-            return residual, jacobian, False
-
-        gain = (spec.eps_star + spec.k_w * spec.w_star) * spec.g_dagger_norm
-        base = spec.k_psi * spec.w_star + gain
-
-        def residual(z):
-            bound = base + gain * self.alpha_abs_sum(z)
-            sp = self.sigma_of(z)
-            sx = self._sigma_xi(z)
-            return np.concatenate([sp - bound, -sp - bound, sx - bound, -sx - bound])
-
-        def jacobian(z):
-            ns = self.n_sigma
-            J = np.zeros((2 * ns + 2 * nx, self.dim))
-            J[:ns, self.off_s : self.off_s + ns] = np.eye(ns)
-            J[ns : 2 * ns, self.off_s : self.off_s + ns] = -np.eye(ns)
-            J[2 * ns : 2 * ns + nx] = J_sx
-            J[2 * ns + nx :] = -J_sx
-            J[:, : 2 * self.M] -= gain  # d bound / d alpha_split
-            return J
-
-        return residual, jacobian, False
+        if spec.mode == "robust" and spec.slack_bound() > 0:
+            return _RelaxedDirect(self)
+        return _NominalCore(self)
 
     def build(self, history_u: np.ndarray, history_y: np.ndarray, z0=None):
-        """Solver-ready problem for one measured history.
+        """The mode's constrained problem for one measured history, posed by a
+        fresh ``reduced_form()``. That form is not kept, so a caller that
+        needs the decision (a closed loop, say) keeps a reduced form and calls
+        its ``build`` and ``unpack``.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
-        and measured outputs, oldest first.
+        and measured outputs, oldest first; ``z0`` is a packed guess, the cold
+        start when None.
         """
-        history_u = np.asarray(history_u, dtype=float).reshape(self.d_max, self.m)
-        history_y = np.asarray(history_y, dtype=float).reshape(self.d_max, self.m)
-        lo, hi = self._bounds(history_u, history_y)
-        if z0 is None:
-            z0 = self.initial_guess(history_u, history_y)
-        z0 = np.clip(z0, lo, hi)
-
-        linear_eq = None
-        ineq_res = ineq_jac = None
-        if self.spec.mode == "nominal":
-            A = self._sigma_xi_jacobian()
-            linear_eq = _solver.LinearEquality(A=A, b=np.zeros(A.shape[0]))
-        else:
-            ineq_res, ineq_jac, degenerate = self._slack_bound_constraints()
-            if degenerate:
-                A = self._sigma_xi_jacobian()
-                linear_eq = _solver.LinearEquality(A=A, b=np.zeros(A.shape[0]))
-
-        return _solver.NlpProblem(
-            dim=self.dim,
-            objective=self._ls_objective,
-            x0=z0,
-            lower=lo,
-            upper=hi,
-            eq_residual=self._eq_residual,
-            eq_jacobian=self._eq_jacobian,
-            linear_eq=linear_eq,
-            ineq_residual=ineq_res,
-            ineq_jacobian=ineq_jac,
-            # the split formulation keeps many variables pinned at their
-            # bound; the quasi-Newton inner handles those active sets better
-            # than the trust-region least-squares path
-            ls_residual=None if self.split_alpha else self._ls_residual,
-            ls_jacobian=None if self.split_alpha else (lambda z: self._ls_J),
-        )
+        return self.reduced_form().build(history_u, history_y, z0)
 
     # -- guesses and warm starts -------------------------------------------
 
@@ -543,20 +382,23 @@ class OcpBuilder:
 
 
 class _WindowRestriction:
-    """The builder's problem restricted to its free columns, the input and
-    output slots of the prediction window.
+    """The problem restricted to its free columns, the input and output slots
+    of the prediction window.
 
     The history and terminal pins are constants taken from the builder's
-    bounds and the stage rows are the builder's. The rest of the problem
-    depends on the free slots ``zf`` only through ``g``, the features and
-    window states stacked, and each mode makes it affine in ``g`` with two
-    constant maps: ``P``, with ``alpha = alpha_s + P @ (g - g_s)``, and
-    ``T``, whose image of ``g - g_s`` is the mode's own rows. ``alpha_s`` is
-    the builder's ridge anchor and ``g_s = [H_psi; H_xi] @ alpha_s``.
+    bounds, and the stage cost is ``||J_stage @ zf - b_stage||^2`` on the free
+    slots ``zf``. The rest of the problem depends on ``zf`` only through
+    ``g``, the features and window states stacked, and each mode makes it
+    affine in ``g`` with two constant maps: ``P``, with ``alpha = alpha_s + P
+    @ (g - g_s)``, and ``T``, whose image of ``g - g_s`` is the mode's own
+    rows. ``alpha_s`` is the builder's ridge anchor and ``g_s = [H_psi; H_xi]
+    @ alpha_s``. ``build`` poses the mode's problem for the AL solver and
+    ``unpack`` takes a solution back to a decision.
     """
 
     def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
         self.b = builder
+        spec = builder.spec
         m, L, Lp, n, r = builder.m, builder.L, builder.Lp, builder.n, builder.r
 
         # Reduced vector: the free input slots (time-major), then the free
@@ -584,13 +426,19 @@ class _WindowRestriction:
         col_of = pos[np.hstack([u_cols, builder.XI_COLS[: Lp * n].reshape(Lp, n)])]
         self._scatter = feature_jacobian_scatter(col_of, r)
 
-        # The builder's stage rows touch only free columns; they are taken
-        # input rows first, then output rows.
-        stage = np.arange(2 * L * m).reshape(L, 2, m).transpose(1, 0, 2).reshape(-1)
-        self.J_stage = builder._ls_J[np.ix_(stage, self.cols)]
-        self.b_stage = builder._ls_b[stage]
+        # Stage rows: the input rows of every prediction time, then the output
+        # rows, each the Cholesky factor of its weight on that time's slots.
+        L_R = np.linalg.cholesky(spec.R).T
+        L_Q = np.linalg.cholesky(spec.Q).T
+        self.J_stage = np.zeros((2 * L * m, self.dim))
+        for k in range(L):
+            self.J_stage[k * m : (k + 1) * m, k * m : (k + 1) * m] = L_R
+            self.J_stage[(L + k) * m : (L + k + 1) * m, L * m + k + L * np.arange(m)] = L_Q
+        self.b_stage = np.concatenate(
+            [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
+        )
         self._z_pinned = None
-        self._last = None  # (zf, psi) of the latest dictionary evaluation
+        self._last = None  # [zf, psi, dpsi or None] of the latest dictionary evaluation
 
     def set_history(self, hist_u, hist_y):
         b = self.b
@@ -604,15 +452,15 @@ class _WindowRestriction:
         self._last = None
 
     def _start(self, history_u, history_y, z0):
-        """Set the history and return the free slots of the packed guess
-        ``z0``, the builder's cold start when it is None."""
+        """Set the history and return the packed guess ``z0``, the builder's
+        cold start when it is None."""
         b = self.b
         history_u = np.asarray(history_u, dtype=float).reshape(b.d_max, b.m)
         history_y = np.asarray(history_y, dtype=float).reshape(b.d_max, b.m)
         self.set_history(history_u, history_y)
         if z0 is None:
             z0 = b.initial_guess(history_u, history_y)
-        return z0[self.cols]
+        return z0
 
     def _embed(self, zf):
         """Builder decision vector with the free slots set to ``zf`` and the
@@ -623,26 +471,26 @@ class _WindowRestriction:
 
     def _pieces(self, zf, need_jac):
         """Features, window states and, if asked, the feature jacobian at
-        ``zf``. The solver asks for the jacobian at the point it last
-        evaluated, so the latest feature evaluation is reused there."""
+        ``zf``. The solvers ask for values and jacobians at the point they
+        last evaluated, so the latest evaluation is reused there."""
         b = self.b
         z = self._embed(zf)
         u = b.u_of(z)
         xi_flat = b.xi_flat(z)
         xi = xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
         dic = b.spec.blocks.dictionary
-        if self._last is not None and np.array_equal(self._last[0], zf):
-            psi = self._last[1]
-        else:
-            psi = dic.value_batch(u, xi).reshape(-1)
-            self._last = (zf.copy(), psi)
+        if self._last is None or not np.array_equal(self._last[0], zf):
+            self._last = [zf.copy(), dic.value_batch(u, xi).reshape(-1), None]
+        psi = self._last[1]
         if not need_jac:
             return psi, xi_flat, None
-        jpsi = dic.jacobian_batch(u, xi)
-        dpsi = np.zeros((b.r * b.Lp, self.dim))
-        rows, cols, src = self._scatter
-        dpsi[rows, cols] = jpsi.reshape(-1)[src]
-        return psi, xi_flat, dpsi
+        if self._last[2] is None:
+            jpsi = dic.jacobian_batch(u, xi)
+            dpsi = np.zeros((b.r * b.Lp, self.dim))
+            rows, cols, src = self._scatter
+            dpsi[rows, cols] = jpsi.reshape(-1)[src]
+            self._last[2] = dpsi
+        return psi, xi_flat, self._last[2]
 
     def stage_residual(self, zf):
         return self.J_stage @ zf - self.b_stage
@@ -656,23 +504,33 @@ class _WindowRestriction:
         _, _, dpsi = self._pieces(zf, True)
         return self.T_psi @ dpsi + self.TD_xi
 
-    def decision_from_reduced(self, zf: np.ndarray) -> OcpDecision:
+    def unpack(self, x: np.ndarray) -> OcpDecision:
+        """The decision at ``x``: the free slots, followed by the combination
+        vector when the problem keeps it as a variable. Without it the
+        combination vector is ``alpha_s + P @ (g - g_s)``. The feature slack
+        closes the feature rows."""
         b = self.b
+        zf = x[: self.dim]
         psi, xi_flat, _ = self._pieces(zf, False)
-        alpha = self.alpha_s + self.P @ (np.concatenate([psi, xi_flat]) - self.g_s)
+        if x.size > self.dim:
+            alpha = x[self.dim :]
+        else:
+            alpha = self.alpha_s + self.P @ (np.concatenate([psi, xi_flat]) - self.g_s)
         z = self._embed(zf)
         return b.unpack(b.pack(alpha, b.u_of(z), b.y_of(z), b.H_psi @ alpha - psi))
 
 
 class _RelaxedDirect(_WindowRestriction):
-    """Variable-projection form of the relaxed robust problem.
+    """Variable-projection form of the robust problem with its slack bound
+    dropped, both slack modes.
 
     On the free slots, the feature equality pins the feature slack, and for
     fixed windows the remaining objective is a ridge least-squares in the
     combination vector; both are eliminated with one precomputed linear map
     ``P``. What is left is a small bounded nonlinear least-squares over the
-    free slots. Valid whenever the slack-bound inequality is inactive at the
-    optimum, which is checked afterwards.
+    free slots. It is the robust problem whenever the slack bound is
+    inactive at the optimum, which is checked afterwards; ``build`` poses the
+    problem with the bound for when it is not.
 
     The residual is the builder's stage rows followed by ``T @ (g - g_s)``,
     where ``T`` is the triangular factor of the constant matrix that maps
@@ -683,10 +541,8 @@ class _RelaxedDirect(_WindowRestriction):
 
     def __init__(self, builder: OcpBuilder):
         spec = builder.spec
-        if spec.mode != "robust" or spec.slack_mode != "relaxed":
-            raise ValueError("direct solve applies to the relaxed robust mode only")
-        if spec.c_slack * spec.slack_level <= 0:
-            raise ValueError("direct solve needs a positive slack bound")
+        if spec.mode != "robust" or spec.slack_bound() <= 0:
+            raise ValueError("direct solve needs robust mode with a positive slack bound")
         M, n_psi = builder.M, builder.r * builder.Lp
         n_xi = builder.XI_COLS.size
 
@@ -695,7 +551,7 @@ class _RelaxedDirect(_WindowRestriction):
         # constant Hs, so alpha = a_s + P @ (g - Hs a_s).
         self.rs = math.sqrt(spec.lambda_sigma)
         self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        Hs = np.vstack([builder.H_psi, builder.H_xi])
+        self.Hs = Hs = np.vstack([builder.H_psi, builder.H_xi])
         A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
         P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
 
@@ -719,18 +575,90 @@ class _RelaxedDirect(_WindowRestriction):
     def jacobian(self, zf):
         return np.vstack([self.J_stage, self.mapped_jacobian(zf)])
 
+    def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
+        """The bound-active problem for one measured history. Once the bound
+        is active the ridge map no longer gives the best combination vector,
+        so the variables are the free slots followed by the combination
+        vector. The residual is the stage rows, the ridge rows ``ra * (alpha
+        - alpha_s)`` and the slack rows ``rs * sigma``, with ``sigma = Hs @
+        alpha - g`` (the feature slack, then the state slack); the bound is
+        the inequality rows ``|sigma_j| <= bound``. ``z0`` is a packed guess,
+        as for ``OcpBuilder.build``, its combination vector included.
+
+        The exact-mode bound grows with ``||alpha||_1``. The rows take it at
+        ``s^T alpha``, with ``s`` the signs of the combination vector of the
+        guess: linear, never above ``||alpha||_1`` and equal to it while no
+        entry changes sign, so every point that meets the rows meets the
+        paper's bound."""
+        spec = self.b.spec
+        nf, M = self.dim, self.b.M
+        z0 = self._start(history_u, history_y, z0)
+        s = np.sign(z0[:M])
+        Hs = self.Hs
+        n_stage = self.J_stage.shape[0]
+        J = np.zeros((n_stage + M + Hs.shape[0], nf + M))
+        J[:n_stage, :nf] = self.J_stage
+        J[n_stage : n_stage + M, nf:] = self.ra * np.eye(M)
+        J[n_stage + M :, nf:] = self.rs * Hs
+        dbound = spec.slack_gain * s  # d bound / d alpha
+
+        def sigma(x):
+            psi, xi_flat, _ = self._pieces(x[:nf], False)
+            return Hs @ x[nf:] - np.concatenate([psi, xi_flat])
+
+        def dg(x):
+            """Jacobian of ``g`` in the free slots."""
+            return np.vstack([self._pieces(x[:nf], True)[2], self.D_xi])
+
+        def residual(x):
+            return np.concatenate(
+                [self.stage_residual(x[:nf]), self.ra * (x[nf:] - self.alpha_s), self.rs * sigma(x)]
+            )
+
+        def jacobian(x):
+            Jx = J.copy()
+            Jx[n_stage + M :, :nf] = -self.rs * dg(x)
+            return Jx
+
+        def slack_rows(x):
+            sig, bound = sigma(x), spec.slack_bound(float(s @ x[nf:]))
+            return np.concatenate([sig - bound, -sig - bound])
+
+        def slack_jacobian(x):
+            d = dg(x)
+            return np.block([[-d, Hs - dbound], [d, -Hs - dbound]])
+
+        return _solver.NlpProblem(
+            dim=nf + M,
+            x0=np.concatenate([z0[self.cols], z0[:M]]),
+            lower=np.concatenate([self.lo, np.full(M, -np.inf)]),
+            upper=np.concatenate([self.hi, np.full(M, np.inf)]),
+            ls_residual=residual,
+            ls_jacobian=jacobian,
+            ineq_residual=slack_rows,
+            ineq_jacobian=slack_jacobian,
+        )
+
+    def violation(self, x) -> float:
+        """Slack-bound violation of the decision at ``x``, the bound taken at
+        its own ``||alpha||_1``."""
+        decision = self.unpack(x)
+        return max(0.0, decision.sigma_inf - self.b.spec.slack_bound(decision.alpha_l1))
+
 
 class _NominalCore(_WindowRestriction):
-    """Nominal mode on the free slots.
+    """Exact membership on the free slots: nominal mode, and robust mode with
+    zero slack bounds.
 
     Exact membership asks that ``g`` lie in the span of ``Hs = [H_psi;
     H_xi]``. ``Hs`` is rank-deficient, so membership is the few equalities
     ``N^T g = 0``, with the columns of ``N`` an orthonormal basis of its left
-    null space, and the combination vector is ``pinv(Hs) @ g``. ``build``
-    poses that problem to the augmented-Lagrangian solver with the builder's
-    stage rows as its least-squares objective; ``unpack`` and ``violation``
-    take a solution back to the builder's decision and its full-space
-    equality violation.
+    null space, and the combination vector is ``alpha_s + pinv(Hs) @ (g -
+    g_s)``, the member closest to the ridge anchor (``pinv(Hs) @ g`` in
+    nominal mode, whose anchor is zero). ``build`` poses that problem to the
+    augmented-Lagrangian solver with the stage rows as its least-squares
+    objective; ``violation`` is the equality violation of the decision a
+    solution unpacks to.
     """
 
     def __init__(self, builder: OcpBuilder):
@@ -739,33 +667,27 @@ class _NominalCore(_WindowRestriction):
         N = np.linalg.svd(self.Hs)[0][:, rank:]
         super().__init__(builder, builder.pinv_stack, N.T)
 
-    def _objective(self, zf):
-        r = self.stage_residual(zf)
-        return float(r @ r), 2.0 * (self.J_stage.T @ r)
-
     def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
         """Solver-ready problem for one measured history; ``z0`` is a packed
         guess, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
             dim=self.dim,
-            objective=self._objective,
-            x0=self._start(history_u, history_y, z0),
+            x0=self._start(history_u, history_y, z0)[self.cols],
             lower=self.lo,
             upper=self.hi,
-            eq_residual=self.mapped,
-            eq_jacobian=self.mapped_jacobian,
             ls_residual=self.stage_residual,
             ls_jacobian=lambda zf: self.J_stage,
+            eq_residual=self.mapped,
+            eq_jacobian=self.mapped_jacobian,
         )
 
-    unpack = _WindowRestriction.decision_from_reduced
-
     def violation(self, zf) -> float:
-        """``||Hs alpha - g||_inf`` of the decision at ``zf``: the builder's
-        equality violation there, the pins and bounds being exact."""
+        """``||Hs alpha - g||_inf`` of the decision at ``zf``: its equality
+        violation, the pins and bounds being exact."""
         psi, xi_flat, _ = self._pieces(zf, False)
         g = np.concatenate([psi, xi_flat])
-        return float(np.max(np.abs(self.Hs @ (self.P @ g) - g)))
+        alpha = self.alpha_s + self.P @ (g - self.g_s)
+        return float(np.max(np.abs(self.Hs @ alpha - g)))
 
 
 def solve_relaxed_direct(
@@ -775,28 +697,29 @@ def solve_relaxed_direct(
     z0: Optional[np.ndarray] = None,
     maxiter: int = 60,
 ):
-    """Solve the relaxed robust problem by slack and combination elimination.
+    """Solve the robust problem with its slack bound dropped, by slack and
+    combination elimination, and check the bound afterwards.
 
     ``builder`` is an ``OcpBuilder`` or its ``_RelaxedDirect`` form; a closed
     loop passes the form it owns, so that the form is set up once per loop.
     ``z0`` is a packed guess, as for ``OcpBuilder.build``; its free input and
     output slots start the solve. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
-    the optimum (when it does not, the caller must fall back to the
-    constrained path) and the measured constraint violation. The solver,
-    ``solver.reduced_lsq`` (box-constrained Levenberg-Marquardt), keeps the
-    free slots inside the builder's bounds (the input box, and the output box
-    when the spec has one) and the feature equality holds by construction, so
-    the only constraint that can be violated is the slack bound:
-    ``max_violation = max(0, sigma_inf - c_slack * slack_level)``.
+    the optimum (when it does not, the caller must fall back to the bounded
+    problem, the form's ``build``) and the measured constraint violation. The
+    solver, ``solver.reduced_lsq`` (box-constrained Levenberg-Marquardt),
+    keeps the free slots inside the builder's bounds (the input box, and the
+    output box when the spec has one) and the feature equality holds by
+    construction, so the only constraint that can be violated is the slack
+    bound: ``max_violation = max(0, sigma_inf - bound)``, with the mode's
+    bound (``OcpSpec.slack_bound``) at the decision's own ``||alpha||_1``.
     ``maxiter`` bounds the solver's residual evaluations.
     """
     direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
-    zf0 = direct._start(history_u, history_y, z0)
+    zf0 = direct._start(history_u, history_y, z0)[direct.cols]
     res = _solver.reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter)
-    decision = direct.decision_from_reduced(res.x)
-    spec = direct.b.spec
-    bound = spec.c_slack * spec.slack_level
+    decision = direct.unpack(res.x)
+    bound = direct.b.spec.slack_bound(decision.alpha_l1)
     bound_ok = decision.sigma_inf <= bound + 1e-9
     if not bound_ok:
         status = "bound-active"
@@ -814,20 +737,6 @@ def solve_relaxed_direct(
     return decision, info
 
 
-def constraint_violation(problem: _solver.NlpProblem, z) -> float:
-    """Sup-norm violation of every constraint group at a candidate point."""
-    v = 0.0
-    z = np.asarray(z, dtype=float)
-    v = max(v, float(np.max(np.maximum(problem.lower - z, z - problem.upper))))
-    if problem.eq_residual is not None:
-        v = max(v, float(np.max(np.abs(problem.eq_residual(z)))))
-    if problem.linear_eq is not None:
-        v = max(v, float(np.max(np.abs(problem.linear_eq.A @ z - problem.linear_eq.b))))
-    if problem.ineq_residual is not None:
-        v = max(v, float(np.max(np.maximum(0.0, problem.ineq_residual(z)))))
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Closed loop
 # ---------------------------------------------------------------------------
@@ -837,7 +746,7 @@ def constraint_violation(problem: _solver.NlpProblem, z) -> float:
 class SolveRecord:
     t: int
     status: str
-    path: str                        # direct | al-gn | al-lbfgs | held
+    path: str                        # direct | al-gn | held
     objective: float
     alpha_l1: float
     sigma_inf: float
@@ -904,27 +813,26 @@ def run_closed_loop(
     or arithmetic error (solver callbacks, dictionary evaluation, linear
     algebra) is recorded as ``solver-error`` with the exception text; any
     other exception propagates. Each record names the path that produced its
-    decision: the direct solve, the AL solver with Gauss-Newton or L-BFGS
-    inner steps, or ``held`` when no solve returned one, and the wall-clock
-    time of its warm start and solve. Nominal solves run the AL solver on the
-    reduced core (``_NominalCore``), the free window slots under the
-    membership equalities.
+    decision: the direct solve, the AL solver with Gauss-Newton inner steps
+    (``al-gn``), or ``held`` when no solve returned one, and the wall-clock
+    time of its warm start and solve. Every solve runs on the reduced form of
+    the problem (``OcpBuilder.reduced_form``), the free window slots. A robust
+    mode with a positive slack bound, relaxed or exact, takes the direct
+    solve, and the AL solver on the bounded problem when the bound is active
+    at the direct solution, started there; the record then keeps the
+    decision's own slack-bound violation. Nominal mode, and robust mode with
+    zero bounds, run the AL solver under the membership equalities, and the
+    record keeps the equality violation of the decision.
     """
     mode_stride = spec.d_max if spec.mode == "robust" else 1
     stride = mode_stride if stride is None else stride
     if total_steps % stride != 0:
         raise ValueError(f"total steps must be a multiple of the stride {stride}")
     builder = OcpBuilder(spec)
-    # The reduced forms hold the builder, so the loop owns them: cached on the
-    # builder they would make a reference cycle that outlives the loop.
-    use_direct = (
-        spec.mode == "robust"
-        and spec.slack_mode == "relaxed"
-        and spec.c_slack * spec.slack_level > 0
-    )
-    direct = _RelaxedDirect(builder) if use_direct else None
-    nominal = _NominalCore(builder) if spec.mode == "nominal" else None
-    constrained = builder if nominal is None else nominal
+    # The reduced form holds the builder, so the loop owns it: cached on the
+    # builder it would make a reference cycle that outlives the loop.
+    form = builder.reduced_form()
+    use_direct = isinstance(form, _RelaxedDirect)
     opts = solver_options or _solver.SolverOptions()
     d_max = spec.d_max
     m = spec.structure.m
@@ -974,25 +882,23 @@ def run_closed_loop(
         started = time.perf_counter()
         try:
             warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
+            start = warm
             if use_direct:
-                decision, info = solve_relaxed_direct(direct, hist_u, hist_y, warm)
+                decision, info = solve_relaxed_direct(form, hist_u, hist_y, warm)
                 if info["bound_ok"]:
                     status, objective = info["status"], info["objective"]
                     iterations, max_violation = info["iterations"], info["max_violation"]
                     path = "direct"
                 else:
-                    decision = None  # slack bound active: take the constrained path
+                    # slack bound active: solve the bounded problem from here
+                    start = builder.pack(decision.alpha, decision.u_bar, decision.y_bar)
+                    decision = None
             if decision is None:
-                # nominal mode on its reduced core, the others in full space
-                problem = constrained.build(hist_u, hist_y, z0=warm)
-                path = "al-lbfgs" if problem.ls_residual is None else "al-gn"
-                report = _solver.solve(problem, opts)
-                decision = constrained.unpack(report.x)
+                report = _solver.solve(form.build(hist_u, hist_y, z0=start), opts)
+                decision = form.unpack(report.x)
                 status, objective, iterations = report.status, report.objective, report.iterations
-                # a nominal record keeps the full-space violation of its decision
-                max_violation = (
-                    report.max_violation if nominal is None else nominal.violation(report.x)
-                )
+                max_violation = form.violation(report.x)
+                path = "al-gn"
         except (RuntimeError, ValueError, ArithmeticError) as exc:
             decision = None
             error = f"{type(exc).__name__}: {exc}"

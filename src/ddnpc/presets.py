@@ -65,21 +65,49 @@ class PendulumExperiment:
         """Robust reference controller; further ``OcpSpec`` fields (slack mode,
         certificate constants) pass through, and ``OcpSpec`` holds the
         defaults of those left out."""
-        return npc.OcpSpec(
-            mode="robust",
-            L=L,
-            structure=self.structure,
-            blocks=blocks,
-            Q=np.eye(2),
-            R=np.eye(2),
-            u_setpoint=self.u_setpoint,
-            y_setpoint=self.y_setpoint,
-            u_min=self.box.u_lower,
-            u_max=self.box.u_upper,
-            eps_star=eps_star,
-            w_star=w_star,
-            **fields,
+        return ocp_spec(
+            self.structure, self.box, blocks, self.u_setpoint, self.y_setpoint,
+            L=L, eps_star=eps_star, w_star=w_star, **fields,
         )
+
+
+def ocp_spec(
+    structure: plant.BrunovskyStructure,
+    box: basis.OperatingBox,
+    blocks,
+    u_setpoint,
+    y_setpoint,
+    mode: str = "robust",
+    L: int = 10,
+    eps_star: float = 0.0,
+    w_star: float = 0.0,
+    Q=None,
+    R=None,
+    u_min=None,
+    u_max=None,
+    **fields,
+) -> npc.OcpSpec:
+    """Receding-horizon problem on ``blocks`` for a plant of the given
+    structure: identity weights and the input limits of ``box`` unless given,
+    and no uncertainty levels in nominal mode. Further ``OcpSpec`` fields pass
+    through, and ``OcpSpec`` holds the defaults of those left out."""
+    m = structure.m
+    robust = mode == "robust"
+    return npc.OcpSpec(
+        mode=mode,
+        L=L,
+        structure=structure,
+        blocks=blocks,
+        Q=np.eye(m) if Q is None else Q,
+        R=np.eye(m) if R is None else R,
+        u_setpoint=u_setpoint,
+        y_setpoint=y_setpoint,
+        u_min=box.u_lower if u_min is None else u_min,
+        u_max=box.u_upper if u_max is None else u_max,
+        eps_star=eps_star if robust else 0.0,
+        w_star=w_star if robust else 0.0,
+        **fields,
+    )
 
 
 def pendulum_experiment(grid_points: int = 7) -> PendulumExperiment:

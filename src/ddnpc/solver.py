@@ -1,12 +1,12 @@
-"""General constrained nonlinear programming used by the predictive layers.
+"""General constrained nonlinear least squares used by the predictive layers.
 
-Smooth objective, linear and nonlinear equality constraints, inequality
-constraints and box bounds. Equalities and inequalities are handled by an
+Least-squares objective, nonlinear equality and inequality constraints and
+box bounds. Equalities and inequalities are handled by an
 augmented-Lagrangian outer loop (multiplier updates, penalty growth when
-feasibility stalls); each inner subproblem is a box-constrained smooth
-minimization, run by bounded Gauss-Newton when the objective comes with its
-least-squares form and by projected limited-memory quasi-Newton otherwise.
-Identical problems, options and guesses give identical reports.
+feasibility stalls); each inner subproblem is a box-constrained least
+squares, run by bounded Gauss-Newton with the penalty terms as extra
+residual rows. Identical problems, options and guesses give identical
+reports.
 
 ``reduced_lsq`` solves the small box-constrained nonlinear least squares
 left once the controller's equalities are eliminated.
@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+# Unused here: bench/layers.py patches solver.minimize until ROADMAP item 5 replaces its patch table.
+from scipy.optimize import minimize  # noqa: F401
 
 
 class CallbackError(RuntimeError):
@@ -28,37 +29,25 @@ class CallbackError(RuntimeError):
 
 
 @dataclass
-class LinearEquality:
-    A: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
 class NlpProblem:
-    """Problem data in callback form.
+    """Problem data in callback form: minimize ``||ls_residual(z)||^2``.
 
-    ``objective(z)`` returns ``(value, gradient)``. ``eq_residual`` /
-    ``eq_jacobian`` describe nonlinear equalities ``c(z) = 0``;
-    ``ineq_residual`` / ``ineq_jacobian`` describe ``g(z) <= 0``. Linear
-    equalities carry their matrix explicitly. Bounds with equal lower and
+    ``ls_jacobian`` is the jacobian of ``ls_residual``. ``eq_residual`` /
+    ``eq_jacobian`` describe equalities ``c(z) = 0``; ``ineq_residual`` /
+    ``ineq_jacobian`` describe ``g(z) <= 0``. Bounds with equal lower and
     upper entry pin a variable.
     """
 
     dim: int
-    objective: Callable[[np.ndarray], tuple]
+    ls_residual: Callable[[np.ndarray], np.ndarray]
+    ls_jacobian: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     eq_residual: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eq_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    linear_eq: Optional[LinearEquality] = None
     ineq_residual: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ineq_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # Optional sum-of-squares form of the objective (f = ||ls_residual||^2).
-    # When provided, inner subproblems run on a bounded Gauss-Newton method,
-    # which converges far faster than quasi-Newton on these problems.
-    ls_residual: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    ls_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -75,6 +64,11 @@ class NlpProblem:
         f0, g0 = self.objective(np.clip(self.x0, self.lower, self.upper))
         if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
             raise CallbackError("objective not finite at the initial guess")
+
+    def objective(self, z):
+        """``(f, grad f)`` with ``f = ||r||^2`` and ``grad f = 2 J^T r``."""
+        r = self.ls_residual(z)
+        return float(r @ r), 2.0 * (self.ls_jacobian(z).T @ r)
 
 
 @dataclass
@@ -103,35 +97,6 @@ class SolverReport:
         return max(self.max_eq_violation, self.max_ineq_violation)
 
 
-def _stack_equalities(problem: NlpProblem):
-    """Merge linear and nonlinear equalities into one residual/jacobian pair."""
-    lin = problem.linear_eq
-    has_nl = problem.eq_residual is not None
-
-    if lin is None and not has_nl:
-        return None, None
-    A = None if lin is None else np.asarray(lin.A, dtype=float)
-    b = None if lin is None else np.asarray(lin.b, dtype=float).reshape(-1)
-
-    def residual(z):
-        parts = []
-        if has_nl:
-            parts.append(np.asarray(problem.eq_residual(z), dtype=float).reshape(-1))
-        if A is not None:
-            parts.append(A @ z - b)
-        return np.concatenate(parts)
-
-    def jacobian(z):
-        parts = []
-        if has_nl:
-            parts.append(np.atleast_2d(np.asarray(problem.eq_jacobian(z), dtype=float)))
-        if A is not None:
-            parts.append(A)
-        return np.vstack(parts)
-
-    return residual, jacobian
-
-
 def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> SolverReport:
     """Minimize the problem with an augmented-Lagrangian loop.
 
@@ -143,7 +108,7 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
     """
     opts = options or SolverOptions()
 
-    eq_res, eq_jac = _stack_equalities(problem)
+    eq_res, eq_jac = problem.eq_residual, problem.eq_jacobian
     in_res, in_jac = problem.ineq_residual, problem.ineq_jacobian
 
     z = np.clip(problem.x0.copy(), problem.lower, problem.upper)
@@ -232,26 +197,9 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         )
         return embed(res.x), int(res.nfev)
 
-    def inner_lbfgs(z_start):
-        res = minimize(
-            al_value_grad,
-            z_start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(problem.lower, problem.upper)),
-            options={
-                "maxiter": opts.inner_maxiter,
-                "ftol": 1e-14,
-                "gtol": min(1e-9, 0.1 * opts.optimality_tol),
-                "maxcor": 10,
-            },
-        )
-        return res.x, int(res.nit)
-
-    inner = inner_gauss_newton if problem.ls_residual is not None else inner_lbfgs
     status = "max-iter"
     for _ in range(opts.max_outer):
-        z, nit = inner(z)
+        z, nit = inner_gauss_newton(z)
         total_inner += nit
         z = np.clip(z, problem.lower, problem.upper)
         violation = max(violations(z))

@@ -13,6 +13,8 @@ import pytest
 from ddnpc import basis, behavior, npc, plant, presets, solver, trajlib
 from ddnpc.behavior import DataDictionaryBlocks
 
+import full_space
+
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -241,6 +243,7 @@ def test_nominal_stability_and_recursive_feasibility():
         u_setpoint=[0.0], y_setpoint=[0.0], u_min=[-3.0], u_max=[3.0],
     )
     builder = npc.OcpBuilder(spec)
+    core = builder.reduced_form()
     x = np.array([0.45, -0.3])
     hist_u, hist_y = [], []
     for _ in range(st.d_max):
@@ -253,9 +256,8 @@ def test_nominal_stability_and_recursive_feasibility():
     candidate_ok = True
     xi_trace = []
     for step in range(50):
-        problem = builder.build(hist_u, hist_y)
-        rep = solver.solve(problem)
-        decision = builder.unpack(rep.x)
+        rep = solver.solve(core.build(hist_u, hist_y))
+        decision = core.unpack(rep.x)
         u_apply = decision.planned_inputs(st.d_max, 1)[0]
         y_meas = toy.measure(x)
         stage = float(u_apply @ spec.R @ u_apply + y_meas @ spec.Q @ y_meas)
@@ -266,8 +268,8 @@ def test_nominal_stability_and_recursive_feasibility():
         hist_u = np.vstack([hist_u[1:], [u_apply]])
         hist_y = np.vstack([hist_y[1:], [y_meas]])
         candidate = builder.shifted_guess(decision, 1)
-        nxt = builder.build(hist_u, hist_y, z0=candidate)
-        candidate_ok = candidate_ok and npc.constraint_violation(nxt, candidate) <= 1e-6
+        nxt = full_space.problem(builder, hist_u, hist_y, z0=candidate)
+        candidate_ok = candidate_ok and full_space.constraint_violation(nxt, candidate) <= 1e-6
         xi_trace.append(np.max(np.abs(plant.window_states(
             [np.array([hist_y[-1, 0], toy.measure(x)[0]])],
             st).data)))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import time
 import weakref
@@ -10,11 +11,12 @@ from ddnpc.behavior import DataDictionaryBlocks
 from ddnpc.npc import (
     OcpBuilder,
     OcpSpec,
-    constraint_violation,
     evaluate_runtime_bounds,
     run_closed_loop,
     solve_relaxed_direct,
 )
+
+import full_space
 
 
 def chain_spec(mode="nominal", L=8, eps_star=0.0, w_star=0.0, **kw):
@@ -96,11 +98,10 @@ def model_mpc_oracle(st, history_u, history_y, L, Q, R):
 def test_nominal_matches_model_based_mpc():
     toy, st, phi, traj, d, spec = chain_spec()
     hu, hy, _ = chain_history(toy, st, np.array([0.3, -0.2, 0.25]))
-    builder = OcpBuilder(spec)
-    problem = builder.build(hu, hy)
-    report = solver.solve(problem)
+    form = OcpBuilder(spec).reduced_form()
+    report = solver.solve(form.build(hu, hy))
     assert report.status == "converged"
-    decision = builder.unpack(report.x)
+    decision = form.unpack(report.x)
     u_oracle = model_mpc_oracle(st, hu, hy, spec.L, spec.Q, spec.R)
     np.testing.assert_allclose(decision.u_bar[st.d_max :], u_oracle, atol=1e-5)
 
@@ -137,11 +138,17 @@ def test_decision_count_audit_pendulum_exact_mode():
     N, m, r, L, d_max, n = 200, 2, 4, 10, 2, 4
     expected = N + (2 * m + r - 1) * (L + d_max) + n + 1
     assert builder.audit_count == expected == 289
-    # the solver-ready problem splits the combination vector, nothing else
-    assert builder.dim == expected + builder.M
+
+
+def paper_bound(spec, decision):
+    """The paper's slack bound with the decision's own ``||alpha||_1``."""
+    gain = (spec.eps_star + spec.k_w * spec.w_star) * spec.g_dagger_norm
+    return spec.k_psi * spec.w_star + gain * (1 + decision.alpha_l1)
 
 
 def test_exact_mode_solves_on_toy():
+    """The bounded exact-mode problem on the reduced core, from the cold
+    start: its solution meets the paper's slack bound."""
     toy, st, phi = plant.make_chain_lti()
     policy = plant.StateFeedbackDitherPolicy(
         K=np.array([[0.2, 0.4, 0.0], [0.0, 0.0, 0.3]]), dither=0.7, seed=4
@@ -157,27 +164,40 @@ def test_exact_mode_solves_on_toy():
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
     hu, hy, _ = chain_history(toy, st, np.array([0.2, 0.0, -0.1]))
-    builder = OcpBuilder(spec)
-    problem = builder.build(hu, hy)
-    report = solver.solve(problem, solver.SolverOptions(max_outer=20, inner_maxiter=800))
+    form = OcpBuilder(spec).reduced_form()
+    report = solver.solve(form.build(hu, hy), solver.SolverOptions(max_outer=20, inner_maxiter=800))
     assert report.max_violation <= 1e-7
-    decision = builder.unpack(report.x)
-    bound = spec.k_psi * spec.w_star + (spec.eps_star + spec.k_w * spec.w_star) * spec.g_dagger_norm * (
-        1 + decision.alpha_l1
+    decision = form.unpack(report.x)
+    assert decision.sigma_inf <= paper_bound(spec, decision) + 1e-6
+    assert form.violation(report.x) == 0.0
+
+
+def test_exact_mode_member_of_the_benchmark_converges_on_direct():
+    """The chain toy's exact-slack member of the benchmark: one solve of
+    stride two from (0.2, 0, -0.1) converges on the direct path, inside the
+    paper's bound taken with its own combination vector."""
+    toy, st, _, _, _, spec = chain_spec(
+        mode="robust", slack_mode="exact", eps_star=0.01, w_star=0.0,
+        k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
-    assert decision.sigma_inf <= bound + 1e-6
+    log = run_closed_loop(
+        spec, toy, plant.NoiseModel(), np.array([0.2, 0.0, -0.1]), total_steps=2,
+        keep_decisions=True,
+    )
+    (rec,) = log.solves
+    assert (rec.path, rec.status) == ("direct", "converged")
+    assert rec.sigma_inf <= paper_bound(spec, rec.decision)
+    assert rec.max_violation == 0.0
 
 
 def test_robust_zero_bounds_reduce_to_nominal_single_solve():
     toy, st, phi, traj, d, spec_n = chain_spec(mode="nominal")
     _, _, _, _, _, spec_r = chain_spec(mode="robust", eps_star=0.0, w_star=0.0)
     hu, hy, _ = chain_history(toy, st, np.array([0.3, -0.2, 0.25]))
-    b_n = OcpBuilder(spec_n)
-    p_n = b_n.build(hu, hy)
-    b_r = OcpBuilder(spec_r)
-    p_r = b_r.build(hu, hy)
-    u_n = b_n.unpack(solver.solve(p_n).x).u_bar
-    u_r = b_r.unpack(solver.solve(p_r).x).u_bar
+    f_n = OcpBuilder(spec_n).reduced_form()
+    f_r = OcpBuilder(spec_r).reduced_form()
+    u_n = f_n.unpack(solver.solve(f_n.build(hu, hy)).x).u_bar
+    u_r = f_r.unpack(solver.solve(f_r.build(hu, hy)).x).u_bar
     np.testing.assert_allclose(u_n, u_r, atol=1e-5)
 
 
@@ -197,14 +217,11 @@ def test_robust_free_slack_beats_pinned_slack():
     )
     hu = np.zeros((2, 1))
     hy = np.array([[0.21], [0.2]])
-    free = OcpSpec(slack_mode="relaxed", c_slack=100.0, **common)
-    bf = OcpBuilder(free)
-    pf = bf.build(hu, hy)
-    rf = solver.solve(pf)
-    pinned = OcpSpec(slack_mode="relaxed", c_slack=1e-9, **common)
-    pp = OcpBuilder(pinned).build(hu, hy)
-    rp = solver.solve(pp)
-    assert bf.unpack(rf.x).sigma_inf > 1e-9
+    free = OcpBuilder(OcpSpec(slack_mode="relaxed", c_slack=100.0, **common)).reduced_form()
+    rf = solver.solve(free.build(hu, hy))
+    pinned = OcpBuilder(OcpSpec(slack_mode="relaxed", c_slack=1e-9, **common)).reduced_form()
+    rp = solver.solve(pinned.build(hu, hy))
+    assert free.unpack(rf.x).sigma_inf > 1e-9
     assert rf.objective < rp.objective - 1e-6
 
 
@@ -297,19 +314,19 @@ def test_recursive_feasibility_candidate():
         hist_u.append(np.zeros(1))
         x = toy.step(x, np.zeros(1))
     hist_u, hist_y = np.array(hist_u), np.array(hist_y)
+    core = builder.reduced_form()
     for step in range(10):
-        problem = builder.build(hist_u, hist_y)
-        report = solver.solve(problem)
+        report = solver.solve(core.build(hist_u, hist_y))
         assert report.status == "converged" or report.max_violation <= 1e-7
-        decision = builder.unpack(report.x)
+        decision = core.unpack(report.x)
         u_apply = decision.planned_inputs(st.d_max, 1)[0]
         y_meas = toy.measure(x)
         x = toy.step(x, u_apply)
         hist_u = np.vstack([hist_u[1:], u_apply])
         hist_y = np.vstack([hist_y[1:], y_meas])
         candidate = builder.shifted_guess(decision, 1)
-        next_problem = builder.build(hist_u, hist_y, z0=candidate)
-        assert constraint_violation(next_problem, candidate) <= 1e-6
+        next_problem = full_space.problem(builder, hist_u, hist_y, z0=candidate)
+        assert full_space.constraint_violation(next_problem, candidate) <= 1e-6
 
 
 def test_robust_equals_nominal_closed_loop_with_zero_bounds():
@@ -342,6 +359,37 @@ def flat_toy_relaxed_spec(y_s):
     )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(c_slack=3e-5), dict(slack_mode="exact", k_psi=0.0, g_dagger_norm=1e-5)],
+    ids=["relaxed", "exact"],
+)
+def test_bound_active_fallback_in_closed_loop(fields):
+    """With a slack bound below the direct solutions' slack, the first solves
+    of a noisy flat-toy loop take the bounded problem (``al-gn``). Every
+    applied decision meets the mode's bound, ``c_slack * slack_level`` or the
+    paper's bound at its own combination vector, to the solver's feasibility
+    tolerance, and each record keeps its decision's measured violation."""
+    spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
+    toy, _, _ = plant.make_scalar_flat()
+    log = run_closed_loop(
+        spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]),
+        total_steps=20, keep_decisions=True,
+    )
+    fallbacks = [rec for rec in log.solves if rec.path == "al-gn"]
+    assert len(fallbacks) >= 3
+    assert {rec.path for rec in log.solves} == {"direct", "al-gn"}
+    assert {rec.status for rec in fallbacks} == {"converged"}
+    for rec in log.solves:
+        if spec.slack_mode == "exact":
+            bound = paper_bound(spec, rec.decision)
+        else:
+            bound = spec.c_slack * spec.slack_level
+        assert rec.max_violation == max(0.0, rec.decision.sigma_inf - bound)
+        if rec.applied:
+            assert rec.sigma_inf <= bound + solver.SolverOptions().feasibility_tol
+
+
 @pytest.mark.parametrize("shift", [0, 2])
 def test_shifted_guess(shift):
     """The warm start advances the input and output windows by ``shift``
@@ -369,21 +417,27 @@ def test_shifted_guess(shift):
 
 
 def assert_direct_agrees_with_constrained(y_s):
-    """The direct elimination and the constrained AL path solve the same
-    relaxed robust problem on the flat toy at setpoint ``y_s``."""
+    """The direct elimination, the bounded problem on the reduced core and
+    the full-space AL reference solve the same relaxed robust problem on the
+    flat toy at setpoint ``y_s``, where the slack bound is inactive."""
     builder = OcpBuilder(flat_toy_relaxed_spec(y_s))
     st = builder.spec.structure
     hu = np.zeros((2, 1))
     hy = np.array([[0.2], [0.19]])
     dec_fast, info = solve_relaxed_direct(builder, hu, hy, maxiter=300)
     assert info["bound_ok"]
-    problem = builder.build(hu, hy)
-    rep = solver.solve(problem, solver.SolverOptions(feasibility_tol=1e-9, optimality_tol=1e-7))
+    opts = solver.SolverOptions(feasibility_tol=1e-9, optimality_tol=1e-7)
+    rep = solver.solve(full_space.problem(builder, hu, hy), opts)
     dec_slow = builder.unpack(rep.x)
-    np.testing.assert_allclose(
-        dec_fast.u_bar[st.d_max], dec_slow.u_bar[st.d_max], atol=2e-4
-    )
-    assert abs(info["objective"] - rep.objective) <= 1e-4 * max(1.0, rep.objective)
+    form = builder.reduced_form()
+    bounded = solver.solve(form.build(hu, hy), opts)
+    for objective, decision in (
+        (rep.objective, dec_slow), (bounded.objective, form.unpack(bounded.x))
+    ):
+        np.testing.assert_allclose(
+            dec_fast.u_bar[st.d_max], decision.u_bar[st.d_max], atol=2e-4
+        )
+        assert abs(info["objective"] - objective) <= 1e-4 * max(1.0, objective)
     return builder
 
 
@@ -428,7 +482,7 @@ def test_robust_equilibrium_is_zero_cost():
     psi = d.value_batch(u_bar, xi[: builder.Lp]).reshape(-1)
     alpha = builder.alpha_s
     z = builder.pack(alpha, u_bar, y_bar, builder.H_psi @ alpha - psi)
-    objective, _ = builder.build(hu, hy).objective(z)
+    objective, _ = full_space.problem(builder, hu, hy).objective(z)
     assert objective <= 1e-8
 
 
@@ -508,9 +562,9 @@ def test_direct_cost_equals_full_objective(direct_builders):
             direct.set_history(hu, hy)
             zf = random_reduced_point(direct, rng)
             r = direct.residual(zf)
-            d = direct.decision_from_reduced(zf)
+            d = direct.unpack(zf)
             z = builder.pack(d.alpha, d.u_bar, d.y_bar, d.sigma_psi)
-            objective, _ = builder.build(hu, hy).objective(z)
+            objective, _ = full_space.problem(builder, hu, hy).objective(z)
             assert abs(r @ r - objective) <= 1e-10 * objective
 
 
@@ -793,13 +847,13 @@ def plant_history(toy, builder, rng):
 
 
 def full_space_violation(builder, decision):
-    """The builder's constraint violation at ``decision``, for the history
+    """The full-space constraint violation at ``decision``, for the history
     that pins its window head."""
     d_max = builder.d_max
     hy = np.column_stack([y[:d_max] for y in decision.y_bar])
-    problem = builder.build(decision.u_bar[:d_max], hy)
+    problem = full_space.problem(builder, decision.u_bar[:d_max], hy)
     z = builder.pack(decision.alpha, decision.u_bar, decision.y_bar)
-    return constraint_violation(problem, z)
+    return full_space.constraint_violation(problem, z)
 
 
 @pytest.mark.parametrize("toy_name", ["flat", "chain"])
@@ -821,7 +875,7 @@ def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
     rng = np.random.default_rng(31)
     for _ in range(5):
         hu, hy = plant_history(toy, builder, rng)
-        full = builder.build(hu, hy)
+        full = full_space.problem(builder, hu, hy)
         ref = solver.solve(full, opts)
         rep = solver.solve(core.build(hu, hy), opts)
         assert rep.status == "converged"
@@ -835,7 +889,7 @@ def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
             rtol=0, atol=1e-6,
         )
         z = builder.pack(got.alpha, got.u_bar, got.y_bar)
-        assert constraint_violation(full, z) <= 1e-7
+        assert full_space.constraint_violation(full, z) <= 1e-7
         assert abs(core.violation(rep.x) - full_space_violation(builder, got)) <= 1e-14
 
 

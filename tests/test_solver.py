@@ -5,7 +5,6 @@ from scipy.optimize import least_squares, lsq_linear
 
 from ddnpc import solver
 from ddnpc.solver import (
-    LinearEquality,
     NlpProblem,
     SolverOptions,
     check_gradients,
@@ -14,14 +13,16 @@ from ddnpc.solver import (
 )
 
 
+def linear_equality(A, b):
+    """Equality callbacks for ``A z = b``."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return dict(eq_residual=lambda z: A @ z - b, eq_jacobian=lambda z: A)
+
+
 def quadratic_problem(center, dim, **kw):
     center = np.asarray(center, dtype=float)
-
-    def obj(z):
-        d = z - center
-        return float(d @ d), 2.0 * d
-
-    return NlpProblem(dim=dim, objective=obj, x0=np.zeros(dim), **kw)
+    return NlpProblem(dim=dim, ls_residual=lambda z: z - center,
+                      ls_jacobian=lambda z: np.eye(dim), x0=np.zeros(dim), **kw)
 
 
 def test_unconstrained_quadratic():
@@ -31,8 +32,7 @@ def test_unconstrained_quadratic():
 
 
 def test_equality_constrained_quadratic():
-    prob = quadratic_problem([0.0, 0.0], 2,
-                             linear_eq=LinearEquality(A=np.array([[1.0, 1.0]]), b=np.array([1.0])))
+    prob = quadratic_problem([0.0, 0.0], 2, **linear_equality([[1.0, 1.0]], [1.0]))
     rep = solve(prob)
     assert rep.status == "converged"
     np.testing.assert_allclose(rep.x, [0.5, 0.5], atol=1e-6)
@@ -40,19 +40,22 @@ def test_equality_constrained_quadratic():
 
 
 def test_rosenbrock_in_box():
-    def obj(z):
+    def residual(z):
         x, y = z
-        f = (1 - x) ** 2 + 100 * (y - x**2) ** 2
-        g = np.array([-2 * (1 - x) - 400 * x * (y - x**2), 200 * (y - x**2)])
-        return f, g
+        return np.array([1 - x, 10 * (y - x**2)])
 
-    prob = NlpProblem(dim=2, objective=obj, x0=np.array([-1.5, 1.5]),
+    def jacobian(z):
+        return np.array([[-1.0, 0.0], [-20 * z[0], 10.0]])
+
+    prob = NlpProblem(dim=2, ls_residual=residual, ls_jacobian=jacobian, x0=np.array([-1.5, 1.5]),
                       lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]))
     rep = solve(prob, SolverOptions(inner_maxiter=2000))
     np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-5)
 
 
 def test_matches_direct_kkt_on_random_qps():
+    """``z^T H z / 2 + c^T z`` is ``||F^T z + F^-1 c||^2 / 2`` up to a
+    constant, with ``H = F F^T``."""
     rng = np.random.default_rng(6)
     for _ in range(10):
         n, p = 6, 2
@@ -61,12 +64,12 @@ def test_matches_direct_kkt_on_random_qps():
         c = rng.standard_normal(n)
         A = rng.standard_normal((p, n))
         b = rng.standard_normal(p)
+        F = np.linalg.cholesky(H)
+        Fc = np.linalg.solve(F, c)
 
-        def obj(z, H=H, c=c):
-            return float(0.5 * z @ H @ z + c @ z), H @ z + c
-
-        prob = NlpProblem(dim=n, objective=obj, x0=np.zeros(n),
-                          linear_eq=LinearEquality(A=A, b=b))
+        prob = NlpProblem(dim=n, ls_residual=lambda z, F=F, Fc=Fc: (F.T @ z + Fc) / np.sqrt(2.0),
+                          ls_jacobian=lambda z, F=F: F.T / np.sqrt(2.0), x0=np.zeros(n),
+                          **linear_equality(A, b))
         rep = solve(prob)
         kkt = np.block([[H, A.T], [A, np.zeros((p, p))]])
         sol = np.linalg.solve(kkt, np.concatenate([-c, b]))
@@ -85,38 +88,26 @@ def test_inequality_constraint():
 
 def test_infeasible_detected():
     # x = 0 and x = 1 simultaneously
-    prob = quadratic_problem([0.0], 1,
-                             linear_eq=LinearEquality(A=np.array([[1.0], [1.0]]),
-                                                      b=np.array([0.0, 1.0])))
+    prob = quadratic_problem([0.0], 1, **linear_equality([[1.0], [1.0]], [0.0, 1.0]))
     rep = solve(prob, SolverOptions(max_outer=30))
     assert rep.status in ("infeasible-detected", "max-iter")
     assert rep.max_eq_violation > 1e-3
 
 
-def test_gauss_newton_path_matches_quasi_newton():
-    """With the sum-of-squares form supplied the inner method changes but the
-    minimizer must not."""
-    center = np.array([0.3, -0.7, 1.1])
-    A = np.array([[1.0, 1.0, 0.0]])
-    b = np.array([0.5])
-
-    def obj(z):
-        d = z - center
-        return float(d @ d), 2.0 * d
-
-    base = NlpProblem(dim=3, objective=obj, x0=np.zeros(3),
-                      linear_eq=LinearEquality(A=A, b=b))
-    gn = NlpProblem(dim=3, objective=obj, x0=np.zeros(3),
-                    linear_eq=LinearEquality(A=A, b=b),
-                    ls_residual=lambda z: z - center,
-                    ls_jacobian=lambda z: np.eye(3))
-    r1, r2 = solve(base), solve(gn)
-    np.testing.assert_allclose(r1.x, r2.x, atol=1e-6)
+def test_objective_comes_from_the_least_squares_form():
+    """The objective and its gradient are ``||r||^2`` and ``2 J^T r``."""
+    rng = np.random.default_rng(2)
+    J, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    prob = NlpProblem(dim=3, ls_residual=lambda z: J @ z - b, ls_jacobian=lambda z: J,
+                      x0=np.zeros(3))
+    z = rng.standard_normal(3)
+    f, g = prob.objective(z)
+    assert f == float((J @ z - b) @ (J @ z - b))
+    np.testing.assert_array_equal(g, 2.0 * (J.T @ (J @ z - b)))
 
 
 def test_determinism():
-    prob = quadratic_problem([1.0, 2.0], 2,
-                             linear_eq=LinearEquality(A=np.array([[1.0, -1.0]]), b=np.array([0.3])))
+    prob = quadratic_problem([1.0, 2.0], 2, **linear_equality([[1.0, -1.0]], [0.3]))
     r1 = solve(prob)
     r2 = solve(prob)
     assert np.array_equal(r1.x, r2.x)
@@ -124,21 +115,17 @@ def test_determinism():
 
 
 def test_callback_failure_at_start():
-    def bad(z):
-        return np.nan, np.zeros(1)
-
     with pytest.raises(solver.CallbackError):
-        NlpProblem(dim=1, objective=bad, x0=np.zeros(1))
+        NlpProblem(dim=1, ls_residual=lambda z: np.array([np.nan]),
+                   ls_jacobian=lambda z: np.ones((1, 1)), x0=np.zeros(1))
 
 
 def test_check_gradients_catches_wrong_gradient():
-    def obj(z):
-        return float(z @ z), 2.0 * z + 0.05  # deliberately off
-
-    prob = NlpProblem(dim=3, objective=obj, x0=np.ones(3))
+    prob = NlpProblem(dim=3, ls_residual=lambda z: z,
+                      ls_jacobian=lambda z: np.eye(3) + 0.05,  # deliberately off
+                      x0=np.ones(3))
     with pytest.raises(AssertionError, match="objective gradient"):
         check_gradients(prob, n_points=2)
-
 
 
 # ---------------------------------------------------------------------------
