@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import plant as _plant
+from .solver import CallbackError
 
 
 class SingularGramError(RuntimeError):
@@ -30,8 +31,9 @@ class RankDeficientError(RuntimeError):
     """Fitted coefficient matrix does not have full row rank."""
 
 
-class DictionaryEvaluationError(RuntimeError):
-    """A basis function returned a non-finite value."""
+class DictionaryEvaluationError(CallbackError):
+    """A basis function returned a non-finite value. A ``CallbackError``, so
+    that a solver trial point where the features fail is a rejected step."""
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 from .trajlib import Sequence, build_hankel, is_persistently_exciting
 from .plant import BrunovskyStructure, Trajectory, window_states
 from .basis import BasisDictionary, evaluate_along
+from . import solver as _solver
 
 
 class InfeasibleInitialConditionError(RuntimeError):
@@ -300,17 +301,17 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     where ``S`` holds the state rows the query fixes and ``s`` their values.
     For fixed ``v`` the optimal ``a`` is ``K h`` with ``h = [psi(v); v; 1]``
     and a constant ``K``, and the stacked residual is ``C h`` with a constant
-    ``C``. So TRF runs over ``v`` alone on ``R h``, ``R`` the triangle of
-    ``qr(C)``: same cost, gradient and Gauss-Newton matrix. This minimizes
-    over ``a`` exactly when the window the solve settles on is reachable
-    from the data, which is checked at the start and at the returned point.
+    ``C``. So ``solver.reduced_lsq``, with infinite bounds, runs over ``v``
+    alone on ``R h``, ``R`` the triangle of ``qr(C)``: same cost, gradient
+    and Gauss-Newton matrix. This minimizes over ``a`` exactly when the
+    window the solve settles on is reachable from the data, which is checked
+    at the start and at the returned point.
 
     ``V`` and ``S`` are fixed by ``what``, so the pseudo-inverses and the null
     space built from them alone are computed once per ``(what, ridge
     weight)`` and kept on ``blocks``; a query enters only ``T`` and ``E_h``.
     """
     from scipy.linalg import null_space
-    from scipy.optimize import least_squares
 
     m = blocks.structure.m
     n_psi, n_v = blocks.H_psi.shape[0], V.shape[0]
@@ -375,16 +376,8 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     v0 = V @ alpha
     alpha_of(h_of(v0))
 
-    res = least_squares(
-        lambda v: R @ h_of(v),
-        v0,
-        jac=jac,
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-12,
-        max_nfev=maxiter,
-    )
+    unbounded = np.full(n_v, np.inf)
+    res = _solver.reduced_lsq(lambda v: R @ h_of(v), jac, v0, -unbounded, unbounded, maxiter, 1e-14)
     h = h_of(res.x)
     f = R @ h
     gnorm = float(np.max(np.abs(2.0 * (jac(res.x).T @ f))))
@@ -407,7 +400,7 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
         alpha_l1=alpha_l1,
         objective=objective,
         gradient_norm=gnorm,
-        iterations=int(res.nfev),
+        iterations=res.nfev,
         clamped=objective - ridge < 0,
     )
 

@@ -717,7 +717,9 @@ def solve_relaxed_direct(
     """
     direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
     zf0 = direct._start(history_u, history_y, z0)[direct.cols]
-    res = _solver.reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter)
+    res = _solver.reduced_lsq(
+        direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter, 1e-10
+    )
     decision = direct.unpack(res.x)
     bound = direct.b.spec.slack_bound(decision.alpha_l1)
     bound_ok = decision.sigma_inf <= bound + 1e-9

@@ -3,13 +3,15 @@
 Least-squares objective, nonlinear equality and inequality constraints and
 box bounds. Equalities and inequalities are handled by an
 augmented-Lagrangian outer loop (multiplier updates, penalty growth when
-feasibility stalls); each inner subproblem is a box-constrained least
-squares, run by bounded Gauss-Newton with the penalty terms as extra
-residual rows. Identical problems, options and guesses give identical
-reports.
+feasibility stalls); each inner subproblem is the augmented Lagrangian
+written as least-squares rows (the objective rows, then the shifted equality
+rows and the hinged inequality rows, scaled by the penalty) over the box.
+Identical problems, options and guesses give identical reports.
 
-``reduced_lsq`` solves the small box-constrained nonlinear least squares
-left once the controller's equalities are eliminated.
+``reduced_lsq`` is the one box-constrained least-squares solver. It runs the
+augmented-Lagrangian inner subproblems, the controller's relaxed direct solve
+(the small problem left once its equalities are eliminated) and the
+data-driven simulation and output-matching fits of ``behavior``.
 """
 
 from __future__ import annotations
@@ -100,11 +102,13 @@ class SolverReport:
 def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> SolverReport:
     """Minimize the problem with an augmented-Lagrangian loop.
 
+    Each inner solve is ``reduced_lsq`` on the augmented Lagrangian's
+    least-squares rows over the whole box, which holds pinned entries.
     Feasibility is measured in the sup norm over all constraints; optimality
-    by the projected gradient of the Lagrangian at the returned point. Slow
-    convergence yields a ``max-iter`` report rather than an exception; a
-    stalled penalty at its cap with large violation is reported as
-    ``infeasible-detected``.
+    by the projected gradient ``2 J^T r`` of those rows at the returned
+    point. Slow convergence yields a ``max-iter`` report rather than an
+    exception; a stalled penalty at its cap with large violation is reported
+    as ``infeasible-detected``.
     """
     opts = options or SolverOptions()
 
@@ -121,20 +125,28 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
     total_inner = 0
     prev_violation = np.inf
 
-    def al_value_grad(zz):
-        f, g = problem.objective(zz)
+    # The augmented Lagrangian as least-squares rows: its value is their
+    # squared norm up to a constant in the multipliers.
+    def al_residual(zz):
+        sr = math.sqrt(0.5 * rho)
+        rows = [problem.ls_residual(zz)]
         if eq_res is not None:
-            c = eq_res(zz)
-            J = eq_jac(zz)
-            f = f + mu @ c + 0.5 * rho * (c @ c)
-            g = g + J.T @ (mu + rho * c)
+            rows.append(sr * (eq_res(zz) + mu / rho))
+        if in_res is not None:
+            gi = np.asarray(in_res(zz), dtype=float).reshape(-1)
+            rows.append(sr * np.maximum(0.0, gi + nu / rho))
+        return np.concatenate(rows)
+
+    def al_jacobian(zz):
+        sr = math.sqrt(0.5 * rho)
+        rows = [np.atleast_2d(problem.ls_jacobian(zz))]
+        if eq_res is not None:
+            rows.append(sr * eq_jac(zz))
         if in_res is not None:
             gi = np.asarray(in_res(zz), dtype=float).reshape(-1)
             Ji = np.atleast_2d(np.asarray(in_jac(zz), dtype=float))
-            s = np.maximum(0.0, nu + rho * gi)
-            f = f + (s @ s - nu @ nu) / (2.0 * rho)
-            g = g + Ji.T @ s
-        return f, g
+            rows.append(sr * (Ji * ((gi + nu / rho) > 0)[:, None]))
+        return np.vstack(rows)
 
     def violations(zz):
         ve = float(np.max(np.abs(eq_res(zz)))) if n_eq else 0.0
@@ -142,66 +154,17 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         return ve, vi
 
     def kkt_residual(zz):
-        _, g = al_value_grad(zz)
+        g = 2.0 * (al_jacobian(zz).T @ al_residual(zz))
         proj = np.clip(zz - g, problem.lower, problem.upper) - zz
         return float(np.max(np.abs(proj))) if proj.size else 0.0
 
-    idx_free = np.nonzero(problem.lower < problem.upper)[0]
-
-    def inner_gauss_newton(z_start):
-        """Bounded Gauss-Newton on the free variables; pinned entries are
-        substituted as constants. The penalty terms enter as extra residual
-        rows (hinged for inequalities)."""
-        from scipy.optimize import least_squares
-
-        z_fix = z_start.copy()
-        sr = math.sqrt(0.5 * rho)
-
-        def embed(zf):
-            z_full = z_fix.copy()
-            z_full[idx_free] = zf
-            return z_full
-
-        def res_fn(zf):
-            z_full = embed(zf)
-            rows = [problem.ls_residual(z_full)]
-            if eq_res is not None:
-                rows.append(sr * (eq_res(z_full) + mu / rho))
-            if in_res is not None:
-                gi = np.asarray(in_res(z_full), dtype=float).reshape(-1)
-                rows.append(sr * np.maximum(0.0, gi + nu / rho))
-            return np.concatenate(rows)
-
-        def jac_fn(zf):
-            z_full = embed(zf)
-            rows = [np.atleast_2d(problem.ls_jacobian(z_full))]
-            if eq_res is not None:
-                rows.append(sr * eq_jac(z_full))
-            if in_res is not None:
-                gi = np.asarray(in_res(z_full), dtype=float).reshape(-1)
-                Ji = np.atleast_2d(np.asarray(in_jac(z_full), dtype=float))
-                active = (gi + nu / rho) > 0
-                rows.append(sr * (Ji * active[:, None]))
-            return np.vstack(rows)[:, idx_free]
-
-        res = least_squares(
-            res_fn,
-            z_start[idx_free],
-            jac=jac_fn,
-            bounds=(problem.lower[idx_free], problem.upper[idx_free]),
-            method="trf",
-            xtol=1e-12,
-            ftol=1e-12,
-            gtol=1e-10,
-            max_nfev=opts.inner_maxiter,
-        )
-        return embed(res.x), int(res.nfev)
-
     status = "max-iter"
     for _ in range(opts.max_outer):
-        z, nit = inner_gauss_newton(z)
-        total_inner += nit
-        z = np.clip(z, problem.lower, problem.upper)
+        inner = reduced_lsq(
+            al_residual, al_jacobian, z, problem.lower, problem.upper, opts.inner_maxiter, 1e-14
+        )
+        z = inner.x
+        total_inner += inner.nfev
         violation = max(violations(z))
         if violation <= opts.feasibility_tol and kkt_residual(z) <= opts.optimality_tol:
             status = "converged"
@@ -256,28 +219,34 @@ class LsqReport:
     converged: bool
 
 
-def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int) -> LsqReport:
+def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> LsqReport:
     """Minimize ``||residual(x)||^2`` over the box ``lo <= x <= hi``.
 
     Levenberg-Marquardt with Marquardt scaling: the step solves
     ``(A + mu*diag(D)) s = -g`` on the free variables, with ``A = J^T J``,
     ``g = J^T r`` and ``D`` the running maximum of ``diag(A)``. A variable
     within ``1e-10`` of the box width of a bound is held there while its
-    gradient points out of the box. The iterates stay inside the box: a step
-    that would leave it is cut to 0.995 of the distance to the first bound it
-    meets (Coleman & Li 1996), so a free variable on a bound whose step
-    points out of the box makes the step zero, and it is rejected. ``mu``
-    starts at 1e-8, shrinks or grows with the gain ratio and jumps to at
-    least 1e-3 on a rejected step; a trial point with a non-finite residual
-    is a rejected step.
+    gradient points out of the box, so an entry with ``lo == hi`` never
+    moves. Infinite bounds are allowed. The iterates stay inside the box: a
+    step that would leave it is cut to 0.995 of the distance to the first
+    bound it meets (Coleman & Li 1996), so a free variable on a bound whose
+    step points out of the box makes the step zero, and it is rejected.
+    ``mu`` starts at 1e-8, shrinks or grows with the gain ratio and jumps to
+    at least 1e-3 on a rejected step. A trial point whose residual is not
+    finite, or whose residual raises ``CallbackError`` (as a dictionary that
+    cannot be evaluated there does), is a rejected step.
 
     The solve converges when the Gauss-Newton step on the free variables,
     ``-A_f^-1 g_f``, promises a decrease ``g_f^T A_f^-1 g_f`` of at most
-    ``1e-10 * f`` or is itself below ``1e-12`` relative to ``x``. The damped
+    ``tol * f`` or is itself below ``1e-12`` relative to ``x``. The damped
     step taken is not tested: it is short when ``mu`` is large or the box
     cuts it, not because the solve is done. The solve stops unconverged
-    after ``maxiter`` residual evaluations. Raises ``CallbackError`` when
-    the residual at ``x0`` or a jacobian is not finite.
+    after ``maxiter`` residual evaluations. The relaxed direct solve passes
+    ``tol = 1e-10``; the augmented-Lagrangian inner solve and the
+    data-driven window fit, whose results are tested for stationarity, pass
+    ``1e-14``. Raises ``CallbackError`` when the residual at ``x0`` or a
+    jacobian is not finite. Exceptions from the callbacks propagate, except
+    a ``CallbackError`` from a trial residual.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -305,7 +274,7 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int) -> LsqReport:
         A_f, g_f, scale_f = A[np.ix_(free, free)], g[free], np.diag(scale[free])
         # minus the Gauss-Newton step; the 1e-12 keeps it defined for a singular A_f
         gn = _chol_solve(A_f + 1e-12 * scale_f, g_f)
-        if g_f @ gn <= 1e-10 * f or np.linalg.norm(gn) <= 1e-12 * (1e-12 + np.linalg.norm(x)):
+        if g_f @ gn <= tol * f or np.linalg.norm(gn) <= 1e-12 * (1e-12 + np.linalg.norm(x)):
             return LsqReport(x, f, nfev, True)
         while True:
             if nfev >= maxiter:
@@ -318,9 +287,12 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int) -> LsqReport:
             if t < 1.0:
                 s *= 0.995 * t
             x_new = np.clip(x + s, lo, hi)
-            r_new = np.asarray(residual(x_new), dtype=float)
             nfev += 1
-            f_new = float(r_new @ r_new)
+            try:
+                r_new = np.asarray(residual(x_new), dtype=float)
+                f_new = float(r_new @ r_new)
+            except CallbackError:
+                f_new = np.inf
             if f_new < f:  # never true for a non-finite residual
                 break
             mu = max(10.0 * mu, 1e-3)

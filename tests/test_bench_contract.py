@@ -3,12 +3,11 @@
 ``bench/layers.py`` replaces module attributes where their callers look them
 up at call time (``npc.solve_relaxed_direct``, ``OcpBuilder.build``,
 ``OcpBuilder.shifted_guess``, ``solver.solve``, ``solver.minimize``), reads
-``NlpProblem.ls_residual`` to name the solver path, and charges scipy's
-trust-region time to the ``behavior`` spans only because ``behavior`` imports
-``least_squares`` inside the solve. A rename, or a module-level import, would
+``NlpProblem.ls_residual`` to name the solver path, and counts the
+data-driven queries' solver evaluations from their results. A rename would
 silently drop spans from the traced run; this test fails instead. It also
-checks that the direct-solve counters the traced run reports match the
-closed-loop log.
+checks that the evaluation counters the traced run reports match the
+results and the closed-loop log.
 """
 
 import contextlib
@@ -41,8 +40,8 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
     tracer = harness.Tracer(enabled=True)
     with contextlib.ExitStack() as stack:
         layers.install(tracer, stack)
-        behavior.simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7])
-        behavior.match_output_data_driven(blocks, [traj.outputs[0][9:21]])
+        sim = behavior.simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7])
+        match = behavior.match_output_data_driven(blocks, [traj.outputs[0][9:21]])
         log = npc.run_closed_loop(
             relaxed, toy, plant.NoiseModel(), np.array([0.2, 0.1]), total_steps=4
         )
@@ -50,11 +49,13 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
         solver.solve(problem)
     recorded = set(tracer.names)
     for span in (
-        "behavior.simulate", "behavior.match", "behavior.trf", "solver.solve",
+        "behavior.simulate", "behavior.match", "solver.solve",
         "npc.direct", "npc.warm_start", "npc.build",
     ):
         assert span in recorded, span
     assert tracer.counts["solver.path.gn"] == 1
+    assert tracer.counts["behavior.simulate.nfev"] == sim.iterations
+    assert tracer.counts["behavior.match.nfev"] == match.iterations
 
     # The direct-solve counters agree with the closed-loop log.
     direct = [rec for rec in log.solves if rec.path == "direct"]

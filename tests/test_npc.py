@@ -640,7 +640,9 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
     for hu, hy, z0 in recorded[10:]:
         direct.set_history(hu, hy)
         zf0 = np.clip(z0[direct.cols], direct.lo, direct.hi)
-        rep = solver.reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000)
+        rep = solver.reduced_lsq(
+            direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000, 1e-10
+        )
         ref = least_squares(direct.residual, zf0, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
                             method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
         assert rep.converged

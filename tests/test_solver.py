@@ -149,19 +149,46 @@ STALL = "reduced_lsq stalls when a variable on a bound blocks the step"
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 1, 2, pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=STALL)), 4]
+    "seed",
+    [
+        0, 1, 2, pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=STALL)), 4,
+        pytest.param(None, id="unbounded"),
+    ],
 )
 def test_reduced_lsq_matches_lsq_linear(seed):
     """From the centre of the box, the linear problem ends at the bounded
-    least-squares optimum that scipy's active-set solver finds."""
-    A, b, lo, hi = linear_box_problem(seed)
-    ref = lsq_linear(A, b, bounds=(lo, hi), method="bvls", tol=1e-14)
-    f_ref = float(np.sum((A @ ref.x - b) ** 2))
-    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100)
+    least-squares optimum that scipy's active-set solver finds. With
+    infinite bounds, as the data-driven window fit poses them, it ends at
+    the unconstrained least-squares solution."""
+    if seed is None:
+        A, b, _, _ = linear_box_problem(0)
+        lo, hi = np.full(8, -np.inf), np.full(8, np.inf)
+        x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
+    else:
+        A, b, lo, hi = linear_box_problem(seed)
+        x_ref = lsq_linear(A, b, bounds=(lo, hi), method="bvls", tol=1e-14).x
+    f_ref = float(np.sum((A @ x_ref - b) ** 2))
+    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
     assert rep.converged
     assert np.all(rep.x >= lo) and np.all(rep.x <= hi)
     assert abs(rep.objective - f_ref) <= 1e-10 * f_ref
     assert rep.objective == pytest.approx(float(np.sum((A @ rep.x - b) ** 2)), rel=1e-14)
+
+
+def test_reduced_lsq_holds_pinned_entries_exactly():
+    """Entries with ``lo == hi`` keep their value bit for bit, and the others
+    reach the optimum of the problem with those entries substituted, as the
+    augmented-Lagrangian inner solve relies on."""
+    A, b, lo, hi = linear_box_problem(0)
+    pinned, free = np.array([2, 5]), np.array([0, 1, 3, 4, 6, 7])
+    lo[pinned] = hi[pinned] = [0.3, -0.7]
+    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
+    assert rep.converged
+    assert rep.x[2] == 0.3 and rep.x[5] == -0.7
+    b_free = b - A[:, pinned] @ hi[pinned]
+    ref = lsq_linear(A[:, free], b_free, bounds=(lo[free], hi[free]), method="bvls", tol=1e-14)
+    f_ref = float(np.sum((A[:, free] @ ref.x - b_free) ** 2))
+    assert abs(rep.objective - f_ref) <= 1e-10 * f_ref
 
 
 def test_cholesky_solve_matches_scipy_and_raises_on_indefinite():
@@ -179,7 +206,7 @@ def test_cholesky_solve_matches_scipy_and_raises_on_indefinite():
 
 def test_reduced_lsq_iteration_limit():
     A, b, lo, hi = linear_box_problem(0)
-    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 1)
+    rep = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 1, 1e-10)
     assert not rep.converged
     assert rep.nfev == 1
     np.testing.assert_array_equal(rep.x, np.zeros(8))
@@ -188,26 +215,44 @@ def test_reduced_lsq_iteration_limit():
 def test_reduced_lsq_nonfinite_start_raises():
     with pytest.raises(solver.CallbackError):
         reduced_lsq(lambda x: np.array([np.nan, 1.0]), lambda x: np.eye(2),
-                    np.zeros(2), -np.ones(2), np.ones(2), 10)
+                    np.zeros(2), -np.ones(2), np.ones(2), 10, 1e-10)
 
 
 def test_reduced_lsq_nonfinite_trial_is_rejected():
-    """A trial point where the residual is not finite is rejected like a step
+    """A trial point where the residual is not finite, or where it raises
+    ``CallbackError`` (a dictionary that cannot be evaluated there raises
+    its subclass ``DictionaryEvaluationError``), is rejected like a step
     that raises the cost: the solve goes on from the last point and still
-    reaches the optimum, having spent one evaluation on the rejected trial."""
+    reaches the optimum, having spent one evaluation on the rejected trial.
+    Any other exception at a trial point propagates."""
+    from ddnpc.basis import DictionaryEvaluationError
+
     A, b, lo, hi = linear_box_problem(1)
-    calls = []
+    clean = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
 
-    def residual(x):
-        calls.append(x.copy())
-        r = A @ x - b
-        return np.full_like(r, np.inf) if len(calls) == 2 else r
+    def failing_second_call(failure, calls):
+        def residual(x):
+            calls.append(x.copy())
+            r = A @ x - b
+            if len(calls) != 2:
+                return r
+            if failure is None:
+                return np.full_like(r, np.inf)
+            raise failure
 
-    rep = reduced_lsq(residual, lambda x: A, np.zeros(8), lo, hi, 100)
-    clean = reduced_lsq(lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100)
-    assert rep.converged and rep.nfev == len(calls)
-    assert not np.array_equal(rep.x, calls[1])
-    assert abs(rep.objective - clean.objective) <= 1e-10 * clean.objective
+        return residual
+
+    for failure in (None, DictionaryEvaluationError("features not finite")):
+        calls = []
+        rep = reduced_lsq(failing_second_call(failure, calls), lambda x: A, np.zeros(8), lo, hi,
+                          100, 1e-10)
+        assert rep.converged and rep.nfev == len(calls)
+        assert not np.array_equal(rep.x, calls[1])
+        assert abs(rep.objective - clean.objective) <= 1e-10 * clean.objective
+
+    residual = failing_second_call(RuntimeError("not a callback failure"), [])
+    with pytest.raises(RuntimeError, match="not a callback failure"):
+        reduced_lsq(residual, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -230,11 +275,80 @@ def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
     zf0 = builder.initial_guess(hu, hy)[direct.cols]
     n_u = builder.L * builder.m
     zf0[:n_u] = direct.lo[:n_u]
-    rep = reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000)
+    rep = reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000, 1e-10)
     assert rep.converged
     polish = least_squares(direct.residual, rep.x, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
                            method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
     assert 2.0 * polish.cost >= rep.objective * (1.0 - 1e-8)
+
+
+def test_every_least_squares_solve_runs_on_reduced_lsq(monkeypatch):
+    """Data-driven simulation and output matching, the augmented-Lagrangian
+    inner solves and the relaxed direct solve all run on
+    ``solver.reduced_lsq``, looked up when they are called, so one wrapper
+    sees every least-squares solve."""
+    import dataclasses
+
+    from ddnpc import behavior, npc, presets
+    from ddnpc.behavior import DataDictionaryBlocks
+
+    toy, st, phi, traj, d = presets.flat_toy_setup()
+    blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10)
+    spec = npc.OcpSpec(
+        mode="nominal", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
+        u_setpoint=[0.0], y_setpoint=[0.0], u_min=[-3.0], u_max=[3.0],
+    )
+    relaxed = dataclasses.replace(
+        spec, mode="robust", eps_star=0.02, w_star=0.005, k_psi=1.0, k_w=1.0, g_dagger_norm=5.0
+    )
+    hu, hy = np.zeros((2, 1)), np.array([[0.2], [0.19]])
+    nfev = []
+
+    def counting(*args):
+        rep = inner(*args)
+        nfev.append(rep.nfev)
+        return rep
+
+    inner = solver.reduced_lsq
+    monkeypatch.setattr(solver, "reduced_lsq", counting)
+
+    sim = behavior.simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7])
+    assert nfev == [sim.iterations]
+    nfev.clear()
+    match = behavior.match_output_data_driven(blocks, [traj.outputs[0][9:21]])
+    assert nfev == [match.iterations]
+    nfev.clear()
+    report = solver.solve(npc.OcpBuilder(spec).build(hu, hy))
+    assert nfev and sum(nfev) == report.iterations
+    nfev.clear()
+    _, info = npc.solve_relaxed_direct(npc.OcpBuilder(relaxed), hu, hy)
+    assert nfev == [info["iterations"]]
+
+
+def test_scipy_optimizers_stay_out_of_src():
+    """``solver.reduced_lsq`` is the library's only least-squares solver: no
+    module of ``src/ddnpc`` imports from ``scipy.optimize``, except the
+    unused ``minimize`` import in ``solver.py`` that the benchmark's traced
+    run replaces."""
+    import ast
+    from pathlib import Path
+
+    def optimize_imports(node):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            return [alias.name for alias in node.names if alias.name == "optimize"]
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names if alias.name.startswith("scipy.optimize")]
+        return []
+
+    found = {
+        (path.name, name)
+        for path in sorted(Path(solver.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in optimize_imports(node)
+    }
+    assert found == {("solver.py", "minimize")}
 
 
 # ---------------------------------------------------------------------------
