@@ -125,7 +125,9 @@ class BasisDictionary:
     """Ordered family of scalar basis functions over ``(u, xi)``.
 
     Subclasses implement ``value_batch`` and ``jacobian_batch``; the batched
-    jacobian is laid out ``(P, r, m + n)`` with input partials first. The
+    jacobian is laid out ``(P, r, m + n)`` with input partials first. A
+    subclass whose values and partials share work overrides
+    ``value_and_jacobian_batch`` to compute both in one pass. The
     ``u_prefix`` flag records whether the raw input occupies the first ``m``
     entries, which output-matching control requires.
     """
@@ -155,6 +157,11 @@ class BasisDictionary:
 
     def jacobian_batch(self, U: np.ndarray, XI: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_jacobian_batch(self, U: np.ndarray, XI: np.ndarray):
+        """``(value_batch(U, XI), jacobian_batch(U, XI))``, as the solvers
+        ask for both at every point they accept."""
+        return self.value_batch(U, XI), self.jacobian_batch(U, XI)
 
 
 class IdentityDictionary(BasisDictionary):
@@ -319,11 +326,16 @@ class PendulumModelDictionary(BasisDictionary):
         return np.column_stack([U, a1, a2])
 
     def jacobian_batch(self, U, XI):
-        *_, D = _plant._window_accelerations(self.estimates, U, XI, partials=True)
+        return self.value_and_jacobian_batch(U, XI)[1]
+
+    def value_and_jacobian_batch(self, U, XI):
+        """Values and partials from one kernel pass; the accelerations are
+        those ``value_batch`` computes, bit for bit."""
+        a1, a2, _, D = _plant._window_accelerations(self.estimates, U, XI, partials=True)
         J = np.zeros((U.shape[0], 4, 6))
         J[:, 0, 0] = J[:, 1, 1] = 1.0
         J[:, 2:] = D
-        return J
+        return np.column_stack([U, a1, a2]), J
 
 
 def make_pendulum_dictionary(

@@ -349,13 +349,24 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
         z = np.concatenate([v, z_fixed])[z_idx]
         return z[:, :m], z[:, m:]
 
-    def h_of(v):
-        psi = blocks.dictionary.value_batch(*args(v))
+    def stack(v, psi):
         return np.concatenate([psi.reshape(-1), v, [1.0]])
+
+    # (v, features, raw feature jacobian) of the latest evaluation: the solver
+    # asks for the jacobian at the point it last evaluated
+    last = [None]
+
+    def evaluate(v):
+        if last[0] is None or not np.array_equal(last[0][0], v):
+            last[0] = (v.copy(), *blocks.dictionary.value_and_jacobian_batch(*args(v)))
+        return last[0]
+
+    def h_of(v):
+        return stack(v, evaluate(v)[1])
 
     def jac(v):
         dpsi = np.zeros((n_psi, n_v))
-        dpsi[rows, cols] = blocks.dictionary.jacobian_batch(*args(v)).reshape(-1)[src]
+        dpsi[rows, cols] = evaluate(v)[2].reshape(-1)[src]
         return R[:, :n_psi] @ dpsi + R[:, n_psi:-1]
 
     def alpha_of(h):
@@ -371,7 +382,8 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     # at the previous trajectory, projected back onto the initial state.
     alpha = H0_pinv @ xi0
     for _ in range(4):
-        alpha = A_pinv @ (T @ h_of(V @ alpha))
+        v = V @ alpha
+        alpha = A_pinv @ (T @ stack(v, blocks.dictionary.value_batch(*args(v))))
         alpha -= H0_pinv @ (H0 @ alpha - xi0)
     v0 = V @ alpha
     alpha_of(h_of(v0))

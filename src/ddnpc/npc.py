@@ -438,7 +438,9 @@ class _WindowRestriction:
             [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
         )
         self._z_pinned = None
-        self._last = None  # [zf, psi, dpsi or None] of the latest dictionary evaluation
+        # [zf, psi, xi_flat, raw jacobian, dpsi or None] of the latest
+        # dictionary evaluation
+        self._last = None
 
     def set_history(self, hist_u, hist_y):
         b = self.b
@@ -471,26 +473,26 @@ class _WindowRestriction:
 
     def _pieces(self, zf, need_jac):
         """Features, window states and, if asked, the feature jacobian at
-        ``zf``. The solvers ask for values and jacobians at the point they
-        last evaluated, so the latest evaluation is reused there."""
+        ``zf``. A new point gets values and partials from one dictionary
+        pass; the solvers ask for the jacobian at the point they last
+        evaluated, so it is scattered there from the kept partials."""
         b = self.b
-        z = self._embed(zf)
-        u = b.u_of(z)
-        xi_flat = b.xi_flat(z)
-        xi = xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
-        dic = b.spec.blocks.dictionary
         if self._last is None or not np.array_equal(self._last[0], zf):
-            self._last = [zf.copy(), dic.value_batch(u, xi).reshape(-1), None]
-        psi = self._last[1]
+            z = self._embed(zf)
+            xi_flat = b.xi_flat(z)
+            psi, jpsi = b.spec.blocks.dictionary.value_and_jacobian_batch(
+                b.u_of(z), xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
+            )
+            self._last = [zf.copy(), psi.reshape(-1), xi_flat, jpsi, None]
+        _, psi, xi_flat, jpsi, dpsi = self._last
         if not need_jac:
             return psi, xi_flat, None
-        if self._last[2] is None:
-            jpsi = dic.jacobian_batch(u, xi)
+        if dpsi is None:
             dpsi = np.zeros((b.r * b.Lp, self.dim))
             rows, cols, src = self._scatter
             dpsi[rows, cols] = jpsi.reshape(-1)[src]
-            self._last[2] = dpsi
-        return psi, xi_flat, self._last[2]
+            self._last[4] = dpsi
+        return psi, xi_flat, dpsi
 
     def stage_residual(self, zf):
         return self.J_stage @ zf - self.b_stage
@@ -500,9 +502,12 @@ class _WindowRestriction:
         psi, xi_flat, _ = self._pieces(zf, False)
         return self.T @ (np.concatenate([psi, xi_flat]) - self.g_s)
 
-    def mapped_jacobian(self, zf):
+    def mapped_jacobian(self, zf, out=None):
+        """``T_psi @ dpsi + TD_xi``, written into ``out`` when given."""
         _, _, dpsi = self._pieces(zf, True)
-        return self.T_psi @ dpsi + self.TD_xi
+        out = np.matmul(self.T_psi, dpsi, out=out)
+        out += self.TD_xi
+        return out
 
     def unpack(self, x: np.ndarray) -> OcpDecision:
         """The decision at ``x``: the free slots, followed by the combination
@@ -573,7 +578,11 @@ class _RelaxedDirect(_WindowRestriction):
         return np.concatenate([self.stage_residual(zf), self.mapped(zf)])
 
     def jacobian(self, zf):
-        return np.vstack([self.J_stage, self.mapped_jacobian(zf)])
+        n_stage = self.J_stage.shape[0]
+        J = np.empty((n_stage + self.T.shape[0], self.dim))
+        J[:n_stage] = self.J_stage
+        self.mapped_jacobian(zf, out=J[n_stage:])
+        return J
 
     def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
         """The bound-active problem for one measured history. Once the bound

@@ -202,13 +202,22 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
 def _chol_solve(M, b):
     """``M^-1 b`` for a symmetric positive definite ``M``: LAPACK potrf/potrs
     on the upper triangle, as ``cho_factor``/``cho_solve`` call them, without
-    their per-call wrapper cost."""
-    c, info = dpotrf(M, lower=0, clean=0)
+    their per-call wrapper cost. A Fortran-ordered ``M`` is factored in place,
+    so it is overwritten; any other is copied first."""
+    c, info = dpotrf(M, lower=0, clean=0, overwrite_a=1)
     if info == 0:
         x, info = dpotrs(c, b, lower=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
     return x
+
+
+def _damped_solve(A, d, b):
+    """``(A + diag(d))^-1 b`` for a symmetric ``A``, factored in place on a
+    Fortran-ordered copy."""
+    M = np.array(A, order="F")
+    M.ravel(order="F")[:: M.shape[0] + 1] += d
+    return _chol_solve(M, b)
 
 
 @dataclass
@@ -222,17 +231,18 @@ class LsqReport:
 def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> LsqReport:
     """Minimize ``||residual(x)||^2`` over the box ``lo <= x <= hi``.
 
-    Levenberg-Marquardt with Marquardt scaling: the step solves
+    Levenberg-Marquardt with Marquardt scaling (Moré 1978): the step solves
     ``(A + mu*diag(D)) s = -g`` on the free variables, with ``A = J^T J``,
     ``g = J^T r`` and ``D`` the running maximum of ``diag(A)``. A variable
     within ``1e-10`` of the box width of a bound is held there while its
     gradient points out of the box, so an entry with ``lo == hi`` never
-    moves. Infinite bounds are allowed. The iterates stay inside the box: a
-    step that would leave it is cut to 0.995 of the distance to the first
-    bound it meets (Coleman & Li 1996), so a free variable on a bound whose
-    step points out of the box makes the step zero, and it is rejected.
-    ``mu`` starts at 1e-8, shrinks or grows with the gain ratio and jumps to
-    at least 1e-3 on a rejected step. A trial point whose residual is not
+    moves. Infinite bounds are allowed; with no finite bound every variable
+    is free and no step is cut. The iterates stay inside the box: a step that
+    would leave it is cut to 0.995 of the distance to the first bound it
+    meets (Coleman & Li 1996), so a free variable on a bound whose step
+    points out of the box makes the step zero, and it is rejected. ``mu``
+    starts at 1e-8, shrinks or grows with the gain ratio and jumps to at
+    least 1e-3 on a rejected step. A trial point whose residual is not
     finite, or whose residual raises ``CallbackError`` (as a dictionary that
     cannot be evaluated there does), is a rejected step.
 
@@ -240,8 +250,10 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     ``-A_f^-1 g_f``, promises a decrease ``g_f^T A_f^-1 g_f`` of at most
     ``tol * f`` or is itself below ``1e-12`` relative to ``x``. The damped
     step taken is not tested: it is short when ``mu`` is large or the box
-    cuts it, not because the solve is done. The solve stops unconverged
-    after ``maxiter`` residual evaluations. The relaxed direct solve passes
+    cuts it, not because the solve is done. The solve stops unconverged, at
+    the last accepted point, after ``maxiter`` residual evaluations, or once
+    the damping ``mu * max(D_f)`` overflows: there no step has lowered the
+    cost in floating point, and none will. The relaxed direct solve passes
     ``tol = 1e-10``; the augmented-Lagrangian inner solve and the
     data-driven window fit, whose results are tested for stationarity, pass
     ``1e-14``. Raises ``CallbackError`` when the residual at ``x0`` or a
@@ -256,6 +268,7 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     if not np.all(np.isfinite(r)):
         raise CallbackError("residual not finite at the initial guess")
     f = float(r @ r)
+    boxed = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
     width = hi - lo
     near = np.where(np.isfinite(width), 1e-10 * width, 0.0)
     D = np.zeros(x.size)
@@ -267,26 +280,42 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
         A, g = J.T @ J, J.T @ r
         D = np.maximum(D, np.diag(A))
         scale = np.where(D > 0, D, 1.0)
-        at_lo, at_hi = x - lo <= near, hi - x <= near
-        free = ~((at_lo & (g >= 0)) | (at_hi & (g <= 0)))
-        if not free.any():
+        all_free = True
+        if boxed:
+            at_lo, at_hi = x - lo <= near, hi - x <= near
+            free = ~((at_lo & (g >= 0)) | (at_hi & (g <= 0)))
+            if not free.any():
+                return LsqReport(x, f, nfev, True)
+            all_free = free.all()
+        elif not x.size:
             return LsqReport(x, f, nfev, True)
-        A_f, g_f, scale_f = A[np.ix_(free, free)], g[free], np.diag(scale[free])
+        if all_free:
+            A_f, g_f, scale_f = A, g, scale
+        else:
+            A_f, g_f, scale_f = A[np.ix_(free, free)], g[free], scale[free]
         # minus the Gauss-Newton step; the 1e-12 keeps it defined for a singular A_f
-        gn = _chol_solve(A_f + 1e-12 * scale_f, g_f)
-        if g_f @ gn <= tol * f or np.linalg.norm(gn) <= 1e-12 * (1e-12 + np.linalg.norm(x)):
+        gn = _damped_solve(A_f, 1e-12 * scale_f, g_f)
+        if g_f @ gn <= tol * f or math.sqrt(gn @ gn) <= 1e-12 * (1e-12 + math.sqrt(x @ x)):
             return LsqReport(x, f, nfev, True)
+        scale_max = float(scale_f.max())
         while True:
-            if nfev >= maxiter:
+            if nfev >= maxiter or mu * scale_max == math.inf:
                 return LsqReport(x, f, nfev, False)
-            s = np.zeros(x.size)
-            s[free] = -_chol_solve(A_f + mu * scale_f, g_f)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = np.where(s > 0, (hi - x) / s, np.where(s < 0, (lo - x) / s, np.inf))
-            t = reach.min()
-            if t < 1.0:
-                s *= 0.995 * t
-            x_new = np.clip(x + s, lo, hi)
+            step = -_damped_solve(A_f, mu * scale_f, g_f)
+            if all_free:
+                s = step
+            else:
+                s = np.zeros(x.size)
+                s[free] = step
+            if boxed:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    reach = np.where(s > 0, (hi - x) / s, np.where(s < 0, (lo - x) / s, np.inf))
+                t = reach.min()
+                if t < 1.0:
+                    s *= 0.995 * t
+                x_new = np.clip(x + s, lo, hi)
+            else:
+                x_new = x + s
             nfev += 1
             try:
                 r_new = np.asarray(residual(x_new), dtype=float)

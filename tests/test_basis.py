@@ -8,6 +8,7 @@ from ddnpc.basis import (
     ApproximationCertificate,
     CustomDictionary,
     IdentityDictionary,
+    InputDictionary,
     OperatingBox,
     PendulumModelDictionary,
     PolynomialDictionary,
@@ -157,6 +158,30 @@ def test_dictionary_jacobians_match_finite_differences(dictionary):
             fd = (dictionary.value(zp[:m], zp[m:]) - dictionary.value(zm[:m], zm[m:])) / (2 * h)
             denom = max(1.0, np.max(np.abs(fd)))
             assert np.max(np.abs(fd - J[p_, :, c])) / denom < 1e-5
+
+
+@pytest.mark.parametrize(
+    "dictionary",
+    [
+        IdentityDictionary(2, 4),
+        InputDictionary(2, 3),
+        PolynomialDictionary(1, 2),
+        TrigDictionary(2, 3),
+        presets.flat_toy_dictionary(extra=0.05),
+        CustomDictionary(1, 2, funcs=[lambda u, xi: u[0] * np.cos(xi[1]), lambda u, xi: xi[0] ** 3]),
+        PendulumModelDictionary(plant.DoublePendulumParams(m1=1.05, l2=0.47)),
+    ],
+    ids=["identity", "input", "poly2", "trig", "custom", "custom_fd", "pendulum"],
+)
+def test_value_and_jacobian_batch_equals_both_batches(dictionary):
+    """The solvers take values and partials from one call; they are the
+    separate batches bit for bit."""
+    rng = np.random.default_rng(8)
+    U = rng.uniform(-2, 2, (7, dictionary.m))
+    XI = rng.uniform(-1.2, 1.2, (7, dictionary.n))
+    value, jac = dictionary.value_and_jacobian_batch(U, XI)
+    np.testing.assert_array_equal(value, dictionary.value_batch(U, XI))
+    np.testing.assert_array_equal(jac, dictionary.jacobian_batch(U, XI))
 
 
 # ---------------------------------------------------------------------------

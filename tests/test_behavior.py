@@ -405,3 +405,23 @@ def test_pendulum_objectives_match_full_vector_solve(
     match = match_output_data_driven(blocks, ys, eps_star=PENDULUM_EPS)
     np.testing.assert_allclose(sim.objective, sim_objective, rtol=1e-8)
     np.testing.assert_allclose(match.objective, match_objective, rtol=1e-8)
+
+
+@pytest.mark.parametrize("k0", [0, 240])
+def test_pendulum_simulation_makes_one_kernel_pass_per_point(pendulum_queries, monkeypatch, k0):
+    """Each point the window fit evaluates costs one pass of the pendulum
+    kernel, values and partials together: four passes of the fixed-point
+    start, one per residual evaluation (the start point's included, the
+    jacobian reusing it) and at most one more at the returned point."""
+    blocks, window = pendulum_queries
+    u, xi0, _ = window(k0)
+    calls = []
+    kernel = plant._window_accelerations
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("partials", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(plant, "_window_accelerations", counting)
+    sim = behavior.simulate_data_driven(blocks, u, xi0, eps_star=PENDULUM_EPS)
+    assert len(calls) <= sim.iterations + 5

@@ -461,6 +461,29 @@ def pendulum_relaxed_builder():
     return exp, d, spec, OcpBuilder(spec)
 
 
+def test_direct_solve_makes_one_kernel_pass_per_point(monkeypatch):
+    """From hanging, each point the direct solve evaluates costs one pass of
+    the pendulum kernel, values and partials together: the jacobian reuses
+    the pass of the point it was last asked about, and unpacking the result
+    adds at most one pass, where the last trial was rejected."""
+    exp, _, spec, builder = pendulum_relaxed_builder()
+    hu = np.tile(exp.hold_input, (spec.d_max, 1))
+    hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
+    z0 = builder.initial_guess(hu, hy)
+    calls = []
+    kernel = plant._window_accelerations
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("partials", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(plant, "_window_accelerations", counting)
+    _, info = solve_relaxed_direct(builder, hu, hy, z0=z0)
+    assert info["iterations"] > 5
+    assert len(calls) <= info["iterations"] + 1
+    assert all(calls)
+
+
 def test_robust_equilibrium_is_zero_cost():
     """Robust counterpart of the nominal equilibrium test on the pendulum,
     whose setpoint has nonzero features and window states: resting at the

@@ -3,6 +3,7 @@ import pytest
 
 from scipy.optimize import least_squares, lsq_linear
 
+import reference_lsq
 from ddnpc import solver
 from ddnpc.solver import (
     NlpProblem,
@@ -253,6 +254,77 @@ def test_reduced_lsq_nonfinite_trial_is_rejected():
     residual = failing_second_call(RuntimeError("not a callback failure"), [])
     with pytest.raises(RuntimeError, match="not a callback failure"):
         reduced_lsq(residual, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
+
+
+def test_reduced_lsq_stops_when_no_step_lowers_the_cost():
+    """With a jacobian of the wrong sign every step points uphill, so every
+    trial is rejected. The solve stops unconverged at its start once the
+    damping overflows, well before its budget, and without a warning."""
+    rep = reduced_lsq(lambda x: x - 1.0, lambda x: -np.eye(3), np.zeros(3),
+                      np.full(3, -np.inf), np.full(3, np.inf), 10_000, 1e-10)
+    assert not rep.converged
+    assert rep.nfev < 1000
+    np.testing.assert_array_equal(rep.x, np.zeros(3))
+    assert rep.objective == 3.0
+
+
+def nonlinear_box_problem(seed):
+    """The linear box problem plus a smooth coupling term."""
+    A, b, lo, hi = linear_box_problem(seed)
+    c = np.random.default_rng(seed + 100).standard_normal(30)
+    return (lambda x: A @ x - b + c * np.sin(x).sum(),
+            lambda x: A + np.outer(c, np.cos(x)), lo, hi)
+
+
+def lsq_cases():
+    """``(residual, jacobian, x0, lo, hi, maxiter, tol)`` for the loops to
+    agree on: box problems started at the centre, inside and at a corner,
+    a nonlinear one, pinned entries, infinite and half-infinite bounds, and
+    the pendulum direct problem."""
+    cases = {}
+    for seed in (0, 1, 2, 4):
+        A, b, lo, hi = linear_box_problem(seed)
+        inside = np.random.default_rng(seed).uniform(-0.9, 0.9, 8)
+        for start, x0 in (("centre", np.zeros(8)), ("inside", inside), ("corner", hi.copy())):
+            cases[f"linear{seed}-{start}"] = (lambda x, A=A, b=b: A @ x - b, lambda x, A=A: A,
+                                              x0, lo, hi, 100, 1e-10)
+        res, jac, lo, hi = nonlinear_box_problem(seed)
+        cases[f"nonlinear{seed}"] = (res, jac, np.zeros(8), lo, hi, 200, 1e-14)
+    A, b, lo, hi = linear_box_problem(0)
+    lo[[2, 5]] = hi[[2, 5]] = [0.3, -0.7]
+    cases["pinned"] = (lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
+    res, jac, _, _ = nonlinear_box_problem(1)
+    cases["unbounded"] = (res, jac, np.zeros(8), np.full(8, -np.inf), np.full(8, np.inf), 200, 1e-14)
+    cases["half-bounded"] = (res, jac, np.zeros(8), np.full(8, -0.2), np.full(8, np.inf), 200, 1e-14)
+
+    from ddnpc import npc
+    from test_npc import pendulum_relaxed_builder
+
+    exp, _, spec, builder = pendulum_relaxed_builder()
+    direct = npc._RelaxedDirect(builder)
+    hu = np.tile(exp.hold_input, (spec.d_max, 1))
+    hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
+    direct.set_history(hu, hy)
+    zf0 = builder.initial_guess(hu, hy)[direct.cols]
+    cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 60,
+                                1e-10)
+    return cases
+
+
+LSQ_CASES = lsq_cases()
+
+
+@pytest.mark.parametrize("case", LSQ_CASES)
+def test_reduced_lsq_iterates_match_reference_loop(case):
+    """The trimmed loop takes the reference loop's iterates bit for bit: same
+    point, cost, evaluation count and verdict (``tests/reference_lsq.py``;
+    a warning from either fails the test)."""
+    args = LSQ_CASES[case]
+    want = reference_lsq.reduced_lsq(*args)
+    got = reduced_lsq(*args)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.objective == want.objective
+    assert (got.nfev, got.converged) == (want.nfev, want.converged)
 
 
 @pytest.mark.parametrize(
