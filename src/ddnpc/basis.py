@@ -390,66 +390,86 @@ def evaluate_along(dictionary: BasisDictionary, u_seq, xi_seq):
 # Grid fitting, Lipschitz estimation and norm bounds
 # ---------------------------------------------------------------------------
 
-
-def _grid_eval(dictionary: BasisDictionary, phi, box: OperatingBox):
-    U, XI = box.grid()
-    PSI = dictionary.value_batch(U, XI)
-    PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
-    if PHI.shape[0] != U.shape[0]:
-        PHI = PHI.T
-    return U, XI, PSI, PHI
+# Grid rows per step of the noise-gain corner sweep: phi's temporaries for
+# one block stay in cache across the corners.
+_CORNER_BLOCK = 16_384
 
 
-def fit_coefficient_matrix(
+@dataclass(frozen=True)
+class GridEvaluation:
+    """The dictionary and the true map on the midpoint grid of a box.
+
+    ``PSI`` is ``(P, r)`` and ``PHI`` is ``(P, q)``, rows in ``box.grid()``
+    order. ``phi_transposed`` records that ``phi`` returned ``(q, P)`` (or
+    ``(P,)``), so that its values on part of the grid are read the same way.
+    ``gram`` is the quadrature Gram matrix ``PSI^T PSI * cell_volume`` and
+    ``gram_svals`` its singular values; the fit and the norm bound share both.
+    """
+
+    box: OperatingBox
+    U: np.ndarray
+    XI: np.ndarray
+    PSI: np.ndarray
+    PHI: np.ndarray
+    phi_transposed: bool
+    gram: np.ndarray
+    gram_svals: np.ndarray
+
+
+def evaluate_grid(
     dictionary: BasisDictionary,
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: OperatingBox,
-    gram_rtol: float = 1e-8,
-):
-    """Least-squares fit of the true map ``phi`` onto the dictionary (oracle).
+) -> GridEvaluation:
+    """Build the box grid once and evaluate ``dictionary`` and ``phi`` on it
+    once each, with the Gram matrix and its singular values."""
+    U, XI = box.grid()
+    PSI = dictionary.value_batch(U, XI)
+    PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
+    transposed = PHI.shape[0] != U.shape[0]
+    if transposed:
+        PHI = PHI.T
+    gamma = PSI.T @ PSI * box.cell_volume()
+    svals = np.linalg.svd(gamma, compute_uv=False)
+    return GridEvaluation(box, U, XI, PSI, PHI, transposed, gamma, svals)
+
+
+def fit_coefficient_matrix(grid: GridEvaluation, gram_rtol: float = 1e-8):
+    """Least-squares fit of the true map onto the dictionary (oracle).
 
     Minimizes the quadrature-weighted squared residual over the box grid and
     returns ``(G_hat, eps_star)`` where ``eps_star`` is the largest residual
     sup-norm seen at any grid point. ``G_hat`` must come out with full row
     rank; the normal equations share the Gram matrix with the model-free norm
-    bound so the bound provably dominates the fit on the same grid.
+    bound so the bound provably dominates the fit on the same grid. Works on
+    the evaluated grid alone: two ``(P, r)`` products, no evaluation.
     """
-    U, XI, PSI, PHI = _grid_eval(dictionary, phi, box)
-    dv = box.cell_volume()
-    gamma = PSI.T @ PSI * dv
-    svals = np.linalg.svd(gamma, compute_uv=False)
+    svals = grid.gram_svals
     if svals[-1] <= gram_rtol * svals[0] or svals[-1] <= 0:
         raise SingularGramError(
             f"Gram matrix singular: sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
         )
-    zeta = PSI.T @ PHI * dv  # (r, m)
-    G = np.linalg.solve(gamma, zeta).T  # (m, r)
+    zeta = grid.PSI.T @ grid.PHI * grid.box.cell_volume()  # (r, m)
+    G = np.linalg.solve(grid.gram, zeta).T  # (m, r)
     m = G.shape[0]
     if np.linalg.matrix_rank(G, tol=1e-10 * max(1.0, np.linalg.norm(G))) < m:
         raise RankDeficientError("fitted coefficient matrix is rank deficient")
-    resid = PHI - PSI @ G.T
+    resid = grid.PHI - grid.PSI @ G.T
     eps_star = float(np.max(np.abs(resid)))
     return G, eps_star
 
 
-def estimate_lipschitz(
-    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    box: OperatingBox,
-) -> float:
-    """Grid estimate of the Lipschitz constant of ``fun`` w.r.t. the state.
+def estimate_lipschitz(values: np.ndarray, box: OperatingBox) -> float:
+    """Grid estimate of the Lipschitz constant of a map w.r.t. the state.
 
+    ``values`` holds the map on ``box.grid()``, ``(P, q)`` in grid order.
     Takes the largest ratio of output change (sup norm) to state change (sup
     norm) over grid-adjacent point pairs along each state axis, the input held
-    fixed. This is a lower estimate of the true constant on the box.
+    fixed. This is a lower estimate of the true constant on the box. One
+    difference pass per state axis; no evaluation.
     """
-    axes = box.grid_axes()
-    shape = tuple(len(a) for a in axes)
-    U, XI = box.grid()
-    F = np.atleast_2d(np.asarray(fun(U, XI), dtype=float))
-    if F.shape[0] != U.shape[0]:
-        F = F.T
-    q = F.shape[1]
-    F = F.reshape(shape + (q,))
+    shape = (box.grid_points,) * (box.m + box.n)
+    F = np.asarray(values, dtype=float).reshape(shape + (-1,))
     steps = box.axis_steps()
     K = 0.0
     for ax in range(box.m, box.m + box.n):
@@ -461,18 +481,24 @@ def estimate_lipschitz(
 
 def estimate_noise_gain(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    box: OperatingBox,
+    grid: GridEvaluation,
     w_star: float,
     max_corners: int = 64,
     seed: int = 0,
 ) -> float:
     """Largest observed ``|phi(u, xi) - phi(u, xi + w)| / w*`` over the grid
-    with sign-corner state perturbations of magnitude ``w*``."""
+    with sign-corner state perturbations of magnitude ``w*``.
+
+    The unperturbed values are ``grid.PHI``. The perturbed ones take one
+    ``phi`` call per corner and block of grid rows, every corner on a block
+    before the next block, so each call's temporaries stay in cache. The
+    maximum does not depend on the order, so the result is the same as one
+    full-grid call per corner. This sweep is most of a certificate's cost:
+    ``2^n`` (at most ``max_corners``) evaluations of ``phi`` on the grid.
+    """
     if w_star == 0.0:
         return 0.0
-    U, XI = box.grid()
-    base = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
-    n = box.n
+    n = grid.box.n
     if 2**n <= max_corners:
         corners = np.array(
             [[(1 if (c >> i) & 1 else -1) for i in range(n)] for c in range(2**n)],
@@ -481,33 +507,34 @@ def estimate_noise_gain(
     else:
         rng = np.random.default_rng(seed)
         corners = rng.choice([-1.0, 1.0], size=(max_corners, n))
+    shifts = [w_star * s for s in corners]
     worst = 0.0
-    for s in corners:
-        pert = np.atleast_2d(np.asarray(phi(U, XI + w_star * s), dtype=float))
-        worst = max(worst, float(np.max(np.abs(base - pert))))
+    for lo in range(0, grid.PHI.shape[0], _CORNER_BLOCK):
+        rows = slice(lo, lo + _CORNER_BLOCK)
+        U, XI, base = grid.U[rows], grid.XI[rows], grid.PHI[rows]
+        for shift in shifts:
+            pert = np.atleast_2d(np.asarray(phi(U, XI + shift), dtype=float))
+            if grid.phi_transposed:
+                pert = pert.T
+            worst = max(worst, float(np.max(np.abs(base - pert))))
     return worst / w_star
 
 
-def coefficient_norm_bound(
-    dictionary: BasisDictionary, box: OperatingBox, v_star: float
-) -> float:
+def coefficient_norm_bound(grid: GridEvaluation, v_star: float) -> float:
     """Model-free upper bound on the sup-induced norm of the coefficient fit.
 
     Requires the Gram matrix of the dictionary on the box to be invertible;
     the bound is ``v* * ||Gamma^-1||_1 * sum_j integral |psi_j|`` with the
     integrals taken by the same midpoint quadrature as the fit, so it
-    dominates the oracle norm computed on the same grid.
+    dominates the oracle norm computed on the same grid. Works on the
+    evaluated grid alone: one ``r x r`` inverse and one pass over ``PSI``.
     """
-    U, XI = box.grid()
-    PSI = dictionary.value_batch(U, XI)
-    dv = box.cell_volume()
-    gamma = PSI.T @ PSI * dv
-    svals = np.linalg.svd(gamma, compute_uv=False)
+    svals = grid.gram_svals
     if svals[-1] <= 1e-12 * svals[0]:
         raise SingularGramError("Gram matrix singular; cannot form the norm bound")
-    gamma_inv = np.linalg.inv(gamma)
+    gamma_inv = np.linalg.inv(grid.gram)
     gamma_inv_norm1 = float(np.max(np.sum(np.abs(gamma_inv), axis=0)))
-    abs_integrals = float(np.sum(np.abs(PSI)) * dv)
+    abs_integrals = float(np.sum(np.abs(grid.PSI)) * grid.box.cell_volume())
     return v_star * gamma_inv_norm1 * abs_integrals
 
 
@@ -602,19 +629,19 @@ def build_certificate(
 ) -> ApproximationCertificate:
     """Run the full grid pipeline and package the resulting constants.
 
-    With a zero noise bound the noise-gain estimation is skipped and recorded
-    as identically zero.
+    The grid is built once and ``dictionary`` and ``phi`` are evaluated on it
+    once each (``evaluate_grid``); the fit, ``v*``, both Lipschitz estimates
+    and the norm bound work on those arrays. Only the noise-gain sweep calls
+    ``phi`` again, ``2^n`` times per grid row. With a zero noise bound that
+    sweep is skipped and the gain recorded as identically zero.
     """
-    G, eps_star = fit_coefficient_matrix(dictionary, phi, box)
-    U, XI = box.grid()
-    PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
-    if PHI.shape[0] != U.shape[0]:
-        PHI = PHI.T
-    v_star = float(np.max(np.abs(PHI)))
-    k_xi = estimate_lipschitz(phi, box)
-    k_psi = estimate_lipschitz(dictionary.value_batch, box)
+    grid = evaluate_grid(dictionary, phi, box)
+    G, eps_star = fit_coefficient_matrix(grid)
+    v_star = float(np.max(np.abs(grid.PHI)))
+    k_xi = estimate_lipschitz(grid.PHI, box)
+    k_psi = estimate_lipschitz(grid.PSI, box)
     skipped = w_star == 0.0
-    k_w = 0.0 if skipped else estimate_noise_gain(phi, box, w_star)
+    k_w = 0.0 if skipped else estimate_noise_gain(phi, grid, w_star)
     g_norm_inf = float(np.max(np.sum(np.abs(G), axis=1)))
     g_dagger = np.linalg.pinv(G)
     g_dagger_norm_inf = float(np.max(np.sum(np.abs(g_dagger), axis=1)))
@@ -633,7 +660,7 @@ def build_certificate(
         g_hat=[[float(v) for v in row] for row in G],
         g_norm_inf=g_norm_inf,
         g_dagger_norm_inf=g_dagger_norm_inf,
-        g_inf_bound=coefficient_norm_bound(dictionary, box, v_star),
+        g_inf_bound=coefficient_norm_bound(grid, v_star),
         g_dagger_inf_bound=right_inverse_norm_bound(G),
         grid_points=box.grid_points,
         box_lower=[float(v) for v in box.lower],

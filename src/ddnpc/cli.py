@@ -14,16 +14,24 @@ failure.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
-import sys
-from collections import Counter
-from pathlib import Path
+import os
 
-import numpy as np
+# Results depend on the BLAS thread count: one thread, pinned before numpy
+# loads, unless the caller set a count.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
-from . import basis, behavior, npc, plant, presets, trajlib
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from collections import Counter  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import basis, behavior, npc, plant, presets, trajlib  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,6 +242,14 @@ def _write_csv(path, header, rows):
             writer.writerow(
                 [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]
             )
+
+
+def _blas_threads():
+    """The BLAS thread count this process asks for: ``OPENBLAS_NUM_THREADS``,
+    which OpenBLAS reads first. It is the count in use when ``ddnpc`` is the
+    entry point, since the pin above runs before numpy loads."""
+    value = os.environ["OPENBLAS_NUM_THREADS"]
+    return int(value) if value.isdigit() else value
 
 
 def _summary(path, payload: dict):
@@ -582,6 +598,7 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
                 key: float(np.percentile(solve_ms, q)) for key, q in percentiles
             } if log.solves else None,
             "bound_violations": violations,
+            "blas_threads": _blas_threads(),
             "all_inputs_in_box": bool(
                 np.all(arr["u"] >= spec.u_min - 1e-12)
                 and np.all(arr["u"] <= spec.u_max + 1e-12)

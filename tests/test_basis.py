@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import reference_certificate
 from ddnpc import basis, plant, presets
 from ddnpc.basis import (
     ApproximationCertificate,
@@ -19,6 +20,7 @@ from ddnpc.basis import (
     estimate_lipschitz,
     estimate_noise_gain,
     evaluate_along,
+    evaluate_grid,
     fit_coefficient_matrix,
     make_pendulum_dictionary,
     right_inverse_norm_bound,
@@ -197,7 +199,7 @@ def test_fit_exact_span_recovers_coefficients():
         return np.concatenate([U, XI], axis=1) @ G_true.T
 
     box = unit_box(1, 2, grid=6)
-    G, eps = fit_coefficient_matrix(d, phi, box)
+    G, eps = fit_coefficient_matrix(evaluate_grid(d, phi, box))
     np.testing.assert_allclose(G, G_true, atol=1e-10)
     assert eps < 1e-8
 
@@ -211,7 +213,7 @@ def test_fit_pendulum_exact_parameters():
         lin = np.stack([2 * XI[:, 1] - XI[:, 0], 2 * XI[:, 3] - XI[:, 2]], axis=1)
         return v - lin
 
-    G, eps = fit_coefficient_matrix(d, phi_nonlinear, exp.box)
+    G, eps = fit_coefficient_matrix(evaluate_grid(d, phi_nonlinear, exp.box))
     assert eps < 1e-8
     np.testing.assert_allclose(G, np.hstack([np.zeros((2, 2)), exp.params.Ts**2 * np.eye(2)]), atol=1e-9)
 
@@ -219,7 +221,7 @@ def test_fit_pendulum_exact_parameters():
 def test_fit_pendulum_perturbed_order_of_magnitude():
     exp = presets.pendulum_experiment(grid_points=5)
     d = make_pendulum_dictionary(exp.params, perturbation=0.1, seed=3)
-    G, eps = fit_coefficient_matrix(d, exp.phi, exp.box)
+    G, eps = fit_coefficient_matrix(evaluate_grid(d, exp.phi, exp.box))
     # the full map includes a window-linear part outside the span, so the
     # residual lands above the reported reference level but within its decade
     assert 0.12893 <= eps <= 12.893
@@ -231,7 +233,7 @@ def test_fit_singular_gram_raises():
         1, 1, funcs=[lambda u, xi: u[0], lambda u, xi: 2.0 * u[0]]
     )
     with pytest.raises(SingularGramError):
-        fit_coefficient_matrix(d, lambda U, XI: U, unit_box(1, 1, grid=9))
+        fit_coefficient_matrix(evaluate_grid(d, lambda U, XI: U, unit_box(1, 1, grid=9)))
 
 
 def test_fit_is_least_squares_minimum():
@@ -242,7 +244,7 @@ def test_fit_is_least_squares_minimum():
     def phi_b(U, XI):
         return phi(U, XI)
 
-    G, eps = fit_coefficient_matrix(d, phi_b, box)
+    G, eps = fit_coefficient_matrix(evaluate_grid(d, phi_b, box))
     U, XI = box.grid()
     PSI = d.value_batch(U, XI)
     PHI = phi_b(U, XI)
@@ -267,7 +269,7 @@ def test_eps_monotone_under_nested_dictionaries():
     eps_values = []
     for r in (1, 2, 3):
         d = CustomDictionary(1, 2, funcs=funcs[:r])
-        _, eps = fit_coefficient_matrix(d, phi, box)
+        _, eps = fit_coefficient_matrix(evaluate_grid(d, phi, box))
         eps_values.append(eps)
     assert eps_values[0] >= eps_values[1] >= eps_values[2]
     assert eps_values[2] < 1e-8
@@ -279,12 +281,16 @@ def test_eps_monotone_under_nested_dictionaries():
 
 
 def test_lipschitz_linear_function():
-    K = estimate_lipschitz(lambda U, XI: 2.0 * XI[:, [0]], unit_box(1, 2, grid=15))
+    box = unit_box(1, 2, grid=15)
+    U, XI = box.grid()
+    K = estimate_lipschitz(2.0 * XI[:, [0]], box)
     np.testing.assert_allclose(K, 2.0, rtol=1e-9)
 
 
 def test_lipschitz_constant_function():
-    K = estimate_lipschitz(lambda U, XI: np.ones((U.shape[0], 1)), unit_box(1, 1, grid=9))
+    box = unit_box(1, 1, grid=9)
+    U, XI = box.grid()
+    K = estimate_lipschitz(np.ones((U.shape[0], 1)), box)
     assert K == 0.0
 
 
@@ -292,22 +298,24 @@ def test_lipschitz_sine_refines_to_one():
     box_coarse = OperatingBox([-1], [1], [-np.pi / 2], [np.pi / 2], grid_points=5)
     box_fine = OperatingBox([-1], [1], [-np.pi / 2], [np.pi / 2], grid_points=201)
     f = lambda U, XI: np.sin(XI[:, [0]])
-    K_coarse = estimate_lipschitz(f, box_coarse)
-    K_fine = estimate_lipschitz(f, box_fine)
+    K_coarse = estimate_lipschitz(f(*box_coarse.grid()), box_coarse)
+    K_fine = estimate_lipschitz(f(*box_fine.grid()), box_fine)
     assert K_coarse <= K_fine <= 1.0
     np.testing.assert_allclose(K_fine, 1.0, atol=1e-3)
 
 
 def test_noise_gain_zero_noise_skipped():
-    gain = estimate_noise_gain(lambda U, XI: XI, unit_box(1, 2, grid=5), 0.0)
+    f = lambda U, XI: XI
+    grid = evaluate_grid(IdentityDictionary(1, 2), f, unit_box(1, 2, grid=5))
+    gain = estimate_noise_gain(f, grid, 0.0)
     assert gain == 0.0
 
 
 def test_noise_gain_linear_map():
     # f(xi) = 3 xi_1: corner perturbations give exactly 3 w* / w* = 3
-    gain = estimate_noise_gain(
-        lambda U, XI: 3.0 * XI[:, [0]], unit_box(1, 2, grid=4), w_star=0.05
-    )
+    f = lambda U, XI: 3.0 * XI[:, [0]]
+    grid = evaluate_grid(IdentityDictionary(1, 2), f, unit_box(1, 2, grid=4))
+    gain = estimate_noise_gain(f, grid, w_star=0.05)
     np.testing.assert_allclose(gain, 3.0, rtol=1e-9)
 
 
@@ -321,9 +329,10 @@ def test_norm_bound_constant_dictionary_tight():
     box = OperatingBox([0.0], [1.0], [0.0], [1.0], grid_points=10)
     d = CustomDictionary(1, 1, funcs=[lambda u, xi: 1.0])
     c = -3.7
-    bound = coefficient_norm_bound(d, box, v_star=abs(c))
+    grid = evaluate_grid(d, lambda U, XI: np.full((U.shape[0], 1), c), box)
+    bound = coefficient_norm_bound(grid, v_star=abs(c))
     np.testing.assert_allclose(bound, abs(c), rtol=1e-12)
-    G, _ = fit_coefficient_matrix(d, lambda U, XI: np.full((U.shape[0], 1), c), box)
+    G, _ = fit_coefficient_matrix(grid)
     assert bound >= np.max(np.sum(np.abs(G), axis=1)) - 1e-12
 
 
@@ -338,7 +347,7 @@ def test_norm_bound_orthonormal_dictionary():
     PSI = d.value_batch(U, XI)
     v_star = 2.0
     expected = v_star * 1.0 * np.sum(np.abs(PSI)) * box.cell_volume()
-    bound = coefficient_norm_bound(d, box, v_star)
+    bound = coefficient_norm_bound(evaluate_grid(d, lambda U, XI: U, box), v_star)
     np.testing.assert_allclose(bound, expected, rtol=1e-2)
 
 
@@ -351,13 +360,14 @@ def test_norm_bound_dominates_fit_on_shared_dictionaries():
     exp = presets.pendulum_experiment(grid_points=5)
     cases.append((make_pendulum_dictionary(exp.params, 0.1, 3), exp.phi, exp.box))
     for d, phi_fn, box in cases:
-        G, _ = fit_coefficient_matrix(d, phi_fn, box)
+        grid = evaluate_grid(d, phi_fn, box)
+        G, _ = fit_coefficient_matrix(grid)
         U, XI = box.grid()
         PHI = np.atleast_2d(phi_fn(U, XI))
         if PHI.shape[0] != U.shape[0]:
             PHI = PHI.T
         v_star = float(np.max(np.abs(PHI)))
-        bound = coefficient_norm_bound(d, box, v_star)
+        bound = coefficient_norm_bound(grid, v_star)
         oracle = float(np.max(np.sum(np.abs(G), axis=1)))
         assert bound >= oracle - 1e-9, (d.name, bound, oracle)
 
@@ -416,3 +426,102 @@ def test_certificate_right_inverse_consistency():
     assert cert.g_dagger_norm_inf <= cert.g_dagger_inf_bound + 1e-9
     assert cert.g_inf_bound >= cert.g_norm_inf - 1e-9
     assert cert.eps_star > 0 and cert.k_xi > 0 and cert.k_psi > 0 and cert.k_w > 0
+
+
+# ---------------------------------------------------------------------------
+# one grid evaluation, blocked corner sweep
+# ---------------------------------------------------------------------------
+
+
+def _coupled_phi(U, XI):
+    """Two channels that depend on the state nonlinearly, ``(P, 2)``."""
+    return np.stack([U[:, 0] + np.sin(XI[:, 0]) * XI[:, 1], U[:, 1] * XI[:, 2] ** 2], axis=1)
+
+
+def _certificate_case(name):
+    """``(dictionary, phi, box, degrees, w_star, seed)`` of one case."""
+    if name == "pendulum_reference":
+        exp = presets.pendulum_experiment()
+        d = exp.dictionary(perturbation=0.1, seed=3)
+        return d, exp.phi, exp.box, exp.structure.degrees, 0.01, 3
+    if name.startswith("flat"):
+        _, st, phi, _, d = presets.flat_toy_setup()
+        box = OperatingBox([-3.0], [3.0], [-1.0] * 2, [1.0] * 2, grid_points=9)
+        shaped = {
+            "flat": phi,
+            "flat_phi_P": lambda U, XI: phi(U, XI)[:, 0],
+            "flat_phi_mP": lambda U, XI: phi(U, XI).T,
+        }[name]
+        return d, shaped, box, st.degrees, 0.01, None
+    if name == "chain":
+        _, st, phi, _, d = presets.chain_toy_setup()
+        box = OperatingBox([-5.0] * 2, [5.0] * 2, [-1.0] * 3, [1.0] * 3, grid_points=7)
+        return d, phi, box, st.degrees, 0.01, None
+    if name.startswith("coupled"):
+        box = unit_box(2, 3, grid=7)
+        phi = _coupled_phi if name == "coupled_phi_Pm" else (lambda U, XI: _coupled_phi(U, XI).T)
+        return IdentityDictionary(2, 3), phi, box, (1, 2), 0.02, None
+    if name == "bilinear_max_in_last_block":
+        # |u| is largest on the last grid rows, and so is the noise gain
+        box = OperatingBox([0.0], [2.0], [-1.0] * 2, [1.0] * 2, grid_points=26)
+        phi = lambda U, XI: U * XI[:, :1]
+        return IdentityDictionary(1, 2), phi, box, (2,), 0.05, None
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [
+        ("pendulum_reference", None),  # 117,649 rows: 7 full blocks and a partial one
+        ("flat", None),  # 729 rows, fewer than one block
+        ("flat_phi_P", None),
+        ("flat_phi_mP", None),
+        ("chain", None),  # 16,807 rows: one full block and a partial one
+        ("coupled_phi_Pm", None),
+        ("coupled_phi_mP", None),
+        ("coupled_phi_mP", 16_805),  # a last block of m = 2 rows
+        ("coupled_phi_mP", 16_806),  # a last block of one row
+        ("bilinear_max_in_last_block", None),  # 17,576 rows
+    ],
+)
+def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
+    """One grid evaluation and the blocked corner sweep give the separate
+    passes' certificate bit for bit (``tests/reference_certificate.py``)."""
+    if block is not None:
+        monkeypatch.setattr(basis, "_CORNER_BLOCK", block)
+    d, phi, box, degrees, w_star, seed = _certificate_case(name)
+    want = reference_certificate.build_certificate(d, phi, box, degrees, w_star=w_star, seed=seed)
+    got = build_certificate(d, phi, box, degrees, w_star=w_star, seed=seed)
+    assert got.to_dict() == want.to_dict()
+    assert got.k_w > 0 or name == "chain"
+
+
+def test_certificate_evaluates_the_grid_once(monkeypatch):
+    """One grid build, one full-grid call of phi and of the dictionary, and
+    corner calls that cover ``2^n`` grids in blocks of at most the block
+    size."""
+    d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
+    builds, phi_rows, psi_rows = [], [], []
+    grid = OperatingBox.grid
+
+    def counted_grid(self):
+        builds.append(self)
+        return grid(self)
+
+    def counted_phi(U, XI):
+        phi_rows.append(len(U))
+        return phi(U, XI)
+
+    def counted_psi(U, XI, value_batch=d.value_batch):
+        psi_rows.append(len(U))
+        return value_batch(U, XI)
+
+    monkeypatch.setattr(OperatingBox, "grid", counted_grid)
+    d.value_batch = counted_psi
+    build_certificate(d, counted_phi, box, degrees, w_star=w_star, seed=seed)
+    P = box.grid_points ** (box.m + box.n)
+    assert len(builds) == 1
+    assert psi_rows == [P]
+    assert phi_rows[0] == P and P not in phi_rows[1:]
+    assert sum(phi_rows[1:]) == 2**box.n * P
+    assert max(phi_rows[1:]) <= basis._CORNER_BLOCK

@@ -2,7 +2,8 @@
 
 ``bench/layers.py`` replaces module attributes where their callers look them
 up at call time (``npc.solve_relaxed_direct``, ``OcpBuilder.build``,
-``OcpBuilder.shifted_guess``, ``solver.solve``, ``solver.minimize``), reads
+``OcpBuilder.shifted_guess``, ``solver.solve``, ``solver.minimize``, the
+certificate entry point and its four estimators), reads
 ``NlpProblem.ls_residual`` to name the solver path, and counts the
 data-driven queries' solver evaluations from their results. A rename would
 silently drop spans from the traced run; this test fails instead. It also
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddnpc import behavior, npc, plant, presets, solver
+from ddnpc import basis, behavior, npc, plant, presets, solver
 from ddnpc.behavior import DataDictionaryBlocks
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -67,3 +68,35 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
         if name.startswith("npc.direct.status.")
     }
     assert statuses == Counter(rec.status for rec in direct)
+
+
+def test_layers_trace_certificate_spans(monkeypatch):
+    """``build_certificate`` calls its estimators by module attribute, so the
+    traced run records one span for each. The dictionary and ``phi`` are
+    evaluated once each on the grid, ``phi`` again at every noise corner."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+    import layers
+
+    _, st, phi, _, d = presets.flat_toy_setup()
+    box = basis.OperatingBox(
+        u_lower=[-3.0], u_upper=[3.0], xi_lower=[-1.0] * 2, xi_upper=[1.0] * 2, grid_points=9
+    )
+    tracer = harness.Tracer(enabled=True)
+    with contextlib.ExitStack() as stack:
+        layers.install(tracer, stack)
+        cert = basis.build_certificate(
+            layers.dictionary(tracer, d), layers.phi(tracer, phi), box,
+            degrees=st.degrees, w_star=0.01,
+        )
+    assert cert.k_w > 0
+    recorded = set(tracer.names)
+    for span in (
+        "basis.certificate", "basis.fit", "basis.lipschitz",
+        "basis.noise_gain", "basis.norm_bound",
+    ):
+        assert span in recorded, span
+    # the grid is smaller than one corner block, so each corner call has the
+    # grid's row count too and counts as a grid pass
+    assert tracer.counts["basis.grid_passes"] == 2 + 2**box.n
+    assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9**3

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -147,7 +150,27 @@ def test_npc_run_reruns_identical_but_for_solve_times(tmp_path):
     summaries = [json.loads((run / "summary.json").read_text()) for run in runs]
     for summary in summaries:
         assert summary.pop("solve_ms").keys() == {"p50", "p95", "max"}
+        assert summary["blas_threads"] == int(os.environ["OPENBLAS_NUM_THREADS"])
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("given, pinned", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_before_numpy_loads(given, pinned):
+    """Importing the entry point sets every BLAS thread variable to one before
+    numpy loads, and keeps a count the caller set."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    script = (
+        "import os, sys, ddnpc; loaded = 'numpy' in sys.modules; import ddnpc.cli; "
+        "print(loaded, *(os.environ[v] for v in ddnpc.cli._THREAD_VARS))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["False", pinned, "1", "1"]
 
 
 def test_npc_run_without_solves_has_no_solve_statistics(tmp_path):
