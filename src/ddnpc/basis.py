@@ -326,16 +326,20 @@ class PendulumModelDictionary(BasisDictionary):
         return np.column_stack([U, a1, a2])
 
     def jacobian_batch(self, U, XI):
-        return self.value_and_jacobian_batch(U, XI)[1]
+        return self._kernel_pass(U, XI)[1]
 
     def value_and_jacobian_batch(self, U, XI):
         """Values and partials from one kernel pass; the accelerations are
         those ``value_batch`` computes, bit for bit."""
+        (a1, a2), J = self._kernel_pass(U, XI)
+        return np.column_stack([U, a1, a2]), J
+
+    def _kernel_pass(self, U, XI):
         a1, a2, _, D = _plant._window_accelerations(self.estimates, U, XI, partials=True)
         J = np.zeros((U.shape[0], 4, 6))
         J[:, 0, 0] = J[:, 1, 1] = 1.0
         J[:, 2:] = D
-        return np.column_stack([U, a1, a2]), J
+        return (a1, a2), J
 
 
 def make_pendulum_dictionary(
@@ -593,10 +597,6 @@ class ApproximationCertificate:
                 "right-inverse norm exceeds its singular-value bound; "
                 "certificate inconsistent"
             )
-
-    @property
-    def g_matrix(self) -> np.ndarray:
-        return np.asarray(self.g_hat, dtype=float)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -71,7 +70,6 @@ class DataDictionaryBlocks:
     H_y: list
     pe_ok: bool
     pe_sigma_min: float
-    noisy: bool
 
     @property
     def columns(self) -> int:
@@ -88,7 +86,6 @@ class DataDictionaryBlocks:
         traj: Trajectory,
         horizon: int,
         use_noisy: bool = False,
-        pe_order_extra: Optional[int] = None,
     ) -> "DataDictionaryBlocks":
         xi_seq = traj.xi_noisy if use_noisy else traj.xi
         outputs = traj.outputs_noisy if use_noisy else traj.outputs
@@ -104,7 +101,7 @@ class DataDictionaryBlocks:
             build_hankel(Sequence(y), horizon + d).entries
             for y, d in zip(outputs, traj.structure.degrees)
         ]
-        order = horizon + (pe_order_extra if pe_order_extra is not None else traj.structure.n)
+        order = horizon + traj.structure.n
         if N >= order:
             pe = is_persistently_exciting(feat_seq, order)
             pe_ok, pe_sigma = pe.is_pe, pe.sigma_min
@@ -120,7 +117,6 @@ class DataDictionaryBlocks:
             H_y=H_y,
             pe_ok=pe_ok,
             pe_sigma_min=pe_sigma,
-            noisy=use_noisy,
         )
 
     @cached_property
@@ -271,29 +267,93 @@ class MatchingResult:
     clamped: bool = False
 
 
-def feature_jacobian_scatter(col_of: np.ndarray, r: int):
-    """Index arrays that scatter a dictionary jacobian of shape ``(K, r, q)``
-    into the ``(K * r, columns)`` jacobian of the stacked features.
+class WindowFeatures:
+    """Feature rows of a window ``c = [v; fixed]`` with free samples ``v``.
 
-    ``col_of[k, j]`` is the column that argument ``j`` at step ``k`` feeds,
-    -1 where it feeds none. Returns ``(rows, cols, src)`` for
-    ``out[rows, cols] = jac.reshape(-1)[src]``; no column may appear twice
-    in one step, so that each target entry gets at most one value.
+    The dictionary argument at window step ``k`` is ``(c[u_idx[k]],
+    c[xi_idx[k]])``, and ``h = [psi; c[lin_idx]]`` stacks the features of
+    every step over the window entries the rows take linearly. The rows are
+    ``R @ (h - offset)`` and their jacobian in ``v`` is ``R_psi @ dpsi + R_lin
+    @ D_lin``, with ``dpsi`` the feature jacobian and ``D_lin`` the constant
+    selection of the free entries of ``c[lin_idx]``. A new point gets values
+    and partials from one dictionary pass; the solvers ask for the jacobian at
+    the point they last evaluated, so the partials are kept for it and
+    scattered into ``dpsi`` only when asked.
     """
-    k, j = np.nonzero(col_of >= 0)
-    feature_rows = k[:, None] * r + np.arange(r)
-    src = feature_rows * col_of.shape[1] + j[:, None]
-    return feature_rows.ravel(), np.repeat(col_of[k, j], r), src.ravel()
+
+    def __init__(self, dictionary, u_idx, xi_idx, lin_idx, n_free, R, offset=0.0):
+        self.dictionary = dictionary
+        self.u_idx, self.xi_idx, self.lin_idx = u_idx, xi_idx, lin_idx
+        self.n_free = n_free
+        self.n_psi = dictionary.r * u_idx.shape[0]
+        self.D_lin = (lin_idx[:, None] == np.arange(n_free)).astype(float)
+        self.R, self.offset = R, offset
+        self.R_psi = R[:, : self.n_psi]
+        self.RD_lin = R[:, self.n_psi :] @ self.D_lin
+        # Scatter of the dictionary jacobian (K, r, m + n) into dpsi: argument
+        # j at step k feeds column arg[k, j] when that entry is free. No
+        # column appears twice in one step, so each entry gets one value.
+        arg = np.hstack([u_idx, xi_idx])
+        k, j = np.nonzero(arg < n_free)
+        rows = k[:, None] * dictionary.r + np.arange(dictionary.r)
+        src = rows * arg.shape[1] + j[:, None]
+        self._scatter = rows.ravel(), np.repeat(arg[k, j], dictionary.r), src.ravel()
+        self.fixed = None
+        self._last = None  # [v, h, raw jacobian, dpsi or None] of the latest pass
+
+    def set_fixed(self, fixed):
+        """Set the fixed part of the window; the same ``v`` under other fixed
+        entries has other features."""
+        self.fixed = fixed
+        self._last = None
+
+    def window(self, v):
+        return np.concatenate([v, self.fixed])
+
+    def _evaluate(self, v):
+        if self._last is None or not np.array_equal(self._last[0], v):
+            c = self.window(v)
+            psi, jac = self.dictionary.value_and_jacobian_batch(c[self.u_idx], c[self.xi_idx])
+            self._last = [v.copy(), np.concatenate([psi.reshape(-1), c[self.lin_idx]]), jac, None]
+        return self._last
+
+    def stacked(self, v):
+        """``h`` at ``v``."""
+        return self._evaluate(v)[1]
+
+    def stacked_values(self, v):
+        """``h`` at ``v`` from the dictionary's values alone, not kept."""
+        c = self.window(v)
+        psi = self.dictionary.value_batch(c[self.u_idx], c[self.xi_idx])
+        return np.concatenate([psi.reshape(-1), c[self.lin_idx]])
+
+    def rows(self, v):
+        return self.R @ (self.stacked(v) - self.offset)
+
+    def dpsi(self, v):
+        """Jacobian of the stacked features in ``v``."""
+        last = self._evaluate(v)
+        if last[3] is None:
+            last[3] = np.zeros((self.n_psi, self.n_free))
+            rows, cols, src = self._scatter
+            last[3][rows, cols] = last[2].reshape(-1)[src]
+        return last[3]
+
+    def jacobian(self, v, out=None):
+        """Jacobian of the rows, written into ``out`` when given."""
+        out = np.matmul(self.R_psi, self.dpsi(v), out=out)
+        out += self.RD_lin
+        return out
 
 
-def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
+def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
                 lambda_alpha, eps_star, k_xi, maxiter):
     """Fit a combination vector to a query window with ``L*m`` free samples.
 
     The free samples ``v = V @ alpha`` are the predicted outputs in
     simulation and the inputs in matching. The dictionary argument
-    ``(u_k, xi_k)`` at window step ``k`` is ``c[z_idx[k]]`` with
-    ``c = [v; z_fixed]``. The problem is
+    ``(u_k, xi_k)`` at window step ``k`` is ``(c[u_idx[k]], c[xi_idx[k]])``
+    with ``c = [v; fixed; 1]``. The problem is
 
         min ||H_psi a - psi(v)||^2 + ||S a - s||^2 + lambda_alpha*eps_star*||a||^2
         s.t. V a = v,  H_xi0 a = xi0,
@@ -302,10 +362,10 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     For fixed ``v`` the optimal ``a`` is ``K h`` with ``h = [psi(v); v; 1]``
     and a constant ``K``, and the stacked residual is ``C h`` with a constant
     ``C``. So ``solver.reduced_lsq``, with infinite bounds, runs over ``v``
-    alone on ``R h``, ``R`` the triangle of ``qr(C)``: same cost, gradient
-    and Gauss-Newton matrix. This minimizes over ``a`` exactly when the
-    window the solve settles on is reachable from the data, which is checked
-    at the start and at the returned point.
+    alone on ``R h`` (``WindowFeatures.rows``), ``R`` the triangle of
+    ``qr(C)``: same cost, gradient and Gauss-Newton matrix. This minimizes
+    over ``a`` exactly when the window the solve settles on is reachable from
+    the data, which is checked at the start and at the returned point.
 
     ``V`` and ``S`` are fixed by ``what``, so the pseudo-inverses and the null
     space built from them alone are computed once per ``(what, ridge
@@ -313,7 +373,6 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     """
     from scipy.linalg import null_space
 
-    m = blocks.structure.m
     n_psi, n_v = blocks.H_psi.shape[0], V.shape[0]
     H0 = blocks.xi_block_row(0)
     A = np.vstack([blocks.H_psi, S])
@@ -342,32 +401,10 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     N, E_pinv, G, A_pinv, H0_pinv = factors
     K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
     R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
-    r = blocks.dictionary.r
-    rows, cols, src = feature_jacobian_scatter(np.where(z_idx < n_v, z_idx, -1), r)
-
-    def args(v):
-        z = np.concatenate([v, z_fixed])[z_idx]
-        return z[:, :m], z[:, m:]
-
-    def stack(v, psi):
-        return np.concatenate([psi.reshape(-1), v, [1.0]])
-
-    # (v, features, raw feature jacobian) of the latest evaluation: the solver
-    # asks for the jacobian at the point it last evaluated
-    last = [None]
-
-    def evaluate(v):
-        if last[0] is None or not np.array_equal(last[0][0], v):
-            last[0] = (v.copy(), *blocks.dictionary.value_and_jacobian_batch(*args(v)))
-        return last[0]
-
-    def h_of(v):
-        return stack(v, evaluate(v)[1])
-
-    def jac(v):
-        dpsi = np.zeros((n_psi, n_v))
-        dpsi[rows, cols] = evaluate(v)[2].reshape(-1)[src]
-        return R[:, :n_psi] @ dpsi + R[:, n_psi:-1]
+    core = WindowFeatures(
+        blocks.dictionary, u_idx, xi_idx, np.append(np.arange(n_v), n_v + fixed.size), n_v, R
+    )
+    core.set_fixed(np.append(fixed, 1.0))
 
     def alpha_of(h):
         alpha, e = K @ h, E_h @ h
@@ -382,17 +419,16 @@ def _fit_window(blocks, xi0, V, S, s, z_idx, z_fixed, gain, what,
     # at the previous trajectory, projected back onto the initial state.
     alpha = H0_pinv @ xi0
     for _ in range(4):
-        v = V @ alpha
-        alpha = A_pinv @ (T @ stack(v, blocks.dictionary.value_batch(*args(v))))
+        alpha = A_pinv @ (T @ core.stacked_values(V @ alpha))
         alpha -= H0_pinv @ (H0 @ alpha - xi0)
     v0 = V @ alpha
-    alpha_of(h_of(v0))
+    alpha_of(core.stacked(v0))
 
     unbounded = np.full(n_v, np.inf)
-    res = _solver.reduced_lsq(lambda v: R @ h_of(v), jac, v0, -unbounded, unbounded, maxiter, 1e-14)
-    h = h_of(res.x)
-    f = R @ h
-    gnorm = float(np.max(np.abs(2.0 * (jac(res.x).T @ f))))
+    res = _solver.reduced_lsq(core.rows, core.jacobian, v0, -unbounded, unbounded, maxiter, 1e-14)
+    h = core.stacked(res.x)
+    f = core.rows(res.x)
+    gnorm = float(np.max(np.abs(2.0 * (core.jacobian(res.x).T @ f))))
     if gnorm > 1e-4 * max(1.0, float(f @ f)):
         raise ConvergenceError(f"data-driven {what} solve stalled", gnorm)
     alpha = alpha_of(h)
@@ -456,14 +492,13 @@ def simulate_data_driven(
         np.concatenate([L * m + off + np.arange(d), i * L + np.arange(L)])
         for i, (off, d) in enumerate(zip(st.channel_offsets(), st.degrees))
     ]
-    xi_idx = window_states(y_idx, st).data[:L].astype(int)
-    u_idx = L * m + n + np.arange(L * m).reshape(L, m)
     fit = _fit_window(
         blocks, xi0,
         V=np.vstack([Hy[d:] for Hy, d in zip(blocks.H_y, st.degrees)]),
         S=blocks.xi_block_row(0), s=xi0,
-        z_idx=np.hstack([u_idx, xi_idx]),
-        z_fixed=np.concatenate([xi0, u_new.reshape(-1)]),
+        u_idx=L * m + n + np.arange(L * m).reshape(L, m),
+        xi_idx=window_states(y_idx, st).data[:L].astype(int),
+        fixed=np.concatenate([xi0, u_new.reshape(-1)]),
         gain=g_row_norm, what="simulation",
         lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
     )
@@ -505,10 +540,9 @@ def match_output_data_driven(
         blocks, xi_bar[0],
         V=blocks.H_u,
         S=blocks.H_xi, s=xi_bar.reshape(-1),
-        z_idx=np.hstack([
-            np.arange(L * m).reshape(L, m), L * m + np.arange(L * n).reshape(L, n)
-        ]),
-        z_fixed=xi_bar[:L].reshape(-1),
+        u_idx=np.arange(L * m).reshape(L, m),
+        xi_idx=L * m + np.arange(L * n).reshape(L, n),
+        fixed=xi_bar[:L].reshape(-1),
         gain=g_row_norm + 1.0, what="output-matching",
         lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
     )

@@ -189,8 +189,8 @@ class Experiment:
         seed = int(data_cfg.get("seed", 0))
         if self.plant_name == "double_pendulum":
             defaults = dict(
-                ref_low=np.array([-0.6, 0.05]),
-                ref_high=np.array([0.95, 1.15]),
+                ref_low=np.array(presets.PENDULUM_REF_LOW),
+                ref_high=np.array(presets.PENDULUM_REF_HIGH),
                 u_low=self.box.u_lower,
                 u_high=self.box.u_upper,
             )
@@ -203,10 +203,9 @@ class Experiment:
             return plant.PendulumPdPolicy(params=self.params, seed=seed, **defaults)
         K = pol.get("K")
         if K is None:
-            K = {
-                "lti_toy": [[0.2, 0.4, 0.0], [0.0, 0.0, 0.3]],
-                "scalar_flat": [[0.25, 0.55]],
-            }[self.plant_name]
+            K = {"lti_toy": presets.CHAIN_TOY_GAIN, "scalar_flat": presets.FLAT_TOY_GAIN}[
+                self.plant_name
+            ]
         return plant.StateFeedbackDitherPolicy(
             K=np.asarray(K, dtype=float),
             dither=float(pol.get("dither", 0.6)),

@@ -38,7 +38,7 @@ from .plant import BrunovskyStructure, NoiseModel, PlantModel, window_states
 from .behavior import (
     DataDictionaryBlocks,
     ErrorBoundInputs,
-    feature_jacobian_scatter,
+    WindowFeatures,
     prediction_error_bound,
 )
 from . import solver as _solver
@@ -146,7 +146,7 @@ class OcpSpec:
 
 @dataclass
 class OcpDecision:
-    """Unpacked solution of one receding-horizon problem (absolute units)."""
+    """Solution or guess of one receding-horizon problem (absolute units)."""
 
     alpha: np.ndarray
     u_bar: np.ndarray                 # (L + d_max, m); row 0 is time -d_max
@@ -173,13 +173,17 @@ class OcpDecision:
 
 class OcpBuilder:
     """Caches the index maps and Hankel blocks of one problem family: the
-    packed decision layout, the pins a measured history sets, and the guesses
-    and warm starts. Its reduced form (``reduced_form``) poses the problem on
+    window layout, the pins a measured history sets, and the guesses and
+    warm starts. Its reduced form (``reduced_form``) poses the problem on
     the free window slots.
 
-    A packed decision vector holds the combination vector, the input window
-    (time-major), the output windows (channel by channel) and, in robust
-    mode, the feature slack."""
+    A window is one vector ``c = [zf; fixed]``. ``zf`` holds the free input
+    slots (time-major), then the free output slots (channel-major); ``fixed``
+    holds the input history, then per channel the output history and the
+    terminal samples. ``u_idx`` (``(L + d_max, m)``), ``y_idx`` (channel
+    ``i``: ``L + d_max + d_i`` entries) and ``xi_idx`` (``(L + d_max + 1,
+    n)``) index the input window, the output windows and the window states
+    in ``c``."""
 
     def __init__(self, spec: OcpSpec):
         self.spec = spec
@@ -192,39 +196,26 @@ class OcpBuilder:
         self.M = spec.blocks.columns
         self.has_sigma = spec.mode == "robust"
 
-        m, n, r, Lp = self.m, self.n, self.r, self.Lp
-        self.n_u = Lp * m
+        m, r, L, Lp, d_max = self.m, self.r, self.L, self.Lp, self.d_max
         self.y_lens = [Lp + d for d in self.degrees]
-        self.n_y = sum(self.y_lens)
-        self.n_sigma = r * Lp if self.has_sigma else 0
-        self.dim = self.M + self.n_u + self.n_y + self.n_sigma
-
-        self.off_u = self.M
-        self.off_y = self.off_u + self.n_u
-        self.off_s = self.off_y + self.n_y
-        self.y_offsets = np.cumsum([0] + self.y_lens[:-1]) + self.off_y
-
-        # Window-state gather: xi_flat[j] = z[XI_COLS[j]] for states 0..Lp.
-        off_n = st.channel_offsets()
-        cols = np.empty(n * (Lp + 1), dtype=int)
-        for k in range(Lp + 1):
-            for i, d in enumerate(self.degrees):
-                for j in range(d):
-                    cols[k * n + off_n[i] + j] = self.y_offsets[i] + k + j
-        self.XI_COLS = cols
-
-        # Stage-cost gathers (prediction times 0..L-1).
-        self.U_STAGE = self.off_u + (np.arange(self.d_max * m, Lp * m))
-        ys = np.empty((self.L, m), dtype=int)
-        for i in range(m):
-            ys[:, i] = self.y_offsets[i] + self.d_max + np.arange(self.L)
-        self.Y_STAGE = ys
+        self.n_free = 2 * L * m
+        self.u_idx = np.vstack(
+            [self.n_free + np.arange(d_max * m).reshape(d_max, m), np.arange(L * m).reshape(L, m)]
+        )
+        self.y_idx = []
+        start = self.n_free + d_max * m
+        for i, d in enumerate(self.degrees):
+            pinned = start + np.arange(d_max + d)
+            start += d_max + d
+            free = L * (m + i) + np.arange(L)
+            self.y_idx.append(np.concatenate([pinned[:d_max], free, pinned[d_max:]]))
+        self.xi_idx = window_states(self.y_idx, st).data.astype(int)
 
         # Canonical decision count: combination vector, both windows, and the
         # feature slack.
-        self.audit_count = self.M + self.n_u + self.n_y + r * Lp
+        self.audit_count = self.M + Lp * m + sum(self.y_lens) + r * Lp
         N = self.M + Lp - 1
-        expected = N + (2 * m + r - 1) * Lp + n + 1
+        expected = N + (2 * m + r - 1) * Lp + self.n + 1
         assert self.audit_count == expected, (self.audit_count, expected)
 
         self.H_psi = spec.blocks.H_psi
@@ -235,75 +226,63 @@ class OcpBuilder:
         # and window states do.
         self.alpha_s = self._setpoint_alpha() if self.has_sigma else np.zeros(self.M)
 
-    # -- decision packing -------------------------------------------------
+    # -- window layout -----------------------------------------------------
 
-    def u_of(self, z: np.ndarray) -> np.ndarray:
-        return z[self.off_u : self.off_u + self.n_u].reshape(self.Lp, self.m)
+    def pins(self, history_u: np.ndarray, history_y: np.ndarray):
+        """``(lo, hi, fixed)`` for one measured history: the bounds on the
+        free slots (the input box, and the output box when the spec has one)
+        and the fixed part of the window, the history and the terminal
+        samples at the setpoint."""
+        spec, L = self.spec, self.L
+        history_y = np.asarray(history_y, dtype=float).reshape(self.d_max, self.m)
+        unboxed = np.full(self.m, np.inf)
+        y_min = -unboxed if spec.y_min is None else spec.y_min
+        y_max = unboxed if spec.y_max is None else spec.y_max
+        lo = np.concatenate([np.tile(spec.u_min, L), np.repeat(y_min, L)])
+        hi = np.concatenate([np.tile(spec.u_max, L), np.repeat(y_max, L)])
+        fixed = np.concatenate(
+            [np.asarray(history_u, dtype=float).reshape(-1)]
+            + [
+                np.concatenate([history_y[:, i], np.full(d, spec.y_setpoint[i])])
+                for i, d in enumerate(self.degrees)
+            ]
+        )
+        return lo, hi, fixed
 
-    def y_of(self, z: np.ndarray) -> list:
-        return [
-            z[self.y_offsets[i] : self.y_offsets[i] + self.y_lens[i]]
-            for i in range(self.m)
-        ]
+    def free_slots(self, decision: OcpDecision) -> np.ndarray:
+        """``zf`` of a decision: its free input slots, then its free output
+        slots."""
+        d, Lp = self.d_max, self.Lp
+        return np.concatenate([decision.u_bar[d:].reshape(-1), *(y[d:Lp] for y in decision.y_bar)])
 
-    def sigma_of(self, z: np.ndarray) -> Optional[np.ndarray]:
-        if not self.has_sigma:
-            return None
-        return z[self.off_s : self.off_s + self.n_sigma]
-
-    def xi_flat(self, z: np.ndarray) -> np.ndarray:
-        return z[self.XI_COLS]
-
-    def pack(self, alpha, u_bar, y_bar, sigma_psi=None) -> np.ndarray:
-        z = np.zeros(self.dim)
-        z[: self.M] = alpha
-        z[self.off_u : self.off_u + self.n_u] = np.asarray(u_bar).reshape(-1)
-        for i in range(self.m):
-            z[self.y_offsets[i] : self.y_offsets[i] + self.y_lens[i]] = y_bar[i]
-        if self.has_sigma and sigma_psi is not None:
-            z[self.off_s : self.off_s + self.n_sigma] = sigma_psi
-        return z
-
-    def unpack(self, z: np.ndarray) -> OcpDecision:
-        alpha = z[: self.M]
-        sigma_psi = self.sigma_of(z)
+    def decision(self, alpha, u_bar, y_bar, sigma_psi=None) -> OcpDecision:
+        """The decision with combination vector ``alpha`` and windows
+        ``u_bar`` and ``y_bar``, read into copies through the window ``c``. A
+        robust decision carries the feature slack ``sigma_psi``, zero when
+        None, and the state slack ``H_xi alpha - xi``; a nominal one carries
+        no slack."""
+        c = np.empty(self.u_idx.size + sum(self.y_lens))
+        c[self.u_idx] = u_bar
+        for idx, y in zip(self.y_idx, y_bar):
+            c[idx] = y
+        alpha = np.array(alpha, dtype=float)
+        xi_bar = c[self.xi_idx]
         sigma_xi = None
-        if self.has_sigma:
-            sigma_xi = self.H_xi @ alpha - self.xi_flat(z)
+        if not self.has_sigma:
+            sigma_psi = None
+        else:
+            sigma_psi = np.zeros(self.r * self.Lp) if sigma_psi is None else np.array(sigma_psi)
+            sigma_xi = self.H_xi @ alpha - xi_bar.reshape(-1)
         return OcpDecision(
-            alpha=alpha.copy(),
-            u_bar=self.u_of(z).copy(),
-            y_bar=[y.copy() for y in self.y_of(z)],
-            sigma_psi=None if sigma_psi is None else sigma_psi.copy(),
+            alpha=alpha,
+            u_bar=c[self.u_idx],
+            y_bar=[c[idx] for idx in self.y_idx],
+            sigma_psi=sigma_psi,
             sigma_xi=sigma_xi,
-            xi_bar=self.xi_flat(z).reshape(self.Lp + 1, self.n),
+            xi_bar=xi_bar,
         )
 
     # -- problem assembly --------------------------------------------------
-
-    def _bounds(self, history_u: np.ndarray, history_y: np.ndarray):
-        """Bounds on the packed vector: the input box, the output box when the
-        spec has one, and the history and terminal pins (equal bounds). The
-        combination vector and the slack are unbounded."""
-        spec = self.spec
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        u_lo = np.tile(spec.u_min, self.Lp)
-        u_hi = np.tile(spec.u_max, self.Lp)
-        u_lo[: self.d_max * self.m] = history_u.reshape(-1)
-        u_hi[: self.d_max * self.m] = history_u.reshape(-1)
-        lo[self.off_u : self.off_u + self.n_u] = u_lo
-        hi[self.off_u : self.off_u + self.n_u] = u_hi
-        for i in range(self.m):
-            o = self.y_offsets[i]
-            if spec.y_min is not None:
-                lo[o + self.d_max : o + self.Lp] = spec.y_min[i]
-                hi[o + self.d_max : o + self.Lp] = spec.y_max[i]
-            lo[o : o + self.d_max] = history_y[:, i]
-            hi[o : o + self.d_max] = history_y[:, i]
-            lo[o + self.Lp : o + self.y_lens[i]] = spec.y_setpoint[i]
-            hi[o + self.Lp : o + self.y_lens[i]] = spec.y_setpoint[i]
-        return lo, hi
 
     def reduced_form(self):
         """The mode's problem on the free window slots. A robust mode with a
@@ -315,17 +294,17 @@ class OcpBuilder:
             return _RelaxedDirect(self)
         return _NominalCore(self)
 
-    def build(self, history_u: np.ndarray, history_y: np.ndarray, z0=None):
+    def build(self, history_u: np.ndarray, history_y: np.ndarray, guess=None):
         """The mode's constrained problem for one measured history, posed by a
         fresh ``reduced_form()``. That form is not kept, so a caller that
         needs the decision (a closed loop, say) keeps a reduced form and calls
         its ``build`` and ``unpack``.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
-        and measured outputs, oldest first; ``z0`` is a packed guess, the cold
-        start when None.
+        and measured outputs, oldest first; ``guess`` is an ``OcpDecision``
+        that starts the solve, the cold start when None.
         """
-        return self.reduced_form().build(history_u, history_y, z0)
+        return self.reduced_form().build(history_u, history_y, guess)
 
     # -- guesses and warm starts -------------------------------------------
 
@@ -349,7 +328,7 @@ class OcpBuilder:
         y_bar = [np.full(n, spec.y_setpoint[i]) for i, n in enumerate(self.y_lens)]
         return self._fit_window(u_bar, y_bar)[0]
 
-    def initial_guess(self, history_u, history_y) -> np.ndarray:
+    def initial_guess(self, history_u, history_y) -> OcpDecision:
         """Cold-start guess: ramp the outputs to the setpoint, hold the input
         setpoint, and fit the combination vector to that trajectory."""
         spec = self.spec
@@ -365,9 +344,9 @@ class OcpBuilder:
             y_bar.append(y)
         alpha, g = self._fit_window(u_bar, y_bar)
         sigma = self.H_psi @ alpha - g[: self.H_psi.shape[0]] if self.has_sigma else None
-        return self.pack(alpha, u_bar, y_bar, sigma)
+        return self.decision(alpha, u_bar, y_bar, sigma)
 
-    def shifted_guess(self, decision: OcpDecision, shift: int) -> np.ndarray:
+    def shifted_guess(self, decision: OcpDecision, shift: int) -> OcpDecision:
         """Warm start from ``decision`` advanced ``shift`` steps: the input and
         output windows move forward with the setpoint padded at the tail, the
         combination vector is refitted to the shifted window by the
@@ -378,53 +357,37 @@ class OcpBuilder:
             np.concatenate([y[shift:], np.full(shift, spec.y_setpoint[i])])
             for i, y in enumerate(decision.y_bar)
         ]
-        return self.pack(self._fit_window(u_bar, y_bar)[0], u_bar, y_bar)
+        return self.decision(self._fit_window(u_bar, y_bar)[0], u_bar, y_bar)
 
 
 class _WindowRestriction:
-    """The problem restricted to its free columns, the input and output slots
-    of the prediction window.
+    """The problem restricted to the free window slots ``zf``.
 
-    The history and terminal pins are constants taken from the builder's
-    bounds, and the stage cost is ``||J_stage @ zf - b_stage||^2`` on the free
-    slots ``zf``. The rest of the problem depends on ``zf`` only through
+    The history and terminal pins are the fixed part of the window
+    (``OcpBuilder.pins``), and the stage cost is ``||J_stage @ zf -
+    b_stage||^2``. The rest of the problem depends on ``zf`` only through
     ``g``, the features and window states stacked, and each mode makes it
     affine in ``g`` with two constant maps: ``P``, with ``alpha = alpha_s + P
     @ (g - g_s)``, and ``T``, whose image of ``g - g_s`` is the mode's own
-    rows. ``alpha_s`` is the builder's ridge anchor and ``g_s = [H_psi; H_xi]
-    @ alpha_s``. ``build`` poses the mode's problem for the AL solver and
-    ``unpack`` takes a solution back to a decision.
+    rows (``features.rows``). ``alpha_s`` is the builder's ridge anchor and
+    ``g_s = [H_psi; H_xi] @ alpha_s``. ``build`` poses the mode's problem for
+    the AL solver and ``unpack`` takes a solution back to a decision.
     """
 
     def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
         self.b = builder
         spec = builder.spec
-        m, L, Lp, n, r = builder.m, builder.L, builder.Lp, builder.n, builder.r
-
-        # Reduced vector: the free input slots (time-major), then the free
-        # output slots (channel-major); cols[j] is the builder column of entry j.
-        self.cols = np.concatenate([builder.U_STAGE, builder.Y_STAGE.T.reshape(-1)])
-        self.dim = self.cols.size
-        pos = np.full(builder.dim, -1)
-        pos[self.cols] = np.arange(self.dim)
-        # Reduced column of each window-state entry, -1 where it is pinned.
-        self.y_state_cols = pos[builder.XI_COLS]
-        self.D_xi = (self.y_state_cols[:, None] == np.arange(self.dim)).astype(float)
-
+        m, L = builder.m, builder.L
+        self.dim = builder.n_free
         self.P = P
         self.alpha_s = builder.alpha_s
         self.g_s = np.concatenate([builder.H_psi @ self.alpha_s, builder.H_xi @ self.alpha_s])
-        n_psi = r * Lp
         self.T = T
-        self.T_psi = T[:, :n_psi]
-        self.TD_xi = T[:, n_psi:] @ self.D_xi
-
-        # Scatter of the dictionary jacobian (Lp, r, m + n) into d psi / d zf:
-        # col_of[k, j] is the reduced column that partial j at window time k
-        # feeds, -1 where that slot is pinned.
-        u_cols = builder.off_u + np.arange(Lp * m).reshape(Lp, m)
-        col_of = pos[np.hstack([u_cols, builder.XI_COLS[: Lp * n].reshape(Lp, n)])]
-        self._scatter = feature_jacobian_scatter(col_of, r)
+        # g = [psi(c[u_idx], c[xi_idx]); c[xi_idx]] on the window c = [zf; fixed]
+        self.features = WindowFeatures(
+            spec.blocks.dictionary, builder.u_idx, builder.xi_idx[: builder.Lp],
+            builder.xi_idx.reshape(-1), self.dim, T, self.g_s,
+        )
 
         # Stage rows: the input rows of every prediction time, then the output
         # rows, each the Cholesky factor of its weight on that time's slots.
@@ -437,77 +400,24 @@ class _WindowRestriction:
         self.b_stage = np.concatenate(
             [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
         )
-        self._z_pinned = None
-        # [zf, psi, xi_flat, raw jacobian, dpsi or None] of the latest
-        # dictionary evaluation
-        self._last = None
 
     def set_history(self, hist_u, hist_y):
-        b = self.b
-        lo, hi = b._bounds(
-            np.asarray(hist_u, dtype=float).reshape(b.d_max, b.m),
-            np.asarray(hist_y, dtype=float).reshape(b.d_max, b.m),
-        )
-        self.lo, self.hi = lo[self.cols], hi[self.cols]
-        self._z_pinned = np.where(lo == hi, lo, 0.0)
-        # the same reduced point under another history has other features
-        self._last = None
+        self.lo, self.hi, fixed = self.b.pins(hist_u, hist_y)
+        self.features.set_fixed(fixed)
 
-    def _start(self, history_u, history_y, z0):
-        """Set the history and return the packed guess ``z0``, the builder's
-        cold start when it is None."""
+    def _start(self, history_u, history_y, guess):
+        """Set the history and return ``guess``, the builder's cold start when
+        it is None."""
         b = self.b
         history_u = np.asarray(history_u, dtype=float).reshape(b.d_max, b.m)
         history_y = np.asarray(history_y, dtype=float).reshape(b.d_max, b.m)
         self.set_history(history_u, history_y)
-        if z0 is None:
-            z0 = b.initial_guess(history_u, history_y)
-        return z0
-
-    def _embed(self, zf):
-        """Builder decision vector with the free slots set to ``zf`` and the
-        pins to the history and setpoint; combination vector and slack zero."""
-        z = self._z_pinned.copy()
-        z[self.cols] = zf
-        return z
-
-    def _pieces(self, zf, need_jac):
-        """Features, window states and, if asked, the feature jacobian at
-        ``zf``. A new point gets values and partials from one dictionary
-        pass; the solvers ask for the jacobian at the point they last
-        evaluated, so it is scattered there from the kept partials."""
-        b = self.b
-        if self._last is None or not np.array_equal(self._last[0], zf):
-            z = self._embed(zf)
-            xi_flat = b.xi_flat(z)
-            psi, jpsi = b.spec.blocks.dictionary.value_and_jacobian_batch(
-                b.u_of(z), xi_flat.reshape(b.Lp + 1, b.n)[: b.Lp]
-            )
-            self._last = [zf.copy(), psi.reshape(-1), xi_flat, jpsi, None]
-        _, psi, xi_flat, jpsi, dpsi = self._last
-        if not need_jac:
-            return psi, xi_flat, None
-        if dpsi is None:
-            dpsi = np.zeros((b.r * b.Lp, self.dim))
-            rows, cols, src = self._scatter
-            dpsi[rows, cols] = jpsi.reshape(-1)[src]
-            self._last[4] = dpsi
-        return psi, xi_flat, dpsi
+        if guess is None:
+            guess = b.initial_guess(history_u, history_y)
+        return guess
 
     def stage_residual(self, zf):
         return self.J_stage @ zf - self.b_stage
-
-    def mapped(self, zf):
-        """The mode's rows, ``T @ (g - g_s)``."""
-        psi, xi_flat, _ = self._pieces(zf, False)
-        return self.T @ (np.concatenate([psi, xi_flat]) - self.g_s)
-
-    def mapped_jacobian(self, zf, out=None):
-        """``T_psi @ dpsi + TD_xi``, written into ``out`` when given."""
-        _, _, dpsi = self._pieces(zf, True)
-        out = np.matmul(self.T_psi, dpsi, out=out)
-        out += self.TD_xi
-        return out
 
     def unpack(self, x: np.ndarray) -> OcpDecision:
         """The decision at ``x``: the free slots, followed by the combination
@@ -516,13 +426,14 @@ class _WindowRestriction:
         closes the feature rows."""
         b = self.b
         zf = x[: self.dim]
-        psi, xi_flat, _ = self._pieces(zf, False)
+        g = self.features.stacked(zf)
         if x.size > self.dim:
             alpha = x[self.dim :]
         else:
-            alpha = self.alpha_s + self.P @ (np.concatenate([psi, xi_flat]) - self.g_s)
-        z = self._embed(zf)
-        return b.unpack(b.pack(alpha, b.u_of(z), b.y_of(z), b.H_psi @ alpha - psi))
+            alpha = self.alpha_s + self.P @ (g - self.g_s)
+        c = self.features.window(zf)
+        psi = g[: self.features.n_psi]
+        return b.decision(alpha, c[b.u_idx], [c[idx] for idx in b.y_idx], b.H_psi @ alpha - psi)
 
 
 class _RelaxedDirect(_WindowRestriction):
@@ -549,7 +460,7 @@ class _RelaxedDirect(_WindowRestriction):
         if spec.mode != "robust" or spec.slack_bound() <= 0:
             raise ValueError("direct solve needs robust mode with a positive slack bound")
         M, n_psi = builder.M, builder.r * builder.Lp
-        n_xi = builder.XI_COLS.size
+        n_xi = builder.xi_idx.size
 
         # Ridge elimination of the combination vector: for fixed windows,
         # alpha minimizes lam_s*||Hs a - g||^2 + ra^2*||a - a_s||^2 with
@@ -575,23 +486,23 @@ class _RelaxedDirect(_WindowRestriction):
         super().__init__(builder, P, np.linalg.qr(C, mode="r"))
 
     def residual(self, zf):
-        return np.concatenate([self.stage_residual(zf), self.mapped(zf)])
+        return np.concatenate([self.stage_residual(zf), self.features.rows(zf)])
 
     def jacobian(self, zf):
         n_stage = self.J_stage.shape[0]
         J = np.empty((n_stage + self.T.shape[0], self.dim))
         J[:n_stage] = self.J_stage
-        self.mapped_jacobian(zf, out=J[n_stage:])
+        self.features.jacobian(zf, out=J[n_stage:])
         return J
 
-    def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
+    def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
         """The bound-active problem for one measured history. Once the bound
         is active the ridge map no longer gives the best combination vector,
         so the variables are the free slots followed by the combination
         vector. The residual is the stage rows, the ridge rows ``ra * (alpha
         - alpha_s)`` and the slack rows ``rs * sigma``, with ``sigma = Hs @
         alpha - g`` (the feature slack, then the state slack); the bound is
-        the inequality rows ``|sigma_j| <= bound``. ``z0`` is a packed guess,
+        the inequality rows ``|sigma_j| <= bound``. ``guess`` is a decision,
         as for ``OcpBuilder.build``, its combination vector included.
 
         The exact-mode bound grows with ``||alpha||_1``. The rows take it at
@@ -601,8 +512,8 @@ class _RelaxedDirect(_WindowRestriction):
         paper's bound."""
         spec = self.b.spec
         nf, M = self.dim, self.b.M
-        z0 = self._start(history_u, history_y, z0)
-        s = np.sign(z0[:M])
+        guess = self._start(history_u, history_y, guess)
+        s = np.sign(guess.alpha)
         Hs = self.Hs
         n_stage = self.J_stage.shape[0]
         J = np.zeros((n_stage + M + Hs.shape[0], nf + M))
@@ -612,12 +523,11 @@ class _RelaxedDirect(_WindowRestriction):
         dbound = spec.slack_gain * s  # d bound / d alpha
 
         def sigma(x):
-            psi, xi_flat, _ = self._pieces(x[:nf], False)
-            return Hs @ x[nf:] - np.concatenate([psi, xi_flat])
+            return Hs @ x[nf:] - self.features.stacked(x[:nf])
 
         def dg(x):
             """Jacobian of ``g`` in the free slots."""
-            return np.vstack([self._pieces(x[:nf], True)[2], self.D_xi])
+            return np.vstack([self.features.dpsi(x[:nf]), self.features.D_lin])
 
         def residual(x):
             return np.concatenate(
@@ -639,7 +549,7 @@ class _RelaxedDirect(_WindowRestriction):
 
         return _solver.NlpProblem(
             dim=nf + M,
-            x0=np.concatenate([z0[self.cols], z0[:M]]),
+            x0=np.concatenate([self.b.free_slots(guess), guess.alpha]),
             lower=np.concatenate([self.lo, np.full(M, -np.inf)]),
             upper=np.concatenate([self.hi, np.full(M, np.inf)]),
             ls_residual=residual,
@@ -676,25 +586,24 @@ class _NominalCore(_WindowRestriction):
         N = np.linalg.svd(self.Hs)[0][:, rank:]
         super().__init__(builder, builder.pinv_stack, N.T)
 
-    def build(self, history_u, history_y, z0=None) -> _solver.NlpProblem:
-        """Solver-ready problem for one measured history; ``z0`` is a packed
-        guess, as for ``OcpBuilder.build``."""
+    def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
+        """Solver-ready problem for one measured history; ``guess`` is a
+        decision, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
             dim=self.dim,
-            x0=self._start(history_u, history_y, z0)[self.cols],
+            x0=self.b.free_slots(self._start(history_u, history_y, guess)),
             lower=self.lo,
             upper=self.hi,
             ls_residual=self.stage_residual,
             ls_jacobian=lambda zf: self.J_stage,
-            eq_residual=self.mapped,
-            eq_jacobian=self.mapped_jacobian,
+            eq_residual=self.features.rows,
+            eq_jacobian=self.features.jacobian,
         )
 
     def violation(self, zf) -> float:
         """``||Hs alpha - g||_inf`` of the decision at ``zf``: its equality
         violation, the pins and bounds being exact."""
-        psi, xi_flat, _ = self._pieces(zf, False)
-        g = np.concatenate([psi, xi_flat])
+        g = self.features.stacked(zf)
         alpha = self.alpha_s + self.P @ (g - self.g_s)
         return float(np.max(np.abs(self.Hs @ alpha - g)))
 
@@ -703,7 +612,7 @@ def solve_relaxed_direct(
     builder,
     history_u,
     history_y,
-    z0: Optional[np.ndarray] = None,
+    guess: Optional[OcpDecision] = None,
     maxiter: int = 60,
 ):
     """Solve the robust problem with its slack bound dropped, by slack and
@@ -711,7 +620,7 @@ def solve_relaxed_direct(
 
     ``builder`` is an ``OcpBuilder`` or its ``_RelaxedDirect`` form; a closed
     loop passes the form it owns, so that the form is set up once per loop.
-    ``z0`` is a packed guess, as for ``OcpBuilder.build``; its free input and
+    ``guess`` is a decision, as for ``OcpBuilder.build``; its free input and
     output slots start the solve. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
     the optimum (when it does not, the caller must fall back to the bounded
@@ -725,7 +634,7 @@ def solve_relaxed_direct(
     ``maxiter`` bounds the solver's residual evaluations.
     """
     direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
-    zf0 = direct._start(history_u, history_y, z0)[direct.cols]
+    zf0 = direct.b.free_slots(direct._start(history_u, history_y, guess))
     res = _solver.reduced_lsq(
         direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter, 1e-10
     )
@@ -902,10 +811,9 @@ def run_closed_loop(
                     path = "direct"
                 else:
                     # slack bound active: solve the bounded problem from here
-                    start = builder.pack(decision.alpha, decision.u_bar, decision.y_bar)
-                    decision = None
+                    start, decision = decision, None
             if decision is None:
-                report = _solver.solve(form.build(hist_u, hist_y, z0=start), opts)
+                report = _solver.solve(form.build(hist_u, hist_y, guess=start), opts)
                 decision = form.unpack(report.x)
                 status, objective, iterations = report.status, report.objective, report.iterations
                 max_violation = form.violation(report.x)
@@ -924,7 +832,7 @@ def run_closed_loop(
                     np.concatenate([hist_y[:, i], np.full(n_y - d_max, spec.y_setpoint[i])])
                     for i, n_y in enumerate(builder.y_lens)
                 ]
-                decision = builder.unpack(builder.pack(builder.alpha_s, u_bar, y_bar))
+                decision = builder.decision(builder.alpha_s, u_bar, y_bar)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
         accept = status == "converged" or max_violation <= 1e-5

@@ -503,13 +503,10 @@ class NoiseModel:
 
     w_star: float = 0.0
     seed: int = 0
-    distribution: str = "uniform"
 
     def __post_init__(self):
         if self.w_star < 0:
             raise ValueError("noise bound must be non-negative")
-        if self.distribution != "uniform":
-            raise ValueError(f"unknown noise distribution '{self.distribution}'")
 
     def samples(self, steps: int, channels: int) -> np.ndarray:
         if self.w_star == 0.0:

@@ -15,6 +15,13 @@ import numpy as np
 
 from . import basis, behavior, npc, plant
 
+# Data-collection policies: the pendulum's reference range (rad, per joint)
+# and the state-feedback gains of the two toys.
+PENDULUM_REF_LOW = (-0.6, 0.05)
+PENDULUM_REF_HIGH = (0.95, 1.15)
+FLAT_TOY_GAIN = ((0.25, 0.55),)
+CHAIN_TOY_GAIN = ((0.2, 0.4, 0.0), (0.0, 0.0, 0.3))
+
 
 @dataclass
 class PendulumExperiment:
@@ -33,8 +40,8 @@ class PendulumExperiment:
     def policy(self, seed: int) -> plant.PendulumPdPolicy:
         return plant.PendulumPdPolicy(
             params=self.params,
-            ref_low=np.array([-0.6, 0.05]),
-            ref_high=np.array([0.95, 1.15]),
+            ref_low=np.array(PENDULUM_REF_LOW),
+            ref_high=np.array(PENDULUM_REF_HIGH),
             u_low=self.box.u_lower,
             u_high=self.box.u_upper,
             seed=seed,
@@ -140,7 +147,7 @@ def flat_toy_setup(N: int = 60, seed: int = 2):
     and clean offline data; the workhorse of the nominal-scheme tests."""
     toy, structure, phi = plant.make_scalar_flat()
     policy = plant.StateFeedbackDitherPolicy(
-        K=np.array([[0.25, 0.55]]), dither=0.6, seed=seed
+        K=np.array(FLAT_TOY_GAIN), dither=0.6, seed=seed
     )
     traj = plant.collect_offline_data(
         toy, policy, N, structure, plant.NoiseModel()
@@ -179,7 +186,7 @@ def chain_toy_setup(N: int = 80, seed: int = 4):
     dictionary (everything linear, exactly representable)."""
     toy, structure, phi = plant.make_chain_lti()
     policy = plant.StateFeedbackDitherPolicy(
-        K=np.array([[0.2, 0.4, 0.0], [0.0, 0.0, 0.3]]), dither=0.7, seed=seed
+        K=np.array(CHAIN_TOY_GAIN), dither=0.7, seed=seed
     )
     traj = plant.collect_offline_data(toy, policy, N, structure, plant.NoiseModel())
     dictionary = basis.InputDictionary(m=2, n=3)

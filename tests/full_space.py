@@ -1,7 +1,7 @@
 """The receding-horizon problem in full space: the reference the reduced forms
 are checked against.
 
-The decision is the builder's packed vector (combination vector, input
+The decision is a packed vector (``Packed``: combination vector, input
 window, output windows and, in robust mode, the feature slack), with the
 feature equality as a nonlinear equality. Nominal mode adds the state
 equality ``H_xi alpha = xi``; relaxed robust mode penalizes the derived state
@@ -18,29 +18,86 @@ import numpy as np
 from ddnpc import solver
 
 
-def _sigma_xi_jacobian(builder):
+class Packed:
+    """The packed decision vector of one builder: the combination vector,
+    the input window (time-major), the output windows (channel by channel)
+    and, in robust mode, the feature slack."""
+
+    def __init__(self, builder):
+        self.b = builder
+        M, Lp, m = builder.M, builder.Lp, builder.m
+        self.off_u = M
+        self.off_y = M + Lp * m
+        self.y_offsets = np.cumsum([0] + builder.y_lens[:-1]) + self.off_y
+        self.off_s = self.off_y + sum(builder.y_lens)
+        self.n_sigma = builder.r * Lp if builder.has_sigma else 0
+        self.dim = self.off_s + self.n_sigma
+        # column of each window entry c = [zf; fixed]
+        col = np.empty(builder.u_idx.size + sum(builder.y_lens), dtype=int)
+        col[builder.u_idx] = self.off_u + np.arange(Lp * m).reshape(Lp, m)
+        for i, y in enumerate(builder.y_idx):
+            col[y] = self.y_offsets[i] + np.arange(y.size)
+        self.window_cols = col
+        self.xi_cols = col[builder.xi_idx].reshape(-1)
+        self.u_stage = col[: builder.L * m]
+        self.y_stage = col[builder.L * m : builder.n_free].reshape(m, builder.L).T
+
+    def pack(self, decision) -> np.ndarray:
+        b = self.b
+        z = np.zeros(self.dim)
+        z[: b.M] = decision.alpha
+        z[self.off_u : self.off_y] = decision.u_bar.reshape(-1)
+        for o, y in zip(self.y_offsets, decision.y_bar):
+            z[o : o + y.size] = y
+        if self.n_sigma and decision.sigma_psi is not None:
+            z[self.off_s :] = decision.sigma_psi
+        return z
+
+    def unpack(self, z):
+        b = self.b
+        y_bar = [z[o : o + n] for o, n in zip(self.y_offsets, b.y_lens)]
+        sigma = z[self.off_s :] if self.n_sigma else None
+        u_bar = z[self.off_u : self.off_y].reshape(b.Lp, b.m)
+        return b.decision(z[: b.M], u_bar, y_bar, sigma)
+
+    def bounds(self, history_u, history_y):
+        """The builder's pins on the packed vector: the boxes on the free
+        slots, the history and terminal pins as equal bounds. The combination
+        vector and the slack are unbounded."""
+        lo_f, hi_f, fixed = self.b.pins(history_u, history_y)
+        nf = self.b.n_free
+        lo = np.full(self.dim, -np.inf)
+        hi = np.full(self.dim, np.inf)
+        lo[self.window_cols[:nf]], hi[self.window_cols[:nf]] = lo_f, hi_f
+        lo[self.window_cols[nf:]] = hi[self.window_cols[nf:]] = fixed
+        return lo, hi
+
+
+def _sigma_xi_jacobian(packed):
     """Constant jacobian of the derived state slack ``H_xi alpha - xi``."""
-    nrow = builder.H_xi.shape[0]
-    J = np.zeros((nrow, builder.dim))
-    J[:, : builder.M] = builder.H_xi
-    J[np.arange(nrow), builder.XI_COLS] -= 1.0
+    b = packed.b
+    nrow = b.H_xi.shape[0]
+    J = np.zeros((nrow, packed.dim))
+    J[:, : b.M] = b.H_xi
+    J[np.arange(nrow), packed.xi_cols] -= 1.0
     return J
 
 
-def ls_form(builder):
+def ls_form(packed):
     """``(J, b)`` with the cost ``||J z - b||^2``."""
+    builder = packed.b
     spec = builder.spec
-    m, dim = builder.m, builder.dim
+    m, dim = builder.m, packed.dim
     L_R = np.linalg.cholesky(spec.R).T
     L_Q = np.linalg.cholesky(spec.Q).T
     rows, rhs = [], []
     for k in range(builder.L):
         Ju = np.zeros((m, dim))
-        Ju[:, builder.U_STAGE[k * m : (k + 1) * m]] = L_R
+        Ju[:, packed.u_stage[k * m : (k + 1) * m]] = L_R
         rows.append(Ju)
         rhs.append(L_R @ spec.u_setpoint)
         Jy = np.zeros((m, dim))
-        Jy[:, builder.Y_STAGE[k]] = L_Q
+        Jy[:, packed.y_stage[k]] = L_Q
         rows.append(Jy)
         rhs.append(L_Q @ spec.y_setpoint)
     if builder.has_sigma:
@@ -50,37 +107,38 @@ def ls_form(builder):
         rows.append(Ja)
         rhs.append(ra * builder.alpha_s)
         rs = math.sqrt(spec.lambda_sigma)
-        Js = np.zeros((builder.n_sigma, dim))
-        Js[:, builder.off_s : builder.off_s + builder.n_sigma] = rs * np.eye(builder.n_sigma)
+        Js = np.zeros((packed.n_sigma, dim))
+        Js[:, packed.off_s :] = rs * np.eye(packed.n_sigma)
         rows.append(Js)
-        rhs.append(np.zeros(builder.n_sigma))
-        rows.append(rs * _sigma_xi_jacobian(builder))
+        rhs.append(np.zeros(packed.n_sigma))
+        rows.append(rs * _sigma_xi_jacobian(packed))
         rhs.append(np.zeros(builder.H_xi.shape[0]))
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def problem(builder, history_u, history_y, z0=None):
+def problem(builder, history_u, history_y, guess=None):
     """The full-space problem for one measured history, nominal or relaxed
-    robust mode; ``z0`` is a packed guess, the builder's cold start when
-    None."""
+    robust mode; ``guess`` is a decision that starts the solve, the builder's
+    cold start when None."""
     spec = builder.spec
     if spec.mode == "robust" and spec.slack_mode != "relaxed":
         raise ValueError("the full-space reference covers nominal and relaxed robust mode")
+    packed = Packed(builder)
     history_u = np.asarray(history_u, dtype=float).reshape(builder.d_max, builder.m)
     history_y = np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m)
-    lo, hi = builder._bounds(history_u, history_y)
-    if z0 is None:
-        z0 = builder.initial_guess(history_u, history_y)
-    J, b = ls_form(builder)
-    A = _sigma_xi_jacobian(builder)
+    lo, hi = packed.bounds(history_u, history_y)
+    if guess is None:
+        guess = builder.initial_guess(history_u, history_y)
+    J, b = ls_form(packed)
+    A = _sigma_xi_jacobian(packed)
     bound = spec.c_slack * spec.slack_level if builder.has_sigma else 0.0
     if builder.has_sigma:
-        lo[builder.off_s : builder.off_s + builder.n_sigma] = -bound
-        hi[builder.off_s : builder.off_s + builder.n_sigma] = bound
+        lo[packed.off_s :] = -bound
+        hi[packed.off_s :] = bound
 
     def features(z, need_jac):
-        u = builder.u_of(z)
-        xi = builder.xi_flat(z)[: builder.Lp * builder.n].reshape(builder.Lp, builder.n)
+        u = z[packed.off_u : packed.off_y].reshape(builder.Lp, builder.m)
+        xi = z[packed.xi_cols][: builder.Lp * builder.n].reshape(builder.Lp, builder.n)
         dic = spec.blocks.dictionary
         return dic.value_batch(u, xi), dic.jacobian_batch(u, xi) if need_jac else None
 
@@ -88,20 +146,20 @@ def problem(builder, history_u, history_y, z0=None):
         psi, _ = features(z, False)
         c = psi.reshape(-1) - builder.H_psi @ z[: builder.M]
         if builder.has_sigma:
-            c = c + builder.sigma_of(z)
+            c = c + z[packed.off_s :]
         return c
 
     def feature_jacobian(z):
         _, jpsi = features(z, True)
         m, n, r = builder.m, builder.n, builder.r
-        Jc = np.zeros((r * builder.Lp, builder.dim))
+        Jc = np.zeros((r * builder.Lp, packed.dim))
         Jc[:, : builder.M] = -builder.H_psi
         for k in range(builder.Lp):
             rows = slice(k * r, (k + 1) * r)
-            Jc[rows, builder.off_u + k * m : builder.off_u + (k + 1) * m] = jpsi[k, :, :m]
-            Jc[rows, builder.XI_COLS[k * n : (k + 1) * n]] = jpsi[k, :, m:]
+            Jc[rows, packed.off_u + k * m : packed.off_u + (k + 1) * m] = jpsi[k, :, :m]
+            Jc[rows, packed.xi_cols[k * n : (k + 1) * n]] = jpsi[k, :, m:]
         if builder.has_sigma:
-            Jc[:, builder.off_s : builder.off_s + builder.n_sigma] = np.eye(builder.n_sigma)
+            Jc[:, packed.off_s :] = np.eye(packed.n_sigma)
         return Jc
 
     eq_residual, eq_jacobian = feature_residual, feature_jacobian
@@ -118,8 +176,8 @@ def problem(builder, history_u, history_y, z0=None):
             ineq_jacobian=lambda z: np.vstack([A, -A]),
         )
     return solver.NlpProblem(
-        dim=builder.dim,
-        x0=np.clip(z0, lo, hi),
+        dim=packed.dim,
+        x0=np.clip(packed.pack(guess), lo, hi),
         lower=lo,
         upper=hi,
         ls_residual=lambda z: J @ z - b,

@@ -269,8 +269,9 @@ def test_nominal_stability_and_recursive_feasibility():
         hist_u = np.vstack([hist_u[1:], [u_apply]])
         hist_y = np.vstack([hist_y[1:], [y_meas]])
         candidate = builder.shifted_guess(decision, 1)
-        nxt = full_space.problem(builder, hist_u, hist_y, z0=candidate)
-        candidate_ok = candidate_ok and full_space.constraint_violation(nxt, candidate) <= 1e-6
+        nxt = full_space.problem(builder, hist_u, hist_y, guess=candidate)
+        z = full_space.Packed(builder).pack(candidate)
+        candidate_ok = candidate_ok and full_space.constraint_violation(nxt, z) <= 1e-6
         xi_trace.append(np.max(np.abs(plant.window_states(
             [np.array([hist_y[-1, 0], toy.measure(x)[0]])],
             st).data)))

@@ -425,3 +425,21 @@ def test_pendulum_simulation_makes_one_kernel_pass_per_point(pendulum_queries, m
     monkeypatch.setattr(plant, "_window_accelerations", counting)
     sim = behavior.simulate_data_driven(blocks, u, xi0, eps_star=PENDULUM_EPS)
     assert len(calls) <= sim.iterations + 5
+
+
+def test_window_features_is_the_one_dictionary_call_site():
+    """``WindowFeatures`` is where ``src/ddnpc`` asks a dictionary for values
+    and partials together: ``value_and_jacobian_batch`` is named at exactly
+    one site outside its definitions, so the controller's rows and the
+    data-driven queries all evaluate the dictionary through it."""
+    import ast
+    from pathlib import Path
+
+    sites = [
+        (path.name, getattr(top, "name", None))
+        for path in sorted(Path(behavior.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "value_and_jacobian_batch"
+    ]
+    assert sites == [("behavior.py", "WindowFeatures")]

@@ -3,6 +3,7 @@ import pytest
 
 from scipy.optimize import least_squares, lsq_linear
 
+import full_space
 import reference_lsq
 from ddnpc import solver
 from ddnpc.solver import (
@@ -305,7 +306,7 @@ def lsq_cases():
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
     direct.set_history(hu, hy)
-    zf0 = builder.initial_guess(hu, hy)[direct.cols]
+    zf0 = builder.free_slots(builder.initial_guess(hu, hy))
     cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 60,
                                 1e-10)
     return cases
@@ -344,7 +345,7 @@ def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint - drop, (spec.d_max, 1))
     direct.set_history(hu, hy)
-    zf0 = builder.initial_guess(hu, hy)[direct.cols]
+    zf0 = builder.free_slots(builder.initial_guess(hu, hy))
     n_u = builder.L * builder.m
     zf0[:n_u] = direct.lo[:n_u]
     rep = reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000, 1e-10)
@@ -438,8 +439,9 @@ def _toy_builder(y_s):
 def test_shift_all_zero_solution_stays_zero():
     builder = _toy_builder(0.0)
     assert builder.spec.u_setpoint[0] == 0.0
-    prev = builder.unpack(np.zeros(builder.dim))
-    out = builder.unpack(builder.shifted_guess(prev, 2))
+    packed = full_space.Packed(builder)
+    prev = packed.unpack(np.zeros(packed.dim))
+    out = builder.shifted_guess(prev, 2)
     assert not np.any(out.u_bar) and not np.any(out.y_bar[0]) and not np.any(out.sigma_psi)
 
 
@@ -447,9 +449,9 @@ def test_shift_moves_blocks_and_pads():
     builder = _toy_builder(0.3)
     Lp, ny = builder.Lp, builder.y_lens[0]
     u_s, y_s = builder.spec.u_setpoint[0], builder.spec.y_setpoint[0]
-    z = builder.pack(
+    prev = builder.decision(
         np.zeros(builder.M), np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]
     )
-    out = builder.unpack(builder.shifted_guess(builder.unpack(z), 2))
+    out = builder.shifted_guess(prev, 2)
     np.testing.assert_array_equal(out.u_bar[:, 0], [*range(2, Lp), u_s, u_s])
     np.testing.assert_array_equal(out.y_bar[0], [*range(2, ny), y_s, y_s])
