@@ -82,12 +82,12 @@ class OperatingBox:
     def upper(self) -> np.ndarray:
         return np.concatenate([self.u_upper, self.xi_upper])
 
-    def contains(self, u: np.ndarray, xi: np.ndarray, atol: float = 0.0) -> bool:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        ok_u = np.all(u >= self.u_lower - atol) and np.all(u <= self.u_upper + atol)
-        ok_x = np.all(xi >= self.xi_lower - atol) and np.all(xi <= self.xi_upper + atol)
-        return bool(ok_u and ok_x)
+    def contains_rows(self, U: np.ndarray, XI: np.ndarray) -> np.ndarray:
+        """Per row of ``U`` (``(P, m)``) and ``XI`` (``(P, n)``): whether the
+        point lies in the closed box. NaN lies outside."""
+        return np.all((U >= self.u_lower) & (U <= self.u_upper), axis=1) & np.all(
+            (XI >= self.xi_lower) & (XI <= self.xi_upper), axis=1
+        )
 
     def axis_steps(self) -> np.ndarray:
         return (self.upper - self.lower) / self.grid_points
@@ -106,13 +106,6 @@ class OperatingBox:
         """Midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` / ``(P, n)``."""
         mesh = np.meshgrid(*self.grid_axes(), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        return pts[:, : self.m], pts[:, self.m :]
-
-    def random_points(self, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform random points for high-dimensional boxes where the tensor
-        grid is too large."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(self.lower, self.upper, size=(count, self.lower.size))
         return pts[:, : self.m], pts[:, self.m :]
 
 

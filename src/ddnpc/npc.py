@@ -255,16 +255,25 @@ class OcpBuilder:
         d, Lp = self.d_max, self.Lp
         return np.concatenate([decision.u_bar[d:].reshape(-1), *(y[d:Lp] for y in decision.y_bar)])
 
-    def decision(self, alpha, u_bar, y_bar, sigma_psi=None) -> OcpDecision:
-        """The decision with combination vector ``alpha`` and windows
-        ``u_bar`` and ``y_bar``, read into copies through the window ``c``. A
-        robust decision carries the feature slack ``sigma_psi``, zero when
-        None, and the state slack ``H_xi alpha - xi``; a nominal one carries
-        no slack."""
+    def window(self, u_bar, y_bar) -> np.ndarray:
+        """The window ``c`` holding the input window ``u_bar`` and the output
+        windows ``y_bar``."""
         c = np.empty(self.u_idx.size + sum(self.y_lens))
         c[self.u_idx] = u_bar
         for idx, y in zip(self.y_idx, y_bar):
             c[idx] = y
+        return c
+
+    def decision(self, alpha, u_bar, y_bar, sigma_psi=None) -> OcpDecision:
+        """The decision with combination vector ``alpha`` and windows
+        ``u_bar`` and ``y_bar``; see ``window_decision``."""
+        return self.window_decision(alpha, self.window(u_bar, y_bar), sigma_psi)
+
+    def window_decision(self, alpha, c, sigma_psi=None) -> OcpDecision:
+        """The decision with combination vector ``alpha`` and window ``c``,
+        its windows read into copies. A robust decision carries the feature
+        slack ``sigma_psi``, zero when None, and the state slack
+        ``H_xi alpha - xi``; a nominal one carries no slack."""
         alpha = np.array(alpha, dtype=float)
         xi_bar = c[self.xi_idx]
         sigma_xi = None
@@ -313,11 +322,11 @@ class OcpBuilder:
         """Pseudo-inverse of the stacked blocks ``[H_psi; H_xi]``."""
         return np.linalg.pinv(np.vstack([self.H_psi, self.H_xi]))
 
-    def _fit_window(self, u_bar, y_bar):
-        """Pseudo-inverse combination vector of a window, and the stacked
-        features and window states ``[psi; xi]`` it is fitted to."""
-        xi = window_states(y_bar, self.spec.structure).data
-        psi = self.spec.blocks.dictionary.value_batch(u_bar, xi[: self.Lp])
+    def _fit_window(self, c):
+        """Pseudo-inverse combination vector of the window ``c``, and the
+        stacked features and window states ``[psi; xi]`` it is fitted to."""
+        xi = c[self.xi_idx]
+        psi = self.spec.blocks.dictionary.value_batch(c[self.u_idx], xi[: self.Lp])
         g = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
         return self.pinv_stack @ g, g
 
@@ -326,7 +335,7 @@ class OcpBuilder:
         spec = self.spec
         u_bar = np.tile(spec.u_setpoint, (self.Lp, 1))
         y_bar = [np.full(n, spec.y_setpoint[i]) for i, n in enumerate(self.y_lens)]
-        return self._fit_window(u_bar, y_bar)[0]
+        return self._fit_window(self.window(u_bar, y_bar))[0]
 
     def initial_guess(self, history_u, history_y) -> OcpDecision:
         """Cold-start guess: ramp the outputs to the setpoint, hold the input
@@ -342,9 +351,10 @@ class OcpBuilder:
             y[self.d_max : self.d_max + self.L] = ramp
             y[self.d_max + self.L :] = spec.y_setpoint[i]
             y_bar.append(y)
-        alpha, g = self._fit_window(u_bar, y_bar)
+        c = self.window(u_bar, y_bar)
+        alpha, g = self._fit_window(c)
         sigma = self.H_psi @ alpha - g[: self.H_psi.shape[0]] if self.has_sigma else None
-        return self.decision(alpha, u_bar, y_bar, sigma)
+        return self.window_decision(alpha, c, sigma)
 
     def shifted_guess(self, decision: OcpDecision, shift: int) -> OcpDecision:
         """Warm start from ``decision`` advanced ``shift`` steps: the input and
@@ -357,7 +367,8 @@ class OcpBuilder:
             np.concatenate([y[shift:], np.full(shift, spec.y_setpoint[i])])
             for i, y in enumerate(decision.y_bar)
         ]
-        return self.decision(self._fit_window(u_bar, y_bar)[0], u_bar, y_bar)
+        c = self.window(u_bar, y_bar)
+        return self.window_decision(self._fit_window(c)[0], c)
 
 
 class _WindowRestriction:
@@ -433,7 +444,7 @@ class _WindowRestriction:
             alpha = self.alpha_s + self.P @ (g - self.g_s)
         c = self.features.window(zf)
         psi = g[: self.features.n_psi]
-        return b.decision(alpha, c[b.u_idx], [c[idx] for idx in b.y_idx], b.H_psi @ alpha - psi)
+        return b.window_decision(alpha, c, b.H_psi @ alpha - psi)
 
 
 class _RelaxedDirect(_WindowRestriction):

@@ -13,9 +13,10 @@ measured outputs are the two joint angles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -260,49 +261,60 @@ class DoublePendulumParams:
         if min(self.m1, self.m2, self.l1, self.l2) <= 0:
             raise ValueError("masses and lengths must be strictly positive")
 
-    @property
+    @functools.cached_property
     def lc1(self) -> float:
         return self.l1 / 2.0
 
-    @property
+    @functools.cached_property
     def lc2(self) -> float:
         return self.l2 / 2.0
 
-    @property
+    @functools.cached_property
     def I1(self) -> float:
         return self.m1 * self.l1**2 / 12.0
 
-    @property
+    @functools.cached_property
     def I2(self) -> float:
         return self.m2 * self.l2**2 / 12.0
 
+    @functools.cached_property
+    def terms(self) -> "PendulumTerms":
+        """The parameter-only groupings of the rigid-body terms, computed
+        once."""
+        m1, m2, l1, lc1, lc2, g = self.m1, self.m2, self.l1, self.lc1, self.lc2, self.g
+        return PendulumTerms(
+            h=m2 * l1 * lc2,
+            M11_base=m1 * lc1**2 + self.I1,
+            M11_sq=l1**2 + lc2**2,
+            M11_cos=2 * l1 * lc2,
+            M12_base=m2 * lc2**2,
+            M22=m2 * lc2**2 + self.I2,
+            g1=m1 * lc1 * g,
+            m2g=m2 * g,
+            g2=m2 * lc2 * g,
+        )
 
-def inertia_matrix(p: DoublePendulumParams, q2) -> np.ndarray:
-    """Joint-space inertia matrix; depends only on the second joint angle.
 
-    Vectorized over ``q2``: scalar input gives ``(2, 2)``, an array of shape
-    ``(...,)`` gives ``(..., 2, 2)``.
+class PendulumTerms(NamedTuple):
+    """Parameter-only groupings, each rounded as its term of the rigid-body
+    formulas (the inertia matrix ``M(q)``, ``C(q, qd) qd`` and ``G(q)``), so
+    that the closed forms built on them reproduce those formulas bit for bit:
+
+    - ``M11 = M11_base + m2 (M11_sq + M11_cos cos q2) + I2``
+    - ``M12 = h cos q2 + M12_base + I2``, ``M22`` constant
+    - ``C qd = h sin q2 (-qd2 (2 qd1 + qd2), qd1 qd1)``
+    - ``G = (g1 cos q1 + m2g (lc2 cos(q1 + q2) + l1 cos q1), g2 cos(q1 + q2))``
     """
-    q2 = np.asarray(q2, dtype=float)
-    c2 = np.cos(q2)
-    M11 = p.m1 * p.lc1**2 + p.I1 + p.m2 * (p.l1**2 + p.lc2**2 + 2 * p.l1 * p.lc2 * c2) + p.I2
-    M12 = p.m2 * p.l1 * p.lc2 * c2 + p.m2 * p.lc2**2 + p.I2
-    M22 = np.broadcast_to(p.m2 * p.lc2**2 + p.I2, q2.shape)
-    out = np.stack(
-        [np.stack([M11, M12], axis=-1), np.stack([M12, M22], axis=-1)], axis=-2
-    )
-    return out
 
-
-def coriolis_times_velocity(p: DoublePendulumParams, q2, qd1, qd2) -> np.ndarray:
-    """Product ``C(q, qd) qd`` of the velocity-dependent terms, vectorized."""
-    q2, qd1, qd2 = np.broadcast_arrays(
-        np.asarray(q2, dtype=float), np.asarray(qd1, dtype=float), np.asarray(qd2, dtype=float)
-    )
-    h = p.m2 * p.l1 * p.lc2 * np.sin(q2)
-    c1 = -h * qd2 * (2.0 * qd1 + qd2)
-    c2 = h * qd1**2
-    return np.stack([c1, c2], axis=-1)
+    h: float
+    M11_base: float
+    M11_sq: float
+    M11_cos: float
+    M12_base: float
+    M22: float
+    g1: float
+    m2g: float
+    g2: float
 
 
 def gravity_vector(p: DoublePendulumParams, q1, q2) -> np.ndarray:
@@ -325,19 +337,19 @@ def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partia
     """Joint accelerations ``M(q)^-1 (tau - C(q, qd) qd - G(q))`` in closed form.
 
     Elementwise over scalars or arrays of one shape. The terms are those of
-    ``inertia_matrix``, ``coriolis_times_velocity`` and ``gravity_vector``,
-    each rounded as there, so the accelerations equal the stacked-matrix
-    form bit for bit. Returns ``(a1, a2, det)``, ``det`` the
+    ``PendulumTerms``, each rounded as in the stacked inertia matrix and
+    torque vectors, so the accelerations equal the stacked-matrix form bit
+    for bit. Returns ``(a1, a2, det)``, ``det`` the
     determinant of ``M``. With ``partials``, for scalars or columns of length
     ``P``, also ``D`` of shape ``(2, 6)`` or ``(P, 2, 6)``: ``D[..., i, j]``
     is the partial of ``a_i`` w.r.t. argument ``j`` of
     ``(tau1, tau2, q1, qd1, q2, qd2)``.
     """
-    h = p.m2 * p.l1 * p.lc2
+    t = p.terms
+    h, M22 = t.h, t.M22
     c2 = np.cos(q2)
-    M11 = p.m1 * p.lc1**2 + p.I1 + p.m2 * (p.l1**2 + p.lc2**2 + 2 * p.l1 * p.lc2 * c2) + p.I2
-    M12 = h * c2 + p.m2 * p.lc2**2 + p.I2
-    M22 = p.m2 * p.lc2**2 + p.I2
+    M11 = t.M11_base + p.m2 * (t.M11_sq + t.M11_cos * c2) + p.I2
+    M12 = h * c2 + t.M12_base + p.I2
     det = M11 * M22 - M12 * M12
     hs = h * np.sin(q2)
     q12 = q1 + q2
@@ -345,11 +357,11 @@ def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partia
     # r = tau - C qd - G
     r1 = (
         tau1 + hs * qd2 * (2.0 * qd1 + qd2)
-        - (p.m1 * p.lc1 * p.g * cq1 + p.m2 * p.g * (p.lc2 * cq12 + p.l1 * cq1))
+        - (t.g1 * cq1 + t.m2g * (p.lc2 * cq12 + p.l1 * cq1))
     )
     # qd1 * qd1, not qd1**2: on a numpy scalar ** calls pow(), which can
     # differ from the product in the last bit
-    r2 = tau2 - hs * (qd1 * qd1) - p.m2 * p.lc2 * p.g * cq12
+    r2 = tau2 - hs * (qd1 * qd1) - t.g2 * cq12
     a1 = (M22 * r1 - M12 * r2) / det
     a2 = (M11 * r2 - M12 * r1) / det
     if not partials:
@@ -358,10 +370,10 @@ def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partia
     # dependence on q2, -(dM/dq2) a = hs * (2 a1 + a2, a1), added to dr/dq2;
     # then D = M^-1 E, transposed.
     sq1, sq12 = np.sin(q1), np.sin(q12)
-    gs12 = p.m2 * p.lc2 * p.g * sq12
+    gs12 = t.g2 * sq12
     E = np.zeros((6, 2) + np.shape(a1))
     E[0, 0] = E[1, 1] = 1.0
-    E[2, 0] = p.m1 * p.lc1 * p.g * sq1 + p.m2 * p.g * (p.lc2 * sq12 + p.l1 * sq1)
+    E[2, 0] = t.g1 * sq1 + t.m2g * (p.lc2 * sq12 + p.l1 * sq1)
     E[2, 1] = gs12
     E[3, 0] = 2.0 * hs * qd2
     E[3, 1] = -2.0 * hs * qd1
@@ -398,11 +410,11 @@ def step_euler_pendulum(p: DoublePendulumParams, state: np.ndarray, torque: np.n
     inertia matrix is numerically singular.
     """
     x = np.asarray(state, dtype=float).reshape(-1)
-    tau = np.asarray(torque, dtype=float).reshape(-1)
-    q1, qd1, q2, qd2 = x
-    a1, a2, det = _accelerations(p, tau[0], tau[1], q1, qd1, q2, qd2)
+    q1, qd1, q2, qd2 = x.tolist()
+    tau1, tau2 = np.asarray(torque, dtype=float).reshape(-1).tolist()
+    a1, a2, det = _accelerations(p, tau1, tau2, q1, qd1, q2, qd2)
     if abs(det) < 1e-12:
-        raise SingularInertiaError(f"|det M| = {abs(det):.3e} at q2 = {q2!r}")
+        raise SingularInertiaError(f"|det M| = {abs(det):.3e} at q2 = {x[2]!r}")
     return x + p.Ts * np.array([qd1, a1, qd2, a2])
 
 
@@ -431,12 +443,6 @@ def make_double_pendulum(params: Optional[DoublePendulumParams] = None) -> Plant
         return np.array([x[0], x[2]])
 
     return PlantModel(name="double_pendulum", n=4, m=2, step=_step, output=_out)
-
-
-def pendulum_state_to_window(p: DoublePendulumParams, x: np.ndarray) -> np.ndarray:
-    """Window state implied by a physical state: ``(q1, q1 + Ts qd1, q2, q2 + Ts qd2)``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return np.array([x[0], x[0] + p.Ts * x[1], x[2], x[2] + p.Ts * x[3]])
 
 
 # ---------------------------------------------------------------------------
@@ -548,44 +554,63 @@ class PendulumPdPolicy:
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
         self._ref = None
-        self._dither_vec = None
 
     def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
-        q = x[[0, 2]]
-        qd = x[[1, 3]]
+        q1, qd1, q2, qd2 = x.tolist()
         if self._ref is None or k % self.redraw_every == 0:
             # Bounded random walk keeps commanded moves local so joint speeds
             # stay inside the window-state box.
-            base = q if self._ref is None else self._ref
+            base = x[[0, 2]] if self._ref is None else self._ref
             self._ref = np.clip(
                 base + self._rng.uniform(-self.ref_step, self.ref_step, size=2),
                 self.ref_low,
                 self.ref_high,
             )
-        accel = self.kp * (self._ref - q) - self.kd * qd
-        M = inertia_matrix(self.params, q[1])
-        comp = coriolis_times_velocity(self.params, q[1], qd[0], qd[1]) + gravity_vector(
-            self.params, q[0], q[1]
+        r1, r2 = self._ref.tolist()
+        accel = np.array([self.kp * (r1 - q1) - self.kd * qd1, self.kp * (r2 - q2) - self.kd * qd2])
+        # The inertia matrix and the bias torque C(q, qd) qd + G(q) on
+        # scalars, term by term as in _accelerations.
+        p = self.params
+        t = p.terms
+        cq2 = np.cos(q2)
+        M12 = t.h * cq2 + t.M12_base + p.I2
+        M = np.array([[t.M11_base + p.m2 * (t.M11_sq + t.M11_cos * cq2) + p.I2, M12], [M12, t.M22]])
+        hs = t.h * np.sin(q2)
+        cq1, cq12 = np.cos(q1), np.cos(q1 + q2)
+        comp = (
+            -hs * qd2 * (2.0 * qd1 + qd2) + (t.g1 * cq1 + t.m2g * (p.lc2 * cq12 + p.l1 * cq1)),
+            hs * (qd1 * qd1) + t.g2 * cq12,
         )
-        tau = M @ accel + comp
-        if np.any(tau > self.u_high) or np.any(tau < self.u_low):
+        # a matmul on the 2x2 array, as in the stacked form: a BLAS kernel may
+        # round its multiply-adds differently from scalar code
+        Ma = (M @ accel).tolist()
+        tau = [Ma[0] + comp[0], Ma[1] + comp[1]]
+        lo, hi = self.u_low, self.u_high
+        if tau[0] > hi[0] or tau[1] > hi[1] or tau[0] < lo[0] or tau[1] < lo[1]:
             # Saturating one joint torque alone kicks the other joint through
             # the inertia coupling; scale the commanded acceleration instead.
-            Ma = M @ accel
             scale = 1.0
             for i in range(2):
                 if Ma[i] > 0:
-                    scale = min(scale, (self.u_high[i] - comp[i]) / Ma[i])
+                    scale = min(scale, (hi[i] - comp[i]) / Ma[i])
                 elif Ma[i] < 0:
-                    scale = min(scale, (self.u_low[i] - comp[i]) / Ma[i])
-            tau = max(scale, 0.0) * Ma + comp
-        amp = np.broadcast_to(np.asarray(self.dither, dtype=float), (2,)).copy()
+                    scale = min(scale, (lo[i] - comp[i]) / Ma[i])
+            scale = max(scale, 0.0)
+            tau = [scale * Ma[0] + comp[0], scale * Ma[1] + comp[1]]
         # Attenuate the dither near the edge of the angle range so the torque
         # kicks cannot push the one-step-ahead angles out of the box.
-        edge = np.max(np.abs(np.concatenate([q, q + self.params.Ts * qd])))
-        amp = amp * np.clip((self.dither_edge - edge) / 0.5, 0.1, 1.0)
-        tau = tau + self._rng.uniform(-amp, amp)
-        return np.clip(tau, self.u_low, self.u_high)
+        Ts = p.Ts
+        edge = np.abs(np.array([q1, q2, q1 + Ts * qd1, q2 + Ts * qd2])).max()
+        # np.clip on a scalar: NaN stays NaN
+        factor = min(max((self.dither_edge - edge) / 0.5, 0.1), 1.0)
+        d = self.dither
+        d1, d2 = (d, d) if np.ndim(d) == 0 else d
+        amp1, amp2 = float(d1) * factor, float(d2) * factor
+        # one draw per joint with scalar bounds: the values and stream of one
+        # draw with array bounds, at a fraction of its cost
+        tau[0] += self._rng.uniform(-amp1, amp1)
+        tau[1] += self._rng.uniform(-amp2, amp2)
+        return np.clip(np.array(tau), lo, hi)
 
 
 @dataclass
@@ -671,11 +696,10 @@ def collect_offline_data(
     stayed = True
     first_violation = None
     if box is not None:
-        for k in range(N):
-            if not box.contains(u[k], xi.data[k]):
-                stayed = False
-                first_violation = k
-                break
+        inside = box.contains_rows(u, xi.data[:N])
+        stayed = bool(inside.all())
+        if not stayed:
+            first_violation = int(np.argmin(inside))
         if not stayed and strict:
             raise BoxViolationError(
                 f"sample {first_violation} left the operating box"

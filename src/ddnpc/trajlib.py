@@ -112,11 +112,6 @@ class HankelMatrix:
     def shape(self):
         return self.entries.shape
 
-    def block_row(self, i: int) -> np.ndarray:
-        """Rows of block ``i`` (the samples ``z_{i+j}`` across columns ``j``)."""
-        eta = self.source.width
-        return self.entries[i * eta : (i + 1) * eta, :]
-
 
 def build_hankel(seq: Sequence, depth: int) -> HankelMatrix:
     """Hankel matrix of ``seq`` with ``depth`` block rows."""

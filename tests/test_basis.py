@@ -25,6 +25,7 @@ from ddnpc.basis import (
     make_pendulum_dictionary,
     right_inverse_norm_bound,
 )
+from reference_pendulum import coriolis_times_velocity, inertia_matrix, random_points
 
 
 def unit_box(m, n, grid=21):
@@ -58,7 +59,7 @@ def test_pendulum_dictionary_at_zero():
     d = PendulumModelDictionary(est)
     val = d.value(np.zeros(2), np.zeros(4))
     np.testing.assert_array_equal(val[:2], [0.0, 0.0])
-    M0 = plant.inertia_matrix(est, 0.0)
+    M0 = inertia_matrix(est, 0.0)
     g0 = plant.gravity_vector(est, 0.0, 0.0)
     np.testing.assert_allclose(val[2:], -np.linalg.solve(M0, g0), atol=1e-12)
 
@@ -72,8 +73,8 @@ def einsum_pendulum_jacobian(p, U, XI):
     qd1, qd2 = (x2 - x1) / Ts, (x4 - x3) / Ts
     h = p.m2 * p.l1 * p.lc2
     s3, c3, s13 = np.sin(x3), np.cos(x3), np.sin(x1 + x3)
-    W = np.linalg.inv(plant.inertia_matrix(p, x3))
-    rhs = U - plant.coriolis_times_velocity(p, x3, qd1, qd2) - plant.gravity_vector(p, x1, x3)
+    W = np.linalg.inv(inertia_matrix(p, x3))
+    rhs = U - coriolis_times_velocity(p, x3, qd1, qd2) - plant.gravity_vector(p, x1, x3)
     dc_dqd1 = np.stack([-2 * h * s3 * qd2, 2 * h * s3 * qd1], axis=-1)
     dc_dqd2 = np.stack([-2 * h * s3 * (qd1 + qd2), np.zeros(P)], axis=-1)
     dc_dx3 = np.stack([-h * c3 * qd2 * (2 * qd1 + qd2), h * c3 * qd1**2], axis=-1)
@@ -100,7 +101,7 @@ def einsum_pendulum_jacobian(p, U, XI):
 def test_pendulum_jacobian_matches_einsum_formula():
     exp = presets.pendulum_experiment()
     d = exp.dictionary(perturbation=0.1, seed=3)
-    U, XI = exp.box.random_points(3000, seed=8)
+    U, XI = random_points(exp.box, 3000, seed=8)
     G_U, G_XI = exp.box.grid()
     for U, XI in ((3.0 * U, 2.5 * XI), (G_U[::13], G_XI[::13])):
         J = d.jacobian_batch(U, XI)

@@ -5,7 +5,9 @@ up at call time (``npc.solve_relaxed_direct``, ``OcpBuilder.build``,
 ``OcpBuilder.shifted_guess``, ``solver.solve``, ``solver.minimize``, the
 certificate entry point and its four estimators), reads
 ``NlpProblem.ls_residual`` to name the solver path, and counts the
-data-driven queries' solver evaluations from their results. A rename would
+data-driven queries' solver evaluations from their results; it also
+replaces ``plant.collect_offline_data``, which the pendulum experiment's
+data collection calls by module attribute. A rename would
 silently drop spans from the traced run; this test fails instead. It also
 checks that the evaluation counters the traced run reports match the
 results and the closed-loop log.
@@ -100,3 +102,22 @@ def test_layers_trace_certificate_spans(monkeypatch):
     # grid's row count too and counts as a grid pass
     assert tracer.counts["basis.grid_passes"] == 2 + 2**box.n
     assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9**3
+
+
+def test_layers_trace_one_collect_span(monkeypatch):
+    """The pendulum experiment collects through ``plant.collect_offline_data``
+    by module attribute, so a traced collection records one
+    ``plant.collect`` span that covers it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+    import layers
+
+    exp = presets.pendulum_experiment()
+    tracer = harness.Tracer(enabled=True)
+    with contextlib.ExitStack() as stack:
+        layers.install(tracer, stack)
+        traj = exp.collect(0, N=40)
+    assert traj.N == 40
+    assert tracer.names.count("plant.collect") == 1
+    index = tracer.names.index("plant.collect")
+    assert tracer.ends[index] > tracer.starts[index]

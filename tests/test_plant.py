@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_pendulum
 from ddnpc import basis, plant, presets
 from ddnpc.plant import (
     BrunovskyStructure,
@@ -11,19 +12,22 @@ from ddnpc.plant import (
     PlantModel,
     SingularInertiaError,
     collect_offline_data,
-    coriolis_times_velocity,
     equilibrium_torque,
     gravity_vector,
-    inertia_matrix,
     make_chain_lti,
     make_double_pendulum,
     make_scalar_flat,
-    pendulum_state_to_window,
     pendulum_synthetic_input,
     probe_relative_degrees,
     simulate,
     step_euler_pendulum,
     window_states,
+)
+from reference_pendulum import (
+    coriolis_times_velocity,
+    inertia_matrix,
+    pendulum_state_to_window,
+    random_points,
 )
 
 
@@ -99,7 +103,7 @@ def pendulum_points():
     """Random points well outside the operating box, then a slice of the
     certificate grid."""
     exp = presets.pendulum_experiment()
-    U, XI = exp.box.random_points(4000, seed=7)
+    U, XI = random_points(exp.box, 4000, seed=7)
     G_U, G_XI = exp.box.grid()
     return [(3.0 * U, 2.5 * XI), (G_U[::11], G_XI[::11])]
 
@@ -289,17 +293,85 @@ def test_collect_shapes_pendulum():
     assert traj.xi.data.shape == (201, 4)
 
 
-def test_collect_box_violation_strict():
+def flat_toy_in_box(xi_bound, u_bound=10.0):
     toy, st, _ = make_scalar_flat()
     box = basis.OperatingBox(
-        u_lower=[-10], u_upper=[10], xi_lower=[-0.01, -0.01], xi_upper=[0.01, 0.01]
+        u_lower=[-u_bound], u_upper=[u_bound], xi_lower=[-xi_bound] * 2, xi_upper=[xi_bound] * 2
     )
     policy = plant.StateFeedbackDitherPolicy(K=np.array([[0.25, 0.55]]), dither=0.5, seed=1)
-    with pytest.raises(plant.BoxViolationError):
-        collect_offline_data(toy, policy, 30, st, NoiseModel(), box=box, strict=True)
-    traj = collect_offline_data(toy, policy, 30, st, NoiseModel(), box=box, strict=False)
-    assert not traj.stayed_in_box
-    assert traj.first_violation is not None
+    return toy, policy, 30, st, NoiseModel(), box
+
+
+def pendulum_in_box():
+    exp = presets.pendulum_experiment()
+    noise = NoiseModel(w_star=0.01, seed=10_003)
+    return exp.plant_model, exp.policy(3), 200, exp.structure, noise, exp.box
+
+
+def test_collect_box_violation_strict():
+    """The first sample outside the box, against a per-sample check: at the
+    first step off the origin (tight box), at step 3 with later re-entries,
+    and none for the reference pendulum collection. Strict mode names the
+    step, or returns the same data."""
+    for case, expected in (
+        (lambda: flat_toy_in_box(0.01), 1),
+        (lambda: flat_toy_in_box(0.5, u_bound=1.0), 3),
+        (pendulum_in_box, None),
+    ):
+        model, policy, N, st, noise, box = case()
+        traj = collect_offline_data(model, policy, N, st, noise, box=box, strict=False)
+        first = reference_pendulum.first_violation(box, traj)
+        assert first == expected
+        assert traj.first_violation == first
+        assert traj.stayed_in_box == (first is None)
+        model, policy, N, st, noise, box = case()
+        if first is not None:
+            with pytest.raises(plant.BoxViolationError, match=rf"^sample {first} left"):
+                collect_offline_data(model, policy, N, st, noise, box=box, strict=True)
+        else:
+            strict = collect_offline_data(model, policy, N, st, noise, box=box, strict=True)
+            np.testing.assert_array_equal(strict.u, traj.u)
+
+
+def test_collect_matches_stacked_rollout_bitwise():
+    """The closed-form data policy and the batch box check reproduce the
+    stacked-matrix policy and the per-sample check byte for byte."""
+    exp = presets.pendulum_experiment()
+    for w_star in (0.0, 0.01):
+        for seed in range(10):
+            got = exp.collect(seed, w_star=w_star)
+            want = reference_pendulum.stacked_collect(exp, seed, w_star=w_star)
+            for a, b in [
+                (got.u, want.u),
+                *zip(got.outputs, want.outputs),
+                *zip(got.outputs_noisy, want.outputs_noisy),
+                (got.xi.data, want.xi.data),
+                (got.xi_noisy.data, want.xi_noisy.data),
+            ]:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert got.stayed_in_box is want.stayed_in_box
+            assert got.first_violation == want.first_violation
+
+
+def test_pd_policy_matches_stacked_form_bitwise():
+    """Single policy calls, saturated or not, including first-joint speeds
+    whose pow() square differs from the product in the last bit."""
+    exp = presets.pendulum_experiment()
+    rng = np.random.default_rng(22)
+    states = rng.uniform(-4.0, 4.0, (2000, 4))
+    speeds = [v for v in rng.uniform(-4.0, 4.0, 300_000).tolist() if v**2 != v * v]
+    tricky = rng.uniform(-1.5, 1.5, (len(speeds), 4))
+    tricky[:, 1] = speeds
+    states = np.vstack([states, tricky])
+    policy = exp.policy(5)
+    stacked = reference_pendulum.stacked_policy(policy)
+    clipped = 0
+    for k, x in enumerate(states):
+        u = policy(k, x)
+        assert u.tobytes() == stacked(k, x).tobytes()
+        clipped += np.any(np.abs(u) == 20.0)
+    assert 0 < clipped < len(states)
 
 
 def test_origin_equilibrium_check():
