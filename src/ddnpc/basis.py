@@ -102,11 +102,25 @@ class OperatingBox:
             for i in range(self.lower.size)
         ]
 
+    def grid_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The midpoint grid's two factors: its ``(nu, m)`` input rows and
+        ``(nx, n)`` state rows, each with its first axis varying slowest."""
+        axes = self.grid_axes()
+        return _mesh_rows(axes[: self.m]), _mesh_rows(axes[self.m :])
+
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` / ``(P, n)``."""
-        mesh = np.meshgrid(*self.grid_axes(), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        return pts[:, : self.m], pts[:, self.m :]
+        """Midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` / ``(P, n)``,
+        ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a`` with state
+        row ``b`` of ``grid_factors()``."""
+        U_rows, XI_rows = self.grid_factors()
+        return np.repeat(U_rows, len(XI_rows), axis=0), np.tile(XI_rows, (len(U_rows), 1))
+
+
+def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
+    """Every combination of the axes' values, one per row, the first axis
+    varying slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +401,7 @@ def evaluate_along(dictionary: BasisDictionary, u_seq, xi_seq):
 # Grid fitting, Lipschitz estimation and norm bounds
 # ---------------------------------------------------------------------------
 
-# Grid rows per step of the noise-gain corner sweep: phi's temporaries for
-# one block stay in cache across the corners.
+# Grid rows per call of phi: each call's temporaries stay in cache.
 _CORNER_BLOCK = 16_384
 
 
@@ -396,21 +409,49 @@ _CORNER_BLOCK = 16_384
 class GridEvaluation:
     """The dictionary and the true map on the midpoint grid of a box.
 
-    ``PSI`` is ``(P, r)`` and ``PHI`` is ``(P, q)``, rows in ``box.grid()``
-    order. ``phi_transposed`` records that ``phi`` returned ``(q, P)`` (or
-    ``(P,)``), so that its values on part of the grid are read the same way.
-    ``gram`` is the quadrature Gram matrix ``PSI^T PSI * cell_volume`` and
-    ``gram_svals`` its singular values; the fit and the norm bound share both.
+    ``U_rows`` (``(nu, m)``) and ``XI_rows`` (``(nx, n)``) are the grid's two
+    factors, ``box.grid_factors()``. ``PSI`` is ``(P, r)`` and ``PHI`` is
+    ``(P, q)``, ``P = nu * nx``, rows in ``box.grid()`` order. ``gram`` is the
+    quadrature Gram matrix ``PSI^T PSI * cell_volume`` and ``gram_svals`` its
+    singular values; the fit and the norm bound share both.
     """
 
     box: OperatingBox
-    U: np.ndarray
-    XI: np.ndarray
+    U_rows: np.ndarray
+    XI_rows: np.ndarray
     PSI: np.ndarray
     PHI: np.ndarray
-    phi_transposed: bool
     gram: np.ndarray
     gram_svals: np.ndarray
+
+
+def _grid_chunks(nu: int, nx: int):
+    """``(input rows, state rows)`` slice pairs that tile the factored grid,
+    each covering at most ``_CORNER_BLOCK`` grid rows: ``_CORNER_BLOCK // nx``
+    input combinations with every state row, or one input combination with a
+    slice of the state rows where ``nx`` alone exceeds the block."""
+    k = max(1, _CORNER_BLOCK // nx)
+    s = min(nx, _CORNER_BLOCK)
+    for a in range(0, nu, k):
+        for b in range(0, nx, s):
+            yield slice(a, a + k), slice(b, b + s)
+
+
+def _phi_chunk(phi, U_rows: np.ndarray, XI_rows: np.ndarray) -> np.ndarray:
+    """``phi`` at every pair of the given input and state rows, ``(k, s, q)``.
+
+    One call on the factors, ``phi(U_rows[:, None, :], XI_rows[None, :, :])``,
+    so the terms that depend on the state alone are computed once per state
+    row. ``phi`` must work elementwise over broadcast leading axes and return
+    ``(..., q)``; a result that depends on one factor only is broadcast.
+    """
+    out = np.asarray(phi(U_rows[:, None, :], XI_rows[None, :, :]), dtype=float)
+    if out.ndim != 3:
+        raise ValueError(
+            f"phi returned shape {out.shape}; it must return (..., q) over the "
+            "broadcast leading axes of its arguments"
+        )
+    return np.broadcast_to(out, (len(U_rows), len(XI_rows), out.shape[-1]))
 
 
 def evaluate_grid(
@@ -418,17 +459,27 @@ def evaluate_grid(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: OperatingBox,
 ) -> GridEvaluation:
-    """Build the box grid once and evaluate ``dictionary`` and ``phi`` on it
-    once each, with the Gram matrix and its singular values."""
+    """Build the box grid once and evaluate ``dictionary`` and ``phi`` on it,
+    with the Gram matrix and its singular values.
+
+    The dictionary takes the dense grid in one ``value_batch`` call. ``phi``
+    takes the grid's factors, one call per chunk of at most
+    ``_CORNER_BLOCK`` grid rows (``_phi_chunk``); its values are those of one
+    dense call, bit for bit, since ``phi`` is elementwise.
+    """
     U, XI = box.grid()
     PSI = dictionary.value_batch(U, XI)
-    PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
-    transposed = PHI.shape[0] != U.shape[0]
-    if transposed:
-        PHI = PHI.T
+    U_rows, XI_rows = box.grid_factors()
+    PHI = None
+    for inputs, states in _grid_chunks(len(U_rows), len(XI_rows)):
+        chunk = _phi_chunk(phi, U_rows[inputs], XI_rows[states])
+        if PHI is None:
+            PHI = np.empty((len(U_rows), len(XI_rows), chunk.shape[-1]))
+        PHI[inputs, states] = chunk
+    PHI = PHI.reshape(len(U), -1)
     gamma = PSI.T @ PSI * box.cell_volume()
     svals = np.linalg.svd(gamma, compute_uv=False)
-    return GridEvaluation(box, U, XI, PSI, PHI, transposed, gamma, svals)
+    return GridEvaluation(box, U_rows, XI_rows, PSI, PHI, gamma, svals)
 
 
 def fit_coefficient_matrix(grid: GridEvaluation, gram_rtol: float = 1e-8):
@@ -487,11 +538,13 @@ def estimate_noise_gain(
     with sign-corner state perturbations of magnitude ``w*``.
 
     The unperturbed values are ``grid.PHI``. The perturbed ones take one
-    ``phi`` call per corner and block of grid rows, every corner on a block
-    before the next block, so each call's temporaries stay in cache. The
-    maximum does not depend on the order, so the result is the same as one
-    full-grid call per corner. This sweep is most of a certificate's cost:
-    ``2^n`` (at most ``max_corners``) evaluations of ``phi`` on the grid.
+    ``phi`` call per corner and chunk of the factored grid (``_grid_chunks``,
+    ``_phi_chunk``), every corner on a chunk before the next chunk, so each
+    call's temporaries stay in cache and the state-only terms are computed
+    once per state row of a chunk. The maximum does not depend on the order,
+    so the result is the same as one dense full-grid call per corner. This
+    sweep is most of a certificate's cost: ``2^n`` (at most ``max_corners``)
+    evaluations of ``phi`` on the grid.
     """
     if w_star == 0.0:
         return 0.0
@@ -505,14 +558,13 @@ def estimate_noise_gain(
         rng = np.random.default_rng(seed)
         corners = rng.choice([-1.0, 1.0], size=(max_corners, n))
     shifts = [w_star * s for s in corners]
+    nu, nx = len(grid.U_rows), len(grid.XI_rows)
+    PHI = grid.PHI.reshape(nu, nx, -1)
     worst = 0.0
-    for lo in range(0, grid.PHI.shape[0], _CORNER_BLOCK):
-        rows = slice(lo, lo + _CORNER_BLOCK)
-        U, XI, base = grid.U[rows], grid.XI[rows], grid.PHI[rows]
+    for inputs, states in _grid_chunks(nu, nx):
+        U_rows, XI_rows, base = grid.U_rows[inputs], grid.XI_rows[states], PHI[inputs, states]
         for shift in shifts:
-            pert = np.atleast_2d(np.asarray(phi(U, XI + shift), dtype=float))
-            if grid.phi_transposed:
-                pert = pert.T
+            pert = _phi_chunk(phi, U_rows, XI_rows + shift)
             worst = max(worst, float(np.max(np.abs(base - pert))))
     return worst / w_star
 
@@ -623,10 +675,14 @@ def build_certificate(
     """Run the full grid pipeline and package the resulting constants.
 
     The grid is built once and ``dictionary`` and ``phi`` are evaluated on it
-    once each (``evaluate_grid``); the fit, ``v*``, both Lipschitz estimates
-    and the norm bound work on those arrays. Only the noise-gain sweep calls
-    ``phi`` again, ``2^n`` times per grid row. With a zero noise bound that
-    sweep is skipped and the gain recorded as identically zero.
+    once each (``evaluate_grid``): the dictionary on the dense grid, ``phi``
+    on the grid's factors, input combinations times state rows. The fit,
+    ``v*``, both Lipschitz estimates and the norm bound work on those arrays.
+    Only the noise-gain sweep calls ``phi`` again, on the factors with the
+    state rows shifted to each of the ``2^n`` noise corners. With a zero
+    noise bound that sweep is skipped and the gain recorded as identically
+    zero. ``phi`` must work elementwise over broadcast leading axes and
+    return ``(..., q)``.
     """
     grid = evaluate_grid(dictionary, phi, box)
     G, eps_star = fit_coefficient_matrix(grid)

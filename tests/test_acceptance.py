@@ -14,6 +14,7 @@ from ddnpc import basis, behavior, npc, plant, presets, solver, trajlib
 from ddnpc.behavior import DataDictionaryBlocks
 
 import full_space
+from gradient_check import check_gradients
 
 
 def report(name, ok, detail=""):
@@ -468,7 +469,7 @@ def test_gradient_verification(pendulum, pendulum_cert):
     ok = True
     for name, problem in classes:
         try:
-            err = solver.check_gradients(problem, n_points=50, tol=1e-4, scale=0.05)
+            err = check_gradients(problem, n_points=50, tol=1e-4, scale=0.05)
             worst = max(worst, err)
         except AssertionError as exc:
             ok = False

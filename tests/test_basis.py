@@ -197,7 +197,7 @@ def test_fit_exact_span_recovers_coefficients():
     G_true = np.array([[2.0, -0.5, 0.25]])
 
     def phi(U, XI):
-        return np.concatenate([U, XI], axis=1) @ G_true.T
+        return U @ G_true[:, :1].T + XI @ G_true[:, 1:].T
 
     box = unit_box(1, 2, grid=6)
     G, eps = fit_coefficient_matrix(evaluate_grid(d, phi, box))
@@ -211,7 +211,7 @@ def test_fit_pendulum_exact_parameters():
     # subtract the window-linear part: the remainder lies exactly in the span
     def phi_nonlinear(U, XI):
         v = exp.phi(U, XI)
-        lin = np.stack([2 * XI[:, 1] - XI[:, 0], 2 * XI[:, 3] - XI[:, 2]], axis=1)
+        lin = np.stack([2 * XI[..., 1] - XI[..., 0], 2 * XI[..., 3] - XI[..., 2]], axis=-1)
         return v - lin
 
     G, eps = fit_coefficient_matrix(evaluate_grid(d, phi_nonlinear, exp.box))
@@ -259,7 +259,7 @@ def test_fit_is_least_squares_minimum():
 
 def test_eps_monotone_under_nested_dictionaries():
     def phi(U, XI):
-        return (U[:, 0] + 0.5 * np.sin(XI[:, 0]) + 0.2 * XI[:, 1] ** 2).reshape(-1, 1)
+        return (U[..., 0] + 0.5 * np.sin(XI[..., 0]) + 0.2 * XI[..., 1] ** 2)[..., None]
 
     box = unit_box(1, 2, grid=9)
     funcs = [
@@ -314,7 +314,7 @@ def test_noise_gain_zero_noise_skipped():
 
 def test_noise_gain_linear_map():
     # f(xi) = 3 xi_1: corner perturbations give exactly 3 w* / w* = 3
-    f = lambda U, XI: 3.0 * XI[:, [0]]
+    f = lambda U, XI: 3.0 * XI[..., [0]]
     grid = evaluate_grid(IdentityDictionary(1, 2), f, unit_box(1, 2, grid=4))
     gain = estimate_noise_gain(f, grid, w_star=0.05)
     np.testing.assert_allclose(gain, 3.0, rtol=1e-9)
@@ -330,7 +330,7 @@ def test_norm_bound_constant_dictionary_tight():
     box = OperatingBox([0.0], [1.0], [0.0], [1.0], grid_points=10)
     d = CustomDictionary(1, 1, funcs=[lambda u, xi: 1.0])
     c = -3.7
-    grid = evaluate_grid(d, lambda U, XI: np.full((U.shape[0], 1), c), box)
+    grid = evaluate_grid(d, lambda U, XI: np.full(U.shape[:-1] + (1,), c), box)
     bound = coefficient_norm_bound(grid, v_star=abs(c))
     np.testing.assert_allclose(bound, abs(c), rtol=1e-12)
     G, _ = fit_coefficient_matrix(grid)
@@ -430,13 +430,30 @@ def test_certificate_right_inverse_consistency():
 
 
 # ---------------------------------------------------------------------------
-# one grid evaluation, blocked corner sweep
+# one grid evaluation, phi on the factored grid
 # ---------------------------------------------------------------------------
 
 
+def test_grid_pairs_the_factor_rows_in_order():
+    """Grid row ``a * nx + b`` pairs input row ``a`` with state row ``b``, and
+    the grid is the full meshgrid of the axes, the first varying slowest."""
+    box = OperatingBox([-1.0, 0.0], [1.0, 2.0], [-1.0, -2.0, 0.0], [1.0, 2.0, 3.0], grid_points=3)
+    U_rows, XI_rows = box.grid_factors()
+    U, XI = box.grid()
+    assert U_rows.shape == (9, 2) and XI_rows.shape == (27, 3)
+    np.testing.assert_array_equal(U.reshape(9, 27, 2), np.broadcast_to(U_rows[:, None], (9, 27, 2)))
+    np.testing.assert_array_equal(XI.reshape(9, 27, 3), np.broadcast_to(XI_rows[None], (9, 27, 3)))
+    mesh = np.meshgrid(*box.grid_axes(), indexing="ij")
+    np.testing.assert_array_equal(
+        np.hstack([U, XI]), np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    )
+
+
 def _coupled_phi(U, XI):
-    """Two channels that depend on the state nonlinearly, ``(P, 2)``."""
-    return np.stack([U[:, 0] + np.sin(XI[:, 0]) * XI[:, 1], U[:, 1] * XI[:, 2] ** 2], axis=1)
+    """Two channels that depend on the state nonlinearly, ``(..., 2)``."""
+    return np.stack(
+        [U[..., 0] + np.sin(XI[..., 0]) * XI[..., 1], U[..., 1] * XI[..., 2] ** 2], axis=-1
+    )
 
 
 def _certificate_case(name):
@@ -445,49 +462,51 @@ def _certificate_case(name):
         exp = presets.pendulum_experiment()
         d = exp.dictionary(perturbation=0.1, seed=3)
         return d, exp.phi, exp.box, exp.structure.degrees, 0.01, 3
-    if name.startswith("flat"):
+    if name == "flat":
         _, st, phi, _, d = presets.flat_toy_setup()
         box = OperatingBox([-3.0], [3.0], [-1.0] * 2, [1.0] * 2, grid_points=9)
-        shaped = {
-            "flat": phi,
-            "flat_phi_P": lambda U, XI: phi(U, XI)[:, 0],
-            "flat_phi_mP": lambda U, XI: phi(U, XI).T,
-        }[name]
-        return d, shaped, box, st.degrees, 0.01, None
+        return d, phi, box, st.degrees, 0.01, None
     if name == "chain":
         _, st, phi, _, d = presets.chain_toy_setup()
         box = OperatingBox([-5.0] * 2, [5.0] * 2, [-1.0] * 3, [1.0] * 3, grid_points=7)
         return d, phi, box, st.degrees, 0.01, None
-    if name.startswith("coupled"):
-        box = unit_box(2, 3, grid=7)
-        phi = _coupled_phi if name == "coupled_phi_Pm" else (lambda U, XI: _coupled_phi(U, XI).T)
-        return IdentityDictionary(2, 3), phi, box, (1, 2), 0.02, None
+    if name == "coupled_phi_Pm":
+        return IdentityDictionary(2, 3), _coupled_phi, unit_box(2, 3, grid=7), (1, 2), 0.02, None
     if name == "bilinear_max_in_last_block":
         # |u| is largest on the last grid rows, and so is the noise gain
         box = OperatingBox([0.0], [2.0], [-1.0] * 2, [1.0] * 2, grid_points=26)
-        phi = lambda U, XI: U * XI[:, :1]
+        phi = lambda U, XI: U * XI[..., :1]
         return IdentityDictionary(1, 2), phi, box, (2,), 0.05, None
+    if name == "random_corners":
+        # 2^7 sign corners exceed the sweep's 64, so it draws 64 of them
+        box = unit_box(1, 7, grid=2)
+
+        def phi(U, XI):
+            return (U[..., 0] * np.sin(XI[..., 0]) + XI[..., 3] * XI[..., 6] ** 2)[..., None]
+
+        return IdentityDictionary(1, 7), phi, box, (7,), 0.05, None
     raise KeyError(name)
 
 
 @pytest.mark.parametrize(
     "name, block",
     [
-        ("pendulum_reference", None),  # 117,649 rows: 7 full blocks and a partial one
+        # 49 input combinations x 2,401 state rows: chunks of 6 combinations,
+        # the last of one
+        ("pendulum_reference", None),
         ("flat", None),  # 729 rows, fewer than one block
-        ("flat_phi_P", None),
-        ("flat_phi_mP", None),
-        ("chain", None),  # 16,807 rows: one full block and a partial one
+        ("chain", None),  # 49 x 343 rows: chunks of 47 combinations and 2
         ("coupled_phi_Pm", None),
-        ("coupled_phi_mP", None),
-        ("coupled_phi_mP", 16_805),  # a last block of m = 2 rows
-        ("coupled_phi_mP", 16_806),  # a last block of one row
+        ("coupled_phi_Pm", 2058),  # chunks of 6 combinations, the last of one
+        ("coupled_phi_Pm", 100),  # 343 state rows exceed the block: sliced
         ("bilinear_max_in_last_block", None),  # 17,576 rows
+        ("random_corners", None),
     ],
 )
 def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
-    """One grid evaluation and the blocked corner sweep give the separate
-    passes' certificate bit for bit (``tests/reference_certificate.py``)."""
+    """One grid evaluation, with ``phi`` on the factored grid in chunks, gives
+    the separate dense passes' certificate bit for bit
+    (``tests/reference_certificate.py``)."""
     if block is not None:
         monkeypatch.setattr(basis, "_CORNER_BLOCK", block)
     d, phi, box, degrees, w_star, seed = _certificate_case(name)
@@ -498,11 +517,12 @@ def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
 
 
 def test_certificate_evaluates_the_grid_once(monkeypatch):
-    """One grid build, one full-grid call of phi and of the dictionary, and
-    corner calls that cover ``2^n`` grids in blocks of at most the block
-    size."""
+    """One grid build and one dictionary call on the dense grid. ``phi`` takes
+    the grid's factors: no call sees more than one copy of the state rows or
+    more than the block size, and the calls cover the grid once unperturbed
+    and once per noise corner."""
     d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
-    builds, phi_rows, psi_rows = [], [], []
+    builds, psi_rows, phi_states, phi_sizes = [], [], [], []
     grid = OperatingBox.grid
 
     def counted_grid(self):
@@ -510,7 +530,8 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
         return grid(self)
 
     def counted_phi(U, XI):
-        phi_rows.append(len(U))
+        phi_states.append(int(np.prod(XI.shape[:-1])))
+        phi_sizes.append(int(np.prod(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]))))
         return phi(U, XI)
 
     def counted_psi(U, XI, value_batch=d.value_batch):
@@ -523,6 +544,14 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
     P = box.grid_points ** (box.m + box.n)
     assert len(builds) == 1
     assert psi_rows == [P]
-    assert phi_rows[0] == P and P not in phi_rows[1:]
-    assert sum(phi_rows[1:]) == 2**box.n * P
-    assert max(phi_rows[1:]) <= basis._CORNER_BLOCK
+    assert max(phi_states) <= box.grid_points**box.n
+    assert sum(phi_sizes) == (1 + 2**box.n) * P
+    assert max(phi_sizes) <= basis._CORNER_BLOCK
+
+
+def test_phi_must_return_a_trailing_channel_axis():
+    """A map that returns one value per grid row without the channel axis is
+    refused instead of being broadcast against the wrong axis."""
+    box = unit_box(1, 2, grid=5)
+    with pytest.raises(ValueError, match=r"\(\.\.\., q\)"):
+        evaluate_grid(IdentityDictionary(1, 2), lambda U, XI: U[..., 0] * XI[..., 0], box)

@@ -98,10 +98,12 @@ def test_layers_trace_certificate_spans(monkeypatch):
         "basis.noise_gain", "basis.norm_bound",
     ):
         assert span in recorded, span
-    # the grid is smaller than one corner block, so each corner call has the
-    # grid's row count too and counts as a grid pass
-    assert tracer.counts["basis.grid_passes"] == 2 + 2**box.n
-    assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9**3
+    # phi takes the grid's factors, all 9 input combinations against the 81
+    # state rows in one call on the grid and one per noise corner; the
+    # counter reads len(U), the input combinations, so only the dictionary's
+    # dense call counts as a grid pass
+    assert tracer.counts["basis.grid_passes"] == 1
+    assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9
 
 
 def test_layers_trace_one_collect_span(monkeypatch):

@@ -17,6 +17,7 @@ from ddnpc.npc import (
 )
 
 import full_space
+from gradient_check import check_gradients
 
 
 def chain_spec(mode="nominal", L=8, eps_star=0.0, w_star=0.0, **kw):
@@ -278,21 +279,21 @@ def test_ocp_gradients_match_finite_differences():
     toy, st, phi, traj, d, spec_n = chain_spec(mode="nominal")
     hu, hy, _ = chain_history(toy, st, np.array([0.2, -0.1, 0.15]))
     p_n = OcpBuilder(spec_n).build(hu, hy)
-    solver.check_gradients(p_n, n_points=5, tol=1e-4)
+    check_gradients(p_n, n_points=5, tol=1e-4)
 
     _, _, _, _, _, spec_r = chain_spec(
         mode="robust", eps_star=0.05, w_star=0.01, slack_mode="relaxed", c_slack=10.0,
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
     p_r = OcpBuilder(spec_r).build(hu, hy)
-    solver.check_gradients(p_r, n_points=5, tol=1e-4)
+    check_gradients(p_r, n_points=5, tol=1e-4)
 
     _, _, _, _, _, spec_e = chain_spec(
         mode="robust", eps_star=0.05, w_star=0.01, slack_mode="exact",
         k_psi=1.0, k_w=1.0, g_dagger_norm=5.0,
     )
     p_e = OcpBuilder(spec_e).build(hu, hy)
-    solver.check_gradients(p_e, n_points=5, tol=1e-4)
+    check_gradients(p_e, n_points=5, tol=1e-4)
 
 
 # ---------------------------------------------------------------------------

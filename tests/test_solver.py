@@ -5,11 +5,11 @@ from scipy.optimize import least_squares, lsq_linear
 
 import full_space
 import reference_lsq
+from gradient_check import check_gradients
 from ddnpc import solver
 from ddnpc.solver import (
     NlpProblem,
     SolverOptions,
-    check_gradients,
     reduced_lsq,
     solve,
 )
