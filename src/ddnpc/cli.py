@@ -4,6 +4,8 @@ Subcommands: ``collect`` (offline data plus certificate), ``check-pe``
 (excitation report for a recorded dataset), ``simulate`` / ``match-output``
 (data-driven simulation and tracking with certified bound columns),
 ``npc-run`` (closed-loop experiment) and ``sweep`` (fan out several runs).
+Each subcommand reads the config, builds the experiment with
+``presets.Experiment`` and writes its files; the per-plant facts live there.
 Every experiment is described by one JSON config file with fixed sections and
 mandatory seeds; reruns of the same config give byte-identical outputs, except
 for the measured solve times (``solve_ms``) in ``npc-run``'s
@@ -41,8 +43,7 @@ EXIT_SOLVER = 4
 FLOAT_FMT = trajlib.FLOAT_FMT
 
 
-class ConfigError(ValueError):
-    pass
+ConfigError = presets.ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -112,114 +113,9 @@ def _resolve(path, base: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
-# ---------------------------------------------------------------------------
-# experiment assembly
-# ---------------------------------------------------------------------------
-
-
-class Experiment:
-    """Everything a subcommand needs, built from one config."""
-
-    def __init__(self, cfg: dict, base: Path):
-        self.cfg = cfg
-        self.base = base
-        plant_cfg = cfg.get("plant", {"name": "double_pendulum"})
-        name = plant_cfg.get("name", "double_pendulum")
-        params = plant_cfg.get("params", {})
-        if name == "double_pendulum":
-            self.params = plant.DoublePendulumParams(**params)
-            self.plant_model = plant.make_double_pendulum(self.params)
-            self.structure = plant.BrunovskyStructure(degrees=(2, 2))
-            self.phi = lambda U, XI: plant.pendulum_synthetic_input(self.params, U, XI)
-        elif name == "lti_toy":
-            self.plant_model, self.structure, self.phi = plant.make_chain_lti()
-            self.params = None
-        elif name == "scalar_flat":
-            self.plant_model, self.structure, self.phi = plant.make_scalar_flat(**params)
-            self.params = None
-        else:
-            raise ConfigError(f"unknown plant '{name}'")
-        self.plant_name = name
-
-        box_cfg = cfg.get("box")
-        if box_cfg is None and name == "double_pendulum":
-            self.box = presets.pendulum_experiment().box
-        elif box_cfg is not None:
-            self.box = basis.OperatingBox(
-                u_lower=box_cfg["u_lower"],
-                u_upper=box_cfg["u_upper"],
-                xi_lower=box_cfg["xi_lower"],
-                xi_upper=box_cfg["xi_upper"],
-                grid_points=int(box_cfg.get("grid_points", 7)),
-            )
-        else:
-            m, n = self.structure.m, self.structure.n
-            self.box = basis.OperatingBox(
-                u_lower=-3 * np.ones(m), u_upper=3 * np.ones(m),
-                xi_lower=-1.5 * np.ones(n), xi_upper=1.5 * np.ones(n),
-            )
-
-    def dictionary(self):
-        d_cfg = self.cfg.get("dictionary", {})
-        name = d_cfg.get("name", "pendulum_model" if self.plant_name == "double_pendulum" else "input")
-        m, n = self.structure.m, self.structure.n
-        if name == "pendulum_model":
-            if self.plant_name != "double_pendulum":
-                raise ConfigError("pendulum_model dictionary needs the pendulum plant")
-            return basis.make_pendulum_dictionary(
-                self.params,
-                perturbation=float(d_cfg.get("perturbation", 0.1)),
-                seed=int(d_cfg.get("seed", 0)),
-            )
-        if name == "identity":
-            return basis.IdentityDictionary(m, n)
-        if name == "input":
-            return basis.InputDictionary(m, n)
-        if name == "poly2":
-            return basis.PolynomialDictionary(m, n)
-        if name == "trig":
-            return basis.TrigDictionary(m, n)
-        if name == "flat_exact":
-            return presets.flat_toy_dictionary()
-        raise ConfigError(f"unknown dictionary '{name}'")
-
-    def policy(self):
-        data_cfg = self.cfg.get("data", {})
-        pol = dict(data_cfg.get("policy", {}))
-        seed = int(data_cfg.get("seed", 0))
-        if self.plant_name == "double_pendulum":
-            defaults = dict(
-                ref_low=np.array(presets.PENDULUM_REF_LOW),
-                ref_high=np.array(presets.PENDULUM_REF_HIGH),
-                u_low=self.box.u_lower,
-                u_high=self.box.u_upper,
-            )
-            for key in ("kp", "kd", "dither", "redraw_every", "dither_edge", "ref_step"):
-                if key in pol:
-                    defaults[key] = np.asarray(pol[key], dtype=float) if key == "dither" else pol[key]
-            for key in ("ref_low", "ref_high"):
-                if key in pol:
-                    defaults[key] = np.asarray(pol[key], dtype=float)
-            return plant.PendulumPdPolicy(params=self.params, seed=seed, **defaults)
-        K = pol.get("K")
-        if K is None:
-            K = {"lti_toy": presets.CHAIN_TOY_GAIN, "scalar_flat": presets.FLAT_TOY_GAIN}[
-                self.plant_name
-            ]
-        return plant.StateFeedbackDitherPolicy(
-            K=np.asarray(K, dtype=float),
-            dither=float(pol.get("dither", 0.6)),
-            u_low=self.box.u_lower,
-            u_high=self.box.u_upper,
-            seed=seed,
-        )
-
-    def noise(self):
-        n_cfg = self.cfg.get("noise", {"w_star": 0.0, "seed": 0})
-        return plant.NoiseModel(w_star=float(n_cfg.get("w_star", 0.0)), seed=int(n_cfg.get("seed", 0)))
-
-    def ocp_cfg(self):
-        return self.cfg.get("ocp", {})
+def _noise(cfg) -> plant.NoiseModel:
+    n_cfg = cfg.get("noise", {})
+    return plant.NoiseModel(w_star=float(n_cfg.get("w_star", 0.0)), seed=int(n_cfg.get("seed", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +158,13 @@ def _summary(path, payload: dict):
 
 
 def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
-    exp = Experiment(cfg, base)
+    exp = presets.Experiment(cfg)
     data_cfg = cfg.get("data", {})
     N = int(data_cfg.get("N", 200))
-    noise = exp.noise()
+    noise = _noise(cfg)
+    policy = exp.policy(int(data_cfg.get("seed", 0)))
     traj = plant.collect_offline_data(
-        exp.plant_model, exp.policy(), N, exp.structure, noise, box=exp.box, strict=strict
+        exp.plant_model, policy, N, exp.structure, noise, box=exp.box, strict=strict
     )
     if not traj.stayed_in_box:
         print(f"warning: trajectory left the operating box at step {traj.first_violation}")
@@ -286,10 +183,7 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
     trajlib.write_trajectory_csv(out_dir / "data_noisy.csv", traj.u, traj.outputs_noisy)
     cert.save(out_dir / "certificate.json")
 
-    L = int(cfg.get("ocp", {}).get("L", 10))
-    order = L + exp.structure.d_max + exp.structure.n
-    feats = basis.evaluate_along(dictionary, traj.u, traj.xi_noisy.data[:N])
-    pe = trajlib.is_persistently_exciting(trajlib.Sequence(feats), order)
+    order, pe = _excitation(cfg, exp, dictionary, traj)
     print(
         f"excitation check: order {order}, rank {pe.rank}/{pe.required_rank}, "
         f"smallest singular value {pe.sigma_min:.6g}"
@@ -316,7 +210,17 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
     return EXIT_OK
 
 
-def _load_trajectory(exp: Experiment, cfg, base: Path):
+def _excitation(cfg, exp, dictionary, traj, order=None):
+    """Excitation report of the recorded feature sequence (noisy window
+    states) at ``order``; by default L + d_max + n, the order the controller
+    of horizon ``ocp.L`` needs."""
+    if order is None:
+        order = int(cfg.get("ocp", {}).get("L", 10)) + exp.structure.d_max + exp.structure.n
+    feats = basis.evaluate_along(dictionary, traj.u, traj.xi_noisy.data[: traj.N])
+    return order, trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
+
+
+def _load_trajectory(exp: presets.Experiment, cfg, base: Path):
     files = cfg.get("files", {})
     if "data" not in files:
         raise ConfigError("this command needs files.data (run collect first)")
@@ -349,14 +253,9 @@ def _load_certificate(cfg, base: Path):
 
 
 def cmd_check_pe(cfg, base, out_dir, strict, order=None) -> int:
-    exp = Experiment(cfg, base)
+    exp = presets.Experiment(cfg)
     traj = _load_trajectory(exp, cfg, base)
-    dictionary = exp.dictionary()
-    if order is None:
-        L = int(cfg.get("ocp", {}).get("L", 10))
-        order = L + exp.structure.d_max + exp.structure.n
-    feats = basis.evaluate_along(dictionary, traj.u, traj.xi_noisy.data[: traj.N])
-    pe = trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
+    order, pe = _excitation(cfg, exp, exp.dictionary(), traj, order)
     print(
         f"order {order}: rank {pe.rank}, required {pe.required_rank}, "
         f"smallest singular value {pe.sigma_min:.6g} -> "
@@ -365,18 +264,8 @@ def cmd_check_pe(cfg, base, out_dir, strict, order=None) -> int:
     return EXIT_OK if pe.is_pe else EXIT_ASSUMPTION
 
 
-def _state_from_window(exp: Experiment, xi0):
-    xi0 = np.asarray(xi0, dtype=float).reshape(-1)
-    if exp.plant_name == "double_pendulum":
-        Ts = exp.params.Ts
-        return np.array(
-            [xi0[0], (xi0[1] - xi0[0]) / Ts, xi0[2], (xi0[3] - xi0[2]) / Ts]
-        )
-    return xi0.copy()  # the toy plants use the window state as the state
-
-
 def cmd_simulate(cfg, base, out_dir, strict) -> int:
-    exp = Experiment(cfg, base)
+    exp = presets.Experiment(cfg)
     traj = _load_trajectory(exp, cfg, base)
     cert = _load_certificate(cfg, base)
     sim_cfg = cfg.get("simulate", {})
@@ -400,7 +289,7 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
     )
     # oracle column: the window state determines the physical state, so the
     # true response is available whenever the plant model is configured
-    x0 = _state_from_window(exp, xi0)
+    x0 = exp.state_from_window(xi0)
     pad = np.vstack([u_new, np.zeros((exp.structure.d_max, exp.structure.m))])
     _, y_true = plant.simulate(exp.plant_model, x0, pad)
     rows = []
@@ -419,7 +308,7 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
 
 
 def cmd_match(cfg, base, out_dir, strict) -> int:
-    exp = Experiment(cfg, base)
+    exp = presets.Experiment(cfg)
     traj = _load_trajectory(exp, cfg, base)
     cert = _load_certificate(cfg, base)
     m_cfg = cfg.get("match", {})
@@ -450,26 +339,21 @@ def cmd_match(cfg, base, out_dir, strict) -> int:
     return EXIT_OK
 
 
-def _run_once(exp: Experiment, cfg, base) -> tuple:
-    ocp_cfg = exp.ocp_cfg()
+def _run_once(cfg, base) -> tuple:
+    """One closed loop on the recorded data. Returns the problem, the
+    certificate, the inflated ε* the problem and the runtime bounds use, and
+    the log."""
+    exp = presets.Experiment(cfg)
+    ocp_cfg = cfg.get("ocp", {})
     run_cfg = cfg.get("run", {})
     cert = _load_certificate(cfg, base)
     traj = _load_trajectory(exp, cfg, base)
     mode = ocp_cfg.get("mode", "robust")
     L = int(ocp_cfg.get("L", 10))
-    noise = exp.noise()
-    inflation = float(ocp_cfg.get("eps_inflation", 1.1))
-    eps_star = cert.eps_star * inflation
-    blocks = behavior.DataDictionaryBlocks.from_trajectory(
-        exp.dictionary(), traj, horizon=L + exp.structure.d_max,
-        use_noisy=(mode == "robust"),
-    )
-    spec = presets.ocp_spec(
-        exp.structure,
-        exp.box,
-        blocks,
-        ocp_cfg["u_setpoint"],
-        ocp_cfg["y_setpoint"],
+    noise = _noise(cfg)
+    eps_star = cert.eps_star * float(ocp_cfg.get("eps_inflation", 1.1))
+    spec = exp.ocp_spec(
+        exp.blocks(exp.dictionary(), traj, L=L, noisy=(mode == "robust")),
         mode=mode,
         L=L,
         eps_star=eps_star,
@@ -484,34 +368,26 @@ def _run_once(exp: Experiment, cfg, base) -> tuple:
             ("slack_mode", str), ("c_slack", float),
         )),
     )
-    x0 = np.asarray(run_cfg.get("x0", np.zeros(exp.plant_model.n)), dtype=float)
-    hold = run_cfg.get("hold_input")
-    if hold is None and exp.plant_name == "double_pendulum":
-        hold = plant.equilibrium_torque(exp.params, x0[[0, 2]])
-    elif hold is not None:
-        hold = np.asarray(hold, dtype=float)
     run_noise = plant.NoiseModel(w_star=noise.w_star, seed=int(run_cfg.get("seed", 0)))
     log = npc.run_closed_loop(
         spec,
         exp.plant_model,
         run_noise,
-        x0=x0,
+        x0=exp.x0,
         total_steps=int(run_cfg.get("total_steps", 300)),
         stride=ocp_cfg.get("stride"),
-        hold_input=hold,
+        hold_input=exp.hold_input,
     )
-    return spec, cert, log
+    return spec, cert, eps_star, log
 
 
 def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
-    exp = Experiment(cfg, base)
-    spec, cert, log = _run_once(exp, cfg, base)
+    spec, cert, eps_star, log = _run_once(cfg, base)
     arr = log.as_arrays()
     m = spec.structure.m
-    inflation = float(exp.ocp_cfg().get("eps_inflation", 1.1))
     bound_rows = npc.evaluate_runtime_bounds(
         log,
-        eps_star=cert.eps_star * inflation,
+        eps_star=eps_star,
         w_star=spec.w_star,
         k_xi=cert.k_xi,
         k_w=cert.k_w,
@@ -614,21 +490,21 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
     sweep_cfg = cfg.get("sweep")
     if not sweep_cfg:
         raise ConfigError("sweep needs a [sweep] section (vary, values, seeds)")
-    vary = sweep_cfg["vary"]
-    values = sweep_cfg["values"]
+    vary, values = (presets.require(sweep_cfg, "sweep", key) for key in ("vary", "values"))
+    section, _, key = str(vary).partition(".")
+    if key not in _SCHEMA.get(section, ()):
+        raise ConfigError(f"sweep.vary must name a config key 'section.key', not '{vary}'")
     seeds = sweep_cfg.get("seeds", [0])
     results = []
     for value in values:
         for seed in seeds:
             sub = json.loads(json.dumps(cfg))
             sub.pop("sweep")
-            section, key = vary.split(".")
             sub.setdefault(section, {})[key] = value
             sub.setdefault("run", {})["seed"] = seed
             run_dir = out_dir / f"{vary.replace('.', '_')}_{value}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            exp = Experiment(sub, base)
-            spec, cert, log = _run_once(exp, sub, base)
+            log = _run_once(sub, base)[-1]
             settled = log.settled_error(last=min(50, len(log.times)))
             results.append({"value": value, "seed": seed, "settled_error": settled})
             _summary(run_dir / "summary.json", results[-1])

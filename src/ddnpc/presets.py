@@ -1,14 +1,16 @@
-"""Canned experiment setups shared by the CLI and the test suite.
+"""The one experiment assembly, shared by the CLI, the test suite and the
+benchmark, and the canned toy setups.
 
-The double-pendulum setup reproduces the reference configuration end to end:
-default physical parameters, the operating box, the stabilized data
-collection policy, the model-structured dictionary, and the robust controller
-weights. Every random element takes an explicit seed.
+``Experiment`` builds an experiment from a config dict with the CLI's
+sections. It is the one place that knows per-plant facts: the default box and
+dictionary, the data-collection policy and its overrides, the transformed
+input map φ, the state behind a window state and the input that holds the
+plant at rest. ``pendulum_experiment`` is the reference double-pendulum setup
+as such a dict. Every random element takes an explicit seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,33 +24,170 @@ PENDULUM_REF_HIGH = (0.95, 1.15)
 FLAT_TOY_GAIN = ((0.25, 0.55),)
 CHAIN_TOY_GAIN = ((0.2, 0.4, 0.0), (0.0, 0.0, 0.3))
 
+# The pendulum's operating box: 20 Nm of torque per joint, window angles
+# within a quarter turn.
+PENDULUM_BOX = {
+    "u_lower": [-20.0, -20.0],
+    "u_upper": [20.0, 20.0],
+    "xi_lower": [-np.pi / 2] * 4,
+    "xi_upper": [np.pi / 2] * 4,
+}
 
-@dataclass
-class PendulumExperiment:
-    params: plant.DoublePendulumParams
-    plant_model: plant.PlantModel
-    structure: plant.BrunovskyStructure
-    box: basis.OperatingBox
-    y_setpoint: np.ndarray
-    u_setpoint: np.ndarray
-    x0: np.ndarray
-    hold_input: np.ndarray
+# The dictionaries a config can name besides the pendulum's, built from (m, n).
+_DICTIONARIES = {
+    "identity": basis.IdentityDictionary,
+    "input": basis.InputDictionary,
+    "poly2": basis.PolynomialDictionary,
+    "trig": basis.TrigDictionary,
+    "flat_exact": lambda m, n: flat_toy_dictionary(),
+}
 
-    def phi(self, U, XI):
-        return plant.pendulum_synthetic_input(self.params, U, XI)
 
-    def policy(self, seed: int) -> plant.PendulumPdPolicy:
-        return plant.PendulumPdPolicy(
-            params=self.params,
-            ref_low=np.array(PENDULUM_REF_LOW),
-            ref_high=np.array(PENDULUM_REF_HIGH),
-            u_low=self.box.u_lower,
-            u_high=self.box.u_upper,
-            seed=seed,
+class ConfigError(ValueError):
+    """A config names an unknown key or value, or lacks a required key."""
+
+
+def require(section: dict, name: str, key: str):
+    """``section[key]``, where ``name`` is the section's path in the config."""
+    if key not in section:
+        raise ConfigError(f"missing key '{name}.{key}'")
+    return section[key]
+
+
+def _known(section: dict, name: str, allowed) -> dict:
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{name}.{key}'")
+    return section
+
+
+class Experiment:
+    """One experiment, built from a config dict.
+
+    Reads ``plant`` (``name``, by default the double pendulum, and
+    ``params``), ``box`` (by default the pendulum's operating box, or ±3 on
+    the inputs and ±1.5 on the window states of a toy), ``dictionary``,
+    ``data.policy``, the setpoints of ``ocp`` and the start of ``run``. A
+    required key the config lacks raises ``ConfigError`` when it is read.
+    ``params`` holds the pendulum's physical parameters, and is ``None`` on
+    the toys.
+    """
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        plant_cfg = cfg.get("plant", {})
+        self.plant_name = plant_cfg.get("name", "double_pendulum")
+        params = plant_cfg.get("params", {})
+        self.params = None
+        if self.plant_name == "double_pendulum":
+            fields = plant.DoublePendulumParams.__dataclass_fields__
+            self.params = p = plant.DoublePendulumParams(**_known(params, "plant.params", fields))
+            self.plant_model = plant.make_double_pendulum(p)
+            self.structure = plant.BrunovskyStructure(degrees=(2, 2))
+            self.phi = lambda U, XI: plant.pendulum_synthetic_input(p, U, XI)
+        elif self.plant_name == "lti_toy":
+            _known(params, "plant.params", ())
+            self.plant_model, self.structure, self.phi = plant.make_chain_lti()
+        elif self.plant_name == "scalar_flat":
+            self.plant_model, self.structure, self.phi = plant.make_scalar_flat(
+                **_known(params, "plant.params", ("a", "b"))
+            )
+        else:
+            raise ConfigError(f"unknown plant '{self.plant_name}'")
+
+        box = cfg.get("box")
+        if box is None:
+            m, n = self.structure.m, self.structure.n
+            box = PENDULUM_BOX if self.params is not None else {
+                "u_lower": [-3.0] * m, "u_upper": [3.0] * m,
+                "xi_lower": [-1.5] * n, "xi_upper": [1.5] * n,
+            }
+        bounds = ("u_lower", "u_upper", "xi_lower", "xi_upper")
+        self.box = basis.OperatingBox(
+            *(require(box, "box", key) for key in bounds),
+            grid_points=int(box.get("grid_points", 7)),
         )
 
-    def dictionary(self, perturbation: float = 0.1, seed: int = 0):
-        return basis.make_pendulum_dictionary(self.params, perturbation, seed)
+    def dictionary(self, perturbation: Optional[float] = None, seed: Optional[int] = None):
+        """The configured dictionary: the model-structured one on the
+        pendulum and the raw inputs on a toy unless ``dictionary.name`` says
+        otherwise. ``perturbation`` and ``seed`` replace the section's."""
+        d_cfg = self.cfg.get("dictionary", {})
+        name = d_cfg.get("name", "input" if self.params is None else "pendulum_model")
+        if name == "pendulum_model":
+            if self.params is None:
+                raise ConfigError("pendulum_model dictionary needs the pendulum plant")
+            if perturbation is None:
+                perturbation = d_cfg.get("perturbation", 0.1)
+            return basis.make_pendulum_dictionary(
+                self.params,
+                perturbation=float(perturbation),
+                seed=int(d_cfg.get("seed", 0) if seed is None else seed),
+            )
+        if name not in _DICTIONARIES:
+            raise ConfigError(f"unknown dictionary '{name}'")
+        return _DICTIONARIES[name](self.structure.m, self.structure.n)
+
+    def policy(self, seed: int):
+        """Data-collection policy with the overrides of ``data.policy``, its
+        torques clipped to the box: PD tracking of a random joint-angle
+        reference on the pendulum, dithered state feedback on a toy."""
+        pol = self.cfg.get("data", {}).get("policy", {})
+        limits = dict(u_low=self.box.u_lower, u_high=self.box.u_upper, seed=seed)
+        if self.params is None:
+            K = pol.get("K")
+            if K is None:
+                K = FLAT_TOY_GAIN if self.plant_name == "scalar_flat" else CHAIN_TOY_GAIN
+            return plant.StateFeedbackDitherPolicy(
+                K=np.asarray(K, dtype=float), dither=float(pol.get("dither", 0.6)), **limits
+            )
+        given = dict(ref_low=PENDULUM_REF_LOW, ref_high=PENDULUM_REF_HIGH)
+        given.update(pol)
+        scalars = ("kp", "kd", "redraw_every", "dither_edge", "ref_step")
+        arrays = ("dither", "ref_low", "ref_high")
+        return plant.PendulumPdPolicy(
+            params=self.params,
+            **{key: given[key] for key in scalars if key in given},
+            **{key: np.asarray(given[key], dtype=float) for key in arrays if key in given},
+            **limits,
+        )
+
+    def state_from_window(self, xi) -> np.ndarray:
+        """The plant state whose window state is ``xi``: the pendulum's
+        angles and their differences over one sample; a toy's state is its
+        window state."""
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        if self.params is None:
+            return xi.copy()
+        Ts = self.params.Ts
+        return np.array([xi[0], (xi[1] - xi[0]) / Ts, xi[2], (xi[3] - xi[2]) / Ts])
+
+    @property
+    def u_setpoint(self) -> np.ndarray:
+        return np.asarray(require(self.cfg.get("ocp", {}), "ocp", "u_setpoint"), dtype=float)
+
+    @property
+    def y_setpoint(self) -> np.ndarray:
+        return np.asarray(require(self.cfg.get("ocp", {}), "ocp", "y_setpoint"), dtype=float)
+
+    @property
+    def x0(self) -> np.ndarray:
+        """Start of the closed loop, ``run.x0``; the origin by default."""
+        x0 = self.cfg.get("run", {}).get("x0")
+        return np.zeros(self.plant_model.n) if x0 is None else np.asarray(x0, dtype=float)
+
+    @property
+    def hold_input(self) -> Optional[np.ndarray]:
+        """Input held before the first solve, ``run.hold_input``. By default
+        the input that holds the plant at rest at the outputs of ``x0``: the
+        pendulum's gravity torque, and ``None`` on a toy, whose closed loop
+        then holds the input setpoint."""
+        hold = self.cfg.get("run", {}).get("hold_input")
+        if hold is not None:
+            return np.asarray(hold, dtype=float)
+        if self.params is not None:
+            return plant.equilibrium_torque(self.params, self.plant_model.measure(self.x0))
+        return None
 
     def collect(self, seed: int, w_star: float = 0.01, N: int = 200) -> plant.Trajectory:
         noise = plant.NoiseModel(w_star=w_star, seed=10_000 + seed)
@@ -67,79 +206,50 @@ class PendulumExperiment:
         eps_star: float,
         w_star: float = 0.01,
         L: int = 10,
+        mode: str = "robust",
+        Q=None,
+        R=None,
+        u_min=None,
+        u_max=None,
         **fields,
     ) -> npc.OcpSpec:
-        """Robust reference controller; further ``OcpSpec`` fields (slack mode,
-        certificate constants) pass through, and ``OcpSpec`` holds the
-        defaults of those left out."""
-        return ocp_spec(
-            self.structure, self.box, blocks, self.u_setpoint, self.y_setpoint,
-            L=L, eps_star=eps_star, w_star=w_star, **fields,
+        """Receding-horizon problem on ``blocks`` at the configured
+        setpoints: identity weights and the input limits of the box unless
+        given, and no uncertainty levels in nominal mode. Further ``OcpSpec``
+        fields (slack mode, certificate constants) pass through, and
+        ``OcpSpec`` holds the defaults of those left out."""
+        m = self.structure.m
+        robust = mode == "robust"
+        return npc.OcpSpec(
+            mode=mode,
+            L=L,
+            structure=self.structure,
+            blocks=blocks,
+            Q=np.eye(m) if Q is None else Q,
+            R=np.eye(m) if R is None else R,
+            u_setpoint=self.u_setpoint,
+            y_setpoint=self.y_setpoint,
+            u_min=self.box.u_lower if u_min is None else u_min,
+            u_max=self.box.u_upper if u_max is None else u_max,
+            eps_star=eps_star if robust else 0.0,
+            w_star=w_star if robust else 0.0,
+            **fields,
         )
 
 
-def ocp_spec(
-    structure: plant.BrunovskyStructure,
-    box: basis.OperatingBox,
-    blocks,
-    u_setpoint,
-    y_setpoint,
-    mode: str = "robust",
-    L: int = 10,
-    eps_star: float = 0.0,
-    w_star: float = 0.0,
-    Q=None,
-    R=None,
-    u_min=None,
-    u_max=None,
-    **fields,
-) -> npc.OcpSpec:
-    """Receding-horizon problem on ``blocks`` for a plant of the given
-    structure: identity weights and the input limits of ``box`` unless given,
-    and no uncertainty levels in nominal mode. Further ``OcpSpec`` fields pass
-    through, and ``OcpSpec`` holds the defaults of those left out."""
-    m = structure.m
-    robust = mode == "robust"
-    return npc.OcpSpec(
-        mode=mode,
-        L=L,
-        structure=structure,
-        blocks=blocks,
-        Q=np.eye(m) if Q is None else Q,
-        R=np.eye(m) if R is None else R,
-        u_setpoint=u_setpoint,
-        y_setpoint=y_setpoint,
-        u_min=box.u_lower if u_min is None else u_min,
-        u_max=box.u_upper if u_max is None else u_max,
-        eps_star=eps_star if robust else 0.0,
-        w_star=w_star if robust else 0.0,
-        **fields,
-    )
-
-
-def pendulum_experiment(grid_points: int = 7) -> PendulumExperiment:
-    """Reference double-pendulum setup: torque box of 20 Nm per joint, angle
-    windows within a quarter turn, setpoint one-sixth and one-third turn up,
-    started hanging straight down."""
-    params = plant.DoublePendulumParams()
+def pendulum_experiment(grid_points: int = 7) -> Experiment:
+    """Reference double-pendulum setup: the pendulum's operating box,
+    setpoint one-sixth and one-third turn up and held there at rest, started
+    hanging straight down."""
     y_s = np.array([np.pi / 6, np.pi / 3])
-    x0 = np.array([-np.pi / 2, 0.0, 0.0, 0.0])
-    return PendulumExperiment(
-        params=params,
-        plant_model=plant.make_double_pendulum(params),
-        structure=plant.BrunovskyStructure(degrees=(2, 2)),
-        box=basis.OperatingBox(
-            u_lower=[-20.0, -20.0],
-            u_upper=[20.0, 20.0],
-            xi_lower=[-np.pi / 2] * 4,
-            xi_upper=[np.pi / 2] * 4,
-            grid_points=grid_points,
-        ),
-        y_setpoint=y_s,
-        u_setpoint=plant.equilibrium_torque(params, y_s),
-        x0=x0,
-        hold_input=plant.equilibrium_torque(params, [x0[0], x0[2]]),
-    )
+    return Experiment({
+        "box": dict(PENDULUM_BOX, grid_points=grid_points),
+        "ocp": {
+            "y_setpoint": y_s,
+            "u_setpoint": plant.equilibrium_torque(plant.DoublePendulumParams(), y_s),
+        },
+        "run": {"x0": [-np.pi / 2, 0.0, 0.0, 0.0]},
+    })
 
 
 def flat_toy_setup(N: int = 60, seed: int = 2):
