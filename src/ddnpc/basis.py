@@ -376,16 +376,12 @@ def make_pendulum_dictionary(
 
 
 def evaluate_along(dictionary: BasisDictionary, u_seq, xi_seq):
-    """Evaluate the dictionary pointwise along paired input/state sequences.
-
-    Accepts ``trajlib.Sequence`` or plain arrays of equal length; returns the
-    ``(K, r)`` feature array. Reports the basis index and step of the first
-    non-finite value.
+    """Evaluate the dictionary pointwise along paired input/state arrays of
+    equal length; returns the ``(K, r)`` feature array. Reports the basis
+    index and step of the first non-finite value.
     """
-    from .trajlib import Sequence as _Seq
-
-    U = u_seq.data if isinstance(u_seq, _Seq) else np.atleast_2d(np.asarray(u_seq, dtype=float))
-    XI = xi_seq.data if isinstance(xi_seq, _Seq) else np.atleast_2d(np.asarray(xi_seq, dtype=float))
+    U = np.atleast_2d(np.asarray(u_seq, dtype=float))
+    XI = np.atleast_2d(np.asarray(xi_seq, dtype=float))
     if U.shape[0] != XI.shape[0]:
         raise ValueError(f"length mismatch: {U.shape[0]} inputs vs {XI.shape[0]} states")
     vals = dictionary.value_batch(U, XI)

@@ -68,11 +68,6 @@ _SCHEMA = {
     "sweep": {"vary", "values", "seeds"},
 }
 
-_POLICY_KEYS = {
-    "kp", "kd", "dither", "redraw_every", "dither_edge", "ref_low", "ref_high",
-    "ref_step", "seed", "K",
-}
-
 
 def load_config(path) -> dict:
     path = Path(path)
@@ -93,10 +88,6 @@ def load_config(path) -> dict:
         for key in content:
             if key not in allowed:
                 raise ConfigError(f"{path}: unknown key '{section}.{key}'")
-        if section == "data" and "policy" in content:
-            for key in content["policy"]:
-                if key not in _POLICY_KEYS:
-                    raise ConfigError(f"{path}: unknown key 'data.policy.{key}'")
     for section in ("data", "noise", "run"):
         if section in cfg and "seed" not in cfg[section]:
             raise ConfigError(f"{path}: section '{section}' requires an explicit seed")
@@ -228,19 +219,7 @@ def _load_trajectory(exp: presets.Experiment, cfg, base: Path):
     noisy = outputs
     if "data_noisy" in files:
         _, noisy = trajlib.read_trajectory_csv(_resolve(files["data_noisy"], base))
-    st = exp.structure
-    N = u.shape[0]
-    xi = plant.window_states([y[: N + d] for y, d in zip(outputs, st.degrees)], st)
-    xi_noisy = plant.window_states([y[: N + d] for y, d in zip(noisy, st.degrees)], st)
-    return plant.Trajectory(
-        u=u,
-        outputs=[y[: N + d] for y, d in zip(outputs, st.degrees)],
-        outputs_noisy=[y[: N + d] for y, d in zip(noisy, st.degrees)],
-        xi=xi,
-        xi_noisy=xi_noisy,
-        structure=st,
-        stayed_in_box=True,
-    )
+    return plant.Trajectory(u, outputs, noisy, exp.structure)
 
 
 def _load_certificate(cfg, base: Path):

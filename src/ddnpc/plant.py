@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -637,21 +637,36 @@ class StateFeedbackDitherPolicy:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Offline data record: inputs, clean and noisy per-channel outputs and
-    the window-state sequences built from both."""
+    """Offline data record: inputs, clean and noisy per-channel outputs, each
+    channel ``i`` cut to its first ``N + d_i`` samples, and the operating-box
+    verdict. The window-state sequences are built from the outputs."""
 
     u: np.ndarray                       # (N, m)
     outputs: list[np.ndarray]           # channel i: (N + d_i,)
     outputs_noisy: list[np.ndarray]     # channel i: (N + d_i,)
-    xi: Sequence                        # (N + 1, n)
-    xi_noisy: Sequence                  # (N + 1, n)
     structure: BrunovskyStructure
-    stayed_in_box: bool
+    stayed_in_box: bool = True
     first_violation: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("outputs", "outputs_noisy"):
+            cut = [np.array(y[: self.N + d], dtype=float)
+                   for y, d in zip(getattr(self, name), self.structure.degrees)]
+            object.__setattr__(self, name, cut)
 
     @property
     def N(self) -> int:
         return self.u.shape[0]
+
+    @functools.cached_property
+    def xi(self) -> Sequence:
+        """Window states of the clean outputs, ``(N + 1, n)``."""
+        return window_states(self.outputs, self.structure)
+
+    @functools.cached_property
+    def xi_noisy(self) -> Sequence:
+        """Window states of the noisy outputs, ``(N + 1, n)``."""
+        return window_states(self.outputs_noisy, self.structure)
 
 
 def collect_offline_data(
@@ -683,35 +698,13 @@ def collect_offline_data(
     y_all[total_inputs] = plant.measure(x)
 
     w = noise.samples(total_inputs + 1, plant.m)
-    y_noisy_all = y_all + w
-
-    u = u_all[:N].copy()
-    outputs = [y_all[: N + d, i].copy() for i, d in enumerate(structure.degrees)]
-    outputs_noisy = [
-        y_noisy_all[: N + d, i].copy() for i, d in enumerate(structure.degrees)
-    ]
-    xi = window_states(outputs, structure)
-    xi_noisy = window_states(outputs_noisy, structure)
-
-    stayed = True
-    first_violation = None
-    if box is not None:
-        inside = box.contains_rows(u, xi.data[:N])
-        stayed = bool(inside.all())
-        if not stayed:
-            first_violation = int(np.argmin(inside))
-        if not stayed and strict:
-            raise BoxViolationError(
-                f"sample {first_violation} left the operating box"
-            )
-
-    return Trajectory(
-        u=u,
-        outputs=outputs,
-        outputs_noisy=outputs_noisy,
-        xi=xi,
-        xi_noisy=xi_noisy,
-        structure=structure,
-        stayed_in_box=stayed,
-        first_violation=first_violation,
-    )
+    traj = Trajectory(u_all[:N].copy(), list(y_all.T), list((y_all + w).T), structure)
+    if box is None:
+        return traj
+    inside = box.contains_rows(traj.u, traj.xi.data[:N])
+    if inside.all():
+        return traj
+    first_violation = int(np.argmin(inside))
+    if strict:
+        raise BoxViolationError(f"sample {first_violation} left the operating box")
+    return replace(traj, stayed_in_box=False, first_violation=first_violation)

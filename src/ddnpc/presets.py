@@ -1,12 +1,13 @@
 """The one experiment assembly, shared by the CLI, the test suite and the
-benchmark, and the canned toy setups.
+benchmark, and the canned setups built on it.
 
 ``Experiment`` builds an experiment from a config dict with the CLI's
 sections. It is the one place that knows per-plant facts: the default box and
-dictionary, the data-collection policy and its overrides, the transformed
-input map φ, the state behind a window state and the input that holds the
-plant at rest. ``pendulum_experiment`` is the reference double-pendulum setup
-as such a dict. Every random element takes an explicit seed.
+dictionary, the data-collection policy and the overrides it reads, the
+transformed input map φ, the state behind a window state and the input that
+holds the plant at rest. ``pendulum_experiment`` is the reference
+double-pendulum setup as such a dict, and the toy setups collect their data
+through it. Every random element takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ PENDULUM_REF_LOW = (-0.6, 0.05)
 PENDULUM_REF_HIGH = (0.95, 1.15)
 FLAT_TOY_GAIN = ((0.25, 0.55),)
 CHAIN_TOY_GAIN = ((0.2, 0.4, 0.0), (0.0, 0.0, 0.3))
+
+# The ``data.policy`` keys each policy reads, and so the only ones a config
+# may set: the pendulum's PD policy takes scalars and arrays, a toy's state
+# feedback its gain and dither.
+_PD_SCALARS = ("kp", "kd", "redraw_every", "dither_edge", "ref_step")
+_PD_ARRAYS = ("dither", "ref_low", "ref_high")
+_TOY_POLICY_KEYS = ("K", "dither")
 
 # The pendulum's operating box: 20 Nm of torque per joint, window angles
 # within a quarter turn.
@@ -67,10 +75,11 @@ class Experiment:
     Reads ``plant`` (``name``, by default the double pendulum, and
     ``params``), ``box`` (by default the pendulum's operating box, or ±3 on
     the inputs and ±1.5 on the window states of a toy), ``dictionary``,
-    ``data.policy``, the setpoints of ``ocp`` and the start of ``run``. A
-    required key the config lacks raises ``ConfigError`` when it is read.
-    ``params`` holds the pendulum's physical parameters, and is ``None`` on
-    the toys.
+    ``data.policy``, the setpoints of ``ocp`` and the start of ``run``. An
+    unknown or out-of-range ``plant.params`` value and a ``data.policy`` key
+    the plant's policy does not read raise ``ConfigError`` here; a required
+    key the config lacks raises it when it is read. ``params`` holds the
+    pendulum's physical parameters, and is ``None`` on the toys.
     """
 
     def __init__(self, cfg: dict):
@@ -81,7 +90,11 @@ class Experiment:
         self.params = None
         if self.plant_name == "double_pendulum":
             fields = plant.DoublePendulumParams.__dataclass_fields__
-            self.params = p = plant.DoublePendulumParams(**_known(params, "plant.params", fields))
+            _known(params, "plant.params", fields)
+            try:
+                self.params = p = plant.DoublePendulumParams(**params)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"plant.params: {exc}") from None
             self.plant_model = plant.make_double_pendulum(p)
             self.structure = plant.BrunovskyStructure(degrees=(2, 2))
             self.phi = lambda U, XI: plant.pendulum_synthetic_input(p, U, XI)
@@ -94,6 +107,8 @@ class Experiment:
             )
         else:
             raise ConfigError(f"unknown plant '{self.plant_name}'")
+        policy_keys = _TOY_POLICY_KEYS if self.params is None else _PD_SCALARS + _PD_ARRAYS
+        _known(cfg.get("data", {}).get("policy", {}), "data.policy", policy_keys)
 
         box = cfg.get("box")
         if box is None:
@@ -135,20 +150,16 @@ class Experiment:
         pol = self.cfg.get("data", {}).get("policy", {})
         limits = dict(u_low=self.box.u_lower, u_high=self.box.u_upper, seed=seed)
         if self.params is None:
-            K = pol.get("K")
-            if K is None:
-                K = FLAT_TOY_GAIN if self.plant_name == "scalar_flat" else CHAIN_TOY_GAIN
+            gain = FLAT_TOY_GAIN if self.plant_name == "scalar_flat" else CHAIN_TOY_GAIN
+            given = {"K": gain, "dither": 0.6, **pol}
             return plant.StateFeedbackDitherPolicy(
-                K=np.asarray(K, dtype=float), dither=float(pol.get("dither", 0.6)), **limits
+                K=np.asarray(given["K"], dtype=float), dither=float(given["dither"]), **limits
             )
-        given = dict(ref_low=PENDULUM_REF_LOW, ref_high=PENDULUM_REF_HIGH)
-        given.update(pol)
-        scalars = ("kp", "kd", "redraw_every", "dither_edge", "ref_step")
-        arrays = ("dither", "ref_low", "ref_high")
+        given = {"ref_low": PENDULUM_REF_LOW, "ref_high": PENDULUM_REF_HIGH, **pol}
         return plant.PendulumPdPolicy(
             params=self.params,
-            **{key: given[key] for key in scalars if key in given},
-            **{key: np.asarray(given[key], dtype=float) for key in arrays if key in given},
+            **{key: given[key] for key in _PD_SCALARS if key in given},
+            **{key: np.asarray(given[key], dtype=float) for key in _PD_ARRAYS if key in given},
             **limits,
         )
 
@@ -164,7 +175,12 @@ class Experiment:
 
     @property
     def u_setpoint(self) -> np.ndarray:
-        return np.asarray(require(self.cfg.get("ocp", {}), "ocp", "u_setpoint"), dtype=float)
+        """``ocp.u_setpoint``. The pendulum holds the equilibrium torque at
+        ``y_setpoint`` when the config omits it; a toy requires it."""
+        ocp = self.cfg.get("ocp", {})
+        if self.params is not None and "u_setpoint" not in ocp:
+            return self._rest_input(self.y_setpoint)
+        return np.asarray(require(ocp, "ocp", "u_setpoint"), dtype=float)
 
     @property
     def y_setpoint(self) -> np.ndarray:
@@ -185,9 +201,12 @@ class Experiment:
         hold = self.cfg.get("run", {}).get("hold_input")
         if hold is not None:
             return np.asarray(hold, dtype=float)
-        if self.params is not None:
-            return plant.equilibrium_torque(self.params, self.plant_model.measure(self.x0))
-        return None
+        return self._rest_input(self.plant_model.measure(self.x0))
+
+    def _rest_input(self, y) -> Optional[np.ndarray]:
+        """The input that holds the plant at rest at outputs ``y``: the
+        pendulum's gravity torque, and ``None`` on a toy."""
+        return None if self.params is None else plant.equilibrium_torque(self.params, y)
 
     def collect(self, seed: int, w_star: float = 0.01, N: int = 200) -> plant.Trajectory:
         noise = plant.NoiseModel(w_star=w_star, seed=10_000 + seed)
@@ -241,29 +260,26 @@ def pendulum_experiment(grid_points: int = 7) -> Experiment:
     """Reference double-pendulum setup: the pendulum's operating box,
     setpoint one-sixth and one-third turn up and held there at rest, started
     hanging straight down."""
-    y_s = np.array([np.pi / 6, np.pi / 3])
     return Experiment({
         "box": dict(PENDULUM_BOX, grid_points=grid_points),
-        "ocp": {
-            "y_setpoint": y_s,
-            "u_setpoint": plant.equilibrium_torque(plant.DoublePendulumParams(), y_s),
-        },
+        "ocp": {"y_setpoint": np.array([np.pi / 6, np.pi / 3])},
         "run": {"x0": [-np.pi / 2, 0.0, 0.0, 0.0]},
     })
 
 
-def flat_toy_setup(N: int = 60, seed: int = 2):
+def _toy_setup(cfg: dict, seed: int, N: int):
+    """Plant, structure, φ, clean offline data of ``N`` samples and
+    dictionary of the toy experiment ``cfg``."""
+    exp = Experiment(cfg)
+    traj = exp.collect(seed, w_star=0.0, N=N)
+    return exp.plant_model, exp.structure, exp.phi, traj, exp.dictionary()
+
+
+def flat_toy_setup():
     """Exactly representable single-channel nonlinear toy with its dictionary
     and clean offline data; the workhorse of the nominal-scheme tests."""
-    toy, structure, phi = plant.make_scalar_flat()
-    policy = plant.StateFeedbackDitherPolicy(
-        K=np.array(FLAT_TOY_GAIN), dither=0.6, seed=seed
-    )
-    traj = plant.collect_offline_data(
-        toy, policy, N, structure, plant.NoiseModel()
-    )
-    dictionary = flat_toy_dictionary()
-    return toy, structure, phi, traj, dictionary
+    cfg = {"plant": {"name": "scalar_flat"}, "dictionary": {"name": "flat_exact"}}
+    return _toy_setup(cfg, seed=2, N=60)
 
 
 def flat_toy_dictionary(extra: Optional[float] = None) -> basis.CustomDictionary:
@@ -291,13 +307,8 @@ def flat_toy_dictionary(extra: Optional[float] = None) -> basis.CustomDictionary
     )
 
 
-def chain_toy_setup(N: int = 80, seed: int = 4):
-    """Two-channel chained-integrator toy with mixed delays and the identity
+def chain_toy_setup():
+    """Two-channel chained-integrator toy with mixed delays and the raw-input
     dictionary (everything linear, exactly representable)."""
-    toy, structure, phi = plant.make_chain_lti()
-    policy = plant.StateFeedbackDitherPolicy(
-        K=np.array(CHAIN_TOY_GAIN), dither=0.7, seed=seed
-    )
-    traj = plant.collect_offline_data(toy, policy, N, structure, plant.NoiseModel())
-    dictionary = basis.InputDictionary(m=2, n=3)
-    return toy, structure, phi, traj, dictionary
+    cfg = {"plant": {"name": "lti_toy"}, "data": {"policy": {"dither": 0.7}}}
+    return _toy_setup(cfg, seed=4, N=80)

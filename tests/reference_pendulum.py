@@ -122,13 +122,4 @@ def stacked_collect(exp, seed: int, w_star: float = 0.01, N: int = 200) -> plant
     noise = plant.NoiseModel(w_star=w_star, seed=10_000 + seed)
     traj = plant.collect_offline_data(exp.plant_model, policy, N, exp.structure, noise)
     k = first_violation(exp.box, traj)
-    return plant.Trajectory(
-        u=traj.u,
-        outputs=traj.outputs,
-        outputs_noisy=traj.outputs_noisy,
-        xi=traj.xi,
-        xi_noisy=traj.xi_noisy,
-        structure=traj.structure,
-        stayed_in_box=k is None,
-        first_violation=k,
-    )
+    return dataclasses.replace(traj, stayed_in_box=k is None, first_violation=k)

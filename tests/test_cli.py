@@ -37,6 +37,13 @@ def toy_config(tmp_path, **extra):
     return path, cfg
 
 
+def reference_config(tmp_path):
+    cfg = json.loads(REFERENCE.read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    return path, cfg
+
+
 def run_cli(args):
     return cli.main([str(a) for a in args])
 
@@ -56,17 +63,31 @@ def test_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, edit, key",
+    "command, make, edit, key",
     [
-        ("collect", lambda cfg: cfg["plant"].update(params={"bogus": 1}), "plant.params.bogus"),
-        ("sweep", lambda cfg: cfg.update(sweep={"values": [0.0], "seeds": [0]}), "sweep.vary"),
-        ("sweep", lambda cfg: cfg.update(sweep={"vary": "noise", "values": [0.0]}), "sweep.vary"),
-        ("npc-run", lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
+        ("collect", toy_config, lambda cfg: cfg["plant"].update(params={"bogus": 1}),
+         "plant.params.bogus"),
+        ("collect", reference_config, lambda cfg: cfg["plant"].update(params={"m1": 0.0}),
+         "plant.params"),
+        ("collect", reference_config, lambda cfg: cfg["data"].update(policy={"K": [[1.0]]}),
+         "data.policy.K"),
+        ("collect", toy_config, lambda cfg: cfg["data"].update(policy={"seed": 1}),
+         "data.policy.seed"),
+        ("collect", toy_config, lambda cfg: cfg["data"].update(policy={"kp": 1.0}),
+         "data.policy.kp"),
+        ("sweep", toy_config, lambda cfg: cfg.update(sweep={"values": [0.0], "seeds": [0]}),
+         "sweep.vary"),
+        ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "noise", "values": [0.0]}),
+         "sweep.vary"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
     ],
-    ids=["plant_params", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint"],
+    ids=[
+        "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
+        "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint",
+    ],
 )
-def test_config_error_names_the_key(tmp_path, capsys, command, edit, key):
-    path, cfg = toy_config(tmp_path)
+def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):
+    path, cfg = make(tmp_path)
     edit(cfg)
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -356,20 +377,27 @@ def test_reference_config_matches_the_reference_preset():
         np.testing.assert_array_equal(np.asarray(cfg["ocp"][key], dtype=float), getattr(spec, key))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the config's u_setpoint is 7.8e-10 off the preset's equilibrium torque "
-    "at y_setpoint; CLI outputs on the config are kept byte-identical",
-)
 def test_reference_config_u_setpoint_matches_the_reference_preset():
     _, from_cfg, exp, _ = _reference_pair()
     np.testing.assert_array_equal(from_cfg.u_setpoint, exp.u_setpoint)
 
 
+@pytest.mark.parametrize("path", sorted(REFERENCE.parent.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_builds_an_experiment(path):
+    """Every config in ``configs/`` loads and builds an experiment with a
+    finite setpoint for each input and output channel."""
+    exp = presets.Experiment(cli.load_config(path))
+    for setpoint in (exp.u_setpoint, exp.y_setpoint):
+        assert setpoint.shape == (exp.structure.m,)
+        assert np.all(np.isfinite(setpoint))
+
+
 def test_one_experiment_assembly():
-    """``presets.Experiment`` is the one experiment class in ``src/ddnpc``,
-    and the CLI names no plant: no ``"double_pendulum"`` literal and no
-    pendulum policy, plant factory, hold torque or ``presets.PENDULUM_*``."""
+    """``presets.Experiment`` is the one experiment class in ``src/ddnpc``
+    and the one place in ``presets`` that builds a toy policy or collects
+    data. The CLI names no plant: no ``"double_pendulum"`` literal, no
+    pendulum policy, plant factory, hold torque or ``presets.PENDULUM_*``,
+    and no table of policy keys of its own."""
     import ast
 
     package = Path(cli.__file__).parent
@@ -381,14 +409,26 @@ def test_one_experiment_assembly():
     ]
     assert classes == [("presets.py", "Experiment")]
 
+    def names_in(*roots):
+        nodes = [node for root in roots for node in ast.walk(root)]
+        return (
+            {node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {node.name for node in nodes if isinstance(node, ast.alias)}
+        )
+
+    body = ast.parse((package / "presets.py").read_text()).body
+    experiment = [node for node in body if isinstance(node, ast.ClassDef) and node.name == "Experiment"]
+    builders = {"StateFeedbackDitherPolicy", "collect_offline_data"}
+    assert builders <= names_in(*experiment)
+    assert not builders & names_in(*(node for node in body if node not in experiment))
+
     tree = ast.parse(Path(cli.__file__).read_text())
-    nodes = list(ast.walk(tree))
-    names = (
-        {node.id for node in nodes if isinstance(node, ast.Name)}
-        | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        | {node.name for node in nodes if isinstance(node, ast.alias)}
-    )
-    strings = [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    names = names_in(tree)
+    strings = [
+        n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
     assert not any("double_pendulum" in text for text in strings)
     assert not names & {"PendulumPdPolicy", "make_double_pendulum", "equilibrium_torque"}
     assert not [name for name in names if name.startswith("PENDULUM_")]
+    assert "_POLICY_KEYS" not in names

@@ -333,6 +333,19 @@ def test_collect_box_violation_strict():
             np.testing.assert_array_equal(strict.u, traj.u)
 
 
+def assert_same_data(got, want):
+    """Inputs, outputs and window states of two records equal byte for byte."""
+    for a, b in [
+        (got.u, want.u),
+        *zip(got.outputs, want.outputs),
+        *zip(got.outputs_noisy, want.outputs_noisy),
+        (got.xi.data, want.xi.data),
+        (got.xi_noisy.data, want.xi_noisy.data),
+    ]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_collect_matches_stacked_rollout_bitwise():
     """The closed-form data policy and the batch box check reproduce the
     stacked-matrix policy and the per-sample check byte for byte."""
@@ -341,17 +354,28 @@ def test_collect_matches_stacked_rollout_bitwise():
         for seed in range(10):
             got = exp.collect(seed, w_star=w_star)
             want = reference_pendulum.stacked_collect(exp, seed, w_star=w_star)
-            for a, b in [
-                (got.u, want.u),
-                *zip(got.outputs, want.outputs),
-                *zip(got.outputs_noisy, want.outputs_noisy),
-                (got.xi.data, want.xi.data),
-                (got.xi_noisy.data, want.xi_noisy.data),
-            ]:
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert_same_data(got, want)
             assert got.stayed_in_box is want.stayed_in_box
             assert got.first_violation == want.first_violation
+
+
+@pytest.mark.parametrize(
+    "setup, make, gain, dither, seed, N",
+    [
+        (presets.flat_toy_setup, make_scalar_flat, presets.FLAT_TOY_GAIN, 0.6, 2, 60),
+        (presets.chain_toy_setup, make_chain_lti, presets.CHAIN_TOY_GAIN, 0.7, 4, 80),
+    ],
+    ids=["flat", "chain"],
+)
+def test_toy_setups_match_an_unclipped_collection_bitwise(setup, make, gain, dither, seed, N):
+    """The toy setups collect through the assembly, whose policy clips to the
+    toy box; their data equals an unclipped collection byte for byte, so the
+    clip never binds and the data stays inside the box."""
+    traj = setup()[3]
+    model, st, _ = make()
+    policy = plant.StateFeedbackDitherPolicy(K=np.array(gain), dither=dither, seed=seed)
+    assert_same_data(traj, collect_offline_data(model, policy, N, st, NoiseModel()))
+    assert traj.stayed_in_box and traj.first_violation is None
 
 
 def test_pd_policy_matches_stacked_form_bitwise():
