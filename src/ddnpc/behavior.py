@@ -17,6 +17,7 @@ runs over those ``L*m`` samples only.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -301,6 +302,14 @@ class WindowFeatures:
         self.fixed = None
         self._last = None  # [v, h, raw jacobian, dpsi or None] of the latest pass
 
+    def with_last_column(self, col, fixed):
+        """A copy with ``col`` as the last column of ``R``, which the jacobian
+        never reads when the last stacked entry is the window's constant."""
+        core = copy.copy(self)
+        core.R = np.column_stack([self.R[:, :-1], col])
+        core.set_fixed(fixed)
+        return core
+
     def set_fixed(self, fixed):
         """Set the fixed part of the window; the same ``v`` under other fixed
         entries has other features."""
@@ -346,8 +355,81 @@ class WindowFeatures:
         return out
 
 
-def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
-                lambda_alpha, eps_star, k_xi, maxiter):
+@dataclass(frozen=True)
+class _WindowFactors:
+    """The read-only part of ``_fit_window`` that depends on the blocks and
+    the query kind alone: ``a = K [h[:-1]; s]`` and ``C = [Q0 R0 | C_s s]``."""
+
+    A: np.ndarray  # [H_psi; S], the rows the cost compares
+    E: np.ndarray  # [V; H_xi0], the rows the window pins
+    K: np.ndarray
+    C_s: np.ndarray
+    Q0: np.ndarray
+    A_pinv: np.ndarray
+    H0_pinv: np.ndarray
+    features: WindowFeatures  # R = [[R0, 0], [0, 0]]
+
+    def __post_init__(self):
+        for a in (*vars(self).values(), *vars(self.features).values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
+def _kind_factors(blocks, what, reg) -> _WindowFactors:
+    """Build the factors of query kind ``what`` at ridge weight ``reg`` and
+    keep them on ``blocks``."""
+    from scipy.linalg import block_diag, null_space
+
+    L, st = blocks.horizon, blocks.structure
+    m, n = st.m, st.n
+    H0 = blocks.xi_block_row(0)
+    if what == "simulation":
+        # c = [y; xi0; u]: output channel i is its entries of the initial
+        # window state, then its L free samples.
+        V = np.vstack([Hy[d:] for Hy, d in zip(blocks.H_y, st.degrees)])
+        S, n_fixed = H0, n + L * m
+        y_idx = [
+            np.concatenate([L * m + off + np.arange(d), i * L + np.arange(L)])
+            for i, (off, d) in enumerate(zip(st.channel_offsets(), st.degrees))
+        ]
+        u_idx = L * m + n + np.arange(L * m).reshape(L, m)
+        xi_idx = window_states(y_idx, st).data[:L].astype(int)
+    else:
+        # c = [u; xi_bar[:L]], with the reference's whole state window fixed
+        V, S, n_fixed = blocks.H_u, blocks.H_xi, L * n
+        u_idx = np.arange(L * m).reshape(L, m)
+        xi_idx = L * m + np.arange(L * n).reshape(L, n)
+
+    n_psi, n_v, n_s = blocks.H_psi.shape[0], V.shape[0], S.shape[0]
+    A, E = np.vstack([blocks.H_psi, S]), np.vstack([V, H0])
+    # T @ [h[:-1]; s] is the target of A @ a, E_h @ [h[:-1]; s] the right side of E @ a.
+    T = block_diag(np.eye(n_psi), np.zeros((0, n_v)), np.eye(n_s))
+    E_h = block_diag(np.zeros((0, n_psi)), np.eye(n_v), np.eye(n, n_s))
+    # a = E^+ e + N b with N spanning the null space of E; since E^+ e is
+    # orthogonal to N, b solves a ridge least squares in N.
+    N, E_pinv = null_space(E), np.linalg.pinv(E)
+    G = np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])]))
+    K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
+    C = np.vstack([A @ K - T, math.sqrt(reg) * K])
+    Q0, R0 = np.linalg.qr(C[:, : n_psi + n_v])
+    lin_idx = np.append(np.arange(n_v), n_v + n_fixed)
+    features = WindowFeatures(blocks.dictionary, u_idx, xi_idx, lin_idx, n_v, block_diag(R0, 0.0))
+    factors = blocks._window_factors[what, reg] = _WindowFactors(
+        A, E, K, C[:, n_psi + n_v :], Q0, np.linalg.pinv(A), np.linalg.pinv(H0), features
+    )
+    return factors
+
+
+def _appended_column(Q, c):
+    """Last column ``[Q^T c; rho]`` of the triangle of ``[Q R0 | c]``, ``rho``
+    the distance of ``c`` from ``span(Q)``, projected twice ("twice is enough")."""
+    q = Q.T @ c
+    w = c - Q @ q
+    dq = Q.T @ w
+    return np.append(q + dq, np.linalg.norm(w - Q @ dq))
+
+
+def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi, maxiter):
     """Fit a combination vector to a query window with ``L*m`` free samples.
 
     The free samples ``v = V @ alpha`` are the predicted outputs in
@@ -358,57 +440,31 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
         min ||H_psi a - psi(v)||^2 + ||S a - s||^2 + lambda_alpha*eps_star*||a||^2
         s.t. V a = v,  H_xi0 a = xi0,
 
-    where ``S`` holds the state rows the query fixes and ``s`` their values.
+    where ``S`` holds the state rows the query fixes, the initial window
+    state's first, and ``s`` their values.
     For fixed ``v`` the optimal ``a`` is ``K h`` with ``h = [psi(v); v; 1]``
     and a constant ``K``, and the stacked residual is ``C h`` with a constant
     ``C``. So ``solver.reduced_lsq``, with infinite bounds, runs over ``v``
-    alone on ``R h`` (``WindowFeatures.rows``), ``R`` the triangle of
-    ``qr(C)``: same cost, gradient and Gauss-Newton matrix. This minimizes
+    alone on ``R h`` (``WindowFeatures.rows``), ``R`` a triangle with ``R^T R
+    = C^T C``: same cost, gradient and Gauss-Newton matrix. This minimizes
     over ``a`` exactly when the window the solve settles on is reachable from
     the data, which is checked at the start and at the returned point.
 
-    ``V`` and ``S`` are fixed by ``what``, so the pseudo-inverses and the null
-    space built from them alone are computed once per ``(what, ridge
-    weight)`` and kept on ``blocks``; a query enters only ``T`` and ``E_h``.
+    All but the query's values ``s`` depends on the blocks and the query kind
+    alone and is built once per ``(what, ridge weight)`` (``_kind_factors``):
+    ``C`` but its last column ``c = C_s s``, with its QR factors ``Q0 R0``.
+    A query appends ``c``: ``R = [[R0, Q0^T c], [0, rho]]``.
     """
-    from scipy.linalg import null_space
-
-    n_psi, n_v = blocks.H_psi.shape[0], V.shape[0]
-    H0 = blocks.xi_block_row(0)
-    A = np.vstack([blocks.H_psi, S])
-    E = np.vstack([V, H0])
-    # T @ h is the target of A @ a, E_h @ h the right-hand side of E @ a.
-    T = np.zeros((A.shape[0], n_psi + n_v + 1))
-    T[:n_psi, :n_psi] = np.eye(n_psi)
-    T[n_psi:, -1] = s
-    E_h = np.zeros((E.shape[0], n_psi + n_v + 1))
-    E_h[:n_v, n_psi:-1] = np.eye(n_v)
-    E_h[n_v:, -1] = xi0
-
-    # a = E^+ e + N b with N spanning the null space of E; since E^+ e is
-    # orthogonal to N, b solves a ridge least squares in N.
     reg = lambda_alpha * eps_star
-    factors = blocks._window_factors.get((what, reg))
-    if factors is None:
-        N = null_space(E)
-        factors = blocks._window_factors[what, reg] = (
-            N,
-            np.linalg.pinv(E),
-            np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])])),
-            np.linalg.pinv(A),
-            np.linalg.pinv(H0),
-        )
-    N, E_pinv, G, A_pinv, H0_pinv = factors
-    K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
-    R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
-    core = WindowFeatures(
-        blocks.dictionary, u_idx, xi_idx, np.append(np.arange(n_v), n_v + fixed.size), n_v, R
-    )
-    core.set_fixed(np.append(fixed, 1.0))
+    kind = blocks._window_factors.get((what, reg)) or _kind_factors(blocks, what, reg)
+    n_psi, n_v = blocks.H_psi.shape[0], kind.features.n_free
+    H0, V, xi0 = blocks.xi_block_row(0), kind.E[:n_v], s[: blocks.structure.n]
+    col = _appended_column(kind.Q0, kind.C_s @ s)
+    core = kind.features.with_last_column(col, np.append(fixed, 1.0))
 
     def alpha_of(h):
-        alpha, e = K @ h, E_h @ h
-        gap = float(np.linalg.norm(E @ alpha - e))
+        alpha, e = kind.K @ np.append(h[:-1], s), np.append(h[n_psi:-1], xi0)
+        gap = float(np.linalg.norm(kind.E @ alpha - e))
         if gap > 1e-9 * max(1.0, float(np.linalg.norm(e))):
             raise InfeasibleInitialConditionError(
                 f"query window unreachable from data (residual {gap:.3e})"
@@ -417,10 +473,10 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
 
     # Fixed-point start: the unregularized linear fit with the features frozen
     # at the previous trajectory, projected back onto the initial state.
-    alpha = H0_pinv @ xi0
+    alpha = kind.H0_pinv @ xi0
     for _ in range(4):
-        alpha = A_pinv @ (T @ core.stacked_values(V @ alpha))
-        alpha -= H0_pinv @ (H0 @ alpha - xi0)
+        alpha = kind.A_pinv @ np.append(core.stacked_values(V @ alpha)[:n_psi], s)
+        alpha -= kind.H0_pinv @ (H0 @ alpha - xi0)
     v0 = V @ alpha
     alpha_of(core.stacked(v0))
 
@@ -433,7 +489,7 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
         raise ConvergenceError(f"data-driven {what} solve stalled", gnorm)
     alpha = alpha_of(h)
 
-    mism = A @ alpha - T @ h
+    mism = kind.A @ alpha - np.append(h[:n_psi], s)
     ridge = reg * float(alpha @ alpha)
     objective = float(mism @ mism) + ridge
     residual_sq = max(objective - ridge, 0.0)
@@ -485,22 +541,9 @@ def simulate_data_driven(
     if xi0.size != st.n:
         raise ValueError(f"initial window state must have length {st.n}")
 
-    # Output samples as indices into c = [v; xi0; u_new]: channel i starts
-    # with its entries of the initial window state, then its L free samples.
-    m, n = st.m, st.n
-    y_idx = [
-        np.concatenate([L * m + off + np.arange(d), i * L + np.arange(L)])
-        for i, (off, d) in enumerate(zip(st.channel_offsets(), st.degrees))
-    ]
     fit = _fit_window(
-        blocks, xi0,
-        V=np.vstack([Hy[d:] for Hy, d in zip(blocks.H_y, st.degrees)]),
-        S=blocks.xi_block_row(0), s=xi0,
-        u_idx=L * m + n + np.arange(L * m).reshape(L, m),
-        xi_idx=window_states(y_idx, st).data[:L].astype(int),
-        fixed=np.concatenate([xi0, u_new.reshape(-1)]),
-        gain=g_row_norm, what="simulation",
-        lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
+        blocks, "simulation", xi0, np.concatenate([xi0, u_new.reshape(-1)]), g_row_norm,
+        lambda_alpha, eps_star, k_xi, maxiter,
     )
     return SimulationResult(outputs=[Hy @ fit["alpha"] for Hy in blocks.H_y], **fit)
 
@@ -535,15 +578,8 @@ def match_output_data_driven(
             raise ValueError(f"reference output {i} must have length {L + d}")
     xi_bar = window_states(ys, st).data  # (L+1, n)
 
-    m, n = st.m, st.n
     fit = _fit_window(
-        blocks, xi_bar[0],
-        V=blocks.H_u,
-        S=blocks.H_xi, s=xi_bar.reshape(-1),
-        u_idx=np.arange(L * m).reshape(L, m),
-        xi_idx=L * m + np.arange(L * n).reshape(L, n),
-        fixed=xi_bar[:L].reshape(-1),
-        gain=g_row_norm + 1.0, what="output-matching",
-        lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
+        blocks, "output-matching", xi_bar.reshape(-1), xi_bar[:L].reshape(-1), g_row_norm + 1.0,
+        lambda_alpha, eps_star, k_xi, maxiter,
     )
-    return MatchingResult(u=(blocks.H_u @ fit["alpha"]).reshape(L, m), **fit)
+    return MatchingResult(u=(blocks.H_u @ fit["alpha"]).reshape(L, st.m), **fit)

@@ -631,7 +631,7 @@ class StateFeedbackDitherPolicy:
         m = self.K.shape[0]
         u = -self.K @ x + self._rng.uniform(-self.dither, self.dither, size=m)
         if self.u_low is not None:
-            u = np.clip(u, self.u_low, self.u_high)
+            u = u.clip(self.u_low, self.u_high)  # the ufunc, without np.clip's wrapper
         return u
 
 

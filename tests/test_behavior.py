@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_window_fit
 from ddnpc import behavior, plant, presets
 from ddnpc.behavior import (
     DataDictionaryBlocks,
@@ -443,3 +444,199 @@ def test_window_features_is_the_one_dictionary_call_site():
         if isinstance(node, ast.Attribute) and node.attr == "value_and_jacobian_batch"
     ]
     assert sites == [("behavior.py", "WindowFeatures")]
+
+
+# ---------------------------------------------------------------------------
+# the window fit against its per-query reference
+# ---------------------------------------------------------------------------
+
+
+def outcome(fit, *args, **kwargs):
+    """The fit's result, or the type of the query error it raised."""
+    try:
+        return fit(*args, **kwargs)
+    except (behavior.ConvergenceError, InfeasibleInitialConditionError) as exc:
+        return type(exc)
+
+
+def assert_same_fit(got, want, key):
+    """Same status and evaluation count; the free samples and the
+    combination vector within 1e-12."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want, (key, got, want)
+        return
+    assert got.iterations == want["iterations"], key
+    np.testing.assert_allclose(got.alpha, want["alpha"], rtol=0, atol=1e-12, err_msg=str(key))
+    if hasattr(got, "outputs"):
+        for a, b in zip(got.outputs, want["outputs"]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=str(key))
+    else:
+        np.testing.assert_allclose(got.u, want["u"], rtol=0, atol=1e-12, err_msg=str(key))
+
+
+def test_pendulum_fits_agree_with_the_per_query_reference(pendulum_queries):
+    """Factors built once per query kind, the query appended as one column:
+    the pendulum queries agree with a dense QR per query
+    (``tests/reference_window_fit.py``)."""
+    blocks, window = pendulum_queries
+    for k0 in PENDULUM_WINDOWS:
+        u, xi0, ys = window(k0)
+        assert_same_fit(
+            outcome(simulate_data_driven, blocks, u, xi0, eps_star=PENDULUM_EPS),
+            outcome(reference_window_fit.simulate, blocks, u, xi0, eps_star=PENDULUM_EPS),
+            (k0, "simulation"),
+        )
+        assert_same_fit(
+            outcome(match_output_data_driven, blocks, ys, eps_star=PENDULUM_EPS),
+            outcome(reference_window_fit.match, blocks, ys, eps_star=PENDULUM_EPS),
+            (k0, "matching"),
+        )
+
+
+def test_flat_toy_fits_agree_with_the_per_query_reference(flat_blocks):
+    toy, st, phi, traj, d, blocks = flat_blocks
+    quiet = DataDictionaryBlocks.from_trajectory(
+        d, plant.collect_offline_data(toy, lambda k, x: np.zeros(1), 40, st, plant.NoiseModel()), 10
+    )
+    rng = np.random.default_rng(31)
+    for trial in range(4):
+        x0 = rng.uniform(-0.3, 0.3, 2)
+        u_new = rng.uniform(-0.8, 0.8, (10, 1))
+        _, ys = plant.simulate(toy, x0, np.vstack([u_new, np.zeros((1, 1))]))
+        xi0, ref = ys[:2, 0], [ys[:12, 0]]
+        kw = dict(eps_star=0.05 * trial)
+        for b in (blocks, quiet):
+            assert_same_fit(
+                outcome(simulate_data_driven, b, u_new, xi0, **kw),
+                outcome(reference_window_fit.simulate, b, u_new, xi0, **kw),
+                (trial, b is quiet, "simulation"),
+            )
+            assert_same_fit(
+                outcome(match_output_data_driven, b, ref, **kw),
+                outcome(reference_window_fit.match, b, ref, **kw),
+                (trial, b is quiet, "matching"),
+            )
+
+
+# ---------------------------------------------------------------------------
+# the factors of a query kind
+# ---------------------------------------------------------------------------
+
+
+def appended_triangle(factors, c):
+    """The triangle a query with cost column ``c`` solves on, and ``C0``."""
+    R = factors.features.with_last_column(behavior._appended_column(factors.Q0, c), None).R
+    return R, factors.Q0 @ R[:-1, :-1]
+
+
+@pytest.mark.parametrize("what", ["simulation", "output-matching"])
+def test_appended_triangle_has_the_cost_gram_matrix(pendulum_queries, what):
+    """``R^T R = C^T C`` to 1e-12 relative for a query's own column and for
+    a column within 1e-10 of ``span(C0)``; there ``rho``, the distance of the
+    column from ``span(C0)``, is still accurate to rounding of the column."""
+    blocks, window = pendulum_queries
+    factors = behavior._kind_factors(blocks, what, 1e3 * PENDULUM_EPS)
+    u, xi0, ys = window(240)
+    s = xi0 if what == "simulation" else plant.window_states(ys, blocks.structure).data.reshape(-1)
+    R, C0 = appended_triangle(factors, factors.C_s @ s)
+    rng = np.random.default_rng(8)
+    inside = C0 @ rng.standard_normal(C0.shape[1])
+    z = rng.standard_normal(C0.shape[0])
+    for _ in range(2):
+        z -= factors.Q0 @ (factors.Q0.T @ z)
+    near = inside + 1e-10 * np.linalg.norm(inside) * z / np.linalg.norm(z)
+    for c in (factors.C_s @ s, near):
+        R, C0 = appended_triangle(factors, c)
+        C = np.column_stack([C0, c])
+        gram = C.T @ C
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+    Q, w = factors.Q0.astype(np.longdouble), near.astype(np.longdouble)
+    for _ in range(3):
+        w -= Q @ (Q.T @ w)
+    rho = float(np.sqrt(w @ w))
+    assert abs(R[-1, -1] - rho) <= 64 * np.finfo(float).eps * np.linalg.norm(near)
+    assert abs(R[-1, -1] - rho) <= 1e-5 * rho
+
+
+def test_kind_factors_are_built_once_per_kind_and_ridge(monkeypatch):
+    """Five queries of each kind factor once per ``(kind, ridge weight)``,
+    on the kind's first query, not when the blocks are built."""
+    toy, st, phi, traj, d = presets.flat_toy_setup()
+    blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10)
+    assert "_window_factors" not in vars(blocks)
+    calls = {"qr": 0, "pinv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for k0 in range(5):
+        for eps in (0.0, 0.05):
+            simulate_data_driven(blocks, traj.u[k0 : k0 + 10], traj.xi.data[k0], eps_star=eps)
+            match_output_data_driven(blocks, [traj.outputs[0][k0 : k0 + 12]], eps_star=eps)
+    assert calls == {"qr": 4, "pinv": 16}
+    assert sorted(blocks._window_factors) == [
+        ("output-matching", 0.0), ("output-matching", 50.0),
+        ("simulation", 0.0), ("simulation", 50.0),
+    ]
+
+
+def test_kind_factors_are_read_only(flat_blocks):
+    toy, st, phi, traj, d, blocks = flat_blocks
+    simulate_data_driven(blocks, traj.u[:10], traj.xi.data[0])
+    factors = blocks._window_factors["simulation", 0.0]
+    arrays = [a for a in vars(factors).values() if isinstance(a, np.ndarray)]
+    arrays += [a for a in vars(factors.features).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 12
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    assert not np.any(factors.features.R[:, -1])
+
+
+def test_no_factorization_on_the_per_query_path():
+    """``_fit_window`` and the helpers it reaches in ``behavior.py`` call no
+    factorization but through the per-kind builder ``_kind_factors``, so no
+    O(M n^2) factorization runs per query."""
+    import ast
+    from pathlib import Path
+
+    factorizations = {"qr", "pinv", "null_space", "svd", "lstsq"}
+    tree = ast.parse(Path(behavior.__file__).read_text())
+    defs = {}  # function or method name -> its node (methods of every class)
+    for top in tree.body:
+        for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+
+    def names(node):
+        return {
+            n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Attribute, ast.Name))
+        }
+
+    def calls(node):
+        return {
+            c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None)
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+        }
+
+    (fit,) = defs["_fit_window"]
+    assert not calls(fit) & factorizations
+    reached, todo = set(), ["_fit_window"]
+    while todo:
+        for node in defs[todo.pop()]:
+            for name in names(node) & set(defs):
+                if name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+    factoring = {
+        name for name in reached for node in defs[name] if calls(node) & factorizations
+    }
+    assert "_kind_factors" in reached and "with_last_column" in reached
+    assert factoring == {"_kind_factors"}
