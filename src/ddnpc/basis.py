@@ -209,29 +209,32 @@ class InputDictionary(BasisDictionary):
         return J
 
 
-class CustomDictionary(BasisDictionary):
-    """Dictionary assembled from scalar callables ``f(u, xi)``.
+class FlatToyDictionary(BasisDictionary):
+    """The flat toy's transformed input, spanned exactly: ``u``, ``xi_2^2``
+    and ``sin(xi_1) - c cos(2 xi_1)``. A nonzero ``c`` distorts the sine
+    entry to dial in a known approximation-error level.
 
-    Gradients may be supplied alongside each function; when omitted, the
-    jacobian falls back to central finite differences (test-grade only).
+    Each entry is computed on the whole batch and equals its scalar form,
+    ``xi[1] ** 2`` and ``np.sin(xi[0]) - c * np.cos(2 * xi[0])`` on one row,
+    bit for bit. The square is ``float_power``: it rounds as numpy's scalar
+    power does, where ``x * x`` and ``np.power`` differ in about one entry in
+    a thousand.
     """
 
-    u_prefix = False
+    u_prefix = True
 
-    def __init__(self, m, n, funcs, grads=None, name="custom", u_prefix=False):
-        super().__init__(m, n, len(funcs))
-        self.funcs = list(funcs)
-        self.grads = list(grads) if grads is not None else None
-        self.name = name
-        self.u_prefix = u_prefix
+    def __init__(self, c: float = 0.0):
+        super().__init__(1, 2, 3)
+        self.c = c
+        self.name = "flat_exact" if c == 0.0 else f"flat_distorted_{c:g}"
 
     def value_batch(self, U, XI):
-        P = U.shape[0]
-        out = np.empty((P, self.r))
-        for p in range(P):
-            for j, f in enumerate(self.funcs):
-                out[p, j] = f(U[p], XI[p])
-        if not np.all(np.isfinite(out)):
+        x0 = XI[:, 0]
+        out = np.empty((U.shape[0], 3))
+        out[:, 0] = U[:, 0]
+        out[:, 1] = np.float_power(XI[:, 1], 2)
+        out[:, 2] = np.sin(x0) - self.c * np.cos(2 * x0)
+        if not np.isfinite(out).all():
             p, j = np.argwhere(~np.isfinite(out))[0]
             raise DictionaryEvaluationError(
                 f"basis function {j} returned a non-finite value at step {p}"
@@ -239,25 +242,12 @@ class CustomDictionary(BasisDictionary):
         return out
 
     def jacobian_batch(self, U, XI):
-        P = U.shape[0]
-        dim = self.m + self.n
-        out = np.empty((P, self.r, dim))
-        if self.grads is not None:
-            for p in range(P):
-                for j, g in enumerate(self.grads):
-                    out[p, j] = np.asarray(g(U[p], XI[p]), dtype=float).reshape(dim)
-            return out
-        h = 1e-6
-        for p in range(P):
-            z = np.concatenate([U[p], XI[p]])
-            for d in range(dim):
-                zp, zm = z.copy(), z.copy()
-                zp[d] += h
-                zm[d] -= h
-                fp = [f(zp[: self.m], zp[self.m :]) for f in self.funcs]
-                fm = [f(zm[: self.m], zm[self.m :]) for f in self.funcs]
-                out[p, :, d] = (np.array(fp) - np.array(fm)) / (2 * h)
-        return out
+        x0 = XI[:, 0]
+        J = np.zeros((U.shape[0], 3, 3))
+        J[:, 0, 0] = 1.0
+        J[:, 1, 2] = 2 * XI[:, 1]
+        J[:, 2, 1] = np.cos(x0) + (2 * self.c) * np.sin(2 * x0)
+        return J
 
 
 class PolynomialDictionary(BasisDictionary):

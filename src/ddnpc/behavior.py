@@ -201,43 +201,6 @@ def prediction_error_bound(inputs: ErrorBoundInputs, channel: int, k: int) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Membership residual
-# ---------------------------------------------------------------------------
-
-
-def representation_residual(
-    blocks: DataDictionaryBlocks,
-    u_candidate: np.ndarray,
-    y_candidates: list,
-):
-    """Least-squares membership test of a candidate window.
-
-    The candidate input must span ``horizon`` steps and output channel ``i``
-    must span ``horizon + d_i`` steps. Returns ``(residual, alpha)`` where the
-    residual is the relative distance of the stacked candidate from the range
-    of the data blocks; values near zero certify membership for noiseless
-    data with an exactly representable dictionary.
-    """
-    L = blocks.horizon
-    st = blocks.structure
-    u_candidate = np.atleast_2d(np.asarray(u_candidate, dtype=float))
-    if u_candidate.shape != (L, st.m):
-        raise ValueError(f"candidate input must have shape ({L}, {st.m})")
-    ys = [np.asarray(y, dtype=float).reshape(-1) for y in y_candidates]
-    for i, (y, d) in enumerate(zip(ys, st.degrees)):
-        if y.size != L + d:
-            raise ValueError(f"candidate output {i} must have length {L + d}")
-    xi_bar = window_states(ys, st)
-    feats = evaluate_along(blocks.dictionary, u_candidate, xi_bar.data[:L])
-    rhs = np.concatenate([feats.reshape(-1), xi_bar.data.reshape(-1)])
-    A = np.vstack([blocks.H_psi, blocks.H_xi])
-    alpha, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    denom = max(1.0, float(np.linalg.norm(rhs)))
-    residual = float(np.linalg.norm(A @ alpha - rhs)) / denom
-    return residual, alpha
-
-
-# ---------------------------------------------------------------------------
 # Simulation and output matching: one solve over the free window samples
 # ---------------------------------------------------------------------------
 

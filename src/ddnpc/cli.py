@@ -104,9 +104,9 @@ def _resolve(path, base: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _noise(cfg) -> plant.NoiseModel:
-    n_cfg = cfg.get("noise", {})
-    return plant.NoiseModel(w_star=float(n_cfg.get("w_star", 0.0)), seed=int(n_cfg.get("seed", 0)))
+def _w_star(cfg) -> float:
+    """The measurement-noise bound ``noise.w_star``; none by default."""
+    return float(cfg.get("noise", {}).get("w_star", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +152,17 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
     exp = presets.Experiment(cfg)
     data_cfg = cfg.get("data", {})
     N = int(data_cfg.get("N", 200))
-    noise = _noise(cfg)
-    policy = exp.policy(int(data_cfg.get("seed", 0)))
-    traj = plant.collect_offline_data(
-        exp.plant_model, policy, N, exp.structure, noise, box=exp.box, strict=strict
-    )
+    w_star = _w_star(cfg)
+    traj = exp.collect(int(data_cfg.get("seed", 0)), w_star=w_star, N=N, strict=strict)
     if not traj.stayed_in_box:
         print(f"warning: trajectory left the operating box at step {traj.first_violation}")
-        if strict:
-            return EXIT_ASSUMPTION
     dictionary = exp.dictionary()
     cert = basis.build_certificate(
         dictionary,
         exp.phi,
         exp.box,
         degrees=exp.structure.degrees,
-        w_star=noise.w_star,
+        w_star=w_star,
         seed=cfg.get("dictionary", {}).get("seed"),
     )
     trajlib.write_trajectory_csv(out_dir / "data.csv", traj.u, traj.outputs)
@@ -185,7 +180,7 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
             f"warning: N = {N} is below the excitation budget "
             f"(r + 1)(L + d_max + n) - 1 = {lower_bound}"
         )
-    if noise.w_star == 0.0:
+    if w_star == 0.0:
         print("noise bound is zero: noise-gain estimation skipped (identically zero)")
     print(f"eps_star = {cert.eps_star:.6g}")
     run_cfg = json.loads(json.dumps(cfg))
@@ -329,14 +324,14 @@ def _run_once(cfg, base) -> tuple:
     traj = _load_trajectory(exp, cfg, base)
     mode = ocp_cfg.get("mode", "robust")
     L = int(ocp_cfg.get("L", 10))
-    noise = _noise(cfg)
+    w_star = _w_star(cfg)
     eps_star = cert.eps_star * float(ocp_cfg.get("eps_inflation", 1.1))
     spec = exp.ocp_spec(
         exp.blocks(exp.dictionary(), traj, L=L, noisy=(mode == "robust")),
         mode=mode,
         L=L,
         eps_star=eps_star,
-        w_star=noise.w_star,
+        w_star=w_star,
         k_psi=cert.k_psi,
         k_w=cert.k_w,
         g_dagger_norm=cert.g_dagger_inf_bound,
@@ -347,7 +342,7 @@ def _run_once(cfg, base) -> tuple:
             ("slack_mode", str), ("c_slack", float),
         )),
     )
-    run_noise = plant.NoiseModel(w_star=noise.w_star, seed=int(run_cfg.get("seed", 0)))
+    run_noise = plant.NoiseModel(w_star=w_star, seed=int(run_cfg.get("seed", 0)))
     log = npc.run_closed_loop(
         spec,
         exp.plant_model,

@@ -32,10 +32,6 @@ class SingularInertiaError(RuntimeError):
     """Inertia matrix numerically singular at the current configuration."""
 
 
-class NoResponseError(RuntimeError):
-    """An output never responded to any input within the probe horizon."""
-
-
 class BoxViolationError(RuntimeError):
     """A collected sample left the operating box in strict mode."""
 
@@ -54,8 +50,7 @@ class PlantModel:
     """Discrete-time plant ``x+ = f(x, u)``, ``y = h(x)``.
 
     ``feedthrough`` optionally adds a direct input term ``h_u(x, u)`` to the
-    output; it exists so degenerate zero-delay plants can be expressed and
-    detected by the relative-degree probe.
+    output; it exists so degenerate zero-delay plants can be expressed.
 
     Plants that claim an equilibrium at the origin are checked for
     ``f(0, 0) = 0`` and ``h(0) = 0`` at construction.
@@ -193,48 +188,6 @@ def window_states(outputs: list[np.ndarray], structure: BrunovskyStructure) -> S
             xi[:, off + j] = y[j : j + N + 1]
         off += d
     return Sequence(xi)
-
-
-# ---------------------------------------------------------------------------
-# Relative-degree probe
-# ---------------------------------------------------------------------------
-
-
-def probe_relative_degrees(
-    plant: PlantModel,
-    magnitude: float = 1e-3,
-    horizon: int = 10,
-    tolerance: float = 1e-9,
-) -> tuple[int, ...]:
-    """Relative degrees found by perturbing the plant from rest at the origin.
-
-    For each output the degree is the first step at which some single input
-    applied at time zero moves that output away from the unforced response.
-    A degree of zero (direct feedthrough) is returned as-is; downstream
-    predictive machinery rejects it.
-    """
-    if magnitude <= 0:
-        raise ValueError("perturbation magnitude must be positive")
-    x0 = np.zeros(plant.n)
-    zero_u = np.zeros((horizon + 1, plant.m))
-    _, y_base = simulate(plant, x0, zero_u)
-    first_change = np.full(plant.m, -1, dtype=int)
-    for j in range(plant.m):
-        u = zero_u.copy()
-        u[0, j] = magnitude
-        _, y_pert = simulate(plant, x0, u)
-        moved = np.abs(y_pert - y_base) > tolerance  # (horizon+1, m)
-        for i in range(plant.m):
-            ks = np.nonzero(moved[:, i])[0]
-            if ks.size and (first_change[i] < 0 or ks[0] < first_change[i]):
-                first_change[i] = ks[0]
-    if np.any(first_change < 0):
-        silent = [i + 1 for i in range(plant.m) if first_change[i] < 0]
-        raise NoResponseError(
-            f"outputs {silent} of '{plant.name}' never responded within "
-            f"{horizon} steps"
-        )
-    return tuple(int(k) for k in first_change)
 
 
 # ---------------------------------------------------------------------------

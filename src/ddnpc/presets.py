@@ -208,10 +208,19 @@ class Experiment:
         pendulum's gravity torque, and ``None`` on a toy."""
         return None if self.params is None else plant.equilibrium_torque(self.params, y)
 
-    def collect(self, seed: int, w_star: float = 0.01, N: int = 200) -> plant.Trajectory:
-        noise = plant.NoiseModel(w_star=w_star, seed=10_000 + seed)
+    def collect(
+        self, seed: int, w_star: float = 0.01, N: int = 200, strict: bool = False
+    ) -> plant.Trajectory:
+        """Offline data of ``N`` samples under the data policy of ``seed``,
+        measured with noise bounded by ``w_star``. The noise seed is
+        ``noise.seed`` where the config sets it, and ``10_000 + seed``
+        otherwise. The box verdict is recorded; in strict mode the first
+        sample outside the box raises ``BoxViolationError``."""
+        noise_seed = self.cfg.get("noise", {}).get("seed", 10_000 + seed)
+        noise = plant.NoiseModel(w_star=w_star, seed=int(noise_seed))
         return plant.collect_offline_data(
-            self.plant_model, self.policy(seed), N, self.structure, noise, box=self.box
+            self.plant_model, self.policy(seed), N, self.structure, noise,
+            box=self.box, strict=strict,
         )
 
     def blocks(self, dictionary, traj, L: int = 10, noisy: bool = True):
@@ -282,29 +291,10 @@ def flat_toy_setup():
     return _toy_setup(cfg, seed=2, N=60)
 
 
-def flat_toy_dictionary(extra: Optional[float] = None) -> basis.CustomDictionary:
+def flat_toy_dictionary(extra: Optional[float] = None) -> basis.FlatToyDictionary:
     """Dictionary spanning the flat toy's transformed input exactly; ``extra``
     distorts the sine entry to dial in a known approximation-error level."""
-    c = 0.0 if extra is None else extra
-
-    def f3(u, xi):
-        return np.sin(xi[0]) - c * np.cos(2 * xi[0])
-
-    def g3(u, xi):
-        return [0.0, np.cos(xi[0]) + 2 * c * np.sin(2 * xi[0]), 0.0]
-
-    return basis.CustomDictionary(
-        1,
-        2,
-        funcs=[lambda u, xi: u[0], lambda u, xi: xi[1] ** 2, f3],
-        grads=[
-            lambda u, xi: [1.0, 0.0, 0.0],
-            lambda u, xi: [0.0, 0.0, 2 * xi[1]],
-            g3,
-        ],
-        name="flat_exact" if c == 0.0 else f"flat_distorted_{c:g}",
-        u_prefix=True,
-    )
+    return basis.FlatToyDictionary(0.0 if extra is None else extra)
 
 
 def chain_toy_setup():

@@ -63,26 +63,13 @@ class Sequence:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def _check_window(self, a: int, b: int) -> None:
+    def window(self, a: int, b: int) -> "Sequence":
+        """Rows ``a..b`` inclusive as a new sequence."""
         if not (0 <= a <= b <= self.length - 1):
             raise WindowError(
                 f"window ({a}, {b}) invalid for sequence of length {self.length}"
             )
-
-    def window(self, a: int, b: int) -> "Sequence":
-        """Rows ``a..b`` inclusive as a new sequence."""
-        self._check_window(a, b)
         return Sequence(self.data[a : b + 1])
-
-    def stack(self, a: int, b: int) -> np.ndarray:
-        """Stacked vector of the window ``a..b``: rows concatenated in time order."""
-        self._check_window(a, b)
-        return self.data[a : b + 1].reshape(-1).copy()
-
-
-def stack(seq: Sequence, a: int, b: int) -> np.ndarray:
-    """Stacked vector of ``seq`` over the window ``a..b`` (inclusive)."""
-    return seq.stack(a, b)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import reference_certificate
 from ddnpc import basis, plant, presets
 from ddnpc.basis import (
     ApproximationCertificate,
-    CustomDictionary,
     IdentityDictionary,
     InputDictionary,
     OperatingBox,
@@ -25,6 +24,7 @@ from ddnpc.basis import (
     make_pendulum_dictionary,
     right_inverse_norm_bound,
 )
+from reference_dictionary import CustomDictionary, flat_toy_callables
 from reference_pendulum import coriolis_times_velocity, inertia_matrix, random_points
 
 
@@ -123,6 +123,59 @@ def test_synthetic_input_is_window_step_plus_exact_model_accelerations():
     np.testing.assert_array_equal(exp.phi(U, XI), want)
 
 
+@pytest.mark.parametrize("extra", [None, 0.02, 0.05])
+def test_flat_dictionary_equals_scalar_callables_bitwise(extra):
+    """The flat toy's batched dictionary is its scalar-callable form bit for
+    bit, values and partials, on 12,000 points spread over several scales."""
+    d, ref = presets.flat_toy_dictionary(extra), flat_toy_callables(extra)
+    assert (d.name, d.u_prefix, d.m, d.n, d.r) == (ref.name, ref.u_prefix, ref.m, ref.n, ref.r)
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 1.5, 4.0, 1e3):
+        U = rng.uniform(-3.0, 3.0, (3000, 1))
+        XI = rng.uniform(-scale, scale, (3000, 2))
+        np.testing.assert_array_equal(d.value_batch(U, XI), ref.value_batch(U, XI))
+        np.testing.assert_array_equal(d.jacobian_batch(U, XI), ref.jacobian_batch(U, XI))
+    for P in (1, 7, 12):
+        for fn in ("value_batch", "jacobian_batch"):
+            want = getattr(ref, fn)(U[:P], XI[:P])
+            np.testing.assert_array_equal(getattr(d, fn)(U[:P], XI[:P]), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_flat_dictionary_rejects_nonfinite_values(bad, column):
+    """A non-finite input or window state raises ``DictionaryEvaluationError``
+    with the scalar form's message, naming the first basis function and row
+    that went non-finite."""
+    Z = np.zeros((4, 3))
+    Z[2, column] = bad
+    messages = []
+    with np.errstate(invalid="ignore"):
+        for d in (presets.flat_toy_dictionary(0.05), flat_toy_callables(0.05)):
+            with pytest.raises(basis.DictionaryEvaluationError, match="step 2") as err:
+                d.value_batch(Z[:, :1], Z[:, 1:])
+            messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_test_only_helpers_stay_out_of_src():
+    """Code that only the tests call lives in their reference modules: no
+    module of ``src/ddnpc`` defines the scalar-callable dictionary, the
+    relative-degree probe, the membership residual or the window stack."""
+    import ast
+    from pathlib import Path
+
+    moved = {"CustomDictionary", "probe_relative_degrees", "NoResponseError",
+             "representation_residual", "stack"}
+    found = {
+        (path.name, node.name)
+        for path in sorted(Path(basis.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved
+    }
+    assert found == set()
+
+
 def test_evaluate_along_length_mismatch():
     d = IdentityDictionary(1, 1)
     with pytest.raises(ValueError, match="length mismatch"):
@@ -143,6 +196,7 @@ def test_evaluate_along_reports_nonfinite():
         PolynomialDictionary(1, 2),
         TrigDictionary(2, 3),
         PendulumModelDictionary(plant.DoublePendulumParams(m1=1.05, l2=0.47)),
+        presets.flat_toy_dictionary(extra=0.05),
     ],
 )
 def test_dictionary_jacobians_match_finite_differences(dictionary):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import reference_window_fit
+from reference_checks import representation_residual
+from reference_dictionary import CustomDictionary
 from ddnpc import behavior, plant, presets
 from ddnpc.behavior import (
     DataDictionaryBlocks,
@@ -11,7 +13,6 @@ from ddnpc.behavior import (
     geometric_sum,
     match_output_data_driven,
     prediction_error_bound,
-    representation_residual,
     simulate_data_driven,
 )
 
@@ -286,8 +287,6 @@ def test_matching_tracks_fresh_reference(flat_blocks):
 
 def test_matching_requires_input_prefix(flat_blocks):
     toy, st, phi, traj, d, blocks = flat_blocks
-    from ddnpc.basis import CustomDictionary
-
     no_u = CustomDictionary(
         1, 2,
         funcs=[lambda u, xi: u[0] ** 3, lambda u, xi: xi[1] ** 2, lambda u, xi: np.sin(xi[0])],

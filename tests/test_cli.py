@@ -337,6 +337,27 @@ def test_collect_strict_box_violation(tmp_path):
     ) == cli.EXIT_ASSUMPTION
 
 
+def test_collect_writes_the_assembly_collection(tmp_path):
+    """``collect`` writes ``Experiment.collect``'s data. Its noise takes the
+    config's ``noise.seed``, and ``10_000 + data seed`` where the config sets
+    none."""
+    from ddnpc import trajlib
+
+    path, cfg = toy_config(tmp_path, noise={"w_star": 0.02, "seed": 5})
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    traj = presets.Experiment(cfg).collect(2, w_star=0.02, N=60)
+    trajlib.write_trajectory_csv(tmp_path / "want.csv", traj.u, traj.outputs_noisy)
+    assert (out / "data_noisy.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    bare = {key: value for key, value in cfg.items() if key != "noise"}
+    explicit = dict(bare, noise={"w_star": 0.02, "seed": 10_002})
+    noisy = [presets.Experiment(c).collect(2, w_star=0.02, N=60).outputs_noisy[0]
+             for c in (bare, explicit)]
+    np.testing.assert_array_equal(noisy[0], noisy[1])
+    assert not np.array_equal(noisy[0], traj.outputs_noisy[0])
+
+
 def test_simulate_emits_true_value_column(tmp_path):
     path, cfg = toy_config(tmp_path)
     out = tmp_path / "out"
@@ -397,7 +418,7 @@ def test_one_experiment_assembly():
     and the one place in ``presets`` that builds a toy policy or collects
     data. The CLI names no plant: no ``"double_pendulum"`` literal, no
     pendulum policy, plant factory, hold torque or ``presets.PENDULUM_*``,
-    and no table of policy keys of its own."""
+    no table of policy keys of its own, and no collection of its own."""
     import ast
 
     package = Path(cli.__file__).parent
@@ -429,6 +450,8 @@ def test_one_experiment_assembly():
         n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
     ]
     assert not any("double_pendulum" in text for text in strings)
-    assert not names & {"PendulumPdPolicy", "make_double_pendulum", "equilibrium_torque"}
+    assert not names & {
+        "PendulumPdPolicy", "make_double_pendulum", "equilibrium_torque", "collect_offline_data"
+    }
     assert not [name for name in names if name.startswith("PENDULUM_")]
     assert "_POLICY_KEYS" not in names

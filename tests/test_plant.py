@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import reference_pendulum
+from reference_checks import NoResponseError, probe_relative_degrees
 from ddnpc import basis, plant, presets
 from ddnpc.plant import (
     BrunovskyStructure,
     DoublePendulumParams,
     InsufficientSamplesError,
-    NoResponseError,
     NoiseModel,
     PlantModel,
     SingularInertiaError,
@@ -18,7 +18,6 @@ from ddnpc.plant import (
     make_double_pendulum,
     make_scalar_flat,
     pendulum_synthetic_input,
-    probe_relative_degrees,
     simulate,
     step_euler_pendulum,
     window_states,
