@@ -147,18 +147,6 @@ class BasisDictionary:
         self.n = n
         self.r = r
 
-    def value(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.value_batch(
-            np.asarray(u, dtype=float).reshape(1, -1),
-            np.asarray(xi, dtype=float).reshape(1, -1),
-        )[0]
-
-    def jacobian(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.jacobian_batch(
-            np.asarray(u, dtype=float).reshape(1, -1),
-            np.asarray(xi, dtype=float).reshape(1, -1),
-        )[0]
-
     def value_batch(self, U: np.ndarray, XI: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -468,7 +456,7 @@ def evaluate_grid(
     return GridEvaluation(box, U_rows, XI_rows, PSI, PHI, gamma, svals)
 
 
-def fit_coefficient_matrix(grid: GridEvaluation, gram_rtol: float = 1e-8):
+def fit_coefficient_matrix(grid: GridEvaluation):
     """Least-squares fit of the true map onto the dictionary (oracle).
 
     Minimizes the quadrature-weighted squared residual over the box grid and
@@ -479,7 +467,7 @@ def fit_coefficient_matrix(grid: GridEvaluation, gram_rtol: float = 1e-8):
     the evaluated grid alone: two ``(P, r)`` products, no evaluation.
     """
     svals = grid.gram_svals
-    if svals[-1] <= gram_rtol * svals[0] or svals[-1] <= 0:
+    if svals[-1] <= 1e-8 * svals[0] or svals[-1] <= 0:
         raise SingularGramError(
             f"Gram matrix singular: sigma_min/sigma_max = {svals[-1] / svals[0]:.3e}"
         )
@@ -517,8 +505,6 @@ def estimate_noise_gain(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridEvaluation,
     w_star: float,
-    max_corners: int = 64,
-    seed: int = 0,
 ) -> float:
     """Largest observed ``|phi(u, xi) - phi(u, xi + w)| / w*`` over the grid
     with sign-corner state perturbations of magnitude ``w*``.
@@ -529,20 +515,17 @@ def estimate_noise_gain(
     call's temporaries stay in cache and the state-only terms are computed
     once per state row of a chunk. The maximum does not depend on the order,
     so the result is the same as one dense full-grid call per corner. This
-    sweep is most of a certificate's cost: ``2^n`` (at most ``max_corners``)
-    evaluations of ``phi`` on the grid.
+    sweep is most of a certificate's cost: ``2^n`` evaluations of ``phi`` on
+    the grid, one per corner, corner ``c`` taking sign ``+`` on axis ``i``
+    where bit ``i`` of ``c`` is set.
     """
     if w_star == 0.0:
         return 0.0
     n = grid.box.n
-    if 2**n <= max_corners:
-        corners = np.array(
-            [[(1 if (c >> i) & 1 else -1) for i in range(n)] for c in range(2**n)],
-            dtype=float,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        corners = rng.choice([-1.0, 1.0], size=(max_corners, n))
+    corners = np.array(
+        [[(1 if (c >> i) & 1 else -1) for i in range(n)] for c in range(2**n)],
+        dtype=float,
+    )
     shifts = [w_star * s for s in corners]
     nu, nx = len(grid.U_rows), len(grid.XI_rows)
     PHI = grid.PHI.reshape(nu, nx, -1)

@@ -93,13 +93,13 @@ class DataDictionaryBlocks:
         N = traj.N
         feats = evaluate_along(dictionary, traj.u, xi_seq.data[:N])
         feat_seq = Sequence(feats)
-        H_psi = build_hankel(feat_seq, horizon).entries
-        H_xi = build_hankel(xi_seq, horizon + 1).entries
+        H_psi = build_hankel(feat_seq, horizon)
+        H_xi = build_hankel(xi_seq, horizon + 1)
         if H_psi.shape[1] != H_xi.shape[1]:
             raise ValueError("feature and state Hankel column counts disagree")
-        H_u = build_hankel(Sequence(traj.u), horizon).entries
+        H_u = build_hankel(Sequence(traj.u), horizon)
         H_y = [
-            build_hankel(Sequence(y), horizon + d).entries
+            build_hankel(Sequence(y), horizon + d)
             for y, d in zip(outputs, traj.structure.degrees)
         ]
         order = horizon + traj.structure.n
@@ -283,7 +283,8 @@ class WindowFeatures:
         return np.concatenate([v, self.fixed])
 
     def _evaluate(self, v):
-        if self._last is None or not np.array_equal(self._last[0], v):
+        last = self._last
+        if last is None or last[0].shape != v.shape or not (last[0] == v).all():
             c = self.window(v)
             psi, jac = self.dictionary.value_and_jacobian_batch(c[self.u_idx], c[self.xi_idx])
             self._last = [v.copy(), np.concatenate([psi.reshape(-1), c[self.lin_idx]]), jac, None]
@@ -392,7 +393,7 @@ def _appended_column(Q, c):
     return np.append(q + dq, np.linalg.norm(w - Q @ dq))
 
 
-def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi, maxiter):
+def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
     """Fit a combination vector to a query window with ``L*m`` free samples.
 
     The free samples ``v = V @ alpha`` are the predicted outputs in
@@ -444,7 +445,7 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi, maxi
     alpha_of(core.stacked(v0))
 
     unbounded = np.full(n_v, np.inf)
-    res = _solver.reduced_lsq(core.rows, core.jacobian, v0, -unbounded, unbounded, maxiter, 1e-14)
+    res = _solver.reduced_lsq(core.rows, core.jacobian, v0, -unbounded, unbounded, 800, 1e-14)
     h = core.stacked(res.x)
     f = core.rows(res.x)
     gnorm = float(np.max(np.abs(2.0 * (core.jacobian(res.x).T @ f))))
@@ -480,7 +481,6 @@ def simulate_data_driven(
     eps_star: float = 0.0,
     k_xi: float = 0.0,
     g_row_norm: float = 0.0,
-    maxiter: int = 800,
 ) -> SimulationResult:
     """Simulate a new input from data only, with a certified error envelope.
 
@@ -506,7 +506,7 @@ def simulate_data_driven(
 
     fit = _fit_window(
         blocks, "simulation", xi0, np.concatenate([xi0, u_new.reshape(-1)]), g_row_norm,
-        lambda_alpha, eps_star, k_xi, maxiter,
+        lambda_alpha, eps_star, k_xi,
     )
     return SimulationResult(outputs=[Hy @ fit["alpha"] for Hy in blocks.H_y], **fit)
 
@@ -518,7 +518,6 @@ def match_output_data_driven(
     eps_star: float = 0.0,
     k_xi: float = 0.0,
     g_row_norm: float = 0.0,
-    maxiter: int = 800,
 ) -> MatchingResult:
     """Recover the input that tracks a reference output window from data only.
 
@@ -543,6 +542,6 @@ def match_output_data_driven(
 
     fit = _fit_window(
         blocks, "output-matching", xi_bar.reshape(-1), xi_bar[:L].reshape(-1), g_row_norm + 1.0,
-        lambda_alpha, eps_star, k_xi, maxiter,
+        lambda_alpha, eps_star, k_xi,
     )
     return MatchingResult(u=(blocks.H_u @ fit["alpha"]).reshape(L, st.m), **fit)

@@ -173,9 +173,10 @@ class OcpDecision:
 
 class OcpBuilder:
     """Caches the index maps and Hankel blocks of one problem family: the
-    window layout, the pins a measured history sets, and the guesses and
-    warm starts. Its reduced form (``reduced_form``) poses the problem on
-    the free window slots.
+    window layout, the bounds on the free slots (``lo``, ``hi``: the input
+    box, and the output box when the spec has one), the pins a measured
+    history sets, and the guesses and warm starts. Its reduced form
+    (``reduced_form``) poses the problem on the free window slots.
 
     A window is one vector ``c = [zf; fixed]``. ``zf`` holds the free input
     slots (time-major), then the free output slots (channel-major); ``fixed``
@@ -210,6 +211,12 @@ class OcpBuilder:
             free = L * (m + i) + np.arange(L)
             self.y_idx.append(np.concatenate([pinned[:d_max], free, pinned[d_max:]]))
         self.xi_idx = window_states(self.y_idx, st).data.astype(int)
+        unboxed = np.full(m, np.inf)
+        y_min = -unboxed if spec.y_min is None else spec.y_min
+        y_max = unboxed if spec.y_max is None else spec.y_max
+        self.lo = np.concatenate([np.tile(spec.u_min, L), np.repeat(y_min, L)])
+        self.hi = np.concatenate([np.tile(spec.u_max, L), np.repeat(y_max, L)])
+        self.lo.flags.writeable = self.hi.flags.writeable = False  # shared by every solve
 
         # Canonical decision count: combination vector, both windows, and the
         # feature slack.
@@ -228,26 +235,18 @@ class OcpBuilder:
 
     # -- window layout -----------------------------------------------------
 
-    def pins(self, history_u: np.ndarray, history_y: np.ndarray):
-        """``(lo, hi, fixed)`` for one measured history: the bounds on the
-        free slots (the input box, and the output box when the spec has one)
-        and the fixed part of the window, the history and the terminal
-        samples at the setpoint."""
-        spec, L = self.spec, self.L
+    def pins(self, history_u: np.ndarray, history_y: np.ndarray) -> np.ndarray:
+        """The fixed part of the window for one measured history: the
+        history and the terminal samples at the setpoint."""
+        spec = self.spec
         history_y = np.asarray(history_y, dtype=float).reshape(self.d_max, self.m)
-        unboxed = np.full(self.m, np.inf)
-        y_min = -unboxed if spec.y_min is None else spec.y_min
-        y_max = unboxed if spec.y_max is None else spec.y_max
-        lo = np.concatenate([np.tile(spec.u_min, L), np.repeat(y_min, L)])
-        hi = np.concatenate([np.tile(spec.u_max, L), np.repeat(y_max, L)])
-        fixed = np.concatenate(
+        return np.concatenate(
             [np.asarray(history_u, dtype=float).reshape(-1)]
             + [
                 np.concatenate([history_y[:, i], np.full(d, spec.y_setpoint[i])])
                 for i, d in enumerate(self.degrees)
             ]
         )
-        return lo, hi, fixed
 
     def free_slots(self, decision: OcpDecision) -> np.ndarray:
         """``zf`` of a decision: its free input slots, then its free output
@@ -413,8 +412,7 @@ class _WindowRestriction:
         )
 
     def set_history(self, hist_u, hist_y):
-        self.lo, self.hi, fixed = self.b.pins(hist_u, hist_y)
-        self.features.set_fixed(fixed)
+        self.features.set_fixed(self.b.pins(hist_u, hist_y))
 
     def _start(self, history_u, history_y, guess):
         """Set the history and return ``guess``, the builder's cold start when
@@ -561,8 +559,8 @@ class _RelaxedDirect(_WindowRestriction):
         return _solver.NlpProblem(
             dim=nf + M,
             x0=np.concatenate([self.b.free_slots(guess), guess.alpha]),
-            lower=np.concatenate([self.lo, np.full(M, -np.inf)]),
-            upper=np.concatenate([self.hi, np.full(M, np.inf)]),
+            lower=np.concatenate([self.b.lo, np.full(M, -np.inf)]),
+            upper=np.concatenate([self.b.hi, np.full(M, np.inf)]),
             ls_residual=residual,
             ls_jacobian=jacobian,
             ineq_residual=slack_rows,
@@ -593,9 +591,11 @@ class _NominalCore(_WindowRestriction):
 
     def __init__(self, builder: OcpBuilder):
         self.Hs = np.vstack([builder.H_psi, builder.H_xi])
-        rank = np.linalg.matrix_rank(self.Hs)
-        N = np.linalg.svd(self.Hs)[0][:, rank:]
-        super().__init__(builder, builder.pinv_stack, N.T)
+        U, svals, _ = np.linalg.svd(self.Hs)
+        # the rank at matrix_rank's default tolerance
+        tol = svals.max() * max(self.Hs.shape) * np.finfo(svals.dtype).eps
+        rank = int(np.count_nonzero(svals > tol))
+        super().__init__(builder, builder.pinv_stack, U[:, rank:].T)
 
     def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
         """Solver-ready problem for one measured history; ``guess`` is a
@@ -603,8 +603,8 @@ class _NominalCore(_WindowRestriction):
         return _solver.NlpProblem(
             dim=self.dim,
             x0=self.b.free_slots(self._start(history_u, history_y, guess)),
-            lower=self.lo,
-            upper=self.hi,
+            lower=self.b.lo,
+            upper=self.b.hi,
             ls_residual=self.stage_residual,
             ls_jacobian=lambda zf: self.J_stage,
             eq_residual=self.features.rows,
@@ -647,7 +647,7 @@ def solve_relaxed_direct(
     direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
     zf0 = direct.b.free_slots(direct._start(history_u, history_y, guess))
     res = _solver.reduced_lsq(
-        direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, maxiter, 1e-10
+        direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, maxiter, 1e-10
     )
     decision = direct.unpack(res.x)
     bound = direct.b.spec.slack_bound(decision.alpha_l1)
@@ -727,7 +727,6 @@ def run_closed_loop(
     total_steps: int,
     stride: Optional[int] = None,
     hold_input: Optional[np.ndarray] = None,
-    solver_options: Optional[_solver.SolverOptions] = None,
     keep_decisions: bool = False,
 ) -> ClosedLoopLog:
     """Receding-horizon loop on a ground-truth plant.
@@ -764,7 +763,6 @@ def run_closed_loop(
     # builder it would make a reference cycle that outlives the loop.
     form = builder.reduced_form()
     use_direct = isinstance(form, _RelaxedDirect)
-    opts = solver_options or _solver.SolverOptions()
     d_max = spec.d_max
     m = spec.structure.m
 
@@ -824,7 +822,7 @@ def run_closed_loop(
                     # slack bound active: solve the bounded problem from here
                     start, decision = decision, None
             if decision is None:
-                report = _solver.solve(form.build(hist_u, hist_y, guess=start), opts)
+                report = _solver.solve(form.build(hist_u, hist_y, guess=start))
                 decision = form.unpack(report.x)
                 status, objective, iterations = report.status, report.objective, report.iterations
                 max_violation = form.violation(report.x)

@@ -2,8 +2,8 @@
 
 Provides the generic discrete-time plant interface, the fully actuated double
 inverted pendulum (explicit Euler discretization of the rigid-body dynamics),
-relative-degree probing, the window-state (Brunovsky) construction, bounded
-output-noise injection and the offline data-collection routine.
+the window-state (Brunovsky) construction, bounded output-noise injection and
+the offline data-collection routine.
 
 Angle convention for the pendulum follows the rigid-body formulas used by the
 gravity vector below: an angle of zero puts a link horizontal, ``pi/2`` points
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -47,38 +47,16 @@ class InsufficientSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Discrete-time plant ``x+ = f(x, u)``, ``y = h(x)``.
-
-    ``feedthrough`` optionally adds a direct input term ``h_u(x, u)`` to the
-    output; it exists so degenerate zero-delay plants can be expressed.
-
-    Plants that claim an equilibrium at the origin are checked for
-    ``f(0, 0) = 0`` and ``h(0) = 0`` at construction.
-    """
+    """Discrete-time plant ``x+ = f(x, u)``, ``y = h(x)``."""
 
     name: str
     n: int
     m: int
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     output: Callable[[np.ndarray], np.ndarray]
-    feedthrough: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    origin_equilibrium: bool = False
 
-    def __post_init__(self):
-        if self.origin_equilibrium:
-            x0 = np.zeros(self.n)
-            u0 = np.zeros(self.m)
-            if not np.allclose(self.step(x0, u0), 0.0, atol=1e-12):
-                raise ValueError(f"plant '{self.name}' claims f(0,0)=0 but it is not")
-            if not np.allclose(self.measure(x0, u0), 0.0, atol=1e-12):
-                raise ValueError(f"plant '{self.name}' claims h(0)=0 but it is not")
-
-    def measure(self, x: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
-        y = np.asarray(self.output(x), dtype=float).reshape(-1)
-        if self.feedthrough is not None:
-            uu = np.zeros(self.m) if u is None else u
-            y = y + np.asarray(self.feedthrough(x, uu), dtype=float).reshape(-1)
-        return y
+    def measure(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.output(x), dtype=float).reshape(-1)
 
 
 def simulate(plant: PlantModel, x0: np.ndarray, u_seq: np.ndarray):
@@ -86,7 +64,7 @@ def simulate(plant: PlantModel, x0: np.ndarray, u_seq: np.ndarray):
 
     Returns states ``x_0..x_K`` (shape ``(K+1, n)``) and outputs
     ``y_0..y_K`` (shape ``(K+1, m)``), with ``y_k`` measured before ``u_k``
-    is applied (feedthrough plants see ``u_k`` at step ``k``).
+    is applied.
     """
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     K = u_seq.shape[0]
@@ -95,10 +73,10 @@ def simulate(plant: PlantModel, x0: np.ndarray, u_seq: np.ndarray):
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     for k in range(K):
         xs[k] = x
-        ys[k] = plant.measure(x, u_seq[k])
+        ys[k] = plant.measure(x)
         x = np.asarray(plant.step(x, u_seq[k]), dtype=float).reshape(-1)
     xs[K] = x
-    ys[K] = plant.measure(x, None)
+    ys[K] = plant.measure(x)
     return xs, ys
 
 
@@ -110,40 +88,17 @@ def simulate(plant: PlantModel, x0: np.ndarray, u_seq: np.ndarray):
 @dataclass(frozen=True)
 class BrunovskyStructure:
     """Structure of the transformed linear system: per-channel integrator
-    chains of lengths ``d_1..d_m`` with ``sum(d_i) = n``.
-
-    ``A`` is block diagonal with shift blocks, each ``B_i`` the last unit
-    vector and each ``C_i`` the first unit row. The window state at time ``k``
-    stacks ``y_i[k : k+d_i]`` in channel order.
+    chains of lengths ``d_1..d_m`` with ``sum(d_i) = n``, each degree at
+    least one. The window state at time ``k`` stacks ``y_i[k : k+d_i]`` in
+    channel order.
     """
 
     degrees: tuple[int, ...]
-    A: np.ndarray = field(init=False)
-    B: np.ndarray = field(init=False)
-    C: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if len(self.degrees) < 1 or any(d < 1 for d in self.degrees):
             raise ValueError(f"relative degrees must be >= 1, got {self.degrees}")
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        n, m = self.n, self.m
-        A = np.zeros((n, n))
-        B = np.zeros((n, m))
-        C = np.zeros((m, n))
-        off = 0
-        for i, d in enumerate(self.degrees):
-            A[off : off + d - 1, off + 1 : off + d] += np.eye(d - 1)
-            B[off + d - 1, i] = 1.0
-            C[i, off] = 1.0
-            off += d
-        for M in (A, B, C):
-            M.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
-        if np.linalg.matrix_rank(ctrb) != n:
-            raise ValueError("chain structure failed the controllability check")
 
     @property
     def m(self) -> int:
@@ -417,9 +372,7 @@ def make_chain_lti() -> tuple[PlantModel, BrunovskyStructure, Callable]:
     def _out(x):
         return np.array([x[0], x[2]])
 
-    plant = PlantModel(
-        name="lti_toy", n=3, m=2, step=_step, output=_out, origin_equilibrium=True
-    )
+    plant = PlantModel(name="lti_toy", n=3, m=2, step=_step, output=_out)
 
     def phi(u, xi):
         return np.asarray(u, dtype=float).copy()
@@ -438,9 +391,7 @@ def make_scalar_flat(a: float = 0.15, b: float = 0.3) -> tuple[PlantModel, Bruno
     def _out(x):
         return np.array([x[0]])
 
-    plant = PlantModel(
-        name="scalar_flat", n=2, m=1, step=_step, output=_out, origin_equilibrium=True
-    )
+    plant = PlantModel(name="scalar_flat", n=2, m=1, step=_step, output=_out)
 
     def phi(u, xi):
         u = np.asarray(u, dtype=float)
@@ -629,10 +580,10 @@ def collect_offline_data(
     structure: BrunovskyStructure,
     noise: NoiseModel,
     box: "Optional[OperatingBox]" = None,
-    x0: Optional[np.ndarray] = None,
     strict: bool = False,
 ) -> Trajectory:
-    """Run ``policy`` on the plant and package the result for identification.
+    """Run ``policy`` on the plant from rest at the origin and package the
+    result for identification.
 
     Simulates enough extra steps that every output channel ``i`` has
     ``N + d_i`` samples. Records whether every visited ``(u_k, xi_k)`` pair
@@ -641,7 +592,7 @@ def collect_offline_data(
     """
     d_max = structure.d_max
     total_inputs = N + d_max - 1
-    x = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(plant.n)
     u_all = np.empty((total_inputs, plant.m))
     y_all = np.empty((total_inputs + 1, plant.m))
     for k in range(total_inputs):

@@ -76,10 +76,11 @@ class Experiment:
     ``params``), ``box`` (by default the pendulum's operating box, or ±3 on
     the inputs and ±1.5 on the window states of a toy), ``dictionary``,
     ``data.policy``, the setpoints of ``ocp`` and the start of ``run``. An
-    unknown or out-of-range ``plant.params`` value and a ``data.policy`` key
-    the plant's policy does not read raise ``ConfigError`` here; a required
-    key the config lacks raises it when it is read. ``params`` holds the
-    pendulum's physical parameters, and is ``None`` on the toys.
+    unknown or out-of-range ``plant.params`` value, a ``data.policy`` key the
+    plant's policy does not read and a box bound whose length is not the
+    plant's ``m`` or ``n`` raise ``ConfigError`` here; a required key the
+    config lacks raises it when it is read. ``params`` holds the pendulum's
+    physical parameters, and is ``None`` on the toys.
     """
 
     def __init__(self, cfg: dict):
@@ -111,16 +112,21 @@ class Experiment:
         _known(cfg.get("data", {}).get("policy", {}), "data.policy", policy_keys)
 
         box = cfg.get("box")
+        m, n = self.structure.m, self.structure.n
         if box is None:
-            m, n = self.structure.m, self.structure.n
             box = PENDULUM_BOX if self.params is not None else {
                 "u_lower": [-3.0] * m, "u_upper": [3.0] * m,
                 "xi_lower": [-1.5] * n, "xi_upper": [1.5] * n,
             }
-        bounds = ("u_lower", "u_upper", "xi_lower", "xi_upper")
+        bounds = {"u_lower": m, "u_upper": m, "xi_lower": n, "xi_upper": n}
+        for key, size in bounds.items():
+            if np.size(require(box, "box", key)) != size:
+                raise ConfigError(
+                    f"box.{key} has {np.size(box[key])} entries; plant "
+                    f"'{self.plant_name}' needs {size}"
+                )
         self.box = basis.OperatingBox(
-            *(require(box, "box", key) for key in bounds),
-            grid_points=int(box.get("grid_points", 7)),
+            *(box[key] for key in bounds), grid_points=int(box.get("grid_points", 7))
         )
 
     def dictionary(self, perturbation: Optional[float] = None, seed: Optional[int] = None):

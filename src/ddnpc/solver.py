@@ -265,7 +265,7 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = np.asarray(residual(x), dtype=float)
     nfev = 1
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise CallbackError("residual not finite at the initial guess")
     f = float(r @ r)
     boxed = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
@@ -275,7 +275,7 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     mu = 1e-8
     while True:
         J = np.asarray(jacobian(x), dtype=float)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise CallbackError("jacobian not finite")
         A, g = J.T @ J, J.T @ r
         D = np.maximum(D, np.diag(A))

@@ -15,16 +15,10 @@ All objects are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-DEFAULT_RANK_RTOL = 1e-10
-
-
-class WindowError(ValueError):
-    """Requested window is outside the sequence index range."""
 
 
 class HankelDepthError(ValueError):
@@ -63,46 +57,20 @@ class Sequence:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def window(self, a: int, b: int) -> "Sequence":
-        """Rows ``a..b`` inclusive as a new sequence."""
-        if not (0 <= a <= b <= self.length - 1):
-            raise WindowError(
-                f"window ({a}, {b}) invalid for sequence of length {self.length}"
-            )
-        return Sequence(self.data[a : b + 1])
 
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """Dense Hankel matrix of a sequence: column ``j`` is the stacked window
-    ``z_[j, j+depth-1]``. Shape ``(eta * depth, N - depth + 1)``."""
-
-    depth: int
-    source: Sequence
-    entries: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        N, eta = self.source.length, self.source.width
-        L = self.depth
-        if not (1 <= L <= N):
-            raise HankelDepthError(f"depth {L} exceeds sequence length {N}")
-        cols = N - L + 1
-        # Strided view of the sliding windows, then materialized dense.
-        mat = np.empty((eta * L, cols))
-        data = self.source.data
-        for j in range(cols):
-            mat[:, j] = data[j : j + L].reshape(-1)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-def build_hankel(seq: Sequence, depth: int) -> HankelMatrix:
-    """Hankel matrix of ``seq`` with ``depth`` block rows."""
-    return HankelMatrix(depth=depth, source=seq)
+def build_hankel(seq: Sequence, depth: int) -> np.ndarray:
+    """Read-only Hankel matrix of ``seq`` with ``depth`` block rows: column
+    ``j`` is the stacked window ``z_[j, j+depth-1]``. Shape ``(eta * depth,
+    N - depth + 1)``."""
+    N, eta = seq.length, seq.width
+    if not (1 <= depth <= N):
+        raise HankelDepthError(f"depth {depth} exceeds sequence length {N}")
+    cols = N - depth + 1
+    mat = np.empty((eta * depth, cols))
+    for j in range(cols):
+        mat[:, j] = seq.data[j : j + depth].reshape(-1)
+    mat.setflags(write=False)
+    return mat
 
 
 class PersistencyResult(NamedTuple):
@@ -112,22 +80,17 @@ class PersistencyResult(NamedTuple):
     required_rank: int
 
 
-def is_persistently_exciting(
-    seq: Sequence, order: int, tolerance: float = DEFAULT_RANK_RTOL
-) -> PersistencyResult:
+def is_persistently_exciting(seq: Sequence, order: int) -> PersistencyResult:
     """Check persistency of excitation of a given order.
 
     The sequence is persistently exciting of order ``L`` when its depth-``L``
     Hankel matrix has full row rank ``eta * L``. Rank is the number of singular
-    values above ``tolerance * sigma_max``; the smallest singular value is
+    values above ``1e-10 * sigma_max``; the smallest singular value is
     returned for diagnostics.
     """
-    if tolerance <= 0:
-        raise ValueError("rank tolerance must be positive")
-    H = build_hankel(seq, order).entries
-    svals = np.linalg.svd(H, compute_uv=False)
+    svals = np.linalg.svd(build_hankel(seq, order), compute_uv=False)
     sigma_max = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > tolerance * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.sum(svals > 1e-10 * sigma_max)) if sigma_max > 0 else 0
     required = seq.width * order
     # sigma_min of the (possibly wide) Hankel matrix: smallest of the
     # min(rows, cols) singular values that svd reports.

@@ -61,15 +61,14 @@ class Packed:
         return b.decision(z[: b.M], u_bar, y_bar, sigma)
 
     def bounds(self, history_u, history_y):
-        """The builder's pins on the packed vector: the boxes on the free
-        slots, the history and terminal pins as equal bounds. The combination
-        vector and the slack are unbounded."""
-        lo_f, hi_f, fixed = self.b.pins(history_u, history_y)
+        """The builder's bounds and pins on the packed vector: the boxes on
+        the free slots, the history and terminal pins as equal bounds. The
+        combination vector and the slack are unbounded."""
         nf = self.b.n_free
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
-        lo[self.window_cols[:nf]], hi[self.window_cols[:nf]] = lo_f, hi_f
-        lo[self.window_cols[nf:]] = hi[self.window_cols[nf:]] = fixed
+        lo[self.window_cols[:nf]], hi[self.window_cols[:nf]] = self.b.lo, self.b.hi
+        lo[self.window_cols[nf:]] = hi[self.window_cols[nf:]] = self.b.pins(history_u, history_y)
         return lo, hi
 
 

@@ -95,24 +95,18 @@ def estimate_noise_gain(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: OperatingBox,
     w_star: float,
-    max_corners: int = 64,
-    seed: int = 0,
 ) -> float:
     """Largest observed ``|phi(u, xi) - phi(u, xi + w)| / w*`` over the grid
-    with sign-corner state perturbations of magnitude ``w*``."""
+    with all ``2^n`` sign-corner state perturbations of magnitude ``w*``."""
     if w_star == 0.0:
         return 0.0
     U, XI = box.grid()
     base = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
     n = box.n
-    if 2**n <= max_corners:
-        corners = np.array(
-            [[(1 if (c >> i) & 1 else -1) for i in range(n)] for c in range(2**n)],
-            dtype=float,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        corners = rng.choice([-1.0, 1.0], size=(max_corners, n))
+    corners = np.array(
+        [[(1 if (c >> i) & 1 else -1) for i in range(n)] for c in range(2**n)],
+        dtype=float,
+    )
     worst = 0.0
     for s in corners:
         pert = np.atleast_2d(np.asarray(phi(U, XI + w_star * s), dtype=float))

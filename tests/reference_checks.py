@@ -1,6 +1,7 @@
 """Checks on plants and data that only the tests make: the relative-degree
-probe of a plant, the least-squares membership residual of a candidate
-window, and the stacked vector of a sequence window.
+probe of a plant, the chain matrices of a Brunovsky structure, the
+least-squares membership residual of a candidate window, and the stacked
+vector of a sequence window.
 
 The library takes each plant's degrees from its ``BrunovskyStructure`` and
 decides window membership inside its solves; these direct forms check both.
@@ -54,6 +55,22 @@ def probe_relative_degrees(
     return tuple(int(k) for k in first_change)
 
 
+def chain_matrices(degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, B, C)`` of the integrator chains of lengths ``degrees``, in
+    window-state coordinates: ``A`` block diagonal with shift blocks, each
+    ``B_i`` the last unit vector and each ``C_i`` the first unit row, so that
+    ``xi+ = A xi + B v`` and ``y = C xi``."""
+    n, m = sum(degrees), len(degrees)
+    A, B, C = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n))
+    off = 0
+    for i, d in enumerate(degrees):
+        A[off : off + d - 1, off + 1 : off + d] = np.eye(d - 1)
+        B[off + d - 1, i] = 1.0
+        C[i, off] = 1.0
+        off += d
+    return A, B, C
+
+
 def representation_residual(blocks, u_candidate, y_candidates: list):
     """Least-squares membership test of a candidate window.
 
@@ -85,4 +102,4 @@ def representation_residual(blocks, u_candidate, y_candidates: list):
 def stack(seq: Sequence, a: int, b: int) -> np.ndarray:
     """Stacked vector of ``seq`` over the window ``a..b`` (inclusive): rows
     concatenated in time order."""
-    return seq.window(a, b).data.reshape(-1).copy()
+    return seq.data[a : b + 1].reshape(-1).copy()

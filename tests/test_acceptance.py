@@ -86,8 +86,8 @@ def test_lti_membership_round_trip():
         y_d = out(rng.standard_normal(n), u_d)
         G = np.vstack(
             [
-                trajlib.build_hankel(trajlib.Sequence(u_d), L).entries,
-                trajlib.build_hankel(trajlib.Sequence(y_d), L).entries,
+                trajlib.build_hankel(trajlib.Sequence(u_d), L),
+                trajlib.build_hankel(trajlib.Sequence(y_d), L),
             ]
         )
         u_new = rng.standard_normal((L, m))

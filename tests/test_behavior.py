@@ -131,8 +131,8 @@ def test_membership_matches_linear_combination_for_chain_toy():
     # so membership coincides with the classical linear characterization
     from ddnpc.trajlib import Sequence, build_hankel
 
-    Hu = build_hankel(Sequence(traj.u), 8).entries
-    Hys = [build_hankel(Sequence(y), 8 + dd).entries for y, dd in zip(traj.outputs, st.degrees)]
+    Hu = build_hankel(Sequence(traj.u), 8)
+    Hys = [build_hankel(Sequence(y), 8 + dd) for y, dd in zip(traj.outputs, st.degrees)]
     rng = np.random.default_rng(3)
     alpha = rng.standard_normal(Hu.shape[1]) * 0.2
     u_c = (Hu @ alpha).reshape(8, 2)

@@ -10,7 +10,8 @@ replaces ``plant.collect_offline_data``, which the pendulum experiment's
 data collection calls by module attribute. A rename would
 silently drop spans from the traced run; this test fails instead. It also
 checks that the evaluation counters the traced run reports match the
-results and the closed-loop log.
+results and the closed-loop log, and that every workload's set-up runs
+against the library and passes its output checks.
 """
 
 import contextlib
@@ -123,3 +124,17 @@ def test_layers_trace_one_collect_span(monkeypatch):
     assert tracer.names.count("plant.collect") == 1
     index = tracer.names.index("plant.collect")
     assert tracer.ends[index] > tracer.starts[index]
+
+
+def test_workload_setups_pass_their_checks(monkeypatch):
+    """Every workload's untraced set-up runs against the library, so a name
+    or keyword the workloads use that the library no longer has fails here
+    and not only in a benchmark run, and its output checks (certificate
+    bounds, excitation) find no problem."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        setup = workload(0).setup(harness.Tracer(enabled=False))
+        assert setup.problems == [], name

@@ -80,10 +80,15 @@ def test_unknown_key_rejected(tmp_path):
         ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "noise", "values": [0.0]}),
          "sweep.vary"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
+        # a 7-state box on the 4-state pendulum
+        ("collect", reference_config,
+         lambda cfg: cfg["box"].update(xi_lower=[-1.0] * 7, xi_upper=[1.0] * 7), "box.xi_lower"),
+        ("collect", toy_config, lambda cfg: cfg["box"].update(u_upper=[3.0, 3.0]), "box.u_upper"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
         "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint",
+        "box_states", "box_inputs",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):

@@ -18,6 +18,7 @@ from ddnpc.npc import (
 
 import full_space
 from gradient_check import check_gradients
+from reference_checks import chain_matrices
 
 
 def chain_spec(mode="nominal", L=8, eps_star=0.0, w_star=0.0, **kw):
@@ -60,7 +61,7 @@ def chain_history(toy, st, x0, steps=2):
 def model_mpc_oracle(st, history_u, history_y, L, Q, R):
     """Condensed equality-constrained QP: minimize the stage cost subject to
     the chain dynamics and a terminal zero state, history pinned."""
-    A, B, C = st.A, st.B, st.C
+    A, B, C = chain_matrices(st.degrees)
     n, m = st.n, st.m
     xi_hist = np.array([history_y[0, 0], history_y[1, 0], history_y[0, 1]])
     xi0 = xi_hist.copy()
@@ -690,11 +691,11 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
     assert len(recorded) == 40
     for hu, hy, guess in recorded[10:]:
         direct.set_history(hu, hy)
-        zf0 = np.clip(builder.free_slots(guess), direct.lo, direct.hi)
+        zf0 = np.clip(builder.free_slots(guess), builder.lo, builder.hi)
         rep = solver.reduced_lsq(
-            direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000, 1e-10
+            direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 2000, 1e-10
         )
-        ref = least_squares(direct.residual, zf0, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
+        ref = least_squares(direct.residual, zf0, jac=direct.jacobian, bounds=(builder.lo, builder.hi),
                             method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
         assert rep.converged
         assert abs(rep.objective - 2.0 * ref.cost) <= 1e-8 * 2.0 * ref.cost
@@ -883,6 +884,22 @@ def nominal_toy_builders():
     )
     chain, _, _, _, _, spec = chain_spec()
     return {"flat": (flat, OcpBuilder(flat_spec)), "chain": (chain, OcpBuilder(spec))}
+
+
+@pytest.mark.parametrize("case", ["flat", "chain", "pendulum"])
+def test_nominal_core_rank_is_matrix_rank(case):
+    """The nominal core takes the rank of ``Hs = [H_psi; H_xi]`` from its one
+    full SVD, at ``matrix_rank``'s default tolerance: it keeps one
+    membership row per direction of the left null space."""
+    if case == "pendulum":
+        spec = pendulum_relaxed_builder()[2]
+        builder = OcpBuilder(dataclasses.replace(spec, mode="nominal", eps_star=0.0, w_star=0.0))
+    else:
+        builder = nominal_toy_builders()[case][1]
+    core = npc._NominalCore(builder)
+    rank = np.linalg.matrix_rank(core.Hs)
+    assert 0 < rank < core.Hs.shape[0]
+    assert core.T.shape == (core.Hs.shape[0] - rank, core.Hs.shape[0])
 
 
 def plant_history(toy, builder, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference_pendulum
-from reference_checks import NoResponseError, probe_relative_degrees
+from reference_checks import NoResponseError, chain_matrices, probe_relative_degrees
 from ddnpc import basis, plant, presets
 from ddnpc.plant import (
     BrunovskyStructure,
@@ -162,18 +162,9 @@ def test_probe_chain_degree_two():
     assert probe_relative_degrees(chain) == (2,)
 
 
-def test_probe_feedthrough_degree_zero():
-    plant_ft = PlantModel(
-        "memoryless",
-        n=1,
-        m=1,
-        step=lambda x, u: np.array([0.0]),
-        output=lambda x: np.array([x[0]]),
-        feedthrough=lambda x, u: np.array([u[0]]),
-    )
-    degrees = probe_relative_degrees(plant_ft)
-    assert degrees == (0,)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("degrees", [(0,), (2, 0)])
+def test_structure_rejects_degree_zero(degrees):
+    with pytest.raises(ValueError, match="relative degrees must be >= 1"):
         BrunovskyStructure(degrees=degrees)
 
 
@@ -196,10 +187,15 @@ def test_probe_no_response_error():
 
 def test_structure_matrices():
     st = BrunovskyStructure(degrees=(2, 1))
-    np.testing.assert_array_equal(st.A, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    np.testing.assert_array_equal(st.B, [[0, 0], [1, 0], [0, 1]])
-    np.testing.assert_array_equal(st.C, [[1, 0, 0], [0, 0, 1]])
+    A, B, C = chain_matrices(st.degrees)
+    np.testing.assert_array_equal(A, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(B, [[0, 0], [1, 0], [0, 1]])
+    np.testing.assert_array_equal(C, [[1, 0, 0], [0, 0, 1]])
     assert st.n == 3 and st.d_max == 2 and st.m == 2
+    for degrees in [(1,), (2, 1), (2, 2), (3, 1, 2)]:
+        A, B, _ = chain_matrices(degrees)
+        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(sum(degrees))])
+        assert np.linalg.matrix_rank(ctrb) == sum(degrees)
 
 
 def test_window_states_scalar():
@@ -245,7 +241,8 @@ def test_pendulum_chain_and_output_identities():
     )
     traj = collect_offline_data(pend, policy, 60, st, NoiseModel())
     v = pendulum_synthetic_input(p, traj.u, traj.xi.data[:60])
-    stepped = traj.xi.data[:60] @ st.A.T + v @ st.B.T
+    A, B, _ = chain_matrices(st.degrees)
+    stepped = traj.xi.data[:60] @ A.T + v @ B.T
     assert np.max(np.abs(stepped - traj.xi.data[1:61])) < 1e-10
     for i, d in enumerate(st.degrees):
         err = np.max(np.abs(traj.outputs[i][d : 60 + d] - v[:60, i]))
@@ -397,16 +394,13 @@ def test_pd_policy_matches_stacked_form_bitwise():
     assert 0 < clipped < len(states)
 
 
-def test_origin_equilibrium_check():
-    with pytest.raises(ValueError):
-        PlantModel(
-            "off",
-            n=1,
-            m=1,
-            step=lambda x, u: np.array([x[0] + 1.0]),
-            output=lambda x: np.array([x[0]]),
-            origin_equilibrium=True,
-        )
+@pytest.mark.parametrize("make", [make_chain_lti, make_scalar_flat])
+def test_toys_rest_at_the_origin(make):
+    """f(0, 0) = 0 and h(0) = 0: a toy's data collection and closed loops
+    start from rest at the origin."""
+    toy = make()[0]
+    np.testing.assert_array_equal(toy.step(np.zeros(toy.n), np.zeros(toy.m)), np.zeros(toy.n))
+    np.testing.assert_array_equal(toy.measure(np.zeros(toy.n)), np.zeros(toy.m))
 
 
 def test_chain_lti_registry_plant():

@@ -307,7 +307,7 @@ def lsq_cases():
     hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
     direct.set_history(hu, hy)
     zf0 = builder.free_slots(builder.initial_guess(hu, hy))
-    cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 60,
+    cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 60,
                                 1e-10)
     return cases
 
@@ -347,10 +347,10 @@ def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
     direct.set_history(hu, hy)
     zf0 = builder.free_slots(builder.initial_guess(hu, hy))
     n_u = builder.L * builder.m
-    zf0[:n_u] = direct.lo[:n_u]
-    rep = reduced_lsq(direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, 2000, 1e-10)
+    zf0[:n_u] = builder.lo[:n_u]
+    rep = reduced_lsq(direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 2000, 1e-10)
     assert rep.converged
-    polish = least_squares(direct.residual, rep.x, jac=direct.jacobian, bounds=(direct.lo, direct.hi),
+    polish = least_squares(direct.residual, rep.x, jac=direct.jacobian, bounds=(builder.lo, builder.hi),
                            method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=2000)
     assert 2.0 * polish.cost >= rep.objective * (1.0 - 1e-8)
 
