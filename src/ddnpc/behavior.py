@@ -52,6 +52,11 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DataDictionaryBlocks:
     """Feature and state Hankel blocks of one recorded trajectory.
@@ -60,6 +65,12 @@ class DataDictionaryBlocks:
     ``horizon + 1`` over the window states; both share their column count.
     Whether the feature sequence is persistently exciting of order
     ``horizon + n`` is recorded at construction.
+
+    The factors of the stack ``[H_psi; H_xi]`` that every controller on these
+    blocks reads (``H_stack``, ``H_stack_pinv``, ``H_stack_null``) are taken
+    on first use and kept here, read-only, so each data set factors its stack
+    once however many closed loops run on it. A copy made by
+    ``dataclasses.replace`` starts without them.
     """
 
     horizon: int
@@ -125,6 +136,26 @@ class DataDictionaryBlocks:
         """Factors of ``_fit_window`` that depend on the blocks alone, keyed
         by query kind and ridge weight."""
         return {}
+
+    @cached_property
+    def H_stack(self) -> np.ndarray:
+        """The stacked blocks ``[H_psi; H_xi]``."""
+        return _read_only(np.vstack([self.H_psi, self.H_xi]))
+
+    @cached_property
+    def H_stack_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of ``H_stack``."""
+        return _read_only(np.linalg.pinv(self.H_stack))
+
+    @cached_property
+    def H_stack_null(self) -> np.ndarray:
+        """Rows spanning the left null space of ``H_stack``, orthonormal:
+        ``U[:, rank:].T`` of its full SVD, with the rank at
+        ``np.linalg.matrix_rank``'s default tolerance."""
+        U, svals, _ = np.linalg.svd(self.H_stack)
+        tol = svals.max() * max(self.H_stack.shape) * np.finfo(svals.dtype).eps
+        rank = int(np.count_nonzero(svals > tol))
+        return _read_only(U[:, rank:].T)
 
     def xi_block_row(self, k: int) -> np.ndarray:
         """Rows of state block ``k``: the map from a combination vector to the

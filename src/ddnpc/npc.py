@@ -25,7 +25,6 @@ to evaluate the runtime error bounds afterwards.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import warnings
@@ -316,10 +315,12 @@ class OcpBuilder:
 
     # -- guesses and warm starts -------------------------------------------
 
-    @functools.cached_property
+    @property
     def pinv_stack(self) -> np.ndarray:
-        """Pseudo-inverse of the stacked blocks ``[H_psi; H_xi]``."""
-        return np.linalg.pinv(np.vstack([self.H_psi, self.H_xi]))
+        """Pseudo-inverse of the stacked blocks ``[H_psi; H_xi]``: the blocks'
+        read-only ``H_stack_pinv``, taken once per data set and shared by
+        every builder and closed loop on it."""
+        return self.spec.blocks.H_stack_pinv
 
     def _fit_window(self, c):
         """Pseudo-inverse combination vector of the window ``c``, and the
@@ -476,7 +477,7 @@ class _RelaxedDirect(_WindowRestriction):
         # constant Hs, so alpha = a_s + P @ (g - Hs a_s).
         self.rs = math.sqrt(spec.lambda_sigma)
         self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        self.Hs = Hs = np.vstack([builder.H_psi, builder.H_xi])
+        self.Hs = Hs = builder.spec.blocks.H_stack
         A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
         P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
 
@@ -583,19 +584,18 @@ class _NominalCore(_WindowRestriction):
     ``N^T g = 0``, with the columns of ``N`` an orthonormal basis of its left
     null space, and the combination vector is ``alpha_s + pinv(Hs) @ (g -
     g_s)``, the member closest to the ridge anchor (``pinv(Hs) @ g`` in
-    nominal mode, whose anchor is zero). ``build`` poses that problem to the
-    augmented-Lagrangian solver with the stage rows as its least-squares
-    objective; ``violation`` is the equality violation of the decision a
-    solution unpacks to.
+    nominal mode, whose anchor is zero). ``N^T`` and ``pinv(Hs)`` are the
+    blocks' read-only ``H_stack_null`` and ``H_stack_pinv``, taken once per
+    data set, so a core factors nothing itself. ``build`` poses that problem
+    to the augmented-Lagrangian solver with the stage rows as its
+    least-squares objective; ``violation`` is the equality violation of the
+    decision a solution unpacks to.
     """
 
     def __init__(self, builder: OcpBuilder):
-        self.Hs = np.vstack([builder.H_psi, builder.H_xi])
-        U, svals, _ = np.linalg.svd(self.Hs)
-        # the rank at matrix_rank's default tolerance
-        tol = svals.max() * max(self.Hs.shape) * np.finfo(svals.dtype).eps
-        rank = int(np.count_nonzero(svals > tol))
-        super().__init__(builder, builder.pinv_stack, U[:, rank:].T)
+        blocks = builder.spec.blocks
+        self.Hs = blocks.H_stack
+        super().__init__(builder, blocks.H_stack_pinv, blocks.H_stack_null)
 
     def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
         """Solver-ready problem for one measured history; ``guess`` is a

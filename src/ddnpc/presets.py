@@ -77,10 +77,12 @@ class Experiment:
     the inputs and ±1.5 on the window states of a toy), ``dictionary``,
     ``data.policy``, the setpoints of ``ocp`` and the start of ``run``. An
     unknown or out-of-range ``plant.params`` value, a ``data.policy`` key the
-    plant's policy does not read and a box bound whose length is not the
-    plant's ``m`` or ``n`` raise ``ConfigError`` here; a required key the
-    config lacks raises it when it is read. ``params`` holds the pendulum's
-    physical parameters, and is ``None`` on the toys.
+    plant's policy does not read, a box bound whose length is not the
+    plant's ``m`` or ``n``, and a box whose lower bounds are not below its
+    upper ones or whose ``grid_points`` is below 2 raise ``ConfigError``
+    here; a required key the config lacks raises it when it is read.
+    ``params`` holds the pendulum's physical parameters, and is ``None`` on
+    the toys.
     """
 
     def __init__(self, cfg: dict):
@@ -125,9 +127,12 @@ class Experiment:
                     f"box.{key} has {np.size(box[key])} entries; plant "
                     f"'{self.plant_name}' needs {size}"
                 )
-        self.box = basis.OperatingBox(
-            *(box[key] for key in bounds), grid_points=int(box.get("grid_points", 7))
-        )
+        try:
+            self.box = basis.OperatingBox(
+                *(box[key] for key in bounds), grid_points=int(box.get("grid_points", 7))
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"box: {exc}") from None
 
     def dictionary(self, perturbation: Optional[float] = None, seed: Optional[int] = None):
         """The configured dictionary: the model-structured one on the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 # Unused here: bench/layers.py patches solver.minimize until ROADMAP item 5 replaces its patch table.
 from scipy.optimize import minimize  # noqa: F401
 
@@ -200,13 +200,12 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
 
 
 def _chol_solve(M, b):
-    """``M^-1 b`` for a symmetric positive definite ``M``: LAPACK potrf/potrs
-    on the upper triangle, as ``cho_factor``/``cho_solve`` call them, without
-    their per-call wrapper cost. A Fortran-ordered ``M`` is factored in place,
-    so it is overwritten; any other is copied first."""
-    c, info = dpotrf(M, lower=0, clean=0, overwrite_a=1)
-    if info == 0:
-        x, info = dpotrs(c, b, lower=0)
+    """``M^-1 b`` for a symmetric positive definite ``M``: one LAPACK call,
+    dposv, which runs potrf and potrs on the upper triangle, as
+    ``cho_factor``/``cho_solve`` call them, without their per-call wrapper
+    cost. A Fortran-ordered ``M`` is factored in place, so it is overwritten;
+    any other is copied first."""
+    _, x, info = dposv(M, b, lower=0, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
     return x
@@ -218,6 +217,11 @@ def _damped_solve(A, d, b):
     M = np.array(A, order="F")
     M.ravel(order="F")[:: M.shape[0] + 1] += d
     return _chol_solve(M, b)
+
+
+# The convergence test is not factored when its lower bounds exceed both of
+# its thresholds by this factor, far more than the rounding of either side.
+_SKIP_MARGIN = 4.0
 
 
 @dataclass
@@ -236,8 +240,9 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     ``g = J^T r`` and ``D`` the running maximum of ``diag(A)``. A variable
     within ``1e-10`` of the box width of a bound is held there while its
     gradient points out of the box, so an entry with ``lo == hi`` never
-    moves. Infinite bounds are allowed; with no finite bound every variable
-    is free and no step is cut. The iterates stay inside the box: a step that
+    moves. Infinite bounds are allowed; only the entries with a finite bound
+    are tested for holding and cutting, so with none every variable is free
+    and no step is cut. The iterates stay inside the box: a step that
     would leave it is cut to 0.995 of the distance to the first bound it
     meets (Coleman & Li 1996), so a free variable on a bound whose step
     points out of the box makes the step zero, and it is rejected. ``mu``
@@ -248,7 +253,14 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
 
     The solve converges when the Gauss-Newton step on the free variables,
     ``-A_f^-1 g_f``, promises a decrease ``g_f^T A_f^-1 g_f`` of at most
-    ``tol * f`` or is itself below ``1e-12`` relative to ``x``. The damped
+    ``tol * f`` or is itself below ``1e-12`` relative to ``x``. The step is
+    solved with ``M = A_f + 1e-12 * diag(D_f)``, and only when the test could
+    pass: by Cauchy-Schwarz the decrease ``g_f^T M^-1 g_f`` is at least
+    ``(g_f^T g_f)^2 / g_f^T M g_f`` and the step's length at least that over
+    ``||g_f||``, and where both bounds exceed their thresholds 4 times over,
+    far beyond the rounding of either side, the test fails without factoring
+    ``M``. So the verdict and every iterate are those of a loop that factors
+    at every test. The damped
     step taken is not tested: it is short when ``mu`` is large or the box
     cuts it, not because the solve is done. The solve stops unconverged, at
     the last accepted point, after ``maxiter`` residual evaluations, or once
@@ -268,9 +280,12 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     if not np.isfinite(r).all():
         raise CallbackError("residual not finite at the initial guess")
     f = float(r @ r)
-    boxed = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
-    width = hi - lo
+    # Only an entry with a finite bound can be held or cut the step.
+    bounded = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+    lo_b, hi_b = lo[bounded], hi[bounded]
+    width = hi_b - lo_b
     near = np.where(np.isfinite(width), 1e-10 * width, 0.0)
+    held = bounded[:0]
     D = np.zeros(x.size)
     mu = 1e-8
     while True:
@@ -280,39 +295,54 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
         A, g = J.T @ J, J.T @ r
         D = np.maximum(D, np.diag(A))
         scale = np.where(D > 0, D, 1.0)
-        all_free = True
-        if boxed:
-            at_lo, at_hi = x - lo <= near, hi - x <= near
-            free = ~((at_lo & (g >= 0)) | (at_hi & (g <= 0)))
-            if not free.any():
-                return LsqReport(x, f, nfev, True)
-            all_free = free.all()
-        elif not x.size:
+        if bounded.size:
+            x_b, g_b = x[bounded], g[bounded]
+            room_lo, room_hi = lo_b - x_b, hi_b - x_b
+            held = bounded[((room_lo >= -near) & (g_b >= 0)) | ((room_hi <= near) & (g_b <= 0))]
+        if held.size == x.size:
             return LsqReport(x, f, nfev, True)
-        if all_free:
-            A_f, g_f, scale_f = A, g, scale
+        if held.size:
+            free = np.ones(x.size, dtype=bool)
+            free[held] = False
+            A_f, g_f, scale_f, Jg = A[np.ix_(free, free)], g[free], scale[free], J @ (g * free)
         else:
-            A_f, g_f, scale_f = A[np.ix_(free, free)], g[free], scale[free]
-        # minus the Gauss-Newton step; the 1e-12 keeps it defined for a singular A_f
-        gn = _damped_solve(A_f, 1e-12 * scale_f, g_f)
-        if g_f @ gn <= tol * f or math.sqrt(gn @ gn) <= 1e-12 * (1e-12 + math.sqrt(x @ x)):
-            return LsqReport(x, f, nfev, True)
+            A_f, g_f, scale_f, Jg = A, g, scale, J @ g
         scale_max = float(scale_f.max())
+        # The Gauss-Newton step is -M^-1 g_f, M = A_f + 1e-12*diag(scale_f):
+        # the 1e-12 keeps it defined for a singular A_f. gMg is at least
+        # g_f^T M g_f, so gg^2 / gMg and gg^1.5 / gMg bound the step's promised
+        # decrease and its length from below.
+        gg = float(g_f @ g_f)
+        gMg = float(Jg @ Jg) + 1e-12 * scale_max * gg
+        x_norm = math.sqrt(x @ x)
+        if not (
+            gg * gg > _SKIP_MARGIN * tol * f * gMg
+            and gg * gg > _SKIP_MARGIN * 1e-12 * (1e-12 + x_norm) * math.sqrt(gg) * gMg
+        ):
+            gn = _damped_solve(A_f, 1e-12 * scale_f, g_f)
+            if g_f @ gn <= tol * f or math.sqrt(gn @ gn) <= 1e-12 * (1e-12 + x_norm):
+                return LsqReport(x, f, nfev, True)
         while True:
             if nfev >= maxiter or mu * scale_max == math.inf:
                 return LsqReport(x, f, nfev, False)
             step = -_damped_solve(A_f, mu * scale_f, g_f)
-            if all_free:
-                s = step
-            else:
+            if held.size:
                 s = np.zeros(x.size)
                 s[free] = step
-            if boxed:
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    reach = np.where(s > 0, (hi - x) / s, np.where(s < 0, (lo - x) / s, np.inf))
-                t = reach.min()
-                if t < 1.0:
-                    s *= 0.995 * t
+            else:
+                s = step
+            if bounded.size:
+                s_b = s[bounded]
+                # x is in the box, so only a step past a bound reaches it
+                # before t = 1; the ratios are taken only then.
+                if (s_b > room_hi).any() or (s_b < room_lo).any():
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        reach = np.where(
+                            s_b > 0, room_hi / s_b, np.where(s_b < 0, room_lo / s_b, np.inf)
+                        )
+                    t = reach.min()
+                    if t < 1.0:
+                        s *= 0.995 * t
                 x_new = np.clip(x + s, lo, hi)
             else:
                 x_new = x + s

@@ -84,11 +84,15 @@ def test_unknown_key_rejected(tmp_path):
         ("collect", reference_config,
          lambda cfg: cfg["box"].update(xi_lower=[-1.0] * 7, xi_upper=[1.0] * 7), "box.xi_lower"),
         ("collect", toy_config, lambda cfg: cfg["box"].update(u_upper=[3.0, 3.0]), "box.u_upper"),
+        ("collect", toy_config, lambda cfg: cfg["box"].update(u_lower=[3.0], u_upper=[-3.0]),
+         "box: box bounds must satisfy lower < upper"),
+        ("collect", toy_config, lambda cfg: cfg["box"].update(grid_points=1),
+         "box: grid resolution must be at least 2"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
         "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint",
-        "box_states", "box_inputs",
+        "box_states", "box_inputs", "box_lower_above_upper", "box_grid_points",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):

@@ -888,9 +888,10 @@ def nominal_toy_builders():
 
 @pytest.mark.parametrize("case", ["flat", "chain", "pendulum"])
 def test_nominal_core_rank_is_matrix_rank(case):
-    """The nominal core takes the rank of ``Hs = [H_psi; H_xi]`` from its one
-    full SVD, at ``matrix_rank``'s default tolerance: it keeps one
-    membership row per direction of the left null space."""
+    """The blocks take the rank of ``Hs = [H_psi; H_xi]`` from the one full
+    SVD behind ``H_stack_null``, at ``matrix_rank``'s default tolerance: the
+    nominal core keeps one membership row per direction of the left null
+    space."""
     if case == "pendulum":
         spec = pendulum_relaxed_builder()[2]
         builder = OcpBuilder(dataclasses.replace(spec, mode="nominal", eps_star=0.0, w_star=0.0))
@@ -900,6 +901,83 @@ def test_nominal_core_rank_is_matrix_rank(case):
     rank = np.linalg.matrix_rank(core.Hs)
     assert 0 < rank < core.Hs.shape[0]
     assert core.T.shape == (core.Hs.shape[0] - rank, core.Hs.shape[0])
+
+
+def test_stack_factors_are_taken_once_per_data_set_and_read_only():
+    """A robust and a nominal builder on one set of blocks read the same
+    stack factors, kept on the blocks and equal to a fresh ``pinv`` of the
+    stack; none of them can be written. A copy of the blocks starts without
+    them."""
+    robust = flat_toy_loop_spec("robust")
+    blocks = robust.blocks
+    rob, nom = OcpBuilder(robust), OcpBuilder(dataclasses.replace(robust, mode="nominal"))
+    direct, core = rob.reduced_form(), nom.reduced_form()
+    assert isinstance(direct, npc._RelaxedDirect) and isinstance(core, npc._NominalCore)
+    assert rob.pinv_stack is nom.pinv_stack is core.P is blocks.H_stack_pinv
+    assert direct.Hs is core.Hs is blocks.H_stack
+    assert core.T is blocks.H_stack_null
+    stack = np.vstack([blocks.H_psi, blocks.H_xi])
+    np.testing.assert_array_equal(blocks.H_stack, stack)
+    np.testing.assert_array_equal(blocks.H_stack_pinv, np.linalg.pinv(stack))
+    for a in (blocks.H_stack, blocks.H_stack_pinv, blocks.H_stack_null):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    fresh = dataclasses.replace(blocks)
+    assert not {"H_stack", "H_stack_pinv", "H_stack_null"} & set(vars(fresh))
+
+
+def assert_logs_equal(a, b):
+    """Two closed-loop logs agree bit for bit, but for the solve times."""
+    for key, value in a.as_arrays().items():
+        np.testing.assert_array_equal(b.as_arrays()[key], value)
+    assert len(a.solves) == len(b.solves)
+    for ra, rb in zip(a.solves, b.solves):
+        assert dataclasses.replace(ra, wall_s=0.0, predicted_outputs=None) == dataclasses.replace(
+            rb, wall_s=0.0, predicted_outputs=None
+        )
+        for ya, yb in zip(ra.predicted_outputs, rb.predicted_outputs):
+            np.testing.assert_array_equal(ya, yb)
+
+
+@pytest.mark.parametrize("mode", ["robust", "nominal"])
+def test_closed_loops_repeat_with_the_stack_factors_kept(mode):
+    """The stack factors are taken inside the first loop on a data set, not
+    when its blocks are built. A second loop on the same spec, which finds
+    them kept, and a loop on a fresh copy of the blocks, which takes them
+    again, log the first loop's trajectory and solves bit for bit."""
+    spec = flat_toy_loop_spec(mode)
+    toy, _, _ = plant.make_scalar_flat()
+
+    def loop(s):
+        noise = plant.NoiseModel(w_star=0.005, seed=7)
+        return run_closed_loop(s, toy, noise, np.array([0.3, -0.2]), total_steps=12)
+
+    assert "H_stack_pinv" not in vars(spec.blocks)
+    first = loop(spec)
+    assert "H_stack_pinv" in vars(spec.blocks)
+    assert_logs_equal(first, loop(spec))
+    assert_logs_equal(first, loop(dataclasses.replace(spec, blocks=dataclasses.replace(spec.blocks))))
+
+
+def test_controller_classes_take_no_stack_factorization():
+    """``OcpBuilder`` and ``_NominalCore`` call no SVD or pseudo-inverse:
+    the stack factors they read are taken once per data set on the blocks
+    (``DataDictionaryBlocks.H_stack_pinv``, ``H_stack_null``), so a closed
+    loop does not factor the stack again."""
+    import ast
+    from pathlib import Path
+
+    factorizations = {"svd", "pinv", "matrix_rank", "null_space"}
+    tree = ast.parse(Path(npc.__file__).read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    called = {
+        (name, node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id)
+        for name in ("OcpBuilder", "_NominalCore")
+        for node in ast.walk(classes[name])
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert {(name, call) for name, call in called if call in factorizations} == set()
+    assert ("OcpBuilder", "value_batch") in called and ("_NominalCore", "__init__") in called
 
 
 def plant_history(toy, builder, rng):

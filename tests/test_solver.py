@@ -277,11 +277,49 @@ def nonlinear_box_problem(seed):
             lambda x: A + np.outer(c, np.cos(x)), lo, hi)
 
 
+def rosenbrock_chain(n):
+    """The chained Rosenbrock residual in ``n`` variables and its jacobian."""
+    i = np.arange(n - 1)
+
+    def residual(x):
+        return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]])
+
+    def jacobian(x):
+        J = np.zeros((2 * (n - 1), n))
+        J[i, i + 1] = 10.0
+        J[i, i] = -20.0 * x[:-1]
+        J[n - 1 + i, i] = -1.0
+        return J
+
+    return residual, jacobian
+
+
+def weak_direction_problem():
+    """A 12x6 least squares with condition number 1e6 and a small nonlinear
+    term along its weakest singular pair. Near the optimum the promised
+    decrease comes from the weak direction, which the Cauchy-Schwarz bound,
+    weighted by the strong ones, underrates, so the bound cannot decide
+    the convergence test there."""
+    rng = np.random.default_rng(2)
+    U = np.linalg.qr(rng.standard_normal((12, 6)))[0]
+    V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    A = U @ np.diag(np.logspace(0, -6, 6)) @ V.T
+    b = A @ rng.standard_normal(6) + 1e-3 * rng.standard_normal(12)
+    c, w = 1e-3 * U[:, -1], V[:, -1]
+    return (lambda x: A @ x - b + c * np.sin(w @ x),
+            lambda x: A + np.outer(c, np.cos(w @ x) * w))
+
+
 def lsq_cases():
     """``(residual, jacobian, x0, lo, hi, maxiter, tol)`` for the loops to
     agree on: box problems started at the centre, inside and at a corner,
-    a nonlinear one, pinned entries, infinite and half-infinite bounds, and
-    the pendulum direct problem."""
+    a nonlinear one, pinned entries, infinite and half-infinite bounds, the
+    pendulum direct problem, a long solve whose convergence tests the
+    cheap bound decides (``skip-most``), an ill-conditioned one where it
+    cannot (``weak-direction``), held, pinned and infinite-bound entries in
+    one box (``mixed-bounds``), and a step so small in one entry that its
+    ratio to that entry's room overflows while another entry is cut
+    (``tiny-step-overflow``)."""
     cases = {}
     for seed in (0, 1, 2, 4):
         A, b, lo, hi = linear_box_problem(seed)
@@ -297,6 +335,19 @@ def lsq_cases():
     res, jac, _, _ = nonlinear_box_problem(1)
     cases["unbounded"] = (res, jac, np.zeros(8), np.full(8, -np.inf), np.full(8, np.inf), 200, 1e-14)
     cases["half-bounded"] = (res, jac, np.zeros(8), np.full(8, -0.2), np.full(8, np.inf), 200, 1e-14)
+    res, jac = rosenbrock_chain(6)
+    cases["skip-most"] = (res, jac, np.full(6, -1.2), np.full(6, -np.inf), np.full(6, np.inf), 500,
+                          1e-14)
+    res, jac = weak_direction_problem()
+    cases["weak-direction"] = (res, jac, np.zeros(6), np.full(6, -np.inf), np.full(6, np.inf), 200,
+                               1e-14)
+    A, b, _, _ = linear_box_problem(7)
+    lo = np.array([-1.0, -np.inf, 0.3, -np.inf, -1.0, -0.5, -np.inf, -1.0])
+    hi = np.array([1.0, np.inf, 0.3, 0.5, np.inf, -0.5, np.inf, 1.0])
+    cases["mixed-bounds"] = (lambda x: A @ x - b, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
+    cases["tiny-step-overflow"] = (lambda x: np.array([x[0] - 5.0, x[1] - 1e-309]),
+                                   lambda x: np.eye(2), np.zeros(2), -np.ones(2), np.ones(2), 50,
+                                   1e-10)
 
     from ddnpc import npc
     from test_npc import pendulum_relaxed_builder
@@ -313,19 +364,57 @@ def lsq_cases():
 
 
 LSQ_CASES = lsq_cases()
+# The reference loop's step cut lets this overflow warn; the library's must not.
+REFERENCE_OVERFLOWS = {"tiny-step-overflow"}
 
 
 @pytest.mark.parametrize("case", LSQ_CASES)
 def test_reduced_lsq_iterates_match_reference_loop(case):
     """The trimmed loop takes the reference loop's iterates bit for bit: same
     point, cost, evaluation count and verdict (``tests/reference_lsq.py``;
-    a warning from either fails the test)."""
+    a warning from either fails the test, but for the reference's overflow
+    in the ``REFERENCE_OVERFLOWS`` cases)."""
     args = LSQ_CASES[case]
-    want = reference_lsq.reduced_lsq(*args)
+    with np.errstate(over="ignore" if case in REFERENCE_OVERFLOWS else "warn"):
+        want = reference_lsq.reduced_lsq(*args)
     got = reduced_lsq(*args)
     np.testing.assert_array_equal(got.x, want.x)
     assert got.objective == want.objective
     assert (got.nfev, got.converged) == (want.nfev, want.converged)
+
+
+def count_factored_tests(monkeypatch, case):
+    """``(outer iterations, convergence tests factored, report)`` of one
+    solve: each outer iteration calls the jacobian once, and every damped
+    solve that is not a trial step's is a convergence test."""
+    residual, jacobian, *rest = LSQ_CASES[case]
+    calls = {"jacobian": 0, "damped": 0}
+    damped_solve = solver._damped_solve
+
+    def counted_jacobian(x):
+        calls["jacobian"] += 1
+        return jacobian(x)
+
+    def counted_damped_solve(*args):
+        calls["damped"] += 1
+        return damped_solve(*args)
+
+    monkeypatch.setattr(solver, "_damped_solve", counted_damped_solve)
+    rep = reduced_lsq(residual, counted_jacobian, *rest)
+    return calls["jacobian"], calls["damped"] - (rep.nfev - 1), rep
+
+
+def test_convergence_test_factors_only_when_its_bound_cannot_decide(monkeypatch):
+    """Far from the optimum the Cauchy-Schwarz bound decides the convergence
+    test without a factorization: the Rosenbrock chain factors 2 of its 22
+    tests, the one that ends the solve and one before it. Near the optimum
+    of the ill-conditioned problem the bound cannot decide, and the tests it
+    leaves to the factorization (4 of its 8) include some that do not end
+    the solve."""
+    outer, factored, rep = count_factored_tests(monkeypatch, "skip-most")
+    assert rep.converged and outer >= 20 and factored <= 2
+    outer, factored, rep = count_factored_tests(monkeypatch, "weak-direction")
+    assert rep.converged and factored >= 2
 
 
 @pytest.mark.parametrize(
