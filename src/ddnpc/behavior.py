@@ -66,11 +66,12 @@ class DataDictionaryBlocks:
     Whether the feature sequence is persistently exciting of order
     ``horizon + n`` is recorded at construction.
 
-    The factors of the stack ``[H_psi; H_xi]`` that every controller on these
-    blocks reads (``H_stack``, ``H_stack_pinv``, ``H_stack_null``) are taken
-    on first use and kept here, read-only, so each data set factors its stack
-    once however many closed loops run on it. A copy made by
-    ``dataclasses.replace`` starts without them.
+    Every controller on these blocks reads the stack ``[H_psi; H_xi]``
+    (``H_stack``) through one full SVD (``H_stack_svd``), taken on first use
+    and kept here, read-only, so each data set factors its stack once however
+    many closed loops run on it. Its pseudo-inverse (``H_stack_pinv``), its
+    left null space (``H_stack_null``) and the robust ridge map are read from
+    that SVD. A copy made by ``dataclasses.replace`` starts without them.
     """
 
     horizon: int
@@ -143,19 +144,26 @@ class DataDictionaryBlocks:
         return _read_only(np.vstack([self.H_psi, self.H_xi]))
 
     @cached_property
+    def H_stack_svd(self) -> tuple:
+        """``(U, s, Vt, rank)``: the full SVD of ``H_stack``, read-only, with
+        the rank at ``np.linalg.matrix_rank``'s default tolerance. Singular
+        values past the rank count as zero."""
+        U, s, Vt = np.linalg.svd(self.H_stack)
+        tol = s.max() * max(self.H_stack.shape) * np.finfo(s.dtype).eps
+        rank = int(np.count_nonzero(s > tol))
+        return _read_only(U), _read_only(s), _read_only(Vt), rank
+
+    @cached_property
     def H_stack_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of ``H_stack``."""
-        return _read_only(np.linalg.pinv(self.H_stack))
+        """Pseudo-inverse of ``H_stack``, ``V_r diag(1/s_r) U_r^T`` from its SVD."""
+        U, s, Vt, rank = self.H_stack_svd
+        return _read_only(Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]))
 
     @cached_property
     def H_stack_null(self) -> np.ndarray:
-        """Rows spanning the left null space of ``H_stack``, orthonormal:
-        ``U[:, rank:].T`` of its full SVD, with the rank at
-        ``np.linalg.matrix_rank``'s default tolerance."""
-        U, svals, _ = np.linalg.svd(self.H_stack)
-        tol = svals.max() * max(self.H_stack.shape) * np.finfo(svals.dtype).eps
-        rank = int(np.count_nonzero(svals > tol))
-        return _read_only(U[:, rank:].T)
+        """Orthonormal rows spanning the left null space of ``H_stack``, ``U[:, rank:].T``."""
+        U, _, _, rank = self.H_stack_svd
+        return U[:, rank:].T
 
     def xi_block_row(self, k: int) -> np.ndarray:
         """Rows of state block ``k``: the map from a combination vector to the
@@ -373,7 +381,7 @@ class _WindowFactors:
 def _kind_factors(blocks, what, reg) -> _WindowFactors:
     """Build the factors of query kind ``what`` at ridge weight ``reg`` and
     keep them on ``blocks``."""
-    from scipy.linalg import block_diag, null_space
+    from scipy.linalg import block_diag
 
     L, st = blocks.horizon, blocks.structure
     m, n = st.m, st.n
@@ -401,8 +409,11 @@ def _kind_factors(blocks, what, reg) -> _WindowFactors:
     T = block_diag(np.eye(n_psi), np.zeros((0, n_v)), np.eye(n_s))
     E_h = block_diag(np.zeros((0, n_psi)), np.eye(n_v), np.eye(n, n_s))
     # a = E^+ e + N b with N spanning the null space of E; since E^+ e is
-    # orthogonal to N, b solves a ridge least squares in N.
-    N, E_pinv = null_space(E), np.linalg.pinv(E)
+    # orthogonal to N, b solves a ridge least squares in N. Both come from one
+    # full SVD of E, with the rank at matrix_rank's default tolerance.
+    U, sv, Vt = np.linalg.svd(E)
+    rank = int(np.count_nonzero(sv > sv.max() * max(E.shape) * np.finfo(sv.dtype).eps))
+    N, E_pinv = Vt[rank:].T, Vt[:rank].T @ (U[:, :rank].T / sv[:rank, None])
     G = np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])]))
     K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
     C = np.vstack([A @ K - T, math.sqrt(reg) * K])

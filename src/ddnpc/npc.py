@@ -78,6 +78,11 @@ class OcpSpec:
             raise ValueError(f"unknown mode '{self.mode}'")
         if self.slack_mode not in ("relaxed", "exact"):
             raise ValueError(f"unknown slack mode '{self.slack_mode}'")
+        if self.L < 1:
+            raise ValueError(f"horizon L must be at least 1, got {self.L}")
+        for name in ("lambda_alpha", "lambda_sigma", "c_slack"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         m = self.structure.m
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
@@ -315,20 +320,13 @@ class OcpBuilder:
 
     # -- guesses and warm starts -------------------------------------------
 
-    @property
-    def pinv_stack(self) -> np.ndarray:
-        """Pseudo-inverse of the stacked blocks ``[H_psi; H_xi]``: the blocks'
-        read-only ``H_stack_pinv``, taken once per data set and shared by
-        every builder and closed loop on it."""
-        return self.spec.blocks.H_stack_pinv
-
     def _fit_window(self, c):
         """Pseudo-inverse combination vector of the window ``c``, and the
         stacked features and window states ``[psi; xi]`` it is fitted to."""
         xi = c[self.xi_idx]
         psi = self.spec.blocks.dictionary.value_batch(c[self.u_idx], xi[: self.Lp])
         g = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-        return self.pinv_stack @ g, g
+        return self.spec.blocks.H_stack_pinv @ g, g
 
     def _setpoint_alpha(self):
         """Combination vector of the window resting at the setpoint."""
@@ -381,8 +379,9 @@ class _WindowRestriction:
     affine in ``g`` with two constant maps: ``P``, with ``alpha = alpha_s + P
     @ (g - g_s)``, and ``T``, whose image of ``g - g_s`` is the mode's own
     rows (``features.rows``). ``alpha_s`` is the builder's ridge anchor and
-    ``g_s = [H_psi; H_xi] @ alpha_s``. ``build`` poses the mode's problem for
-    the AL solver and ``unpack`` takes a solution back to a decision.
+    ``g_s = Hs @ alpha_s``, ``Hs = [H_psi; H_xi]`` the blocks' ``H_stack``,
+    whose one SVD gives both maps. ``build`` poses the mode's problem for the
+    AL solver and ``unpack`` takes a solution back to a decision.
     """
 
     def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
@@ -390,6 +389,7 @@ class _WindowRestriction:
         spec = builder.spec
         m, L = builder.m, builder.L
         self.dim = builder.n_free
+        self.Hs = spec.blocks.H_stack
         self.P = P
         self.alpha_s = builder.alpha_s
         self.g_s = np.concatenate([builder.H_psi @ self.alpha_s, builder.H_xi @ self.alpha_s])
@@ -458,42 +458,34 @@ class _RelaxedDirect(_WindowRestriction):
     inactive at the optimum, which is checked afterwards; ``build`` poses the
     problem with the bound for when it is not.
 
-    The residual is the builder's stage rows followed by ``T @ (g - g_s)``,
-    where ``T`` is the triangular factor of the constant matrix that maps
-    ``g - g_s`` to the ridge, feature slack and state slack rows. The cost,
-    ``J^T J`` and ``J^T r`` equal those of the uncompressed residual, so
-    every Gauss-Newton step is unchanged.
+    The residual is the builder's stage rows followed by ``T @ (g - g_s)``.
+    ``C = [ra P; rs (Hs P - I)]`` maps ``g - g_s`` to the ridge, feature
+    slack and state slack rows, and ``T^T T = C^T C``, so the cost, ``J^T
+    J`` and ``J^T r`` equal those of the uncompressed residual and every
+    Gauss-Newton step is unchanged. Both maps are diagonal filters of the
+    blocks' SVD ``Hs = U diag(s) V^T`` (``H_stack_svd``; Tikhonov filter
+    factors): ``P = V diag(rs^2 s / (rs^2 s^2 + ra^2)) U^T`` and ``T =
+    diag(t) U^T``, with ``t = rs ra / sqrt(rs^2 s^2 + ra^2)`` for the first
+    ``rank`` singular values and ``t = rs`` past them.
     """
 
     def __init__(self, builder: OcpBuilder):
         spec = builder.spec
         if spec.mode != "robust" or spec.slack_bound() <= 0:
             raise ValueError("direct solve needs robust mode with a positive slack bound")
-        M, n_psi = builder.M, builder.r * builder.Lp
-        n_xi = builder.xi_idx.size
 
-        # Ridge elimination of the combination vector: for fixed windows,
-        # alpha minimizes lam_s*||Hs a - g||^2 + ra^2*||a - a_s||^2 with
-        # constant Hs, so alpha = a_s + P @ (g - Hs a_s).
-        self.rs = math.sqrt(spec.lambda_sigma)
-        self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        self.Hs = Hs = builder.spec.blocks.H_stack
-        A = np.vstack([self.rs * Hs, self.ra * np.eye(M)])
-        P = np.linalg.pinv(A)[:, : Hs.shape[0]] * self.rs
-
-        # Every residual row past the stage rows is C @ (g - g_s) with the
-        # constant C below (ridge rows, feature slack rows, state slack rows),
-        # because g_s = Hs a_s. Only ||C h||^2 and its derivatives matter, so
-        # C is replaced by the triangle of its QR factorization: same cost,
-        # same J^T J and J^T r, far fewer rows.
-        C = np.vstack(
-            [
-                self.ra * P,
-                self.rs * (builder.H_psi @ P - np.eye(n_psi, n_psi + n_xi)),
-                self.rs * (builder.H_xi @ P - np.eye(n_xi, n_psi + n_xi, n_psi)),
-            ]
-        )
-        super().__init__(builder, P, np.linalg.qr(C, mode="r"))
+        # For fixed windows, alpha = a_s + P @ (g - Hs a_s) minimizes
+        # rs^2*||Hs a - g||^2 + ra^2*||a - a_s||^2.
+        self.rs = rs = math.sqrt(spec.lambda_sigma)
+        self.ra = ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
+        U, s, Vt, rank = spec.blocks.H_stack_svd
+        s = s[:rank]
+        d = (rs * s) ** 2 + ra**2
+        d[d == 0] = np.inf  # both weights zero: P and T vanish
+        t = np.full(U.shape[0], rs)
+        t[:rank] = rs * ra / np.sqrt(d)
+        P = (Vt[:rank].T * (rs * rs * s / d)) @ U[:, :rank].T
+        super().__init__(builder, P, t[:, None] * U.T)
 
     def residual(self, zf):
         return np.concatenate([self.stage_residual(zf), self.features.rows(zf)])
@@ -585,16 +577,14 @@ class _NominalCore(_WindowRestriction):
     null space, and the combination vector is ``alpha_s + pinv(Hs) @ (g -
     g_s)``, the member closest to the ridge anchor (``pinv(Hs) @ g`` in
     nominal mode, whose anchor is zero). ``N^T`` and ``pinv(Hs)`` are the
-    blocks' read-only ``H_stack_null`` and ``H_stack_pinv``, taken once per
-    data set, so a core factors nothing itself. ``build`` poses that problem
-    to the augmented-Lagrangian solver with the stage rows as its
-    least-squares objective; ``violation`` is the equality violation of the
-    decision a solution unpacks to.
+    blocks' read-only ``H_stack_null`` and ``H_stack_pinv``, read from their
+    one SVD of ``Hs``. ``build`` poses that problem to the augmented-Lagrangian
+    solver with the stage rows as its least-squares objective; ``violation``
+    is the equality violation of the decision a solution unpacks to.
     """
 
     def __init__(self, builder: OcpBuilder):
         blocks = builder.spec.blocks
-        self.Hs = blocks.H_stack
         super().__init__(builder, blocks.H_stack_pinv, blocks.H_stack_null)
 
     def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
@@ -620,7 +610,7 @@ class _NominalCore(_WindowRestriction):
 
 
 def solve_relaxed_direct(
-    builder,
+    direct: _RelaxedDirect,
     history_u,
     history_y,
     guess: Optional[OcpDecision] = None,
@@ -629,8 +619,9 @@ def solve_relaxed_direct(
     """Solve the robust problem with its slack bound dropped, by slack and
     combination elimination, and check the bound afterwards.
 
-    ``builder`` is an ``OcpBuilder`` or its ``_RelaxedDirect`` form; a closed
-    loop passes the form it owns, so that the form is set up once per loop.
+    ``direct`` is the problem's direct form (``OcpBuilder.reduced_form`` of a
+    robust mode with a positive slack bound); a closed loop passes the form
+    it owns, so that the form is set up once per loop.
     ``guess`` is a decision, as for ``OcpBuilder.build``; its free input and
     output slots start the solve. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
@@ -644,7 +635,6 @@ def solve_relaxed_direct(
     bound (``OcpSpec.slack_bound``) at the decision's own ``||alpha||_1``.
     ``maxiter`` bounds the solver's residual evaluations.
     """
-    direct = builder if isinstance(builder, _RelaxedDirect) else _RelaxedDirect(builder)
     zf0 = direct.b.free_slots(direct._start(history_u, history_y, guess))
     res = _solver.reduced_lsq(
         direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, maxiter, 1e-10

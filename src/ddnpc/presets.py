@@ -256,24 +256,23 @@ class Experiment:
         setpoints: identity weights and the input limits of the box unless
         given, and no uncertainty levels in nominal mode. Further ``OcpSpec``
         fields (slack mode, certificate constants) pass through, and
-        ``OcpSpec`` holds the defaults of those left out."""
+        ``OcpSpec`` holds the defaults of those left out. A value ``OcpSpec``
+        rejects raises ``ConfigError`` naming ``ocp``."""
         m = self.structure.m
         robust = mode == "robust"
-        return npc.OcpSpec(
-            mode=mode,
-            L=L,
-            structure=self.structure,
-            blocks=blocks,
-            Q=np.eye(m) if Q is None else Q,
-            R=np.eye(m) if R is None else R,
-            u_setpoint=self.u_setpoint,
-            y_setpoint=self.y_setpoint,
-            u_min=self.box.u_lower if u_min is None else u_min,
-            u_max=self.box.u_upper if u_max is None else u_max,
-            eps_star=eps_star if robust else 0.0,
-            w_star=w_star if robust else 0.0,
-            **fields,
-        )
+        u_setpoint, y_setpoint = self.u_setpoint, self.y_setpoint
+        try:
+            return npc.OcpSpec(
+                mode=mode, L=L, structure=self.structure, blocks=blocks,
+                Q=np.eye(m) if Q is None else Q, R=np.eye(m) if R is None else R,
+                u_setpoint=u_setpoint, y_setpoint=y_setpoint,
+                u_min=self.box.u_lower if u_min is None else u_min,
+                u_max=self.box.u_upper if u_max is None else u_max,
+                eps_star=eps_star if robust else 0.0, w_star=w_star if robust else 0.0,
+                **fields,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"ocp: {exc}") from None
 
 
 def pendulum_experiment(grid_points: int = 7) -> Experiment:

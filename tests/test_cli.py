@@ -88,11 +88,29 @@ def test_unknown_key_rejected(tmp_path):
          "box: box bounds must satisfy lower < upper"),
         ("collect", toy_config, lambda cfg: cfg["box"].update(grid_points=1),
          "box: grid resolution must be at least 2"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robustt"),
+         "ocp: unknown mode"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", slack_mode="exactt"),
+         "ocp: unknown slack mode"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(L=0), "ocp: horizon L"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", L=1),
+         "ocp: robust mode needs horizon"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(u_setpoint=[5.0]),
+         "ocp: input setpoint"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", lambda_sigma=-1),
+         "ocp: lambda_sigma"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", lambda_alpha=-1),
+         "ocp: lambda_alpha"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", c_slack=-1),
+         "ocp: c_slack"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
         "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint",
         "box_states", "box_inputs", "box_lower_above_upper", "box_grid_points",
+        "ocp_mode", "ocp_slack_mode", "ocp_L_zero", "ocp_robust_L_below_d_max",
+        "ocp_u_setpoint_outside_box", "ocp_lambda_sigma_negative",
+        "ocp_lambda_alpha_negative", "ocp_c_slack_negative",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import time
+import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -450,7 +452,7 @@ def assert_direct_agrees_with_constrained(y_s):
     st = builder.spec.structure
     hu = np.zeros((2, 1))
     hy = np.array([[0.2], [0.19]])
-    dec_fast, info = solve_relaxed_direct(builder, hu, hy, maxiter=300)
+    dec_fast, info = solve_relaxed_direct(builder.reduced_form(), hu, hy, maxiter=300)
     assert info["bound_ok"]
     opts = solver.SolverOptions(feasibility_tol=1e-9, optimality_tol=1e-7)
     rep = solver.solve(full_space.problem(builder, hu, hy), opts)
@@ -504,7 +506,7 @@ def test_direct_solve_makes_one_kernel_pass_per_point(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(plant, "_window_accelerations", counting)
-    _, info = solve_relaxed_direct(builder, hu, hy, guess=guess)
+    _, info = solve_relaxed_direct(builder.reduced_form(), hu, hy, guess=guess)
     assert info["iterations"] > 5
     assert len(calls) <= info["iterations"] + 1
     assert all(calls)
@@ -517,7 +519,7 @@ def test_robust_equilibrium_is_zero_cost():
     exp, d, spec, builder = pendulum_relaxed_builder()
     hu = np.tile(exp.u_setpoint, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint, (spec.d_max, 1))
-    decision, info = solve_relaxed_direct(builder, hu, hy)
+    decision, info = solve_relaxed_direct(builder.reduced_form(), hu, hy)
     assert info["bound_ok"]
     assert info["objective"] <= 1e-8
     np.testing.assert_allclose(
@@ -558,7 +560,7 @@ def random_reduced_point(direct, rng):
 
 
 def uncompressed_residual_and_jacobian(direct, zf):
-    """Reference: the direct form's residual without the QR reduction, with
+    """Reference: the direct form's residual without the square ``T``, with
     stage rows, ridge rows, feature slack rows and state slack rows."""
     b = direct.b
     g, dpsi = direct.features.stacked(zf), direct.features.dpsi(zf)
@@ -586,8 +588,9 @@ def uncompressed_residual_and_jacobian(direct, zf):
 
 
 def test_reduced_direct_residual_matches_uncompressed(direct_builders):
-    """Replacing the constant tail by its QR triangle keeps the cost, J^T J
-    and J^T r, so the trust-region steps are those of the full residual."""
+    """Replacing the constant tail by the square ``T`` read off the blocks'
+    SVD keeps the cost, J^T J and J^T r, so the trust-region steps are those
+    of the full residual."""
     rng = np.random.default_rng(11)
     for builder in direct_builders:
         direct = npc._RelaxedDirect(builder)
@@ -678,9 +681,9 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
     recorded = []
     solve = npc.solve_relaxed_direct
 
-    def recording(builder, history_u, history_y, guess=None, maxiter=60):
+    def recording(direct, history_u, history_y, guess=None, maxiter=60):
         recorded.append((np.array(history_u), np.array(history_y), guess))
-        return solve(builder, history_u, history_y, guess, maxiter)
+        return solve(direct, history_u, history_y, guess, maxiter)
 
     monkeypatch.setattr(npc, "solve_relaxed_direct", recording)
     run_closed_loop(
@@ -707,7 +710,7 @@ def test_direct_iteration_limit_reports_measured_violation():
     exp, _, spec, builder = pendulum_relaxed_builder()
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint - 1.0, (spec.d_max, 1))
-    decision, info = solve_relaxed_direct(builder, hu, hy, maxiter=1)
+    decision, info = solve_relaxed_direct(builder.reduced_form(), hu, hy, maxiter=1)
     assert info["status"] == "max-iter"
     bound = spec.c_slack * spec.slack_level
     assert np.isfinite(info["max_violation"]) and info["max_violation"] >= 0.0
@@ -888,8 +891,8 @@ def nominal_toy_builders():
 
 @pytest.mark.parametrize("case", ["flat", "chain", "pendulum"])
 def test_nominal_core_rank_is_matrix_rank(case):
-    """The blocks take the rank of ``Hs = [H_psi; H_xi]`` from the one full
-    SVD behind ``H_stack_null``, at ``matrix_rank``'s default tolerance: the
+    """The blocks take the rank of ``Hs = [H_psi; H_xi]`` from their one full
+    SVD (``H_stack_svd``), at ``matrix_rank``'s default tolerance: the
     nominal core keeps one membership row per direction of the left null
     space."""
     if case == "pendulum":
@@ -905,25 +908,94 @@ def test_nominal_core_rank_is_matrix_rank(case):
 
 def test_stack_factors_are_taken_once_per_data_set_and_read_only():
     """A robust and a nominal builder on one set of blocks read the same
-    stack factors, kept on the blocks and equal to a fresh ``pinv`` of the
-    stack; none of them can be written. A copy of the blocks starts without
+    stack factors, kept on the blocks: one full SVD of the stack, and the
+    pseudo-inverse and left null space read from it. The pseudo-inverse
+    meets the four Penrose conditions and agrees with ``np.linalg.pinv``.
+    None of the factors can be written. A copy of the blocks starts without
     them."""
     robust = flat_toy_loop_spec("robust")
     blocks = robust.blocks
     rob, nom = OcpBuilder(robust), OcpBuilder(dataclasses.replace(robust, mode="nominal"))
     direct, core = rob.reduced_form(), nom.reduced_form()
     assert isinstance(direct, npc._RelaxedDirect) and isinstance(core, npc._NominalCore)
-    assert rob.pinv_stack is nom.pinv_stack is core.P is blocks.H_stack_pinv
+    assert core.P is blocks.H_stack_pinv
     assert direct.Hs is core.Hs is blocks.H_stack
     assert core.T is blocks.H_stack_null
     stack = np.vstack([blocks.H_psi, blocks.H_xi])
     np.testing.assert_array_equal(blocks.H_stack, stack)
-    np.testing.assert_array_equal(blocks.H_stack_pinv, np.linalg.pinv(stack))
-    for a in (blocks.H_stack, blocks.H_stack_pinv, blocks.H_stack_null):
+    X = blocks.H_stack_pinv
+    for got, want in (
+        (stack @ X @ stack, stack), (X @ stack @ X, X),
+        ((stack @ X).T, stack @ X), ((X @ stack).T, X @ stack),
+    ):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+    ref = np.linalg.pinv(stack)
+    np.testing.assert_allclose(X, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    U, s, Vt, _ = blocks.H_stack_svd
+    for a in (blocks.H_stack, X, blocks.H_stack_null, U, s, Vt):
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
     fresh = dataclasses.replace(blocks)
-    assert not {"H_stack", "H_stack_pinv", "H_stack_null"} & set(vars(fresh))
+    assert not {"H_stack", "H_stack_svd", "H_stack_pinv", "H_stack_null"} & set(vars(fresh))
+
+
+def robust_spec(case):
+    """A relaxed robust spec on the flat toy (setpoint 0.3), the chain toy
+    (slack level 0.01) or the reference pendulum."""
+    if case == "pendulum":
+        return pendulum_relaxed_builder()[2]
+    if case == "chain":
+        return chain_spec(mode="robust", eps_star=0.01)[-1]
+    return flat_toy_relaxed_spec(0.3)
+
+
+@pytest.mark.parametrize("case", ["flat", "chain", "pendulum"])
+def test_direct_form_maps_are_filters_of_the_stack_svd(case):
+    """The direct form's ``P``, read off the blocks' SVD, solves the ridge
+    normal equations ``(rs^2 Hs^T Hs + ra^2 I) P = rs^2 Hs^T``, and its
+    ``T`` has the Gram matrix of the slack map ``C = [ra P; rs (Hs P -
+    I)]``: in both slack modes, and at ``lambda_alpha = 0`` and both weights
+    zero, where no warning is raised."""
+    base = robust_spec(case)
+    exact = dict(slack_mode="exact", k_psi=1.0, k_w=1.0, g_dagger_norm=5.0)
+    for fields in ({}, exact, dict(lambda_alpha=0.0), dict(lambda_alpha=0.0, lambda_sigma=0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = npc._RelaxedDirect(OcpBuilder(dataclasses.replace(base, **fields)))
+        Hs, P, rs, ra = direct.Hs, direct.P, direct.rs, direct.ra
+        n_g, M = Hs.shape
+        rhs = rs**2 * Hs.T
+        gap = (rs**2 * Hs.T @ Hs + ra**2 * np.eye(M)) @ P - rhs
+        assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(rhs)
+        C = np.vstack([ra * P, rs * (Hs @ P - np.eye(n_g))])
+        gram = C.T @ C
+        np.testing.assert_allclose(
+            direct.T.T @ direct.T, gram, rtol=0, atol=1e-12 * np.max(np.abs(gram))
+        )
+
+
+def test_one_svd_of_the_stack_serves_every_controller_form(monkeypatch):
+    """On a fresh copy of the blocks, two robust closed loops and one nominal
+    loop factor the stack once: one ``np.linalg.svd`` call, and no ``pinv``
+    or ``qr``."""
+    spec = flat_toy_loop_spec("robust")
+    robust = dataclasses.replace(spec, blocks=dataclasses.replace(spec.blocks))
+    nominal = dataclasses.replace(robust, mode="nominal")
+    calls = Counter()
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    for name in ("svd", "pinv", "qr"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    toy, _, _ = plant.make_scalar_flat()
+    for s in (robust, robust, nominal):
+        run_closed_loop(s, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.3, -0.2]),
+                        total_steps=4)
+    assert calls == {"svd": 1}
 
 
 def assert_logs_equal(a, b):
@@ -960,24 +1032,25 @@ def test_closed_loops_repeat_with_the_stack_factors_kept(mode):
 
 
 def test_controller_classes_take_no_stack_factorization():
-    """``OcpBuilder`` and ``_NominalCore`` call no SVD or pseudo-inverse:
-    the stack factors they read are taken once per data set on the blocks
-    (``DataDictionaryBlocks.H_stack_pinv``, ``H_stack_null``), so a closed
-    loop does not factor the stack again."""
+    """``OcpBuilder`` and the reduced forms call no SVD, pseudo-inverse or
+    QR: the stack factors they read come from the one SVD of the stack kept
+    on the blocks (``DataDictionaryBlocks.H_stack_svd``, ``H_stack_pinv``,
+    ``H_stack_null``), so a closed loop does not factor the stack again."""
     import ast
     from pathlib import Path
 
-    factorizations = {"svd", "pinv", "matrix_rank", "null_space"}
+    factorizations = {"svd", "pinv", "qr", "matrix_rank", "null_space"}
     tree = ast.parse(Path(npc.__file__).read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     called = {
         (name, node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id)
-        for name in ("OcpBuilder", "_NominalCore")
+        for name in ("OcpBuilder", "_WindowRestriction", "_RelaxedDirect", "_NominalCore")
         for node in ast.walk(classes[name])
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
     }
     assert {(name, call) for name, call in called if call in factorizations} == set()
-    assert ("OcpBuilder", "value_batch") in called and ("_NominalCore", "__init__") in called
+    assert ("OcpBuilder", "value_batch") in called and ("_WindowRestriction", "cholesky") in called
+    assert ("_RelaxedDirect", "__init__") in called and ("_NominalCore", "__init__") in called
 
 
 def plant_history(toy, builder, rng):
