@@ -25,6 +25,7 @@ for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import csv  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -102,6 +103,16 @@ def load_config(path) -> dict:
 def _resolve(path, base: Path) -> Path:
     p = Path(path)
     return p if p.is_absolute() else base / p
+
+
+@contextlib.contextmanager
+def _depth_of(key):
+    """Name the config key or flag that set a Hankel depth the recorded data
+    cannot fill."""
+    try:
+        yield
+    except trajlib.HankelDepthError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _w_star(cfg) -> float:
@@ -198,12 +209,15 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
 
 def _excitation(cfg, exp, dictionary, traj, order=None):
     """Excitation report of the recorded feature sequence (noisy window
-    states) at ``order``; by default L + d_max + n, the order the controller
-    of horizon ``ocp.L`` needs."""
+    states) at ``order``, the ``--order`` flag; by default L + d_max + n, the
+    order the controller of horizon ``ocp.L`` needs."""
+    key = "--order"
     if order is None:
+        key = "ocp.L"
         order = int(cfg.get("ocp", {}).get("L", 10)) + exp.structure.d_max + exp.structure.n
     feats = basis.evaluate_along(dictionary, traj.u, traj.xi_noisy.data[: traj.N])
-    return order, trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
+    with _depth_of(key):
+        return order, trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
 
 
 def _load_trajectory(exp: presets.Experiment, cfg, base: Path):
@@ -238,29 +252,35 @@ def cmd_check_pe(cfg, base, out_dir, strict, order=None) -> int:
     return EXIT_OK if pe.is_pe else EXIT_ASSUMPTION
 
 
-def cmd_simulate(cfg, base, out_dir, strict) -> int:
+def _query(cfg, base, section):
+    """A data-driven query's experiment, its config section, the window
+    length ``L``, the blocks of depth ``L`` on the recorded data and the
+    certificate's keyword arguments to the query."""
     exp = presets.Experiment(cfg)
     traj = _load_trajectory(exp, cfg, base)
     cert = _load_certificate(cfg, base)
-    sim_cfg = cfg.get("simulate", {})
-    L = int(sim_cfg.get("L", 10))
-    dictionary = exp.dictionary()
-    blocks = behavior.DataDictionaryBlocks.from_trajectory(dictionary, traj, horizon=L)
+    sec = cfg.get(section, {})
+    L = int(sec.get("L", 10))
+    with _depth_of(f"{section}.L"):
+        blocks = behavior.DataDictionaryBlocks.from_trajectory(exp.dictionary(), traj, horizon=L)
+    return exp, sec, L, blocks, dict(
+        eps_star=cert.eps_star, k_xi=cert.k_xi, g_row_norm=cert.g_inf_bound,
+        **_set_keys(sec, (("lambda_alpha", float),)),
+    )
+
+
+def cmd_simulate(cfg, base, out_dir, strict) -> int:
+    exp, sim_cfg, L, blocks, certified = _query(cfg, base, "simulate")
     if "u_file" in sim_cfg:
         u_new, _ = trajlib.read_trajectory_csv(_resolve(sim_cfg["u_file"], base))
         u_new = u_new[:L]
     else:
         u_new = np.tile(np.zeros(exp.structure.m), (L, 1))
-    xi0 = np.asarray(sim_cfg.get("xi0", np.zeros(exp.structure.n)), dtype=float)
-    result = behavior.simulate_data_driven(
-        blocks,
-        u_new,
-        xi0,
-        eps_star=cert.eps_star,
-        k_xi=cert.k_xi,
-        g_row_norm=cert.g_inf_bound,
-        **_set_keys(sim_cfg, (("lambda_alpha", float),)),
-    )
+    n = exp.structure.n
+    xi0 = np.asarray(sim_cfg.get("xi0", np.zeros(n)), dtype=float)
+    if xi0.shape != (n,):
+        raise ConfigError(f"simulate.xi0 has {xi0.size} entries; the window state has {n}")
+    result = behavior.simulate_data_driven(blocks, u_new, xi0, **certified)
     # oracle column: the window state determines the physical state, so the
     # true response is available whenever the plant model is configured
     x0 = exp.state_from_window(xi0)
@@ -282,25 +302,12 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
 
 
 def cmd_match(cfg, base, out_dir, strict) -> int:
-    exp = presets.Experiment(cfg)
-    traj = _load_trajectory(exp, cfg, base)
-    cert = _load_certificate(cfg, base)
-    m_cfg = cfg.get("match", {})
-    L = int(m_cfg.get("L", 10))
-    dictionary = exp.dictionary()
-    blocks = behavior.DataDictionaryBlocks.from_trajectory(dictionary, traj, horizon=L)
+    exp, m_cfg, L, blocks, certified = _query(cfg, base, "match")
     if "y_file" not in m_cfg:
         raise ConfigError("match needs match.y_file with the reference outputs")
     _, refs = trajlib.read_trajectory_csv(_resolve(m_cfg["y_file"], base))
     refs = [y[: L + d] for y, d in zip(refs, exp.structure.degrees)]
-    result = behavior.match_output_data_driven(
-        blocks,
-        refs,
-        eps_star=cert.eps_star,
-        k_xi=cert.k_xi,
-        g_row_norm=cert.g_inf_bound,
-        **_set_keys(m_cfg, (("lambda_alpha", float),)),
-    )
+    result = behavior.match_output_data_driven(blocks, refs, **certified)
     rows = []
     for k in range(L):
         rows.append(tuple([k] + [float(v) for v in result.u[k]]))
@@ -325,9 +332,14 @@ def _run_once(cfg, base) -> tuple:
     mode = ocp_cfg.get("mode", "robust")
     L = int(ocp_cfg.get("L", 10))
     w_star = _w_star(cfg)
-    eps_star = cert.eps_star * float(ocp_cfg.get("eps_inflation", 1.1))
+    inflation = float(ocp_cfg.get("eps_inflation", 1.1))
+    if not inflation >= 0:
+        raise ConfigError(f"ocp.eps_inflation must be non-negative, got {inflation}")
+    eps_star = cert.eps_star * inflation
+    with _depth_of("ocp.L"):
+        blocks = exp.blocks(exp.dictionary(), traj, L=L, noisy=(mode == "robust"))
     spec = exp.ocp_spec(
-        exp.blocks(exp.dictionary(), traj, L=L, noisy=(mode == "robust")),
+        blocks,
         mode=mode,
         L=L,
         eps_star=eps_star,
@@ -342,14 +354,20 @@ def _run_once(cfg, base) -> tuple:
             ("slack_mode", str), ("c_slack", float),
         )),
     )
+    total_steps = int(run_cfg.get("total_steps", 300))
+    stride = int(ocp_cfg.get("stride", spec.stride))
+    if total_steps < 0 or stride < 1 or total_steps % stride:
+        raise ConfigError(
+            f"run.total_steps {total_steps} must be a multiple >= 0 of ocp.stride {stride} >= 1"
+        )
     run_noise = plant.NoiseModel(w_star=w_star, seed=int(run_cfg.get("seed", 0)))
     log = npc.run_closed_loop(
         spec,
         exp.plant_model,
         run_noise,
         x0=exp.x0,
-        total_steps=int(run_cfg.get("total_steps", 300)),
-        stride=ocp_cfg.get("stride"),
+        total_steps=total_steps,
+        stride=stride,
         hold_input=exp.hold_input,
     )
     return spec, cert, eps_star, log

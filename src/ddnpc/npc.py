@@ -127,6 +127,11 @@ class OcpSpec:
         return self.L + self.d_max
 
     @property
+    def stride(self) -> int:
+        """Inputs a loop applies per solve by default: one nominal, ``d_max`` robust."""
+        return self.d_max if self.mode == "robust" else 1
+
+    @property
     def slack_level(self) -> float:
         return max(self.eps_star, self.w_star)
 
@@ -150,7 +155,7 @@ class OcpSpec:
 
 @dataclass
 class OcpDecision:
-    """Solution or guess of one receding-horizon problem (absolute units)."""
+    """Solution of one receding-horizon problem (absolute units)."""
 
     alpha: np.ndarray
     u_bar: np.ndarray                 # (L + d_max, m); row 0 is time -d_max
@@ -179,8 +184,8 @@ class OcpBuilder:
     """Caches the index maps and Hankel blocks of one problem family: the
     window layout, the bounds on the free slots (``lo``, ``hi``: the input
     box, and the output box when the spec has one), the pins a measured
-    history sets, and the guesses and warm starts. Its reduced form
-    (``reduced_form``) poses the problem on the free window slots.
+    history sets, and the cold and warm starts, as free slots. Its reduced
+    form (``reduced_form``) poses the problem on the free window slots.
 
     A window is one vector ``c = [zf; fixed]``. ``zf`` holds the free input
     slots (time-major), then the free output slots (channel-major); ``fixed``
@@ -267,11 +272,6 @@ class OcpBuilder:
             c[idx] = y
         return c
 
-    def decision(self, alpha, u_bar, y_bar, sigma_psi=None) -> OcpDecision:
-        """The decision with combination vector ``alpha`` and windows
-        ``u_bar`` and ``y_bar``; see ``window_decision``."""
-        return self.window_decision(alpha, self.window(u_bar, y_bar), sigma_psi)
-
     def window_decision(self, alpha, c, sigma_psi=None) -> OcpDecision:
         """The decision with combination vector ``alpha`` and window ``c``,
         its windows read into copies. A robust decision carries the feature
@@ -313,60 +313,45 @@ class OcpBuilder:
         its ``build`` and ``unpack``.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
-        and measured outputs, oldest first; ``guess`` is an ``OcpDecision``
-        that starts the solve, the cold start when None.
+        and measured outputs, oldest first. ``guess`` holds the free slots
+        that start the solve (``initial_guess``, ``shifted_guess``), the cold
+        start when None: a start is its free slots, since every form derives
+        the rest of the decision from them.
         """
         return self.reduced_form().build(history_u, history_y, guess)
 
-    # -- guesses and warm starts -------------------------------------------
-
-    def _fit_window(self, c):
-        """Pseudo-inverse combination vector of the window ``c``, and the
-        stacked features and window states ``[psi; xi]`` it is fitted to."""
-        xi = c[self.xi_idx]
-        psi = self.spec.blocks.dictionary.value_batch(c[self.u_idx], xi[: self.Lp])
-        g = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-        return self.spec.blocks.H_stack_pinv @ g, g
+    # -- starts -------------------------------------------------------------
 
     def _setpoint_alpha(self):
-        """Combination vector of the window resting at the setpoint."""
+        """Pseudo-inverse combination vector of the window resting at the
+        setpoint."""
         spec = self.spec
         u_bar = np.tile(spec.u_setpoint, (self.Lp, 1))
         y_bar = [np.full(n, spec.y_setpoint[i]) for i, n in enumerate(self.y_lens)]
-        return self._fit_window(self.window(u_bar, y_bar))[0]
-
-    def initial_guess(self, history_u, history_y) -> OcpDecision:
-        """Cold-start guess: ramp the outputs to the setpoint, hold the input
-        setpoint, and fit the combination vector to that trajectory."""
-        spec = self.spec
-        u_bar = np.tile(spec.u_setpoint, (self.Lp, 1))
-        u_bar[: self.d_max] = history_u
-        y_bar = []
-        for i in range(self.m):
-            y = np.empty(self.y_lens[i])
-            y[: self.d_max] = history_y[:, i]
-            ramp = np.linspace(history_y[-1, i], spec.y_setpoint[i], self.L + 1)[1:]
-            y[self.d_max : self.d_max + self.L] = ramp
-            y[self.d_max + self.L :] = spec.y_setpoint[i]
-            y_bar.append(y)
         c = self.window(u_bar, y_bar)
-        alpha, g = self._fit_window(c)
-        sigma = self.H_psi @ alpha - g[: self.H_psi.shape[0]] if self.has_sigma else None
-        return self.window_decision(alpha, c, sigma)
+        xi = c[self.xi_idx]
+        psi = spec.blocks.dictionary.value_batch(c[self.u_idx], xi[: self.Lp])
+        return spec.blocks.H_stack_pinv @ np.concatenate([psi.reshape(-1), xi.reshape(-1)])
 
-    def shifted_guess(self, decision: OcpDecision, shift: int) -> OcpDecision:
-        """Warm start from ``decision`` advanced ``shift`` steps: the input and
-        output windows move forward with the setpoint padded at the tail, the
-        combination vector is refitted to the shifted window by the
-        pseudo-inverse, and the feature slack restarts at zero."""
-        spec = self.spec
+    def initial_guess(self, history_y) -> np.ndarray:
+        """Cold start, as free slots: the input setpoint, then each output
+        ramped from its last measured value to the setpoint."""
+        spec, L = self.spec, self.L
+        last = np.asarray(history_y, dtype=float).reshape(self.d_max, self.m)[-1]
+        ramps = [np.linspace(last[i], spec.y_setpoint[i], L + 1)[1:] for i in range(self.m)]
+        return np.concatenate([np.tile(spec.u_setpoint, L), *ramps])
+
+    def shifted_guess(self, decision: OcpDecision, shift: int) -> np.ndarray:
+        """Warm start, as free slots: the input and output windows of
+        ``decision`` advanced ``shift`` steps, the setpoint padded at the
+        tail."""
+        spec, d = self.spec, self.d_max
         u_bar = np.vstack([decision.u_bar[shift:], np.tile(spec.u_setpoint, (shift, 1))])
-        y_bar = [
-            np.concatenate([y[shift:], np.full(shift, spec.y_setpoint[i])])
+        y_free = [
+            np.concatenate([y[shift:], np.full(shift, spec.y_setpoint[i])])[d : self.Lp]
             for i, y in enumerate(decision.y_bar)
         ]
-        c = self.window(u_bar, y_bar)
-        return self.window_decision(self._fit_window(c)[0], c)
+        return np.concatenate([u_bar[d:].reshape(-1), *y_free])
 
 
 class _WindowRestriction:
@@ -416,18 +401,18 @@ class _WindowRestriction:
         self.features.set_fixed(self.b.pins(hist_u, hist_y))
 
     def _start(self, history_u, history_y, guess):
-        """Set the history and return ``guess``, the builder's cold start when
-        it is None."""
-        b = self.b
-        history_u = np.asarray(history_u, dtype=float).reshape(b.d_max, b.m)
-        history_y = np.asarray(history_y, dtype=float).reshape(b.d_max, b.m)
+        """Set the history and return the free slots ``guess``, the builder's
+        cold start when it is None."""
         self.set_history(history_u, history_y)
-        if guess is None:
-            guess = b.initial_guess(history_u, history_y)
-        return guess
+        return self.b.initial_guess(history_y) if guess is None else guess
 
     def stage_residual(self, zf):
         return self.J_stage @ zf - self.b_stage
+
+    def combination(self, zf):
+        """The combination vector at the free slots ``zf``: ``alpha_s + P @
+        (g - g_s)``."""
+        return self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
 
     def unpack(self, x: np.ndarray) -> OcpDecision:
         """The decision at ``x``: the free slots, followed by the combination
@@ -436,14 +421,9 @@ class _WindowRestriction:
         closes the feature rows."""
         b = self.b
         zf = x[: self.dim]
-        g = self.features.stacked(zf)
-        if x.size > self.dim:
-            alpha = x[self.dim :]
-        else:
-            alpha = self.alpha_s + self.P @ (g - self.g_s)
-        c = self.features.window(zf)
-        psi = g[: self.features.n_psi]
-        return b.window_decision(alpha, c, b.H_psi @ alpha - psi)
+        alpha = x[self.dim :] if x.size > self.dim else self.combination(zf)
+        psi = self.features.stacked(zf)[: self.features.n_psi]
+        return b.window_decision(alpha, self.features.window(zf), b.H_psi @ alpha - psi)
 
 
 class _RelaxedDirect(_WindowRestriction):
@@ -504,18 +484,21 @@ class _RelaxedDirect(_WindowRestriction):
         vector. The residual is the stage rows, the ridge rows ``ra * (alpha
         - alpha_s)`` and the slack rows ``rs * sigma``, with ``sigma = Hs @
         alpha - g`` (the feature slack, then the state slack); the bound is
-        the inequality rows ``|sigma_j| <= bound``. ``guess`` is a decision,
-        as for ``OcpBuilder.build``, its combination vector included.
+        the inequality rows ``|sigma_j| <= bound``. ``guess`` holds the free
+        slots, as for ``OcpBuilder.build``; the combination vector starts
+        where the ridge map puts it, ``combination`` at the guess, as
+        ``unpack`` does.
 
         The exact-mode bound grows with ``||alpha||_1``. The rows take it at
-        ``s^T alpha``, with ``s`` the signs of the combination vector of the
-        guess: linear, never above ``||alpha||_1`` and equal to it while no
+        ``s^T alpha``, with ``s`` the signs of the starting combination
+        vector: linear, never above ``||alpha||_1`` and equal to it while no
         entry changes sign, so every point that meets the rows meets the
         paper's bound."""
         spec = self.b.spec
         nf, M = self.dim, self.b.M
-        guess = self._start(history_u, history_y, guess)
-        s = np.sign(guess.alpha)
+        zf0 = self._start(history_u, history_y, guess)
+        alpha0 = self.combination(zf0)
+        s = np.sign(alpha0)
         Hs = self.Hs
         n_stage = self.J_stage.shape[0]
         J = np.zeros((n_stage + M + Hs.shape[0], nf + M))
@@ -551,7 +534,7 @@ class _RelaxedDirect(_WindowRestriction):
 
         return _solver.NlpProblem(
             dim=nf + M,
-            x0=np.concatenate([self.b.free_slots(guess), guess.alpha]),
+            x0=np.concatenate([zf0, alpha0]),
             lower=np.concatenate([self.b.lo, np.full(M, -np.inf)]),
             upper=np.concatenate([self.b.hi, np.full(M, np.inf)]),
             ls_residual=residual,
@@ -588,11 +571,11 @@ class _NominalCore(_WindowRestriction):
         super().__init__(builder, blocks.H_stack_pinv, blocks.H_stack_null)
 
     def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
-        """Solver-ready problem for one measured history; ``guess`` is a
-        decision, as for ``OcpBuilder.build``."""
+        """Solver-ready problem for one measured history; ``guess`` holds the
+        free slots, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
             dim=self.dim,
-            x0=self.b.free_slots(self._start(history_u, history_y, guess)),
+            x0=self._start(history_u, history_y, guess),
             lower=self.b.lo,
             upper=self.b.hi,
             ls_residual=self.stage_residual,
@@ -604,16 +587,14 @@ class _NominalCore(_WindowRestriction):
     def violation(self, zf) -> float:
         """``||Hs alpha - g||_inf`` of the decision at ``zf``: its equality
         violation, the pins and bounds being exact."""
-        g = self.features.stacked(zf)
-        alpha = self.alpha_s + self.P @ (g - self.g_s)
-        return float(np.max(np.abs(self.Hs @ alpha - g)))
+        return float(np.max(np.abs(self.Hs @ self.combination(zf) - self.features.stacked(zf))))
 
 
 def solve_relaxed_direct(
     direct: _RelaxedDirect,
     history_u,
     history_y,
-    guess: Optional[OcpDecision] = None,
+    guess: Optional[np.ndarray] = None,
     maxiter: int = 60,
 ):
     """Solve the robust problem with its slack bound dropped, by slack and
@@ -622,8 +603,8 @@ def solve_relaxed_direct(
     ``direct`` is the problem's direct form (``OcpBuilder.reduced_form`` of a
     robust mode with a positive slack bound); a closed loop passes the form
     it owns, so that the form is set up once per loop.
-    ``guess`` is a decision, as for ``OcpBuilder.build``; its free input and
-    output slots start the solve. Returns ``(decision, info)`` where ``info``
+    ``guess`` holds the free slots that start the solve, as for
+    ``OcpBuilder.build``. Returns ``(decision, info)`` where ``info``
     carries the objective, solver iterations, whether the slack bound held at
     the optimum (when it does not, the caller must fall back to the bounded
     problem, the form's ``build``) and the measured constraint violation. The
@@ -635,7 +616,7 @@ def solve_relaxed_direct(
     bound (``OcpSpec.slack_bound``) at the decision's own ``||alpha||_1``.
     ``maxiter`` bounds the solver's residual evaluations.
     """
-    zf0 = direct.b.free_slots(direct._start(history_u, history_y, guess))
+    zf0 = direct._start(history_u, history_y, guess)
     res = _solver.reduced_lsq(
         direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, maxiter, 1e-10
     )
@@ -739,15 +720,15 @@ def run_closed_loop(
     the problem (``OcpBuilder.reduced_form``), the free window slots. A robust
     mode with a positive slack bound, relaxed or exact, takes the direct
     solve, and the AL solver on the bounded problem when the bound is active
-    at the direct solution, started there; the record then keeps the
+    at the direct solution, started at its free slots (so at its combination
+    vector too, which the form derives from them); the record then keeps the
     decision's own slack-bound violation. Nominal mode, and robust mode with
     zero bounds, run the AL solver under the membership equalities, and the
     record keeps the equality violation of the decision.
     """
-    mode_stride = spec.d_max if spec.mode == "robust" else 1
-    stride = mode_stride if stride is None else stride
-    if total_steps % stride != 0:
-        raise ValueError(f"total steps must be a multiple of the stride {stride}")
+    stride = spec.stride if stride is None else stride
+    if stride < 1 or total_steps < 0 or total_steps % stride:
+        raise ValueError(f"need a stride >= 1 dividing the steps >= 0, got {stride}, {total_steps}")
     builder = OcpBuilder(spec)
     # The reduced form holds the builder, so the loop owns it: cached on the
     # builder it would make a reference cycle that outlives the loop.
@@ -810,7 +791,7 @@ def run_closed_loop(
                     path = "direct"
                 else:
                     # slack bound active: solve the bounded problem from here
-                    start, decision = decision, None
+                    start, decision = builder.free_slots(decision), None
             if decision is None:
                 report = _solver.solve(form.build(hist_u, hist_y, guess=start))
                 decision = form.unpack(report.x)
@@ -825,13 +806,10 @@ def run_closed_loop(
             decision = prev_decision
             if decision is None:
                 # A placeholder that evaluates no dictionary, so it cannot
-                # raise: the history, then the setpoint, at the setpoint's alpha.
-                u_bar = np.vstack([hist_u, np.tile(spec.u_setpoint, (builder.Lp - d_max, 1))])
-                y_bar = [
-                    np.concatenate([hist_y[:, i], np.full(n_y - d_max, spec.y_setpoint[i])])
-                    for i, n_y in enumerate(builder.y_lens)
-                ]
-                decision = builder.decision(builder.alpha_s, u_bar, y_bar)
+                # raise: the setpoint in every free slot, at the setpoint's alpha.
+                rest = [np.tile(spec.u_setpoint, spec.L), np.repeat(spec.y_setpoint, spec.L)]
+                c = np.concatenate([*rest, builder.pins(hist_u, hist_y)])
+                decision = builder.window_decision(builder.alpha_s, c)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
         accept = status == "converged" or max_violation <= 1e-5

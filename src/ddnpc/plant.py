@@ -226,13 +226,11 @@ class PendulumTerms(NamedTuple):
 
 
 def gravity_vector(p: DoublePendulumParams, q1, q2) -> np.ndarray:
-    """Gravity torque vector, vectorized over joint angles."""
+    """Gravity torque vector ``G(q)`` from the terms of ``PendulumTerms``,
+    vectorized over joint angles."""
     q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
-    g1 = p.m1 * p.lc1 * p.g * np.cos(q1) + p.m2 * p.g * (
-        p.lc2 * np.cos(q1 + q2) + p.l1 * np.cos(q1)
-    )
-    g2 = p.m2 * p.lc2 * p.g * np.cos(q1 + q2)
-    return np.stack([g1, g2], axis=-1)
+    t, cq1, cq12 = p.terms, np.cos(q1), np.cos(q1 + q2)
+    return np.stack([t.g1 * cq1 + t.m2g * (p.lc2 * cq12 + p.l1 * cq1), t.g2 * cq12], axis=-1)
 
 
 def equilibrium_torque(p: DoublePendulumParams, q: np.ndarray) -> np.ndarray:

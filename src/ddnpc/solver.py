@@ -26,6 +26,10 @@ from scipy.linalg.lapack import dposv
 from scipy.optimize import minimize  # noqa: F401
 
 
+# The augmented-Lagrangian penalty: start, growth when feasibility stalls, cap.
+PENALTY_INIT, PENALTY_GROWTH, PENALTY_MAX = 10.0, 10.0, 1e12
+
+
 class CallbackError(RuntimeError):
     """A problem callback raised or returned non-finite values."""
 
@@ -78,9 +82,6 @@ class SolverOptions:
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-6
     max_outer: int = 20
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e12
     inner_maxiter: int = 500
 
 
@@ -121,7 +122,7 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
 
     mu = np.zeros(n_eq)
     nu = np.zeros(n_in)
-    rho = opts.penalty_init
+    rho = PENALTY_INIT
     total_inner = 0
     prev_violation = np.inf
 
@@ -174,11 +175,11 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
         if n_in:
             nu = np.maximum(0.0, nu + rho * np.asarray(in_res(z), dtype=float).reshape(-1))
         if violation > opts.feasibility_tol and violation > 0.25 * prev_violation:
-            if rho >= opts.penalty_max:
+            if rho >= PENALTY_MAX:
                 if violation > 1e3 * opts.feasibility_tol and violation > 0.9 * prev_violation:
                     status = "infeasible-detected"
                     break
-            rho = min(rho * opts.penalty_growth, opts.penalty_max)
+            rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
         prev_violation = violation
 
     ve, vi = violations(z)

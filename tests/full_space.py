@@ -58,7 +58,7 @@ class Packed:
         y_bar = [z[o : o + n] for o, n in zip(self.y_offsets, b.y_lens)]
         sigma = z[self.off_s :] if self.n_sigma else None
         u_bar = z[self.off_u : self.off_y].reshape(b.Lp, b.m)
-        return b.decision(z[: b.M], u_bar, y_bar, sigma)
+        return b.window_decision(z[: b.M], b.window(u_bar, y_bar), sigma)
 
     def bounds(self, history_u, history_y):
         """The builder's bounds and pins on the packed vector: the boxes on
@@ -127,7 +127,9 @@ def problem(builder, history_u, history_y, guess=None):
     history_y = np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m)
     lo, hi = packed.bounds(history_u, history_y)
     if guess is None:
-        guess = builder.initial_guess(history_u, history_y)
+        form = builder.reduced_form()
+        form.set_history(history_u, history_y)
+        guess = form.unpack(builder.initial_guess(history_y))
     J, b = ls_form(packed)
     A = _sigma_xi_jacobian(packed)
     bound = spec.c_slack * spec.slack_level if builder.has_sigma else 0.0

@@ -270,7 +270,8 @@ def test_nominal_stability_and_recursive_feasibility():
         x = toy.step(x, u_apply)
         hist_u = np.vstack([hist_u[1:], [u_apply]])
         hist_y = np.vstack([hist_y[1:], [y_meas]])
-        candidate = builder.shifted_guess(decision, 1)
+        core.set_history(hist_u, hist_y)
+        candidate = core.unpack(builder.shifted_guess(decision, 1))
         nxt = full_space.problem(builder, hist_u, hist_y, guess=candidate)
         z = full_space.Packed(builder).pack(candidate)
         candidate_ok = candidate_ok and full_space.constraint_violation(nxt, z) <= 1e-6

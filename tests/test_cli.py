@@ -103,6 +103,19 @@ def test_unknown_key_rejected(tmp_path):
          "ocp: lambda_alpha"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(mode="robust", c_slack=-1),
          "ocp: c_slack"),
+        # Hankel depths the 60 recorded samples cannot fill
+        ("collect", toy_config, lambda cfg: cfg["ocp"].update(L=1000), "ocp.L"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(L=1000), "ocp.L"),
+        ("check-pe --order 1000", toy_config, lambda cfg: None, "--order"),
+        ("simulate", toy_config, lambda cfg: cfg.update(simulate={"L": 1000}), "simulate.L"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(stride=0), "ocp.stride"),
+        # 3 does not divide the 20 steps
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(stride=3), "ocp.stride"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(total_steps=-2), "run.total_steps"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(eps_inflation=-1),
+         "ocp.eps_inflation"),
+        # one entry on the 2-state toy
+        ("simulate", toy_config, lambda cfg: cfg.update(simulate={"xi0": [0.0]}), "simulate.xi0"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
@@ -111,19 +124,26 @@ def test_unknown_key_rejected(tmp_path):
         "ocp_mode", "ocp_slack_mode", "ocp_L_zero", "ocp_robust_L_below_d_max",
         "ocp_u_setpoint_outside_box", "ocp_lambda_sigma_negative",
         "ocp_lambda_alpha_negative", "ocp_c_slack_negative",
+        "collect_L_too_deep", "ocp_L_too_deep", "check_pe_order_too_deep", "simulate_L_too_deep",
+        "ocp_stride_zero", "ocp_stride_not_a_divisor", "run_total_steps_negative",
+        "ocp_eps_inflation_negative", "simulate_xi0_size",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):
+    """A bad config value or flag exits with the config-error code and a
+    message naming it. A later stage reads the run config that ``collect``
+    writes, and the edit is made to that."""
     path, cfg = make(tmp_path)
-    edit(cfg)
-    path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    if command == "npc-run":
-        # the run config that collect writes for the next stage
+    args = command.split()
+    if args[0] not in ("collect", "sweep"):
         assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
         path = out / "run_config.json"
+        cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    assert run_cli([command, "--config", path, "--out-dir", out]) == cli.EXIT_CONFIG
+    assert run_cli([*args, "--config", path, "--out-dir", out]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
 
 

@@ -324,8 +324,9 @@ def test_nominal_closed_loop_descent_and_convergence():
 
 
 def test_recursive_feasibility_candidate():
-    """The shifted previous solution with the combination vector re-fitted is
-    feasible for the next problem."""
+    """The shifted previous solution, unpacked under the new history (its
+    combination vector the pseudo-inverse fit of the window), is feasible for
+    the next problem."""
     toy, st, phi, traj, d = presets.flat_toy_setup()
     blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10)
     spec = OcpSpec(
@@ -350,7 +351,8 @@ def test_recursive_feasibility_candidate():
         x = toy.step(x, u_apply)
         hist_u = np.vstack([hist_u[1:], u_apply])
         hist_y = np.vstack([hist_y[1:], y_meas])
-        candidate = builder.shifted_guess(decision, 1)
+        core.set_history(hist_u, hist_y)
+        candidate = core.unpack(builder.shifted_guess(decision, 1))
         next_problem = full_space.problem(builder, hist_u, hist_y, guess=candidate)
         z = full_space.Packed(builder).pack(candidate)
         assert full_space.constraint_violation(next_problem, z) <= 1e-6
@@ -386,11 +388,15 @@ def flat_toy_relaxed_spec(y_s):
     )
 
 
-@pytest.mark.parametrize(
+# Slack bounds below the direct solutions' slack on the noisy flat toy.
+BOUND_ACTIVE = pytest.mark.parametrize(
     "fields",
     [dict(c_slack=3e-5), dict(slack_mode="exact", k_psi=0.0, g_dagger_norm=1e-5)],
     ids=["relaxed", "exact"],
 )
+
+
+@BOUND_ACTIVE
 def test_bound_active_fallback_in_closed_loop(fields):
     """With a slack bound below the direct solutions' slack, the first solves
     of a noisy flat-toy loop take the bounded problem (``al-gn``). Every
@@ -417,31 +423,87 @@ def test_bound_active_fallback_in_closed_loop(fields):
             assert rec.sigma_inf <= bound + solver.SolverOptions().feasibility_tol
 
 
-@pytest.mark.parametrize("shift", [0, 2])
+@BOUND_ACTIVE
+def test_bound_active_fallback_starts_at_the_direct_decision(monkeypatch, fields):
+    """The loop hands the bounded problem only the direct decision's free
+    slots, and the form derives the combination vector from them as
+    ``unpack`` did: the problem's ``x0`` is the direct decision's ``[zf;
+    alpha]`` bit for bit."""
+    spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
+    toy, _, _ = plant.make_scalar_flat()
+    direct, starts = [], []
+    solve_direct, solve = npc.solve_relaxed_direct, solver.solve
+
+    def recording_direct(*args, **kwargs):
+        out = solve_direct(*args, **kwargs)
+        direct.append(out[0])
+        return out
+
+    def recording(problem, *args):
+        starts.append((direct[-1], problem.x0.copy()))
+        return solve(problem, *args)
+
+    monkeypatch.setattr(npc, "solve_relaxed_direct", recording_direct)
+    monkeypatch.setattr(solver, "solve", recording)
+    run_closed_loop(
+        spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]), total_steps=20
+    )
+    builder = OcpBuilder(spec)
+    assert len(starts) >= 3
+    for decision, x0 in starts:
+        np.testing.assert_array_equal(
+            x0, np.concatenate([builder.free_slots(decision), decision.alpha])
+        )
+
+
+@pytest.mark.parametrize("shift", [0, 2, 3])
 def test_shifted_guess(shift):
-    """The warm start advances the input and output windows by ``shift``
-    steps and pads them with the setpoint (shift 0 keeps them), restarts the
-    feature slack at zero and refits the combination vector to the shifted
-    window by the pseudo-inverse."""
+    """The warm start is the free slots of the input and output windows
+    advanced by ``shift`` steps and padded with the setpoint (shift 0 keeps
+    them). On the flat toy, of output degree 2, a shift of 3 moves the
+    padding into the free output slots."""
     spec = flat_toy_relaxed_spec(0.3)
     builder = OcpBuilder(spec)
     packed = full_space.Packed(builder)
     decision = packed.unpack(np.random.default_rng(5).standard_normal(packed.dim))
-    guess = builder.shifted_guess(decision, shift)
+    zf = builder.shifted_guess(decision, shift)
 
-    Lp = builder.Lp
-    np.testing.assert_array_equal(guess.u_bar[: Lp - shift], decision.u_bar[shift:])
-    np.testing.assert_array_equal(guess.u_bar[Lp - shift :], np.tile(spec.u_setpoint, (shift, 1)))
-    for i, (y_new, y_old) in enumerate(zip(guess.y_bar, decision.y_bar)):
-        np.testing.assert_array_equal(y_new[: y_old.size - shift], y_old[shift:])
-        np.testing.assert_array_equal(y_new[y_old.size - shift :], spec.y_setpoint[i])
-    assert np.any(decision.sigma_psi) and not np.any(guess.sigma_psi)
+    L, d, Lp = builder.L, builder.d_max, builder.Lp
+    u_free = zf[:L].reshape(L, 1)
+    np.testing.assert_array_equal(u_free[: L - shift], decision.u_bar[d + shift :])
+    np.testing.assert_array_equal(u_free[L - shift :], np.tile(spec.u_setpoint, (shift, 1)))
+    (y_old,) = decision.y_bar
+    kept = y_old.size - d - shift
+    np.testing.assert_array_equal(zf[L : L + min(L, kept)], y_old[d + shift : Lp + shift])
+    np.testing.assert_array_equal(zf[L + kept :], spec.y_setpoint[0])
+    assert zf.shape == (builder.n_free,)
 
-    xi = plant.window_states(guess.y_bar, spec.structure).data
-    psi = spec.blocks.dictionary.value_batch(guess.u_bar, xi[:Lp])
-    rhs = np.concatenate([psi.reshape(-1), xi.reshape(-1)])
-    alpha = np.linalg.pinv(np.vstack([builder.H_psi, builder.H_xi])) @ rhs
-    np.testing.assert_allclose(guess.alpha, alpha, rtol=0, atol=1e-12 * np.max(np.abs(alpha)))
+
+def test_starts_make_no_dictionary_call(monkeypatch):
+    """A start is its free slots: the cold start and the warm start fit no
+    combination vector, so neither evaluates the dictionary. Unpacking a
+    start, as a form does, evaluates it."""
+    spec = flat_toy_relaxed_spec(0.3)
+    builder = OcpBuilder(spec)
+    packed = full_space.Packed(builder)
+    decision = packed.unpack(np.random.default_rng(5).standard_normal(packed.dim))
+    hu, hy = np.zeros((2, 1)), np.array([[0.2], [0.19]])
+    dictionary = spec.blocks.dictionary
+    calls = Counter()
+    for name in ("value_batch", "value_and_jacobian_batch"):
+        def counting(*args, _name=name, _method=getattr(dictionary, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(dictionary, name, counting)
+    warm = builder.shifted_guess(decision, 2)
+    cold = builder.initial_guess(hy)
+    assert not calls
+    form = builder.reduced_form()
+    form.set_history(hu, hy)
+    form.unpack(warm)
+    form.unpack(cold)
+    assert sum(calls.values()) >= 2
 
 
 def assert_direct_agrees_with_constrained(y_s):
@@ -497,7 +559,7 @@ def test_direct_solve_makes_one_kernel_pass_per_point(monkeypatch):
     exp, _, spec, builder = pendulum_relaxed_builder()
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
-    guess = builder.initial_guess(hu, hy)
+    guess = builder.initial_guess(hy)
     calls = []
     kernel = plant._window_accelerations
 
@@ -532,7 +594,9 @@ def test_robust_equilibrium_is_zero_cost():
     xi = plant.window_states(y_bar, spec.structure).data
     psi = d.value_batch(u_bar, xi[: builder.Lp]).reshape(-1)
     alpha = builder.alpha_s
-    decision = builder.decision(alpha, u_bar, y_bar, builder.H_psi @ alpha - psi)
+    decision = builder.window_decision(
+        alpha, builder.window(u_bar, y_bar), builder.H_psi @ alpha - psi
+    )
     z = full_space.Packed(builder).pack(decision)
     objective, _ = full_space.problem(builder, hu, hy).objective(z)
     assert objective <= 1e-8
@@ -694,7 +758,7 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
     assert len(recorded) == 40
     for hu, hy, guess in recorded[10:]:
         direct.set_history(hu, hy)
-        zf0 = np.clip(builder.free_slots(guess), builder.lo, builder.hi)
+        zf0 = np.clip(guess, builder.lo, builder.hi)
         rep = solver.reduced_lsq(
             direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 2000, 1e-10
         )
@@ -744,9 +808,9 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     exception text, on the direct path (robust) and the AL path (nominal).
     The robust builder evaluates the dictionary once at construction, so its
     first solve makes the second call. That solve's 11 residual evaluations
-    and the features of its returned point bring the warm start of the
-    second solve to call 14; call 20 falls inside the second solve. Other
-    calls succeed. The failed solve holds the previous decision and is
+    are calls 2 to 12 (its returned point's features are kept), and the warm
+    start evaluates no dictionary, so calls 14 and 20 fall inside the second
+    solve. Other calls succeed. The failed solve holds the previous decision and is
     recorded on the ``held`` path; the others name the path they ran."""
     spec = flat_toy_loop_spec(mode)
     d = spec.blocks.dictionary

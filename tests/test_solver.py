@@ -357,7 +357,7 @@ def lsq_cases():
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
     direct.set_history(hu, hy)
-    zf0 = builder.free_slots(builder.initial_guess(hu, hy))
+    zf0 = builder.initial_guess(hy)
     cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 60,
                                 1e-10)
     return cases
@@ -434,7 +434,7 @@ def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint - drop, (spec.d_max, 1))
     direct.set_history(hu, hy)
-    zf0 = builder.free_slots(builder.initial_guess(hu, hy))
+    zf0 = builder.initial_guess(hy)
     n_u = builder.L * builder.m
     zf0[:n_u] = builder.lo[:n_u]
     rep = reduced_lsq(direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 2000, 1e-10)
@@ -531,16 +531,19 @@ def test_shift_all_zero_solution_stays_zero():
     packed = full_space.Packed(builder)
     prev = packed.unpack(np.zeros(packed.dim))
     out = builder.shifted_guess(prev, 2)
-    assert not np.any(out.u_bar) and not np.any(out.y_bar[0]) and not np.any(out.sigma_psi)
+    assert out.shape == (builder.n_free,) and not np.any(out)
 
 
 def test_shift_moves_blocks_and_pads():
+    """The warm start's free slots: the inputs from time ``d_max + 2`` on,
+    padded with the input setpoint, then the outputs from time ``d_max + 2``
+    on, which reach into the terminal samples."""
     builder = _toy_builder(0.3)
-    Lp, ny = builder.Lp, builder.y_lens[0]
-    u_s, y_s = builder.spec.u_setpoint[0], builder.spec.y_setpoint[0]
-    prev = builder.decision(
-        np.zeros(builder.M), np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]
+    d, Lp, ny = builder.d_max, builder.Lp, builder.y_lens[0]
+    u_s = builder.spec.u_setpoint[0]
+    prev = builder.window_decision(
+        np.zeros(builder.M),
+        builder.window(np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]),
     )
     out = builder.shifted_guess(prev, 2)
-    np.testing.assert_array_equal(out.u_bar[:, 0], [*range(2, Lp), u_s, u_s])
-    np.testing.assert_array_equal(out.y_bar[0], [*range(2, ny), y_s, y_s])
+    np.testing.assert_array_equal(out, [*range(d + 2, Lp), u_s, u_s, *range(d + 2, Lp + 2)])
