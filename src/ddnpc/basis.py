@@ -307,8 +307,7 @@ class PendulumModelDictionary(BasisDictionary):
         self.estimates = estimates
 
     def value_batch(self, U, XI):
-        a1, a2, _ = _plant._window_accelerations(self.estimates, U, XI)
-        return np.column_stack([U, a1, a2])
+        return self._features(U, _plant._window_accelerations(self.estimates, U, XI))
 
     def jacobian_batch(self, U, XI):
         return self._kernel_pass(U, XI)[1]
@@ -316,15 +315,25 @@ class PendulumModelDictionary(BasisDictionary):
     def value_and_jacobian_batch(self, U, XI):
         """Values and partials from one kernel pass; the accelerations are
         those ``value_batch`` computes, bit for bit."""
-        (a1, a2), J = self._kernel_pass(U, XI)
-        return np.column_stack([U, a1, a2]), J
+        return self._kernel_pass(U, XI)
 
     def _kernel_pass(self, U, XI):
-        a1, a2, _, D = _plant._window_accelerations(self.estimates, U, XI, partials=True)
+        """``(psi, J)`` from one kernel pass, which writes the partials into
+        ``J``."""
         J = np.zeros((U.shape[0], 4, 6))
         J[:, 0, 0] = J[:, 1, 1] = 1.0
-        J[:, 2:] = D
-        return (a1, a2), J
+        acc = _plant._window_accelerations(self.estimates, U, XI, jac=J[:, 2:])
+        return self._features(U, acc), J
+
+    @staticmethod
+    def _features(U, acc):
+        """``[U, a1, a2]`` row by row. The accelerations are copied in, not
+        written into the strided columns by the kernel: on the certificate's
+        117,649-row grid that write is the slower one."""
+        psi = np.empty((U.shape[0], 4))
+        psi[:, :2] = U
+        psi[:, 2], psi[:, 3] = acc[0], acc[1]
+        return psi
 
 
 def make_pendulum_dictionary(

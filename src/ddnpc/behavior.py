@@ -300,9 +300,11 @@ class WindowFeatures:
         k, j = np.nonzero(arg < n_free)
         rows = k[:, None] * dictionary.r + np.arange(dictionary.r)
         src = rows * arg.shape[1] + j[:, None]
-        self._scatter = rows.ravel(), np.repeat(arg[k, j], dictionary.r), src.ravel()
+        dst = rows * n_free + arg[k, j][:, None]
+        self._scatter = dst.ravel(), src.ravel()  # flat indices into dpsi and the raw jacobian
         self.fixed = None
-        self._last = None  # [v, h, raw jacobian, dpsi or None] of the latest pass
+        self._c = None  # the window of the latest pass, its free part rewritten by the next
+        self._last = None  # [v's bytes, h, raw jacobian, dpsi or None] of the latest pass
 
     def with_last_column(self, col, fixed):
         """A copy with ``col`` as the last column of ``R``, which the jacobian
@@ -316,18 +318,23 @@ class WindowFeatures:
         """Set the fixed part of the window; the same ``v`` under other fixed
         entries has other features."""
         self.fixed = fixed
-        self._last = None
+        self._c = self._last = None
 
     def window(self, v):
         return np.concatenate([v, self.fixed])
 
     def _evaluate(self, v):
+        key = v.tobytes()  # a point is the latest one when its bytes are
         last = self._last
-        if last is None or last[0].shape != v.shape or not (last[0] == v).all():
-            c = self.window(v)
+        if last is None or last[0] != key:
+            if self._c is None:
+                self._c = self.window(v)
+            else:
+                self._c[: self.n_free] = v
+            c = self._c
             psi, jac = self.dictionary.value_and_jacobian_batch(c[self.u_idx], c[self.xi_idx])
-            self._last = [v.copy(), np.concatenate([psi.reshape(-1), c[self.lin_idx]]), jac, None]
-        return self._last
+            last = self._last = [key, np.concatenate([psi.reshape(-1), c[self.lin_idx]]), jac, None]
+        return last
 
     def stacked(self, v):
         """``h`` at ``v``."""
@@ -339,16 +346,18 @@ class WindowFeatures:
         psi = self.dictionary.value_batch(c[self.u_idx], c[self.xi_idx])
         return np.concatenate([psi.reshape(-1), c[self.lin_idx]])
 
-    def rows(self, v):
-        return self.R @ (self.stacked(v) - self.offset)
+    def rows(self, v, out=None):
+        """The rows at ``v``, written into ``out`` when given."""
+        return np.matmul(self.R, self.stacked(v) - self.offset, out=out)
 
     def dpsi(self, v):
         """Jacobian of the stacked features in ``v``."""
         last = self._evaluate(v)
         if last[3] is None:
-            last[3] = np.zeros((self.n_psi, self.n_free))
-            rows, cols, src = self._scatter
-            last[3][rows, cols] = last[2].reshape(-1)[src]
+            dst, src = self._scatter
+            d = np.zeros(self.n_psi * self.n_free)
+            d[dst] = last[2].reshape(-1)[src]
+            last[3] = d.reshape(self.n_psi, self.n_free)
         return last[3]
 
     def jacobian(self, v, out=None):

@@ -486,6 +486,13 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
     section, _, key = str(vary).partition(".")
     if key not in _SCHEMA.get(section, ()):
         raise ConfigError(f"sweep.vary must name a config key 'section.key', not '{vary}'")
+    if section in ("data", "box"):
+        # Each run loads the recorded data and certificate, so only collect
+        # and the certificate read these keys: every value would repeat one loop.
+        raise ConfigError(
+            f"sweep.vary '{vary}' is read only by collect and the certificate; "
+            "a sweep re-runs the loop on the recorded data"
+        )
     seeds = sweep_cfg.get("seeds", [0])
     results = []
     for value in values:

@@ -468,7 +468,12 @@ class _RelaxedDirect(_WindowRestriction):
         super().__init__(builder, P, t[:, None] * U.T)
 
     def residual(self, zf):
-        return np.concatenate([self.stage_residual(zf), self.features.rows(zf)])
+        n_stage = self.J_stage.shape[0]
+        r = np.empty(n_stage + self.T.shape[0])
+        np.matmul(self.J_stage, zf, out=r[:n_stage])
+        r[:n_stage] -= self.b_stage
+        self.features.rows(zf, out=r[n_stage:])
+        return r
 
     def jacobian(self, zf):
         n_stage = self.J_stage.shape[0]

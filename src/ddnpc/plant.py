@@ -200,7 +200,17 @@ class DoublePendulumParams:
             g1=m1 * lc1 * g,
             m2g=m2 * g,
             g2=m2 * lc2 * g,
+            m2=m2,
+            I2=self.I2,
+            lc2=lc2,
+            l1=l1,
         )
+
+    @functools.cached_property
+    def array_terms(self) -> "PendulumTerms":
+        """``terms`` as 0-d float64 arrays, the same values: numpy combines an
+        array with a 0-d array faster than with a Python float."""
+        return PendulumTerms(*(np.array(v) for v in self.terms))
 
 
 class PendulumTerms(NamedTuple):
@@ -212,6 +222,8 @@ class PendulumTerms(NamedTuple):
     - ``M12 = h cos q2 + M12_base + I2``, ``M22`` constant
     - ``C qd = h sin q2 (-qd2 (2 qd1 + qd2), qd1 qd1)``
     - ``G = (g1 cos q1 + m2g (lc2 cos(q1 + q2) + l1 cos q1), g2 cos(q1 + q2))``
+
+    ``m2``, ``I2``, ``lc2`` and ``l1`` are the parameters the formulas read.
     """
 
     h: float
@@ -223,6 +235,10 @@ class PendulumTerms(NamedTuple):
     g1: float
     m2g: float
     g2: float
+    m2: float
+    I2: float
+    lc2: float
+    l1: float
 
 
 def gravity_vector(p: DoublePendulumParams, q1, q2) -> np.ndarray:
@@ -239,23 +255,24 @@ def equilibrium_torque(p: DoublePendulumParams, q: np.ndarray) -> np.ndarray:
     return gravity_vector(p, q[0], q[1])
 
 
-def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partials=False):
+def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, jac=None):
     """Joint accelerations ``M(q)^-1 (tau - C(q, qd) qd - G(q))`` in closed form.
 
     Elementwise over scalars or arrays of one shape. The terms are those of
     ``PendulumTerms``, each rounded as in the stacked inertia matrix and
     torque vectors, so the accelerations equal the stacked-matrix form bit
-    for bit. Returns ``(a1, a2, det)``, ``det`` the
-    determinant of ``M``. With ``partials``, for scalars or columns of length
-    ``P``, also ``D`` of shape ``(2, 6)`` or ``(P, 2, 6)``: ``D[..., i, j]``
-    is the partial of ``a_i`` w.r.t. argument ``j`` of
-    ``(tau1, tau2, q1, qd1, q2, qd2)``.
+    for bit. Returns ``(a1, a2, det)``, ``det`` the determinant of ``M``.
+    Given ``jac``, for scalars or columns of length ``P``, of shape ``(2, 6)``
+    or ``(P, 2, 6)``: ``jac[..., i, j]`` receives the partial of ``a_i``
+    w.r.t. argument ``j`` of ``(tau1, tau2, q1, qd1, q2, qd2)``. Python
+    floats take the terms as floats, arrays as 0-d arrays; the arithmetic is
+    the same.
     """
-    t = p.terms
+    t = p.terms if isinstance(q2, float) else p.array_terms
     h, M22 = t.h, t.M22
     c2 = np.cos(q2)
-    M11 = t.M11_base + p.m2 * (t.M11_sq + t.M11_cos * c2) + p.I2
-    M12 = h * c2 + t.M12_base + p.I2
+    M11 = t.M11_base + t.m2 * (t.M11_sq + t.M11_cos * c2) + t.I2
+    M12 = h * c2 + t.M12_base + t.I2
     det = M11 * M22 - M12 * M12
     hs = h * np.sin(q2)
     q12 = q1 + q2
@@ -263,48 +280,51 @@ def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partia
     # r = tau - C qd - G
     r1 = (
         tau1 + hs * qd2 * (2.0 * qd1 + qd2)
-        - (t.g1 * cq1 + t.m2g * (p.lc2 * cq12 + p.l1 * cq1))
+        - (t.g1 * cq1 + t.m2g * (t.lc2 * cq12 + t.l1 * cq1))
     )
     # qd1 * qd1, not qd1**2: on a numpy scalar ** calls pow(), which can
     # differ from the product in the last bit
     r2 = tau2 - hs * (qd1 * qd1) - t.g2 * cq12
     a1 = (M22 * r1 - M12 * r2) / det
     a2 = (M11 * r2 - M12 * r1) / det
-    if not partials:
+    if jac is None:
         return a1, a2, det
     # E[j, i]: partial of r_i w.r.t. argument j, with the inertia's
     # dependence on q2, -(dM/dq2) a = hs * (2 a1 + a2, a1), added to dr/dq2;
-    # then D = M^-1 E, transposed.
+    # then M^-1 E, written through the transposed view of jac. The values
+    # above keep h cos q2, 2 qd1 + qd2 and qd1 qd1 as temporaries, so that a
+    # values pass on the certificate grid holds no more arrays at once. x + x
+    # is 2 x and -(hs2 * qd1) is (-2 hs) qd1, exactly; the trailing ... keeps
+    # each entry of E a view when the arguments are scalars.
     sq1, sq12 = np.sin(q1), np.sin(q12)
-    gs12 = t.g2 * sq12
+    hc2, hs2 = h * c2, hs + hs
     E = np.zeros((6, 2) + np.shape(a1))
     E[0, 0] = E[1, 1] = 1.0
-    E[2, 0] = t.g1 * sq1 + t.m2g * (p.lc2 * sq12 + p.l1 * sq1)
-    E[2, 1] = gs12
-    E[3, 0] = 2.0 * hs * qd2
-    E[3, 1] = -2.0 * hs * qd1
-    E[4, 0] = h * c2 * qd2 * (2.0 * qd1 + qd2) + gs12 + hs * (2.0 * a1 + a2)
-    E[4, 1] = gs12 - h * c2 * (qd1 * qd1) + hs * a1
-    E[5, 0] = 2.0 * hs * (qd1 + qd2)
-    D = np.empty_like(E)
-    D[:, 0] = (M22 * E[:, 0] - M12 * E[:, 1]) / det
-    D[:, 1] = (M11 * E[:, 1] - M12 * E[:, 0]) / det
-    return a1, a2, det, D.T
+    np.add(t.g1 * sq1, t.m2g * (t.lc2 * sq12 + t.l1 * sq1), out=E[2, 0, ...])
+    gs12 = np.multiply(t.g2, sq12, out=E[2, 1, ...])
+    np.multiply(hs2, qd2, out=E[3, 0, ...])
+    np.negative(hs2 * qd1, out=E[3, 1, ...])
+    np.add(hc2 * qd2 * (qd1 + qd1 + qd2) + gs12, hs * (a1 + a1 + a2), out=E[4, 0, ...])
+    np.add(gs12 - hc2 * (qd1 * qd1), hs * a1, out=E[4, 1, ...])
+    np.multiply(hs2, qd1 + qd2, out=E[5, 0, ...])
+    E1, E2, D = E[:, 0], E[:, 1], jac.T
+    np.divide(M22 * E1 - M12 * E2, det, out=D[:, 0])
+    np.divide(M11 * E2 - M12 * E1, det, out=D[:, 1])
+    return a1, a2, det
 
 
-def _window_accelerations(p: DoublePendulumParams, u, xi, partials=False):
+def _window_accelerations(p: DoublePendulumParams, u, xi, jac=None):
     """``_accelerations`` at ``(u, xi)``, ``xi`` the window state
     ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})`` with velocities recovered by divided
-    differences; the partials are w.r.t. ``(u, xi)``."""
+    differences; ``jac`` receives the partials w.r.t. ``(u, xi)``."""
     x1, x2, x3, x4 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
-    out = _accelerations(
-        p, u[..., 0], u[..., 1], x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, partials
+    acc = _accelerations(
+        p, u[..., 0], u[..., 1], x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, jac
     )
-    if partials:
-        D = out[3]
-        D[..., 3::2] /= p.Ts  # d/dx2, d/dx4
-        D[..., 2::2] -= D[..., 3::2]  # d/dx1, d/dx3
-    return out
+    if jac is not None:
+        jac[..., 3::2] /= p.Ts  # d/dx2, d/dx4
+        jac[..., 2::2] -= jac[..., 3::2]  # d/dx1, d/dx3
+    return acc
 
 
 def step_euler_pendulum(p: DoublePendulumParams, state: np.ndarray, torque: np.ndarray) -> np.ndarray:

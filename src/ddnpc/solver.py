@@ -241,16 +241,16 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     ``g = J^T r`` and ``D`` the running maximum of ``diag(A)``. A variable
     within ``1e-10`` of the box width of a bound is held there while its
     gradient points out of the box, so an entry with ``lo == hi`` never
-    moves. Infinite bounds are allowed; only the entries with a finite bound
-    are tested for holding and cutting, so with none every variable is free
-    and no step is cut. The iterates stay inside the box: a step that
-    would leave it is cut to 0.995 of the distance to the first bound it
-    meets (Coleman & Li 1996), so a free variable on a bound whose step
-    points out of the box makes the step zero, and it is rejected. ``mu``
-    starts at 1e-8, shrinks or grows with the gain ratio and jumps to at
-    least 1e-3 on a rejected step. A trial point whose residual is not
-    finite, or whose residual raises ``CallbackError`` (as a dictionary that
-    cannot be evaluated there does), is a rejected step.
+    moves. Infinite bounds are allowed and are never within reach, so with
+    no finite bound every variable is free and no step is cut. The iterates
+    stay inside the box: a step that would leave it is cut to 0.995 of the
+    distance to the first bound it meets (Coleman & Li 1996), so a free
+    variable on a bound whose step points out of the box makes the step
+    zero, and it is rejected. ``mu`` starts at 1e-8, shrinks or grows with
+    the gain ratio and jumps to at least 1e-3 on a rejected step. A trial
+    point whose residual is not finite, or whose residual raises
+    ``CallbackError`` (as a dictionary that cannot be evaluated there does),
+    is a rejected step.
 
     The solve converges when the Gauss-Newton step on the free variables,
     ``-A_f^-1 g_f``, promises a decrease ``g_f^T A_f^-1 g_f`` of at most
@@ -270,8 +270,10 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     ``tol = 1e-10``; the augmented-Lagrangian inner solve and the
     data-driven window fit, whose results are tested for stationarity, pass
     ``1e-14``. Raises ``CallbackError`` when the residual at ``x0`` or a
-    jacobian is not finite. Exceptions from the callbacks propagate, except
-    a ``CallbackError`` from a trial residual.
+    jacobian is not finite; the jacobian is tested through ``diag(J^T J)``,
+    so a column whose sum of squares overflows counts too. Exceptions from
+    the callbacks propagate, except a ``CallbackError`` from a trial
+    residual.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -280,83 +282,91 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     nfev = 1
     if not np.isfinite(r).all():
         raise CallbackError("residual not finite at the initial guess")
-    f = float(r @ r)
-    # Only an entry with a finite bound can be held or cut the step.
-    bounded = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
-    lo_b, hi_b = lo[bounded], hi[bounded]
-    width = hi_b - lo_b
+    f = float(np.dot(r, r))
+    # Only an entry with a finite bound can be held or cut the step: an
+    # infinite bound is never within reach, so the tests run on whole vectors.
+    boxed = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
+    width = hi - lo
     near = np.where(np.isfinite(width), 1e-10 * width, 0.0)
-    held = bounded[:0]
+    below = -near
     D = np.zeros(x.size)
     mu = 1e-8
     while True:
         J = np.asarray(jacobian(x), dtype=float)
-        if not np.isfinite(J).all():
-            raise CallbackError("jacobian not finite")
         A, g = J.T @ J, J.T @ r
-        D = np.maximum(D, np.diag(A))
-        scale = np.where(D > 0, D, 1.0)
-        if bounded.size:
-            x_b, g_b = x[bounded], g[bounded]
-            room_lo, room_hi = lo_b - x_b, hi_b - x_b
-            held = bounded[((room_lo >= -near) & (g_b >= 0)) | ((room_hi <= near) & (g_b <= 0))]
-        if held.size == x.size:
+        np.maximum(D, A.diagonal(), out=D)
+        # D where positive, else 1; D only grows, so once no entry is zero
+        # it is the scale itself
+        scale = D if np.count_nonzero(D) == D.size else D + (D == 0.0)
+        scale_max = float(scale.max())
+        # A non-finite entry of J makes its column's diagonal entry of A, a
+        # sum of squares, NaN or inf; D and scale keep it.
+        if not scale_max < math.inf:
+            raise CallbackError("jacobian not finite")
+        n_held = 0
+        if boxed:
+            room_lo, room_hi = lo - x, hi - x
+            at_lo, at_hi = room_lo >= below, room_hi <= near
+            # only a variable within reach of a bound can be held
+            if np.count_nonzero(at_lo | at_hi):
+                held = (at_lo & (g >= 0)) | (at_hi & (g <= 0))
+                n_held = np.count_nonzero(held)
+        if n_held == x.size:
             return LsqReport(x, f, nfev, True)
-        if held.size:
-            free = np.ones(x.size, dtype=bool)
-            free[held] = False
+        if n_held:
+            free = ~held
             A_f, g_f, scale_f, Jg = A[np.ix_(free, free)], g[free], scale[free], J @ (g * free)
+            scale_max = float(scale_f.max())
         else:
             A_f, g_f, scale_f, Jg = A, g, scale, J @ g
-        scale_max = float(scale_f.max())
         # The Gauss-Newton step is -M^-1 g_f, M = A_f + 1e-12*diag(scale_f):
         # the 1e-12 keeps it defined for a singular A_f. gMg is at least
         # g_f^T M g_f, so gg^2 / gMg and gg^1.5 / gMg bound the step's promised
         # decrease and its length from below.
-        gg = float(g_f @ g_f)
-        gMg = float(Jg @ Jg) + 1e-12 * scale_max * gg
-        x_norm = math.sqrt(x @ x)
+        gg = float(np.dot(g_f, g_f))
+        gMg = float(np.dot(Jg, Jg)) + 1e-12 * scale_max * gg
+        x_norm = math.sqrt(np.dot(x, x))
         if not (
             gg * gg > _SKIP_MARGIN * tol * f * gMg
             and gg * gg > _SKIP_MARGIN * 1e-12 * (1e-12 + x_norm) * math.sqrt(gg) * gMg
         ):
             gn = _damped_solve(A_f, 1e-12 * scale_f, g_f)
-            if g_f @ gn <= tol * f or math.sqrt(gn @ gn) <= 1e-12 * (1e-12 + x_norm):
+            if np.dot(g_f, gn) <= tol * f or math.sqrt(np.dot(gn, gn)) <= 1e-12 * (1e-12 + x_norm):
                 return LsqReport(x, f, nfev, True)
         while True:
             if nfev >= maxiter or mu * scale_max == math.inf:
                 return LsqReport(x, f, nfev, False)
             step = -_damped_solve(A_f, mu * scale_f, g_f)
-            if held.size:
+            if n_held:
                 s = np.zeros(x.size)
                 s[free] = step
             else:
                 s = step
-            if bounded.size:
-                s_b = s[bounded]
+            if boxed:
                 # x is in the box, so only a step past a bound reaches it
                 # before t = 1; the ratios are taken only then.
-                if (s_b > room_hi).any() or (s_b < room_lo).any():
+                if np.count_nonzero((s > room_hi) | (s < room_lo)):
                     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                         reach = np.where(
-                            s_b > 0, room_hi / s_b, np.where(s_b < 0, room_lo / s_b, np.inf)
+                            s > 0, room_hi / s, np.where(s < 0, room_lo / s, np.inf)
                         )
                     t = reach.min()
                     if t < 1.0:
                         s *= 0.995 * t
-                x_new = np.clip(x + s, lo, hi)
+                x_new = x + s
+                x_new.clip(lo, hi, out=x_new)  # np.clip's ufunc, without its wrapper
             else:
                 x_new = x + s
             nfev += 1
             try:
                 r_new = np.asarray(residual(x_new), dtype=float)
-                f_new = float(r_new @ r_new)
+                f_new = float(np.dot(r_new, r_new))
             except CallbackError:
                 f_new = np.inf
             if f_new < f:  # never true for a non-finite residual
                 break
             mu = max(10.0 * mu, 1e-3)
-        predicted = -(2.0 * (g @ s) + s @ A @ s)
+        predicted = -(2.0 * np.dot(g, s) + np.dot(s @ A, s))
         gain = (f - f_new) / predicted if predicted > 0 else 0.0
         if gain > 0.75:
             mu /= 3.0

@@ -5,7 +5,9 @@ groupings of ``DoublePendulumParams.terms``. This module keeps the stacked
 rigid-body forms those closed forms must reproduce bit for bit: the inertia
 matrix and velocity torque as stacked arrays, the data policy that builds its
 torque from them, a per-sample operating-box check and the offline rollout
-that uses both.
+that uses both. It also keeps the closed-form kernel as it was before it wrote
+its partials into the caller's array (``_accelerations`` and
+``_window_accelerations``), which the library's kernel must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -123,3 +125,71 @@ def stacked_collect(exp, seed: int, w_star: float = 0.01, N: int = 200) -> plant
     traj = plant.collect_offline_data(exp.plant_model, policy, N, exp.structure, noise)
     k = first_violation(exp.box, traj)
     return dataclasses.replace(traj, stayed_in_box=k is None, first_violation=k)
+
+
+def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, partials=False):
+    """Joint accelerations ``M(q)^-1 (tau - C(q, qd) qd - G(q))`` in closed form.
+
+    Elementwise over scalars or arrays of one shape. The terms are those of
+    ``PendulumTerms``, each rounded as in the stacked inertia matrix and
+    torque vectors, so the accelerations equal the stacked-matrix form bit
+    for bit. Returns ``(a1, a2, det)``, ``det`` the
+    determinant of ``M``. With ``partials``, for scalars or columns of length
+    ``P``, also ``D`` of shape ``(2, 6)`` or ``(P, 2, 6)``: ``D[..., i, j]``
+    is the partial of ``a_i`` w.r.t. argument ``j`` of
+    ``(tau1, tau2, q1, qd1, q2, qd2)``.
+    """
+    t = p.terms
+    h, M22 = t.h, t.M22
+    c2 = np.cos(q2)
+    M11 = t.M11_base + p.m2 * (t.M11_sq + t.M11_cos * c2) + p.I2
+    M12 = h * c2 + t.M12_base + p.I2
+    det = M11 * M22 - M12 * M12
+    hs = h * np.sin(q2)
+    q12 = q1 + q2
+    cq1, cq12 = np.cos(q1), np.cos(q12)
+    # r = tau - C qd - G
+    r1 = (
+        tau1 + hs * qd2 * (2.0 * qd1 + qd2)
+        - (t.g1 * cq1 + t.m2g * (p.lc2 * cq12 + p.l1 * cq1))
+    )
+    # qd1 * qd1, not qd1**2: on a numpy scalar ** calls pow(), which can
+    # differ from the product in the last bit
+    r2 = tau2 - hs * (qd1 * qd1) - t.g2 * cq12
+    a1 = (M22 * r1 - M12 * r2) / det
+    a2 = (M11 * r2 - M12 * r1) / det
+    if not partials:
+        return a1, a2, det
+    # E[j, i]: partial of r_i w.r.t. argument j, with the inertia's
+    # dependence on q2, -(dM/dq2) a = hs * (2 a1 + a2, a1), added to dr/dq2;
+    # then D = M^-1 E, transposed.
+    sq1, sq12 = np.sin(q1), np.sin(q12)
+    gs12 = t.g2 * sq12
+    E = np.zeros((6, 2) + np.shape(a1))
+    E[0, 0] = E[1, 1] = 1.0
+    E[2, 0] = t.g1 * sq1 + t.m2g * (p.lc2 * sq12 + p.l1 * sq1)
+    E[2, 1] = gs12
+    E[3, 0] = 2.0 * hs * qd2
+    E[3, 1] = -2.0 * hs * qd1
+    E[4, 0] = h * c2 * qd2 * (2.0 * qd1 + qd2) + gs12 + hs * (2.0 * a1 + a2)
+    E[4, 1] = gs12 - h * c2 * (qd1 * qd1) + hs * a1
+    E[5, 0] = 2.0 * hs * (qd1 + qd2)
+    D = np.empty_like(E)
+    D[:, 0] = (M22 * E[:, 0] - M12 * E[:, 1]) / det
+    D[:, 1] = (M11 * E[:, 1] - M12 * E[:, 0]) / det
+    return a1, a2, det, D.T
+
+
+def _window_accelerations(p: DoublePendulumParams, u, xi, partials=False):
+    """``_accelerations`` at ``(u, xi)``, ``xi`` the window state
+    ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})`` with velocities recovered by divided
+    differences; the partials are w.r.t. ``(u, xi)``."""
+    x1, x2, x3, x4 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
+    out = _accelerations(
+        p, u[..., 0], u[..., 1], x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, partials
+    )
+    if partials:
+        D = out[3]
+        D[..., 3::2] /= p.Ts  # d/dx2, d/dx4
+        D[..., 2::2] -= D[..., 3::2]  # d/dx1, d/dx3
+    return out

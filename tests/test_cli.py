@@ -79,6 +79,12 @@ def test_unknown_key_rejected(tmp_path):
          "sweep.vary"),
         ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "noise", "values": [0.0]}),
          "sweep.vary"),
+        # keys only collect and the certificate read
+        ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "data.seed", "values": [0, 1]}),
+         "sweep.vary 'data.seed'"),
+        ("sweep", toy_config,
+         lambda cfg: cfg.update(sweep={"vary": "box.grid_points", "values": [5, 7]}),
+         "sweep.vary 'box.grid_points'"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
         # a 7-state box on the 4-state pendulum
         ("collect", reference_config,
@@ -119,7 +125,8 @@ def test_unknown_key_rejected(tmp_path):
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
-        "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "no_u_setpoint",
+        "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "sweep_vary_data_seed",
+        "sweep_vary_box_grid_points", "no_u_setpoint",
         "box_states", "box_inputs", "box_lower_above_upper", "box_grid_points",
         "ocp_mode", "ocp_slack_mode", "ocp_L_zero", "ocp_robust_L_below_d_max",
         "ocp_u_setpoint_outside_box", "ocp_lambda_sigma_negative",

@@ -542,11 +542,12 @@ def test_direct_solver_agrees_with_constrained_path_nonzero_setpoint():
     assert np.max(np.abs(builder.alpha_s)) > 1e-3
 
 
-def pendulum_relaxed_builder():
-    """Reference pendulum controller, relaxed robust mode, on data seed 2."""
+def pendulum_relaxed_builder(data_seed=2):
+    """Reference pendulum controller, relaxed robust mode, on data seed 2
+    unless another is given."""
     exp = presets.pendulum_experiment(grid_points=3)
     d = exp.dictionary(perturbation=0.1, seed=3)
-    blocks = exp.blocks(d, exp.collect(seed=2, w_star=0.01))
+    blocks = exp.blocks(d, exp.collect(seed=data_seed, w_star=0.01))
     spec = exp.ocp_spec(blocks, eps_star=6.65, w_star=0.01)
     return exp, d, spec, OcpBuilder(spec)
 
@@ -564,7 +565,7 @@ def test_direct_solve_makes_one_kernel_pass_per_point(monkeypatch):
     kernel = plant._window_accelerations
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("partials", False))
+        calls.append(kwargs.get("jac") is not None)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(plant, "_window_accelerations", counting)
@@ -799,6 +800,7 @@ def flat_toy_loop_spec(mode):
     [
         pytest.param("robust", 2, 0, id="robust-2"),
         pytest.param("nominal", 1, 0, id="nominal-1"),
+        pytest.param("robust", 13, 1, id="robust-13"),
         pytest.param("robust", 14, 1, id="robust-14"),
         pytest.param("robust", 20, 1, id="robust-20"),
     ],
@@ -809,8 +811,9 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     The robust builder evaluates the dictionary once at construction, so its
     first solve makes the second call. That solve's 11 residual evaluations
     are calls 2 to 12 (its returned point's features are kept), and the warm
-    start evaluates no dictionary, so calls 14 and 20 fall inside the second
-    solve. Other calls succeed. The failed solve holds the previous decision and is
+    start evaluates no dictionary, so call 13 is the second solve's first
+    residual, at its warm start, and calls 14 and 20 fall later inside it.
+    Other calls succeed. The failed solve holds the previous decision and is
     recorded on the ``held`` path; the others name the path they ran."""
     spec = flat_toy_loop_spec(mode)
     d = spec.blocks.dictionary
@@ -836,6 +839,44 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
     assert [rec.path for rec in log.solves] == [
         "held" if i == failed_solve else solved for i in range(len(log.solves))
     ]
+
+
+@BOUND_ACTIVE
+def test_solver_error_in_the_bounded_build_is_recorded(monkeypatch, fields):
+    """A dictionary that fails while the first bound-active fallback poses
+    its problem (``_RelaxedDirect.build`` evaluates the features at the
+    direct decision's free slots) makes that solve a ``solver-error`` with
+    the exception text, held and not applied; the loop goes on, and later
+    fallbacks build and solve their problems."""
+    spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
+    d = spec.blocks.dictionary
+    value_batch, build = d.value_batch, npc._RelaxedDirect.build
+    builds = []
+
+    def counted_build(self, *args, **kwargs):
+        builds.append("open")
+        try:
+            return build(self, *args, **kwargs)
+        finally:
+            builds[-1] = "closed"
+
+    def failing_value_batch(U, XI):
+        if builds == ["open"]:
+            raise RuntimeError("dictionary offline")
+        return value_batch(U, XI)
+
+    monkeypatch.setattr(npc._RelaxedDirect, "build", counted_build)
+    monkeypatch.setattr(d, "value_batch", failing_value_batch)
+    toy, _, _ = plant.make_scalar_flat()
+    log = run_closed_loop(spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]),
+                          total_steps=20)
+    failed = [rec for rec in log.solves if rec.error]
+    assert len(failed) == 1
+    assert failed[0].status == "solver-error"
+    assert failed[0].error == "RuntimeError: dictionary offline"
+    assert failed[0].path == "held" and not failed[0].applied
+    assert len(builds) >= 2
+    assert "al-gn" in {rec.path for rec in log.solves}
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])

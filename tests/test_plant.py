@@ -143,6 +143,56 @@ def test_pendulum_dictionary_matches_stacked_matrix_form_bitwise():
         np.testing.assert_array_equal(d.value_batch(U, XI), np.column_stack([U, a1, a2]))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 12, 13, 120])
+def test_kernel_matches_reference_kernel_bitwise(rows):
+    """The kernel, which writes its partials into the caller's array, gives
+    the values and partials of the kernel it replaced
+    (``reference_pendulum._window_accelerations``) bit for bit: on scalars
+    (0-d arrays, and Python floats for the plant step's values) and on
+    columns whose lengths cover numpy's SIMD blocks and their scalar tails.
+    Zero velocities and points far outside the operating box are included."""
+    p = basis.make_pendulum_dictionary(DoublePendulumParams(), perturbation=0.1, seed=3).estimates
+    rng = np.random.default_rng(0 if rows is None else rows)
+    shape = () if rows is None else (rows,)
+    for draw in range(40):
+        U = rng.uniform(-60.0, 60.0, shape + (2,))
+        XI = rng.uniform(-6.0, 6.0, shape + (4,))
+        if draw % 4 == 0:
+            XI[..., 1], XI[..., 3] = XI[..., 0], XI[..., 2]
+        *want, D = reference_pendulum._window_accelerations(p, U, XI, partials=True)
+        jac = np.empty(shape + (2, 6))
+        got = plant._window_accelerations(p, U, XI, jac=jac)
+        values = plant._window_accelerations(p, U, XI)
+        assert [bits(a) for a in got] == [bits(a) for a in want] == [bits(a) for a in values]
+        assert bits(jac) == bits(D)
+        if rows is None:
+            args = (*U.tolist(), XI[0], (XI[1] - XI[0]) / p.Ts, XI[2], (XI[3] - XI[2]) / p.Ts)
+            want = reference_pendulum._accelerations(p, *args)
+            assert [bits(a) for a in plant._accelerations(p, *args)] == [bits(a) for a in want]
+
+
+def test_kernel_matches_reference_kernel_on_grid_factors():
+    """φ's values on the broadcast ``(k, 1) x (1, s)`` factor shapes that
+    ``basis._phi_chunk`` passes equal the reference kernel's bit for bit:
+    every chunk of the pendulum's certificate grid, and small factor shapes
+    whose broadcast rows end in scalar tails."""
+    exp = presets.pendulum_experiment()
+    p = exp.params
+    U_rows, XI_rows = exp.box.grid_factors()
+    pairs = [(U_rows[a], XI_rows[b]) for a, b in basis._grid_chunks(len(U_rows), len(XI_rows))]
+    rng = np.random.default_rng(5)
+    pairs += [(rng.uniform(-20.0, 20.0, (k, 2)), rng.uniform(-2.0, 2.0, (s, 4)))
+              for k, s in ((1, 1), (2, 3), (3, 13), (7, 5))]
+    for U, XI in pairs:
+        u, xi = U[:, None, :], XI[None, :, :]
+        want = reference_pendulum._window_accelerations(p, u, xi)
+        assert [bits(a) for a in plant._window_accelerations(p, u, xi)] == [bits(a) for a in want]
+
+
 # ---------------------------------------------------------------------------
 # relative-degree probe
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -238,13 +240,15 @@ def test_reduced_lsq_nonfinite_trial_is_rejected():
             r = A @ x - b
             if len(calls) != 2:
                 return r
-            if failure is None:
-                return np.full_like(r, np.inf)
+            if isinstance(failure, float):
+                r[3] = failure
+                return r
             raise failure
 
         return residual
 
-    for failure in (None, DictionaryEvaluationError("features not finite")):
+    for failure in (np.inf, -np.inf, np.nan, solver.CallbackError("residual failed"),
+                    DictionaryEvaluationError("features not finite")):
         calls = []
         rep = reduced_lsq(failing_second_call(failure, calls), lambda x: A, np.zeros(8), lo, hi,
                           100, 1e-10)
@@ -255,6 +259,29 @@ def test_reduced_lsq_nonfinite_trial_is_rejected():
     residual = failing_second_call(RuntimeError("not a callback failure"), [])
     with pytest.raises(RuntimeError, match="not a callback failure"):
         reduced_lsq(residual, lambda x: A, np.zeros(8), lo, hi, 100, 1e-10)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [1, 3])
+def test_reduced_lsq_nonfinite_jacobian_raises(entry, call):
+    """A jacobian with one NaN or infinite entry raises ``CallbackError``,
+    at the start and after accepted steps, wherever the entry sits: here in
+    the column of an entry that starts on its bound."""
+    A, b, lo, hi = linear_box_problem(2)
+    x0 = np.zeros(8)
+    x0[5] = lo[5]
+    calls = []
+
+    def jacobian(x):
+        calls.append(None)
+        J = A.copy()
+        if len(calls) == call:
+            J[4, 5] = entry
+        return J
+
+    with pytest.raises(solver.CallbackError, match="jacobian not finite"):
+        reduced_lsq(lambda x: A @ x - b, jacobian, x0, lo, hi, 100, 1e-10)
+    assert len(calls) == call
 
 
 def test_reduced_lsq_stops_when_no_step_lowers_the_cost():
@@ -314,12 +341,13 @@ def lsq_cases():
     """``(residual, jacobian, x0, lo, hi, maxiter, tol)`` for the loops to
     agree on: box problems started at the centre, inside and at a corner,
     a nonlinear one, pinned entries, infinite and half-infinite bounds, the
-    pendulum direct problem, a long solve whose convergence tests the
-    cheap bound decides (``skip-most``), an ill-conditioned one where it
-    cannot (``weak-direction``), held, pinned and infinite-bound entries in
-    one box (``mixed-bounds``), and a step so small in one entry that its
-    ratio to that entry's room overflows while another entry is cut
-    (``tiny-step-overflow``)."""
+    pendulum direct problem from hanging and a recorded swing-up solve that
+    holds an input on the box (``pendulum-held``), a long solve whose
+    convergence tests the cheap bound decides (``skip-most``), an
+    ill-conditioned one where it cannot (``weak-direction``), held, pinned
+    and infinite-bound entries in one box (``mixed-bounds``), and a step so
+    small in one entry that its ratio to that entry's room overflows while
+    another entry is cut (``tiny-step-overflow``)."""
     cases = {}
     for seed in (0, 1, 2, 4):
         A, b, lo, hi = linear_box_problem(seed)
@@ -349,7 +377,7 @@ def lsq_cases():
                                    lambda x: np.eye(2), np.zeros(2), -np.ones(2), np.ones(2), 50,
                                    1e-10)
 
-    from ddnpc import npc
+    from ddnpc import npc, plant
     from test_npc import pendulum_relaxed_builder
 
     exp, _, spec, builder = pendulum_relaxed_builder()
@@ -360,6 +388,17 @@ def lsq_cases():
     zf0 = builder.initial_guess(hy)
     cases["pendulum-direct"] = (direct.residual, direct.jacobian, zf0, builder.lo, builder.hi, 60,
                                 1e-10)
+
+    # The second solve of data seed 3's noise-free swing-up from hanging, as
+    # the closed loop poses it: warm-started, it holds an input on the box.
+    exp, _, spec, _ = pendulum_relaxed_builder(data_seed=3)
+    with mock.patch.object(npc, "solve_relaxed_direct", wraps=npc.solve_relaxed_direct) as spy:
+        npc.run_closed_loop(spec, exp.plant_model, plant.NoiseModel(), x0=exp.x0, total_steps=4,
+                            hold_input=exp.hold_input)
+    form, hu, hy, guess = spy.call_args_list[1].args
+    form.set_history(hu, hy)
+    cases["pendulum-held"] = (form.residual, form.jacobian, guess, form.b.lo, form.b.hi, 60,
+                              1e-10)
     return cases
 
 
@@ -381,6 +420,23 @@ def test_reduced_lsq_iterates_match_reference_loop(case):
     np.testing.assert_array_equal(got.x, want.x)
     assert got.objective == want.objective
     assert (got.nfev, got.converged) == (want.nfev, want.converged)
+
+
+def test_pendulum_held_case_holds_an_input(monkeypatch):
+    """The recorded swing-up case runs the held-set path: some damped solve
+    is on fewer than all free slots, and the solve still converges."""
+    sizes = []
+    damped_solve = solver._damped_solve
+
+    def sized(A, d, b):
+        sizes.append(A.shape[0])
+        return damped_solve(A, d, b)
+
+    monkeypatch.setattr(solver, "_damped_solve", sized)
+    residual, jacobian, x0, *rest = LSQ_CASES["pendulum-held"]
+    rep = reduced_lsq(residual, jacobian, x0, *rest)
+    assert rep.converged
+    assert min(sizes) < x0.size
 
 
 def count_factored_tests(monkeypatch, case):
