@@ -410,13 +410,15 @@ class GridEvaluation:
 
 def _grid_chunks(nu: int, nx: int):
     """``(input rows, state rows)`` slice pairs that tile the factored grid,
-    each covering at most ``_CORNER_BLOCK`` grid rows: ``_CORNER_BLOCK // nx``
-    input combinations with every state row, or one input combination with a
-    slice of the state rows where ``nx`` alone exceeds the block."""
-    k = max(1, _CORNER_BLOCK // nx)
-    s = min(nx, _CORNER_BLOCK)
-    for a in range(0, nu, k):
-        for b in range(0, nx, s):
+    each covering at most ``_CORNER_BLOCK`` grid rows: ``_CORNER_BLOCK // nu``
+    state rows with every input combination, or one state row with a slice
+    of the input combinations where ``nu`` alone exceeds the block. So each
+    state row lies in one chunk, and a pass over the chunks computes its
+    state-only terms once."""
+    s = max(1, _CORNER_BLOCK // nu)
+    k = min(nu, _CORNER_BLOCK)
+    for b in range(0, nx, s):
+        for a in range(0, nu, k):
             yield slice(a, a + k), slice(b, b + s)
 
 
@@ -425,8 +427,10 @@ def _phi_chunk(phi, U_rows: np.ndarray, XI_rows: np.ndarray) -> np.ndarray:
 
     One call on the factors, ``phi(U_rows[:, None, :], XI_rows[None, :, :])``,
     so the terms that depend on the state alone are computed once per state
-    row. ``phi`` must work elementwise over broadcast leading axes and return
-    ``(..., q)``; a result that depends on one factor only is broadcast.
+    row of the chunk, on ``(1, s)`` arrays, and those of the input alone once
+    per input row. ``phi`` must work elementwise over broadcast leading axes
+    and return ``(..., q)``; a result that depends on one factor only is
+    broadcast.
     """
     out = np.asarray(phi(U_rows[:, None, :], XI_rows[None, :, :]), dtype=float)
     if out.ndim != 3:
@@ -447,8 +451,10 @@ def evaluate_grid(
 
     The dictionary takes the dense grid in one ``value_batch`` call. ``phi``
     takes the grid's factors, one call per chunk of at most
-    ``_CORNER_BLOCK`` grid rows (``_phi_chunk``); its values are those of one
-    dense call, bit for bit, since ``phi`` is elementwise.
+    ``_CORNER_BLOCK`` grid rows (``_grid_chunks``, ``_phi_chunk``): a slice
+    of the state rows with every input combination, so each state row's
+    state-only terms are computed once. Its values are those of one dense
+    call, bit for bit, since ``phi`` is elementwise.
     """
     U, XI = box.grid()
     PSI = dictionary.value_batch(U, XI)
@@ -497,16 +503,21 @@ def estimate_lipschitz(values: np.ndarray, box: OperatingBox) -> float:
     Takes the largest ratio of output change (sup norm) to state change (sup
     norm) over grid-adjacent point pairs along each state axis, the input held
     fixed. This is a lower estimate of the true constant on the box. One
-    difference pass per state axis; no evaluation.
+    difference pass per state axis, each into the same buffer; no
+    evaluation.
     """
     shape = (box.grid_points,) * (box.m + box.n)
     F = np.asarray(values, dtype=float).reshape(shape + (-1,))
     steps = box.axis_steps()
+    # every axis has as many differences: one buffer takes each in turn
+    buf = np.empty(F.size // box.grid_points * (box.grid_points - 1))
     K = 0.0
     for ax in range(box.m, box.m + box.n):
-        diffs = np.abs(np.diff(F, axis=ax))
+        head = F[(slice(None),) * ax + (slice(1, None),)]
+        tail = F[(slice(None),) * ax + (slice(None, -1),)]
+        diffs = np.subtract(head, tail, out=buf.reshape(head.shape))
         if diffs.size:
-            K = max(K, float(np.max(diffs)) / steps[ax])
+            K = max(K, float(np.max(np.abs(diffs, out=diffs))) / steps[ax])
     return K
 
 
@@ -521,12 +532,13 @@ def estimate_noise_gain(
     The unperturbed values are ``grid.PHI``. The perturbed ones take one
     ``phi`` call per corner and chunk of the factored grid (``_grid_chunks``,
     ``_phi_chunk``), every corner on a chunk before the next chunk, so each
-    call's temporaries stay in cache and the state-only terms are computed
-    once per state row of a chunk. The maximum does not depend on the order,
-    so the result is the same as one dense full-grid call per corner. This
-    sweep is most of a certificate's cost: ``2^n`` evaluations of ``phi`` on
-    the grid, one per corner, corner ``c`` taking sign ``+`` on axis ``i``
-    where bit ``i`` of ``c`` is set.
+    call's temporaries stay in cache. A chunk is a slice of the state rows
+    with every input combination, so each corner computes the state-only
+    terms of each shifted state row once. The maximum does not depend on the
+    order, so the result is the same as one dense full-grid call per corner.
+    This sweep is most of a certificate's cost: ``2^n`` evaluations of
+    ``phi`` on the grid, one per corner, corner ``c`` taking sign ``+`` on
+    axis ``i`` where bit ``i`` of ``c`` is set.
     """
     if w_star == 0.0:
         return 0.0

@@ -22,8 +22,17 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dposv
-# Unused here: bench/layers.py patches solver.minimize until ROADMAP item 5 replaces its patch table.
-from scipy.optimize import minimize  # noqa: F401
+
+
+def __getattr__(name):
+    """``solver.minimize``, scipy's, imported on first lookup, so that
+    importing ddnpc does not load ``scipy.optimize``. Nothing here calls it;
+    the benchmark's traced run patches it (ROADMAP item 5)."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The augmented-Lagrangian penalty: start, growth when feasibility stalls, cap.

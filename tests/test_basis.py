@@ -583,16 +583,19 @@ def _certificate_case(name):
 @pytest.mark.parametrize(
     "name, block",
     [
-        # 49 input combinations x 2,401 state rows: chunks of 6 combinations,
-        # the last of one
+        # 49 input combinations x 2,401 state rows: chunks of 334 state rows
+        # with every combination, the last of 63
         ("pendulum_reference", None),
         ("flat", None),  # 729 rows, fewer than one block
-        ("chain", None),  # 49 x 343 rows: chunks of 47 combinations and 2
-        ("coupled_phi_Pm", None),
-        ("coupled_phi_Pm", 2058),  # chunks of 6 combinations, the last of one
-        ("coupled_phi_Pm", 100),  # 343 state rows exceed the block: sliced
-        ("bilinear_max_in_last_block", None),  # 17,576 rows
-        ("seven_states", None),
+        ("chain", None),  # 49 x 343 rows: chunks of 334 state rows and 9
+        ("coupled_phi_Pm", None),  # as the chain
+        ("coupled_phi_Pm", 2058),  # chunks of 42 state rows, the last of 7
+        ("coupled_phi_Pm", 100),  # chunks of 2 state rows, the last of one
+        # 49 combinations exceed the block: one state row per call, the
+        # combinations sliced into 20, 20 and 9
+        ("coupled_phi_Pm", 20),
+        ("bilinear_max_in_last_block", None),  # 26 x 676 rows: 630 state rows and 46
+        ("seven_states", None),  # 2 x 128 rows, one chunk
     ],
 )
 def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
@@ -612,7 +615,8 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
     """One grid build and one dictionary call on the dense grid. ``phi`` takes
     the grid's factors: no call sees more than one copy of the state rows or
     more than the block size, and the calls cover the grid once unperturbed
-    and once per noise corner."""
+    and once per noise corner. Each of those passes sees each state row
+    once, so the state-only terms are computed once per row and pass."""
     d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
     builds, psi_rows, phi_states, phi_sizes = [], [], [], []
     grid = OperatingBox.grid
@@ -639,6 +643,7 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
     assert max(phi_states) <= box.grid_points**box.n
     assert sum(phi_sizes) == (1 + 2**box.n) * P
     assert max(phi_sizes) <= basis._CORNER_BLOCK
+    assert sum(phi_states) == (1 + 2**box.n) * box.grid_points**box.n
 
 
 def test_phi_must_return_a_trailing_channel_axis():

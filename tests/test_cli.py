@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddnpc import cli, presets
+from ddnpc import cli, presets, trajlib
 
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "pendulum_reference.json"
 
@@ -428,6 +428,67 @@ def test_simulate_emits_true_value_column(tmp_path):
     for line in lines[1:]:
         _, _, y_hat, bound, y_true = line.split(",")
         assert abs(float(y_hat) - float(y_true)) <= float(bound) + 1e-6
+
+
+@pytest.fixture(scope="module")
+def pendulum_recorded(tmp_path_factory):
+    """``ddnpc collect`` on the reference config: the output directory and
+    the config with ``files`` pointing at the recorded data and certificate."""
+    out = tmp_path_factory.mktemp("pendulum")
+    path, cfg = reference_config(out)
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    cfg["files"] = {
+        "data": str(out / "data.csv"),
+        "data_noisy": str(out / "data_noisy.csv"),
+        "certificate": str(out / "certificate.json"),
+    }
+    return out, cfg
+
+
+def _simulate(out, cfg, name, simulate):
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(dict(cfg, simulate=simulate)))
+    code = run_cli(["simulate", "--config", path, "--out-dir", out / name])
+    return code, out / name / "simulation.csv"
+
+
+@pytest.mark.parametrize("start", [0, 50])
+def test_simulate_pendulum_on_a_window_of_the_recorded_data(pendulum_recorded, start):
+    """``ddnpc simulate`` on the reference config, queried with the inputs
+    of a window of the recorded data (``simulate.u_file``) from its window
+    state. The true column, simulated from the plant state that
+    ``Experiment.state_from_window`` rebuilds, is the recorded response,
+    and every prediction lies within its bound of it. The data starts at
+    the origin, so the window at step 0 takes the default ``xi0``."""
+    out, cfg = pendulum_recorded
+    lines = (out / "data.csv").read_text().splitlines()
+    u_file = out / f"window_{start}.csv"
+    u_file.write_text("\n".join([lines[0]] + lines[1 + start :]) + "\n")
+    _, recorded = trajlib.read_trajectory_csv(out / "data.csv")
+    simulate = {"L": 10, "u_file": str(u_file)}
+    if start:
+        simulate["xi0"] = [float(y[start + j]) for y in recorded for j in (0, 1)]
+    code, csv_path = _simulate(out, cfg, f"simulate_{start}", simulate)
+    assert code == cli.EXIT_OK
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 * (10 + 2)
+    for row in rows:
+        channel, k, y_hat, bound, y_true = row.split(",")
+        assert abs(float(y_true) - recorded[int(channel) - 1][start + int(k)]) <= 1e-9
+        assert abs(float(y_hat) - float(y_true)) <= float(bound) + 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the default query, zero torques from the zero window state (both links "
+    "horizontal), lies outside the swing-up data: the simulation stalls and exits 4",
+)
+def test_simulate_pendulum_default_query(pendulum_recorded):
+    """With no ``simulate.u_file`` or ``xi0`` the query is zero torques from
+    the zero window state; on the reference config it should succeed."""
+    out, cfg = pendulum_recorded
+    code, _ = _simulate(out, cfg, "simulate_default", {"L": 10})
+    assert code == cli.EXIT_OK
 
 
 def _reference_pair():

@@ -195,6 +195,20 @@ def test_reduced_lsq_holds_pinned_entries_exactly():
     assert abs(rep.objective - f_ref) <= 1e-10 * f_ref
 
 
+def test_reduced_lsq_returns_its_start_when_every_variable_is_held():
+    """A start on the box's faces with every gradient entry pointing out of
+    the box holds every variable: the start is the constrained optimum, and
+    the solve returns it converged after its one residual evaluation."""
+    c = np.array([2.0, -1.0, 3.0])
+    lo, hi = np.zeros(3), np.ones(3)
+    x0 = np.array([1.0, 0.0, 1.0])
+    rep = reduced_lsq(lambda x: x - c, lambda x: np.eye(3), x0, lo, hi, 100, 1e-10)
+    assert rep.converged
+    assert rep.nfev == 1
+    np.testing.assert_array_equal(rep.x, x0)
+    assert rep.objective == 6.0
+
+
 def test_cholesky_solve_matches_scipy_and_raises_on_indefinite():
     from scipy.linalg import cho_factor, cho_solve
 
@@ -545,9 +559,9 @@ def test_every_least_squares_solve_runs_on_reduced_lsq(monkeypatch):
 
 def test_scipy_optimizers_stay_out_of_src():
     """``solver.reduced_lsq`` is the library's only least-squares solver: no
-    module of ``src/ddnpc`` imports from ``scipy.optimize``, except the
-    unused ``minimize`` import in ``solver.py`` that the benchmark's traced
-    run replaces."""
+    module of ``src/ddnpc`` imports from ``scipy.optimize``, except the lazy
+    ``minimize`` import of ``solver.__getattr__``, which only the benchmark's
+    traced run looks up and replaces."""
     import ast
     from pathlib import Path
 
@@ -567,6 +581,31 @@ def test_scipy_optimizers_stay_out_of_src():
         for name in optimize_imports(node)
     }
     assert found == {("solver.py", "minimize")}
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """``import ddnpc.cli``, which imports every module of the library,
+    loads no ``scipy.optimize``; ``solver.minimize`` still resolves on
+    lookup."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, ddnpc.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+        "from ddnpc import solver\n"
+        "import scipy.optimize\n"
+        "assert solver.minimize is scipy.optimize.minimize\n"
+    )
+    src = str(Path(solver.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
