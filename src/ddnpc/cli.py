@@ -4,8 +4,8 @@ Subcommands: ``collect`` (offline data plus certificate), ``check-pe``
 (excitation report for a recorded dataset), ``simulate`` / ``match-output``
 (data-driven simulation and tracking with certified bound columns),
 ``npc-run`` (closed-loop experiment) and ``sweep`` (fan out several runs).
-Each subcommand reads the config, builds the experiment with
-``presets.Experiment`` and writes its files; the per-plant facts live there.
+Each subcommand reads the config, runs the experiment ``presets.Experiment``
+builds and writes its files; per-plant facts, defaults and the loop live there.
 Every experiment is described by one JSON config file with fixed sections and
 mandatory seeds; reruns of the same config give byte-identical outputs, except
 for the measured solve times (``solve_ms``) in ``npc-run``'s
@@ -25,7 +25,6 @@ for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import csv  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -105,30 +104,9 @@ def _resolve(path, base: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
-@contextlib.contextmanager
-def _depth_of(key):
-    """Name the config key or flag that set a Hankel depth the recorded data
-    cannot fill."""
-    try:
-        yield
-    except trajlib.HankelDepthError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _w_star(cfg) -> float:
-    """The measurement-noise bound ``noise.w_star``; none by default."""
-    return float(cfg.get("noise", {}).get("w_star", 0.0))
-
-
 # ---------------------------------------------------------------------------
 # emission helpers
 # ---------------------------------------------------------------------------
-
-
-def _set_keys(section: dict, casts) -> dict:
-    """Keyword arguments for the keys ``section`` sets, each through its cast;
-    the callee holds the defaults of the keys the config leaves out."""
-    return {key: cast(section[key]) for key, cast in casts if key in section}
 
 
 def _write_csv(path, header, rows):
@@ -161,37 +139,27 @@ def _summary(path, payload: dict):
 
 def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
     exp = presets.Experiment(cfg)
-    data_cfg = cfg.get("data", {})
-    N = int(data_cfg.get("N", 200))
-    w_star = _w_star(cfg)
-    traj = exp.collect(int(data_cfg.get("seed", 0)), w_star=w_star, N=N, strict=strict)
+    traj = exp.collect(exp.setting("data.seed", int, 0), strict=strict)
     if not traj.stayed_in_box:
         print(f"warning: trajectory left the operating box at step {traj.first_violation}")
     dictionary = exp.dictionary()
-    cert = basis.build_certificate(
-        dictionary,
-        exp.phi,
-        exp.box,
-        degrees=exp.structure.degrees,
-        w_star=w_star,
-        seed=cfg.get("dictionary", {}).get("seed"),
-    )
+    cert = exp.certificate()
     trajlib.write_trajectory_csv(out_dir / "data.csv", traj.u, traj.outputs)
     trajlib.write_trajectory_csv(out_dir / "data_noisy.csv", traj.u, traj.outputs_noisy)
     cert.save(out_dir / "certificate.json")
 
-    order, pe = _excitation(cfg, exp, dictionary, traj)
+    order, pe = _excitation(exp, dictionary, traj)
     print(
         f"excitation check: order {order}, rank {pe.rank}/{pe.required_rank}, "
         f"smallest singular value {pe.sigma_min:.6g}"
     )
     lower_bound = (dictionary.r + 1) * order - 1
-    if N < lower_bound:
+    if traj.N < lower_bound:
         print(
-            f"warning: N = {N} is below the excitation budget "
+            f"warning: N = {traj.N} is below the excitation budget "
             f"(r + 1)(L + d_max + n) - 1 = {lower_bound}"
         )
-    if w_star == 0.0:
+    if exp.w_star == 0.0:
         print("noise bound is zero: noise-gain estimation skipped (identically zero)")
     print(f"eps_star = {cert.eps_star:.6g}")
     run_cfg = json.loads(json.dumps(cfg))
@@ -207,16 +175,16 @@ def cmd_collect(cfg, base, out_dir: Path, strict: bool) -> int:
     return EXIT_OK
 
 
-def _excitation(cfg, exp, dictionary, traj, order=None):
+def _excitation(exp, dictionary, traj, order=None):
     """Excitation report of the recorded feature sequence (noisy window
     states) at ``order``, the ``--order`` flag; by default L + d_max + n, the
     order the controller of horizon ``ocp.L`` needs."""
     key = "--order"
     if order is None:
         key = "ocp.L"
-        order = int(cfg.get("ocp", {}).get("L", 10)) + exp.structure.d_max + exp.structure.n
+        order = exp.L + exp.structure.d_max + exp.structure.n
     feats = basis.evaluate_along(dictionary, traj.u, traj.xi_noisy.data[: traj.N])
-    with _depth_of(key):
+    with presets.depth_of(key):
         return order, trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
 
 
@@ -243,7 +211,7 @@ def _load_certificate(cfg, base: Path):
 def cmd_check_pe(cfg, base, out_dir, strict, order=None) -> int:
     exp = presets.Experiment(cfg)
     traj = _load_trajectory(exp, cfg, base)
-    order, pe = _excitation(cfg, exp, exp.dictionary(), traj, order)
+    order, pe = _excitation(exp, exp.dictionary(), traj, order)
     print(
         f"order {order}: rank {pe.rank}, required {pe.required_rank}, "
         f"smallest singular value {pe.sigma_min:.6g} -> "
@@ -260,12 +228,12 @@ def _query(cfg, base, section):
     traj = _load_trajectory(exp, cfg, base)
     cert = _load_certificate(cfg, base)
     sec = cfg.get(section, {})
-    L = int(sec.get("L", 10))
-    with _depth_of(f"{section}.L"):
+    L = exp.setting(f"{section}.L", int, 10)
+    with presets.depth_of(f"{section}.L"):
         blocks = behavior.DataDictionaryBlocks.from_trajectory(exp.dictionary(), traj, horizon=L)
     return exp, sec, L, blocks, dict(
         eps_star=cert.eps_star, k_xi=cert.k_xi, g_row_norm=cert.g_inf_bound,
-        **_set_keys(sec, (("lambda_alpha", float),)),
+        **exp.settings(section, {"lambda_alpha": float}),
     )
 
 
@@ -277,9 +245,7 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
     else:
         u_new = np.tile(np.zeros(exp.structure.m), (L, 1))
     n = exp.structure.n
-    xi0 = np.asarray(sim_cfg.get("xi0", np.zeros(n)), dtype=float)
-    if xi0.shape != (n,):
-        raise ConfigError(f"simulate.xi0 has {xi0.size} entries; the window state has {n}")
+    xi0 = exp.vector("simulate.xi0", n, np.zeros(n))
     result = behavior.simulate_data_driven(blocks, u_new, xi0, **certified)
     # oracle column: the window state determines the physical state, so the
     # true response is available whenever the plant model is configured
@@ -320,69 +286,14 @@ def cmd_match(cfg, base, out_dir, strict) -> int:
     return EXIT_OK
 
 
-def _run_once(cfg, base) -> tuple:
-    """One closed loop on the recorded data. Returns the problem, the
-    certificate, the inflated ε* the problem and the runtime bounds use, and
-    the log."""
-    exp = presets.Experiment(cfg)
-    ocp_cfg = cfg.get("ocp", {})
-    run_cfg = cfg.get("run", {})
-    cert = _load_certificate(cfg, base)
-    traj = _load_trajectory(exp, cfg, base)
-    mode = ocp_cfg.get("mode", "robust")
-    L = int(ocp_cfg.get("L", 10))
-    w_star = _w_star(cfg)
-    inflation = float(ocp_cfg.get("eps_inflation", 1.1))
-    if not inflation >= 0:
-        raise ConfigError(f"ocp.eps_inflation must be non-negative, got {inflation}")
-    eps_star = cert.eps_star * inflation
-    with _depth_of("ocp.L"):
-        blocks = exp.blocks(exp.dictionary(), traj, L=L, noisy=(mode == "robust"))
-    spec = exp.ocp_spec(
-        blocks,
-        mode=mode,
-        L=L,
-        eps_star=eps_star,
-        w_star=w_star,
-        k_psi=cert.k_psi,
-        k_w=cert.k_w,
-        g_dagger_norm=cert.g_dagger_inf_bound,
-        **_set_keys(ocp_cfg, (
-            ("Q", np.asarray), ("R", np.asarray), ("u_min", np.asarray), ("u_max", np.asarray),
-            ("y_min", np.asarray), ("y_max", np.asarray),
-            ("lambda_alpha", float), ("lambda_sigma", float),
-            ("slack_mode", str), ("c_slack", float),
-        )),
-    )
-    total_steps = int(run_cfg.get("total_steps", 300))
-    stride = int(ocp_cfg.get("stride", spec.stride))
-    if total_steps < 0 or stride < 1 or total_steps % stride:
-        raise ConfigError(
-            f"run.total_steps {total_steps} must be a multiple >= 0 of ocp.stride {stride} >= 1"
-        )
-    run_noise = plant.NoiseModel(w_star=w_star, seed=int(run_cfg.get("seed", 0)))
-    log = npc.run_closed_loop(
-        spec,
-        exp.plant_model,
-        run_noise,
-        x0=exp.x0,
-        total_steps=total_steps,
-        stride=stride,
-        hold_input=exp.hold_input,
-    )
-    return spec, cert, eps_star, log
-
-
 def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
-    spec, cert, eps_star, log = _run_once(cfg, base)
+    exp = presets.Experiment(cfg)
+    cert = _load_certificate(cfg, base)
+    spec, eps_star, log = exp.closed_loop(_load_trajectory(exp, cfg, base), cert, exp.run_noise)
     arr = log.as_arrays()
     m = spec.structure.m
     bound_rows = npc.evaluate_runtime_bounds(
-        log,
-        eps_star=eps_star,
-        w_star=spec.w_star,
-        k_xi=cert.k_xi,
-        k_w=cert.k_w,
+        log, eps_star=eps_star, w_star=spec.w_star, k_xi=cert.k_xi, k_w=cert.k_w,
         g_norm_inf=cert.g_inf_bound,
     )
     solves_by_t = {s.t: s for s in log.solves}
@@ -486,14 +397,16 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
     section, _, key = str(vary).partition(".")
     if key not in _SCHEMA.get(section, ()):
         raise ConfigError(f"sweep.vary must name a config key 'section.key', not '{vary}'")
-    if section in ("data", "box"):
-        # Each run loads the recorded data and certificate, so only collect
-        # and the certificate read these keys: every value would repeat one loop.
+    if section in ("data", "box", "files"):
+        # Only collect and the certificate read these keys, and the sweep
+        # loads the recorded files once: every value would repeat one loop.
         raise ConfigError(
-            f"sweep.vary '{vary}' is read only by collect and the certificate; "
-            "a sweep re-runs the loop on the recorded data"
+            f"sweep.vary '{vary}' is read only by collect, the certificate or the sweep's "
+            "one load of the recorded files; a sweep re-runs the loop on the recorded data"
         )
     seeds = sweep_cfg.get("seeds", [0])
+    exp = presets.Experiment(cfg)
+    traj, cert = _load_trajectory(exp, cfg, base), _load_certificate(cfg, base)
     results = []
     for value in values:
         for seed in seeds:
@@ -503,7 +416,8 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
             sub.setdefault("run", {})["seed"] = seed
             run_dir = out_dir / f"{vary.replace('.', '_')}_{value}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            log = _run_once(sub, base)[-1]
+            exp = presets.Experiment(sub)
+            log = exp.closed_loop(traj, cert, exp.run_noise)[-1]
             settled = log.settled_error(last=min(50, len(log.times)))
             results.append({"value": value, "seed": seed, "settled_error": settled})
             _summary(run_dir / "summary.json", results[-1])

@@ -84,15 +84,20 @@ class OcpSpec:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         m = self.structure.m
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        np.linalg.cholesky(self.Q)
-        np.linalg.cholesky(self.R)
-        for name in ("u_setpoint", "y_setpoint", "u_min", "u_max"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(m))
-        if self.y_min is not None:
-            self.y_min = np.asarray(self.y_min, dtype=float).reshape(m)
-            self.y_max = np.asarray(self.y_max, dtype=float).reshape(m)
+        for name in ("Q", "R"):
+            weight = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if weight.shape != (m, m):
+                raise ValueError(f"{name} must be {m} x {m}, got shape {weight.shape}")
+            np.linalg.cholesky(weight)
+            setattr(self, name, weight)
+        if (self.y_min is None) != (self.y_max is None):
+            raise ValueError("y_min and y_max must be given together")
+        vectors = ("u_setpoint", "y_setpoint", "u_min", "u_max")
+        for name in vectors + (() if self.y_min is None else ("y_min", "y_max")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.size != m:
+                raise ValueError(f"{name} has {value.size} entries; the plant has {m} channels")
+            setattr(self, name, value.reshape(m))
         d_max = self.structure.d_max
         if self.mode == "robust" and self.L < d_max:
             raise ValueError(f"robust mode needs horizon >= {d_max}, got {self.L}")
@@ -662,7 +667,6 @@ class SolveRecord:
     applied: bool
     predicted_outputs: list          # channel i: prediction times 0..L+d_i-1
     wall_s: float                    # warm start and solve, wall-clock seconds
-    decision: Optional[OcpDecision] = None
     error: str = ""                  # exception text of a failed solve
 
 
@@ -703,7 +707,6 @@ def run_closed_loop(
     total_steps: int,
     stride: Optional[int] = None,
     hold_input: Optional[np.ndarray] = None,
-    keep_decisions: bool = False,
 ) -> ClosedLoopLog:
     """Receding-horizon loop on a ground-truth plant.
 
@@ -835,7 +838,6 @@ def run_closed_loop(
             applied=accept,
             predicted_outputs=[y[d_max:].copy() for y in decision.y_bar],
             wall_s=wall_s,
-            decision=decision if keep_decisions else None,
             error=error,
         )
         log.solves.append(rec)

@@ -30,11 +30,16 @@ def pendulum():
 
 @pytest.fixture(scope="module")
 def pendulum_cert(pendulum):
-    d = pendulum.dictionary(perturbation=0.1, seed=3)
-    cert = basis.build_certificate(
-        d, pendulum.phi, pendulum.box, degrees=(2, 2), w_star=0.01, seed=3
+    return pendulum.dictionary(), pendulum.certificate()
+
+
+def pendulum_scenario(**sections):
+    """The reference preset with the given config sections merged into its
+    own: ``pendulum_scenario(run={"total_steps": 50})``."""
+    cfg = presets.pendulum_experiment().cfg
+    return presets.Experiment(
+        {key: {**cfg.get(key, {}), **sections.get(key, {})} for key in cfg.keys() | sections.keys()}
     )
-    return d, cert
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -139,26 +144,19 @@ def test_exact_basis_simulation_oracle():
 # -- 5 ----------------------------------------------------------------------
 
 
-def test_prediction_bound_soundness_sweep(pendulum, pendulum_cert):
-    d, cert = pendulum_cert
-    eps_infl = cert.eps_star * 1.1
+def test_prediction_bound_soundness_sweep(pendulum_cert):
+    _, cert = pendulum_cert
     solves = 0
     violations = 0
     worst_margin = np.inf
     for w_star in (0.0, 0.005, 0.01):
+        # started at rest near the setpoint, held there by gravity torque
+        exp = pendulum_scenario(
+            noise={"w_star": w_star}, run={"x0": [0.35, 0.0, 0.8, 0.0], "total_steps": 50}
+        )
         for seed in (0, 1, 2):
-            traj = pendulum.collect(seed=seed, w_star=w_star)
-            blocks = pendulum.blocks(d, traj)
-            spec = pendulum.ocp_spec(
-                blocks, eps_star=eps_infl, w_star=w_star,
-                k_psi=cert.k_psi, k_w=cert.k_w, g_dagger_norm=cert.g_dagger_inf_bound,
-            )
-            x0 = np.array([0.35, 0.0, 0.8, 0.0])
-            hold = plant.equilibrium_torque(pendulum.params, x0[[0, 2]])
-            log = npc.run_closed_loop(
-                spec, pendulum.plant_model,
-                plant.NoiseModel(w_star=w_star, seed=1000 + seed),
-                x0=x0, total_steps=50, hold_input=hold,
+            _, eps_infl, log = exp.closed_loop(
+                exp.collect(seed), cert, plant.NoiseModel(w_star=w_star, seed=1000 + seed)
             )
             rows = npc.evaluate_runtime_bounds(
                 log, eps_star=eps_infl, w_star=w_star,
@@ -304,33 +302,24 @@ def test_reference_swing_up_reproduction(pendulum, pendulum_cert):
     setpoint, which grows linearly with the online noise and which the method
     does not bound at 0.1 rad, so only the noise-free loop measures how well
     the controller itself settles."""
-    d, cert = pendulum_cert
-    eps_infl = cert.eps_star * 1.1
+    _, cert = pendulum_cert
     passes = 0
     swing_ok = 0
     details = []
 
-    def run(spec, noise):
-        log = npc.run_closed_loop(
-            spec, pendulum.plant_model, noise,
-            x0=pendulum.x0, total_steps=300, hold_input=pendulum.hold_input,
-        )
+    def run(traj, noise):
+        log = pendulum.closed_loop(traj, cert, noise)[-1]
         dev = np.abs(log.as_arrays()["y"][-50:] - pendulum.y_setpoint)
         failed = Counter(s.status for s in log.solves if s.status != "converged")
         unconverged = ",".join(f"{k}={v}" for k, v in sorted(failed.items())) or "none"
         return dev, unconverged
 
     for seed in range(10):
-        traj = pendulum.collect(seed=seed, w_star=0.01)
-        blocks = pendulum.blocks(d, traj)
-        spec = pendulum.ocp_spec(
-            blocks, eps_star=eps_infl, w_star=0.01,
-            k_psi=cert.k_psi, k_w=cert.k_w, g_dagger_norm=cert.g_dagger_inf_bound,
-        )
-        dev, unconverged = run(spec, plant.NoiseModel(w_star=0.01, seed=2000 + seed))
+        traj = pendulum.collect(seed)
+        dev, unconverged = run(traj, plant.NoiseModel(w_star=0.01, seed=2000 + seed))
         peak, mean = dev.max(axis=0), dev.mean(axis=0)
         swing_ok += bool(np.all(mean < 0.3))
-        dev_gate, unconverged_gate = run(spec, plant.NoiseModel())
+        dev_gate, unconverged_gate = run(traj, plant.NoiseModel())
         peak_gate = dev_gate.max(axis=0)
         passes += bool(np.all(dev_gate <= 0.1))
         details.append(
@@ -351,46 +340,34 @@ def test_reference_swing_up_reproduction(pendulum, pendulum_cert):
 # -- 10 ---------------------------------------------------------------------
 
 
-def test_settled_error_monotone_trends(pendulum):
+def test_settled_error_monotone_trends():
     """Settled error non-increasing across noise levels (fixed dictionary)
     and across dictionary-error levels (fixed noise). Each point averages
     three data/noise seeds; comparisons carry a 0.01 rad slack, below the
     run-to-run spread of the settled-error estimator."""
-    x0 = np.array([0.2, 0.0, 0.4, 0.0])
-    hold = plant.equilibrium_torque(pendulum.params, x0[[0, 2]])
-    coarse = presets.pendulum_experiment(grid_points=5)
     cert_cache = {}
     run_cache = {}
 
-    def certificate(perturbation):
-        if perturbation not in cert_cache:
-            d = pendulum.dictionary(perturbation=perturbation, seed=3)
-            cert_cache[perturbation] = (
-                d,
-                basis.build_certificate(
-                    d, pendulum.phi, coarse.box, degrees=(2, 2), w_star=0.01, seed=3
-                ),
-            )
-        return cert_cache[perturbation]
+    def scenario(w_star, perturbation):
+        # started at rest near the setpoint; certificates on a coarse grid
+        return pendulum_scenario(
+            box={"grid_points": 5}, dictionary={"perturbation": perturbation},
+            noise={"w_star": w_star}, run={"x0": [0.2, 0.0, 0.4, 0.0], "total_steps": 150},
+        )
 
     def settled(w_star, perturbation):
         key = (w_star, perturbation)
         if key in run_cache:
             return run_cache[key]
-        d, cert = certificate(perturbation)
+        if perturbation not in cert_cache:  # every certificate at w* = 0.01
+            cert_cache[perturbation] = scenario(0.01, perturbation).certificate()
+        exp = scenario(w_star, perturbation)
         errs = []
         for seed in (0, 1, 2):
-            traj = pendulum.collect(seed=seed, w_star=w_star)
-            blocks = pendulum.blocks(d, traj)
-            spec = pendulum.ocp_spec(
-                blocks, eps_star=cert.eps_star * 1.1, w_star=w_star,
-                k_psi=cert.k_psi, k_w=cert.k_w, g_dagger_norm=cert.g_dagger_inf_bound,
-            )
-            log = npc.run_closed_loop(
-                spec, pendulum.plant_model,
+            log = exp.closed_loop(
+                exp.collect(seed), cert_cache[perturbation],
                 plant.NoiseModel(w_star=w_star, seed=77 + seed),
-                x0=x0, total_steps=150, hold_input=hold,
-            )
+            )[-1]
             errs.append(log.settled_error(last=50))
         run_cache[key] = float(np.mean(errs))
         return run_cache[key]

@@ -79,12 +79,15 @@ def test_unknown_key_rejected(tmp_path):
          "sweep.vary"),
         ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "noise", "values": [0.0]}),
          "sweep.vary"),
-        # keys only collect and the certificate read
+        # keys only collect and the certificate read, and the files a sweep loads once
         ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "data.seed", "values": [0, 1]}),
          "sweep.vary 'data.seed'"),
         ("sweep", toy_config,
          lambda cfg: cfg.update(sweep={"vary": "box.grid_points", "values": [5, 7]}),
          "sweep.vary 'box.grid_points'"),
+        ("sweep", toy_config,
+         lambda cfg: cfg.update(sweep={"vary": "files.data", "values": ["a.csv", "b.csv"]}),
+         "sweep.vary 'files.data'"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
         # a 7-state box on the 4-state pendulum
         ("collect", reference_config,
@@ -122,11 +125,30 @@ def test_unknown_key_rejected(tmp_path):
          "ocp.eps_inflation"),
         # one entry on the 2-state toy
         ("simulate", toy_config, lambda cfg: cfg.update(simulate={"xi0": [0.0]}), "simulate.xi0"),
+        # values of the wrong type
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(L="ten"), "ocp.L"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(lambda_alpha="abc"),
+         "ocp.lambda_alpha"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(c_slack=None), "ocp.c_slack"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(stride="two"), "ocp.stride"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(total_steps="x"), "run.total_steps"),
+        ("npc-run", toy_config, lambda cfg: cfg["noise"].update(w_star="big"), "noise.w_star"),
+        ("collect", toy_config, lambda cfg: cfg["data"].update(N="x"), "data.N"),
+        ("simulate", toy_config, lambda cfg: cfg.update(simulate={"L": "x"}), "simulate.L"),
+        # arrays of the wrong size on the 2-state, 1-channel toy
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(x0=[0.3, -0.2, 0.1]), "run.x0"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(x0=[0.3]), "run.x0"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(hold_input=[0.0, 0.0]),
+         "run.hold_input"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(hold_input=None), "run.hold_input"),
+        ("npc-run", toy_config, lambda cfg: cfg["run"].update(x0=[None, 0.1]), "run.x0"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(Q=np.eye(2).tolist()), "ocp: Q"),
+        ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(R=[[1.0, 0.0]]), "ocp: R"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
         "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "sweep_vary_data_seed",
-        "sweep_vary_box_grid_points", "no_u_setpoint",
+        "sweep_vary_box_grid_points", "sweep_vary_files_data", "no_u_setpoint",
         "box_states", "box_inputs", "box_lower_above_upper", "box_grid_points",
         "ocp_mode", "ocp_slack_mode", "ocp_L_zero", "ocp_robust_L_below_d_max",
         "ocp_u_setpoint_outside_box", "ocp_lambda_sigma_negative",
@@ -134,6 +156,11 @@ def test_unknown_key_rejected(tmp_path):
         "collect_L_too_deep", "ocp_L_too_deep", "check_pe_order_too_deep", "simulate_L_too_deep",
         "ocp_stride_zero", "ocp_stride_not_a_divisor", "run_total_steps_negative",
         "ocp_eps_inflation_negative", "simulate_xi0_size",
+        "ocp_L_text", "ocp_lambda_alpha_text", "ocp_c_slack_null", "ocp_stride_text",
+        "run_total_steps_text", "noise_w_star_text", "data_N_text", "simulate_L_text",
+        "run_x0_three_entries", "run_x0_one_entry", "run_hold_input_size",
+        "run_hold_input_null", "run_x0_null_entry", "ocp_Q_shape",
+        "ocp_R_shape",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):
@@ -272,6 +299,29 @@ def test_cli_pins_blas_threads_before_numpy_loads(given, pinned):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert out == ["False", pinned, "1", "1"]
+
+
+def test_seed_override_replaces_the_run_seed(tmp_path):
+    """``npc-run --seed-override k`` writes the log of the config whose
+    ``run.seed`` is ``k``; with online noise, another seed writes another."""
+    path, cfg = toy_config(tmp_path, noise={"w_star": 0.005, "seed": 0})
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    cfg["files"] = {
+        "data": str(out / "data.csv"),
+        "certificate": str(out / "certificate.json"),
+    }
+    path.write_text(json.dumps(cfg))
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(dict(cfg, run=dict(cfg["run"], seed=5))))
+    runs = {name: tmp_path / name for name in ("override", "seeded", "unseeded")}
+    assert run_cli(["npc-run", "--config", path, "--out-dir", runs["override"],
+                    "--seed-override", 5]) == cli.EXIT_OK
+    assert run_cli(["npc-run", "--config", seeded, "--out-dir", runs["seeded"]]) == cli.EXIT_OK
+    assert run_cli(["npc-run", "--config", path, "--out-dir", runs["unseeded"]]) == cli.EXIT_OK
+    logs = {name: (run / "log.csv").read_bytes() for name, run in runs.items()}
+    assert logs["override"] == logs["seeded"]
+    assert logs["override"] != logs["unseeded"]
 
 
 def test_npc_run_without_solves_has_no_solve_statistics(tmp_path):
@@ -496,14 +546,19 @@ def _reference_pair():
     preset, with the preset's receding-horizon problem on seed-0 data."""
     cfg = json.loads(REFERENCE.read_text())
     exp = presets.pendulum_experiment()
-    blocks = exp.blocks(exp.dictionary(seed=3), exp.collect(seed=0))
+    blocks = exp.blocks(exp.dictionary(), exp.collect(seed=0))
     return cfg, presets.Experiment(cfg), exp, exp.ocp_spec(blocks, eps_star=1.0)
 
 
 def test_reference_config_matches_the_reference_preset():
     """``configs/pendulum_reference.json`` states the preset's box, setpoint,
-    start, weights and input limits exactly."""
+    start, weights, input limits, dictionary and noise bound exactly."""
     cfg, from_cfg, exp, spec = _reference_pair()
+    dictionaries = (from_cfg.dictionary(), exp.dictionary())
+    assert dictionaries[0].name == dictionaries[1].name
+    assert dictionaries[0].estimates == dictionaries[1].estimates
+    assert from_cfg.cfg["dictionary"]["seed"] == exp.cfg["dictionary"]["seed"]
+    assert from_cfg.w_star == exp.w_star
     for name in ("u_lower", "u_upper", "xi_lower", "xi_upper"):
         np.testing.assert_array_equal(getattr(from_cfg.box, name), getattr(exp.box, name))
     assert from_cfg.box.grid_points == exp.box.grid_points
@@ -533,7 +588,9 @@ def test_one_experiment_assembly():
     and the one place in ``presets`` that builds a toy policy or collects
     data. The CLI names no plant: no ``"double_pendulum"`` literal, no
     pendulum policy, plant factory, hold torque or ``presets.PENDULUM_*``,
-    no table of policy keys of its own, and no collection of its own."""
+    no table of policy keys of its own, and no collection of its own. Nor
+    does it assemble a closed loop: no certificate build, receding-horizon
+    problem or loop of its own."""
     import ast
 
     package = Path(cli.__file__).parent
@@ -566,7 +623,8 @@ def test_one_experiment_assembly():
     ]
     assert not any("double_pendulum" in text for text in strings)
     assert not names & {
-        "PendulumPdPolicy", "make_double_pendulum", "equilibrium_torque", "collect_offline_data"
+        "PendulumPdPolicy", "make_double_pendulum", "equilibrium_torque", "collect_offline_data",
+        "run_closed_loop", "ocp_spec", "OcpSpec", "build_certificate",
     }
     assert not [name for name in names if name.startswith("PENDULUM_")]
     assert "_POLICY_KEYS" not in names

@@ -145,7 +145,8 @@ def test_decision_count_audit_pendulum_exact_mode():
 
 
 def paper_bound(spec, decision):
-    """The paper's slack bound with the decision's own ``||alpha||_1``."""
+    """The paper's slack bound with the decision's own ``||alpha||_1``; a
+    solve record carries it too."""
     gain = (spec.eps_star + spec.k_w * spec.w_star) * spec.g_dagger_norm
     return spec.k_psi * spec.w_star + gain * (1 + decision.alpha_l1)
 
@@ -186,11 +187,10 @@ def test_exact_mode_member_of_the_benchmark_converges_on_direct():
     )
     log = run_closed_loop(
         spec, toy, plant.NoiseModel(), np.array([0.2, 0.0, -0.1]), total_steps=2,
-        keep_decisions=True,
     )
     (rec,) = log.solves
     assert (rec.path, rec.status) == ("direct", "converged")
-    assert rec.sigma_inf <= paper_bound(spec, rec.decision)
+    assert rec.sigma_inf <= paper_bound(spec, rec)
     assert rec.max_violation == 0.0
 
 
@@ -260,6 +260,30 @@ def test_blocks_depth_validated():
             u_setpoint=np.zeros(2), y_setpoint=np.zeros(2),
             u_min=-np.ones(2), u_max=np.ones(2),
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("Q", np.eye(3), "Q must be 2 x 2"),
+        ("R", np.ones((1, 2)), "R must be 2 x 2"),
+        ("u_min", -np.ones(3), "u_min has 3 entries"),
+        ("y_setpoint", np.zeros(1), "y_setpoint has 1 entries"),
+        ("y_min", -np.ones(2), "y_min and y_max"),
+    ],
+)
+def test_weight_and_vector_shapes_validated(field, value, message):
+    """A weight that is not m x m, a vector that has not m entries and an
+    output box given on one side only are rejected, naming the field."""
+    toy, st, phi, traj, d = presets.chain_toy_setup()
+    common = dict(
+        mode="nominal", L=8, structure=st,
+        blocks=DataDictionaryBlocks.from_trajectory(d, traj, horizon=10), Q=np.eye(2),
+        R=np.eye(2), u_setpoint=np.zeros(2), y_setpoint=np.zeros(2),
+        u_min=-np.ones(2), u_max=np.ones(2),
+    )
+    with pytest.raises(ValueError, match=message):
+        OcpSpec(**{**common, field: value})
 
 
 def test_setpoint_interiority_validated():
@@ -407,7 +431,7 @@ def test_bound_active_fallback_in_closed_loop(fields):
     toy, _, _ = plant.make_scalar_flat()
     log = run_closed_loop(
         spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]),
-        total_steps=20, keep_decisions=True,
+        total_steps=20,
     )
     fallbacks = [rec for rec in log.solves if rec.path == "al-gn"]
     assert len(fallbacks) >= 3
@@ -415,10 +439,10 @@ def test_bound_active_fallback_in_closed_loop(fields):
     assert {rec.status for rec in fallbacks} == {"converged"}
     for rec in log.solves:
         if spec.slack_mode == "exact":
-            bound = paper_bound(spec, rec.decision)
+            bound = paper_bound(spec, rec)
         else:
             bound = spec.c_slack * spec.slack_level
-        assert rec.max_violation == max(0.0, rec.decision.sigma_inf - bound)
+        assert rec.max_violation == max(0.0, rec.sigma_inf - bound)
         if rec.applied:
             assert rec.sigma_inf <= bound + solver.SolverOptions().feasibility_tol
 
@@ -1220,18 +1244,28 @@ def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
         assert abs(core.violation(rep.x) - full_space_violation(builder, got)) <= 1e-14
 
 
-def test_nominal_record_keeps_full_space_violation():
+def test_nominal_record_keeps_full_space_violation(monkeypatch):
     """A nominal solve record's ``max_violation`` is the builder's equality
     violation ``||[H_psi; H_xi] alpha - g||_inf`` at the returned decision,
-    not the violation of the reduced equalities."""
+    not the violation of the reduced equalities. The decisions are caught
+    where the loop unpacks them."""
     toy, builder = nominal_toy_builders()["flat"]
+    decisions = []
+    unpack = npc._NominalCore.unpack
+
+    def recording_unpack(form, x):
+        decisions.append(unpack(form, x))
+        return decisions[-1]
+
+    monkeypatch.setattr(npc._NominalCore, "unpack", recording_unpack)
     log = run_closed_loop(
         builder.spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.45, -0.3]),
-        total_steps=12, keep_decisions=True,
+        total_steps=12,
     )
-    for rec in log.solves:
+    monkeypatch.undo()
+    for rec, decision in zip(log.solves, decisions, strict=True):
         assert rec.path == "al-gn"
-        want = full_space_violation(builder, rec.decision)
+        want = full_space_violation(builder, decision)
         assert abs(rec.max_violation - want) <= 1e-14
     assert max(rec.max_violation for rec in log.solves) > 0.0
 
