@@ -82,7 +82,6 @@ class DataDictionaryBlocks:
     H_u: np.ndarray
     H_y: list
     pe_ok: bool
-    pe_sigma_min: float
 
     @property
     def columns(self) -> int:
@@ -115,11 +114,7 @@ class DataDictionaryBlocks:
             for y, d in zip(outputs, traj.structure.degrees)
         ]
         order = horizon + traj.structure.n
-        if N >= order:
-            pe = is_persistently_exciting(feat_seq, order)
-            pe_ok, pe_sigma = pe.is_pe, pe.sigma_min
-        else:
-            pe_ok, pe_sigma = False, 0.0
+        pe_ok = N >= order and is_persistently_exciting(feat_seq, order).is_pe
         return cls(
             horizon=horizon,
             structure=traj.structure,
@@ -129,7 +124,6 @@ class DataDictionaryBlocks:
             H_u=H_u,
             H_y=H_y,
             pe_ok=pe_ok,
-            pe_sigma_min=pe_sigma,
         )
 
     @cached_property

@@ -397,12 +397,15 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
     section, _, key = str(vary).partition(".")
     if key not in _SCHEMA.get(section, ()):
         raise ConfigError(f"sweep.vary must name a config key 'section.key', not '{vary}'")
-    if section in ("data", "box", "files"):
+    if section in ("data", "box", "files", "dictionary") or vary == "noise.seed":
         # Only collect and the certificate read these keys, and the sweep
-        # loads the recorded files once: every value would repeat one loop.
+        # loads the recorded files once: every value would repeat one loop,
+        # or build a swept dictionary's blocks against the recorded
+        # certificate of the configured one.
         raise ConfigError(
             f"sweep.vary '{vary}' is read only by collect, the certificate or the sweep's "
-            "one load of the recorded files; a sweep re-runs the loop on the recorded data"
+            "one load of the recorded files; a sweep re-runs the loop on the recorded data "
+            "and certificate"
         )
     seeds = sweep_cfg.get("seeds", [0])
     exp = presets.Experiment(cfg)

@@ -29,6 +29,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -169,11 +170,12 @@ class OcpDecision:
     sigma_xi: Optional[np.ndarray]
     xi_bar: np.ndarray                # (L + d_max + 1, n)
 
-    @property
+    # Norms a solve and its record read, taken once per decision.
+    @cached_property
     def alpha_l1(self) -> float:
         return float(np.sum(np.abs(self.alpha)))
 
-    @property
+    @cached_property
     def sigma_inf(self) -> float:
         parts = [s for s in (self.sigma_psi, self.sigma_xi) if s is not None]
         if not parts:
@@ -262,12 +264,6 @@ class OcpBuilder:
             ]
         )
 
-    def free_slots(self, decision: OcpDecision) -> np.ndarray:
-        """``zf`` of a decision: its free input slots, then its free output
-        slots."""
-        d, Lp = self.d_max, self.Lp
-        return np.concatenate([decision.u_bar[d:].reshape(-1), *(y[d:Lp] for y in decision.y_bar)])
-
     def window(self, u_bar, y_bar) -> np.ndarray:
         """The window ``c`` holding the input window ``u_bar`` and the output
         windows ``y_bar``."""
@@ -315,7 +311,7 @@ class OcpBuilder:
         """The mode's constrained problem for one measured history, posed by a
         fresh ``reduced_form()``. That form is not kept, so a caller that
         needs the decision (a closed loop, say) keeps a reduced form and calls
-        its ``build`` and ``unpack``.
+        its ``solve``.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
         and measured outputs, oldest first. ``guess`` holds the free slots
@@ -371,7 +367,8 @@ class _WindowRestriction:
     rows (``features.rows``). ``alpha_s`` is the builder's ridge anchor and
     ``g_s = Hs @ alpha_s``, ``Hs = [H_psi; H_xi]`` the blocks' ``H_stack``,
     whose one SVD gives both maps. ``build`` poses the mode's problem for the
-    AL solver and ``unpack`` takes a solution back to a decision.
+    AL solver, ``unpack`` takes a solution back to a decision, and ``solve``
+    runs the whole solve of one measured history.
     """
 
     def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
@@ -402,8 +399,8 @@ class _WindowRestriction:
             [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
         )
 
-    def set_history(self, hist_u, hist_y):
-        self.features.set_fixed(self.b.pins(hist_u, hist_y))
+    def set_history(self, history_u, history_y):
+        self.features.set_fixed(self.b.pins(history_u, history_y))
 
     def _start(self, history_u, history_y, guess):
         """Set the history and return the free slots ``guess``, the builder's
@@ -429,6 +426,17 @@ class _WindowRestriction:
         alpha = x[self.dim :] if x.size > self.dim else self.combination(zf)
         psi = self.features.stacked(zf)[: self.features.n_psi]
         return b.window_decision(alpha, self.features.window(zf), b.H_psi @ alpha - psi)
+
+    def solve(self, history_u, history_y, guess):
+        """Solve the mode's problem for one measured history from the free
+        slots ``guess`` (the cold start when None): the AL solver on
+        ``build``'s problem. Returns ``(decision, status, objective,
+        iterations, max_violation, path)``, with the decision's measured
+        violation (``violation``) and the path ``al-gn``."""
+        report = _solver.solve(self.build(history_u, history_y, guess))
+        decision = self.unpack(report.x)
+        max_violation = self.violation(report.x, decision)
+        return decision, report.status, report.objective, report.iterations, max_violation, "al-gn"
 
 
 class _RelaxedDirect(_WindowRestriction):
@@ -553,11 +561,23 @@ class _RelaxedDirect(_WindowRestriction):
             ineq_jacobian=slack_jacobian,
         )
 
-    def violation(self, x) -> float:
-        """Slack-bound violation of the decision at ``x``, the bound taken at
-        its own ``||alpha||_1``."""
-        decision = self.unpack(x)
+    def violation(self, x, decision: OcpDecision) -> float:
+        """Slack-bound violation of ``decision`` (unpacked from ``x``), the
+        bound taken at its own ``||alpha||_1``."""
         return max(0.0, decision.sigma_inf - self.b.spec.slack_bound(decision.alpha_l1))
+
+    def solve(self, history_u, history_y, guess):
+        """The direct solve (``solve_relaxed_direct``, path ``direct``), and
+        when the slack bound is active at its solution, the AL solve of the
+        bounded problem from the direct solve's free slots; returns as
+        ``_WindowRestriction.solve``."""
+        decision, info = solve_relaxed_direct(self, history_u, history_y, guess)
+        if info["status"] == "bound-active":
+            return super().solve(history_u, history_y, info["zf"])
+        return (
+            decision, info["status"], info["objective"], info["iterations"],
+            info["max_violation"], "direct",
+        )
 
 
 class _NominalCore(_WindowRestriction):
@@ -594,10 +614,14 @@ class _NominalCore(_WindowRestriction):
             eq_jacobian=self.features.jacobian,
         )
 
-    def violation(self, zf) -> float:
-        """``||Hs alpha - g||_inf`` of the decision at ``zf``: its equality
-        violation, the pins and bounds being exact."""
-        return float(np.max(np.abs(self.Hs @ self.combination(zf) - self.features.stacked(zf))))
+    def violation(self, zf, decision: OcpDecision) -> float:
+        """``||Hs alpha - g||_inf`` of ``decision``, unpacked from ``zf``: its
+        equality violation, the pins and bounds being exact."""
+        return float(np.max(np.abs(self.Hs @ decision.alpha - self.features.stacked(zf))))
+
+
+# Residual evaluations a direct solve may spend.
+DIRECT_MAXITER = 60
 
 
 def solve_relaxed_direct(
@@ -605,35 +629,35 @@ def solve_relaxed_direct(
     history_u,
     history_y,
     guess: Optional[np.ndarray] = None,
-    maxiter: int = 60,
 ):
     """Solve the robust problem with its slack bound dropped, by slack and
     combination elimination, and check the bound afterwards.
 
     ``direct`` is the problem's direct form (``OcpBuilder.reduced_form`` of a
-    robust mode with a positive slack bound); a closed loop passes the form
-    it owns, so that the form is set up once per loop.
+    robust mode with a positive slack bound), whose ``solve`` calls this; a
+    closed loop owns its form, so that the form is set up once per loop.
     ``guess`` holds the free slots that start the solve, as for
     ``OcpBuilder.build``. Returns ``(decision, info)`` where ``info``
-    carries the objective, solver iterations, whether the slack bound held at
-    the optimum (when it does not, the caller must fall back to the bounded
-    problem, the form's ``build``) and the measured constraint violation. The
+    carries the objective, solver iterations, the status, the measured
+    constraint violation and the solution's free slots ``zf``. The status is
+    ``bound-active`` when the slack bound does not hold at the optimum; the
+    form then solves the bounded problem (its ``build``) from ``zf``. The
     solver, ``solver.reduced_lsq`` (box-constrained Levenberg-Marquardt),
     keeps the free slots inside the builder's bounds (the input box, and the
     output box when the spec has one) and the feature equality holds by
     construction, so the only constraint that can be violated is the slack
-    bound: ``max_violation = max(0, sigma_inf - bound)``, with the mode's
-    bound (``OcpSpec.slack_bound``) at the decision's own ``||alpha||_1``.
-    ``maxiter`` bounds the solver's residual evaluations.
+    bound: ``max_violation = max(0, sigma_inf - bound)`` (the form's
+    ``violation``), with the mode's bound (``OcpSpec.slack_bound``) at the
+    decision's own ``||alpha||_1``. ``DIRECT_MAXITER`` bounds the solver's
+    residual evaluations.
     """
     zf0 = direct._start(history_u, history_y, guess)
     res = _solver.reduced_lsq(
-        direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, maxiter, 1e-10
+        direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, DIRECT_MAXITER, 1e-10
     )
     decision = direct.unpack(res.x)
-    bound = direct.b.spec.slack_bound(decision.alpha_l1)
-    bound_ok = decision.sigma_inf <= bound + 1e-9
-    if not bound_ok:
+    max_violation = direct.violation(res.x, decision)
+    if max_violation > 1e-9:
         status = "bound-active"
     elif res.converged:
         status = "converged"
@@ -643,8 +667,8 @@ def solve_relaxed_direct(
         "objective": res.objective,
         "iterations": res.nfev,
         "status": status,
-        "bound_ok": bound_ok,
-        "max_violation": max(0.0, decision.sigma_inf - bound),
+        "max_violation": max_violation,
+        "zf": res.x,
     }
     return decision, info
 
@@ -724,15 +748,16 @@ def run_closed_loop(
     other exception propagates. Each record names the path that produced its
     decision: the direct solve, the AL solver with Gauss-Newton inner steps
     (``al-gn``), or ``held`` when no solve returned one, and the wall-clock
-    time of its warm start and solve. Every solve runs on the reduced form of
-    the problem (``OcpBuilder.reduced_form``), the free window slots. A robust
-    mode with a positive slack bound, relaxed or exact, takes the direct
-    solve, and the AL solver on the bounded problem when the bound is active
-    at the direct solution, started at its free slots (so at its combination
-    vector too, which the form derives from them); the record then keeps the
-    decision's own slack-bound violation. Nominal mode, and robust mode with
-    zero bounds, run the AL solver under the membership equalities, and the
-    record keeps the equality violation of the decision.
+    time of its warm start and solve. Every solve is the ``solve`` of the
+    problem's reduced form (``OcpBuilder.reduced_form``), on the free window
+    slots, from the history of the log's last ``d_max`` inputs and measured
+    outputs. A robust mode with a positive slack bound, relaxed or exact,
+    takes the direct solve, and the AL solver on the bounded problem when the
+    bound is active at the direct solution, started at its free slots (so at
+    its combination vector too, which the form derives from them); the record
+    then keeps the decision's own slack-bound violation. Nominal mode, and
+    robust mode with zero bounds, run the AL solver under the membership
+    equalities, and the record keeps the equality violation of the decision.
     """
     stride = spec.stride if stride is None else stride
     if stride < 1 or total_steps < 0 or total_steps % stride:
@@ -741,7 +766,6 @@ def run_closed_loop(
     # The reduced form holds the builder, so the loop owns it: cached on the
     # builder it would make a reference cycle that outlives the loop.
     form = builder.reduced_form()
-    use_direct = isinstance(form, _RelaxedDirect)
     d_max = spec.d_max
     m = spec.structure.m
 
@@ -757,8 +781,6 @@ def run_closed_loop(
     )
 
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    hist_u = np.empty((d_max, m))
-    hist_y = np.empty((d_max, m))
 
     def record(t, u):
         nonlocal x
@@ -772,12 +794,9 @@ def run_closed_loop(
         log.outputs_measured.append(y_meas)
         log.stage_costs.append(float(du @ spec.R @ du + dy @ spec.Q @ dy))
         x = np.asarray(plant_model.step(x, u), dtype=float).reshape(-1)
-        return y_meas
 
     for t in range(d_max):
-        y_meas = record(t, hold.copy())
-        hist_u[t] = hold
-        hist_y[t] = y_meas
+        record(t, hold.copy())
 
     prev_decision = None
     prev_applied = np.tile(hold, (stride, 1))
@@ -785,27 +804,14 @@ def run_closed_loop(
     for t0 in range(0, total_steps, stride):
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"plant state diverged at step {t0}")
-        decision = None
+        history = log.inputs[-d_max:], log.outputs_measured[-d_max:]
         error = ""
         started = time.perf_counter()
         try:
             warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
-            start = warm
-            if use_direct:
-                decision, info = solve_relaxed_direct(form, hist_u, hist_y, warm)
-                if info["bound_ok"]:
-                    status, objective = info["status"], info["objective"]
-                    iterations, max_violation = info["iterations"], info["max_violation"]
-                    path = "direct"
-                else:
-                    # slack bound active: solve the bounded problem from here
-                    start, decision = builder.free_slots(decision), None
-            if decision is None:
-                report = _solver.solve(form.build(hist_u, hist_y, guess=start))
-                decision = form.unpack(report.x)
-                status, objective, iterations = report.status, report.objective, report.iterations
-                max_violation = form.violation(report.x)
-                path = "al-gn"
+            decision, status, objective, iterations, max_violation, path = form.solve(
+                *history, warm
+            )
         except (RuntimeError, ValueError, ArithmeticError) as exc:
             decision = None
             error = f"{type(exc).__name__}: {exc}"
@@ -816,7 +822,7 @@ def run_closed_loop(
                 # A placeholder that evaluates no dictionary, so it cannot
                 # raise: the setpoint in every free slot, at the setpoint's alpha.
                 rest = [np.tile(spec.u_setpoint, spec.L), np.repeat(spec.y_setpoint, spec.L)]
-                c = np.concatenate([*rest, builder.pins(hist_u, hist_y)])
+                c = np.concatenate([*rest, builder.pins(*history)])
                 decision = builder.window_decision(builder.alpha_s, c)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
@@ -842,10 +848,7 @@ def run_closed_loop(
         )
         log.solves.append(rec)
         for j in range(stride):
-            u = np.clip(inputs[j], spec.u_min, spec.u_max)
-            y_meas = record(d_max + t0 + j, u)
-            hist_u = np.vstack([hist_u[1:], u])
-            hist_y = np.vstack([hist_y[1:], y_meas])
+            record(d_max + t0 + j, np.clip(inputs[j], spec.u_min, spec.u_max))
         prev_applied = inputs.copy()
 
     return log

@@ -65,7 +65,7 @@ _DICTIONARIES = {
     "input": basis.InputDictionary,
     "poly2": basis.PolynomialDictionary,
     "trig": basis.TrigDictionary,
-    "flat_exact": lambda m, n: flat_toy_dictionary(),
+    "flat_exact": lambda m, n: basis.FlatToyDictionary(),
 }
 
 
@@ -408,12 +408,6 @@ def flat_toy_setup():
     and clean offline data; the workhorse of the nominal-scheme tests."""
     cfg = {"plant": {"name": "scalar_flat"}, "dictionary": {"name": "flat_exact"}}
     return _toy_setup(cfg, seed=2, N=60)
-
-
-def flat_toy_dictionary(extra: Optional[float] = None) -> basis.FlatToyDictionary:
-    """Dictionary spanning the flat toy's transformed input exactly; ``extra``
-    distorts the sine entry to dial in a known approximation-error level."""
-    return basis.FlatToyDictionary(0.0 if extra is None else extra)
 
 
 def chain_toy_setup():

@@ -6,7 +6,7 @@ augmented-Lagrangian outer loop (multiplier updates, penalty growth when
 feasibility stalls); each inner subproblem is the augmented Lagrangian
 written as least-squares rows (the objective rows, then the shifted equality
 rows and the hinged inequality rows, scaled by the penalty) over the box.
-Identical problems, options and guesses give identical reports.
+Identical problems and guesses give identical reports.
 
 ``reduced_lsq`` is the one box-constrained least-squares solver. It runs the
 augmented-Lagrangian inner subproblems, the controller's relaxed direct solve
@@ -37,6 +37,10 @@ def __getattr__(name):
 
 # The augmented-Lagrangian penalty: start, growth when feasibility stalls, cap.
 PENALTY_INIT, PENALTY_GROWTH, PENALTY_MAX = 10.0, 10.0, 1e12
+# Its stopping tests (sup-norm constraint violation, projected gradient) and
+# budgets (outer iterations, residual evaluations per inner solve).
+FEASIBILITY_TOL, OPTIMALITY_TOL = 1e-7, 1e-6
+MAX_OUTER, INNER_MAXITER = 20, 500
 
 
 class CallbackError(RuntimeError):
@@ -87,29 +91,14 @@ class NlpProblem:
 
 
 @dataclass
-class SolverOptions:
-    feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-6
-    max_outer: int = 20
-    inner_maxiter: int = 500
-
-
-@dataclass
 class SolverReport:
     x: np.ndarray
-    objective: float
-    max_eq_violation: float
-    max_ineq_violation: float
-    iterations: int
-    kkt_residual: float
+    objective: float  # ||ls_residual(x)||^2
+    iterations: int  # inner residual evaluations
     status: str  # converged | max-iter | infeasible-detected
 
-    @property
-    def max_violation(self) -> float:
-        return max(self.max_eq_violation, self.max_ineq_violation)
 
-
-def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> SolverReport:
+def solve(problem: NlpProblem) -> SolverReport:
     """Minimize the problem with an augmented-Lagrangian loop.
 
     Each inner solve is ``reduced_lsq`` on the augmented Lagrangian's
@@ -118,10 +107,10 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
     by the projected gradient ``2 J^T r`` of those rows at the returned
     point. Slow convergence yields a ``max-iter`` report rather than an
     exception; a stalled penalty at its cap with large violation is reported
-    as ``infeasible-detected``.
+    as ``infeasible-detected``. The tolerances and budgets are the module's
+    ``FEASIBILITY_TOL``, ``OPTIMALITY_TOL``, ``MAX_OUTER`` and
+    ``INNER_MAXITER``, read at each call.
     """
-    opts = options or SolverOptions()
-
     eq_res, eq_jac = problem.eq_residual, problem.eq_jacobian
     in_res, in_jac = problem.ineq_residual, problem.ineq_jacobian
 
@@ -158,50 +147,39 @@ def solve(problem: NlpProblem, options: Optional[SolverOptions] = None) -> Solve
             rows.append(sr * (Ji * ((gi + nu / rho) > 0)[:, None]))
         return np.vstack(rows)
 
-    def violations(zz):
-        ve = float(np.max(np.abs(eq_res(zz)))) if n_eq else 0.0
-        vi = float(np.max(np.maximum(0.0, in_res(zz)))) if n_in else 0.0
-        return ve, vi
-
     def kkt_residual(zz):
         g = 2.0 * (al_jacobian(zz).T @ al_residual(zz))
         proj = np.clip(zz - g, problem.lower, problem.upper) - zz
         return float(np.max(np.abs(proj))) if proj.size else 0.0
 
     status = "max-iter"
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         inner = reduced_lsq(
-            al_residual, al_jacobian, z, problem.lower, problem.upper, opts.inner_maxiter, 1e-14
+            al_residual, al_jacobian, z, problem.lower, problem.upper, INNER_MAXITER, 1e-14
         )
         z = inner.x
         total_inner += inner.nfev
-        violation = max(violations(z))
-        if violation <= opts.feasibility_tol and kkt_residual(z) <= opts.optimality_tol:
+        violation = max(
+            float(np.max(np.abs(eq_res(z)))) if n_eq else 0.0,
+            float(np.max(np.maximum(0.0, in_res(z)))) if n_in else 0.0,
+        )
+        if violation <= FEASIBILITY_TOL and kkt_residual(z) <= OPTIMALITY_TOL:
             status = "converged"
             break
         if n_eq:
             mu = mu + rho * eq_res(z)
         if n_in:
             nu = np.maximum(0.0, nu + rho * np.asarray(in_res(z), dtype=float).reshape(-1))
-        if violation > opts.feasibility_tol and violation > 0.25 * prev_violation:
+        if violation > FEASIBILITY_TOL and violation > 0.25 * prev_violation:
             if rho >= PENALTY_MAX:
-                if violation > 1e3 * opts.feasibility_tol and violation > 0.9 * prev_violation:
+                if violation > 1e3 * FEASIBILITY_TOL and violation > 0.9 * prev_violation:
                     status = "infeasible-detected"
                     break
             rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
         prev_violation = violation
 
-    ve, vi = violations(z)
-    f, _ = problem.objective(z)
-    return SolverReport(
-        x=z,
-        objective=float(f),
-        max_eq_violation=ve,
-        max_ineq_violation=vi,
-        iterations=total_inner,
-        kkt_residual=kkt_residual(z),
-        status=status,
-    )
+    r = problem.ls_residual(z)
+    return SolverReport(x=z, objective=float(r @ r), iterations=total_inner, status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class CustomDictionary(BasisDictionary):
 
 
 def flat_toy_callables(extra=None) -> CustomDictionary:
-    """The flat toy's dictionary (``presets.flat_toy_dictionary``) as scalar
+    """The flat toy's dictionary (``basis.FlatToyDictionary``) as scalar
     callables, one call per row and basis function."""
     c = 0.0 if extra is None else extra
 

@@ -127,7 +127,8 @@ def test_synthetic_input_is_window_step_plus_exact_model_accelerations():
 def test_flat_dictionary_equals_scalar_callables_bitwise(extra):
     """The flat toy's batched dictionary is its scalar-callable form bit for
     bit, values and partials, on 12,000 points spread over several scales."""
-    d, ref = presets.flat_toy_dictionary(extra), flat_toy_callables(extra)
+    d = basis.FlatToyDictionary() if extra is None else basis.FlatToyDictionary(extra)
+    ref = flat_toy_callables(extra)
     assert (d.name, d.u_prefix, d.m, d.n, d.r) == (ref.name, ref.u_prefix, ref.m, ref.n, ref.r)
     rng = np.random.default_rng(11)
     for scale in (0.1, 1.5, 4.0, 1e3):
@@ -151,7 +152,7 @@ def test_flat_dictionary_rejects_nonfinite_values(bad, column):
     Z[2, column] = bad
     messages = []
     with np.errstate(invalid="ignore"):
-        for d in (presets.flat_toy_dictionary(0.05), flat_toy_callables(0.05)):
+        for d in (basis.FlatToyDictionary(0.05), flat_toy_callables(0.05)):
             with pytest.raises(basis.DictionaryEvaluationError, match="step 2") as err:
                 d.value_batch(Z[:, :1], Z[:, 1:])
             messages.append(str(err.value))
@@ -233,7 +234,7 @@ def test_evaluate_along_reports_nonfinite():
         PolynomialDictionary(1, 2),
         TrigDictionary(2, 3),
         PendulumModelDictionary(plant.DoublePendulumParams(m1=1.05, l2=0.47)),
-        presets.flat_toy_dictionary(extra=0.05),
+        basis.FlatToyDictionary(0.05),
     ],
 )
 def test_dictionary_jacobians_match_finite_differences(dictionary):
@@ -262,7 +263,7 @@ def test_dictionary_jacobians_match_finite_differences(dictionary):
         InputDictionary(2, 3),
         PolynomialDictionary(1, 2),
         TrigDictionary(2, 3),
-        presets.flat_toy_dictionary(extra=0.05),
+        basis.FlatToyDictionary(0.05),
         CustomDictionary(1, 2, funcs=[lambda u, xi: u[0] * np.cos(xi[1]), lambda u, xi: xi[0] ** 3]),
         PendulumModelDictionary(plant.DoublePendulumParams(m1=1.05, l2=0.47)),
     ],
@@ -330,7 +331,7 @@ def test_fit_singular_gram_raises():
 
 
 def test_fit_is_least_squares_minimum():
-    d = presets.flat_toy_dictionary(extra=0.05)
+    d = basis.FlatToyDictionary(0.05)
     toy, st, phi, *_ = presets.flat_toy_setup()
     box = unit_box(1, 2, grid=7)
 

@@ -4,7 +4,7 @@ import pytest
 import reference_window_fit
 from reference_checks import representation_residual
 from reference_dictionary import CustomDictionary
-from ddnpc import behavior, plant, presets
+from ddnpc import basis, behavior, plant, presets
 from ddnpc.behavior import (
     DataDictionaryBlocks,
     DictionaryLacksInputError,
@@ -214,7 +214,7 @@ def test_simulation_bound_is_sound_over_random_instances():
             toy, policy, 60, st, plant.NoiseModel(w_star=w_star, seed=trial)
         )
         c_err = float(rng.choice([0.02, 0.05, 0.1]))
-        d = presets.flat_toy_dictionary(extra=c_err)
+        d = basis.FlatToyDictionary(c_err)
         blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10, use_noisy=True)
         # conservative certificate constants for this family on the data range
         box_amp = float(np.max(np.abs(traj.xi.data))) + 0.2
@@ -246,7 +246,7 @@ def test_simulation_error_vanishes_with_dictionary_quality():
     xi0 = np.array([ys[0, 0], ys[1, 0]])
     errors = []
     for c_err in (0.5, 0.05, 0.005, 0.0):
-        d = presets.flat_toy_dictionary(extra=c_err if c_err else None)
+        d = basis.FlatToyDictionary(c_err)
         blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10)
         sim = simulate_data_driven(blocks, u_new, xi0, eps_star=0.3 * c_err)
         errors.append(float(np.max(np.abs(sim.outputs[0] - ys[:12, 0]))))

@@ -88,6 +88,12 @@ def test_unknown_key_rejected(tmp_path):
         ("sweep", toy_config,
          lambda cfg: cfg.update(sweep={"vary": "files.data", "values": ["a.csv", "b.csv"]}),
          "sweep.vary 'files.data'"),
+        ("sweep", toy_config,
+         lambda cfg: cfg.update(sweep={"vary": "noise.seed", "values": [1, 2]}),
+         "sweep.vary 'noise.seed'"),
+        ("sweep", toy_config,
+         lambda cfg: cfg.update(sweep={"vary": "dictionary.perturbation", "values": [0.0, 0.1]}),
+         "sweep.vary 'dictionary.perturbation'"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].pop("u_setpoint"), "ocp.u_setpoint"),
         # a 7-state box on the 4-state pendulum
         ("collect", reference_config,
@@ -148,7 +154,8 @@ def test_unknown_key_rejected(tmp_path):
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
         "toy_policy_kp", "sweep_without_vary", "sweep_vary_not_a_key", "sweep_vary_data_seed",
-        "sweep_vary_box_grid_points", "sweep_vary_files_data", "no_u_setpoint",
+        "sweep_vary_box_grid_points", "sweep_vary_files_data", "sweep_vary_noise_seed",
+        "sweep_vary_dictionary_perturbation", "no_u_setpoint",
         "box_states", "box_inputs", "box_lower_above_upper", "box_grid_points",
         "ocp_mode", "ocp_slack_mode", "ocp_L_zero", "ocp_robust_L_below_d_max",
         "ocp_u_setpoint_outside_box", "ocp_lambda_sigma_negative",

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import time
 import warnings
 import weakref
@@ -120,14 +121,16 @@ def test_nominal_equilibrium_is_zero_cost():
     assert report.objective <= 1e-10
 
 
-def test_nominal_infeasible_history_detected():
+def test_nominal_infeasible_history_detected(monkeypatch):
     toy, st, phi, traj, d, spec = chain_spec()
     hu = np.zeros((2, 2))
     hy = np.array([[50.0, -40.0], [-60.0, 55.0]])  # unreachable with |u| <= 5
     problem = OcpBuilder(spec).build(hu, hy)
-    report = solver.solve(problem, solver.SolverOptions(max_outer=25, inner_maxiter=80))
+    monkeypatch.setattr(solver, "MAX_OUTER", 25)
+    monkeypatch.setattr(solver, "INNER_MAXITER", 80)
+    report = solver.solve(problem)
     assert report.status in ("infeasible-detected", "max-iter")
-    assert report.max_violation > 1e-3
+    assert full_space.constraint_violation(problem, report.x) > 1e-3
 
 
 def test_decision_count_audit_pendulum_exact_mode():
@@ -151,7 +154,7 @@ def paper_bound(spec, decision):
     return spec.k_psi * spec.w_star + gain * (1 + decision.alpha_l1)
 
 
-def test_exact_mode_solves_on_toy():
+def test_exact_mode_solves_on_toy(monkeypatch):
     """The bounded exact-mode problem on the reduced core, from the cold
     start: its solution meets the paper's slack bound."""
     toy, st, phi = plant.make_chain_lti()
@@ -170,11 +173,13 @@ def test_exact_mode_solves_on_toy():
     )
     hu, hy, _ = chain_history(toy, st, np.array([0.2, 0.0, -0.1]))
     form = OcpBuilder(spec).reduced_form()
-    report = solver.solve(form.build(hu, hy), solver.SolverOptions(max_outer=20, inner_maxiter=800))
-    assert report.max_violation <= 1e-7
+    problem = form.build(hu, hy)
+    monkeypatch.setattr(solver, "INNER_MAXITER", 800)
+    report = solver.solve(problem)
+    assert full_space.constraint_violation(problem, report.x) <= 1e-7
     decision = form.unpack(report.x)
     assert decision.sigma_inf <= paper_bound(spec, decision) + 1e-6
-    assert form.violation(report.x) == 0.0
+    assert form.violation(report.x, decision) == 0.0
 
 
 def test_exact_mode_member_of_the_benchmark_converges_on_direct():
@@ -234,7 +239,7 @@ def test_robust_free_slack_beats_pinned_slack():
     traj = plant.collect_offline_data(
         toy, policy, 60, st, plant.NoiseModel(w_star=0.01, seed=1)
     )
-    d = presets.flat_toy_dictionary()
+    d = basis.FlatToyDictionary()
     blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10, use_noisy=True)
     common = dict(
         mode="robust", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
@@ -367,8 +372,10 @@ def test_recursive_feasibility_candidate():
     hist_u, hist_y = np.array(hist_u), np.array(hist_y)
     core = builder.reduced_form()
     for step in range(10):
-        report = solver.solve(core.build(hist_u, hist_y))
-        assert report.status == "converged" or report.max_violation <= 1e-7
+        problem = core.build(hist_u, hist_y)
+        report = solver.solve(problem)
+        violation = full_space.constraint_violation(problem, report.x)
+        assert report.status == "converged" or violation <= 1e-7
         decision = core.unpack(report.x)
         u_apply = decision.planned_inputs(st.d_max, 1)[0]
         y_meas = toy.measure(x)
@@ -402,7 +409,7 @@ def flat_toy_relaxed_spec(y_s):
     traj = plant.collect_offline_data(
         toy, policy, 60, st, plant.NoiseModel(w_star=0.005, seed=1)
     )
-    d = presets.flat_toy_dictionary()
+    d = basis.FlatToyDictionary()
     blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10, use_noisy=True)
     return OcpSpec(
         mode="robust", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
@@ -444,13 +451,13 @@ def test_bound_active_fallback_in_closed_loop(fields):
             bound = spec.c_slack * spec.slack_level
         assert rec.max_violation == max(0.0, rec.sigma_inf - bound)
         if rec.applied:
-            assert rec.sigma_inf <= bound + solver.SolverOptions().feasibility_tol
+            assert rec.sigma_inf <= bound + solver.FEASIBILITY_TOL
 
 
 @BOUND_ACTIVE
 def test_bound_active_fallback_starts_at_the_direct_decision(monkeypatch, fields):
-    """The loop hands the bounded problem only the direct decision's free
-    slots, and the form derives the combination vector from them as
+    """The direct form starts the bounded problem at only the direct
+    solution's free slots, and derives the combination vector from them as
     ``unpack`` did: the problem's ``x0`` is the direct decision's ``[zf;
     alpha]`` bit for bit."""
     spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
@@ -476,8 +483,20 @@ def test_bound_active_fallback_starts_at_the_direct_decision(monkeypatch, fields
     assert len(starts) >= 3
     for decision, x0 in starts:
         np.testing.assert_array_equal(
-            x0, np.concatenate([builder.free_slots(decision), decision.alpha])
+            x0, np.concatenate([builder.shifted_guess(decision, 0), decision.alpha])
         )
+
+
+def test_the_loop_calls_one_solve_and_the_solvers_take_no_options():
+    """The closed loop calls its reduced form's ``solve`` and names neither a
+    form class nor a solver. The AL solver takes the problem alone and the
+    direct solve no iteration budget: their settings are module constants."""
+    source = inspect.getsource(npc.run_closed_loop)
+    for name in ("_RelaxedDirect", "solve_relaxed_direct", "_solver"):
+        assert name not in source, name
+    assert list(inspect.signature(solver.solve).parameters) == ["problem"]
+    assert "maxiter" not in inspect.signature(npc.solve_relaxed_direct).parameters
+    assert not hasattr(solver, "SolverOptions")
 
 
 @pytest.mark.parametrize("shift", [0, 2, 3])
@@ -530,7 +549,7 @@ def test_starts_make_no_dictionary_call(monkeypatch):
     assert sum(calls.values()) >= 2
 
 
-def assert_direct_agrees_with_constrained(y_s):
+def assert_direct_agrees_with_constrained(monkeypatch, y_s):
     """The direct elimination, the bounded problem on the reduced core and
     the full-space AL reference solve the same relaxed robust problem on the
     flat toy at setpoint ``y_s``, where the slack bound is inactive."""
@@ -538,13 +557,15 @@ def assert_direct_agrees_with_constrained(y_s):
     st = builder.spec.structure
     hu = np.zeros((2, 1))
     hy = np.array([[0.2], [0.19]])
-    dec_fast, info = solve_relaxed_direct(builder.reduced_form(), hu, hy, maxiter=300)
-    assert info["bound_ok"]
-    opts = solver.SolverOptions(feasibility_tol=1e-9, optimality_tol=1e-7)
-    rep = solver.solve(full_space.problem(builder, hu, hy), opts)
+    monkeypatch.setattr(npc, "DIRECT_MAXITER", 300)
+    dec_fast, info = solve_relaxed_direct(builder.reduced_form(), hu, hy)
+    assert info["status"] != "bound-active"
+    monkeypatch.setattr(solver, "FEASIBILITY_TOL", 1e-9)
+    monkeypatch.setattr(solver, "OPTIMALITY_TOL", 1e-7)
+    rep = solver.solve(full_space.problem(builder, hu, hy))
     dec_slow = full_space.Packed(builder).unpack(rep.x)
     form = builder.reduced_form()
-    bounded = solver.solve(form.build(hu, hy), opts)
+    bounded = solver.solve(form.build(hu, hy))
     for objective, decision in (
         (rep.objective, dec_slow), (bounded.objective, form.unpack(bounded.x))
     ):
@@ -555,14 +576,14 @@ def assert_direct_agrees_with_constrained(y_s):
     return builder
 
 
-def test_direct_solver_agrees_with_constrained_path():
-    assert_direct_agrees_with_constrained(0.0)
+def test_direct_solver_agrees_with_constrained_path(monkeypatch):
+    assert_direct_agrees_with_constrained(monkeypatch, 0.0)
 
 
-def test_direct_solver_agrees_with_constrained_path_nonzero_setpoint():
+def test_direct_solver_agrees_with_constrained_path_nonzero_setpoint(monkeypatch):
     """At a setpoint with nonzero features the ridge anchor is nonzero, so a
     change to only one path's anchor shows here."""
-    builder = assert_direct_agrees_with_constrained(0.3)
+    builder = assert_direct_agrees_with_constrained(monkeypatch, 0.3)
     assert np.max(np.abs(builder.alpha_s)) > 1e-3
 
 
@@ -607,7 +628,7 @@ def test_robust_equilibrium_is_zero_cost():
     hu = np.tile(exp.u_setpoint, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint, (spec.d_max, 1))
     decision, info = solve_relaxed_direct(builder.reduced_form(), hu, hy)
-    assert info["bound_ok"]
+    assert info["status"] != "bound-active"
     assert info["objective"] <= 1e-8
     np.testing.assert_allclose(
         decision.planned_inputs(spec.d_max, spec.L), np.tile(exp.u_setpoint, (spec.L, 1)),
@@ -770,9 +791,9 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
     recorded = []
     solve = npc.solve_relaxed_direct
 
-    def recording(direct, history_u, history_y, guess=None, maxiter=60):
+    def recording(direct, history_u, history_y, guess=None):
         recorded.append((np.array(history_u), np.array(history_y), guess))
-        return solve(direct, history_u, history_y, guess, maxiter)
+        return solve(direct, history_u, history_y, guess)
 
     monkeypatch.setattr(npc, "solve_relaxed_direct", recording)
     run_closed_loop(
@@ -793,13 +814,14 @@ def test_direct_solver_agrees_with_trust_region_on_closed_loop_solves(monkeypatc
         assert abs(rep.objective - 2.0 * ref.cost) <= 1e-8 * 2.0 * ref.cost
 
 
-def test_direct_iteration_limit_reports_measured_violation():
+def test_direct_iteration_limit_reports_measured_violation(monkeypatch):
     """A direct solve stopped by its iteration limit reports the slack-bound
     violation it measured, not an assumed zero."""
     exp, _, spec, builder = pendulum_relaxed_builder()
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint - 1.0, (spec.d_max, 1))
-    decision, info = solve_relaxed_direct(builder.reduced_form(), hu, hy, maxiter=1)
+    monkeypatch.setattr(npc, "DIRECT_MAXITER", 1)
+    decision, info = solve_relaxed_direct(builder.reduced_form(), hu, hy)
     assert info["status"] == "max-iter"
     bound = spec.c_slack * spec.slack_level
     assert np.isfinite(info["max_violation"]) and info["max_violation"] >= 0.0
@@ -1222,16 +1244,15 @@ def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
     core = npc._NominalCore(builder)
     packed = full_space.Packed(builder)
     assert core.dim < packed.dim
-    opts = solver.SolverOptions()
     rng = np.random.default_rng(31)
     for _ in range(5):
         hu, hy = plant_history(toy, builder, rng)
         full = full_space.problem(builder, hu, hy)
-        ref = solver.solve(full, opts)
-        rep = solver.solve(core.build(hu, hy), opts)
+        ref = solver.solve(full)
+        rep = solver.solve(core.build(hu, hy))
         assert rep.status == "converged"
         assert abs(rep.objective - ref.objective) <= (
-            1e-8 * ref.objective + opts.feasibility_tol
+            1e-8 * ref.objective + solver.FEASIBILITY_TOL
         )
         got, want = core.unpack(rep.x), packed.unpack(ref.x)
         np.testing.assert_allclose(
@@ -1241,7 +1262,7 @@ def test_reduced_nominal_solve_agrees_with_full_space(toy_name):
         )
         z = packed.pack(got)
         assert full_space.constraint_violation(full, z) <= 1e-7
-        assert abs(core.violation(rep.x) - full_space_violation(builder, got)) <= 1e-14
+        assert abs(core.violation(rep.x, got) - full_space_violation(builder, got)) <= 1e-14
 
 
 def test_nominal_record_keeps_full_space_violation(monkeypatch):
@@ -1291,7 +1312,7 @@ def test_runtime_bounds_sound_and_monotone_robust_toy():
     traj = plant.collect_offline_data(
         toy, policy, 60, st, plant.NoiseModel(w_star=0.005, seed=2)
     )
-    d = presets.flat_toy_dictionary(extra=0.02)
+    d = basis.FlatToyDictionary(0.02)
     blocks = DataDictionaryBlocks.from_trajectory(d, traj, horizon=10, use_noisy=True)
     spec = OcpSpec(
         mode="robust", L=8, structure=st, blocks=blocks, Q=np.eye(1), R=np.eye(1),
