@@ -300,6 +300,14 @@ class WindowFeatures:
         self._c = None  # the window of the latest pass, its free part rewritten by the next
         self._last = None  # [v's bytes, h, raw jacobian, dpsi or None] of the latest pass
 
+    def with_rows(self, R):
+        """A copy with the rows ``R``, which keeps no point of this one."""
+        core = copy.copy(self)
+        core.R, core.R_psi = R, R[:, : self.n_psi]
+        core.RD_lin = R[:, self.n_psi :] @ self.D_lin
+        core.set_fixed(self.fixed)
+        return core
+
     def with_last_column(self, col, fixed):
         """A copy with ``col`` as the last column of ``R``, which the jacobian
         never reads when the last stacked entry is the window's constant."""

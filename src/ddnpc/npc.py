@@ -11,11 +11,11 @@ the setpoint, and the input box is enforced on every slot.
 
 Every mode is solved on the free window slots (``_WindowRestriction``), with
 the pins as constants. Robust solves with a positive slack bound take the
-direct solve first, where the combination vector and the slack are affine
-functions of the window's features and states, and pose the bounded problem,
-with the combination vector as variables, only when the bound is active at
-the direct solution. Nominal mode, and robust mode with zero bounds, solve
-exact membership.
+direct solve, where the combination vector and the slack are affine
+functions of the window's features and states; when its decision breaks the
+slack bound, the same form is solved again with the slack weight raised a
+decade at a time until the bound holds. Nominal mode, and robust mode with
+zero bounds, solve exact membership with the augmented-Lagrangian solver.
 
 The closed-loop runner applies the first ``stride`` inputs of each solve
 (one for the nominal single-step scheme, ``d_max`` for the robust multi-step
@@ -25,6 +25,7 @@ to evaluate the runtime error bounds afterwards.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import warnings
@@ -299,19 +300,21 @@ class OcpBuilder:
 
     def reduced_form(self):
         """The mode's problem on the free window slots. A robust mode with a
-        positive slack bound gets the direct form (``_RelaxedDirect``), whose
-        ``build`` poses the bound-active problem; nominal mode, and robust
-        mode with zero bounds, get the nominal core (``_NominalCore``)."""
+        positive slack bound gets the direct form (``_RelaxedDirect``);
+        nominal mode, and robust mode with zero bounds, get the nominal core
+        (``_NominalCore``)."""
         spec = self.spec
         if spec.mode == "robust" and spec.slack_bound() > 0:
             return _RelaxedDirect(self)
         return _NominalCore(self)
 
     def build(self, history_u: np.ndarray, history_y: np.ndarray, guess=None):
-        """The mode's constrained problem for one measured history, posed by a
-        fresh ``reduced_form()``. That form is not kept, so a caller that
-        needs the decision (a closed loop, say) keeps a reduced form and calls
-        its ``solve``.
+        """The mode's problem for one measured history, as an ``NlpProblem``
+        posed by a fresh ``reduced_form()``: the membership problem of the
+        nominal core, or the direct form's least-squares problem with its
+        slack bound dropped. That form is not kept, so a caller that needs
+        the decision (a closed loop, say) keeps a reduced form and calls its
+        ``solve``.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
         and measured outputs, oldest first. ``guess`` holds the free slots
@@ -366,8 +369,8 @@ class _WindowRestriction:
     @ (g - g_s)``, and ``T``, whose image of ``g - g_s`` is the mode's own
     rows (``features.rows``). ``alpha_s`` is the builder's ridge anchor and
     ``g_s = Hs @ alpha_s``, ``Hs = [H_psi; H_xi]`` the blocks' ``H_stack``,
-    whose one SVD gives both maps. ``build`` poses the mode's problem for the
-    AL solver, ``unpack`` takes a solution back to a decision, and ``solve``
+    whose one SVD gives both maps. ``build`` poses the mode's problem as an
+    ``NlpProblem``, ``unpack`` takes free slots to a decision, and ``solve``
     runs the whole solve of one measured history.
     """
 
@@ -416,27 +419,27 @@ class _WindowRestriction:
         (g - g_s)``."""
         return self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
 
-    def unpack(self, x: np.ndarray) -> OcpDecision:
-        """The decision at ``x``: the free slots, followed by the combination
-        vector when the problem keeps it as a variable. Without it the
-        combination vector is ``alpha_s + P @ (g - g_s)``. The feature slack
-        closes the feature rows."""
+    def unpack(self, zf: np.ndarray) -> OcpDecision:
+        """The decision at the free slots ``zf``: the combination vector
+        ``alpha_s + P @ (g - g_s)``, and the feature slack that closes the
+        feature rows."""
         b = self.b
-        zf = x[: self.dim]
-        alpha = x[self.dim :] if x.size > self.dim else self.combination(zf)
+        alpha = self.combination(zf)
         psi = self.features.stacked(zf)[: self.features.n_psi]
         return b.window_decision(alpha, self.features.window(zf), b.H_psi @ alpha - psi)
 
-    def solve(self, history_u, history_y, guess):
-        """Solve the mode's problem for one measured history from the free
-        slots ``guess`` (the cold start when None): the AL solver on
-        ``build``'s problem. Returns ``(decision, status, objective,
-        iterations, max_violation, path)``, with the decision's measured
-        violation (``violation``) and the path ``al-gn``."""
-        report = _solver.solve(self.build(history_u, history_y, guess))
-        decision = self.unpack(report.x)
-        max_violation = self.violation(report.x, decision)
-        return decision, report.status, report.objective, report.iterations, max_violation, "al-gn"
+
+def _direct_maps(svd, rs: float, ra: float):
+    """The direct form's ``P`` and ``T`` at the slack weight ``rs`` and the
+    ridge weight ``ra``: diagonal filters of the stack's SVD ``svd``
+    (``DataDictionaryBlocks.H_stack_svd``)."""
+    U, s, Vt, rank = svd
+    s = s[:rank]
+    d = (rs * s) ** 2 + ra**2
+    d[d == 0] = np.inf  # both weights zero: P and T vanish
+    t = np.full(U.shape[0], rs)
+    t[:rank] = rs * ra / np.sqrt(d)
+    return (Vt[:rank].T * (rs * rs * s / d)) @ U[:, :rank].T, t[:, None] * U.T
 
 
 class _RelaxedDirect(_WindowRestriction):
@@ -448,8 +451,8 @@ class _RelaxedDirect(_WindowRestriction):
     combination vector; both are eliminated with one precomputed linear map
     ``P``. What is left is a small bounded nonlinear least-squares over the
     free slots. It is the robust problem whenever the slack bound is
-    inactive at the optimum, which is checked afterwards; ``build`` poses the
-    problem with the bound for when it is not.
+    inactive at the optimum, which is checked afterwards; where it is not,
+    ``solve`` raises the slack weight until the bound holds.
 
     The residual is the builder's stage rows followed by ``T @ (g - g_s)``.
     ``C = [ra P; rs (Hs P - I)]`` maps ``g - g_s`` to the ridge, feature
@@ -469,16 +472,18 @@ class _RelaxedDirect(_WindowRestriction):
 
         # For fixed windows, alpha = a_s + P @ (g - Hs a_s) minimizes
         # rs^2*||Hs a - g||^2 + ra^2*||a - a_s||^2.
-        self.rs = rs = math.sqrt(spec.lambda_sigma)
-        self.ra = ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        U, s, Vt, rank = spec.blocks.H_stack_svd
-        s = s[:rank]
-        d = (rs * s) ** 2 + ra**2
-        d[d == 0] = np.inf  # both weights zero: P and T vanish
-        t = np.full(U.shape[0], rs)
-        t[:rank] = rs * ra / np.sqrt(d)
-        P = (Vt[:rank].T * (rs * rs * s / d)) @ U[:, :rank].T
-        super().__init__(builder, P, t[:, None] * U.T)
+        self.rs = math.sqrt(spec.lambda_sigma)
+        self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
+        super().__init__(builder, *_direct_maps(spec.blocks.H_stack_svd, self.rs, self.ra))
+
+    def weighted(self, lambda_sigma: float) -> "_RelaxedDirect":
+        """This form with the slack weight ``lambda_sigma``: new filters of the
+        same SVD, and a feature core of its own."""
+        form = copy.copy(self)
+        form.rs = math.sqrt(lambda_sigma)
+        form.P, form.T = _direct_maps(self.b.spec.blocks.H_stack_svd, form.rs, self.ra)
+        form.features = self.features.with_rows(form.T)
+        return form
 
     def residual(self, zf):
         n_stage = self.J_stage.shape[0]
@@ -496,88 +501,56 @@ class _RelaxedDirect(_WindowRestriction):
         return J
 
     def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
-        """The bound-active problem for one measured history. Once the bound
-        is active the ridge map no longer gives the best combination vector,
-        so the variables are the free slots followed by the combination
-        vector. The residual is the stage rows, the ridge rows ``ra * (alpha
-        - alpha_s)`` and the slack rows ``rs * sigma``, with ``sigma = Hs @
-        alpha - g`` (the feature slack, then the state slack); the bound is
-        the inequality rows ``|sigma_j| <= bound``. ``guess`` holds the free
-        slots, as for ``OcpBuilder.build``; the combination vector starts
-        where the ridge map puts it, ``combination`` at the guess, as
-        ``unpack`` does.
-
-        The exact-mode bound grows with ``||alpha||_1``. The rows take it at
-        ``s^T alpha``, with ``s`` the signs of the starting combination
-        vector: linear, never above ``||alpha||_1`` and equal to it while no
-        entry changes sign, so every point that meets the rows meets the
-        paper's bound."""
-        spec = self.b.spec
-        nf, M = self.dim, self.b.M
-        zf0 = self._start(history_u, history_y, guess)
-        alpha0 = self.combination(zf0)
-        s = np.sign(alpha0)
-        Hs = self.Hs
-        n_stage = self.J_stage.shape[0]
-        J = np.zeros((n_stage + M + Hs.shape[0], nf + M))
-        J[:n_stage, :nf] = self.J_stage
-        J[n_stage : n_stage + M, nf:] = self.ra * np.eye(M)
-        J[n_stage + M :, nf:] = self.rs * Hs
-        dbound = spec.slack_gain * s  # d bound / d alpha
-
-        def sigma(x):
-            return Hs @ x[nf:] - self.features.stacked(x[:nf])
-
-        def dg(x):
-            """Jacobian of ``g`` in the free slots."""
-            return np.vstack([self.features.dpsi(x[:nf]), self.features.D_lin])
-
-        def residual(x):
-            return np.concatenate(
-                [self.stage_residual(x[:nf]), self.ra * (x[nf:] - self.alpha_s), self.rs * sigma(x)]
-            )
-
-        def jacobian(x):
-            Jx = J.copy()
-            Jx[n_stage + M :, :nf] = -self.rs * dg(x)
-            return Jx
-
-        def slack_rows(x):
-            sig, bound = sigma(x), spec.slack_bound(float(s @ x[nf:]))
-            return np.concatenate([sig - bound, -sig - bound])
-
-        def slack_jacobian(x):
-            d = dg(x)
-            return np.block([[-d, Hs - dbound], [d, -Hs - dbound]])
-
+        """The direct form's least-squares problem for one measured history,
+        constrained only by the bounds on the free slots; ``guess`` holds the
+        free slots, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
-            dim=nf + M,
-            x0=np.concatenate([zf0, alpha0]),
-            lower=np.concatenate([self.b.lo, np.full(M, -np.inf)]),
-            upper=np.concatenate([self.b.hi, np.full(M, np.inf)]),
-            ls_residual=residual,
-            ls_jacobian=jacobian,
-            ineq_residual=slack_rows,
-            ineq_jacobian=slack_jacobian,
+            dim=self.dim,
+            x0=self._start(history_u, history_y, guess),
+            lower=self.b.lo,
+            upper=self.b.hi,
+            ls_residual=self.residual,
+            ls_jacobian=self.jacobian,
         )
 
-    def violation(self, x, decision: OcpDecision) -> float:
-        """Slack-bound violation of ``decision`` (unpacked from ``x``), the
+    def cost(self, zf, decision: OcpDecision) -> float:
+        """The robust problem's cost at ``decision``, whose free slots are
+        ``zf``: the stage rows, the ridge rows and the slack rows, at the
+        spec's weights."""
+        stage = self.stage_residual(zf)
+        ridge = decision.alpha - self.alpha_s
+        sigma = np.concatenate([decision.sigma_psi, decision.sigma_xi])
+        return float(stage @ stage + self.ra**2 * (ridge @ ridge) + self.rs**2 * (sigma @ sigma))
+
+    def violation(self, zf, decision: OcpDecision) -> float:
+        """Slack-bound violation of ``decision`` (unpacked from ``zf``), the
         bound taken at its own ``||alpha||_1``."""
         return max(0.0, decision.sigma_inf - self.b.spec.slack_bound(decision.alpha_l1))
 
     def solve(self, history_u, history_y, guess):
-        """The direct solve (``solve_relaxed_direct``, path ``direct``), and
-        when the slack bound is active at its solution, the AL solve of the
-        bounded problem from the direct solve's free slots; returns as
-        ``_WindowRestriction.solve``."""
+        """The direct solve (``solve_relaxed_direct``, path ``direct``). When
+        its decision breaks the slack bound, the slack-weight continuation
+        (path ``fallback``): decade ``k`` solves the form again at
+        ``lambda_sigma * 10^k`` from the free slots of the decade before (the
+        direct solution's for the first), which pulls the windows toward the
+        span of the data. It stops at the first decade whose decision meets
+        the bound at its own ``||alpha||_1``, or, still ``bound-active``, at
+        the first decade that does not lower ``sigma_inf``, keeping the
+        decision of the decade before. Returns ``(decision, status,
+        objective, iterations, max_violation, path)``: the objective at the
+        spec's weights, the residual evaluations of every decade."""
         decision, info = solve_relaxed_direct(self, history_u, history_y, guess)
-        if info["status"] == "bound-active":
-            return super().solve(history_u, history_y, info["zf"])
-        return (
-            decision, info["status"], info["objective"], info["iterations"],
-            info["max_violation"], "direct",
-        )
+        path, iterations, decade = "direct", info["iterations"], 0
+        while info["status"] == "bound-active":
+            path, decade = "fallback", decade + 1
+            form = self.weighted(self.b.spec.lambda_sigma * 10.0**decade)
+            next_decision, next_info = solve_relaxed_direct(form, history_u, history_y, info["zf"])
+            iterations += next_info["iterations"]
+            if not next_decision.sigma_inf < decision.sigma_inf:
+                break
+            decision, info = next_decision, next_info
+        objective = info["objective"] if decade == 0 else self.cost(info["zf"], decision)
+        return decision, info["status"], objective, iterations, info["max_violation"], path
 
 
 class _NominalCore(_WindowRestriction):
@@ -619,6 +592,17 @@ class _NominalCore(_WindowRestriction):
         equality violation, the pins and bounds being exact."""
         return float(np.max(np.abs(self.Hs @ decision.alpha - self.features.stacked(zf))))
 
+    def solve(self, history_u, history_y, guess):
+        """Solve the membership problem for one measured history from the
+        free slots ``guess`` (the cold start when None): the AL solver on
+        ``build``'s problem. Returns ``(decision, status, objective,
+        iterations, max_violation, path)``, with the decision's measured
+        violation (``violation``) and the path ``al-gn``."""
+        report = _solver.solve(self.build(history_u, history_y, guess))
+        decision = self.unpack(report.x)
+        max_violation = self.violation(report.x, decision)
+        return decision, report.status, report.objective, report.iterations, max_violation, "al-gn"
+
 
 # Residual evaluations a direct solve may spend.
 DIRECT_MAXITER = 60
@@ -634,22 +618,23 @@ def solve_relaxed_direct(
     combination elimination, and check the bound afterwards.
 
     ``direct`` is the problem's direct form (``OcpBuilder.reduced_form`` of a
-    robust mode with a positive slack bound), whose ``solve`` calls this; a
-    closed loop owns its form, so that the form is set up once per loop.
-    ``guess`` holds the free slots that start the solve, as for
-    ``OcpBuilder.build``. Returns ``(decision, info)`` where ``info``
-    carries the objective, solver iterations, the status, the measured
-    constraint violation and the solution's free slots ``zf``. The status is
-    ``bound-active`` when the slack bound does not hold at the optimum; the
-    form then solves the bounded problem (its ``build``) from ``zf``. The
-    solver, ``solver.reduced_lsq`` (box-constrained Levenberg-Marquardt),
-    keeps the free slots inside the builder's bounds (the input box, and the
-    output box when the spec has one) and the feature equality holds by
-    construction, so the only constraint that can be violated is the slack
-    bound: ``max_violation = max(0, sigma_inf - bound)`` (the form's
-    ``violation``), with the mode's bound (``OcpSpec.slack_bound``) at the
-    decision's own ``||alpha||_1``. ``DIRECT_MAXITER`` bounds the solver's
-    residual evaluations.
+    robust mode with a positive slack bound), or that form at a raised slack
+    weight (``_RelaxedDirect.weighted``); its ``solve`` calls this, once per
+    decade of its continuation. A closed loop owns its form, so that the
+    form is set up once per loop. ``guess`` holds the free slots that start
+    the solve, as for ``OcpBuilder.build``. Returns ``(decision, info)``
+    where ``info`` carries the objective at the form's weights, solver
+    iterations, the status, the measured constraint violation and the
+    solution's free slots ``zf``. The status is ``bound-active`` when the
+    decision breaks the slack bound, by any amount; the form's ``solve``
+    then continues from ``zf``. The solver, ``solver.reduced_lsq``
+    (box-constrained Levenberg-Marquardt), keeps the free slots inside the
+    builder's bounds (the input box, and the output box when the spec has
+    one) and the feature equality holds by construction, so the only
+    constraint that can be violated is the slack bound: ``max_violation =
+    max(0, sigma_inf - bound)`` (the form's ``violation``), with the mode's
+    bound (``OcpSpec.slack_bound``) at the decision's own ``||alpha||_1``.
+    ``DIRECT_MAXITER`` bounds the solver's residual evaluations.
     """
     zf0 = direct._start(history_u, history_y, guess)
     res = _solver.reduced_lsq(
@@ -657,7 +642,7 @@ def solve_relaxed_direct(
     )
     decision = direct.unpack(res.x)
     max_violation = direct.violation(res.x, decision)
-    if max_violation > 1e-9:
+    if max_violation > 0.0:
         status = "bound-active"
     elif res.converged:
         status = "converged"
@@ -682,7 +667,7 @@ def solve_relaxed_direct(
 class SolveRecord:
     t: int
     status: str
-    path: str                        # direct | al-gn | held
+    path: str                        # direct | fallback | al-gn | held
     objective: float
     alpha_l1: float
     sigma_inf: float
@@ -737,27 +722,29 @@ def run_closed_loop(
     Before the first solve the plant is pre-rolled ``d_max`` steps holding
     ``hold_input`` (default: the input setpoint) to populate the history
     pins. Measurement noise affects only what the controller sees; the clean
-    outputs are logged alongside for evaluation. A solve that neither
-    converges nor reaches near-feasibility is not applied: the previous
-    input is held for one stride and the event is flagged in the log. A
-    feasible solve that stopped at its iteration limit is applied, as
-    suboptimal predictive control allows; its record keeps the status and
-    the measured constraint violation. A solve that raises a runtime, value
-    or arithmetic error (solver callbacks, dictionary evaluation, linear
+    outputs are logged alongside for evaluation. A solve is applied when it
+    converged, or when it stopped at its iteration limit within 1e-5 of
+    feasibility, as suboptimal predictive control allows; its record keeps
+    the status and the measured constraint violation. Any other solve, a
+    robust decision that breaks its slack bound (``bound-active``) among
+    them, is not applied: the previous input is held for one stride and the
+    event is flagged in the log. A solve that raises a runtime, value or
+    arithmetic error (solver callbacks, dictionary evaluation, linear
     algebra) is recorded as ``solver-error`` with the exception text; any
     other exception propagates. Each record names the path that produced its
-    decision: the direct solve, the AL solver with Gauss-Newton inner steps
-    (``al-gn``), or ``held`` when no solve returned one, and the wall-clock
-    time of its warm start and solve. Every solve is the ``solve`` of the
-    problem's reduced form (``OcpBuilder.reduced_form``), on the free window
-    slots, from the history of the log's last ``d_max`` inputs and measured
+    decision: the direct solve, its slack-weight continuation
+    (``fallback``), the AL solver with Gauss-Newton inner steps (``al-gn``),
+    or ``held`` when no solve returned one, and the wall-clock time of its
+    warm start and solve. Every solve is the ``solve`` of the problem's
+    reduced form (``OcpBuilder.reduced_form``), on the free window slots,
+    from the history of the log's last ``d_max`` inputs and measured
     outputs. A robust mode with a positive slack bound, relaxed or exact,
-    takes the direct solve, and the AL solver on the bounded problem when the
-    bound is active at the direct solution, started at its free slots (so at
-    its combination vector too, which the form derives from them); the record
-    then keeps the decision's own slack-bound violation. Nominal mode, and
-    robust mode with zero bounds, run the AL solver under the membership
-    equalities, and the record keeps the equality violation of the decision.
+    takes the direct solve, and when its decision breaks the bound, the
+    direct form again at a slack weight raised a decade at a time, from the
+    free slots of the solve before; the record keeps the decision's own
+    slack-bound violation. Nominal mode, and robust mode with zero bounds,
+    run the AL solver under the membership equalities, and the record keeps
+    the equality violation of the decision.
     """
     stride = spec.stride if stride is None else stride
     if stride < 1 or total_steps < 0 or total_steps % stride:
@@ -826,7 +813,7 @@ def run_closed_loop(
                 decision = builder.window_decision(builder.alpha_s, c)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
-        accept = status == "converged" or max_violation <= 1e-5
+        accept = status == "converged" or status == "max-iter" and max_violation <= 1e-5
         if accept:
             inputs = decision.planned_inputs(d_max, stride)
             prev_decision = decision

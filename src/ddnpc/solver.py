@@ -1,17 +1,18 @@
-"""General constrained nonlinear least squares used by the predictive layers.
+"""Nonlinear least squares used by the predictive layers.
 
-Least-squares objective, nonlinear equality and inequality constraints and
-box bounds. Equalities and inequalities are handled by an
-augmented-Lagrangian outer loop (multiplier updates, penalty growth when
-feasibility stalls); each inner subproblem is the augmented Lagrangian
-written as least-squares rows (the objective rows, then the shifted equality
-rows and the hinged inequality rows, scaled by the penalty) over the box.
-Identical problems and guesses give identical reports.
+``solve`` minimizes a least-squares objective under nonlinear equalities and
+box bounds with an augmented-Lagrangian outer loop (multiplier updates,
+penalty growth when feasibility stalls); each inner subproblem is the
+augmented Lagrangian written as least-squares rows (the objective rows, then
+the shifted equality rows scaled by the penalty) over the box. It runs the
+nominal controller's membership problem. Identical problems and guesses give
+identical reports.
 
 ``reduced_lsq`` is the one box-constrained least-squares solver. It runs the
 augmented-Lagrangian inner subproblems, the controller's relaxed direct solve
-(the small problem left once its equalities are eliminated) and the
-data-driven simulation and output-matching fits of ``behavior``.
+(the small problem left once its equalities are eliminated) with its
+slack-weight continuation, and the data-driven simulation and
+output-matching fits of ``behavior``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ class NlpProblem:
     """Problem data in callback form: minimize ``||ls_residual(z)||^2``.
 
     ``ls_jacobian`` is the jacobian of ``ls_residual``. ``eq_residual`` /
-    ``eq_jacobian`` describe equalities ``c(z) = 0``; ``ineq_residual`` /
-    ``ineq_jacobian`` describe ``g(z) <= 0``. Bounds with equal lower and
-    upper entry pin a variable.
+    ``eq_jacobian`` describe equalities ``c(z) = 0``. Bounds with equal lower
+    and upper entry pin a variable.
     """
 
     dim: int
@@ -65,8 +65,6 @@ class NlpProblem:
     upper: Optional[np.ndarray] = None
     eq_residual: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eq_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    ineq_residual: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    ineq_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -103,7 +101,7 @@ def solve(problem: NlpProblem) -> SolverReport:
 
     Each inner solve is ``reduced_lsq`` on the augmented Lagrangian's
     least-squares rows over the whole box, which holds pinned entries.
-    Feasibility is measured in the sup norm over all constraints; optimality
+    Feasibility is measured in the sup norm of the equalities; optimality
     by the projected gradient ``2 J^T r`` of those rows at the returned
     point. Slow convergence yields a ``max-iter`` report rather than an
     exception; a stalled penalty at its cap with large violation is reported
@@ -112,14 +110,11 @@ def solve(problem: NlpProblem) -> SolverReport:
     ``INNER_MAXITER``, read at each call.
     """
     eq_res, eq_jac = problem.eq_residual, problem.eq_jacobian
-    in_res, in_jac = problem.ineq_residual, problem.ineq_jacobian
 
     z = np.clip(problem.x0.copy(), problem.lower, problem.upper)
     n_eq = eq_res(z).size if eq_res is not None else 0
-    n_in = np.asarray(in_res(z)).size if in_res is not None else 0
 
     mu = np.zeros(n_eq)
-    nu = np.zeros(n_in)
     rho = PENALTY_INIT
     total_inner = 0
     prev_violation = np.inf
@@ -131,9 +126,6 @@ def solve(problem: NlpProblem) -> SolverReport:
         rows = [problem.ls_residual(zz)]
         if eq_res is not None:
             rows.append(sr * (eq_res(zz) + mu / rho))
-        if in_res is not None:
-            gi = np.asarray(in_res(zz), dtype=float).reshape(-1)
-            rows.append(sr * np.maximum(0.0, gi + nu / rho))
         return np.concatenate(rows)
 
     def al_jacobian(zz):
@@ -141,10 +133,6 @@ def solve(problem: NlpProblem) -> SolverReport:
         rows = [np.atleast_2d(problem.ls_jacobian(zz))]
         if eq_res is not None:
             rows.append(sr * eq_jac(zz))
-        if in_res is not None:
-            gi = np.asarray(in_res(zz), dtype=float).reshape(-1)
-            Ji = np.atleast_2d(np.asarray(in_jac(zz), dtype=float))
-            rows.append(sr * (Ji * ((gi + nu / rho) > 0)[:, None]))
         return np.vstack(rows)
 
     def kkt_residual(zz):
@@ -159,17 +147,12 @@ def solve(problem: NlpProblem) -> SolverReport:
         )
         z = inner.x
         total_inner += inner.nfev
-        violation = max(
-            float(np.max(np.abs(eq_res(z)))) if n_eq else 0.0,
-            float(np.max(np.maximum(0.0, in_res(z)))) if n_in else 0.0,
-        )
+        violation = float(np.max(np.abs(eq_res(z)))) if n_eq else 0.0
         if violation <= FEASIBILITY_TOL and kkt_residual(z) <= OPTIMALITY_TOL:
             status = "converged"
             break
         if n_eq:
             mu = mu + rho * eq_res(z)
-        if n_in:
-            nu = np.maximum(0.0, nu + rho * np.asarray(in_res(z), dtype=float).reshape(-1))
         if violation > FEASIBILITY_TOL and violation > 0.25 * prev_violation:
             if rho >= PENALTY_MAX:
                 if violation > 1e3 * FEASIBILITY_TOL and violation > 0.9 * prev_violation:

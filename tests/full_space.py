@@ -5,10 +5,11 @@ The decision is a packed vector (``Packed``: combination vector, input
 window, output windows and, in robust mode, the feature slack), with the
 feature equality as a nonlinear equality. Nominal mode adds the state
 equality ``H_xi alpha = xi``; relaxed robust mode penalizes the derived state
-slack ``H_xi alpha - xi`` with the feature slack, boxes the feature slack and
-bounds the state slack by ``c_slack * slack_level`` (as an equality when that
-bound is zero). The cost is one least-squares residual: stage rows, then in
-robust mode the ridge, feature slack and state slack rows.
+slack ``H_xi alpha - xi`` with the feature slack, and drops the slack bound,
+as the direct form does: a test that compares a solution with it checks
+first that the bound is inactive there. The cost is one least-squares
+residual: stage rows, then in robust mode the ridge, feature slack and state
+slack rows.
 """
 
 import math
@@ -116,12 +117,15 @@ def ls_form(packed):
 
 
 def problem(builder, history_u, history_y, guess=None):
-    """The full-space problem for one measured history, nominal or relaxed
-    robust mode; ``guess`` is a decision that starts the solve, the builder's
-    cold start when None."""
+    """The full-space problem for one measured history, nominal mode or
+    relaxed robust mode with a positive slack bound (dropped); ``guess`` is a
+    decision that starts the solve, the builder's cold start when None."""
     spec = builder.spec
-    if spec.mode == "robust" and spec.slack_mode != "relaxed":
-        raise ValueError("the full-space reference covers nominal and relaxed robust mode")
+    if spec.mode == "robust" and (spec.slack_mode != "relaxed" or spec.slack_bound() <= 0):
+        raise ValueError(
+            "the full-space reference covers nominal mode and relaxed robust mode with a "
+            "positive slack bound"
+        )
     packed = Packed(builder)
     history_u = np.asarray(history_u, dtype=float).reshape(builder.d_max, builder.m)
     history_y = np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m)
@@ -132,10 +136,6 @@ def problem(builder, history_u, history_y, guess=None):
         guess = form.unpack(builder.initial_guess(history_y))
     J, b = ls_form(packed)
     A = _sigma_xi_jacobian(packed)
-    bound = spec.c_slack * spec.slack_level if builder.has_sigma else 0.0
-    if builder.has_sigma:
-        lo[packed.off_s :] = -bound
-        hi[packed.off_s :] = bound
 
     def features(z, need_jac):
         u = z[packed.off_u : packed.off_y].reshape(builder.Lp, builder.m)
@@ -164,18 +164,12 @@ def problem(builder, history_u, history_y, guess=None):
         return Jc
 
     eq_residual, eq_jacobian = feature_residual, feature_jacobian
-    ineq = {}
-    if bound == 0.0:
+    if not builder.has_sigma:
         def eq_residual(z):
             return np.concatenate([feature_residual(z), A @ z])
 
         def eq_jacobian(z):
             return np.vstack([feature_jacobian(z), A])
-    else:
-        ineq = dict(
-            ineq_residual=lambda z: np.concatenate([A @ z - bound, -A @ z - bound]),
-            ineq_jacobian=lambda z: np.vstack([A, -A]),
-        )
     return solver.NlpProblem(
         dim=packed.dim,
         x0=np.clip(packed.pack(guess), lo, hi),
@@ -185,7 +179,6 @@ def problem(builder, history_u, history_y, guess=None):
         ls_jacobian=lambda z: J,
         eq_residual=eq_residual,
         eq_jacobian=eq_jacobian,
-        **ineq,
     )
 
 
@@ -195,6 +188,4 @@ def constraint_violation(problem, z) -> float:
     v = float(np.max(np.maximum(problem.lower - z, z - problem.upper)))
     if problem.eq_residual is not None:
         v = max(v, float(np.max(np.abs(problem.eq_residual(z)))))
-    if problem.ineq_residual is not None:
-        v = max(v, float(np.max(np.maximum(0.0, problem.ineq_residual(z)))))
     return v

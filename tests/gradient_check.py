@@ -26,7 +26,7 @@ def check_gradients(
     """Compare analytic gradients/jacobians against central differences.
 
     Samples points around the initial guess (inside the box), checks the
-    objective gradient and every constraint jacobian row, and raises on the
+    objective gradient and every equality jacobian row, and raises on the
     first relative mismatch beyond ``tol``. Returns the worst relative error.
     """
     rng = np.random.default_rng(seed)
@@ -46,24 +46,21 @@ def check_gradients(
         worst = max(worst, err)
         if err > tol:
             raise AssertionError(f"objective gradient mismatch: rel err {err:.2e}")
-        for res, jac, tag in (
-            (problem.eq_residual, problem.eq_jacobian, "equality"),
-            (problem.ineq_residual, problem.ineq_jacobian, "inequality"),
-        ):
-            if res is None:
-                continue
-            J = np.atleast_2d(np.asarray(jac(z), dtype=float))
-            J_fd = np.empty_like(J)
-            for i in range(z.size):
-                zp, zm = z.copy(), z.copy()
-                zp[i] += step
-                zm[i] -= step
-                J_fd[:, i] = (
-                    np.asarray(res(zp), dtype=float).reshape(-1)
-                    - np.asarray(res(zm), dtype=float).reshape(-1)
-                ) / (2 * step)
-            err = rel_err(J, J_fd)
-            worst = max(worst, err)
-            if err > tol:
-                raise AssertionError(f"{tag} jacobian mismatch: rel err {err:.2e}")
+        res = problem.eq_residual
+        if res is None:
+            continue
+        J = np.atleast_2d(np.asarray(problem.eq_jacobian(z), dtype=float))
+        J_fd = np.empty_like(J)
+        for i in range(z.size):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += step
+            zm[i] -= step
+            J_fd[:, i] = (
+                np.asarray(res(zp), dtype=float).reshape(-1)
+                - np.asarray(res(zm), dtype=float).reshape(-1)
+            ) / (2 * step)
+        err = rel_err(J, J_fd)
+        worst = max(worst, err)
+        if err > tol:
+            raise AssertionError(f"equality jacobian mismatch: rel err {err:.2e}")
     return worst

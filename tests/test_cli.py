@@ -250,7 +250,7 @@ def test_collect_simulate_run_pipeline(tmp_path, capsys):
     for counts in (summary["status_counts"], summary["path_counts"]):
         assert sum(counts.values()) == summary["solves"]
     assert set(summary["status_counts"]) == set(summary["statuses"])
-    assert set(summary["path_counts"]) <= {"direct", "al-gn", "held"}
+    assert set(summary["path_counts"]) <= {"direct", "fallback", "al-gn", "held"}
     solve_ms = summary["solve_ms"]
     assert set(solve_ms) == {"p50", "p95", "max"}
     assert 0.0 < solve_ms["p50"] <= solve_ms["p95"] <= solve_ms["max"]

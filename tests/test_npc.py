@@ -154,9 +154,10 @@ def paper_bound(spec, decision):
     return spec.k_psi * spec.w_star + gain * (1 + decision.alpha_l1)
 
 
-def test_exact_mode_solves_on_toy(monkeypatch):
-    """The bounded exact-mode problem on the reduced core, from the cold
-    start: its solution meets the paper's slack bound."""
+def test_exact_mode_solves_on_toy():
+    """An exact-mode solve of the robust form, from the cold start: its
+    decision meets the paper's slack bound at its own combination vector,
+    with no tolerance."""
     toy, st, phi = plant.make_chain_lti()
     policy = plant.StateFeedbackDitherPolicy(
         K=np.array([[0.2, 0.4, 0.0], [0.0, 0.0, 0.3]]), dither=0.7, seed=4
@@ -173,13 +174,10 @@ def test_exact_mode_solves_on_toy(monkeypatch):
     )
     hu, hy, _ = chain_history(toy, st, np.array([0.2, 0.0, -0.1]))
     form = OcpBuilder(spec).reduced_form()
-    problem = form.build(hu, hy)
-    monkeypatch.setattr(solver, "INNER_MAXITER", 800)
-    report = solver.solve(problem)
-    assert full_space.constraint_violation(problem, report.x) <= 1e-7
-    decision = form.unpack(report.x)
-    assert decision.sigma_inf <= paper_bound(spec, decision) + 1e-6
-    assert form.violation(report.x, decision) == 0.0
+    decision, status, _, _, max_violation, _ = form.solve(hu, hy, None)
+    assert status == "converged"
+    assert decision.sigma_inf <= paper_bound(spec, decision)
+    assert max_violation == 0.0
 
 
 def test_exact_mode_member_of_the_benchmark_converges_on_direct():
@@ -199,16 +197,11 @@ def test_exact_mode_member_of_the_benchmark_converges_on_direct():
     assert rec.max_violation == 0.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="solver.solve tests feasibility against the absolute feasibility_tol (1e-7), so a "
-    "slack bound below it is not enforced; scaling the slack rows left the KKT test unmet",
-)
 def test_applied_bounded_decision_meets_a_bound_below_the_feasibility_tolerance():
     """The same solve with ``||G^dagger|| = 1e-7``: the slack bound (about
-    1.4e-9) is active, and the bounded problem's decision is applied, so it
-    must meet that bound at its own combination vector. It records
-    ``al-gn``, ``converged`` and applied with ``sigma_inf`` about 1.7e-8."""
+    1.4e-9, below the AL solver's feasibility tolerance of 1e-7) is active
+    at the direct solution, and the continuation's decision is applied, so
+    it must meet that bound at its own combination vector."""
     toy, _, _, _, _, spec = chain_spec(
         mode="robust", slack_mode="exact", eps_star=0.01, w_star=0.0,
         k_psi=1.0, k_w=1.0, g_dagger_norm=1e-7,
@@ -217,7 +210,7 @@ def test_applied_bounded_decision_meets_a_bound_below_the_feasibility_tolerance(
         spec, toy, plant.NoiseModel(), np.array([0.2, 0.0, -0.1]), total_steps=2,
     )
     (rec,) = log.solves
-    assert (rec.path, rec.status, rec.applied) == ("al-gn", "converged", True)
+    assert (rec.path, rec.status, rec.applied) == ("fallback", "converged", True)
     assert rec.sigma_inf <= spec.slack_bound(rec.alpha_l1)
 
 
@@ -249,11 +242,12 @@ def test_robust_free_slack_beats_pinned_slack():
     hu = np.zeros((2, 1))
     hy = np.array([[0.21], [0.2]])
     free = OcpBuilder(OcpSpec(slack_mode="relaxed", c_slack=100.0, **common)).reduced_form()
-    rf = solver.solve(free.build(hu, hy))
+    d_free, _, objective_free, _, _, _ = free.solve(hu, hy, None)
     pinned = OcpBuilder(OcpSpec(slack_mode="relaxed", c_slack=1e-9, **common)).reduced_form()
-    rp = solver.solve(pinned.build(hu, hy))
-    assert free.unpack(rf.x).sigma_inf > 1e-9
-    assert rf.objective < rp.objective - 1e-6
+    d_pinned, _, objective_pinned, _, _, path = pinned.solve(hu, hy, None)
+    assert path == "fallback" and d_pinned.sigma_inf <= pinned.b.spec.slack_bound()
+    assert d_free.sigma_inf > 1e-9
+    assert objective_free < objective_pinned - 1e-6
 
 
 def test_blocks_depth_validated():
@@ -430,19 +424,19 @@ BOUND_ACTIVE = pytest.mark.parametrize(
 @BOUND_ACTIVE
 def test_bound_active_fallback_in_closed_loop(fields):
     """With a slack bound below the direct solutions' slack, the first solves
-    of a noisy flat-toy loop take the bounded problem (``al-gn``). Every
-    applied decision meets the mode's bound, ``c_slack * slack_level`` or the
-    paper's bound at its own combination vector, to the solver's feasibility
-    tolerance, and each record keeps its decision's measured violation."""
+    of a noisy flat-toy loop take the slack-weight continuation
+    (``fallback``). Every applied decision meets the mode's bound, ``c_slack
+    * slack_level`` or the paper's bound at its own combination vector, with
+    no tolerance, and each record keeps its decision's measured violation."""
     spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
     toy, _, _ = plant.make_scalar_flat()
     log = run_closed_loop(
         spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]),
         total_steps=20,
     )
-    fallbacks = [rec for rec in log.solves if rec.path == "al-gn"]
+    fallbacks = [rec for rec in log.solves if rec.path == "fallback"]
     assert len(fallbacks) >= 3
-    assert {rec.path for rec in log.solves} == {"direct", "al-gn"}
+    assert {rec.path for rec in log.solves} == {"direct", "fallback"}
     assert {rec.status for rec in fallbacks} == {"converged"}
     for rec in log.solves:
         if spec.slack_mode == "exact":
@@ -451,40 +445,71 @@ def test_bound_active_fallback_in_closed_loop(fields):
             bound = spec.c_slack * spec.slack_level
         assert rec.max_violation == max(0.0, rec.sigma_inf - bound)
         if rec.applied:
-            assert rec.sigma_inf <= bound + solver.FEASIBILITY_TOL
+            assert rec.sigma_inf <= bound
 
 
 @BOUND_ACTIVE
 def test_bound_active_fallback_starts_at_the_direct_decision(monkeypatch, fields):
-    """The direct form starts the bounded problem at only the direct
-    solution's free slots, and derives the combination vector from them as
-    ``unpack`` did: the problem's ``x0`` is the direct decision's ``[zf;
-    alpha]`` bit for bit."""
+    """The first decade of the continuation is the direct form at ten times
+    the slack weight, started at only the direct solution's free slots: its
+    guess is the direct decision's free slots bit for bit."""
     spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
     toy, _, _ = plant.make_scalar_flat()
-    direct, starts = [], []
-    solve_direct, solve = npc.solve_relaxed_direct, solver.solve
+    calls = []
+    solve_direct = npc.solve_relaxed_direct
 
-    def recording_direct(*args, **kwargs):
-        out = solve_direct(*args, **kwargs)
-        direct.append(out[0])
+    def recording_direct(direct, history_u, history_y, guess=None):
+        out = solve_direct(direct, history_u, history_y, guess)
+        calls.append((direct.rs, None if guess is None else guess.copy(), *out))
         return out
 
-    def recording(problem, *args):
-        starts.append((direct[-1], problem.x0.copy()))
-        return solve(problem, *args)
-
     monkeypatch.setattr(npc, "solve_relaxed_direct", recording_direct)
-    monkeypatch.setattr(solver, "solve", recording)
     run_closed_loop(
         spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]), total_steps=20
     )
     builder = OcpBuilder(spec)
-    assert len(starts) >= 3
-    for decision, x0 in starts:
-        np.testing.assert_array_equal(
-            x0, np.concatenate([builder.shifted_guess(decision, 0), decision.alpha])
-        )
+    rs = np.sqrt(spec.lambda_sigma)
+    firsts = 0
+    for (weight, _, decision, info), (next_weight, guess, *_) in zip(calls, calls[1:]):
+        if weight == rs and info["status"] == "bound-active":
+            firsts += 1
+            assert next_weight == np.sqrt(10.0 * spec.lambda_sigma)
+            np.testing.assert_array_equal(guess, builder.shifted_guess(decision, 0))
+    assert firsts >= 3
+
+
+def test_continuation_that_cannot_meet_its_bound_is_held(monkeypatch):
+    """A noisy history that no window in the span of the clean chain-toy data
+    continues: no slack weight brings the slack below the bound (1e-4), so
+    each continuation stops at the first decade that does not lower
+    ``sigma_inf`` and reports ``bound-active``, keeping the last decision
+    that did lower it. Its record keeps that decision's measured violation,
+    and the loop holds the previous input, here the bootstrap's, on every
+    step."""
+    toy, st, _, _, _, spec = chain_spec(mode="robust", eps_star=0.01, w_star=0.01, c_slack=0.01)
+    rs = np.sqrt(spec.lambda_sigma)
+    solves, solve_direct = [], npc.solve_relaxed_direct
+
+    def recording(direct, *args):
+        decision, info = solve_direct(direct, *args)
+        if direct.rs == rs:
+            solves.append([])
+        solves[-1].append(decision.sigma_inf)
+        return decision, info
+
+    monkeypatch.setattr(npc, "solve_relaxed_direct", recording)
+    log = run_closed_loop(
+        spec, toy, plant.NoiseModel(w_star=0.01, seed=5), np.array([0.2, 0.0, -0.1]), total_steps=6
+    )
+    bound = spec.slack_bound()
+    assert len(log.solves) == len(solves) == 3
+    for rec, sigmas in zip(log.solves, solves, strict=True):
+        assert (rec.path, rec.status, rec.applied) == ("fallback", "bound-active", False)
+        assert rec.max_violation == rec.sigma_inf - bound > 0.0
+        assert 2 < len(sigmas) < 20
+        assert all(b < a for a, b in zip(sigmas[:-2], sigmas[1:-1]))
+        assert sigmas[-1] >= sigmas[-2] == rec.sigma_inf
+    np.testing.assert_array_equal(log.inputs[st.d_max :], np.zeros((6, 2)))
 
 
 def test_the_loop_calls_one_solve_and_the_solvers_take_no_options():
@@ -550,29 +575,24 @@ def test_starts_make_no_dictionary_call(monkeypatch):
 
 
 def assert_direct_agrees_with_constrained(monkeypatch, y_s):
-    """The direct elimination, the bounded problem on the reduced core and
-    the full-space AL reference solve the same relaxed robust problem on the
-    flat toy at setpoint ``y_s``, where the slack bound is inactive."""
+    """The direct elimination and the full-space AL reference solve the same
+    relaxed robust problem on the flat toy at setpoint ``y_s``. Both drop
+    the slack bound, so the comparison first checks that the bound is
+    inactive at both solutions."""
     builder = OcpBuilder(flat_toy_relaxed_spec(y_s))
-    st = builder.spec.structure
+    spec = builder.spec
     hu = np.zeros((2, 1))
     hy = np.array([[0.2], [0.19]])
     monkeypatch.setattr(npc, "DIRECT_MAXITER", 300)
     dec_fast, info = solve_relaxed_direct(builder.reduced_form(), hu, hy)
-    assert info["status"] != "bound-active"
     monkeypatch.setattr(solver, "FEASIBILITY_TOL", 1e-9)
     monkeypatch.setattr(solver, "OPTIMALITY_TOL", 1e-7)
     rep = solver.solve(full_space.problem(builder, hu, hy))
     dec_slow = full_space.Packed(builder).unpack(rep.x)
-    form = builder.reduced_form()
-    bounded = solver.solve(form.build(hu, hy))
-    for objective, decision in (
-        (rep.objective, dec_slow), (bounded.objective, form.unpack(bounded.x))
-    ):
-        np.testing.assert_allclose(
-            dec_fast.u_bar[st.d_max], decision.u_bar[st.d_max], atol=2e-4
-        )
-        assert abs(info["objective"] - objective) <= 1e-4 * max(1.0, objective)
+    assert info["status"] != "bound-active"
+    assert dec_slow.sigma_inf <= spec.slack_bound()
+    np.testing.assert_allclose(dec_fast.u_bar[spec.d_max], dec_slow.u_bar[spec.d_max], atol=2e-4)
+    assert abs(info["objective"] - rep.objective) <= 1e-4 * max(1.0, rep.objective)
     return builder
 
 
@@ -888,30 +908,32 @@ def test_solver_error_records_exception_text(mode, failing_call, failed_solve):
 
 
 @BOUND_ACTIVE
-def test_solver_error_in_the_bounded_build_is_recorded(monkeypatch, fields):
-    """A dictionary that fails while the first bound-active fallback poses
-    its problem (``_RelaxedDirect.build`` evaluates the features at the
-    direct decision's free slots) makes that solve a ``solver-error`` with
-    the exception text, held and not applied; the loop goes on, and later
-    fallbacks build and solve their problems."""
+def test_solver_error_in_a_continuation_decade_is_recorded(monkeypatch, fields):
+    """A dictionary that fails inside the first decade of the first
+    continuation (the direct form at a raised slack weight) makes that solve
+    a ``solver-error`` with the exception text, held and not applied; the
+    loop goes on, and later continuations run their decades."""
     spec = dataclasses.replace(flat_toy_relaxed_spec(0.0), **fields)
     d = spec.blocks.dictionary
-    value_batch, build = d.value_batch, npc._RelaxedDirect.build
-    builds = []
+    value_batch, solve_direct = d.value_batch, npc.solve_relaxed_direct
+    rs = np.sqrt(spec.lambda_sigma)
+    decades = []
 
-    def counted_build(self, *args, **kwargs):
-        builds.append("open")
+    def counted_direct(direct, *args):
+        if direct.rs == rs:
+            return solve_direct(direct, *args)
+        decades.append("open")
         try:
-            return build(self, *args, **kwargs)
+            return solve_direct(direct, *args)
         finally:
-            builds[-1] = "closed"
+            decades[-1] = "closed"
 
     def failing_value_batch(U, XI):
-        if builds == ["open"]:
+        if decades == ["open"]:
             raise RuntimeError("dictionary offline")
         return value_batch(U, XI)
 
-    monkeypatch.setattr(npc._RelaxedDirect, "build", counted_build)
+    monkeypatch.setattr(npc, "solve_relaxed_direct", counted_direct)
     monkeypatch.setattr(d, "value_batch", failing_value_batch)
     toy, _, _ = plant.make_scalar_flat()
     log = run_closed_loop(spec, toy, plant.NoiseModel(w_star=0.005, seed=7), np.array([0.2, 0.1]),
@@ -921,8 +943,8 @@ def test_solver_error_in_the_bounded_build_is_recorded(monkeypatch, fields):
     assert failed[0].status == "solver-error"
     assert failed[0].error == "RuntimeError: dictionary offline"
     assert failed[0].path == "held" and not failed[0].applied
-    assert len(builds) >= 2
-    assert "al-gn" in {rec.path for rec in log.solves}
+    assert len(decades) >= 2
+    assert "fallback" in {rec.path for rec in log.solves}
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])

@@ -80,16 +80,6 @@ def test_matches_direct_kkt_on_random_qps():
         np.testing.assert_allclose(rep.x, sol[:n], atol=1e-6)
 
 
-def test_inequality_constraint():
-    # minimize ||z - (2, 0)||^2 subject to z_1 <= 1
-    prob = quadratic_problem([2.0, 0.0], 2,
-                             ineq_residual=lambda z: np.array([z[0] - 1.0]),
-                             ineq_jacobian=lambda z: np.array([[1.0, 0.0]]))
-    rep = solve(prob)
-    np.testing.assert_allclose(rep.x, [1.0, 0.0], atol=1e-6)
-    assert full_space.constraint_violation(prob, rep.x) <= 1e-7
-
-
 def test_infeasible_detected(monkeypatch):
     # x = 0 and x = 1 simultaneously
     prob = quadratic_problem([0.0], 1, **linear_equality([[1.0], [1.0]], [0.0, 1.0]))
@@ -582,6 +572,47 @@ def test_scipy_optimizers_stay_out_of_src():
         for name in optimize_imports(node)
     }
     assert found == {("solver.py", "minimize")}
+
+
+def test_one_robust_path_and_no_inequality_rows_in_src():
+    """The augmented-Lagrangian solver serves only the nominal core's
+    membership equalities: ``solver.solve`` is called at one place in
+    ``src/ddnpc``, ``_NominalCore.solve``, and no module names an ``ineq``
+    field, argument or function, so the robust form has the one path of the
+    direct form and its slack-weight continuation."""
+    import ast
+    from pathlib import Path
+
+    names = {
+        ast.Name: lambda n: n.id, ast.Attribute: lambda n: n.attr,
+        ast.keyword: lambda n: n.arg, ast.arg: lambda n: n.arg,
+        ast.FunctionDef: lambda n: n.name, ast.alias: lambda n: n.name,
+    }
+    sites, ineq = set(), set()
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [
+            (f"{cls.name}.{fn.name}", fn)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ] + [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for scope, fn in scopes:
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "solve"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("solver", "_solver")
+                ):
+                    sites.add((path.name, scope))
+        for node in ast.walk(tree):
+            name = names.get(type(node), lambda n: None)(node)
+            if name and "ineq" in name:
+                ineq.add((path.name, name))
+    assert sites == {("npc.py", "_NominalCore.solve")}
+    assert ineq == set()
+    assert not {"ineq_residual", "ineq_jacobian"} & set(solver.NlpProblem.__dataclass_fields__)
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
