@@ -342,12 +342,6 @@ class WindowFeatures:
         """``h`` at ``v``."""
         return self._evaluate(v)[1]
 
-    def stacked_values(self, v):
-        """``h`` at ``v`` from the dictionary's values alone, not kept."""
-        c = self.window(v)
-        psi = self.dictionary.value_batch(c[self.u_idx], c[self.xi_idx])
-        return np.concatenate([psi.reshape(-1), c[self.lin_idx]])
-
     def rows(self, v, out=None):
         """The rows at ``v``, written into ``out`` when given."""
         return np.matmul(self.R, self.stacked(v) - self.offset, out=out)
@@ -379,8 +373,7 @@ class _WindowFactors:
     K: np.ndarray
     C_s: np.ndarray
     Q0: np.ndarray
-    A_pinv: np.ndarray
-    H0_pinv: np.ndarray
+    H0_pinv: np.ndarray  # pinv(H_xi0), which maps xi0 to the start's combination vector
     features: WindowFeatures  # R = [[R0, 0], [0, 0]]
 
     def __post_init__(self):
@@ -432,7 +425,7 @@ def _kind_factors(blocks, what, reg) -> _WindowFactors:
     lin_idx = np.append(np.arange(n_v), n_v + n_fixed)
     features = WindowFeatures(blocks.dictionary, u_idx, xi_idx, lin_idx, n_v, block_diag(R0, 0.0))
     factors = blocks._window_factors[what, reg] = _WindowFactors(
-        A, E, K, C[:, n_psi + n_v :], Q0, np.linalg.pinv(A), np.linalg.pinv(H0), features
+        A, E, K, C[:, n_psi + n_v :], Q0, np.linalg.pinv(H0), features
     )
     return factors
 
@@ -467,6 +460,10 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
     over ``a`` exactly when the window the solve settles on is reachable from
     the data, which is checked at the start and at the returned point.
 
+    The solve starts at ``v = V a0``, with ``a0 = H_xi0^+ xi0`` the
+    minimum-norm combination vector that reproduces the initial window
+    state: the start takes no dictionary pass of its own.
+
     All but the query's values ``s`` depends on the blocks and the query kind
     alone and is built once per ``(what, ridge weight)`` (``_kind_factors``):
     ``C`` but its last column ``c = C_s s``, with its QR factors ``Q0 R0``.
@@ -475,7 +472,7 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
     reg = lambda_alpha * eps_star
     kind = blocks._window_factors.get((what, reg)) or _kind_factors(blocks, what, reg)
     n_psi, n_v = blocks.H_psi.shape[0], kind.features.n_free
-    H0, V, xi0 = blocks.xi_block_row(0), kind.E[:n_v], s[: blocks.structure.n]
+    xi0 = s[: blocks.structure.n]
     col = _appended_column(kind.Q0, kind.C_s @ s)
     core = kind.features.with_last_column(col, np.append(fixed, 1.0))
 
@@ -488,13 +485,9 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
             )
         return alpha
 
-    # Fixed-point start: the unregularized linear fit with the features frozen
-    # at the previous trajectory, projected back onto the initial state.
-    alpha = kind.H0_pinv @ xi0
-    for _ in range(4):
-        alpha = kind.A_pinv @ np.append(core.stacked_values(V @ alpha)[:n_psi], s)
-        alpha -= kind.H0_pinv @ (H0 @ alpha - xi0)
-    v0 = V @ alpha
+    # The minimum-norm start; its dictionary pass serves the solve's first
+    # residual too.
+    v0 = kind.E[:n_v] @ (kind.H0_pinv @ xi0)
     alpha_of(core.stacked(v0))
 
     unbounded = np.full(n_v, np.inf)

@@ -2,7 +2,12 @@
 query kind: every query builds its own ``K`` and factors the whole cost
 matrix ``C`` with a dense QR. The library's ``behavior._fit_window`` builds
 ``K`` and the QR of ``C`` but its last column once per query kind and
-appends the query's column; its results are checked against these.
+appends the query's column; its results are checked against these. Both
+start from the minimum-norm combination vector of the initial window state.
+
+``fixed_point_start`` keeps the start the library took before, on which
+``solver.reduced_lsq`` crawls (ROADMAP item 2); ``simulate`` takes it on
+request.
 """
 
 import math
@@ -20,8 +25,24 @@ from ddnpc.behavior import (
 from ddnpc.plant import window_states
 
 
+def fixed_point_start(blocks, A, V, s, xi0, u_idx, xi_idx, fixed):
+    """Free samples of the fixed-point start: four steps of the unregularized
+    linear fit ``A a = [psi; s]`` with the features ``psi`` frozen at the
+    previous trajectory and taken as values alone (``value_batch``), each
+    projected back onto the initial window state."""
+    H0 = blocks.xi_block_row(0)
+    A_pinv, H0_pinv = np.linalg.pinv(A), np.linalg.pinv(H0)
+    alpha = H0_pinv @ xi0
+    for _ in range(4):
+        c = np.concatenate([V @ alpha, fixed])
+        psi = blocks.dictionary.value_batch(c[u_idx], c[xi_idx])
+        alpha = A_pinv @ np.append(psi.reshape(-1), s)
+        alpha -= H0_pinv @ (H0 @ alpha - xi0)
+    return V @ alpha
+
+
 def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
-                lambda_alpha, eps_star, k_xi, maxiter):
+                lambda_alpha, eps_star, k_xi, maxiter, fixed_point=False):
     n_psi, n_v = blocks.H_psi.shape[0], V.shape[0]
     H0 = blocks.xi_block_row(0)
     A = np.vstack([blocks.H_psi, S])
@@ -38,7 +59,6 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
     N = null_space(E)
     E_pinv = np.linalg.pinv(E)
     G = np.linalg.pinv(np.vstack([A @ N, math.sqrt(reg) * np.eye(N.shape[1])]))
-    A_pinv, H0_pinv = np.linalg.pinv(A), np.linalg.pinv(H0)
     K = E_pinv @ E_h + N @ (G[:, : A.shape[0]] @ (T - A @ E_pinv @ E_h))
     R = np.linalg.qr(np.vstack([A @ K - T, math.sqrt(reg) * K]), mode="r")
     core = WindowFeatures(
@@ -55,11 +75,10 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
             )
         return alpha
 
-    alpha = H0_pinv @ xi0
-    for _ in range(4):
-        alpha = A_pinv @ (T @ core.stacked_values(V @ alpha))
-        alpha -= H0_pinv @ (H0 @ alpha - xi0)
-    v0 = V @ alpha
+    if fixed_point:
+        v0 = fixed_point_start(blocks, A, V, s, xi0, u_idx, xi_idx, fixed)
+    else:
+        v0 = V @ (np.linalg.pinv(H0) @ xi0)
     alpha_of(core.stacked(v0))
 
     unbounded = np.full(n_v, np.inf)
@@ -91,8 +110,9 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
 
 
 def simulate(blocks, u_new, xi0, lambda_alpha=1e3, eps_star=0.0, k_xi=0.0, g_row_norm=0.0,
-             maxiter=800):
-    """``behavior.simulate_data_driven``'s fit; adds ``outputs``."""
+             maxiter=800, fixed_point=False):
+    """``behavior.simulate_data_driven``'s fit, from ``fixed_point_start``
+    when ``fixed_point``; adds ``outputs``."""
     L, st = blocks.horizon, blocks.structure
     m, n = st.m, st.n
     u_new = np.asarray(u_new, dtype=float).reshape(L, m)
@@ -110,6 +130,7 @@ def simulate(blocks, u_new, xi0, lambda_alpha=1e3, eps_star=0.0, k_xi=0.0, g_row
         fixed=np.concatenate([xi0, u_new.reshape(-1)]),
         gain=g_row_norm, what="simulation",
         lambda_alpha=lambda_alpha, eps_star=eps_star, k_xi=k_xi, maxiter=maxiter,
+        fixed_point=fixed_point,
     )
     fit["outputs"] = [Hy @ fit["alpha"] for Hy in blocks.H_y]
     return fit

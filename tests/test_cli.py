@@ -535,17 +535,19 @@ def test_simulate_pendulum_on_a_window_of_the_recorded_data(pendulum_recorded, s
         assert abs(float(y_hat) - float(y_true)) <= float(bound) + 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the default query, zero torques from the zero window state (both links "
-    "horizontal), lies outside the swing-up data: the simulation stalls and exits 4",
-)
 def test_simulate_pendulum_default_query(pendulum_recorded):
     """With no ``simulate.u_file`` or ``xi0`` the query is zero torques from
-    the zero window state; on the reference config it should succeed."""
+    the zero window state, which lies outside the swing-up data; on the
+    reference config it succeeds, and every prediction lies within its
+    bound of the true response."""
     out, cfg = pendulum_recorded
-    code, _ = _simulate(out, cfg, "simulate_default", {"L": 10})
+    code, csv_path = _simulate(out, cfg, "simulate_default", {"L": 10})
     assert code == cli.EXIT_OK
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 * (10 + 2)
+    for row in rows:
+        _, _, y_hat, bound, y_true = row.split(",")
+        assert abs(float(y_hat) - float(y_true)) <= float(bound) + 1e-6
 
 
 def _reference_pair():
