@@ -108,13 +108,6 @@ class OperatingBox:
         axes = self.grid_axes()
         return _mesh_rows(axes[: self.m]), _mesh_rows(axes[self.m :])
 
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` / ``(P, n)``,
-        ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a`` with state
-        row ``b`` of ``grid_factors()``."""
-        U_rows, XI_rows = self.grid_factors()
-        return np.repeat(U_rows, len(XI_rows), axis=0), np.tile(XI_rows, (len(U_rows), 1))
-
 
 def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
     """Every combination of the axes' values, one per row, the first axis
@@ -128,10 +121,25 @@ def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _leading_shape(U: np.ndarray, XI: np.ndarray) -> tuple:
+    """The broadcast leading shape of input rows ``(..., m)`` and state rows
+    ``(..., n)``. Equal shapes, the solvers' window rows, skip
+    ``np.broadcast_shapes``, which costs more than a 12-row feature pass's
+    arithmetic."""
+    lead = U.shape[:-1]
+    return lead if lead == XI.shape[:-1] else np.broadcast_shapes(lead, XI.shape[:-1])
+
+
 class BasisDictionary:
     """Ordered family of scalar basis functions over ``(u, xi)``.
 
-    Subclasses implement ``value_batch`` and ``jacobian_batch``; the batched
+    Subclasses implement ``value_batch`` and ``jacobian_batch``.
+    ``value_batch`` takes inputs ``(..., m)`` and states ``(..., n)`` whose
+    leading axes broadcast against each other and returns ``(..., r)`` over
+    the broadcast leading axes, computed elementwise, so a row's values do not
+    depend on the rows beside it: on the grid's factors, ``(k, 1, m)`` inputs
+    against ``(1, s, n)`` states, the state-only terms are computed once per
+    state row. The jacobians take ``(P, m)`` and ``(P, n)`` rows; the batched
     jacobian is laid out ``(P, r, m + n)`` with input partials first. A
     subclass whose values and partials share work overrides
     ``value_and_jacobian_batch`` to compute both in one pass. The
@@ -170,7 +178,10 @@ class IdentityDictionary(BasisDictionary):
         super().__init__(m, n, m + n)
 
     def value_batch(self, U, XI):
-        return np.concatenate([U, XI], axis=-1)
+        out = np.empty(_leading_shape(U, XI) + (self.r,))
+        out[..., : self.m] = U
+        out[..., self.m :] = XI
+        return out
 
     def jacobian_batch(self, U, XI):
         P = U.shape[0]
@@ -188,7 +199,9 @@ class InputDictionary(BasisDictionary):
         super().__init__(m, n, m)
 
     def value_batch(self, U, XI):
-        return U.copy()
+        out = np.empty(_leading_shape(U, XI) + (self.m,))
+        out[...] = U
+        return out
 
     def jacobian_batch(self, U, XI):
         P = U.shape[0]
@@ -217,13 +230,13 @@ class FlatToyDictionary(BasisDictionary):
         self.name = "flat_exact" if c == 0.0 else f"flat_distorted_{c:g}"
 
     def value_batch(self, U, XI):
-        x0 = XI[:, 0]
-        out = np.empty((U.shape[0], 3))
-        out[:, 0] = U[:, 0]
-        out[:, 1] = np.float_power(XI[:, 1], 2)
-        out[:, 2] = np.sin(x0) - self.c * np.cos(2 * x0)
+        x0 = XI[..., 0]
+        out = np.empty(_leading_shape(U, XI) + (3,))
+        out[..., 0] = U[..., 0]
+        out[..., 1] = np.float_power(XI[..., 1], 2)
+        out[..., 2] = np.sin(x0) - self.c * np.cos(2 * x0)
         if not np.isfinite(out).all():
-            p, j = np.argwhere(~np.isfinite(out))[0]
+            p, j = divmod(int(np.flatnonzero(~np.isfinite(out))[0]), 3)
             raise DictionaryEvaluationError(
                 f"basis function {j} returned a non-finite value at step {p}"
             )
@@ -250,10 +263,15 @@ class PolynomialDictionary(BasisDictionary):
         super().__init__(m, n, 1 + dim + len(self._pairs))
 
     def value_batch(self, U, XI):
-        Z = np.concatenate([U, XI], axis=-1)
-        P = Z.shape[0]
-        quad = np.stack([Z[:, a] * Z[:, b] for a, b in self._pairs], axis=-1)
-        return np.concatenate([np.ones((P, 1)), Z, quad], axis=-1)
+        dim = self.m + self.n
+        out = np.empty(_leading_shape(U, XI) + (self.r,))
+        out[..., 0] = 1.0
+        out[..., 1 : 1 + self.m] = U
+        out[..., 1 + self.m : 1 + dim] = XI
+        Z = out[..., 1 : 1 + dim]
+        for j, (a, b) in enumerate(self._pairs):
+            np.multiply(Z[..., a], Z[..., b], out=out[..., 1 + dim + j])
+        return out
 
     def jacobian_batch(self, U, XI):
         Z = np.concatenate([U, XI], axis=-1)
@@ -276,7 +294,12 @@ class TrigDictionary(BasisDictionary):
         super().__init__(m, n, m + 2 * n)
 
     def value_batch(self, U, XI):
-        return np.concatenate([U, np.sin(XI), np.cos(XI)], axis=-1)
+        m, n = self.m, self.n
+        out = np.empty(_leading_shape(U, XI) + (self.r,))
+        out[..., :m] = U
+        out[..., m : m + n] = np.sin(XI)
+        out[..., m + n :] = np.cos(XI)
+        return out
 
     def jacobian_batch(self, U, XI):
         P = U.shape[0]
@@ -327,12 +350,13 @@ class PendulumModelDictionary(BasisDictionary):
 
     @staticmethod
     def _features(U, acc):
-        """``[U, a1, a2]`` row by row. The accelerations are copied in, not
-        written into the strided columns by the kernel: on the certificate's
-        117,649-row grid that write is the slower one."""
-        psi = np.empty((U.shape[0], 4))
-        psi[:, :2] = U
-        psi[:, 2], psi[:, 3] = acc[0], acc[1]
+        """``[U, a1, a2]`` row by row, over the leading shape of the
+        accelerations, which is the broadcast one. The accelerations are
+        copied in, not written into the strided columns by the kernel: on
+        the certificate's grid chunks that write is the slower one."""
+        psi = np.empty(acc[0].shape + (4,))
+        psi[..., :2] = U
+        psi[..., 2], psi[..., 3] = acc[0], acc[1]
         return psi
 
 
@@ -384,7 +408,8 @@ def evaluate_along(dictionary: BasisDictionary, u_seq, xi_seq):
 # Grid fitting, Lipschitz estimation and norm bounds
 # ---------------------------------------------------------------------------
 
-# Grid rows per call of phi: each call's temporaries stay in cache.
+# Grid rows per call of the dictionary and phi: each call's temporaries stay
+# in cache.
 _CORNER_BLOCK = 16_384
 
 
@@ -394,9 +419,12 @@ class GridEvaluation:
 
     ``U_rows`` (``(nu, m)``) and ``XI_rows`` (``(nx, n)``) are the grid's two
     factors, ``box.grid_factors()``. ``PSI`` is ``(P, r)`` and ``PHI`` is
-    ``(P, q)``, ``P = nu * nx``, rows in ``box.grid()`` order. ``gram`` is the
-    quadrature Gram matrix ``PSI^T PSI * cell_volume`` and ``gram_svals`` its
-    singular values; the fit and the norm bound share both.
+    ``(P, q)``, ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a``
+    with state row ``b``, so the first grid axis varies slowest. Both were
+    evaluated on the factors, never on a dense ``(P, m + n)`` grid. ``gram``
+    is the quadrature Gram matrix ``PSI^T PSI * cell_volume`` and
+    ``gram_svals`` its singular values; the fit and the norm bound share
+    both.
     """
 
     box: OperatingBox
@@ -422,21 +450,21 @@ def _grid_chunks(nu: int, nx: int):
             yield slice(a, a + k), slice(b, b + s)
 
 
-def _phi_chunk(phi, U_rows: np.ndarray, XI_rows: np.ndarray) -> np.ndarray:
-    """``phi`` at every pair of the given input and state rows, ``(k, s, q)``.
+def _grid_chunk(fn, U_rows: np.ndarray, XI_rows: np.ndarray) -> np.ndarray:
+    """``fn`` at every pair of the given input and state rows, ``(k, s, q)``.
 
-    One call on the factors, ``phi(U_rows[:, None, :], XI_rows[None, :, :])``,
+    One call on the factors, ``fn(U_rows[:, None, :], XI_rows[None, :, :])``,
     so the terms that depend on the state alone are computed once per state
     row of the chunk, on ``(1, s)`` arrays, and those of the input alone once
-    per input row. ``phi`` must work elementwise over broadcast leading axes
-    and return ``(..., q)``; a result that depends on one factor only is
-    broadcast.
+    per input row. ``fn``, a dictionary's ``value_batch`` or ``phi``, must
+    work elementwise over broadcast leading axes and return ``(..., q)``; a
+    result that depends on one factor only is broadcast.
     """
-    out = np.asarray(phi(U_rows[:, None, :], XI_rows[None, :, :]), dtype=float)
+    out = np.asarray(fn(U_rows[:, None, :], XI_rows[None, :, :]), dtype=float)
     if out.ndim != 3:
         raise ValueError(
-            f"phi returned shape {out.shape}; it must return (..., q) over the "
-            "broadcast leading axes of its arguments"
+            f"a grid map returned shape {out.shape}; it must return (..., q) over "
+            "the broadcast leading axes of its arguments"
         )
     return np.broadcast_to(out, (len(U_rows), len(XI_rows), out.shape[-1]))
 
@@ -446,26 +474,29 @@ def evaluate_grid(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: OperatingBox,
 ) -> GridEvaluation:
-    """Build the box grid once and evaluate ``dictionary`` and ``phi`` on it,
-    with the Gram matrix and its singular values.
+    """Evaluate ``dictionary`` and ``phi`` once each on the box grid, with
+    the Gram matrix and its singular values.
 
-    The dictionary takes the dense grid in one ``value_batch`` call. ``phi``
-    takes the grid's factors, one call per chunk of at most
-    ``_CORNER_BLOCK`` grid rows (``_grid_chunks``, ``_phi_chunk``): a slice
-    of the state rows with every input combination, so each state row's
-    state-only terms are computed once. Its values are those of one dense
-    call, bit for bit, since ``phi`` is elementwise.
+    Both take the grid's factors, in one pass over the chunks of at most
+    ``_CORNER_BLOCK`` grid rows (``_grid_chunks``, ``_grid_chunk``): a slice
+    of the state rows with every input combination, as ``(k, 1, m)`` inputs
+    against ``(1, s, n)`` states. So each state row's state-only terms are
+    computed once per map, and no dense grid is built. ``PSI`` and ``PHI``
+    are filled as ``(nu, nx, .)`` and read as ``(P, .)``. Their values are
+    those of one dense call, bit for bit, since both maps are elementwise.
     """
-    U, XI = box.grid()
-    PSI = dictionary.value_batch(U, XI)
     U_rows, XI_rows = box.grid_factors()
+    nu, nx = len(U_rows), len(XI_rows)
+    PSI = np.empty((nu, nx, dictionary.r))
     PHI = None
-    for inputs, states in _grid_chunks(len(U_rows), len(XI_rows)):
-        chunk = _phi_chunk(phi, U_rows[inputs], XI_rows[states])
+    for inputs, states in _grid_chunks(nu, nx):
+        U_chunk, XI_chunk = U_rows[inputs], XI_rows[states]
+        PSI[inputs, states] = _grid_chunk(dictionary.value_batch, U_chunk, XI_chunk)
+        chunk = _grid_chunk(phi, U_chunk, XI_chunk)
         if PHI is None:
-            PHI = np.empty((len(U_rows), len(XI_rows), chunk.shape[-1]))
+            PHI = np.empty((nu, nx, chunk.shape[-1]))
         PHI[inputs, states] = chunk
-    PHI = PHI.reshape(len(U), -1)
+    PSI, PHI = PSI.reshape(nu * nx, -1), PHI.reshape(nu * nx, -1)
     gamma = PSI.T @ PSI * box.cell_volume()
     svals = np.linalg.svd(gamma, compute_uv=False)
     return GridEvaluation(box, U_rows, XI_rows, PSI, PHI, gamma, svals)
@@ -499,12 +530,12 @@ def fit_coefficient_matrix(grid: GridEvaluation):
 def estimate_lipschitz(values: np.ndarray, box: OperatingBox) -> float:
     """Grid estimate of the Lipschitz constant of a map w.r.t. the state.
 
-    ``values`` holds the map on ``box.grid()``, ``(P, q)`` in grid order.
-    Takes the largest ratio of output change (sup norm) to state change (sup
-    norm) over grid-adjacent point pairs along each state axis, the input held
-    fixed. This is a lower estimate of the true constant on the box. One
-    difference pass per state axis, each into the same buffer; no
-    evaluation.
+    ``values`` holds the map on the box grid, ``(P, q)`` in
+    ``GridEvaluation`` row order. Takes the largest ratio of output change
+    (sup norm) to state change (sup norm) over grid-adjacent point pairs
+    along each state axis, the input held fixed. This is a lower estimate of
+    the true constant on the box. One difference pass per state axis, each
+    into the same buffer; no evaluation.
     """
     shape = (box.grid_points,) * (box.m + box.n)
     F = np.asarray(values, dtype=float).reshape(shape + (-1,))
@@ -531,7 +562,7 @@ def estimate_noise_gain(
 
     The unperturbed values are ``grid.PHI``. The perturbed ones take one
     ``phi`` call per corner and chunk of the factored grid (``_grid_chunks``,
-    ``_phi_chunk``), every corner on a chunk before the next chunk, so each
+    ``_grid_chunk``), every corner on a chunk before the next chunk, so each
     call's temporaries stay in cache. A chunk is a slice of the state rows
     with every input combination, so each corner computes the state-only
     terms of each shifted state row once. The maximum does not depend on the
@@ -554,7 +585,7 @@ def estimate_noise_gain(
     for inputs, states in _grid_chunks(nu, nx):
         U_rows, XI_rows, base = grid.U_rows[inputs], grid.XI_rows[states], PHI[inputs, states]
         for shift in shifts:
-            pert = _phi_chunk(phi, U_rows, XI_rows + shift)
+            pert = _grid_chunk(phi, U_rows, XI_rows + shift)
             worst = max(worst, float(np.max(np.abs(base - pert))))
     return worst / w_star
 
@@ -664,15 +695,16 @@ def build_certificate(
 ) -> ApproximationCertificate:
     """Run the full grid pipeline and package the resulting constants.
 
-    The grid is built once and ``dictionary`` and ``phi`` are evaluated on it
-    once each (``evaluate_grid``): the dictionary on the dense grid, ``phi``
-    on the grid's factors, input combinations times state rows. The fit,
+    The grid is built once, as its two factors, and ``dictionary`` and
+    ``phi`` are evaluated on it once each (``evaluate_grid``), both on the
+    factors, input combinations times state rows. The fit,
     ``v*``, both Lipschitz estimates and the norm bound work on those arrays.
     Only the noise-gain sweep calls ``phi`` again, on the factors with the
     state rows shifted to each of the ``2^n`` noise corners. With a zero
     noise bound that sweep is skipped and the gain recorded as identically
     zero. ``phi`` must work elementwise over broadcast leading axes and
-    return ``(..., q)``.
+    return ``(..., q)``, as ``dictionary.value_batch`` does with ``(..., r)``
+    (``BasisDictionary``).
     """
     grid = evaluate_grid(dictionary, phi, box)
     G, eps_star = fit_coefficient_matrix(grid)

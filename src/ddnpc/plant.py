@@ -349,14 +349,17 @@ def pendulum_synthetic_input(p: DoublePendulumParams, u: np.ndarray, xi: np.ndar
 
     The window state is ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})``, so velocities are
     recovered by divided differences. Vectorized: ``u`` of shape ``(..., 2)``
-    with ``xi`` of shape ``(..., 4)`` gives ``(..., 2)``.
+    with ``xi`` of shape ``(..., 4)``, the leading axes broadcast against each
+    other, gives ``(..., 2)``. Each channel is written into the result, with
+    no stacked copy.
     """
     u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
     a1, a2, _ = _window_accelerations(p, u, xi)
-    v1 = 2.0 * xi[..., 1] - xi[..., 0] + p.Ts**2 * a1
-    v2 = 2.0 * xi[..., 3] - xi[..., 2] + p.Ts**2 * a2
-    return np.stack([v1, v2], axis=-1)
+    v = np.empty(a1.shape + (2,))
+    np.add(2.0 * xi[..., 1] - xi[..., 0], p.Ts**2 * a1, out=v[..., 0])
+    np.add(2.0 * xi[..., 3] - xi[..., 2], p.Ts**2 * a2, out=v[..., 1])
+    return v
 
 
 def make_double_pendulum(params: Optional[DoublePendulumParams] = None) -> PlantModel:

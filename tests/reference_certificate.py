@@ -1,12 +1,12 @@
 """The approximation-certificate pipeline before it evaluated the grid once:
 the reference its constants are checked against, bit for bit.
 
-Every estimator here builds the box grid and evaluates what it needs on it
-itself (six grid builds, twenty full-grid ``phi`` calls and three dictionary
-calls per certificate with a noise bound), and the noise gain takes each
-sign corner over the whole grid in one call. The library evaluates the grid
-once and sweeps the corners block by block; none of that may change a
-constant.
+Every estimator here builds the dense box grid (``dense_grid``) and
+evaluates what it needs on it itself (six grid builds, twenty full-grid
+``phi`` calls and three dictionary calls per certificate with a noise bound),
+and the noise gain takes each sign corner over the whole grid in one call.
+The library evaluates the grid's factors once, chunk by chunk, and sweeps the
+corners the same way; none of that may change a constant.
 """
 
 from typing import Callable, Optional
@@ -23,8 +23,17 @@ from ddnpc.basis import (
 )
 
 
+def dense_grid(box: OperatingBox) -> tuple[np.ndarray, np.ndarray]:
+    """The box's midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` /
+    ``(P, n)``, ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a``
+    with state row ``b`` of ``box.grid_factors()``. The library evaluates
+    the factors and never builds these arrays."""
+    U_rows, XI_rows = box.grid_factors()
+    return np.repeat(U_rows, len(XI_rows), axis=0), np.tile(XI_rows, (len(U_rows), 1))
+
+
 def _grid_eval(dictionary: BasisDictionary, phi, box: OperatingBox):
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     PSI = dictionary.value_batch(U, XI)
     PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
     if PHI.shape[0] != U.shape[0]:
@@ -76,7 +85,7 @@ def estimate_lipschitz(
     """
     axes = box.grid_axes()
     shape = tuple(len(a) for a in axes)
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     F = np.atleast_2d(np.asarray(fun(U, XI), dtype=float))
     if F.shape[0] != U.shape[0]:
         F = F.T
@@ -100,7 +109,7 @@ def estimate_noise_gain(
     with all ``2^n`` sign-corner state perturbations of magnitude ``w*``."""
     if w_star == 0.0:
         return 0.0
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     base = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
     n = box.n
     corners = np.array(
@@ -124,7 +133,7 @@ def coefficient_norm_bound(
     integrals taken by the same midpoint quadrature as the fit, so it
     dominates the oracle norm computed on the same grid.
     """
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     PSI = dictionary.value_batch(U, XI)
     dv = box.cell_volume()
     gamma = PSI.T @ PSI * dv
@@ -151,7 +160,7 @@ def build_certificate(
     as identically zero.
     """
     G, eps_star = fit_coefficient_matrix(dictionary, phi, box)
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     PHI = np.atleast_2d(np.asarray(phi(U, XI), dtype=float))
     if PHI.shape[0] != U.shape[0]:
         PHI = PHI.T

@@ -28,9 +28,13 @@ class CustomDictionary(BasisDictionary):
         self.u_prefix = u_prefix
 
     def value_batch(self, U, XI):
-        P = U.shape[0]
-        out = np.empty((P, self.r))
-        for p in range(P):
+        """One call per row of the broadcast ``(..., m)`` inputs and
+        ``(..., n)`` states; ``(..., r)``."""
+        lead = np.broadcast_shapes(U.shape[:-1], XI.shape[:-1])
+        U = np.broadcast_to(U, lead + (self.m,)).reshape(-1, self.m)
+        XI = np.broadcast_to(XI, lead + (self.n,)).reshape(-1, self.n)
+        out = np.empty((U.shape[0], self.r))
+        for p in range(U.shape[0]):
             for j, f in enumerate(self.funcs):
                 out[p, j] = f(U[p], XI[p])
         if not np.all(np.isfinite(out)):
@@ -38,7 +42,7 @@ class CustomDictionary(BasisDictionary):
             raise DictionaryEvaluationError(
                 f"basis function {j} returned a non-finite value at step {p}"
             )
-        return out
+        return out.reshape(lead + (self.r,))
 
     def jacobian_batch(self, U, XI):
         P = U.shape[0]

@@ -15,6 +15,7 @@ from ddnpc.behavior import DataDictionaryBlocks
 
 import full_space
 import reference_checks
+from reference_certificate import dense_grid
 from gradient_check import check_gradients
 
 
@@ -199,7 +200,7 @@ def test_norm_bound_dominates_every_shipped_pair(pendulum, pendulum_cert):
     for name, d, phi_fn, box in pairs:
         grid = basis.evaluate_grid(d, phi_fn, box)
         G, _ = basis.fit_coefficient_matrix(grid)
-        U, XI = box.grid()
+        U, XI = dense_grid(box)
         PHI = np.atleast_2d(phi_fn(U, XI))
         if PHI.shape[0] != U.shape[0]:
             PHI = PHI.T

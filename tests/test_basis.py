@@ -24,6 +24,7 @@ from ddnpc.basis import (
     make_pendulum_dictionary,
     right_inverse_norm_bound,
 )
+from reference_certificate import dense_grid
 from reference_dictionary import CustomDictionary, flat_toy_callables
 from reference_pendulum import coriolis_times_velocity, inertia_matrix, random_points
 
@@ -102,7 +103,7 @@ def test_pendulum_jacobian_matches_einsum_formula():
     exp = presets.pendulum_experiment()
     d = exp.dictionary(perturbation=0.1, seed=3)
     U, XI = random_points(exp.box, 3000, seed=8)
-    G_U, G_XI = exp.box.grid()
+    G_U, G_XI = dense_grid(exp.box)
     for U, XI in ((3.0 * U, 2.5 * XI), (G_U[::13], G_XI[::13])):
         J = d.jacobian_batch(U, XI)
         want = einsum_pendulum_jacobian(d.estimates, U, XI)
@@ -116,7 +117,7 @@ def test_synthetic_input_is_window_step_plus_exact_model_accelerations():
     the transformed input, bit for bit."""
     exp = presets.pendulum_experiment()
     d = exp.dictionary(perturbation=0.0, seed=3)
-    U, XI = exp.box.grid()
+    U, XI = dense_grid(exp.box)
     U, XI = U[::5], XI[::5]
     A = d.value_batch(U, XI)[:, 2:]
     want = 2.0 * XI[:, 1::2] - XI[:, 0::2] + exp.params.Ts**2 * A
@@ -256,7 +257,7 @@ def test_dictionary_jacobians_match_finite_differences(dictionary):
             assert np.max(np.abs(fd - J[p_, :, c])) / denom < 1e-5
 
 
-@pytest.mark.parametrize(
+_LIBRARY_DICTIONARIES = pytest.mark.parametrize(
     "dictionary",
     [
         IdentityDictionary(2, 4),
@@ -269,6 +270,9 @@ def test_dictionary_jacobians_match_finite_differences(dictionary):
     ],
     ids=["identity", "input", "poly2", "trig", "custom", "custom_fd", "pendulum"],
 )
+
+
+@_LIBRARY_DICTIONARIES
 def test_value_and_jacobian_batch_equals_both_batches(dictionary):
     """The solvers take values and partials from one call; they are the
     separate batches bit for bit."""
@@ -278,6 +282,20 @@ def test_value_and_jacobian_batch_equals_both_batches(dictionary):
     value, jac = dictionary.value_and_jacobian_batch(U, XI)
     np.testing.assert_array_equal(value, dictionary.value_batch(U, XI))
     np.testing.assert_array_equal(jac, dictionary.jacobian_batch(U, XI))
+
+
+@_LIBRARY_DICTIONARIES
+def test_value_batch_on_broadcast_factors_equals_the_dense_rows(dictionary):
+    """The certificate evaluates the dictionary on the grid's factors,
+    ``(k, 1, m)`` inputs against ``(1, s, n)`` states; the values are those
+    of the dense rows, bit for bit."""
+    rng = np.random.default_rng(9)
+    U_rows = rng.uniform(-2, 2, (5, dictionary.m))
+    XI_rows = rng.uniform(-1.2, 1.2, (6, dictionary.n))
+    got = dictionary.value_batch(U_rows[:, None, :], XI_rows[None, :, :])
+    assert got.shape == (5, 6, dictionary.r)
+    U, XI = np.repeat(U_rows, 6, axis=0), np.tile(XI_rows, (5, 1))
+    np.testing.assert_array_equal(got.reshape(30, -1), dictionary.value_batch(U, XI))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +357,7 @@ def test_fit_is_least_squares_minimum():
         return phi(U, XI)
 
     G, eps = fit_coefficient_matrix(evaluate_grid(d, phi_b, box))
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     PSI = d.value_batch(U, XI)
     PHI = phi_b(U, XI)
     base = np.sum((PHI - PSI @ G.T) ** 2)
@@ -376,14 +394,14 @@ def test_eps_monotone_under_nested_dictionaries():
 
 def test_lipschitz_linear_function():
     box = unit_box(1, 2, grid=15)
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     K = estimate_lipschitz(2.0 * XI[:, [0]], box)
     np.testing.assert_allclose(K, 2.0, rtol=1e-9)
 
 
 def test_lipschitz_constant_function():
     box = unit_box(1, 1, grid=9)
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     K = estimate_lipschitz(np.ones((U.shape[0], 1)), box)
     assert K == 0.0
 
@@ -392,8 +410,8 @@ def test_lipschitz_sine_refines_to_one():
     box_coarse = OperatingBox([-1], [1], [-np.pi / 2], [np.pi / 2], grid_points=5)
     box_fine = OperatingBox([-1], [1], [-np.pi / 2], [np.pi / 2], grid_points=201)
     f = lambda U, XI: np.sin(XI[:, [0]])
-    K_coarse = estimate_lipschitz(f(*box_coarse.grid()), box_coarse)
-    K_fine = estimate_lipschitz(f(*box_fine.grid()), box_fine)
+    K_coarse = estimate_lipschitz(f(*dense_grid(box_coarse)), box_coarse)
+    K_fine = estimate_lipschitz(f(*dense_grid(box_fine)), box_fine)
     assert K_coarse <= K_fine <= 1.0
     np.testing.assert_allclose(K_fine, 1.0, atol=1e-3)
 
@@ -437,7 +455,7 @@ def test_norm_bound_orthonormal_dictionary():
         1, 1,
         funcs=[lambda u, xi: 1.0, lambda u, xi: np.sqrt(3.0) * (2 * xi[0] - 1.0)],
     )
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     PSI = d.value_batch(U, XI)
     v_star = 2.0
     expected = v_star * 1.0 * np.sum(np.abs(PSI)) * box.cell_volume()
@@ -456,7 +474,7 @@ def test_norm_bound_dominates_fit_on_shared_dictionaries():
     for d, phi_fn, box in cases:
         grid = evaluate_grid(d, phi_fn, box)
         G, _ = fit_coefficient_matrix(grid)
-        U, XI = box.grid()
+        U, XI = dense_grid(box)
         PHI = np.atleast_2d(phi_fn(U, XI))
         if PHI.shape[0] != U.shape[0]:
             PHI = PHI.T
@@ -501,7 +519,7 @@ def test_certificate_noise_gain_property():
     w_star = 0.02
     cert = build_certificate(d, phi, box, degrees=st.degrees, w_star=w_star, seed=4)
     rng = np.random.default_rng(8)
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     take = rng.choice(U.shape[0], size=200, replace=False)
     worst = 0.0
     for idx in take:
@@ -532,7 +550,7 @@ def test_grid_pairs_the_factor_rows_in_order():
     the grid is the full meshgrid of the axes, the first varying slowest."""
     box = OperatingBox([-1.0, 0.0], [1.0, 2.0], [-1.0, -2.0, 0.0], [1.0, 2.0, 3.0], grid_points=3)
     U_rows, XI_rows = box.grid_factors()
-    U, XI = box.grid()
+    U, XI = dense_grid(box)
     assert U_rows.shape == (9, 2) and XI_rows.shape == (27, 3)
     np.testing.assert_array_equal(U.reshape(9, 27, 2), np.broadcast_to(U_rows[:, None], (9, 27, 2)))
     np.testing.assert_array_equal(XI.reshape(9, 27, 3), np.broadcast_to(XI_rows[None], (9, 27, 3)))
@@ -613,38 +631,42 @@ def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
 
 
 def test_certificate_evaluates_the_grid_once(monkeypatch):
-    """One grid build and one dictionary call on the dense grid. ``phi`` takes
-    the grid's factors: no call sees more than one copy of the state rows or
-    more than the block size, and the calls cover the grid once unperturbed
-    and once per noise corner. Each of those passes sees each state row
-    once, so the state-only terms are computed once per row and pass."""
+    """One build of the grid's factors and no dense grid. The dictionary and
+    ``phi`` both take the factors: no call sees more than one copy of the
+    state rows or more than the block size. The dictionary's calls cover the
+    grid once, ``phi``'s once unperturbed and once per noise corner. Each of
+    those passes sees each state row once, so the state-only terms are
+    computed once per row and pass."""
     d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
-    builds, psi_rows, phi_states, phi_sizes = [], [], [], []
-    grid = OperatingBox.grid
+    builds, psi_states, psi_sizes, phi_states, phi_sizes = [], [], [], [], []
+    factors = OperatingBox.grid_factors
 
-    def counted_grid(self):
+    def counted_factors(self):
         builds.append(self)
-        return grid(self)
+        return factors(self)
 
-    def counted_phi(U, XI):
-        phi_states.append(int(np.prod(XI.shape[:-1])))
-        phi_sizes.append(int(np.prod(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]))))
-        return phi(U, XI)
+    def counted(states, sizes, fn):
+        def call(U, XI):
+            states.append(int(np.prod(XI.shape[:-1])))
+            sizes.append(int(np.prod(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]))))
+            return fn(U, XI)
 
-    def counted_psi(U, XI, value_batch=d.value_batch):
-        psi_rows.append(len(U))
-        return value_batch(U, XI)
+        return call
 
-    monkeypatch.setattr(OperatingBox, "grid", counted_grid)
-    d.value_batch = counted_psi
-    build_certificate(d, counted_phi, box, degrees, w_star=w_star, seed=seed)
-    P = box.grid_points ** (box.m + box.n)
+    monkeypatch.setattr(OperatingBox, "grid_factors", counted_factors)
+    d.value_batch = counted(psi_states, psi_sizes, d.value_batch)
+    build_certificate(
+        d, counted(phi_states, phi_sizes, phi), box, degrees, w_star=w_star, seed=seed
+    )
+    P, nx = box.grid_points ** (box.m + box.n), box.grid_points**box.n
+    assert not hasattr(OperatingBox, "grid")
     assert len(builds) == 1
-    assert psi_rows == [P]
-    assert max(phi_states) <= box.grid_points**box.n
+    assert sum(psi_sizes) == P
+    assert max(psi_sizes) <= basis._CORNER_BLOCK
+    assert sum(psi_states) == nx
     assert sum(phi_sizes) == (1 + 2**box.n) * P
     assert max(phi_sizes) <= basis._CORNER_BLOCK
-    assert sum(phi_states) == (1 + 2**box.n) * box.grid_points**box.n
+    assert sum(phi_states) == (1 + 2**box.n) * nx
 
 
 def test_phi_must_return_a_trailing_channel_axis():

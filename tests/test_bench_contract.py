@@ -76,7 +76,8 @@ def test_layers_trace_behavior_and_solver_calls(monkeypatch):
 def test_layers_trace_certificate_spans(monkeypatch):
     """``build_certificate`` calls its estimators by module attribute, so the
     traced run records one span for each. The dictionary and ``phi`` are
-    evaluated once each on the grid, ``phi`` again at every noise corner."""
+    evaluated once each on the grid's factors, ``phi`` again at every noise
+    corner."""
     monkeypatch.syspath_prepend(str(BENCH))
     import harness
     import layers
@@ -99,11 +100,12 @@ def test_layers_trace_certificate_spans(monkeypatch):
         "basis.noise_gain", "basis.norm_bound",
     ):
         assert span in recorded, span
-    # phi takes the grid's factors, all 9 input combinations against the 81
-    # state rows in one call on the grid and one per noise corner; the
-    # counter reads len(U), the input combinations, so only the dictionary's
-    # dense call counts as a grid pass
-    assert tracer.counts["basis.grid_passes"] == 1
+    # the dictionary and phi take the grid's factors, all 9 input
+    # combinations against the 81 state rows in one call on the grid, phi
+    # again at each noise corner; the counters read len(U), the input
+    # combinations, so no call counts as a grid pass
+    assert tracer.counts["basis.grid_passes"] == 0
+    assert tracer.counts["basis.value_batch.rows"] == 9
     assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference_pendulum
+from reference_certificate import dense_grid
 from reference_checks import NoResponseError, chain_matrices, probe_relative_degrees
 from ddnpc import basis, plant, presets
 from ddnpc.plant import (
@@ -103,7 +104,7 @@ def pendulum_points():
     certificate grid."""
     exp = presets.pendulum_experiment()
     U, XI = random_points(exp.box, 4000, seed=7)
-    G_U, G_XI = exp.box.grid()
+    G_U, G_XI = dense_grid(exp.box)
     return [(3.0 * U, 2.5 * XI), (G_U[::11], G_XI[::11])]
 
 
