@@ -14,6 +14,7 @@ fitted matrix, only the certificate scalars.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
@@ -102,18 +103,14 @@ class OperatingBox:
             for i in range(self.lower.size)
         ]
 
-    def grid_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The midpoint grid's two factors: its ``(nu, m)`` input rows and
-        ``(nx, n)`` state rows, each with its first axis varying slowest."""
+    def grid_factors(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The midpoint grid's two factors: its ``m`` input axes, one array
+        per input coordinate, and its ``(nx, n)`` state rows, every
+        combination of the state axes' values with the first axis varying
+        slowest."""
         axes = self.grid_axes()
-        return _mesh_rows(axes[: self.m]), _mesh_rows(axes[self.m :])
-
-
-def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
-    """Every combination of the axes' values, one per row, the first axis
-    varying slowest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+        mesh = np.meshgrid(*axes[self.m :], indexing="ij")
+        return axes[: self.m], np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +118,43 @@ def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _leading_shape(U: np.ndarray, XI: np.ndarray) -> tuple:
-    """The broadcast leading shape of input rows ``(..., m)`` and state rows
+def _leading_shape(U, XI: np.ndarray) -> tuple:
+    """The broadcast leading shape of inputs, rows ``(..., m)`` or a list of
+    coordinate arrays (``plant.input_coordinates``), and state rows
     ``(..., n)``. Equal shapes, the solvers' window rows, skip
     ``np.broadcast_shapes``, which costs more than a 12-row feature pass's
     arithmetic."""
+    if isinstance(U, list):
+        return np.broadcast_shapes(*(np.shape(u) for u in U), XI.shape[:-1])
     lead = U.shape[:-1]
     return lead if lead == XI.shape[:-1] else np.broadcast_shapes(lead, XI.shape[:-1])
+
+
+def _put_inputs(out: np.ndarray, U) -> None:
+    """Write the inputs, rows or coordinates, into the first ``m`` columns
+    of ``out``, broadcast over its leading shape. Rows take one copy, as the
+    solvers' 12-row batches are dominated by such per-call costs."""
+    if isinstance(U, list):
+        for i, u in enumerate(U):
+            out[..., i] = u
+    else:
+        out[..., : U.shape[-1]] = U
 
 
 class BasisDictionary:
     """Ordered family of scalar basis functions over ``(u, xi)``.
 
     Subclasses implement ``value_batch`` and ``jacobian_batch``.
-    ``value_batch`` takes inputs ``(..., m)`` and states ``(..., n)`` whose
-    leading axes broadcast against each other and returns ``(..., r)`` over
-    the broadcast leading axes, computed elementwise, so a row's values do not
-    depend on the rows beside it: on the grid's factors, ``(k, 1, m)`` inputs
-    against ``(1, s, n)`` states, the state-only terms are computed once per
-    state row. The jacobians take ``(P, m)`` and ``(P, n)`` rows; the batched
+    ``value_batch`` takes inputs, as rows ``(..., m)`` or as a list of ``m``
+    coordinate arrays (``plant.input_coordinates``), and states ``(..., n)``,
+    all leading axes broadcasting against each other, and returns
+    ``(..., r)`` over the broadcast leading axes, computed elementwise, so a
+    row's values do not depend on the rows beside it. On the certificate
+    grid each input coordinate lies on its own axis, ``(k1, 1, 1)`` and
+    ``(1, k2, 1)`` against ``(1, 1, s, n)`` states for two inputs: the
+    state-only terms are computed once per state row, and the terms of one
+    input coordinate and the state once per value of that coordinate. The
+    jacobians take ``(P, m)`` and ``(P, n)`` rows; the batched
     jacobian is laid out ``(P, r, m + n)`` with input partials first. A
     subclass whose values and partials share work overrides
     ``value_and_jacobian_batch`` to compute both in one pass. The
@@ -179,7 +194,7 @@ class IdentityDictionary(BasisDictionary):
 
     def value_batch(self, U, XI):
         out = np.empty(_leading_shape(U, XI) + (self.r,))
-        out[..., : self.m] = U
+        _put_inputs(out, U)
         out[..., self.m :] = XI
         return out
 
@@ -200,7 +215,7 @@ class InputDictionary(BasisDictionary):
 
     def value_batch(self, U, XI):
         out = np.empty(_leading_shape(U, XI) + (self.m,))
-        out[...] = U
+        _put_inputs(out, U)
         return out
 
     def jacobian_batch(self, U, XI):
@@ -232,7 +247,7 @@ class FlatToyDictionary(BasisDictionary):
     def value_batch(self, U, XI):
         x0 = XI[..., 0]
         out = np.empty(_leading_shape(U, XI) + (3,))
-        out[..., 0] = U[..., 0]
+        _put_inputs(out, U)
         out[..., 1] = np.float_power(XI[..., 1], 2)
         out[..., 2] = np.sin(x0) - self.c * np.cos(2 * x0)
         if not np.isfinite(out).all():
@@ -266,7 +281,7 @@ class PolynomialDictionary(BasisDictionary):
         dim = self.m + self.n
         out = np.empty(_leading_shape(U, XI) + (self.r,))
         out[..., 0] = 1.0
-        out[..., 1 : 1 + self.m] = U
+        _put_inputs(out[..., 1:], U)
         out[..., 1 + self.m : 1 + dim] = XI
         Z = out[..., 1 : 1 + dim]
         for j, (a, b) in enumerate(self._pairs):
@@ -296,7 +311,7 @@ class TrigDictionary(BasisDictionary):
     def value_batch(self, U, XI):
         m, n = self.m, self.n
         out = np.empty(_leading_shape(U, XI) + (self.r,))
-        out[..., :m] = U
+        _put_inputs(out, U)
         out[..., m : m + n] = np.sin(XI)
         out[..., m + n :] = np.cos(XI)
         return out
@@ -355,7 +370,7 @@ class PendulumModelDictionary(BasisDictionary):
         copied in, not written into the strided columns by the kernel: on
         the certificate's grid chunks that write is the slower one."""
         psi = np.empty(acc[0].shape + (4,))
-        psi[..., :2] = U
+        _put_inputs(psi, U)
         psi[..., 2], psi[..., 3] = acc[0], acc[1]
         return psi
 
@@ -417,18 +432,18 @@ _CORNER_BLOCK = 16_384
 class GridEvaluation:
     """The dictionary and the true map on the midpoint grid of a box.
 
-    ``U_rows`` (``(nu, m)``) and ``XI_rows`` (``(nx, n)``) are the grid's two
-    factors, ``box.grid_factors()``. ``PSI`` is ``(P, r)`` and ``PHI`` is
-    ``(P, q)``, ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a``
-    with state row ``b``, so the first grid axis varies slowest. Both were
-    evaluated on the factors, never on a dense ``(P, m + n)`` grid. ``gram``
-    is the quadrature Gram matrix ``PSI^T PSI * cell_volume`` and
-    ``gram_svals`` its singular values; the fit and the norm bound share
-    both.
+    ``u_axes`` (``m`` arrays) and ``XI_rows`` (``(nx, n)``) are the grid's
+    two factors, ``box.grid_factors()``. ``PSI`` is ``(P, r)`` and ``PHI`` is
+    ``(P, q)``, ``P = nu * nx`` with ``nu`` the product of the input axes'
+    lengths: row ``a * nx + b`` pairs input combination ``a``, the first
+    input axis varying slowest, with state row ``b``. Both were evaluated on
+    the factors, never on a dense ``(P, m + n)`` grid. ``gram`` is the
+    quadrature Gram matrix ``PSI^T PSI * cell_volume`` and ``gram_svals`` its
+    singular values; the fit and the norm bound share both.
     """
 
     box: OperatingBox
-    U_rows: np.ndarray
+    u_axes: list
     XI_rows: np.ndarray
     PSI: np.ndarray
     PHI: np.ndarray
@@ -436,37 +451,50 @@ class GridEvaluation:
     gram_svals: np.ndarray
 
 
-def _grid_chunks(nu: int, nx: int):
-    """``(input rows, state rows)`` slice pairs that tile the factored grid,
-    each covering at most ``_CORNER_BLOCK`` grid rows: ``_CORNER_BLOCK // nu``
-    state rows with every input combination, or one state row with a slice
-    of the input combinations where ``nu`` alone exceeds the block. So each
-    state row lies in one chunk, and a pass over the chunks computes its
-    state-only terms once."""
+def _grid_chunks(u_axes: list, XI_rows: np.ndarray):
+    """``(index, input axes, state rows)`` for each chunk that tiles the
+    factored grid, ``index`` selecting it in an ``(nu_1, ..., nu_m, nx, .)``
+    array. Each covers at most ``_CORNER_BLOCK`` grid rows:
+    ``_CORNER_BLOCK // nu`` state rows with every input combination, or one
+    state row with a slice of the first input axis where the ``nu`` input
+    combinations alone exceed the block (a call exceeds it only where the
+    other input axes alone do). So each state row lies in one chunk, and a
+    pass over the chunks computes its state-only terms once."""
+    sizes = [len(u) for u in u_axes]
+    nu = math.prod(sizes)
     s = max(1, _CORNER_BLOCK // nu)
-    k = min(nu, _CORNER_BLOCK)
-    for b in range(0, nx, s):
-        for a in range(0, nu, k):
-            yield slice(a, a + k), slice(b, b + s)
+    k = max(1, _CORNER_BLOCK // (nu // sizes[0]))
+    for b in range(0, len(XI_rows), s):
+        for a in range(0, sizes[0], k):
+            first, states = slice(a, a + k), slice(b, b + s)
+            axes = [u_axes[0][first], *u_axes[1:]]
+            yield (first, ..., states, slice(None)), axes, XI_rows[states]
 
 
-def _grid_chunk(fn, U_rows: np.ndarray, XI_rows: np.ndarray) -> np.ndarray:
-    """``fn`` at every pair of the given input and state rows, ``(k, s, q)``.
+def _grid_chunk(fn, u_axes: list, XI_rows: np.ndarray) -> np.ndarray:
+    """``fn`` at every combination of the input axes' values with every
+    given state row, ``(k_1, ..., k_m, s, q)``.
 
-    One call on the factors, ``fn(U_rows[:, None, :], XI_rows[None, :, :])``,
-    so the terms that depend on the state alone are computed once per state
-    row of the chunk, on ``(1, s)`` arrays, and those of the input alone once
-    per input row. ``fn``, a dictionary's ``value_batch`` or ``phi``, must
-    work elementwise over broadcast leading axes and return ``(..., q)``; a
-    result that depends on one factor only is broadcast.
+    One call, each input coordinate on its own leading axis and the states
+    on the last: for two inputs, ``fn([u1[:, None, None], u2[None, :,
+    None]], XI_rows[None, None])``. So the terms of the state alone are
+    computed once per state row of the chunk, on ``(1, 1, s)`` arrays, and
+    those of one input coordinate and the state once per value of that
+    coordinate, on ``(k, 1, s)`` arrays, not per input combination. ``fn``, a
+    dictionary's ``value_batch`` or ``phi``, takes the inputs as coordinates
+    (``plant.input_coordinates``), must work elementwise over broadcast
+    leading axes and return ``(..., q)``; a result that depends on some axes
+    only is broadcast.
     """
-    out = np.asarray(fn(U_rows[:, None, :], XI_rows[None, :, :]), dtype=float)
-    if out.ndim != 3:
+    m = len(u_axes)
+    coords = [u.reshape((1,) * i + (-1,) + (1,) * (m - i)) for i, u in enumerate(u_axes)]
+    out = np.asarray(fn(coords, XI_rows.reshape((1,) * m + XI_rows.shape)), dtype=float)
+    if out.ndim != m + 2:
         raise ValueError(
             f"a grid map returned shape {out.shape}; it must return (..., q) over "
             "the broadcast leading axes of its arguments"
         )
-    return np.broadcast_to(out, (len(U_rows), len(XI_rows), out.shape[-1]))
+    return np.broadcast_to(out, tuple(len(u) for u in u_axes) + (len(XI_rows), out.shape[-1]))
 
 
 def evaluate_grid(
@@ -479,27 +507,36 @@ def evaluate_grid(
 
     Both take the grid's factors, in one pass over the chunks of at most
     ``_CORNER_BLOCK`` grid rows (``_grid_chunks``, ``_grid_chunk``): a slice
-    of the state rows with every input combination, as ``(k, 1, m)`` inputs
-    against ``(1, s, n)`` states. So each state row's state-only terms are
-    computed once per map, and no dense grid is built. ``PSI`` and ``PHI``
-    are filled as ``(nu, nx, .)`` and read as ``(P, .)``. Their values are
-    those of one dense call, bit for bit, since both maps are elementwise.
+    of the state rows with every input combination, each input coordinate
+    on its own axis, ``(7, 1, 1)`` and ``(1, 7, 1)`` against ``(1, 1, s, 4)``
+    states on the pendulum. So each state row's state-only terms are
+    computed once per map, the terms of one input coordinate and the state
+    once per value of that coordinate, and no dense grid is built. ``PSI``
+    and ``PHI`` are filled as ``(nu_1, ..., nu_m, nx, .)``, which is
+    ``(nu, nx, .)`` in the same order, and read as ``(P, .)``. Their values
+    are those of one dense call, bit for bit, since both maps are
+    elementwise.
     """
-    U_rows, XI_rows = box.grid_factors()
-    nu, nx = len(U_rows), len(XI_rows)
-    PSI = np.empty((nu, nx, dictionary.r))
+    u_axes, XI_rows = box.grid_factors()
+    sizes, nx = tuple(len(u) for u in u_axes), len(XI_rows)
+    PSI = np.empty(sizes + (nx, dictionary.r))
     PHI = None
-    for inputs, states in _grid_chunks(nu, nx):
-        U_chunk, XI_chunk = U_rows[inputs], XI_rows[states]
-        PSI[inputs, states] = _grid_chunk(dictionary.value_batch, U_chunk, XI_chunk)
-        chunk = _grid_chunk(phi, U_chunk, XI_chunk)
+    for index, axes, XI_chunk in _grid_chunks(u_axes, XI_rows):
+        PSI[index] = _grid_chunk(dictionary.value_batch, axes, XI_chunk)
+        chunk = _grid_chunk(phi, axes, XI_chunk)
         if PHI is None:
-            PHI = np.empty((nu, nx, chunk.shape[-1]))
-        PHI[inputs, states] = chunk
-    PSI, PHI = PSI.reshape(nu * nx, -1), PHI.reshape(nu * nx, -1)
+            PHI = np.empty(sizes + (nx, chunk.shape[-1]))
+        PHI[index] = chunk
+    PSI, PHI = PSI.reshape(-1, PSI.shape[-1]), PHI.reshape(-1, PHI.shape[-1])
     gamma = PSI.T @ PSI * box.cell_volume()
     svals = np.linalg.svd(gamma, compute_uv=False)
-    return GridEvaluation(box, U_rows, XI_rows, PSI, PHI, gamma, svals)
+    return GridEvaluation(box, u_axes, XI_rows, PSI, PHI, gamma, svals)
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    """``max |values|`` from the largest and smallest entry, with no
+    ``np.abs`` temporary; the same float, a zero's sign and NaN included."""
+    return float(abs(max(values.max(), -values.min())))
 
 
 def fit_coefficient_matrix(grid: GridEvaluation):
@@ -510,7 +547,9 @@ def fit_coefficient_matrix(grid: GridEvaluation):
     sup-norm seen at any grid point. ``G_hat`` must come out with full row
     rank; the normal equations share the Gram matrix with the model-free norm
     bound so the bound provably dominates the fit on the same grid. Works on
-    the evaluated grid alone: two ``(P, r)`` products, no evaluation.
+    the evaluated grid alone: two ``(P, r)`` products, no evaluation. The
+    residual is formed in the one ``(P, q)`` array the second product
+    allocates.
     """
     svals = grid.gram_svals
     if svals[-1] <= 1e-8 * svals[0] or svals[-1] <= 0:
@@ -522,8 +561,8 @@ def fit_coefficient_matrix(grid: GridEvaluation):
     m = G.shape[0]
     if np.linalg.matrix_rank(G, tol=1e-10 * max(1.0, np.linalg.norm(G))) < m:
         raise RankDeficientError("fitted coefficient matrix is rank deficient")
-    resid = grid.PHI - grid.PSI @ G.T
-    eps_star = float(np.max(np.abs(resid)))
+    resid = grid.PSI @ G.T
+    eps_star = _sup_norm(np.subtract(grid.PHI, resid, out=resid))
     return G, eps_star
 
 
@@ -564,11 +603,15 @@ def estimate_noise_gain(
     ``phi`` call per corner and chunk of the factored grid (``_grid_chunks``,
     ``_grid_chunk``), every corner on a chunk before the next chunk, so each
     call's temporaries stay in cache. A chunk is a slice of the state rows
-    with every input combination, so each corner computes the state-only
-    terms of each shifted state row once. The maximum does not depend on the
-    order, so the result is the same as one dense full-grid call per corner.
-    This sweep is most of a certificate's cost: ``2^n`` evaluations of
-    ``phi`` on the grid, one per corner, corner ``c`` taking sign ``+`` on
+    with every input combination, each input coordinate on its own axis, so
+    each corner computes the state-only terms of each shifted state row once
+    and the terms of one input coordinate and the state once per value of
+    that coordinate. The chunk's unperturbed values are copied out of
+    ``grid.PHI`` once per chunk, not once per corner, and each corner is
+    reduced in place, in one buffer per chunk. The maximum does not depend on
+    the order, so the result is the same as one dense full-grid call per
+    corner. This sweep is most of a certificate's cost: ``2^n`` evaluations
+    of ``phi`` on the grid, one per corner, corner ``c`` taking sign ``+`` on
     axis ``i`` where bit ``i`` of ``c`` is set.
     """
     if w_star == 0.0:
@@ -579,14 +622,15 @@ def estimate_noise_gain(
         dtype=float,
     )
     shifts = [w_star * s for s in corners]
-    nu, nx = len(grid.U_rows), len(grid.XI_rows)
-    PHI = grid.PHI.reshape(nu, nx, -1)
+    sizes, nx = tuple(len(u) for u in grid.u_axes), len(grid.XI_rows)
+    PHI = grid.PHI.reshape(sizes + (nx, -1))
     worst = 0.0
-    for inputs, states in _grid_chunks(nu, nx):
-        U_rows, XI_rows, base = grid.U_rows[inputs], grid.XI_rows[states], PHI[inputs, states]
+    for index, axes, XI_rows in _grid_chunks(grid.u_axes, grid.XI_rows):
+        base = PHI[index].copy()
+        diff = np.empty_like(base)
         for shift in shifts:
-            pert = _grid_chunk(phi, U_rows, XI_rows + shift)
-            worst = max(worst, float(np.max(np.abs(base - pert))))
+            pert = _grid_chunk(phi, axes, XI_rows + shift)
+            worst = max(worst, _sup_norm(np.subtract(base, pert, out=diff)))
     return worst / w_star
 
 
@@ -697,18 +741,19 @@ def build_certificate(
 
     The grid is built once, as its two factors, and ``dictionary`` and
     ``phi`` are evaluated on it once each (``evaluate_grid``), both on the
-    factors, input combinations times state rows. The fit,
-    ``v*``, both Lipschitz estimates and the norm bound work on those arrays.
-    Only the noise-gain sweep calls ``phi`` again, on the factors with the
-    state rows shifted to each of the ``2^n`` noise corners. With a zero
-    noise bound that sweep is skipped and the gain recorded as identically
-    zero. ``phi`` must work elementwise over broadcast leading axes and
-    return ``(..., q)``, as ``dictionary.value_batch`` does with ``(..., r)``
-    (``BasisDictionary``).
+    factors, each input axis times the state rows. The fit, ``v*``, both
+    Lipschitz estimates and the norm bound work on those arrays. Only the
+    noise-gain sweep calls ``phi`` again, on the factors with the state rows
+    shifted to each of the ``2^n`` noise corners. With a zero noise bound
+    that sweep is skipped and the gain recorded as identically zero. ``phi``
+    must take the inputs as rows or coordinates
+    (``plant.input_coordinates``), work elementwise over broadcast leading
+    axes and return ``(..., q)``, as ``dictionary.value_batch`` does with
+    ``(..., r)`` (``BasisDictionary``).
     """
     grid = evaluate_grid(dictionary, phi, box)
     G, eps_star = fit_coefficient_matrix(grid)
-    v_star = float(np.max(np.abs(grid.PHI)))
+    v_star = _sup_norm(grid.PHI)
     k_xi = estimate_lipschitz(grid.PHI, box)
     k_psi = estimate_lipschitz(grid.PSI, box)
     skipped = w_star == 0.0

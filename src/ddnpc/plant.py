@@ -59,6 +59,23 @@ class PlantModel:
         return np.asarray(self.output(x), dtype=float).reshape(-1)
 
 
+def input_coordinates(u) -> list:
+    """The input coordinates of ``u``, in either form a value map takes.
+
+    A list of ``m`` coordinate arrays, whose shapes broadcast against each
+    other and against the states' leading axes, is returned as it is; an
+    array of ``(..., m)`` rows gives its columns ``u[..., i]``. On the
+    certificate grid each coordinate lies on its own axis, so a term of one
+    input coordinate and the state is computed once per value of that
+    coordinate, not once per input combination.
+    """
+    if isinstance(u, list):
+        return u
+    if not isinstance(u, np.ndarray):
+        u = np.asarray(u, dtype=float)
+    return [u[..., i] for i in range(u.shape[-1])]
+
+
 def simulate(plant: PlantModel, x0: np.ndarray, u_seq: np.ndarray):
     """Roll the plant forward under ``u_seq`` (shape ``(K, m)``).
 
@@ -316,11 +333,11 @@ def _accelerations(p: DoublePendulumParams, tau1, tau2, q1, qd1, q2, qd2, jac=No
 def _window_accelerations(p: DoublePendulumParams, u, xi, jac=None):
     """``_accelerations`` at ``(u, xi)``, ``xi`` the window state
     ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})`` with velocities recovered by divided
-    differences; ``jac`` receives the partials w.r.t. ``(u, xi)``."""
+    differences, ``u`` input rows or coordinates (``input_coordinates``);
+    ``jac`` receives the partials w.r.t. ``(u, xi)``, on rows."""
+    tau1, tau2 = input_coordinates(u)
     x1, x2, x3, x4 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
-    acc = _accelerations(
-        p, u[..., 0], u[..., 1], x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, jac
-    )
+    acc = _accelerations(p, tau1, tau2, x1, (x2 - x1) / p.Ts, x3, (x4 - x3) / p.Ts, jac)
     if jac is not None:
         jac[..., 3::2] /= p.Ts  # d/dx2, d/dx4
         jac[..., 2::2] -= jac[..., 3::2]  # d/dx1, d/dx3
@@ -348,12 +365,14 @@ def pendulum_synthetic_input(p: DoublePendulumParams, u: np.ndarray, xi: np.ndar
     """True map from ``(torque, window state)`` to the transformed input.
 
     The window state is ``(q1_k, q1_{k+1}, q2_k, q2_{k+1})``, so velocities are
-    recovered by divided differences. Vectorized: ``u`` of shape ``(..., 2)``
-    with ``xi`` of shape ``(..., 4)``, the leading axes broadcast against each
-    other, gives ``(..., 2)``. Each channel is written into the result, with
-    no stacked copy.
+    recovered by divided differences. Vectorized: ``u`` as rows of shape
+    ``(..., 2)`` or as a list of the two torque arrays (``input_coordinates``)
+    with ``xi`` of shape ``(..., 4)``, all leading axes broadcast against each
+    other, gives ``(..., 2)``. With the torques on their own axes the terms of
+    one torque and the state, ``r1``, ``r2`` and their products with the
+    inertia, are computed once per torque value. Each channel is written into
+    the result, with no stacked copy.
     """
-    u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
     a1, a2, _ = _window_accelerations(p, u, xi)
     v = np.empty(a1.shape + (2,))
@@ -396,7 +415,7 @@ def make_chain_lti() -> tuple[PlantModel, BrunovskyStructure, Callable]:
     plant = PlantModel(name="lti_toy", n=3, m=2, step=_step, output=_out)
 
     def phi(u, xi):
-        return np.asarray(u, dtype=float).copy()
+        return np.stack(np.broadcast_arrays(*input_coordinates(u)), axis=-1)
 
     return plant, structure, phi
 
@@ -415,9 +434,8 @@ def make_scalar_flat(a: float = 0.15, b: float = 0.3) -> tuple[PlantModel, Bruno
     plant = PlantModel(name="scalar_flat", n=2, m=1, step=_step, output=_out)
 
     def phi(u, xi):
-        u = np.asarray(u, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        val = u[..., 0] + a * xi[..., 1] ** 2 + b * np.sin(xi[..., 0])
+        val = input_coordinates(u)[0] + a * xi[..., 1] ** 2 + b * np.sin(xi[..., 0])
         return val[..., np.newaxis]
 
     return plant, structure, phi

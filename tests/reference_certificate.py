@@ -23,12 +23,19 @@ from ddnpc.basis import (
 )
 
 
+def input_rows(box: OperatingBox) -> np.ndarray:
+    """The grid's ``nu`` input combinations as ``(nu, m)`` rows, every
+    combination of the input axes' values with the first varying slowest."""
+    mesh = np.meshgrid(*box.grid_factors()[0], indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+
+
 def dense_grid(box: OperatingBox) -> tuple[np.ndarray, np.ndarray]:
     """The box's midpoint grid as ``(U, XI)`` arrays of shape ``(P, m)`` /
-    ``(P, n)``, ``P = nu * nx``: row ``a * nx + b`` pairs input row ``a``
-    with state row ``b`` of ``box.grid_factors()``. The library evaluates
-    the factors and never builds these arrays."""
-    U_rows, XI_rows = box.grid_factors()
+    ``(P, n)``, ``P = nu * nx``: row ``a * nx + b`` pairs input combination
+    ``a`` (``input_rows``) with state row ``b`` of ``box.grid_factors()``.
+    The library evaluates the factors and never builds these arrays."""
+    U_rows, XI_rows = input_rows(box), box.grid_factors()[1]
     return np.repeat(U_rows, len(XI_rows), axis=0), np.tile(XI_rows, (len(U_rows), 1))
 
 

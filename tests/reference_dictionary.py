@@ -11,6 +11,14 @@ oracle ``basis.FlatToyDictionary`` must reproduce bit for bit.
 import numpy as np
 
 from ddnpc.basis import BasisDictionary, DictionaryEvaluationError
+from ddnpc.plant import input_coordinates
+
+
+def broadcast_rows(U) -> np.ndarray:
+    """Inputs in either form a value map takes, rows or coordinates
+    (``plant.input_coordinates``), as ``(..., m)`` rows over the broadcast
+    leading axes of the coordinates."""
+    return np.stack(np.broadcast_arrays(*input_coordinates(U)), axis=-1)
 
 
 class CustomDictionary(BasisDictionary):
@@ -28,8 +36,9 @@ class CustomDictionary(BasisDictionary):
         self.u_prefix = u_prefix
 
     def value_batch(self, U, XI):
-        """One call per row of the broadcast ``(..., m)`` inputs and
-        ``(..., n)`` states; ``(..., r)``."""
+        """One call per row of the broadcast inputs, ``(..., m)`` rows or
+        coordinates, and ``(..., n)`` states; ``(..., r)``."""
+        U = broadcast_rows(U)
         lead = np.broadcast_shapes(U.shape[:-1], XI.shape[:-1])
         U = np.broadcast_to(U, lead + (self.m,)).reshape(-1, self.m)
         XI = np.broadcast_to(XI, lead + (self.n,)).reshape(-1, self.n)

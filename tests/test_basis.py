@@ -25,7 +25,7 @@ from ddnpc.basis import (
     right_inverse_norm_bound,
 )
 from reference_certificate import dense_grid
-from reference_dictionary import CustomDictionary, flat_toy_callables
+from reference_dictionary import CustomDictionary, broadcast_rows, flat_toy_callables
 from reference_pendulum import coriolis_times_velocity, inertia_matrix, random_points
 
 
@@ -284,18 +284,49 @@ def test_value_and_jacobian_batch_equals_both_batches(dictionary):
     np.testing.assert_array_equal(jac, dictionary.jacobian_batch(U, XI))
 
 
+def _assert_factor_forms_equal_dense_rows(fn, m, n):
+    """``fn`` on the grid's factor forms gives its dense rows bit for bit:
+    ``(k, 1, m)`` input rows against ``(1, s, n)`` states, and the input
+    coordinates each on its own axis, ``(k1, 1, 1)`` and ``(1, k2, 1)`` for
+    two inputs, against ``(1, 1, s, n)`` states. A result that depends on
+    some axes only is broadcast, as the certificate does."""
+    rng = np.random.default_rng(9)
+    sizes = (5, 4)[:m] + (3,) * (m - 2)
+    axes = [rng.uniform(-2, 2, k) for k in sizes]
+    XI_rows = rng.uniform(-1.2, 1.2, (6, n))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    U_rows = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    U, XI = np.repeat(U_rows, 6, axis=0), np.tile(XI_rows, (len(U_rows), 1))
+    want = fn(U, XI)
+    got = np.broadcast_to(fn(U_rows[:, None, :], XI_rows[None, :, :]), (len(U_rows), 6, want.shape[-1]))
+    np.testing.assert_array_equal(got.reshape(want.shape), want)
+    coords = [u.reshape((1,) * i + (-1,) + (1,) * (m - i)) for i, u in enumerate(axes)]
+    got = np.broadcast_to(fn(coords, XI_rows.reshape((1,) * m + XI_rows.shape)), sizes + (6, want.shape[-1]))
+    np.testing.assert_array_equal(got.reshape(want.shape), want)
+
+
 @_LIBRARY_DICTIONARIES
 def test_value_batch_on_broadcast_factors_equals_the_dense_rows(dictionary):
-    """The certificate evaluates the dictionary on the grid's factors,
-    ``(k, 1, m)`` inputs against ``(1, s, n)`` states; the values are those
-    of the dense rows, bit for bit."""
-    rng = np.random.default_rng(9)
-    U_rows = rng.uniform(-2, 2, (5, dictionary.m))
-    XI_rows = rng.uniform(-1.2, 1.2, (6, dictionary.n))
-    got = dictionary.value_batch(U_rows[:, None, :], XI_rows[None, :, :])
-    assert got.shape == (5, 6, dictionary.r)
-    U, XI = np.repeat(U_rows, 6, axis=0), np.tile(XI_rows, (5, 1))
-    np.testing.assert_array_equal(got.reshape(30, -1), dictionary.value_batch(U, XI))
+    """The certificate evaluates the dictionary on the grid's factors, each
+    input coordinate on its own axis; the values are those of the dense
+    rows, bit for bit, and so are those of ``(k, 1, m)`` input rows."""
+    _assert_factor_forms_equal_dense_rows(dictionary.value_batch, dictionary.m, dictionary.n)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "chain", "flat"])
+def test_phi_on_broadcast_factors_equals_the_dense_rows(name):
+    """The library's true maps take the grid's factor forms as the
+    dictionaries do, bit for bit their dense rows."""
+    if name == "pendulum":
+        p = plant.DoublePendulumParams(m1=1.05, l2=0.47)
+        phi, m, n = (lambda U, XI: plant.pendulum_synthetic_input(p, U, XI)), 2, 4
+    elif name == "chain":
+        _, st, phi = plant.make_chain_lti()
+        m, n = st.m, st.n
+    else:
+        _, st, phi = plant.make_scalar_flat()
+        m, n = st.m, st.n
+    _assert_factor_forms_equal_dense_rows(phi, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +339,7 @@ def test_fit_exact_span_recovers_coefficients():
     G_true = np.array([[2.0, -0.5, 0.25]])
 
     def phi(U, XI):
-        return U @ G_true[:, :1].T + XI @ G_true[:, 1:].T
+        return broadcast_rows(U) @ G_true[:, :1].T + XI @ G_true[:, 1:].T
 
     box = unit_box(1, 2, grid=6)
     G, eps = fit_coefficient_matrix(evaluate_grid(d, phi, box))
@@ -345,7 +376,7 @@ def test_fit_singular_gram_raises():
         1, 1, funcs=[lambda u, xi: u[0], lambda u, xi: 2.0 * u[0]]
     )
     with pytest.raises(SingularGramError):
-        fit_coefficient_matrix(evaluate_grid(d, lambda U, XI: U, unit_box(1, 1, grid=9)))
+        fit_coefficient_matrix(evaluate_grid(d, lambda U, XI: broadcast_rows(U), unit_box(1, 1, grid=9)))
 
 
 def test_fit_is_least_squares_minimum():
@@ -370,7 +401,8 @@ def test_fit_is_least_squares_minimum():
 
 def test_eps_monotone_under_nested_dictionaries():
     def phi(U, XI):
-        return (U[..., 0] + 0.5 * np.sin(XI[..., 0]) + 0.2 * XI[..., 1] ** 2)[..., None]
+        (u,) = plant.input_coordinates(U)
+        return (u + 0.5 * np.sin(XI[..., 0]) + 0.2 * XI[..., 1] ** 2)[..., None]
 
     box = unit_box(1, 2, grid=9)
     funcs = [
@@ -441,7 +473,7 @@ def test_norm_bound_constant_dictionary_tight():
     box = OperatingBox([0.0], [1.0], [0.0], [1.0], grid_points=10)
     d = CustomDictionary(1, 1, funcs=[lambda u, xi: 1.0])
     c = -3.7
-    grid = evaluate_grid(d, lambda U, XI: np.full(U.shape[:-1] + (1,), c), box)
+    grid = evaluate_grid(d, lambda U, XI: np.full(broadcast_rows(U).shape, c), box)
     bound = coefficient_norm_bound(grid, v_star=abs(c))
     np.testing.assert_allclose(bound, abs(c), rtol=1e-12)
     G, _ = fit_coefficient_matrix(grid)
@@ -459,7 +491,7 @@ def test_norm_bound_orthonormal_dictionary():
     PSI = d.value_batch(U, XI)
     v_star = 2.0
     expected = v_star * 1.0 * np.sum(np.abs(PSI)) * box.cell_volume()
-    bound = coefficient_norm_bound(evaluate_grid(d, lambda U, XI: U, box), v_star)
+    bound = coefficient_norm_bound(evaluate_grid(d, lambda U, XI: broadcast_rows(U), box), v_star)
     np.testing.assert_allclose(bound, expected, rtol=1e-2)
 
 
@@ -546,11 +578,16 @@ def test_certificate_right_inverse_consistency():
 
 
 def test_grid_pairs_the_factor_rows_in_order():
-    """Grid row ``a * nx + b`` pairs input row ``a`` with state row ``b``, and
+    """The factors are the input axes and the state rows. Grid row
+    ``a * nx + b`` pairs input combination ``a`` with state row ``b``, and
     the grid is the full meshgrid of the axes, the first varying slowest."""
     box = OperatingBox([-1.0, 0.0], [1.0, 2.0], [-1.0, -2.0, 0.0], [1.0, 2.0, 3.0], grid_points=3)
-    U_rows, XI_rows = box.grid_factors()
+    u_axes, XI_rows = box.grid_factors()
+    U_rows = reference_certificate.input_rows(box)
     U, XI = dense_grid(box)
+    assert len(u_axes) == 2 and all(
+        np.array_equal(u, a) for u, a in zip(u_axes, box.grid_axes()[:2])
+    )
     assert U_rows.shape == (9, 2) and XI_rows.shape == (27, 3)
     np.testing.assert_array_equal(U.reshape(9, 27, 2), np.broadcast_to(U_rows[:, None], (9, 27, 2)))
     np.testing.assert_array_equal(XI.reshape(9, 27, 3), np.broadcast_to(XI_rows[None], (9, 27, 3)))
@@ -562,8 +599,9 @@ def test_grid_pairs_the_factor_rows_in_order():
 
 def _coupled_phi(U, XI):
     """Two channels that depend on the state nonlinearly, ``(..., 2)``."""
+    u1, u2 = plant.input_coordinates(U)
     return np.stack(
-        [U[..., 0] + np.sin(XI[..., 0]) * XI[..., 1], U[..., 1] * XI[..., 2] ** 2], axis=-1
+        np.broadcast_arrays(u1 + np.sin(XI[..., 0]) * XI[..., 1], u2 * XI[..., 2] ** 2), axis=-1
     )
 
 
@@ -586,14 +624,15 @@ def _certificate_case(name):
     if name == "bilinear_max_in_last_block":
         # |u| is largest on the last grid rows, and so is the noise gain
         box = OperatingBox([0.0], [2.0], [-1.0] * 2, [1.0] * 2, grid_points=26)
-        phi = lambda U, XI: U * XI[..., :1]
+        phi = lambda U, XI: (plant.input_coordinates(U)[0] * XI[..., 0])[..., None]
         return IdentityDictionary(1, 2), phi, box, (2,), 0.05, None
     if name == "seven_states":
         # all 2^7 = 128 sign corners
         box = unit_box(1, 7, grid=2)
 
         def phi(U, XI):
-            return (U[..., 0] * np.sin(XI[..., 0]) + XI[..., 3] * XI[..., 6] ** 2)[..., None]
+            (u,) = plant.input_coordinates(U)
+            return (u * np.sin(XI[..., 0]) + XI[..., 3] * XI[..., 6] ** 2)[..., None]
 
         return IdentityDictionary(1, 7), phi, box, (7,), 0.05, None
     raise KeyError(name)
@@ -631,42 +670,62 @@ def test_certificate_matches_reference_pipeline(name, block, monkeypatch):
 
 
 def test_certificate_evaluates_the_grid_once(monkeypatch):
-    """One build of the grid's factors and no dense grid. The dictionary and
-    ``phi`` both take the factors: no call sees more than one copy of the
-    state rows or more than the block size. The dictionary's calls cover the
-    grid once, ``phi``'s once unperturbed and once per noise corner. Each of
-    those passes sees each state row once, so the state-only terms are
-    computed once per row and pass."""
+    """One build of the grid's factors and no dense grid. No map call on the
+    grid receives input rows: each input coordinate arrives on its own axis,
+    against one copy of the chunk's state rows, and no call exceeds the
+    block size. The dictionary's calls cover the grid once, ``phi``'s once
+    unperturbed and once per noise corner: every grid point and corner
+    exactly once. So each pass computes the state-only terms once per state
+    row and the terms of one input coordinate and the state once per value
+    of that coordinate."""
     d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
-    builds, psi_states, psi_sizes, phi_states, phi_sizes = [], [], [], [], []
+    m, n = box.m, box.n
+    u_axes, XI_rows = box.grid_factors()
+    corners = [np.zeros(n)] + [
+        w_star * np.array([1.0 if (c >> i) & 1 else -1.0 for i in range(n)]) for c in range(2**n)
+    ]
+    # each state row, shifted to each corner, by its bytes: (corner, row)
+    where = {
+        row.tobytes(): (c, b)
+        for c, shift in enumerate(corners)
+        for b, row in enumerate(XI_rows + shift)
+    }
+    psi_cover = np.zeros((box.grid_points,) * m + (len(XI_rows),), dtype=int)
+    phi_cover = np.zeros((len(corners),) + psi_cover.shape, dtype=int)
+    builds, sizes = [], []
     factors = OperatingBox.grid_factors
 
     def counted_factors(self):
         builds.append(self)
         return factors(self)
 
-    def counted(states, sizes, fn):
+    def counted(fn, cover):
         def call(U, XI):
-            states.append(int(np.prod(XI.shape[:-1])))
-            sizes.append(int(np.prod(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]))))
+            assert isinstance(U, list) and len(U) == m
+            index = []
+            for i, u in enumerate(U):
+                assert u.ndim == m + 1 and u.shape[:i] + u.shape[i + 1 :] == (1,) * m
+                index.append(np.searchsorted(u_axes[i], u.reshape(-1)))
+                np.testing.assert_array_equal(u_axes[i][index[-1]], u.reshape(-1))
+            assert XI.shape[:m] == (1,) * m and XI.ndim == m + 2
+            rows = [where[row.tobytes()] for row in XI.reshape(-1, n)]
+            (c,) = {corner for corner, _ in rows}
+            states = [b for _, b in rows]
+            np.add.at(cover if cover.ndim == m + 1 else cover[c], np.ix_(*index, states), 1)
+            assert cover.ndim == m + 2 or c == 0
+            sizes.append(int(np.prod(np.broadcast_shapes(*(u.shape for u in U), XI.shape[:-1]))))
             return fn(U, XI)
 
         return call
 
     monkeypatch.setattr(OperatingBox, "grid_factors", counted_factors)
-    d.value_batch = counted(psi_states, psi_sizes, d.value_batch)
-    build_certificate(
-        d, counted(phi_states, phi_sizes, phi), box, degrees, w_star=w_star, seed=seed
-    )
-    P, nx = box.grid_points ** (box.m + box.n), box.grid_points**box.n
+    d.value_batch = counted(d.value_batch, psi_cover)
+    build_certificate(d, counted(phi, phi_cover), box, degrees, w_star=w_star, seed=seed)
     assert not hasattr(OperatingBox, "grid")
     assert len(builds) == 1
-    assert sum(psi_sizes) == P
-    assert max(psi_sizes) <= basis._CORNER_BLOCK
-    assert sum(psi_states) == nx
-    assert sum(phi_sizes) == (1 + 2**box.n) * P
-    assert max(phi_sizes) <= basis._CORNER_BLOCK
-    assert sum(phi_states) == (1 + 2**box.n) * nx
+    assert max(sizes) <= basis._CORNER_BLOCK
+    assert (psi_cover == 1).all()
+    assert (phi_cover == 1).all()
 
 
 def test_phi_must_return_a_trailing_channel_axis():
@@ -674,4 +733,6 @@ def test_phi_must_return_a_trailing_channel_axis():
     refused instead of being broadcast against the wrong axis."""
     box = unit_box(1, 2, grid=5)
     with pytest.raises(ValueError, match=r"\(\.\.\., q\)"):
-        evaluate_grid(IdentityDictionary(1, 2), lambda U, XI: U[..., 0] * XI[..., 0], box)
+        evaluate_grid(
+            IdentityDictionary(1, 2), lambda U, XI: plant.input_coordinates(U)[0] * XI[..., 0], box
+        )

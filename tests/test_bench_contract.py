@@ -100,13 +100,14 @@ def test_layers_trace_certificate_spans(monkeypatch):
         "basis.noise_gain", "basis.norm_bound",
     ):
         assert span in recorded, span
-    # the dictionary and phi take the grid's factors, all 9 input
-    # combinations against the 81 state rows in one call on the grid, phi
-    # again at each noise corner; the counters read len(U), the input
-    # combinations, so no call counts as a grid pass
+    # the dictionary and phi take the grid's factors, the 9 values of the
+    # one input coordinate against the 81 state rows in one call on the
+    # grid, phi again at each noise corner; the counters read len(U), which
+    # is the list of m = 1 input coordinates, so each call counts one row
+    # and none counts as a grid pass
     assert tracer.counts["basis.grid_passes"] == 0
-    assert tracer.counts["basis.value_batch.rows"] == 9
-    assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * 9
+    assert tracer.counts["basis.value_batch.rows"] == box.m
+    assert tracer.counts["basis.phi.rows"] == (1 + 2**box.n) * box.m
 
 
 def test_layers_trace_one_collect_span(monkeypatch):

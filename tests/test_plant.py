@@ -177,21 +177,28 @@ def test_kernel_matches_reference_kernel_bitwise(rows):
 
 
 def test_kernel_matches_reference_kernel_on_grid_factors():
-    """φ's values on the broadcast ``(k, 1) x (1, s)`` factor shapes that
-    ``basis._phi_chunk`` passes equal the reference kernel's bit for bit:
+    """φ's values with each torque on its own axis, ``(k1, 1, 1)`` and
+    ``(1, k2, 1)`` against ``(1, 1, s)`` states as ``basis._grid_chunk``
+    passes them, equal the reference kernel's on the dense rows bit for bit:
     every chunk of the pendulum's certificate grid, and small factor shapes
     whose broadcast rows end in scalar tails."""
     exp = presets.pendulum_experiment()
     p = exp.params
-    U_rows, XI_rows = exp.box.grid_factors()
-    pairs = [(U_rows[a], XI_rows[b]) for a, b in basis._grid_chunks(len(U_rows), len(XI_rows))]
+    (u1, u2), XI_rows = exp.box.grid_factors()
+    chunks = [(t1, t2, XI) for _, (t1, t2), XI in basis._grid_chunks([u1, u2], XI_rows)]
     rng = np.random.default_rng(5)
-    pairs += [(rng.uniform(-20.0, 20.0, (k, 2)), rng.uniform(-2.0, 2.0, (s, 4)))
-              for k, s in ((1, 1), (2, 3), (3, 13), (7, 5))]
-    for U, XI in pairs:
-        u, xi = U[:, None, :], XI[None, :, :]
-        want = reference_pendulum._window_accelerations(p, u, xi)
-        assert [bits(a) for a in plant._window_accelerations(p, u, xi)] == [bits(a) for a in want]
+    chunks += [(rng.uniform(-20.0, 20.0, k1), rng.uniform(-20.0, 20.0, k2), rng.uniform(-2.0, 2.0, (s, 4)))
+               for k1, k2, s in ((1, 1, 1), (2, 1, 3), (3, 2, 13), (7, 7, 5))]
+    for t1, t2, XI in chunks:
+        coords, xi = [t1[:, None, None], t2[None, :, None]], XI[None, None]
+        shape = (len(t1), len(t2), len(XI))
+        rows = np.stack(np.broadcast_arrays(*coords), axis=-1)
+        want = reference_pendulum._window_accelerations(
+            p, np.broadcast_to(rows, shape + (2,)), np.broadcast_to(xi, shape + (4,))
+        )
+        got = plant._window_accelerations(p, coords, xi)
+        # the determinant depends on the state alone and is not broadcast
+        assert [bits(np.broadcast_to(a, shape)) for a in got] == [bits(a) for a in want]
 
 
 # ---------------------------------------------------------------------------
