@@ -109,8 +109,14 @@ class OperatingBox:
         combination of the state axes' values with the first axis varying
         slowest."""
         axes = self.grid_axes()
-        mesh = np.meshgrid(*axes[self.m :], indexing="ij")
-        return axes[: self.m], np.stack([g.reshape(-1) for g in mesh], axis=-1)
+        return axes[: self.m], _mesh_rows(axes[self.m :])
+
+
+def _mesh_rows(axes: list[np.ndarray]) -> np.ndarray:
+    """Every combination of the axes' values, one per row, the first axis
+    varying slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +131,7 @@ def _leading_shape(U, XI: np.ndarray) -> tuple:
     ``np.broadcast_shapes``, which costs more than a 12-row feature pass's
     arithmetic."""
     if isinstance(U, list):
-        return np.broadcast_shapes(*(np.shape(u) for u in U), XI.shape[:-1])
+        return np.broadcast_shapes(*(u.shape for u in _plant.input_coordinates(U)), XI.shape[:-1])
     lead = U.shape[:-1]
     return lead if lead == XI.shape[:-1] else np.broadcast_shapes(lead, XI.shape[:-1])
 
@@ -135,7 +141,7 @@ def _put_inputs(out: np.ndarray, U) -> None:
     of ``out``, broadcast over its leading shape. Rows take one copy, as the
     solvers' 12-row batches are dominated by such per-call costs."""
     if isinstance(U, list):
-        for i, u in enumerate(U):
+        for i, u in enumerate(_plant.input_coordinates(U)):
             out[..., i] = u
     else:
         out[..., : U.shape[-1]] = U

@@ -67,9 +67,16 @@ def input_coordinates(u) -> list:
     array of ``(..., m)`` rows gives its columns ``u[..., i]``. On the
     certificate grid each coordinate lies on its own axis, so a term of one
     input coordinate and the state is computed once per value of that
-    coordinate, not once per input combination.
+    coordinate, not once per input combination. A list whose elements are
+    not all arrays, such as nested Python rows, is refused rather than read
+    as coordinates, which would transpose it.
     """
     if isinstance(u, list):
+        if not all(isinstance(c, np.ndarray) for c in u):
+            raise TypeError(
+                "input coordinates must be a list of numpy arrays; "
+                "give input rows as an (..., m) array"
+            )
         return u
     if not isinstance(u, np.ndarray):
         u = np.asarray(u, dtype=float)

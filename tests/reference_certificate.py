@@ -19,6 +19,7 @@ from ddnpc.basis import (
     OperatingBox,
     RankDeficientError,
     SingularGramError,
+    _mesh_rows,
     right_inverse_norm_bound,
 )
 
@@ -26,8 +27,7 @@ from ddnpc.basis import (
 def input_rows(box: OperatingBox) -> np.ndarray:
     """The grid's ``nu`` input combinations as ``(nu, m)`` rows, every
     combination of the input axes' values with the first varying slowest."""
-    mesh = np.meshgrid(*box.grid_factors()[0], indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    return _mesh_rows(box.grid_factors()[0])
 
 
 def dense_grid(box: OperatingBox) -> tuple[np.ndarray, np.ndarray]:

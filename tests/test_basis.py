@@ -294,8 +294,7 @@ def _assert_factor_forms_equal_dense_rows(fn, m, n):
     sizes = (5, 4)[:m] + (3,) * (m - 2)
     axes = [rng.uniform(-2, 2, k) for k in sizes]
     XI_rows = rng.uniform(-1.2, 1.2, (6, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    U_rows = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    U_rows = basis._mesh_rows(axes)
     U, XI = np.repeat(U_rows, 6, axis=0), np.tile(XI_rows, (len(U_rows), 1))
     want = fn(U, XI)
     got = np.broadcast_to(fn(U_rows[:, None, :], XI_rows[None, :, :]), (len(U_rows), 6, want.shape[-1]))
@@ -675,9 +674,10 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
     against one copy of the chunk's state rows, and no call exceeds the
     block size. The dictionary's calls cover the grid once, ``phi``'s once
     unperturbed and once per noise corner: every grid point and corner
-    exactly once. So each pass computes the state-only terms once per state
-    row and the terms of one input coordinate and the state once per value
-    of that coordinate."""
+    exactly once. Each state row reaches the dictionary in one call and
+    ``phi`` in one call per pass, so each pass computes the state-only terms
+    once per state row and the terms of one input coordinate and the state
+    once per value of that coordinate."""
     d, phi, box, degrees, w_star, seed = _certificate_case("pendulum_reference")
     m, n = box.m, box.n
     u_axes, XI_rows = box.grid_factors()
@@ -692,14 +692,14 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
     }
     psi_cover = np.zeros((box.grid_points,) * m + (len(XI_rows),), dtype=int)
     phi_cover = np.zeros((len(corners),) + psi_cover.shape, dtype=int)
-    builds, sizes = [], []
+    builds, sizes, psi_states, phi_states = [], [], [], []
     factors = OperatingBox.grid_factors
 
     def counted_factors(self):
         builds.append(self)
         return factors(self)
 
-    def counted(fn, cover):
+    def counted(fn, cover, states_seen):
         def call(U, XI):
             assert isinstance(U, list) and len(U) == m
             index = []
@@ -714,18 +714,21 @@ def test_certificate_evaluates_the_grid_once(monkeypatch):
             np.add.at(cover if cover.ndim == m + 1 else cover[c], np.ix_(*index, states), 1)
             assert cover.ndim == m + 2 or c == 0
             sizes.append(int(np.prod(np.broadcast_shapes(*(u.shape for u in U), XI.shape[:-1]))))
+            states_seen.append(XI.reshape(-1, n).shape[0])
             return fn(U, XI)
 
         return call
 
     monkeypatch.setattr(OperatingBox, "grid_factors", counted_factors)
-    d.value_batch = counted(d.value_batch, psi_cover)
-    build_certificate(d, counted(phi, phi_cover), box, degrees, w_star=w_star, seed=seed)
+    d.value_batch = counted(d.value_batch, psi_cover, psi_states)
+    build_certificate(d, counted(phi, phi_cover, phi_states), box, degrees, w_star=w_star, seed=seed)
     assert not hasattr(OperatingBox, "grid")
     assert len(builds) == 1
     assert max(sizes) <= basis._CORNER_BLOCK
     assert (psi_cover == 1).all()
     assert (phi_cover == 1).all()
+    assert sum(psi_states) == len(XI_rows)
+    assert sum(phi_states) == (1 + 2**n) * len(XI_rows)
 
 
 def test_phi_must_return_a_trailing_channel_axis():

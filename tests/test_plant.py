@@ -176,6 +176,23 @@ def test_kernel_matches_reference_kernel_bitwise(rows):
             assert [bits(a) for a in plant._accelerations(p, *args)] == [bits(a) for a in want]
 
 
+def test_a_list_of_input_rows_is_refused_not_read_as_coordinates():
+    """A nested Python list of input rows would read as coordinates, its
+    rows and columns transposed. The value maps refuse it, and take the same
+    rows as an array."""
+    p = DoublePendulumParams()
+    rows = [[0.5, -1.0], [2.0, 0.25]]
+    xi = np.array([[0.1, 0.12, -0.2, -0.18], [0.3, 0.29, 0.05, 0.07]])
+    d = basis.IdentityDictionary(2, 4)
+    for fn in (plant.input_coordinates, lambda u: pendulum_synthetic_input(p, u, xi),
+               lambda u: d.value_batch(u, xi)):
+        with pytest.raises(TypeError, match="input coordinates"):
+            fn(rows)
+    np.testing.assert_array_equal(d.value_batch(np.array(rows), xi)[:, :2], rows)
+    coords = plant.input_coordinates(np.array(rows))
+    assert [c.tolist() for c in coords] == [[0.5, 2.0], [-1.0, 0.25]]
+
+
 def test_kernel_matches_reference_kernel_on_grid_factors():
     """φ's values with each torque on its own axis, ``(k1, 1, 1)`` and
     ``(1, k2, 1)`` against ``(1, 1, s)`` states as ``basis._grid_chunk``
