@@ -239,29 +239,26 @@ def prediction_error_bound(inputs: ErrorBoundInputs, channel: int, k: int) -> fl
 
 
 @dataclass
-class SimulationResult:
-    outputs: list                 # channel i: (L + d_i,)
+class WindowFit:
+    """What both data-driven window fits return, simulation and matching."""
+
     alpha: np.ndarray
     residual_sq: float            # squared feature mismatch at the optimum
     bounds: list                  # channel i: (L + d_i,) per-step error bound
     alpha_l1: float
-    objective: float
+    objective: float              # residual_sq plus the ridge term
     gradient_norm: float
-    iterations: int
-    clamped: bool = False         # residual_sq clipped at zero
+    iterations: int               # residual evaluations of the solve
 
 
 @dataclass
-class MatchingResult:
-    u: np.ndarray                 # (L, m)
-    alpha: np.ndarray
-    residual_sq: float
-    bounds: list
-    alpha_l1: float
-    objective: float
-    gradient_norm: float
-    iterations: int
-    clamped: bool = False
+class SimulationResult(WindowFit):
+    outputs: list                 # channel i: (L + d_i,), the predicted outputs
+
+
+@dataclass
+class MatchingResult(WindowFit):
+    u: np.ndarray                 # (L, m), the recovered input
 
 
 class WindowFeatures:
@@ -502,7 +499,7 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
     mism = kind.A @ alpha - np.append(h[:n_psi], s)
     ridge = reg * float(alpha @ alpha)
     objective = float(mism @ mism) + ridge
-    residual_sq = max(objective - ridge, 0.0)
+    residual_sq = objective - ridge  # >= +0: the rounded sum is at least ridge
     alpha_l1 = float(np.sum(np.abs(alpha)))
     budget = eps_star * (1.0 + alpha_l1) + gain * math.sqrt(residual_sq)
     envelope = [geometric_sum(k_xi, k) * budget for k in range(blocks.horizon)]
@@ -515,7 +512,6 @@ def _fit_window(blocks, what, s, fixed, gain, lambda_alpha, eps_star, k_xi):
         objective=objective,
         gradient_norm=gnorm,
         iterations=res.nfev,
-        clamped=objective - ridge < 0,
     )
 
 

@@ -169,7 +169,6 @@ class OcpDecision:
     y_bar: list                       # channel i: (L + d_max + d_i,)
     sigma_psi: Optional[np.ndarray]
     sigma_xi: Optional[np.ndarray]
-    xi_bar: np.ndarray                # (L + d_max + 1, n)
 
     # Norms a solve and its record read, taken once per decision.
     @cached_property
@@ -214,7 +213,7 @@ class OcpBuilder:
         self.M = spec.blocks.columns
         self.has_sigma = spec.mode == "robust"
 
-        m, r, L, Lp, d_max = self.m, self.r, self.L, self.Lp, self.d_max
+        m, L, Lp, d_max = self.m, self.L, self.Lp, self.d_max
         self.y_lens = [Lp + d for d in self.degrees]
         self.n_free = 2 * L * m
         self.u_idx = np.vstack(
@@ -234,13 +233,6 @@ class OcpBuilder:
         self.lo = np.concatenate([np.tile(spec.u_min, L), np.repeat(y_min, L)])
         self.hi = np.concatenate([np.tile(spec.u_max, L), np.repeat(y_max, L)])
         self.lo.flags.writeable = self.hi.flags.writeable = False  # shared by every solve
-
-        # Canonical decision count: combination vector, both windows, and the
-        # feature slack.
-        self.audit_count = self.M + Lp * m + sum(self.y_lens) + r * Lp
-        N = self.M + Lp - 1
-        expected = N + (2 * m + r - 1) * Lp + self.n + 1
-        assert self.audit_count == expected, (self.audit_count, expected)
 
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
@@ -277,23 +269,22 @@ class OcpBuilder:
     def window_decision(self, alpha, c, sigma_psi=None) -> OcpDecision:
         """The decision with combination vector ``alpha`` and window ``c``,
         its windows read into copies. A robust decision carries the feature
-        slack ``sigma_psi``, zero when None, and the state slack
-        ``H_xi alpha - xi``; a nominal one carries no slack."""
+        slack ``sigma_psi``, zero when None, and the state slack ``H_xi alpha
+        - xi``, ``xi`` the window states ``c[xi_idx]``; a nominal one carries
+        no slack, and its window states are not gathered."""
         alpha = np.array(alpha, dtype=float)
-        xi_bar = c[self.xi_idx]
         sigma_xi = None
         if not self.has_sigma:
             sigma_psi = None
         else:
             sigma_psi = np.zeros(self.r * self.Lp) if sigma_psi is None else np.array(sigma_psi)
-            sigma_xi = self.H_xi @ alpha - xi_bar.reshape(-1)
+            sigma_xi = self.H_xi @ alpha - c[self.xi_idx].reshape(-1)
         return OcpDecision(
             alpha=alpha,
             u_bar=c[self.u_idx],
             y_bar=[c[idx] for idx in self.y_idx],
             sigma_psi=sigma_psi,
             sigma_xi=sigma_xi,
-            xi_bar=xi_bar,
         )
 
     # -- problem assembly --------------------------------------------------
@@ -421,12 +412,14 @@ class _WindowRestriction:
 
     def unpack(self, zf: np.ndarray) -> OcpDecision:
         """The decision at the free slots ``zf``: the combination vector
-        ``alpha_s + P @ (g - g_s)``, and the feature slack that closes the
-        feature rows."""
+        ``alpha_s + P @ (g - g_s)`` and, for a robust builder, the feature
+        slack that closes the feature rows."""
         b = self.b
         alpha = self.combination(zf)
-        psi = self.features.stacked(zf)[: self.features.n_psi]
-        return b.window_decision(alpha, self.features.window(zf), b.H_psi @ alpha - psi)
+        sigma_psi = None
+        if b.has_sigma:
+            sigma_psi = b.H_psi @ alpha - self.features.stacked(zf)[: self.features.n_psi]
+        return b.window_decision(alpha, self.features.window(zf), sigma_psi)
 
 
 def _direct_maps(svd, rs: float, ra: float):
@@ -505,7 +498,6 @@ class _RelaxedDirect(_WindowRestriction):
         constrained only by the bounds on the free slots; ``guess`` holds the
         free slots, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
-            dim=self.dim,
             x0=self._start(history_u, history_y, guess),
             lower=self.b.lo,
             upper=self.b.hi,
@@ -577,7 +569,6 @@ class _NominalCore(_WindowRestriction):
         """Solver-ready problem for one measured history; ``guess`` holds the
         free slots, as for ``OcpBuilder.build``."""
         return _solver.NlpProblem(
-            dim=self.dim,
             x0=self._start(history_u, history_y, guess),
             lower=self.b.lo,
             upper=self.b.hi,

@@ -52,12 +52,11 @@ class CallbackError(RuntimeError):
 class NlpProblem:
     """Problem data in callback form: minimize ``||ls_residual(z)||^2``.
 
-    ``ls_jacobian`` is the jacobian of ``ls_residual``. ``eq_residual`` /
-    ``eq_jacobian`` describe equalities ``c(z) = 0``. Bounds with equal lower
-    and upper entry pin a variable.
+    The decision and the bounds (infinite when None) have the size of ``x0``.
+    ``ls_jacobian`` is the jacobian of ``ls_residual``; ``eq_residual`` /
+    ``eq_jacobian`` describe equalities ``c(z) = 0``. Equal bounds pin a variable.
     """
 
-    dim: int
     ls_residual: Callable[[np.ndarray], np.ndarray]
     ls_jacobian: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
@@ -68,16 +67,15 @@ class NlpProblem:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if self.x0.size != self.dim:
-            raise ValueError(f"initial guess has size {self.x0.size}, expected {self.dim}")
+        n = self.x0.size
         if self.lower is None:
-            self.lower = np.full(self.dim, -np.inf)
+            self.lower = np.full(n, -np.inf)
         if self.upper is None:
-            self.upper = np.full(self.dim, np.inf)
+            self.upper = np.full(n, np.inf)
         self.lower = np.asarray(self.lower, dtype=float).reshape(-1)
         self.upper = np.asarray(self.upper, dtype=float).reshape(-1)
-        if self.lower.size != self.dim or self.upper.size != self.dim:
-            raise ValueError("bound sizes do not match the decision dimension")
+        if self.lower.size != n or self.upper.size != n:
+            raise ValueError("bound sizes do not match the initial guess")
         f0, g0 = self.objective(np.clip(self.x0, self.lower, self.upper))
         if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
             raise CallbackError("objective not finite at the initial guess")
@@ -241,9 +239,11 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
     data-driven window fit, whose results are tested for stationarity, pass
     ``1e-14``. Raises ``CallbackError`` when the residual at ``x0`` or a
     jacobian is not finite; the jacobian is tested through ``diag(J^T J)``,
-    so a column whose sum of squares overflows counts too. Exceptions from
-    the callbacks propagate, except a ``CallbackError`` from a trial
-    residual.
+    so a column whose sum of squares overflows counts too, and where ``(n
+    max(D))^2 f`` overflows, ``n`` variables: by Cauchy-Schwarz ``g^T g <= n
+    max(D) f`` and ``||J g||^2 <= n max(D) g^T g``, so no product of the
+    convergence test overflows. Exceptions from the callbacks propagate,
+    except a ``CallbackError`` from a trial residual.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -273,6 +273,10 @@ def reduced_lsq(residual, jacobian, x0, lo, hi, maxiter: int, tol: float) -> Lsq
         # sum of squares, NaN or inf; D and scale keep it.
         if not scale_max < math.inf:
             raise CallbackError("jacobian not finite")
+        # bounds ||J g||^2, as the docstring shows
+        n_scale = x.size * scale_max
+        if not n_scale * f * n_scale < math.inf:
+            raise CallbackError("gradient products overflow: jacobian too large for the residual")
         n_held = 0
         if boxed:
             room_lo, room_hi = lo - x, hi - x

@@ -171,7 +171,6 @@ def problem(builder, history_u, history_y, guess=None):
         def eq_jacobian(z):
             return np.vstack([feature_jacobian(z), A])
     return solver.NlpProblem(
-        dim=packed.dim,
         x0=np.clip(packed.pack(guess), lo, hi),
         lower=lo,
         upper=hi,

@@ -39,7 +39,7 @@ def check_gradients(
         return float(np.max(np.abs(analytic - fd))) / denom
 
     for _ in range(n_points):
-        z = np.clip(problem.x0 + scale * rng.standard_normal(problem.dim), lo, hi)
+        z = np.clip(problem.x0 + scale * rng.standard_normal(problem.x0.size), lo, hi)
         _, g = problem.objective(z)
         g_fd = _fd_gradient(lambda zz: problem.objective(zz)[0], z, step)
         err = rel_err(g, g_fd)

@@ -93,7 +93,7 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
     mism = A @ alpha - T @ h
     ridge = reg * float(alpha @ alpha)
     objective = float(mism @ mism) + ridge
-    residual_sq = max(objective - ridge, 0.0)
+    residual_sq = objective - ridge
     alpha_l1 = float(np.sum(np.abs(alpha)))
     budget = eps_star * (1.0 + alpha_l1) + gain * math.sqrt(residual_sq)
     envelope = [geometric_sum(k_xi, k) * budget for k in range(blocks.horizon)]
@@ -105,7 +105,6 @@ def _fit_window(blocks, xi0, V, S, s, u_idx, xi_idx, fixed, gain, what,
         objective=objective,
         gradient_norm=gnorm,
         iterations=res.nfev,
-        clamped=objective - ridge < 0,
     )
 
 

@@ -162,8 +162,9 @@ def test_flat_dictionary_rejects_nonfinite_values(bad, column):
 
 def _defined_names(tree):
     """Every name a module defines: functions, classes and assigned names,
-    ``Class.member`` for the methods and fields of a class, and
-    ``function(parameter)`` for the parameters of a function."""
+    ``Class.member`` for the methods and fields of a class and for the
+    attributes its methods assign on ``self``, and ``function(parameter)``
+    for the parameters of a function."""
     import ast
 
     names = set()
@@ -176,6 +177,17 @@ def _defined_names(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     names.add(f"{node.name}.{item.name}")
+                    for sub in ast.walk(item):
+                        targets = (
+                            sub.targets if isinstance(sub, ast.Assign)
+                            else [sub.target] if isinstance(sub, (ast.AnnAssign, ast.AugAssign))
+                            else []
+                        )
+                        for t in targets:
+                            for e in t.elts if isinstance(t, ast.Tuple) else [t]:
+                                if (isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                                        and e.value.id == "self"):
+                                    names.add(f"{node.name}.{e.attr}")
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     names.add(f"{node.name}.{item.target.id}")
         if isinstance(node, ast.Assign):
@@ -190,7 +202,9 @@ def test_test_only_helpers_stay_out_of_src():
     Settable values and structure that no caller outside the tests used
     stay out too: the Hankel wrapper, single-point dictionary evaluation,
     sequence windows, the chain matrices, plant feedthrough and the origin
-    self-check, and the parameters no caller set."""
+    self-check, the parameters no caller set, the problem dimension beside
+    its initial guess, the decision's window states, the window fit's clamp
+    flag and the full-space decision count."""
     import ast
     from pathlib import Path
 
@@ -205,6 +219,8 @@ def test_test_only_helpers_stay_out_of_src():
         "estimate_noise_gain(seed)", "fit_coefficient_matrix(gram_rtol)",
         "is_persistently_exciting(tolerance)", "collect_offline_data(x0)",
         "simulate_data_driven(maxiter)", "match_output_data_driven(maxiter)",
+        "NlpProblem.dim", "OcpDecision.xi_bar", "SimulationResult.clamped",
+        "MatchingResult.clamped", "WindowFit.clamped", "OcpBuilder.audit_count",
     }
     found = {
         (path.name, name)

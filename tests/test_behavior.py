@@ -254,10 +254,16 @@ def test_simulation_error_vanishes_with_dictionary_quality():
     assert errors[-1] < 1e-6
 
 
-def test_simulation_residual_clamped_flag(flat_blocks):
+def test_simulation_residual_is_nonnegative(flat_blocks):
+    """The squared mismatch is the objective less its ridge term, with no
+    clamp: the rounded objective is at least the ridge, so the difference is
+    at least +0, and +0 exactly for the window resting at zero."""
     toy, st, phi, traj, d, blocks = flat_blocks
     sim = simulate_data_driven(blocks, np.zeros((10, 1)), np.zeros(2), eps_star=0.0)
-    assert sim.residual_sq >= 0.0
+    assert sim.residual_sq == 0.0 and np.copysign(1.0, sim.residual_sq) == 1.0
+    sim = simulate_data_driven(blocks, traj.u[7:17], traj.xi.data[7], eps_star=0.05)
+    ridge = 1e3 * 0.05 * float(sim.alpha @ sim.alpha)
+    assert sim.residual_sq == sim.objective - ridge > 0.0
 
 
 # ---------------------------------------------------------------------------

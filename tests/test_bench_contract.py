@@ -10,8 +10,9 @@ replaces ``plant.collect_offline_data``, which the pendulum experiment's
 data collection calls by module attribute. A rename would
 silently drop spans from the traced run; this test fails instead. It also
 checks that the evaluation counters the traced run reports match the
-results and the closed-loop log, and that every workload's set-up runs
-against the library and passes its output checks.
+results and the closed-loop log, and that every workload's set-up, and a
+pass over the first member of its panel, run against the library and pass
+their output checks.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ddnpc import basis, behavior, npc, plant, presets, solver
 from ddnpc.behavior import DataDictionaryBlocks
@@ -141,3 +143,22 @@ def test_workload_setups_pass_their_checks(monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         setup = workload(0).setup(harness.Tracer(enabled=False))
         assert setup.problems == [], name
+
+
+@pytest.mark.parametrize("name", ["swing_up", "constrained_al", "offline_identify"])
+def test_workload_pass_of_one_member_passes_its_checks(monkeypatch, name):
+    """A workload's set-up and a pass over the first member of its panel run
+    against the library with no failed output check. The pass reads what the
+    set-up does not: the closed-loop log and the data-driven queries' result
+    fields (``outputs``, ``bounds``, ``u``), so a name the workloads read that
+    the library drops fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+    import workloads
+
+    workload = workloads.WORKLOADS[name](0)
+    workload.order = workload.order[:1]
+    setup = workload.setup(harness.Tracer(enabled=False))
+    out = workload.run_pass(setup)
+    assert setup.problems == [] and out.problems == []
+    assert out.attempted > 0 and out.errors == [] and len(out.fingerprints) == 1

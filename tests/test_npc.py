@@ -134,6 +134,8 @@ def test_nominal_infeasible_history_detected(monkeypatch):
 
 
 def test_decision_count_audit_pendulum_exact_mode():
+    """The full-space decision of the paper's exact-slack problem (combination
+    vector, both windows, feature slack) has the paper's count."""
     exp = presets.pendulum_experiment(grid_points=3)
     d = exp.dictionary(seed=3)
     traj = exp.collect(seed=0)
@@ -144,7 +146,7 @@ def test_decision_count_audit_pendulum_exact_mode():
     builder = OcpBuilder(spec)
     N, m, r, L, d_max, n = 200, 2, 4, 10, 2, 4
     expected = N + (2 * m + r - 1) * (L + d_max) + n + 1
-    assert builder.audit_count == expected == 289
+    assert full_space.Packed(builder).dim == expected == 289
 
 
 def paper_bound(spec, decision):

@@ -24,7 +24,7 @@ def linear_equality(A, b):
 
 def quadratic_problem(center, dim, **kw):
     center = np.asarray(center, dtype=float)
-    return NlpProblem(dim=dim, ls_residual=lambda z: z - center,
+    return NlpProblem(ls_residual=lambda z: z - center,
                       ls_jacobian=lambda z: np.eye(dim), x0=np.zeros(dim), **kw)
 
 
@@ -50,7 +50,7 @@ def test_rosenbrock_in_box(monkeypatch):
     def jacobian(z):
         return np.array([[-1.0, 0.0], [-20 * z[0], 10.0]])
 
-    prob = NlpProblem(dim=2, ls_residual=residual, ls_jacobian=jacobian, x0=np.array([-1.5, 1.5]),
+    prob = NlpProblem(ls_residual=residual, ls_jacobian=jacobian, x0=np.array([-1.5, 1.5]),
                       lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]))
     monkeypatch.setattr(solver, "INNER_MAXITER", 2000)
     rep = solve(prob)
@@ -71,7 +71,7 @@ def test_matches_direct_kkt_on_random_qps():
         F = np.linalg.cholesky(H)
         Fc = np.linalg.solve(F, c)
 
-        prob = NlpProblem(dim=n, ls_residual=lambda z, F=F, Fc=Fc: (F.T @ z + Fc) / np.sqrt(2.0),
+        prob = NlpProblem(ls_residual=lambda z, F=F, Fc=Fc: (F.T @ z + Fc) / np.sqrt(2.0),
                           ls_jacobian=lambda z, F=F: F.T / np.sqrt(2.0), x0=np.zeros(n),
                           **linear_equality(A, b))
         rep = solve(prob)
@@ -93,7 +93,7 @@ def test_objective_comes_from_the_least_squares_form():
     """The objective and its gradient are ``||r||^2`` and ``2 J^T r``."""
     rng = np.random.default_rng(2)
     J, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-    prob = NlpProblem(dim=3, ls_residual=lambda z: J @ z - b, ls_jacobian=lambda z: J,
+    prob = NlpProblem(ls_residual=lambda z: J @ z - b, ls_jacobian=lambda z: J,
                       x0=np.zeros(3))
     z = rng.standard_normal(3)
     f, g = prob.objective(z)
@@ -111,12 +111,12 @@ def test_determinism():
 
 def test_callback_failure_at_start():
     with pytest.raises(solver.CallbackError):
-        NlpProblem(dim=1, ls_residual=lambda z: np.array([np.nan]),
+        NlpProblem(ls_residual=lambda z: np.array([np.nan]),
                    ls_jacobian=lambda z: np.ones((1, 1)), x0=np.zeros(1))
 
 
 def test_check_gradients_catches_wrong_gradient():
-    prob = NlpProblem(dim=3, ls_residual=lambda z: z,
+    prob = NlpProblem(ls_residual=lambda z: z,
                       ls_jacobian=lambda z: np.eye(3) + 0.05,  # deliberately off
                       x0=np.ones(3))
     with pytest.raises(AssertionError, match="objective gradient"):
@@ -287,6 +287,19 @@ def test_reduced_lsq_nonfinite_jacobian_raises(entry, call):
     with pytest.raises(solver.CallbackError, match="jacobian not finite"):
         reduced_lsq(lambda x: A @ x - b, jacobian, x0, lo, hi, 100, 1e-10)
     assert len(calls) == call
+
+
+def test_reduced_lsq_refuses_a_jacobian_whose_products_overflow():
+    """Jacobian entries of 1e100 at a residual of order one: ``J^T J`` and
+    ``J^T r`` are finite, but ``||J J^T r||^2`` is not. The bound ``(n
+    max(D))^2 f`` overflows first, so the solve raises ``CallbackError``,
+    which a closed loop records as a solver error, and emits no
+    ``RuntimeWarning``."""
+    J = np.array([[1.0, -2.0], [3.0, 1.0], [-1.0, 2.0]]) * 1e100
+    b = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(solver.CallbackError, match="gradient products overflow"):
+        reduced_lsq(lambda x: J @ x - b, lambda x: J, np.zeros(2),
+                    np.full(2, -np.inf), np.full(2, np.inf), 100, 1e-10)
 
 
 def test_reduced_lsq_stops_when_no_step_lowers_the_cost():
