@@ -188,14 +188,23 @@ def _excitation(exp, dictionary, traj, order=None):
         return order, trajlib.is_persistently_exciting(trajlib.Sequence(feats), int(order))
 
 
+def _read_csv(key, path, base: Path):
+    """The trajectory CSV that the config key ``key`` names; a missing or
+    malformed file is a config error naming the key."""
+    try:
+        return trajlib.read_trajectory_csv(_resolve(path, base))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _load_trajectory(exp: presets.Experiment, cfg, base: Path):
     files = cfg.get("files", {})
     if "data" not in files:
         raise ConfigError("this command needs files.data (run collect first)")
-    u, outputs = trajlib.read_trajectory_csv(_resolve(files["data"], base))
+    u, outputs = _read_csv("files.data", files["data"], base)
     noisy = outputs
     if "data_noisy" in files:
-        _, noisy = trajlib.read_trajectory_csv(_resolve(files["data_noisy"], base))
+        _, noisy = _read_csv("files.data_noisy", files["data_noisy"], base)
     return plant.Trajectory(u, outputs, noisy, exp.structure)
 
 
@@ -205,7 +214,10 @@ def _load_certificate(cfg, base: Path):
         raise ConfigError(
             "this command needs files.certificate; produce one with collect"
         )
-    return basis.ApproximationCertificate.load(_resolve(files["certificate"], base))
+    try:
+        return basis.ApproximationCertificate.load(_resolve(files["certificate"], base))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"files.certificate is not a certificate ({exc!r})") from None
 
 
 def cmd_check_pe(cfg, base, out_dir, strict, order=None) -> int:
@@ -240,7 +252,9 @@ def _query(cfg, base, section):
 def cmd_simulate(cfg, base, out_dir, strict) -> int:
     exp, sim_cfg, L, blocks, certified = _query(cfg, base, "simulate")
     if "u_file" in sim_cfg:
-        u_new, _ = trajlib.read_trajectory_csv(_resolve(sim_cfg["u_file"], base))
+        u_new, _ = _read_csv("simulate.u_file", sim_cfg["u_file"], base)
+        if len(u_new) < L:
+            raise ConfigError(f"simulate.u_file has {len(u_new)} inputs; simulate.L needs {L}")
         u_new = u_new[:L]
     else:
         u_new = np.tile(np.zeros(exp.structure.m), (L, 1))
@@ -271,7 +285,12 @@ def cmd_match(cfg, base, out_dir, strict) -> int:
     exp, m_cfg, L, blocks, certified = _query(cfg, base, "match")
     if "y_file" not in m_cfg:
         raise ConfigError("match needs match.y_file with the reference outputs")
-    _, refs = trajlib.read_trajectory_csv(_resolve(m_cfg["y_file"], base))
+    _, refs = _read_csv("match.y_file", m_cfg["y_file"], base)
+    for i, (y, d) in enumerate(zip(refs, exp.structure.degrees)):
+        if y.size < L + d:
+            raise ConfigError(
+                f"match.y_file has {y.size} samples of output {i + 1}; match.L needs {L + d}"
+            )
     refs = [y[: L + d] for y, d in zip(refs, exp.structure.degrees)]
     result = behavior.match_output_data_driven(blocks, refs, **certified)
     rows = []
@@ -290,62 +309,41 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
     exp = presets.Experiment(cfg)
     cert = _load_certificate(cfg, base)
     spec, eps_star, log = exp.closed_loop(_load_trajectory(exp, cfg, base), cert, exp.run_noise)
-    arr = log.as_arrays()
     m = spec.structure.m
     bound_rows = npc.evaluate_runtime_bounds(
         log, eps_star=eps_star, w_star=spec.w_star, k_xi=cert.k_xi, k_w=cert.k_w,
         g_norm_inf=cert.g_inf_bound,
     )
-    solves_by_t = {s.t: s for s in log.solves}
-
-    rows = []
-    for idx, t in enumerate(arr["t"]):
-        row = [int(t)]
-        row += [float(v) for v in arr["u"][idx]]
-        row += [float(v) for v in arr["y_measured"][idx]]
-        row += [float(v) for v in arr["y"][idx]]
-        s = solves_by_t.get(int(t) - (int(t) % log.stride)) if t >= 0 else None
-        if s is not None and t >= 0:
-            row += [float(s.objective), float(s.alpha_l1), float(s.sigma_inf), s.status, s.path]
-        else:
-            row += ["", "", "", "bootstrap", ""]
-        row.append(float(arr["stage_cost"][idx]))
-        rows.append(tuple(row))
-    header = (
-        ["t"]
-        + [f"u_{i+1}" for i in range(m)]
-        + [f"y_meas_{i+1}" for i in range(m)]
-        + [f"y_{i+1}" for i in range(m)]
-        + ["J", "alpha_l1", "sigma_inf", "status", "path", "stage_cost"]
-    )
-    _write_csv(out_dir / "log.csv", header, rows)
-
     _write_csv(
         out_dir / "bound_trace.csv",
         ["solve_t", "k", "channel", "realized", "bound"],
         [(int(t), int(k), int(i) + 1, float(r), float(b)) for t, k, i, r, b in bound_rows],
     )
-
     bound_by_step = {}
     for t, k, i, r, b in bound_rows:
         bound_by_step[t + k] = max(bound_by_step.get(t + k, 0.0), b)
-    plot_rows = []
-    for idx, t in enumerate(arr["t"]):
-        if t < 0:
-            continue
-        plot_rows.append(
-            (
-                int(t),
-                float(arr["y"][idx][0]),
-                float(arr["y"][idx][1]) if m > 1 else 0.0,
-                float(spec.y_setpoint[0]),
-                float(spec.y_setpoint[1]) if m > 1 else 0.0,
-                float(arr["u"][idx][0]),
-                float(arr["u"][idx][1]) if m > 1 else 0.0,
-                float(solves_by_t[int(t) - int(t) % log.stride].objective),
-                float(bound_by_step.get(int(t), 0.0)),
+
+    def two(v):  # plot_data.csv shows two channels, a missing one as 0
+        return [float(x) for x in v[:2]] + [0.0] * (2 - len(v[:2]))
+
+    # One pass over the log writes every step to log.csv and each step from
+    # t = 0 on to plot_data.csv; the solve that planned step t >= 0 is
+    # log.solves[t // stride].
+    rows, plot_rows = [], []
+    series = zip(log.times, log.inputs, log.outputs_measured, log.outputs_clean, log.stage_costs)
+    for t, u, y_meas, y, stage_cost in series:
+        solve = ["", "", "", "bootstrap", ""]
+        if t >= 0:
+            s = log.solves[t // log.stride]
+            solve = [float(s.objective), float(s.alpha_l1), float(s.sigma_inf), s.status, s.path]
+            plot_rows.append(
+                (t, *two(y), *two(spec.y_setpoint), *two(u), solve[0],
+                 float(bound_by_step.get(t, 0.0)))
             )
-        )
+        rows.append((t, *map(float, u), *map(float, y_meas), *map(float, y), *solve, stage_cost))
+    header = ["t", *(f"{name}_{i + 1}" for name in ("u", "y_meas", "y") for i in range(m)),
+              "J", "alpha_l1", "sigma_inf", "status", "path", "stage_cost"]
+    _write_csv(out_dir / "log.csv", header, rows)
     _write_csv(
         out_dir / "plot_data.csv",
         ["t", "y_1", "y_2", "y_1_set", "y_2_set", "u_1", "u_2", "J", "bound"],
@@ -353,6 +351,7 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
     )
 
     settled = log.settled_error(last=min(50, len(log.times)))
+    inputs = np.asarray(log.inputs)
     statuses = [s.status for s in log.solves]
     held = sum(1 for s in log.solves if not s.applied)
     # solver-tolerance slack: exact certificates give bounds below the
@@ -378,8 +377,7 @@ def cmd_npc_run(cfg, base, out_dir: Path, strict) -> int:
             "bound_violations": violations,
             "blas_threads": _blas_threads(),
             "all_inputs_in_box": bool(
-                np.all(arr["u"] >= spec.u_min - 1e-12)
-                and np.all(arr["u"] <= spec.u_max + 1e-12)
+                np.all(inputs >= spec.u_min - 1e-12) and np.all(inputs <= spec.u_max + 1e-12)
             ),
         },
     )
@@ -408,6 +406,9 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
             "and certificate"
         )
     seeds = sweep_cfg.get("seeds", [0])
+    for name, value in (("values", values), ("seeds", seeds)):
+        if not isinstance(value, list):
+            raise ConfigError(f"sweep.{name} must be a list, not {value!r}")
     exp = presets.Experiment(cfg)
     traj, cert = _load_trajectory(exp, cfg, base), _load_certificate(cfg, base)
     results = []

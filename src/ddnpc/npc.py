@@ -9,13 +9,13 @@ a derived state slack that is penalized and norm-bounded. Past input/output
 samples pin the window head, terminal equalities pin the final window state to
 the setpoint, and the input box is enforced on every slot.
 
-Every mode is solved on the free window slots (``_WindowRestriction``), with
-the pins as constants. Robust solves with a positive slack bound take the
-direct solve, where the combination vector and the slack are affine
-functions of the window's features and states; when its decision breaks the
-slack bound, the same form is solved again with the slack weight raised a
-decade at a time until the bound holds. Nominal mode, and robust mode with
-zero bounds, solve exact membership with the augmented-Lagrangian solver.
+Every mode is solved on the free window slots, with the pins as constants, by
+one object per problem family (``OcpBuilder``). Robust solves with a positive
+slack bound take the direct solve, where the combination vector and the slack
+are affine functions of the window's features and states; when its decision
+breaks the slack bound, the same form is solved again with the slack weight
+raised a decade at a time until the bound holds. Nominal mode, and robust mode
+with zero bounds, solve exact membership with the augmented-Lagrangian solver.
 
 The closed-loop runner applies the first ``stride`` inputs of each solve
 (one for the nominal single-step scheme, ``d_max`` for the robust multi-step
@@ -188,11 +188,15 @@ class OcpDecision:
 
 
 class OcpBuilder:
-    """Caches the index maps and Hankel blocks of one problem family: the
-    window layout, the bounds on the free slots (``lo``, ``hi``: the input
-    box, and the output box when the spec has one), the pins a measured
-    history sets, and the cold and warm starts, as free slots. Its reduced
-    form (``reduced_form``) poses the problem on the free window slots.
+    """One problem family on the free window slots ``zf``: the window layout,
+    the bounds on the free slots (``lo``, ``hi``: the input box, and the
+    output box when the spec has one), the pins a measured history sets, the
+    cold and warm starts, as free slots, and the problem's rows.
+    ``OcpBuilder(spec)`` is the form of the spec's mode: the direct form
+    (``_RelaxedDirect``) for a robust mode with a positive slack bound, the
+    nominal core (``_NominalCore``) for nominal mode and robust mode with zero
+    bounds. A closed loop builds one, so the layout and the ridge anchor are
+    computed once per loop.
 
     A window is one vector ``c = [zf; fixed]``. ``zf`` holds the free input
     slots (time-major), then the free output slots (channel-major); ``fixed``
@@ -200,9 +204,30 @@ class OcpBuilder:
     terminal samples. ``u_idx`` (``(L + d_max, m)``), ``y_idx`` (channel
     ``i``: ``L + d_max + d_i`` entries) and ``xi_idx`` (``(L + d_max + 1,
     n)``) index the input window, the output windows and the window states
-    in ``c``."""
+    in ``c``.
 
-    def __init__(self, spec: OcpSpec):
+    The history and terminal pins are the fixed part of the window
+    (``pins``), and the stage cost is ``||J_stage @ zf - b_stage||^2``. The
+    rest of the problem depends on ``zf`` only through ``g``, the features
+    and window states stacked, and each mode makes it affine in ``g`` with
+    two constant maps: ``P``, with ``alpha = alpha_s + P @ (g - g_s)``, and
+    ``T``, whose image of ``g - g_s`` is the mode's own rows
+    (``features.rows``). ``alpha_s`` is the ridge anchor and ``g_s = Hs @
+    alpha_s``, ``Hs = [H_psi; H_xi]`` the blocks' ``H_stack``, whose one SVD
+    gives both maps. ``build`` poses the mode's problem as an ``NlpProblem``,
+    ``unpack`` takes free slots to a decision, and ``solve`` runs the whole
+    solve of one measured history.
+    """
+
+    def __new__(cls, spec: Optional[OcpSpec] = None):
+        # OcpBuilder(spec) makes the form of the spec's mode; a form class
+        # makes its own, and so does copy.copy, which passes no spec.
+        if cls is OcpBuilder:
+            direct = spec.mode == "robust" and spec.slack_bound() > 0
+            cls = _RelaxedDirect if direct else _NominalCore
+        return super().__new__(cls)
+
+    def __init__(self, spec: OcpSpec, P: np.ndarray, T: np.ndarray):
         self.spec = spec
         st = spec.structure
         self.m, self.n, self.r = st.m, st.n, spec.blocks.r
@@ -236,11 +261,32 @@ class OcpBuilder:
 
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
+        self.Hs = spec.blocks.H_stack
         # The robust ridge pulls the combination vector toward the one that
         # represents the window resting at the setpoint, so that the setpoint
         # is a zero-cost fixed point; it vanishes when the setpoint's features
         # and window states do.
         self.alpha_s = self._setpoint_alpha() if self.has_sigma else np.zeros(self.M)
+        self.P = P
+        self.g_s = np.concatenate([self.H_psi @ self.alpha_s, self.H_xi @ self.alpha_s])
+        self.T = T
+        # g = [psi(c[u_idx], c[xi_idx]); c[xi_idx]] on the window c = [zf; fixed]
+        self.features = WindowFeatures(
+            spec.blocks.dictionary, self.u_idx, self.xi_idx[:Lp], self.xi_idx.reshape(-1),
+            self.n_free, T, self.g_s,
+        )
+
+        # Stage rows: the input rows of every prediction time, then the output
+        # rows, each the Cholesky factor of its weight on that time's slots.
+        L_R = np.linalg.cholesky(spec.R).T
+        L_Q = np.linalg.cholesky(spec.Q).T
+        self.J_stage = np.zeros((2 * L * m, self.n_free))
+        for k in range(L):
+            self.J_stage[k * m : (k + 1) * m, k * m : (k + 1) * m] = L_R
+            self.J_stage[(L + k) * m : (L + k + 1) * m, L * m + k + L * np.arange(m)] = L_Q
+        self.b_stage = np.concatenate(
+            [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
+        )
 
     # -- window layout -----------------------------------------------------
 
@@ -287,25 +333,23 @@ class OcpBuilder:
             sigma_xi=sigma_xi,
         )
 
-    # -- problem assembly --------------------------------------------------
+    # -- problem on the free slots -----------------------------------------
 
-    def reduced_form(self):
-        """The mode's problem on the free window slots. A robust mode with a
-        positive slack bound gets the direct form (``_RelaxedDirect``);
-        nominal mode, and robust mode with zero bounds, get the nominal core
-        (``_NominalCore``)."""
-        spec = self.spec
-        if spec.mode == "robust" and spec.slack_bound() > 0:
-            return _RelaxedDirect(self)
-        return _NominalCore(self)
+    def set_history(self, history_u, history_y):
+        self.features.set_fixed(self.pins(history_u, history_y))
+
+    def _start(self, history_u, history_y, guess):
+        """Set the history and return the free slots ``guess``, the cold
+        start when it is None."""
+        self.set_history(history_u, history_y)
+        return self.initial_guess(history_y) if guess is None else guess
 
     def build(self, history_u: np.ndarray, history_y: np.ndarray, guess=None):
         """The mode's problem for one measured history, as an ``NlpProblem``
-        posed by a fresh ``reduced_form()``: the membership problem of the
-        nominal core, or the direct form's least-squares problem with its
-        slack bound dropped. That form is not kept, so a caller that needs
-        the decision (a closed loop, say) keeps a reduced form and calls its
-        ``solve``.
+        on the free slots within ``lo`` and ``hi``: the membership problem of
+        the nominal core, or the direct form's least-squares problem with its
+        slack bound dropped. The problem alone: ``solve`` runs the whole
+        solve and returns the decision.
 
         ``history_u`` and ``history_y`` hold the last ``d_max`` applied inputs
         and measured outputs, oldest first. ``guess`` holds the free slots
@@ -313,7 +357,28 @@ class OcpBuilder:
         start when None: a start is its free slots, since every form derives
         the rest of the decision from them.
         """
-        return self.reduced_form().build(history_u, history_y, guess)
+        return _solver.NlpProblem(
+            x0=self._start(history_u, history_y, guess), lower=self.lo, upper=self.hi,
+            **self._callbacks(),
+        )
+
+    def stage_residual(self, zf):
+        return self.J_stage @ zf - self.b_stage
+
+    def combination(self, zf):
+        """The combination vector at the free slots ``zf``: ``alpha_s + P @
+        (g - g_s)``."""
+        return self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
+
+    def unpack(self, zf: np.ndarray) -> OcpDecision:
+        """The decision at the free slots ``zf``: the combination vector
+        ``alpha_s + P @ (g - g_s)`` and, in robust mode, the feature slack
+        that closes the feature rows."""
+        alpha = self.combination(zf)
+        sigma_psi = None
+        if self.has_sigma:
+            sigma_psi = self.H_psi @ alpha - self.features.stacked(zf)[: self.features.n_psi]
+        return self.window_decision(alpha, self.features.window(zf), sigma_psi)
 
     # -- starts -------------------------------------------------------------
 
@@ -349,79 +414,6 @@ class OcpBuilder:
         return np.concatenate([u_bar[d:].reshape(-1), *y_free])
 
 
-class _WindowRestriction:
-    """The problem restricted to the free window slots ``zf``.
-
-    The history and terminal pins are the fixed part of the window
-    (``OcpBuilder.pins``), and the stage cost is ``||J_stage @ zf -
-    b_stage||^2``. The rest of the problem depends on ``zf`` only through
-    ``g``, the features and window states stacked, and each mode makes it
-    affine in ``g`` with two constant maps: ``P``, with ``alpha = alpha_s + P
-    @ (g - g_s)``, and ``T``, whose image of ``g - g_s`` is the mode's own
-    rows (``features.rows``). ``alpha_s`` is the builder's ridge anchor and
-    ``g_s = Hs @ alpha_s``, ``Hs = [H_psi; H_xi]`` the blocks' ``H_stack``,
-    whose one SVD gives both maps. ``build`` poses the mode's problem as an
-    ``NlpProblem``, ``unpack`` takes free slots to a decision, and ``solve``
-    runs the whole solve of one measured history.
-    """
-
-    def __init__(self, builder: OcpBuilder, P: np.ndarray, T: np.ndarray):
-        self.b = builder
-        spec = builder.spec
-        m, L = builder.m, builder.L
-        self.dim = builder.n_free
-        self.Hs = spec.blocks.H_stack
-        self.P = P
-        self.alpha_s = builder.alpha_s
-        self.g_s = np.concatenate([builder.H_psi @ self.alpha_s, builder.H_xi @ self.alpha_s])
-        self.T = T
-        # g = [psi(c[u_idx], c[xi_idx]); c[xi_idx]] on the window c = [zf; fixed]
-        self.features = WindowFeatures(
-            spec.blocks.dictionary, builder.u_idx, builder.xi_idx[: builder.Lp],
-            builder.xi_idx.reshape(-1), self.dim, T, self.g_s,
-        )
-
-        # Stage rows: the input rows of every prediction time, then the output
-        # rows, each the Cholesky factor of its weight on that time's slots.
-        L_R = np.linalg.cholesky(spec.R).T
-        L_Q = np.linalg.cholesky(spec.Q).T
-        self.J_stage = np.zeros((2 * L * m, self.dim))
-        for k in range(L):
-            self.J_stage[k * m : (k + 1) * m, k * m : (k + 1) * m] = L_R
-            self.J_stage[(L + k) * m : (L + k + 1) * m, L * m + k + L * np.arange(m)] = L_Q
-        self.b_stage = np.concatenate(
-            [np.tile(L_R @ spec.u_setpoint, L), np.tile(L_Q @ spec.y_setpoint, L)]
-        )
-
-    def set_history(self, history_u, history_y):
-        self.features.set_fixed(self.b.pins(history_u, history_y))
-
-    def _start(self, history_u, history_y, guess):
-        """Set the history and return the free slots ``guess``, the builder's
-        cold start when it is None."""
-        self.set_history(history_u, history_y)
-        return self.b.initial_guess(history_y) if guess is None else guess
-
-    def stage_residual(self, zf):
-        return self.J_stage @ zf - self.b_stage
-
-    def combination(self, zf):
-        """The combination vector at the free slots ``zf``: ``alpha_s + P @
-        (g - g_s)``."""
-        return self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
-
-    def unpack(self, zf: np.ndarray) -> OcpDecision:
-        """The decision at the free slots ``zf``: the combination vector
-        ``alpha_s + P @ (g - g_s)`` and, for a robust builder, the feature
-        slack that closes the feature rows."""
-        b = self.b
-        alpha = self.combination(zf)
-        sigma_psi = None
-        if b.has_sigma:
-            sigma_psi = b.H_psi @ alpha - self.features.stacked(zf)[: self.features.n_psi]
-        return b.window_decision(alpha, self.features.window(zf), sigma_psi)
-
-
 def _direct_maps(svd, rs: float, ra: float):
     """The direct form's ``P`` and ``T`` at the slack weight ``rs`` and the
     ridge weight ``ra``: diagonal filters of the stack's SVD ``svd``
@@ -435,7 +427,7 @@ def _direct_maps(svd, rs: float, ra: float):
     return (Vt[:rank].T * (rs * rs * s / d)) @ U[:, :rank].T, t[:, None] * U.T
 
 
-class _RelaxedDirect(_WindowRestriction):
+class _RelaxedDirect(OcpBuilder):
     """Variable-projection form of the robust problem with its slack bound
     dropped, both slack modes.
 
@@ -447,7 +439,7 @@ class _RelaxedDirect(_WindowRestriction):
     inactive at the optimum, which is checked afterwards; where it is not,
     ``solve`` raises the slack weight until the bound holds.
 
-    The residual is the builder's stage rows followed by ``T @ (g - g_s)``.
+    The residual is the stage rows followed by ``T @ (g - g_s)``.
     ``C = [ra P; rs (Hs P - I)]`` maps ``g - g_s`` to the ridge, feature
     slack and state slack rows, and ``T^T T = C^T C``, so the cost, ``J^T
     J`` and ``J^T r`` equal those of the uncompressed residual and every
@@ -458,8 +450,7 @@ class _RelaxedDirect(_WindowRestriction):
     ``rank`` singular values and ``t = rs`` past them.
     """
 
-    def __init__(self, builder: OcpBuilder):
-        spec = builder.spec
+    def __init__(self, spec: OcpSpec):
         if spec.mode != "robust" or spec.slack_bound() <= 0:
             raise ValueError("direct solve needs robust mode with a positive slack bound")
 
@@ -467,14 +458,14 @@ class _RelaxedDirect(_WindowRestriction):
         # rs^2*||Hs a - g||^2 + ra^2*||a - a_s||^2.
         self.rs = math.sqrt(spec.lambda_sigma)
         self.ra = math.sqrt(spec.lambda_alpha * spec.slack_level)
-        super().__init__(builder, *_direct_maps(spec.blocks.H_stack_svd, self.rs, self.ra))
+        super().__init__(spec, *_direct_maps(spec.blocks.H_stack_svd, self.rs, self.ra))
 
     def weighted(self, lambda_sigma: float) -> "_RelaxedDirect":
         """This form with the slack weight ``lambda_sigma``: new filters of the
         same SVD, and a feature core of its own."""
         form = copy.copy(self)
         form.rs = math.sqrt(lambda_sigma)
-        form.P, form.T = _direct_maps(self.b.spec.blocks.H_stack_svd, form.rs, self.ra)
+        form.P, form.T = _direct_maps(self.spec.blocks.H_stack_svd, form.rs, self.ra)
         form.features = self.features.with_rows(form.T)
         return form
 
@@ -488,22 +479,14 @@ class _RelaxedDirect(_WindowRestriction):
 
     def jacobian(self, zf):
         n_stage = self.J_stage.shape[0]
-        J = np.empty((n_stage + self.T.shape[0], self.dim))
+        J = np.empty((n_stage + self.T.shape[0], self.n_free))
         J[:n_stage] = self.J_stage
         self.features.jacobian(zf, out=J[n_stage:])
         return J
 
-    def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
-        """The direct form's least-squares problem for one measured history,
-        constrained only by the bounds on the free slots; ``guess`` holds the
-        free slots, as for ``OcpBuilder.build``."""
-        return _solver.NlpProblem(
-            x0=self._start(history_u, history_y, guess),
-            lower=self.b.lo,
-            upper=self.b.hi,
-            ls_residual=self.residual,
-            ls_jacobian=self.jacobian,
-        )
+    def _callbacks(self):
+        # least squares alone, constrained only by the bounds on the free slots
+        return {"ls_residual": self.residual, "ls_jacobian": self.jacobian}
 
     def cost(self, zf, decision: OcpDecision) -> float:
         """The robust problem's cost at ``decision``, whose free slots are
@@ -517,7 +500,7 @@ class _RelaxedDirect(_WindowRestriction):
     def violation(self, zf, decision: OcpDecision) -> float:
         """Slack-bound violation of ``decision`` (unpacked from ``zf``), the
         bound taken at its own ``||alpha||_1``."""
-        return max(0.0, decision.sigma_inf - self.b.spec.slack_bound(decision.alpha_l1))
+        return max(0.0, decision.sigma_inf - self.spec.slack_bound(decision.alpha_l1))
 
     def solve(self, history_u, history_y, guess):
         """The direct solve (``solve_relaxed_direct``, path ``direct``). When
@@ -535,7 +518,7 @@ class _RelaxedDirect(_WindowRestriction):
         path, iterations, decade = "direct", info["iterations"], 0
         while info["status"] == "bound-active":
             path, decade = "fallback", decade + 1
-            form = self.weighted(self.b.spec.lambda_sigma * 10.0**decade)
+            form = self.weighted(self.spec.lambda_sigma * 10.0**decade)
             next_decision, next_info = solve_relaxed_direct(form, history_u, history_y, info["zf"])
             iterations += next_info["iterations"]
             if not next_decision.sigma_inf < decision.sigma_inf:
@@ -545,7 +528,7 @@ class _RelaxedDirect(_WindowRestriction):
         return decision, info["status"], objective, iterations, info["max_violation"], path
 
 
-class _NominalCore(_WindowRestriction):
+class _NominalCore(OcpBuilder):
     """Exact membership on the free slots: nominal mode, and robust mode with
     zero slack bounds.
 
@@ -561,22 +544,15 @@ class _NominalCore(_WindowRestriction):
     is the equality violation of the decision a solution unpacks to.
     """
 
-    def __init__(self, builder: OcpBuilder):
-        blocks = builder.spec.blocks
-        super().__init__(builder, blocks.H_stack_pinv, blocks.H_stack_null)
+    def __init__(self, spec: OcpSpec):
+        super().__init__(spec, spec.blocks.H_stack_pinv, spec.blocks.H_stack_null)
 
-    def build(self, history_u, history_y, guess=None) -> _solver.NlpProblem:
-        """Solver-ready problem for one measured history; ``guess`` holds the
-        free slots, as for ``OcpBuilder.build``."""
-        return _solver.NlpProblem(
-            x0=self._start(history_u, history_y, guess),
-            lower=self.b.lo,
-            upper=self.b.hi,
-            ls_residual=self.stage_residual,
-            ls_jacobian=lambda zf: self.J_stage,
-            eq_residual=self.features.rows,
-            eq_jacobian=self.features.jacobian,
-        )
+    def _callbacks(self):
+        # the stage rows as the objective, the membership rows as equalities
+        return {
+            "ls_residual": self.stage_residual, "ls_jacobian": lambda zf: self.J_stage,
+            "eq_residual": self.features.rows, "eq_jacobian": self.features.jacobian,
+        }
 
     def violation(self, zf, decision: OcpDecision) -> float:
         """``||Hs alpha - g||_inf`` of ``decision``, unpacked from ``zf``: its
@@ -608,7 +584,7 @@ def solve_relaxed_direct(
     """Solve the robust problem with its slack bound dropped, by slack and
     combination elimination, and check the bound afterwards.
 
-    ``direct`` is the problem's direct form (``OcpBuilder.reduced_form`` of a
+    ``direct`` is the problem's direct form (``OcpBuilder(spec)`` of a
     robust mode with a positive slack bound), or that form at a raised slack
     weight (``_RelaxedDirect.weighted``); its ``solve`` calls this, once per
     decade of its continuation. A closed loop owns its form, so that the
@@ -620,7 +596,7 @@ def solve_relaxed_direct(
     decision breaks the slack bound, by any amount; the form's ``solve``
     then continues from ``zf``. The solver, ``solver.reduced_lsq``
     (box-constrained Levenberg-Marquardt), keeps the free slots inside the
-    builder's bounds (the input box, and the output box when the spec has
+    form's bounds (the input box, and the output box when the spec has
     one) and the feature equality holds by construction, so the only
     constraint that can be violated is the slack bound: ``max_violation =
     max(0, sigma_inf - bound)`` (the form's ``violation``), with the mode's
@@ -629,7 +605,7 @@ def solve_relaxed_direct(
     """
     zf0 = direct._start(history_u, history_y, guess)
     res = _solver.reduced_lsq(
-        direct.residual, direct.jacobian, zf0, direct.b.lo, direct.b.hi, DIRECT_MAXITER, 1e-10
+        direct.residual, direct.jacobian, zf0, direct.lo, direct.hi, DIRECT_MAXITER, 1e-10
     )
     decision = direct.unpack(res.x)
     max_violation = direct.violation(res.x, decision)
@@ -689,15 +665,6 @@ class ClosedLoopLog:
         y = np.asarray(self.outputs_clean[-last:])
         return float(np.mean(np.max(np.abs(y - self.y_setpoint), axis=1)))
 
-    def as_arrays(self) -> dict:
-        return {
-            "t": np.asarray(self.times),
-            "u": np.asarray(self.inputs),
-            "y": np.asarray(self.outputs_clean),
-            "y_measured": np.asarray(self.outputs_measured),
-            "stage_cost": np.asarray(self.stage_costs),
-        }
-
 
 def run_closed_loop(
     spec: OcpSpec,
@@ -726,24 +693,21 @@ def run_closed_loop(
     decision: the direct solve, its slack-weight continuation
     (``fallback``), the AL solver with Gauss-Newton inner steps (``al-gn``),
     or ``held`` when no solve returned one, and the wall-clock time of its
-    warm start and solve. Every solve is the ``solve`` of the problem's
-    reduced form (``OcpBuilder.reduced_form``), on the free window slots,
-    from the history of the log's last ``d_max`` inputs and measured
-    outputs. A robust mode with a positive slack bound, relaxed or exact,
-    takes the direct solve, and when its decision breaks the bound, the
-    direct form again at a slack weight raised a decade at a time, from the
-    free slots of the solve before; the record keeps the decision's own
-    slack-bound violation. Nominal mode, and robust mode with zero bounds,
-    run the AL solver under the membership equalities, and the record keeps
-    the equality violation of the decision.
+    warm start and solve. Every solve is the ``solve`` of the loop's one
+    form (``OcpBuilder(spec)``), on the free window slots, from the history
+    of the log's last ``d_max`` inputs and measured outputs. A robust mode
+    with a positive slack bound, relaxed or exact, takes the direct solve,
+    and when its decision breaks the bound, the direct form again at a
+    slack weight raised a decade at a time, from the free slots of the solve
+    before; the record keeps the decision's own slack-bound violation.
+    Nominal mode, and robust mode with zero bounds, run the AL solver under
+    the membership equalities, and the record keeps the equality violation
+    of the decision.
     """
     stride = spec.stride if stride is None else stride
     if stride < 1 or total_steps < 0 or total_steps % stride:
         raise ValueError(f"need a stride >= 1 dividing the steps >= 0, got {stride}, {total_steps}")
-    builder = OcpBuilder(spec)
-    # The reduced form holds the builder, so the loop owns it: cached on the
-    # builder it would make a reference cycle that outlives the loop.
-    form = builder.reduced_form()
+    form = OcpBuilder(spec)
     d_max = spec.d_max
     m = spec.structure.m
 
@@ -786,7 +750,7 @@ def run_closed_loop(
         error = ""
         started = time.perf_counter()
         try:
-            warm = None if prev_decision is None else builder.shifted_guess(prev_decision, stride)
+            warm = None if prev_decision is None else form.shifted_guess(prev_decision, stride)
             decision, status, objective, iterations, max_violation, path = form.solve(
                 *history, warm
             )
@@ -800,8 +764,8 @@ def run_closed_loop(
                 # A placeholder that evaluates no dictionary, so it cannot
                 # raise: the setpoint in every free slot, at the setpoint's alpha.
                 rest = [np.tile(spec.u_setpoint, spec.L), np.repeat(spec.y_setpoint, spec.L)]
-                c = np.concatenate([*rest, builder.pins(*history)])
-                decision = builder.window_decision(builder.alpha_s, c)
+                c = np.concatenate([*rest, form.pins(*history)])
+                decision = form.window_decision(form.alpha_s, c)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
         accept = status == "converged" or status == "max-iter" and max_violation <= 1e-5

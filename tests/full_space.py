@@ -131,9 +131,8 @@ def problem(builder, history_u, history_y, guess=None):
     history_y = np.asarray(history_y, dtype=float).reshape(builder.d_max, builder.m)
     lo, hi = packed.bounds(history_u, history_y)
     if guess is None:
-        form = builder.reduced_form()
-        form.set_history(history_u, history_y)
-        guess = form.unpack(builder.initial_guess(history_y))
+        builder.set_history(history_u, history_y)
+        guess = builder.unpack(builder.initial_guess(history_y))
     J, b = ls_form(packed)
     A = _sigma_xi_jacobian(packed)
 

@@ -1,7 +1,7 @@
 """Checks on plants and data that only the tests make: the relative-degree
 probe of a plant, the chain matrices of a Brunovsky structure, the
-least-squares membership residual of a candidate window, and the stacked
-vector of a sequence window.
+least-squares membership residual of a candidate window, the stacked
+vector of a sequence window, and a closed-loop log's time series as arrays.
 
 The library takes each plant's degrees from its ``BrunovskyStructure`` and
 decides window membership inside its solves; these direct forms check both.
@@ -103,3 +103,16 @@ def stack(seq: Sequence, a: int, b: int) -> np.ndarray:
     """Stacked vector of ``seq`` over the window ``a..b`` (inclusive): rows
     concatenated in time order."""
     return seq.data[a : b + 1].reshape(-1).copy()
+
+
+def log_arrays(log) -> dict:
+    """The time series of a closed-loop log (``npc.ClosedLoopLog``) as
+    arrays: the step times ``t``, inputs ``u``, clean outputs ``y``,
+    measured outputs ``y_measured`` and stage costs ``stage_cost``."""
+    return {
+        "t": np.asarray(log.times),
+        "u": np.asarray(log.inputs),
+        "y": np.asarray(log.outputs_clean),
+        "y_measured": np.asarray(log.outputs_measured),
+        "stage_cost": np.asarray(log.stage_costs),
+    }

@@ -229,7 +229,7 @@ def test_robust_reduces_to_nominal():
     x0 = np.array([0.3, -0.1, 0.2])
     log_n = npc.run_closed_loop(spec_n, toy, plant.NoiseModel(), x0, 30, stride=st.d_max)
     log_r = npc.run_closed_loop(spec_r, toy, plant.NoiseModel(), x0, 30)
-    gap = float(np.max(np.abs(log_n.as_arrays()["u"] - log_r.as_arrays()["u"])))
+    gap = float(np.max(np.abs(np.asarray(log_n.inputs) - np.asarray(log_r.inputs))))
     ok = gap <= 1e-5
     assert report("robust reduces to nominal at zero bounds", ok, f"input gap {gap:.2e} over 30 steps")
 
@@ -245,7 +245,7 @@ def test_nominal_stability_and_recursive_feasibility():
         u_setpoint=[0.0], y_setpoint=[0.0], u_min=[-3.0], u_max=[3.0],
     )
     builder = npc.OcpBuilder(spec)
-    core = builder.reduced_form()
+    core = builder
     x = np.array([0.45, -0.3])
     hist_u, hist_y = [], []
     for _ in range(st.d_max):
@@ -302,7 +302,7 @@ def test_nominal_pendulum_swing_up_with_the_exact_dictionary():
     details, ok = [], True
     for seed in range(3):
         spec, _, log = exp.closed_loop(exp.collect(seed), cert, plant.NoiseModel())
-        arr = log.as_arrays()
+        arr = reference_checks.log_arrays(log)
         XI = plant.window_states(list(arr["y"].T), exp.structure).data
         inside = exp.box.contains_rows(arr["u"][: len(XI)], XI).all()
         peak = float(np.abs(arr["y"][-50:] - exp.y_setpoint).max())
@@ -338,7 +338,7 @@ def test_reference_swing_up_reproduction(pendulum, pendulum_cert):
 
     def run(traj, noise):
         log = pendulum.closed_loop(traj, cert, noise)[-1]
-        dev = np.abs(log.as_arrays()["y"][-50:] - pendulum.y_setpoint)
+        dev = np.abs(reference_checks.log_arrays(log)["y"][-50:] - pendulum.y_setpoint)
         failed = Counter(s.status for s in log.solves if s.status != "converged")
         unconverged = ",".join(f"{k}={v}" for k, v in sorted(failed.items())) or "none"
         return dev, unconverged

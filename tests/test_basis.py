@@ -198,7 +198,8 @@ def _defined_names(tree):
 def test_test_only_helpers_stay_out_of_src():
     """Code that only the tests call lives in their reference modules: no
     module of ``src/ddnpc`` defines the scalar-callable dictionary, the
-    relative-degree probe, the membership residual or the window stack.
+    relative-degree probe, the membership residual, the window stack or the
+    closed-loop log's arrays.
     Settable values and structure that no caller outside the tests used
     stay out too: the Hankel wrapper, single-point dictionary evaluation,
     sequence windows, the chain matrices, plant feedthrough and the origin
@@ -209,7 +210,7 @@ def test_test_only_helpers_stay_out_of_src():
     from pathlib import Path
 
     moved = {"CustomDictionary", "probe_relative_degrees", "NoResponseError",
-             "representation_residual", "stack"}
+             "representation_residual", "stack", "ClosedLoopLog.as_arrays"}
     removed = {
         "HankelMatrix", "WindowError", "DEFAULT_RANK_RTOL", "Sequence.window",
         "BasisDictionary.value", "BasisDictionary.jacobian",

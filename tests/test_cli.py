@@ -62,6 +62,22 @@ def test_unknown_key_rejected(tmp_path):
     assert run_cli(["collect", "--config", path, "--out-dir", tmp_path]) == cli.EXIT_CONFIG
 
 
+def spoil_first_input(path):
+    """Write a non-numeric first input cell into the trajectory CSV ``path``."""
+    lines = Path(path).read_text().splitlines()
+    cells = lines[1].split(",")
+    lines[1] = ",".join([cells[0], "abc", *cells[2:]])
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def first_rows(path, rows):
+    """A copy of the trajectory CSV ``path`` with its first ``rows`` samples
+    only, beside it; returns the copy's path."""
+    short = Path(path).with_name("short.csv")
+    short.write_text("\n".join(Path(path).read_text().splitlines()[: rows + 1]) + "\n")
+    return str(short)
+
+
 @pytest.mark.parametrize(
     "command, make, edit, key",
     [
@@ -150,6 +166,22 @@ def test_unknown_key_rejected(tmp_path):
         ("npc-run", toy_config, lambda cfg: cfg["run"].update(x0=[None, 0.1]), "run.x0"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(Q=np.eye(2).tolist()), "ocp: Q"),
         ("npc-run", toy_config, lambda cfg: cfg["ocp"].update(R=[[1.0, 0.0]]), "ocp: R"),
+        # files the commands read themselves; simulate.L and match.L default to 10
+        ("check-pe", toy_config, lambda cfg: spoil_first_input(cfg["files"]["data"]),
+         "files.data"),
+        ("npc-run", toy_config,
+         lambda cfg: Path(cfg["files"]["certificate"]).write_text("not json"),
+         "files.certificate"),
+        ("simulate", toy_config, lambda cfg: cfg.update(simulate={"u_file": "missing.csv"}),
+         "simulate.u_file"),
+        ("simulate", toy_config,
+         lambda cfg: cfg.update(simulate={"u_file": first_rows(cfg["files"]["data"], 5)}),
+         "simulate.u_file"),
+        ("match-output", toy_config,
+         lambda cfg: cfg.update(match={"y_file": first_rows(cfg["files"]["data"], 11)}),
+         "match.y_file"),
+        ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "ocp.L", "values": 5}),
+         "sweep.values"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
@@ -167,7 +199,9 @@ def test_unknown_key_rejected(tmp_path):
         "run_total_steps_text", "noise_w_star_text", "data_N_text", "simulate_L_text",
         "run_x0_three_entries", "run_x0_one_entry", "run_hold_input_size",
         "run_hold_input_null", "run_x0_null_entry", "ocp_Q_shape",
-        "ocp_R_shape",
+        "ocp_R_shape", "check_pe_data_not_a_number", "npc_run_certificate_not_json",
+        "simulate_u_file_missing", "simulate_u_file_short", "match_y_file_short",
+        "sweep_values_not_a_list",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):
@@ -266,6 +300,41 @@ def test_collect_simulate_run_pipeline(tmp_path, capsys):
     assert len(solved) == summary["solves"]
     assert {row["path"] for row in rows if row["status"] == "bootstrap"} == {""}
     assert Counter(row["path"] for row in solved) == summary["path_counts"]
+
+
+def test_npc_run_files_agree_row_by_row(tmp_path):
+    """``npc-run``'s files agree with each other. On a robust flat-toy run
+    with stride 2, half of whose solves are held: each ``plot_data.csv`` row
+    carries the ``t``, output, setpoint, input and ``J`` of its ``log.csv``
+    row, channel 2 padded with 0 on this one-channel plant, and its
+    ``bound`` is the largest ``bound_trace.csv`` bound with ``solve_t + k ==
+    t``, 0 where a held solve left none."""
+    path, cfg = toy_config(tmp_path)
+    cfg["ocp"].update(mode="robust", stride=2, c_slack=1e-3)
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    assert run_cli(["npc-run", "--config", out / "run_config.json", "--out-dir", out]) == 0
+
+    def table(name):
+        lines = (out / name).read_text().splitlines()
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    log = {row["t"]: row for row in table("log.csv")}
+    plot = table("plot_data.csv")
+    bounds = {}
+    for row in table("bound_trace.csv"):
+        step = str(int(row["solve_t"]) + int(row["k"]))
+        bounds.setdefault(step, []).append(float(row["bound"]))
+    assert [row["t"] for row in plot] == [t for t in log if int(t) >= 0]
+    for row in plot:
+        want = log[row["t"]]
+        assert (row["y_1"], row["u_1"], row["J"]) == (want["y_1"], want["u_1"], want["J"])
+        assert float(row["y_1_set"]) == cfg["ocp"]["y_setpoint"][0]
+        assert row["y_2"] == row["y_2_set"] == row["u_2"] == "0"
+        assert float(row["bound"]) == max(bounds.get(row["t"], [0.0]))
+    held = [row for row in log.values() if row["status"] == "bound-active"]
+    assert held and 0 < len(bounds) < len(plot)
 
 
 def test_npc_run_reruns_identical_but_for_solve_times(tmp_path):

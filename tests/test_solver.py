@@ -399,7 +399,7 @@ def lsq_cases():
     from test_npc import pendulum_relaxed_builder
 
     exp, _, spec, builder = pendulum_relaxed_builder()
-    direct = npc._RelaxedDirect(builder)
+    direct = npc._RelaxedDirect(builder.spec)
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.x0[[0, 2]], (spec.d_max, 1))
     direct.set_history(hu, hy)
@@ -415,7 +415,7 @@ def lsq_cases():
                             hold_input=exp.hold_input)
     form, hu, hy, guess = spy.call_args_list[1].args
     form.set_history(hu, hy)
-    cases["pendulum-held"] = (form.residual, form.jacobian, guess, form.b.lo, form.b.hi, 60,
+    cases["pendulum-held"] = (form.residual, form.jacobian, guess, form.lo, form.hi, 60,
                               1e-10)
     return cases
 
@@ -504,7 +504,7 @@ def test_reduced_lsq_start_on_the_box_is_not_stopped_early(drop):
     from test_npc import pendulum_relaxed_builder
 
     exp, _, spec, builder = pendulum_relaxed_builder()
-    direct = npc._RelaxedDirect(builder)
+    direct = npc._RelaxedDirect(builder.spec)
     hu = np.tile(exp.hold_input, (spec.d_max, 1))
     hy = np.tile(exp.y_setpoint - drop, (spec.d_max, 1))
     direct.set_history(hu, hy)
@@ -557,7 +557,7 @@ def test_every_least_squares_solve_runs_on_reduced_lsq(monkeypatch):
     report = solver.solve(npc.OcpBuilder(spec).build(hu, hy))
     assert nfev and sum(nfev) == report.iterations
     nfev.clear()
-    _, info = npc.solve_relaxed_direct(npc.OcpBuilder(relaxed).reduced_form(), hu, hy)
+    _, info = npc.solve_relaxed_direct(npc.OcpBuilder(relaxed), hu, hy)
     assert nfev == [info["iterations"]]
 
 
