@@ -182,57 +182,6 @@ def geometric_sum(ratio: float, k: int) -> float:
     return float((1.0 - ratio ** (k + 1)) / (1.0 - ratio))
 
 
-@dataclass(frozen=True)
-class ErrorBoundInputs:
-    """Constants entering the closed-loop prediction error bound."""
-
-    eps_star: float
-    w_star: float
-    k_xi: float
-    k_w: float
-    g_norm_inf: float
-    alpha_l1: float
-    sigma_inf: float
-    degrees: tuple
-
-    def __post_init__(self):
-        vals = (
-            self.eps_star,
-            self.w_star,
-            self.k_xi,
-            self.k_w,
-            self.g_norm_inf,
-            self.alpha_l1,
-            self.sigma_inf,
-        )
-        if any(v < 0 for v in vals):
-            raise ValueError("error-bound inputs must be non-negative")
-
-    @property
-    def d_max(self) -> int:
-        return int(max(self.degrees))
-
-
-def prediction_error_bound(inputs: ErrorBoundInputs, channel: int, k: int) -> float:
-    """Bound on the gap between an optimal predicted output and the output the
-    plant actually produces under the optimal input, ``k`` steps into the
-    prediction window of the given channel.
-
-    The bound is the geometric factor in the state Lipschitz constant times
-    the one-step error budget from approximation error, measurement noise and
-    slack.
-    """
-    d_i = inputs.degrees[channel]
-    if k < 0:
-        raise ValueError("step index must be non-negative")
-    budget = (
-        inputs.eps_star * (1.0 + inputs.alpha_l1)
-        + (1.0 + inputs.k_w) * inputs.w_star * inputs.alpha_l1
-        + (1.0 + inputs.g_norm_inf) * inputs.sigma_inf
-    )
-    return geometric_sum(inputs.k_xi, k + inputs.d_max - d_i) * budget
-
-
 # ---------------------------------------------------------------------------
 # Simulation and output matching: one solve over the free window samples
 # ---------------------------------------------------------------------------

@@ -253,6 +253,11 @@ def cmd_simulate(cfg, base, out_dir, strict) -> int:
     exp, sim_cfg, L, blocks, certified = _query(cfg, base, "simulate")
     if "u_file" in sim_cfg:
         u_new, _ = _read_csv("simulate.u_file", sim_cfg["u_file"], base)
+        if u_new.shape[1] != exp.structure.m:
+            raise ConfigError(
+                f"simulate.u_file has {u_new.shape[1]} input channels; the plant has "
+                f"{exp.structure.m}"
+            )
         if len(u_new) < L:
             raise ConfigError(f"simulate.u_file has {len(u_new)} inputs; simulate.L needs {L}")
         u_new = u_new[:L]
@@ -286,6 +291,10 @@ def cmd_match(cfg, base, out_dir, strict) -> int:
     if "y_file" not in m_cfg:
         raise ConfigError("match needs match.y_file with the reference outputs")
     _, refs = _read_csv("match.y_file", m_cfg["y_file"], base)
+    if len(refs) != exp.structure.m:
+        raise ConfigError(
+            f"match.y_file has {len(refs)} output channels; the plant has {exp.structure.m}"
+        )
     for i, (y, d) in enumerate(zip(refs, exp.structure.degrees)):
         if y.size < L + d:
             raise ConfigError(
@@ -409,10 +418,13 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
     for name, value in (("values", values), ("seeds", seeds)):
         if not isinstance(value, list):
             raise ConfigError(f"sweep.{name} must be a list, not {value!r}")
+    if not seeds:
+        raise ConfigError("sweep.seeds must name at least one seed")
     exp = presets.Experiment(cfg)
     traj, cert = _load_trajectory(exp, cfg, base), _load_certificate(cfg, base)
-    results = []
+    ordered = []  # the mean settled error of each value, by position
     for value in values:
+        settled_by_seed = []
         for seed in seeds:
             sub = json.loads(json.dumps(cfg))
             sub.pop("sweep")
@@ -423,13 +435,12 @@ def cmd_sweep(cfg, base, out_dir: Path, strict) -> int:
             exp = presets.Experiment(sub)
             log = exp.closed_loop(traj, cert, exp.run_noise)[-1]
             settled = log.settled_error(last=min(50, len(log.times)))
-            results.append({"value": value, "seed": seed, "settled_error": settled})
-            _summary(run_dir / "summary.json", results[-1])
+            settled_by_seed.append(settled)
+            _summary(
+                run_dir / "summary.json", {"value": value, "seed": seed, "settled_error": settled}
+            )
             print(f"{vary} = {value}, seed {seed}: settled error {settled:.6g}")
-    by_value = {}
-    for rec in results:
-        by_value.setdefault(rec["value"], []).append(rec["settled_error"])
-    ordered = [float(np.mean(by_value[v])) for v in values]
+        ordered.append(float(np.mean(settled_by_seed)))
     _summary(
         out_dir / "sweep_summary.json",
         {"vary": vary, "values": values, "settled_errors": ordered},

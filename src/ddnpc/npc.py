@@ -36,12 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .plant import BrunovskyStructure, NoiseModel, PlantModel, window_states
-from .behavior import (
-    DataDictionaryBlocks,
-    ErrorBoundInputs,
-    WindowFeatures,
-    prediction_error_bound,
-)
+from .behavior import DataDictionaryBlocks, WindowFeatures, geometric_sum
 from . import solver as _solver
 
 
@@ -130,10 +125,6 @@ class OcpSpec:
         return self.structure.d_max
 
     @property
-    def horizon_total(self) -> int:
-        return self.L + self.d_max
-
-    @property
     def stride(self) -> int:
         """Inputs a loop applies per solve by default: one nominal, ``d_max`` robust."""
         return self.d_max if self.mode == "robust" else 1
@@ -142,14 +133,6 @@ class OcpSpec:
     def slack_level(self) -> float:
         return max(self.eps_star, self.w_star)
 
-    @property
-    def slack_gain(self) -> float:
-        """Growth of the slack bound per unit of ``||alpha||_1``: ``(eps* +
-        k_w w*) ||G^dagger||`` in exact mode, zero in relaxed mode."""
-        if self.slack_mode == "relaxed":
-            return 0.0
-        return (self.eps_star + self.k_w * self.w_star) * self.g_dagger_norm
-
     def slack_bound(self, alpha_l1: float = 0.0) -> float:
         """Sup-norm bound on the slack of a robust decision whose combination
         vector has 1-norm ``alpha_l1``: ``c_slack * slack_level`` in relaxed
@@ -157,7 +140,8 @@ class OcpSpec:
         ||alpha||_1)`` in exact mode."""
         if self.slack_mode == "relaxed":
             return self.c_slack * self.slack_level
-        return self.k_psi * self.w_star + self.slack_gain * (1.0 + alpha_l1)
+        gain = (self.eps_star + self.k_w * self.w_star) * self.g_dagger_norm
+        return self.k_psi * self.w_star + gain * (1.0 + alpha_l1)
 
 
 @dataclass
@@ -231,7 +215,7 @@ class OcpBuilder:
         self.spec = spec
         st = spec.structure
         self.m, self.n, self.r = st.m, st.n, spec.blocks.r
-        self.Lp = spec.horizon_total
+        self.Lp = spec.L + spec.d_max
         self.L = spec.L
         self.d_max = spec.d_max
         self.degrees = st.degrees
@@ -257,7 +241,10 @@ class OcpBuilder:
         y_max = unboxed if spec.y_max is None else spec.y_max
         self.lo = np.concatenate([np.tile(spec.u_min, L), np.repeat(y_min, L)])
         self.hi = np.concatenate([np.tile(spec.u_max, L), np.repeat(y_max, L)])
-        self.lo.flags.writeable = self.hi.flags.writeable = False  # shared by every solve
+        # the setpoint in every free slot: the resting window is [zf_s; pins]
+        self.zf_s = np.concatenate([np.tile(spec.u_setpoint, L), np.repeat(spec.y_setpoint, L)])
+        for shared in (self.lo, self.hi, self.zf_s):  # read by every solve
+            shared.flags.writeable = False
 
         self.H_psi = spec.blocks.H_psi
         self.H_xi = spec.blocks.H_xi
@@ -302,15 +289,6 @@ class OcpBuilder:
                 for i, d in enumerate(self.degrees)
             ]
         )
-
-    def window(self, u_bar, y_bar) -> np.ndarray:
-        """The window ``c`` holding the input window ``u_bar`` and the output
-        windows ``y_bar``."""
-        c = np.empty(self.u_idx.size + sum(self.y_lens))
-        c[self.u_idx] = u_bar
-        for idx, y in zip(self.y_idx, y_bar):
-            c[idx] = y
-        return c
 
     def window_decision(self, alpha, c, sigma_psi=None) -> OcpDecision:
         """The decision with combination vector ``alpha`` and window ``c``,
@@ -365,16 +343,11 @@ class OcpBuilder:
     def stage_residual(self, zf):
         return self.J_stage @ zf - self.b_stage
 
-    def combination(self, zf):
-        """The combination vector at the free slots ``zf``: ``alpha_s + P @
-        (g - g_s)``."""
-        return self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
-
     def unpack(self, zf: np.ndarray) -> OcpDecision:
         """The decision at the free slots ``zf``: the combination vector
         ``alpha_s + P @ (g - g_s)`` and, in robust mode, the feature slack
         that closes the feature rows."""
-        alpha = self.combination(zf)
+        alpha = self.alpha_s + self.P @ (self.features.stacked(zf) - self.g_s)
         sigma_psi = None
         if self.has_sigma:
             sigma_psi = self.H_psi @ alpha - self.features.stacked(zf)[: self.features.n_psi]
@@ -386,9 +359,9 @@ class OcpBuilder:
         """Pseudo-inverse combination vector of the window resting at the
         setpoint."""
         spec = self.spec
-        u_bar = np.tile(spec.u_setpoint, (self.Lp, 1))
-        y_bar = [np.full(n, spec.y_setpoint[i]) for i, n in enumerate(self.y_lens)]
-        c = self.window(u_bar, y_bar)
+        history_u = np.tile(spec.u_setpoint, (self.d_max, 1))
+        history_y = np.tile(spec.y_setpoint, (self.d_max, 1))
+        c = np.concatenate([self.zf_s, self.pins(history_u, history_y)])
         xi = c[self.xi_idx]
         psi = spec.blocks.dictionary.value_batch(c[self.u_idx], xi[: self.Lp])
         return spec.blocks.H_stack_pinv @ np.concatenate([psi.reshape(-1), xi.reshape(-1)])
@@ -763,8 +736,7 @@ def run_closed_loop(
             if decision is None:
                 # A placeholder that evaluates no dictionary, so it cannot
                 # raise: the setpoint in every free slot, at the setpoint's alpha.
-                rest = [np.tile(spec.u_setpoint, spec.L), np.repeat(spec.y_setpoint, spec.L)]
-                c = np.concatenate([*rest, form.pins(*history)])
+                c = np.concatenate([form.zf_s, form.pins(*history)])
                 decision = form.window_decision(form.alpha_s, c)
             status, objective, iterations, max_violation = "solver-error", np.inf, 0, np.inf
             path = "held"
@@ -807,28 +779,29 @@ def evaluate_runtime_bounds(
     """Pair each applied solve's realized prediction errors with their bound.
 
     Returns rows ``(solve_time, k, channel, realized, bound)`` for the steps
-    each solve actually applied, using that solve's combination-vector and
-    slack norms in the error budget.
+    each solve actually applied. The bound on channel ``i`` (relative degree
+    ``d_i``) ``k`` steps in is ``(1 + k_xi + ... + k_xi^(k + d_max - d_i))``
+    times the solve's one-step budget from approximation error, measurement
+    noise and slack: ``eps* (1 + ||alpha||_1) + (1 + k_w) w* ||alpha||_1 + (1
+    + ||G||_inf) ||sigma||_inf``, with that solve's combination-vector and
+    slack norms.
     """
+    if any(v < 0 for v in (eps_star, w_star, k_xi, k_w, g_norm_inf)):
+        raise ValueError("error-bound inputs must be non-negative")
     rows = []
     y = np.asarray(log.outputs_clean)
+    d_max = int(max(log.degrees))
     for rec in log.solves:
         if not rec.applied:
             continue
-        inputs = ErrorBoundInputs(
-            eps_star=eps_star,
-            w_star=w_star,
-            k_xi=k_xi,
-            k_w=k_w,
-            g_norm_inf=g_norm_inf,
-            alpha_l1=rec.alpha_l1,
-            sigma_inf=rec.sigma_inf,
-            degrees=log.degrees,
+        budget = (
+            eps_star * (1.0 + rec.alpha_l1)
+            + (1.0 + k_w) * w_star * rec.alpha_l1
+            + (1.0 + g_norm_inf) * rec.sigma_inf
         )
         for k in range(log.stride):
             step = log.bootstrap_steps + rec.t + k
-            for i in range(len(log.degrees)):
+            for i, d_i in enumerate(log.degrees):
                 realized = abs(y[step, i] - rec.predicted_outputs[i][k])
-                bound = prediction_error_bound(inputs, i, k)
-                rows.append((rec.t, k, i, realized, bound))
+                rows.append((rec.t, k, i, realized, geometric_sum(k_xi, k + d_max - d_i) * budget))
     return rows

@@ -19,6 +19,16 @@ import numpy as np
 from ddnpc import solver
 
 
+def window(builder, u_bar, y_bar) -> np.ndarray:
+    """The window ``c = [zf; fixed]`` of ``builder`` holding the input window
+    ``u_bar`` and the output windows ``y_bar``."""
+    c = np.empty(builder.u_idx.size + sum(builder.y_lens))
+    c[builder.u_idx] = u_bar
+    for idx, y in zip(builder.y_idx, y_bar):
+        c[idx] = y
+    return c
+
+
 class Packed:
     """The packed decision vector of one builder: the combination vector,
     the input window (time-major), the output windows (channel by channel)
@@ -59,7 +69,7 @@ class Packed:
         y_bar = [z[o : o + n] for o, n in zip(self.y_offsets, b.y_lens)]
         sigma = z[self.off_s :] if self.n_sigma else None
         u_bar = z[self.off_u : self.off_y].reshape(b.Lp, b.m)
-        return b.window_decision(z[: b.M], b.window(u_bar, y_bar), sigma)
+        return b.window_decision(z[: b.M], window(b, u_bar, y_bar), sigma)
 
     def bounds(self, history_u, history_y):
         """The builder's bounds and pins on the packed vector: the boxes on

@@ -198,19 +198,23 @@ def _defined_names(tree):
 def test_test_only_helpers_stay_out_of_src():
     """Code that only the tests call lives in their reference modules: no
     module of ``src/ddnpc`` defines the scalar-callable dictionary, the
-    relative-degree probe, the membership residual, the window stack or the
-    closed-loop log's arrays.
+    relative-degree probe, the membership residual, the window stack, the
+    closed-loop log's arrays or the builder's scatter of decision windows.
     Settable values and structure that no caller outside the tests used
     stay out too: the Hankel wrapper, single-point dictionary evaluation,
     sequence windows, the chain matrices, plant feedthrough and the origin
     self-check, the parameters no caller set, the problem dimension beside
     its initial guess, the decision's window states, the window fit's clamp
-    flag and the full-space decision count."""
+    flag and the full-space decision count. Constructions with one caller
+    are folded into it: the error-bound wrapper and its per-entry budget,
+    the builder's combination vector, and the spec's slack gain and total
+    horizon."""
     import ast
     from pathlib import Path
 
     moved = {"CustomDictionary", "probe_relative_degrees", "NoResponseError",
-             "representation_residual", "stack", "ClosedLoopLog.as_arrays"}
+             "representation_residual", "stack", "ClosedLoopLog.as_arrays",
+             "OcpBuilder.window"}
     removed = {
         "HankelMatrix", "WindowError", "DEFAULT_RANK_RTOL", "Sequence.window",
         "BasisDictionary.value", "BasisDictionary.jacobian",
@@ -222,6 +226,8 @@ def test_test_only_helpers_stay_out_of_src():
         "simulate_data_driven(maxiter)", "match_output_data_driven(maxiter)",
         "NlpProblem.dim", "OcpDecision.xi_bar", "SimulationResult.clamped",
         "MatchingResult.clamped", "WindowFit.clamped", "OcpBuilder.audit_count",
+        "ErrorBoundInputs", "prediction_error_bound", "OcpBuilder.combination",
+        "OcpSpec.slack_gain", "OcpSpec.horizon_total",
     }
     found = {
         (path.name, name)

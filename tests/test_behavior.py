@@ -8,13 +8,12 @@ from ddnpc import basis, behavior, plant, presets
 from ddnpc.behavior import (
     DataDictionaryBlocks,
     DictionaryLacksInputError,
-    ErrorBoundInputs,
     InfeasibleInitialConditionError,
     geometric_sum,
     match_output_data_driven,
-    prediction_error_bound,
     simulate_data_driven,
 )
+from ddnpc.npc import ClosedLoopLog, SolveRecord, evaluate_runtime_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -37,31 +36,44 @@ def test_geometric_sum_matches_naive():
         np.testing.assert_allclose(geometric_sum(ratio, k), naive, rtol=1e-12)
 
 
-def bound_inputs(**kw):
-    base = dict(
-        eps_star=0.0, w_star=0.0, k_xi=0.0, k_w=0.0,
-        g_norm_inf=0.0, alpha_l1=0.0, sigma_inf=0.0, degrees=(2, 2),
+def one_solve_bounds(stride=1, alpha_l1=0.0, sigma_inf=0.0, degrees=(2, 2), **constants):
+    """The bounds ``npc.evaluate_runtime_bounds`` gives a log of one applied
+    solve, at time 0, with the norms ``alpha_l1`` and ``sigma_inf``, over
+    ``stride`` steps: ``bounds[i, k]`` on channel ``i``, ``k`` steps in. The
+    five constants default to zero."""
+    m, d_max = len(degrees), max(degrees)
+    log = ClosedLoopLog(
+        stride=stride, degrees=degrees, u_setpoint=np.zeros(m), y_setpoint=np.zeros(m),
+        bootstrap_steps=d_max, outputs_clean=[np.zeros(m)] * (d_max + stride),
     )
-    base.update(kw)
-    return ErrorBoundInputs(**base)
+    log.solves.append(SolveRecord(
+        t=0, status="converged", path="direct", objective=0.0, alpha_l1=alpha_l1,
+        sigma_inf=sigma_inf, iterations=1, max_violation=0.0, applied=True,
+        predicted_outputs=[np.zeros(stride + d) for d in degrees], wall_s=0.0,
+    ))
+    kw = dict(eps_star=0.0, w_star=0.0, k_xi=0.0, k_w=0.0, g_norm_inf=0.0)
+    kw.update(constants)
+    bounds = np.full((m, stride), np.nan)
+    for _, k, i, _, bound in evaluate_runtime_bounds(log, **kw):
+        bounds[i, k] = bound
+    return bounds
 
 
 def test_bound_zero_in_nominal_case():
-    inp = bound_inputs(alpha_l1=3.0, k_xi=0.8)
-    for k in range(12):
-        assert prediction_error_bound(inp, 0, k) == 0.0
+    bounds = one_solve_bounds(stride=12, alpha_l1=3.0, k_xi=0.8)
+    assert np.all(bounds == 0.0)
 
 
 def test_bound_earliest_step_is_bare_budget():
-    inp = bound_inputs(eps_star=0.2, alpha_l1=1.5, degrees=(1, 3))
+    bounds = one_solve_bounds(eps_star=0.2, alpha_l1=1.5, degrees=(1, 3))
     # channel with the largest delay sees the degree-zero polynomial at k = 0
     budget = 0.2 * (1 + 1.5)
-    np.testing.assert_allclose(prediction_error_bound(inp, 1, 0), budget)
+    np.testing.assert_allclose(bounds[1, 0], budget)
 
 
 def test_bound_plug_in_arithmetic():
-    inp = bound_inputs(eps_star=0.1, alpha_l1=2.0, k_xi=0.5, degrees=(2, 2))
-    np.testing.assert_allclose(prediction_error_bound(inp, 0, 3), 1.875 * 0.3)
+    bounds = one_solve_bounds(stride=4, eps_star=0.1, alpha_l1=2.0, k_xi=0.5)
+    np.testing.assert_allclose(bounds[0, 3], 1.875 * 0.3)
 
 
 def test_bound_monotone_in_every_argument():
@@ -75,19 +87,25 @@ def test_bound_monotone_in_every_argument():
             sigma_inf=rng.uniform(0, 0.5),
         )
         k = int(rng.integers(0, 8))
-        base_val = prediction_error_bound(bound_inputs(**kw), 0, k)
-        assert prediction_error_bound(bound_inputs(**kw), 0, k + 1) >= base_val
+        bounds = one_solve_bounds(stride=k + 2, **kw)
+        assert bounds[0, k + 1] >= bounds[0, k]
         for name in names:
             kw2 = dict(kw)
             kw2[name] = kw[name] + 0.1
-            assert prediction_error_bound(bound_inputs(**kw2), 0, k) >= base_val
+            assert one_solve_bounds(stride=k + 2, **kw2)[0, k] >= bounds[0, k]
 
 
 def test_bound_converges_for_contractive_lipschitz():
-    inp = bound_inputs(eps_star=0.2, alpha_l1=1.0, k_xi=0.6)
+    bounds = one_solve_bounds(stride=1001, eps_star=0.2, alpha_l1=1.0, k_xi=0.6)
     budget = 0.2 * 2.0
     limit = budget / (1 - 0.6)
-    assert prediction_error_bound(inp, 0, 1000) <= limit + 1e-9
+    assert bounds[0, 1000] <= limit + 1e-9
+
+
+@pytest.mark.parametrize("name", ["eps_star", "w_star", "k_xi", "k_w", "g_norm_inf"])
+def test_bound_rejects_negative_constants(name):
+    with pytest.raises(ValueError, match="error-bound inputs must be non-negative"):
+        one_solve_bounds(**{name: -0.1})
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def spoil_first_input(path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def two_channels(path):
+    """A copy of the one-channel trajectory CSV ``path`` with each input and
+    output column twice, beside it; returns the copy's path."""
+    u, outputs = trajlib.read_trajectory_csv(path)
+    doubled = Path(path).with_name("two_channels.csv")
+    trajlib.write_trajectory_csv(doubled, np.hstack([u, u]), outputs * 2)
+    return str(doubled)
+
+
 def first_rows(path, rows):
     """A copy of the trajectory CSV ``path`` with its first ``rows`` samples
     only, beside it; returns the copy's path."""
@@ -180,8 +189,17 @@ def first_rows(path, rows):
         ("match-output", toy_config,
          lambda cfg: cfg.update(match={"y_file": first_rows(cfg["files"]["data"], 11)}),
          "match.y_file"),
+        ("simulate", toy_config,
+         lambda cfg: cfg.update(simulate={"u_file": two_channels(cfg["files"]["data"])}),
+         "simulate.u_file"),
+        ("match-output", toy_config,
+         lambda cfg: cfg.update(match={"y_file": two_channels(cfg["files"]["data"])}),
+         "match.y_file"),
         ("sweep", toy_config, lambda cfg: cfg.update(sweep={"vary": "ocp.L", "values": 5}),
          "sweep.values"),
+        ("sweep", toy_config,
+         lambda cfg: cfg.update(sweep={"vary": "ocp.L", "values": [8], "seeds": []}),
+         "sweep.seeds"),
     ],
     ids=[
         "plant_params", "plant_params_out_of_range", "pendulum_policy_K", "policy_seed",
@@ -201,7 +219,8 @@ def first_rows(path, rows):
         "run_hold_input_null", "run_x0_null_entry", "ocp_Q_shape",
         "ocp_R_shape", "check_pe_data_not_a_number", "npc_run_certificate_not_json",
         "simulate_u_file_missing", "simulate_u_file_short", "match_y_file_short",
-        "sweep_values_not_a_list",
+        "simulate_u_file_channels", "match_y_file_channels", "sweep_values_not_a_list",
+        "sweep_seeds_empty",
     ],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, make, edit, key):
@@ -493,6 +512,28 @@ def test_sweep_noise_levels_non_increasing(tmp_path):
     summary = json.loads((out / "sweep_summary.json").read_text())
     errs = summary["settled_errors"]
     assert errs[0] >= errs[1] >= errs[2] - 1e-12
+
+
+def test_sweep_over_a_list_valued_key(tmp_path):
+    """A swept key whose values are lists, the output setpoint: every value
+    runs, and the summary holds one mean settled error per value, in the
+    order of the values."""
+    path, cfg = toy_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["collect", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    cfg["files"] = {"data": str(out / "data.csv"), "certificate": str(out / "certificate.json")}
+    cfg["sweep"] = {"vary": "ocp.y_setpoint", "values": [[0.0], [0.1]], "seeds": [0, 1]}
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["sweep", "--config", path, "--out-dir", out]) == cli.EXIT_OK
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["values"] == [[0.0], [0.1]]
+    for value, mean in zip(summary["values"], summary["settled_errors"]):
+        runs = [
+            json.loads((out / f"ocp_y_setpoint_{value}_seed{seed}" / "summary.json").read_text())
+            for seed in (0, 1)
+        ]
+        assert [run["value"] for run in runs] == [value, value]
+        assert mean == np.mean([run["settled_error"] for run in runs])
 
 
 def test_collect_warns_when_data_too_short(tmp_path, capsys):

@@ -661,7 +661,7 @@ def test_robust_equilibrium_is_zero_cost():
     psi = d.value_batch(u_bar, xi[: builder.Lp]).reshape(-1)
     alpha = builder.alpha_s
     decision = builder.window_decision(
-        alpha, builder.window(u_bar, y_bar), builder.H_psi @ alpha - psi
+        alpha, full_space.window(builder, u_bar, y_bar), builder.H_psi @ alpha - psi
     )
     z = full_space.Packed(builder).pack(decision)
     objective, _ = full_space.problem(builder, hu, hy).objective(z)
@@ -847,10 +847,10 @@ def test_direct_iteration_limit_reports_measured_violation(monkeypatch):
     assert info["max_violation"] == max(0.0, decision.sigma_inf - bound)
 
 
-def flat_toy_loop_spec(mode):
-    """The relaxed robust flat toy at setpoint zero, or its nominal
+def flat_toy_loop_spec(mode, setpoint=0.0):
+    """The relaxed robust flat toy at ``setpoint``, or its nominal
     counterpart on the same data."""
-    spec = flat_toy_relaxed_spec(0.0)
+    spec = flat_toy_relaxed_spec(setpoint)
     if mode == "robust":
         return spec
     return OcpSpec(
@@ -977,8 +977,12 @@ def test_solve_records_time_their_solves(mode, construction_calls):
 def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
     """A dictionary that raises on every call after the builder is built:
     no solve ever succeeds, and the held placeholder must not evaluate the
-    dictionary, so the loop still returns a log of ``solver-error`` solves."""
-    spec = flat_toy_loop_spec(mode)
+    dictionary, so the loop still returns a log of ``solver-error`` solves.
+    The placeholder is the window resting at the setpoint in every free
+    slot, at the ridge anchor of a form built while the dictionary worked
+    (nonzero in robust mode, at a nonzero setpoint)."""
+    spec = flat_toy_loop_spec(mode, setpoint=0.3)
+    alpha_s = OcpBuilder(spec).alpha_s
     d = spec.blocks.dictionary
     value_batch = d.value_batch
     calls = []
@@ -998,6 +1002,10 @@ def test_solver_error_without_any_success_is_recorded(mode, construction_calls):
         assert rec.path == "held"
         assert not rec.applied
         assert rec.error == "RuntimeError: dictionary offline"
+        for y, d_i, y_s in zip(rec.predicted_outputs, spec.structure.degrees, spec.y_setpoint):
+            np.testing.assert_array_equal(y, np.full(spec.L + d_i, y_s))
+        assert rec.alpha_l1 == np.sum(np.abs(alpha_s))
+        assert np.isfinite(rec.sigma_inf)
 
 
 @pytest.mark.parametrize("mode,construction_calls", [("robust", 1), ("nominal", 0)])

@@ -683,7 +683,7 @@ def test_shift_moves_blocks_and_pads():
     u_s = builder.spec.u_setpoint[0]
     prev = builder.window_decision(
         np.zeros(builder.M),
-        builder.window(np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]),
+        full_space.window(builder, np.arange(float(Lp)).reshape(Lp, 1), [np.arange(float(ny))]),
     )
     out = builder.shifted_guess(prev, 2)
     np.testing.assert_array_equal(out, [*range(d + 2, Lp), u_s, u_s, *range(d + 2, Lp + 2)])
